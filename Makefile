@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race smoke bench-trace bench-analyze bench-scale bench-scale-quick bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
+.PHONY: check build vet staticcheck test race benchmark-check smoke bench-trace bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
-check: vet staticcheck build race
+check: vet staticcheck build race benchmark-check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is a module of its own that imports repro/internal/...: an
+# internal API change can break it with every root gate above green.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Quick -race pass over the two execution models only: the discrete-event
 # engine (sim) and the message layer (phys) are where data races would live.
 smoke:
@@ -39,19 +45,6 @@ bench-trace:
 # synthetic trace and pin the throughput baseline in results/.
 bench-analyze:
 	$(GO) run ./cmd/tracectl bench -events 500000 -nodes 256 -reps 5 -out results/BENCH_tracectl.json
-
-# Scale bench for the sharded parallel round executor: parallel vs the
-# Workers=1 schedule at n in {10k, 100k, 1M} on regular graphs, with an
-# equal-final-graph cross-check. Writes results/BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/ssrsim -mode scale -sizes 10000,100000,1000000 -out results/BENCH_scale.json
-
-# CI smoke variant: small size, tight round caps, throwaway output. Two
-# arms: the contiguous baseline and the locality policy (wave-scheduled
-# boundary), so the smoke exercises both boundary disciplines.
-bench-scale-quick:
-	$(GO) run ./cmd/ssrsim -mode scale -quick -sizes 4000 -workers 2 -out /tmp/BENCH_scale_quick.json
-	$(GO) run ./cmd/ssrsim -mode scale -quick -sizes 4000 -workers 2 -partition locality -out /tmp/BENCH_scale_quick_locality.json
 
 # Chaos suite: replay the committed fault scenarios (loss bursts,
 # partition+heal, churn, jitter, corruption) over every registered

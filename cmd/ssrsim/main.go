@@ -13,7 +13,6 @@
 //	ssrsim -mode overlay -n 32 -pairs 300     # E13: Chord overlay vs SSR underlay
 //	ssrsim -mode dht -n 24                    # E14: DHT workload over SSR
 //	ssrsim -mode boot -proto isprp -n 256     # E6c: one traced bootstrap run
-//	ssrsim -mode scale -sizes 10000,100000    # E15: sharded executor scale bench
 //	ssrsim -mode chaos -n 24                  # E16: chaos suite over all protocols
 //	ssrsim -mode reliability -n 24            # E17: cold-start loss sweep, raw vs reliable
 //
@@ -30,12 +29,6 @@
 // sublayer (-transport reliable everywhere else), recording cold-start
 // convergence and the message overhead reliability costs, to -out (default
 // results/BENCH_reliability.json). -quick keeps the 15% reliable arm only.
-//
-// -mode scale times the sharded parallel round executor (-workers, -shards)
-// against its own Workers=1 schedule on large regular graphs, checks the
-// final virtual graphs are identical, and writes the machine-readable
-// record to -out (default results/BENCH_scale.json). -quick shrinks the
-// round caps for CI smoke runs.
 //
 // Observability: -trace FILE -trace-level {off|round|msg} writes a JSONL
 // event trace, -listen ADDR serves live /metrics (OpenMetrics), /healthz
@@ -54,7 +47,7 @@ import (
 
 func main() {
 	cli := exp.BindCLI(flag.CommandLine, exp.CLIOptions{
-		Modes:        "compare | breakdown | route | occupancy | closure | vrr | churn | teardown | mobility | loopy | overlay | dht | boot | scale | chaos | reliability | profile",
+		Modes:        "compare | breakdown | route | occupancy | closure | vrr | churn | teardown | mobility | loopy | overlay | dht | boot | chaos | reliability | profile",
 		DefaultMode:  "compare",
 		DefaultSizes: "16,24,32",
 	})
@@ -62,8 +55,8 @@ func main() {
 	kill := flag.Int("kill", 3, "nodes to fail for -mode churn")
 	proto := flag.String("proto", "linearization", "protocol for -mode boot: "+strings.Join(exp.ProtocolNames(), " | "))
 	probeEvery := flag.Int("probe-every", 16, "convergence-probe sampling interval in ticks for -mode boot")
-	out := flag.String("out", "", "JSON output path for -mode scale / chaos / reliability / profile (default results/BENCH_<mode>.json)")
-	quick := flag.Bool("quick", false, "shrink -mode scale/chaos/reliability/profile to a fast smoke run")
+	out := flag.String("out", "", "JSON output path for -mode chaos / reliability / profile (default results/BENCH_<mode>.json)")
+	quick := flag.Bool("quick", false, "shrink -mode chaos/reliability/profile to a fast smoke run")
 	profDir := flag.String("prof-dir", "results/prof", "pprof bundle directory for -mode profile (empty disables capture)")
 	variant := flag.String("variant", "", "restrict -mode profile to one linearization variant (pure | memory | lsn; empty: all)")
 	flag.Parse()
@@ -115,35 +108,6 @@ func main() {
 			os.Exit(2)
 		}
 		emit(rep)
-	case "scale":
-		// The scale bench has its own defaults: large regular graphs (ER
-		// generation is O(n²)) unless -topo/-sizes were given explicitly.
-		scaleTopo, scaleSizes := graph.TopoRegular, "10000,100000"
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "topo":
-				scaleTopo = t
-			case "sizes":
-				scaleSizes = *cli.Sizes
-			}
-		})
-		sizes, err := exp.ParseSizes(scaleSizes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssrsim:", err)
-			os.Exit(2)
-		}
-		outPath := *out
-		if outPath == "" {
-			outPath = "results/BENCH_scale.json"
-		}
-		rep, res := exp.ScaleBench(sizes, scaleTopo, *cli.Workers, *cli.Shards, *cli.Partition, *cli.Seed, *quick)
-		if err := exp.WriteScaleJSON(outPath, res); err != nil {
-			closeTrace()
-			fmt.Fprintln(os.Stderr, "ssrsim:", err)
-			os.Exit(2)
-		}
-		emit(rep)
-		fmt.Fprintf(os.Stderr, "ssrsim: wrote %s\n", outPath)
 	case "chaos":
 		outPath := *out
 		if outPath == "" {
@@ -189,8 +153,8 @@ func main() {
 			os.Exit(1)
 		}
 	case "profile":
-		// Like -mode scale, the profiler has its own defaults: one large
-		// regular graph unless -topo/-n were given explicitly.
+		// The profiler has its own defaults: one large regular graph (ER
+		// generation is O(n²)) unless -topo/-n were given explicitly.
 		profTopo, profN := graph.TopoRegular, 10000
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {

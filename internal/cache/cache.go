@@ -210,14 +210,15 @@ type Candidate struct {
 // (intermediate nodes included) and return the candidate that minimizes the
 // clockwise ring distance to target, tie-broken by fewest hops from the
 // owner ("physically closest to itself and virtually closest to the final
-// destination", §1). The owner itself is never returned; ok=false means the
-// cache is empty. If target itself is on some cached route, the exact route
-// is returned.
+// destination", §1). Candidates still tied — the same node at the same
+// depth on two routes — are ordered by their prefixes, element by element,
+// so the answer depends on the cache's contents and never on map iteration
+// order. The owner itself is never returned; ok=false means the cache is
+// empty. If target itself is on some cached route, the exact route is
+// returned.
 func (c *Cache) BestToward(target ids.ID) (Candidate, bool) {
-	var best Candidate
+	var via sroute.Route                      // best prefix so far, aliasing a cached route
 	bestDist := ids.RingDist(c.owner, target) // must improve on owner
-	bestHops := 0
-	found := false
 	for _, r := range c.routes {
 		for i := 1; i < len(r); i++ {
 			node := r[i]
@@ -225,22 +226,35 @@ func (c *Cache) BestToward(target ids.ID) (Candidate, bool) {
 				continue
 			}
 			dist := ids.RingDist(node, target)
-			if !found && dist >= bestDist {
-				// Not an improvement over just holding the packet; SSR's
-				// ring consistency guarantees the successor always improves,
-				// so skip non-improving candidates.
+			if dist > bestDist || (via == nil && dist == bestDist) {
+				// Not an improvement — on the best candidate, or, before
+				// there is one, on just holding the packet; SSR's ring
+				// consistency guarantees the successor always improves.
 				continue
 			}
-			if found && (dist > bestDist || (dist == bestDist && i >= bestHops)) {
-				continue
+			if dist == bestDist {
+				// The same node again: fewer hops wins, then prefix order.
+				if n := i + 1; n > len(via) || (n == len(via) && !prefixLess(r[:n], via)) {
+					continue
+				}
 			}
-			best = Candidate{Node: node, Via: r[:i+1].Clone()}
-			bestDist = dist
-			bestHops = i
-			found = true
+			via, bestDist = r[:i+1], dist
 		}
 	}
-	return best, found
+	if via == nil {
+		return Candidate{}, false
+	}
+	return Candidate{Node: via.Dst(), Via: via.Clone()}, true
+}
+
+// prefixLess orders two equal-length route prefixes element by element.
+func prefixLess(a, b sroute.Route) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy of the cache (routes included).

@@ -201,6 +201,30 @@ func TestBestTowardTieBreaksByHops(t *testing.T) {
 	}
 }
 
+// TestBestTowardIndependentOfMapOrder: node 150 sits at depth 2 on four
+// cached routes, so distance and hop count tie; the answer must be the
+// smallest prefix whatever order the routes went in or the map ranges in.
+func TestBestTowardIndependentOfMapOrder(t *testing.T) {
+	routes := []sroute.Route{
+		route(t, 100, 7, 150, 300), route(t, 100, 3, 150, 400),
+		route(t, 100, 9, 150, 500), route(t, 100, 5, 150, 600),
+		route(t, 100, 4, 8, 150), // same node, one hop further: never wins
+	}
+	want := route(t, 100, 3, 150)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(routes), func(i, j int) { routes[i], routes[j] = routes[j], routes[i] })
+		c := New(100, Unbounded)
+		for _, r := range routes {
+			c.Insert(r)
+		}
+		cand, ok := c.BestToward(150)
+		if !ok || cand.Node != 150 || !cand.Via.Equal(want) {
+			t.Fatalf("trial %d: BestToward(150) = %+v, want via %v", trial, cand, want)
+		}
+	}
+}
+
 func TestBestTowardRequiresProgress(t *testing.T) {
 	c := New(100, Unbounded)
 	// Target 101; candidate 102 is *past* the target clockwise (huge ring

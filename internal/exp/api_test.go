@@ -2,6 +2,7 @@ package exp
 
 import (
 	"flag"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,27 +72,16 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
-func TestScaleBenchQuick(t *testing.T) {
-	rep, res := ScaleBench([]int{600}, graph.TopoRegular, 2, 4, "contiguous", 5, true)
-	if len(res.Runs) != 3 {
-		t.Fatalf("want one run per variant, got %d", len(res.Runs))
+// TestSchedulerAblationMatchesCommitted pins the random-sequential daemon's
+// draw sequence across executor changes: `convergence -mode scheduler` (n=200,
+// 3 seeds) must reproduce the committed artifact byte for byte.
+func TestSchedulerAblationMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile("../../results/a1_scheduler.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range res.Runs {
-		if !r.EqualGraphs {
-			t.Errorf("%s n=%d: parallel and sequential graphs differ", r.Variant, r.N)
-		}
-		if r.Shards != 4 || r.Workers != 2 {
-			t.Errorf("%s: run shape = shards %d workers %d, want 4/2", r.Variant, r.Shards, r.Workers)
-		}
-		if r.SeqSeconds <= 0 || r.ParSeconds <= 0 {
-			t.Errorf("%s: timings must be positive: %+v", r.Variant, r)
-		}
-	}
-	if res.Criteria.TargetSpeedup != 2.0 || res.Criteria.AtN != 600 {
-		t.Errorf("criteria = %+v", res.Criteria)
-	}
-	if !strings.Contains(rep.String(), "speedup") {
-		t.Errorf("report table missing speedup column:\n%s", rep)
+	if got := SchedulerAblation(200, 3).String() + "\n"; got != string(want) {
+		t.Errorf("A1 drifted from results/a1_scheduler.txt:\n%s", got)
 	}
 }
 

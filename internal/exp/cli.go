@@ -34,10 +34,9 @@ type CLI struct {
 	Seeds *int
 	Seed  *int64
 	CSV   *bool
-	// Workers/Shards/Partition configure the sharded parallel round
-	// executor: -workers 0 keeps the single-threaded legacy executor,
-	// k >= 1 uses a pool of k goroutines; -shards 0 picks
-	// sim.DefaultShards; -partition names the shard-assignment policy
+	// Workers/Shards/Partition configure the round executor: -workers 0
+	// uses GOMAXPROCS goroutines; -shards 0 picks sim.DefaultShards;
+	// -partition names the shard-assignment policy
 	// (sim.PartitionPolicies).
 	Workers   *int
 	Shards    *int
@@ -66,10 +65,10 @@ func BindCLI(fs *flag.FlagSet, opt CLIOptions) *CLI {
 		Seeds:   fs.Int("seeds", 3, "independent runs per configuration"),
 		Seed:    fs.Int64("seed", 1, "seed for single-run modes"),
 		CSV:     fs.Bool("csv", false, "emit the result table as CSV instead of aligned text"),
-		Workers: fs.Int("workers", 0, "worker pool for the sharded round executor (0 = single-threaded legacy executor)"),
-		Shards:  fs.Int("shards", 0, "shard count for the parallel executor (0 = auto-scale with n)"),
+		Workers: fs.Int("workers", 0, "worker pool of the round executor (0 = GOMAXPROCS); never changes the result"),
+		Shards:  fs.Int("shards", 0, "shard count of the round executor (0 = auto-scale with n)"),
 		Partition: fs.String("partition", "contiguous",
-			"shard-assignment policy for the parallel executor: "+strings.Join(sim.PartitionPolicies(), " | ")),
+			"shard-assignment policy of the round executor: "+strings.Join(sim.PartitionPolicies(), " | ")),
 		Transport: fs.String("transport", TransportRaw,
 			"protocol transport: raw | reliable (sequence numbers, adaptive retransmission, lease failure detector)"),
 

@@ -53,16 +53,15 @@ func SetTransport(name string) error {
 	return nil
 }
 
-// defaultExec, when set via SetExecutor, selects the sharded parallel
-// round executor (pool width, partition size, partition policy) for every
-// linearization run the harnesses create — the same harness-wide pattern
-// as the tracer, so the cmd/ tools' -workers/-shards/-partition flags
-// reach every experiment.
+// defaultExec, when set via SetExecutor, configures the round executor
+// (pool width, partition size, partition policy) for every linearization
+// run the harnesses create — the same harness-wide pattern as the tracer,
+// so the cmd/ tools' -workers/-shards/-partition flags reach every
+// experiment.
 var defaultExec sim.ExecutorConfig
 
-// SetExecutor installs the harness-wide round-executor configuration
-// (Workers 0 restores the single-threaded legacy executor). Experiments
-// that configure an executor themselves are left alone.
+// SetExecutor installs the harness-wide round-executor configuration.
+// Experiments that configure an executor themselves are left alone.
 func SetExecutor(cfg sim.ExecutorConfig) {
 	defaultExec = cfg
 }
@@ -71,7 +70,7 @@ func SetExecutor(cfg sim.ExecutorConfig) {
 // executor configuration attached.
 func runLin(g *graph.Graph, cfg linearize.Config) (linearize.Stats, *graph.Graph) {
 	cfg.Tracer = tracer
-	if cfg.Workers == 0 && cfg.Executor == (sim.ExecutorConfig{}) {
+	if cfg.Executor == (sim.ExecutorConfig{}) {
 		cfg.Executor = defaultExec
 	}
 	return linearize.Run(g, cfg)

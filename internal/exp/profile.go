@@ -76,6 +76,23 @@ type ProfileResult struct {
 	Runs       []ProfileRun  `json:"runs"`
 }
 
+// profileRounds bounds each variant's run: the profiler measures where a
+// round's time goes, not convergence, and Pure needs Θ(n) rounds at these
+// sizes. Quick mode (the CI gate) tightens everything.
+func profileRounds(v linearize.Variant, quick bool) int {
+	if quick {
+		return 6
+	}
+	switch v {
+	case linearize.Pure:
+		return 16
+	case linearize.Memory:
+		return 48
+	default:
+		return 96
+	}
+}
+
 // ProfileBench profiles linearization variants on the sharded executor at
 // size n — every variant when only is empty, a single named one otherwise
 // (useful for producing a one-variant trace `tracectl perf` can read
@@ -132,7 +149,7 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 		cfg := linearize.Config{
 			Variant:   v,
 			Scheduler: sim.Synchronous,
-			MaxRounds: scaleRounds(v, quick),
+			MaxRounds: profileRounds(v, quick),
 			CloseRing: true,
 			Executor:  sim.ExecutorConfig{Workers: workers, Shards: shards, Partition: partition},
 			Tracer:    tr,

@@ -167,21 +167,18 @@ func (c *Cluster) VirtualGraph() *graph.Graph {
 // convergence probe every `every` ticks, starting one interval from now,
 // until Stop — the same observation contract as ssr.Cluster.AttachProbe.
 func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil || every <= 0 {
+	if p == nil {
 		return
 	}
 	round := 0
-	eng := c.Net.Engine()
-	var tick func()
-	tick = func() {
+	c.Net.Engine().Every(every, func() bool {
 		if c.probeStopped {
-			return
+			return false
 		}
 		p.Observe(round, c.VirtualGraph())
 		round++
-		eng.After(every, tick)
-	}
-	eng.After(every, tick)
+		return true
+	})
 }
 
 // Stop halts any attached probes. Flood nodes have no periodic activity of
@@ -203,18 +200,5 @@ func (c *Cluster) Consistent() bool {
 
 // RunUntilConsistent drives the engine until consistency or the deadline.
 func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	eng := c.Net.Engine()
-	const checkEvery = sim.Time(8)
-	for next := eng.Now() + checkEvery; ; next += checkEvery {
-		if next > deadline {
-			next = deadline
-		}
-		eng.RunUntil(next, nil)
-		if c.Consistent() {
-			return eng.Now(), true
-		}
-		if next >= deadline || eng.Pending() == 0 {
-			return eng.Now(), c.Consistent()
-		}
-	}
+	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
 }

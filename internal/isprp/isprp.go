@@ -436,21 +436,18 @@ func (c *Cluster) VirtualGraph() *graph.Graph {
 // until Stop — the same observation contract as ssr.Cluster.AttachProbe,
 // so linearization and ISPRP bootstraps produce comparable trace series.
 func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil || every <= 0 {
+	if p == nil {
 		return
 	}
 	round := 0
-	eng := c.Net.Engine()
-	var tick func()
-	tick = func() {
+	c.Net.Engine().Every(every, func() bool {
 		if c.probeStopped {
-			return
+			return false
 		}
 		p.Observe(round, c.VirtualGraph())
 		round++
-		eng.After(every, tick)
-	}
-	eng.After(every, tick)
+		return true
+	})
 }
 
 // Consistent reports whether the ring is globally consistent right now.
@@ -468,20 +465,7 @@ func (c *Cluster) Consistent() bool {
 // RunUntilConsistent drives the simulation until global consistency or the
 // deadline. It returns the convergence time and whether it converged.
 func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	eng := c.Net.Engine()
-	const checkEvery = sim.Time(8)
-	for next := eng.Now() + checkEvery; ; next += checkEvery {
-		if next > deadline {
-			next = deadline
-		}
-		eng.RunUntil(next, nil)
-		if c.Consistent() {
-			return eng.Now(), true
-		}
-		if next >= deadline || eng.Pending() == 0 {
-			return eng.Now(), false
-		}
-	}
+	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
 }
 
 // Stop halts all nodes' periodic activity and any attached probes.

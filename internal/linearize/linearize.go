@@ -69,7 +69,6 @@ package linearize
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -120,31 +119,19 @@ type Config struct {
 	// largest node once the line is in place (§4's discovery step,
 	// abstracted). The wrap edge is exempt from linearization.
 	CloseRing bool
-	// Executor configures the sharded parallel executor for the Synchronous
-	// scheduler: pool width, partition size and partition policy (see
-	// sim.ExecutorConfig). Workers 0 keeps the single-threaded legacy
-	// executor; k >= 1 runs the sharded executor with a pool of k
-	// goroutines (see parallel.go). The final graph and stats are a pure
-	// function of the shard schedule (partition size + policy) — identical
-	// for every Workers >= 1. Shards is part of the schedule: Pure and LSN
-	// activate shard-interior nodes before cross-shard nodes, so different
-	// partitions may take different (equally valid) trajectories;
-	// Executor.Shards=1 reproduces the legacy executor's schedule exactly,
-	// and Memory is Jacobi-style and matches the legacy executor under
-	// every partition. An unknown Partition name panics in Run — validate
-	// user input with sim.NewPartitioner first. The RandomSequential daemon
-	// is inherently serial and ignores Executor entirely.
+	// Executor configures the round executor (see parallel.go and
+	// sim.ExecutorConfig): pool width (<= 0: GOMAXPROCS), partition size
+	// (<= 0: sim.DefaultShards(n)) and partition policy. The final graph,
+	// stats and trace stream are a function of (Shards, Partition,
+	// Scheduler, Seed) and never of Workers. Shards is part of the
+	// schedule for Pure and LSN, which activate shard-interior nodes before
+	// cross-shard ones, so different partitions may take different (equally
+	// valid) trajectories — one shard is the plain Gauss-Seidel pass;
+	// Memory is Jacobi-style and takes the same trajectory under every
+	// partition. The RandomSequential daemon is inherently serial: it
+	// always runs as one shard. An unknown Partition name panics in Run —
+	// validate user input with sim.NewPartitioner first.
 	Executor sim.ExecutorConfig
-	// Workers is the pre-ExecutorConfig pool-width knob.
-	//
-	// Deprecated: set Executor.Workers instead. The alias is honored (when
-	// Executor.Workers is zero) for one release.
-	Workers int
-	// Shards is the pre-ExecutorConfig partition-size knob.
-	//
-	// Deprecated: set Executor.Shards instead. The alias is honored (when
-	// Executor.Shards is zero) for one release.
-	Shards int
 	// OnRound, if set, is called after every round with the round number
 	// and the current virtual graph (read-only). Used for Figure 3 traces.
 	OnRound func(round int, g *graph.Graph)
@@ -158,27 +145,12 @@ type Config struct {
 	// cardinality round by round and records the distance-to-linearized
 	// series (it also feeds Tracer when its own Tracer field is set).
 	Probe *trace.Probe
-	// Prof, if set, instruments the sharded executor with the
-	// deterministic-safe performance profiler: per-phase and per-shard wall
-	// time, snapshot-rebuild cost, load imbalance and allocation deltas,
-	// emitted as EvSpan events on a side channel (see package perf). Only
-	// observed by the sharded executor (Workers > 0, Synchronous); purely
+	// Prof, if set, instruments the executor with the deterministic-safe
+	// performance profiler: per-phase and per-shard wall time,
+	// snapshot-rebuild cost, load imbalance and allocation deltas, emitted
+	// as EvSpan events on a side channel (see package perf). Purely
 	// observational — the result is identical with or without it.
 	Prof *perf.Profiler
-}
-
-// exec resolves the executor configuration, folding the deprecated
-// Workers/Shards aliases into the Executor struct (alias fields only apply
-// where the Executor field is zero).
-func (c Config) exec() sim.ExecutorConfig {
-	ex := c.Executor
-	if ex.Workers == 0 {
-		ex.Workers = c.Workers
-	}
-	if ex.Shards == 0 {
-		ex.Shards = c.Shards
-	}
-	return ex
 }
 
 // Stats aggregates what a run did — the raw material for experiments E5,
@@ -192,9 +164,7 @@ type Stats struct {
 	EdgesDropped int64 // edge removals ≈ teardowns needed
 	PeakDegree   int   // maximum node degree ever observed (state bound)
 	FinalEdges   int   // edges at the fixed point
-	// Par describes the sharded executor's run shape when it ran
-	// (Config.Workers > 0 under the synchronous scheduler); the zero value
-	// means the single-threaded legacy executor.
+	// Par describes the executor's run shape.
 	Par ParallelStats
 }
 
@@ -226,7 +196,7 @@ func NewEngine(virtual *graph.Graph, cfg Config) *Engine {
 	}
 	e.stats.Variant = cfg.Variant
 	e.stats.Scheduler = cfg.Scheduler
-	e.observeDegrees(e.g)
+	e.stats.PeakDegree = e.g.MaxDegree()
 	return e
 }
 
@@ -281,86 +251,6 @@ func (e *Engine) Done() bool {
 	return e.g.SupersetOfLine()
 }
 
-// Run drives the engine to the goal or the round bound and returns stats.
-func (e *Engine) Run() Stats {
-	max := e.cfg.MaxRounds
-	if max <= 0 {
-		max = 16 * len(e.nodes)
-		if max < 1024 {
-			max = 1024
-		}
-	}
-	if e.cfg.exec().Workers > 0 && e.cfg.Scheduler == sim.Synchronous {
-		return e.runSharded(max)
-	}
-	rng := rand.New(rand.NewSource(e.cfg.Seed))
-	root := &opSink{e: e, direct: true}
-	rr := &sim.RoundRunner{
-		Scheduler: e.cfg.Scheduler,
-		MaxRounds: max,
-		NodeCount: func() int { return len(e.nodes) },
-		Done:      e.Done,
-	}
-	if e.cfg.Scheduler == sim.Synchronous && e.cfg.Variant == Memory {
-		var staged *graph.Graph
-		rr.BeginRound = func(int) {
-			staged = e.g.Clone()
-		}
-		rr.Activate = func(i int) bool {
-			return e.proposeInto(staged, e.nodes[i], root)
-		}
-		rr.EndRound = func(round int) {
-			e.g = staged
-			e.observeDegrees(staged)
-			if e.cfg.OnRound != nil {
-				e.cfg.OnRound(round, e.g)
-			}
-		}
-	} else {
-		rr.Activate = func(i int) bool {
-			return e.stepInPlace(e.nodes[i], root)
-		}
-		if e.cfg.OnRound != nil {
-			rr.EndRound = func(round int) { e.cfg.OnRound(round, e.g) }
-		}
-	}
-	// Observability wrapping is layered over whichever hooks the execution
-	// model installed, so the round events bracket the model's own work.
-	if e.cfg.Tracer != nil || e.cfg.Probe != nil {
-		prevBegin, prevEnd := rr.BeginRound, rr.EndRound
-		rr.BeginRound = func(round int) {
-			e.curRound = round
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.Emit(trace.Event{
-					T: int64(round), Type: trace.EvRoundStart,
-					Aux: e.cfg.Variant.String(), Value: float64(e.g.NumEdges()),
-				})
-			}
-			if prevBegin != nil {
-				prevBegin(round)
-			}
-		}
-		rr.EndRound = func(round int) {
-			if prevEnd != nil {
-				prevEnd(round)
-			}
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.Emit(trace.Event{
-					T: int64(round), Type: trace.EvRoundEnd,
-					Aux: e.cfg.Variant.String(), Value: float64(e.g.NumEdges()),
-				})
-			}
-			if e.cfg.Probe != nil {
-				e.cfg.Probe.Observe(round, e.g)
-			}
-		}
-	}
-	res := rr.Run(rng)
-	e.stats.Rounds = res.Rounds
-	e.stats.Converged = res.Converged
-	return e.Stats()
-}
-
 // lineNeighborsInto appends v's current neighbors in the line view — all
 // neighbors except a wrap-edge partner — in ascending order to dst,
 // reusing its capacity, and returns the extended slice. The per-round hot
@@ -378,11 +268,11 @@ func (e *Engine) lineNeighborsInto(g *graph.Graph, v ids.ID, dst []ids.ID) []ids
 }
 
 // opSink collects the side effects of node operations — stat deltas and
-// trace events. The legacy single-threaded executor uses one direct sink
-// that writes straight into the engine's stats and tracer; the sharded
-// executor gives each shard a buffering sink whose contents are merged in
-// shard order during the sequential Finish phase, so the observable stream
-// is deterministic regardless of worker scheduling.
+// trace events. The sequential phases use one direct sink that writes
+// straight into the engine's stats and tracer; each shard gets a buffering
+// sink whose contents are merged in shard order during the sequential
+// Finish phase, so the observable stream is deterministic regardless of
+// worker scheduling.
 type opSink struct {
 	e       *Engine
 	direct  bool // write through to e.stats / e.cfg.Tracer immediately
@@ -468,30 +358,6 @@ func (s *opSink) flush() {
 	s.reset()
 }
 
-// proposeInto applies v's linearization proposal (reading the snapshot e.g,
-// writing adds into staged) for the synchronous model of the monotone
-// variants (Memory, LSN). It reports whether v's proposal differs from the
-// snapshot state.
-func (e *Engine) proposeInto(staged *graph.Graph, v ids.ID, sink *opSink) bool {
-	sink.nbrs = e.lineNeighborsInto(e.g, v, sink.nbrs[:0])
-	sink.chain = appendChainEdges(sink.chain[:0], v, sink.nbrs)
-	changed := false
-	for _, c := range sink.chain {
-		if staged.AddEdge(c.U, c.V) {
-			sink.addEdge()
-			sink.traceEdge(trace.EvEdgeAdd, c.U, c.V)
-		}
-		if !e.g.HasEdge(c.U, c.V) {
-			changed = true
-		}
-	}
-	if e.closeRingStep(e.g, staged, v, sink) {
-		sink.addEdge()
-		changed = true
-	}
-	return changed
-}
-
 // stepInPlace atomically applies v's operation on the live graph: add the
 // chain edges, then delegate away the neighbors outside v's keep set (the
 // chain has just connected each of them to a strictly closer node, so no
@@ -539,7 +405,7 @@ func (e *Engine) stepInPlace(v ids.ID, sink *opSink) bool {
 			}
 		}
 	}
-	if e.closeRingStep(e.g, e.g, v, sink) {
+	if e.closeRingStep(v, sink) {
 		sink.addEdge()
 		changed = true
 	}
@@ -573,9 +439,8 @@ func (e *Engine) keepFor(v ids.ID, nbrs []ids.ID, dst []ids.ID) []ids.ID {
 }
 
 // closeRingStep abstracts §4's discovery messages: an extremal node whose
-// line is in place establishes the wrap edge. snapshot is consulted for the
-// precondition; the edge is written into dst.
-func (e *Engine) closeRingStep(snapshot, dst *graph.Graph, v ids.ID, sink *opSink) bool {
+// line is in place establishes the wrap edge.
+func (e *Engine) closeRingStep(v ids.ID, sink *opSink) bool {
 	if !e.cfg.CloseRing {
 		return false
 	}
@@ -583,22 +448,16 @@ func (e *Engine) closeRingStep(snapshot, dst *graph.Graph, v ids.ID, sink *opSin
 	if !ok || (v != min && v != max) {
 		return false
 	}
-	if snapshot.HasEdge(min, max) || !snapshot.SupersetOfLine() {
+	if e.g.HasEdge(min, max) || !e.g.SupersetOfLine() {
 		return false
 	}
-	if !dst.AddEdge(min, max) {
+	if !e.g.AddEdge(min, max) {
 		return false
 	}
 	sink.emit(trace.Event{
 		T: int64(e.curRound), Type: trace.EvRingClosed, Node: min, Peer: max,
 	})
 	return true
-}
-
-func (e *Engine) observeDegrees(g *graph.Graph) {
-	if d := g.MaxDegree(); d > e.stats.PeakDegree {
-		e.stats.PeakDegree = d
-	}
 }
 
 // keepSet appends the neighbors of v that v's LSN policy retains to dst

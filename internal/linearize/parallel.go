@@ -1,18 +1,18 @@
 package linearize
 
-// This file is the sharded parallel round executor for the synchronous
-// scheduler (Config.Workers >= 1), built on sim.ShardedRunner. The node
-// universe is partitioned into contiguous identifier-interval shards and
-// each variant maps onto the runner's phases according to its atomicity
-// needs (see DESIGN.md §9 for the full argument):
+// This file is the round executor, built on sim.ShardedRunner: every run
+// takes this path. The node universe is partitioned into contiguous
+// identifier-interval shards and each variant maps onto the runner's phases
+// according to its atomicity needs (see DESIGN.md §9 for the full
+// argument):
 //
 //   - Memory is Jacobi-style: additions commute, so Prepare computes every
 //     node's chain proposals in parallel against an immutable CSR snapshot
 //     of the round-start graph, and Finish merges them into the live graph
 //     in global identifier order. The merge order, the snapshot-presence
 //     pre-filter and the ring-closure slotting are arranged so that the
-//     stats and trace stream are bit-identical to the legacy staged
-//     executor — for every shard count.
+//     graph, stats and trace stream are the same for every shard count
+//     (the single-threaded reference model in parallel_test.go pins them).
 //
 //   - Pure and LSN need atomic node operations (fully simultaneous
 //     replacement does not converge). Prepare classifies each node by its
@@ -28,7 +28,11 @@ package linearize
 //     order during Finish (BoundarySequential), or in deterministic
 //     conflict-free waves on the worker pool (BoundaryWaves, see runWaves).
 //     With Shards=1 every node is interior and the schedule is exactly the
-//     legacy Gauss-Seidel pass.
+//     Gauss-Seidel pass in identifier order.
+//
+//   - The RandomSequential daemon is strictly serial, so it is the
+//     one-shard case: Execute walks the whole universe in a fresh random
+//     permutation per round (daemonExecute), under every variant.
 //
 // Shard assignment itself is a policy (sim.Partitioner, Config.Executor
 // .Partition): the runner recomputes the layout when the policy asks,
@@ -48,6 +52,8 @@ package linearize
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 
@@ -57,18 +63,17 @@ import (
 	"repro/internal/trace"
 )
 
-// ParallelStats describes the sharded executor's run shape.
+// ParallelStats describes the executor's run shape.
 type ParallelStats struct {
 	Workers int    // worker pool width actually used
 	Shards  int    // shard partition size actually used
-	Policy  string // partition policy name ("" for the legacy executor)
+	Policy  string // partition policy name
 	// InteriorActivations counts state-changing activations performed in
-	// the parallel phases (Jacobi proposals, atomic interior steps);
-	// WaveActivations counts cross-shard activations executed in
-	// conflict-free waves (also parallel); BoundaryActivations counts the
-	// sequential share (ring closure during the ordered merge, atomic
-	// boundary fallbacks). Their sum matches the legacy executor's
-	// activation count when the schedules coincide.
+	// the parallel phases (Jacobi proposals, atomic interior steps, the
+	// daemon's one-shard pass); WaveActivations counts cross-shard
+	// activations executed in conflict-free waves (also parallel);
+	// BoundaryActivations counts the sequential share (ring closure during
+	// the ordered merge, atomic boundary fallbacks).
 	InteriorActivations int64
 	WaveActivations     int64
 	BoundaryActivations int64
@@ -76,20 +81,21 @@ type ParallelStats struct {
 
 // propEdge is one staged Jacobi addition: the chain edge {u,v} proposed by
 // the node at dense index idx. Proposals are merged in (idx, proposal)
-// order, which is exactly the legacy staged executor's write order.
+// order — what a single-threaded pass in identifier order would write.
 type propEdge struct {
 	idx  int32
 	u, v ids.ID
 }
 
-// parExec holds the per-run state of the sharded executor.
+// parExec holds the per-run state of the executor.
 type parExec struct {
 	e       *Engine
 	shards  []sim.Shard // current layout, installed via onPartition
 	multi   bool        // more than one shard
 	policy  string
+	jacobi  bool // Memory under the synchronous scheduler (snapshot-merge rounds)
 	waves   bool // cross-shard nodes run under the wave discipline
-	workers int  // configured pool width (snapshot/delta parallelism)
+	workers int  // pool width (snapshot/delta parallelism)
 	// extremal identifiers, for wrap-edge handling (valid when hasExt)
 	min, max ids.ID
 	hasExt   bool
@@ -115,6 +121,11 @@ type parExec struct {
 	boundary [][]int
 	cross    [][]int
 
+	// daemon state (RandomSequential): the seeded source and the
+	// activation order it permutes each round
+	rng   *rand.Rand
+	order []int
+
 	// wave state (see runWaves)
 	pending     []int32
 	rest        []int32
@@ -126,17 +137,27 @@ type parExec struct {
 	markGen     int32
 }
 
-// runSharded drives the engine with the sharded executor and returns the
-// final stats. Only called for the synchronous scheduler.
-func (e *Engine) runSharded(maxRounds int) Stats {
-	ex := e.cfg.exec()
+// Run drives the engine to the goal or the round bound and returns stats.
+func (e *Engine) Run() Stats {
+	ex := e.cfg.Executor
 	n := len(e.nodes)
+	maxRounds := e.cfg.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = max(16*n, 1024)
+	}
+	daemon := e.cfg.Scheduler == sim.RandomSequential
 	part, err := sim.NewPartitioner(ex.Partition)
 	if err != nil {
 		panic(fmt.Sprintf("linearize: %v", err))
 	}
+	workers := ex.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	shardCount := ex.Shards
-	if shardCount <= 0 {
+	if daemon {
+		shardCount = 1
+	} else if shardCount <= 0 {
 		shardCount = sim.DefaultShards(n)
 	}
 	// Every policy emits exactly ClampShards shards, so the per-shard state
@@ -145,8 +166,7 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 	p := &parExec{
 		e:         e,
 		policy:    part.Name(),
-		waves:     e.cfg.Variant != Memory && part.Boundary() == sim.BoundaryWaves,
-		workers:   ex.Workers,
+		workers:   workers,
 		root:      opSink{e: e, direct: true},
 		sinks:     make([]opSink, shardCount),
 		intCounts: make([]int, shardCount),
@@ -157,7 +177,7 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 		p.sinks[i].e = e
 	}
 	rr := &sim.ShardedRunner{
-		Workers:     ex.Workers,
+		Workers:     workers,
 		Shards:      shardCount,
 		MaxRounds:   maxRounds,
 		Partitioner: part,
@@ -172,19 +192,26 @@ func (e *Engine) runSharded(maxRounds int) Stats {
 		// interface so the runner's prof != nil fast path holds.
 		rr.Prof = e.cfg.Prof
 	}
-	if e.cfg.Variant == Memory {
+	switch {
+	case daemon:
+		p.rng = rand.New(rand.NewSource(e.cfg.Seed))
+		rr.BeginRound = p.beginRound
+		rr.Execute = p.daemonExecute
+	case e.cfg.Variant == Memory:
+		p.jacobi = true
 		p.props = make([][]propEdge, shardCount)
 		rr.BeginRound = p.jacobiBegin
 		rr.Prepare = p.jacobiPrepare
 		rr.Finish = p.jacobiFinish
-	} else {
+	default:
 		p.interior = make([][]int, shardCount)
 		p.boundary = make([][]int, shardCount)
 		rr.BeginRound = p.beginRound
 		rr.Prepare = p.atomicPrepare
 		rr.Execute = p.atomicExecute
 		rr.Finish = p.atomicFinish
-		if p.waves {
+		if part.Boundary() == sim.BoundaryWaves {
+			p.waves = true
 			p.cross = make([][]int, shardCount)
 			p.wvCounts = make([]int, shardCount)
 			p.mark = make([]int32, n)
@@ -240,8 +267,7 @@ func (p *parExec) onPartition(shards []sim.Shard) {
 	p.multi = len(shards) > 1
 }
 
-// beginRound stamps the round index and emits the round-start event, like
-// the legacy executor's observability wrapper.
+// beginRound stamps the round index and emits the round-start event.
 func (p *parExec) beginRound(round int) {
 	e := p.e
 	e.curRound = round
@@ -261,7 +287,7 @@ func (p *parExec) endRound(round int) {
 		e.cfg.OnRound(round, e.g)
 	}
 	if e.cfg.Tracer != nil {
-		if e.cfg.Variant == Memory {
+		if p.jacobi {
 			p.emitShardRound("propose", p.intCounts)
 		} else {
 			p.emitShardRound("interior", p.intCounts)
@@ -340,8 +366,7 @@ func (p *parExec) jacobiBegin(round int) {
 
 // jacobiPrepare computes the shard's chain proposals against the CSR
 // snapshot: read-only, embarrassingly parallel. Only edges absent from the
-// snapshot are recorded — the same newness criterion the legacy staged
-// executor applies — and a node counts as activated iff it proposed
+// snapshot are recorded, and a node counts as activated iff it proposed
 // something new.
 func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 	e, c := p.e, p.csr
@@ -376,11 +401,11 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 }
 
 // jacobiFinish merges all shards' proposals into the live graph in global
-// identifier order — the legacy staged executor's exact write order, so
-// duplicate proposals resolve to the same winner and the EdgesAdded count
-// and EvEdgeAdd stream coincide. Ring closure is evaluated against the
-// round-start preconditions at the smallest node's merge slot, where the
-// legacy executor performs (and attributes) it. Returns the closure-only
+// identifier order, so duplicate proposals resolve to the same winner and
+// the EdgesAdded count and EvEdgeAdd stream are the same for every shard
+// count. Ring closure is evaluated against the round-start preconditions
+// at the smallest node's merge slot, where a single-threaded pass in
+// identifier order performs (and attributes) it. Returns the closure-only
 // activation credit; proposal activations were counted in Prepare.
 func (p *parExec) jacobiFinish(_ int) int {
 	e := p.e
@@ -485,6 +510,29 @@ func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
 	changed := 0
 	for _, i := range p.interior[s.Index] {
 		if e.stepInPlace(e.nodes[i], sink) {
+			changed++
+		}
+	}
+	p.intCounts[s.Index] = changed
+	return changed
+}
+
+// daemonExecute is the RandomSequential daemon's round: the one shard's
+// nodes apply their operations atomically, one at a time, in a fresh
+// random permutation — identity order, then one rng.Shuffle, so a seed
+// fixes the activation sequence of the whole run. It runs on one goroutine
+// and writes through the direct sink.
+func (p *parExec) daemonExecute(_ int, s sim.Shard) int {
+	e := p.e
+	order := p.order[:0]
+	for i := s.Lo; i < s.Hi; i++ {
+		order = append(order, i)
+	}
+	p.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	p.order = order
+	changed := 0
+	for _, i := range order {
+		if e.stepInPlace(e.nodes[i], &p.root) {
 			changed++
 		}
 	}

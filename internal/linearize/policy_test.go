@@ -4,8 +4,7 @@ package linearize
 // must honor the executor's determinism contract: the outcome is a pure
 // function of the schedule (partition size + policy), identical for every
 // worker count — including the full trace stream. The contiguous policy is
-// additionally pinned as byte-identical to the pre-policy default, so the
-// committed trace artifacts stay reproducible.
+// additionally pinned as the default.
 
 import (
 	"testing"
@@ -50,43 +49,42 @@ func TestPolicyIndependentOfWorkers(t *testing.T) {
 
 // TestPolicyFinalGraphsMatchSequential: the cross-policy anchor. Memory's
 // Jacobi schedule normalizes proposal order, so every policy — whatever its
-// cuts or boundary discipline — must land on exactly the sequential
-// executor's final graph. The atomic variants (Pure/LSN) follow different
+// cuts or boundary discipline — must land on exactly the one-shard run's
+// final graph. The atomic variants (Pure/LSN) follow different
 // but equally valid Gauss-Seidel schedules per policy; for them every
 // policy's converged result must still be the same sorted ring under Pure,
 // which is schedule-independent.
 func TestPolicyFinalGraphsMatchSequential(t *testing.T) {
 	g := randomConnected(300, 29)
-	legacy := Config{Variant: Memory, Scheduler: sim.Synchronous, CloseRing: true}
-	_, lGraph, _ := runOnce(g, legacy)
+	oneShard := Config{Variant: Memory, Scheduler: sim.Synchronous, CloseRing: true,
+		Executor: sim.ExecutorConfig{Shards: 1}}
+	_, lGraph, _ := runOnce(g, oneShard)
 	for _, policy := range sim.PartitionPolicies() {
-		cfg := legacy
+		cfg := oneShard
 		cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: 8, Partition: policy}
 		_, fg, _ := runOnce(g, cfg)
 		if !fg.Equal(lGraph) {
-			t.Fatalf("memory/%s: final graph differs from the sequential executor", policy)
+			t.Fatalf("memory/%s: final graph differs from the one-shard run", policy)
 		}
 	}
-	pureRef := Config{Variant: Pure, Scheduler: sim.Synchronous, CloseRing: true}
+	pureRef := Config{Variant: Pure, Scheduler: sim.Synchronous, CloseRing: true,
+		Executor: sim.ExecutorConfig{Shards: 1}}
 	_, pGraph, _ := runOnce(g, pureRef)
 	if !pGraph.IsSortedRing() {
-		t.Fatal("pure sequential run must end on the sorted ring")
+		t.Fatal("pure one-shard run must end on the sorted ring")
 	}
 	for _, policy := range sim.PartitionPolicies() {
 		cfg := pureRef
 		cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: 8, Partition: policy}
 		_, fg, _ := runOnce(g, cfg)
 		if !fg.Equal(pGraph) {
-			t.Fatalf("pure/%s: converged ring differs from the sequential executor", policy)
+			t.Fatalf("pure/%s: converged ring differs from the one-shard run", policy)
 		}
 	}
 }
 
 // TestContiguousIsTheDefault: an empty policy name and "contiguous" are the
-// same schedule, and the deprecated Workers/Shards aliases reproduce the
-// ExecutorConfig spelling byte for byte. Together with the legacy tests in
-// parallel_test.go this pins that contiguous reproduces the committed trace
-// artifacts exactly.
+// same schedule.
 func TestContiguousIsTheDefault(t *testing.T) {
 	g := randomConnected(250, 7)
 	for _, v := range Variants() {
@@ -96,17 +94,12 @@ func TestContiguousIsTheDefault(t *testing.T) {
 		unnamed := named
 		unnamed.Executor.Partition = ""
 		uStats, uGraph, uEvents := runOnce(g, unnamed)
-		aliased := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: true,
-			Workers: 3, Shards: 6}
-		aStats, aGraph, aEvents := runOnce(g, aliased)
 		label := v.String()
-		if !uGraph.Equal(nGraph) || !aGraph.Equal(nGraph) {
-			t.Fatalf("%s: default/alias spellings diverge from contiguous", label)
+		if !uGraph.Equal(nGraph) {
+			t.Fatalf("%s: the default policy diverges from contiguous", label)
 		}
-		sameStats(t, label+"/unnamed", uStats, nStats)
-		sameStats(t, label+"/alias", aStats, nStats)
-		sameEvents(t, label+"/unnamed", nEvents, uEvents)
-		sameEvents(t, label+"/alias", nEvents, aEvents)
+		sameStats(t, label, uStats, nStats)
+		sameEvents(t, label, nEvents, uEvents)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestProfiledRunIsSideEffectFree(t *testing.T) {
 	for _, v := range Variants() {
 		for _, closeRing := range []bool{false, true} {
 			cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing,
-				Workers: 2, Shards: 4}
+				Executor: sim.ExecutorConfig{Workers: 2, Shards: 4}}
 			plainStats, plainGraph, plainEvents := runOnce(g.Clone(), cfg)
 
 			profCap := &captureTracer{}
@@ -73,7 +73,7 @@ func TestProfiledTraceFoldsIntoPerfReport(t *testing.T) {
 	g := randomConnected(400, 7)
 	an := trace.NewAnalysis()
 	cfg := Config{Variant: LSN, Scheduler: sim.Synchronous, CloseRing: true,
-		Workers: 2, Shards: 4, Tracer: an, Prof: perf.New(an)}
+		Executor: sim.ExecutorConfig{Workers: 2, Shards: 4}, Tracer: an, Prof: perf.New(an)}
 	st, _ := Run(g, cfg)
 	if !st.Converged {
 		t.Fatalf("run did not converge: %s", st)

@@ -20,13 +20,12 @@ import (
 	"sort"
 )
 
-// ExecutorConfig bundles the sharded round executor's knobs — the one
-// struct new executor options are added to, so threading a knob through
-// linearize.Config, exp.SetExecutor and the CLIs stays a one-field change.
+// ExecutorConfig bundles the round executor's knobs. A run's result is a
+// function of Shards and Partition (and the protocol's own scheduler and
+// seed), never of Workers.
 type ExecutorConfig struct {
-	// Workers is the pool width: 0 keeps the single-threaded legacy
-	// executor (where the consumer supports one), k >= 1 runs the sharded
-	// executor with k goroutines. Never part of the schedule.
+	// Workers is the pool width (<= 0: GOMAXPROCS). It only changes
+	// wall-clock time, never the schedule.
 	Workers int
 	// Shards is the target partition size (<= 0: DefaultShards). Part of
 	// the schedule, like Partition.
@@ -166,9 +165,9 @@ func init() {
 	RegisterPartitioner("locality", func() Partitioner { return localityPartitioner{} })
 }
 
-// contiguousPartitioner reproduces the pre-policy behavior exactly:
-// near-equal index intervals, never recomputed, sequential boundary
-// fallback. It is the determinism baseline the equivalence tests pin.
+// contiguousPartitioner is the default policy: near-equal index intervals,
+// never recomputed, sequential boundary fallback. It is the determinism
+// baseline the equivalence tests pin.
 type contiguousPartitioner struct{}
 
 func (contiguousPartitioner) Name() string { return "contiguous" }

@@ -1,7 +1,5 @@
 package sim
 
-import "math/rand"
-
 // Scheduler selects the execution discipline for the round model.
 type Scheduler int
 
@@ -27,73 +25,4 @@ func (s Scheduler) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// RoundRunner drives a round-model protocol to a fixed point.
-//
-// Activate is called once per node activation and reports whether the node
-// changed any state. Done is the global fixed-point/goal test evaluated
-// between rounds. NodeCount and Node expose the node universe by dense
-// index so the runner can permute activations without knowing identifiers.
-type RoundRunner struct {
-	Scheduler Scheduler
-	MaxRounds int // safety bound; <=0 means 1<<20
-
-	NodeCount func() int
-	Activate  func(node int) bool
-	// BeginRound, if set, is called before each round with the round number
-	// (starting at 0); synchronous protocols snapshot state here.
-	BeginRound func(round int)
-	// EndRound, if set, is called after each round; synchronous protocols
-	// apply their staged actions here.
-	EndRound func(round int)
-	Done     func() bool
-}
-
-// Result summarizes a round-model run.
-type Result struct {
-	Rounds      int  // rounds executed
-	Converged   bool // Done() became true within MaxRounds
-	Activations int  // node activations that changed state
-}
-
-// Run drives the protocol until Done or MaxRounds. rng orders activations
-// for the RandomSequential scheduler.
-func (rr *RoundRunner) Run(rng *rand.Rand) Result {
-	max := rr.MaxRounds
-	if max <= 0 {
-		max = 1 << 20
-	}
-	var res Result
-	if rr.Done() {
-		res.Converged = true
-		return res
-	}
-	for round := 0; round < max; round++ {
-		if rr.BeginRound != nil {
-			rr.BeginRound(round)
-		}
-		n := rr.NodeCount()
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		if rr.Scheduler == RandomSequential && rng != nil {
-			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		for _, idx := range order {
-			if rr.Activate(idx) {
-				res.Activations++
-			}
-		}
-		if rr.EndRound != nil {
-			rr.EndRound(round)
-		}
-		res.Rounds = round + 1
-		if rr.Done() {
-			res.Converged = true
-			return res
-		}
-	}
-	return res
 }

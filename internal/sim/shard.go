@@ -1,9 +1,9 @@
 package sim
 
-// This file adds the sharded parallel round executor. RoundRunner (rounds.go)
-// activates every node on one goroutine; ShardedRunner partitions the node
-// universe into contiguous identifier-interval shards and drives each round
-// as up to three phases over a worker pool:
+// This file is the round executor — the only round loop in the repository.
+// ShardedRunner partitions the node universe into contiguous
+// identifier-interval shards and drives each round as up to three phases
+// over a worker pool:
 //
 //	Prepare  — parallel, read-only against the round-start snapshot.
 //	           Jacobi-style protocols compute their proposals here; atomic
@@ -21,10 +21,12 @@ package sim
 // cross-shard Prepare/Execute work commute (for linearization this follows
 // from the identifier-interval footprint argument — see DESIGN.md §9). Under
 // that contract the outcome is a pure function of the shard partition and
-// is identical for every Workers value, including the sequential Workers=1
-// mode that the equivalence tests pin.
+// is identical for every Workers value. A strictly sequential protocol (the
+// random-sequential daemon) is the one-shard case: its Execute hook owns the
+// whole node universe on one goroutine.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +69,8 @@ func (s Shard) Len() int { return s.Hi - s.Lo }
 type ParallelFor func(tasks int, fn func(i int))
 
 // makeParallelFor builds a ParallelFor over a work-stealing pool of the
-// given width, mirroring runPhase's fan-out.
+// given width, clamped per call to the task count. Both the per-shard
+// phases and the Waves hook fan out through it.
 func makeParallelFor(workers int) ParallelFor {
 	return func(tasks int, fn func(i int)) {
 		if tasks <= 0 {
@@ -115,15 +118,16 @@ type ShardedRunner struct {
 	Shards    int
 	MaxRounds int // safety bound; <= 0 means 1<<20
 
-	// Partitioner selects the shard-assignment policy; nil means the
-	// contiguous baseline (Partition). The partition is computed at round 0
-	// and cached; it is recomputed when the node count changes or the
-	// policy's Refresh reports that the previous round's cross-shard
-	// activation share warrants it.
+	// Partitioner is the shard-assignment policy (required; see
+	// NewPartitioner). The partition is computed at round 0 and cached; it
+	// is recomputed when the node count changes or the policy's Refresh
+	// reports that the previous round's cross-shard activation share
+	// warrants it.
 	Partitioner Partitioner
-	// Footprint supplies per-node footprints to the Partitioner; nil means
-	// a self-only footprint of unit weight. Only consulted when the
-	// partition is (re)computed.
+	// Footprint supplies per-node footprints to the Partitioner, which
+	// receives it as is: required by every policy that reads footprints
+	// (all but contiguous). Only consulted when the partition is
+	// (re)computed.
 	Footprint FootprintFn
 	// OnPartition, when non-nil, runs sequentially each time a new shard
 	// layout is installed — the protocol's chance to resize per-shard
@@ -171,63 +175,6 @@ type ShardResult struct {
 	Workers, Shards int
 }
 
-// effectiveWorkers resolves the pool width against the shard count.
-func (rr *ShardedRunner) effectiveWorkers(shards int) int {
-	w := rr.Workers
-	if w <= 0 {
-		w = NewEngine(0).Workers() // GOMAXPROCS default, one source of truth
-	}
-	if w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runPhase applies fn to every shard, fanning out over the pool when it is
-// wider than one. counts[i] receives shard i's return value, so the
-// aggregate is deterministic regardless of scheduling. A non-nil durs
-// additionally receives each shard's busy time in durs[i] — one writer per
-// slot, so the parallel fan-out stays race-free.
-func runPhase(fn func(Shard) int, shards []Shard, workers int, counts []int, durs []time.Duration) {
-	if fn == nil {
-		return
-	}
-	if durs != nil {
-		inner := fn
-		fn = func(s Shard) int {
-			t0 := time.Now()
-			c := inner(s)
-			durs[s.Index] = time.Since(t0)
-			return c
-		}
-	}
-	if workers <= 1 || len(shards) == 1 {
-		for _, s := range shards {
-			counts[s.Index] = fn(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(shards) {
-					return
-				}
-				counts[k] = fn(shards[k])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Run drives the protocol until Done or MaxRounds.
 func (rr *ShardedRunner) Run() ShardResult {
 	maxRounds := rr.MaxRounds
@@ -242,20 +189,11 @@ func (rr *ShardedRunner) Run() ShardResult {
 	counts := []int(nil)
 	durs := []time.Duration(nil)
 	prof := rr.Prof
-	// wavePool fans the Waves hook's picks over the full pool width; unlike
-	// runPhase it is not clamped to the shard count, because wave tasks are
-	// individual nodes, not shards.
-	var wavePool ParallelFor
-	if rr.Waves != nil {
-		w := rr.Workers
-		if w <= 0 {
-			w = NewEngine(0).Workers()
-		}
-		if w < 1 {
-			w = 1
-		}
-		wavePool = makeParallelFor(w)
+	workers := rr.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	pool := makeParallelFor(workers)
 	// timeSeq wraps one sequential hook with profiler timing; with no
 	// profiler it costs one branch.
 	timeSeq := func(round int, name string, fn func()) {
@@ -283,25 +221,17 @@ func (rr *ShardedRunner) Run() ShardResult {
 		if shardCount <= 0 {
 			shardCount = DefaultShards(n)
 		}
-		if shards == nil || n != prevN ||
-			(rr.Partitioner != nil && rr.Partitioner.Refresh(round, crossShare)) {
-			if rr.Partitioner != nil {
-				fp := rr.Footprint
-				if fp == nil {
-					fp = func(i int) Footprint { return Footprint{Lo: i, Hi: i, Weight: 1} }
-				}
-				shards = rr.Partitioner.Assign(n, shardCount, fp)
-				validatePartition(n, shards, rr.Partitioner.Name())
-			} else {
-				shards = Partition(n, shardCount)
-			}
+		if shards == nil || n != prevN || rr.Partitioner.Refresh(round, crossShare) {
+			shards = rr.Partitioner.Assign(n, shardCount, rr.Footprint)
+			validatePartition(n, shards, rr.Partitioner.Name())
 			prevN = n
 			if rr.OnPartition != nil {
 				rr.OnPartition(shards)
 			}
 		}
-		workers := rr.effectiveWorkers(len(shards))
-		res.Workers, res.Shards = workers, len(shards)
+		// A phase has one task per shard, so no more workers than shards
+		// ever run; the reported width says so.
+		res.Workers, res.Shards = min(workers, len(shards)), len(shards)
 		if cap(counts) < len(shards) {
 			counts = make([]int, len(shards))
 		}
@@ -326,14 +256,21 @@ func (rr *ShardedRunner) Run() ShardResult {
 				continue
 			}
 			fn := ph.fn
-			for i := range counts {
-				counts[i] = 0
-			}
 			var t0 time.Time
 			if prof != nil {
 				t0 = time.Now()
 			}
-			runPhase(func(s Shard) int { return fn(round, s) }, shards, workers, counts, durs)
+			// One writer per counts/durs slot keeps the fan-out race-free
+			// and the aggregate independent of scheduling.
+			pool(len(shards), func(k int) {
+				if prof == nil {
+					counts[k] = fn(round, shards[k])
+					return
+				}
+				s0 := time.Now()
+				counts[k] = fn(round, shards[k])
+				durs[k] = time.Since(s0)
+			})
 			if prof != nil {
 				prof.PhaseTime(round, ph.name, time.Since(t0))
 				for _, s := range shards {
@@ -345,7 +282,7 @@ func (rr *ShardedRunner) Run() ShardResult {
 			}
 		}
 		if rr.Waves != nil {
-			timeSeq(round, "waves", func() { roundWave = rr.Waves(round, wavePool) })
+			timeSeq(round, "waves", func() { roundWave = rr.Waves(round, pool) })
 		}
 		if rr.Finish != nil {
 			timeSeq(round, "finish", func() { roundSeq = rr.Finish(round) })

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,9 +74,10 @@ func TestShardedRunnerPhases(t *testing.T) {
 		var mu sync.Mutex
 		finishCalls := 0
 		rr := &ShardedRunner{
-			Workers:   workers,
-			Shards:    8,
-			NodeCount: func() int { return n },
+			Partitioner: contiguousPartitioner{},
+			Workers:     workers,
+			Shards:      8,
+			NodeCount:   func() int { return n },
 			Done: func() bool {
 				for _, c := range cells {
 					if c < target {
@@ -126,9 +128,10 @@ func TestShardedRunnerPhases(t *testing.T) {
 
 func TestShardedRunnerDoneBeforeStart(t *testing.T) {
 	rr := &ShardedRunner{
-		NodeCount: func() int { return 10 },
-		Done:      func() bool { return true },
-		Execute:   func(int, Shard) int { t.Fatal("must not execute"); return 0 },
+		Partitioner: contiguousPartitioner{},
+		NodeCount:   func() int { return 10 },
+		Done:        func() bool { return true },
+		Execute:     func(int, Shard) int { t.Fatal("must not execute"); return 0 },
 	}
 	res := rr.Run()
 	if !res.Converged || res.Rounds != 0 {
@@ -139,10 +142,11 @@ func TestShardedRunnerDoneBeforeStart(t *testing.T) {
 func TestShardedRunnerMaxRounds(t *testing.T) {
 	rounds := 0
 	rr := &ShardedRunner{
-		MaxRounds: 5,
-		NodeCount: func() int { return 4 },
-		Done:      func() bool { return false },
-		Finish:    func(int) int { rounds++; return 1 },
+		Partitioner: contiguousPartitioner{},
+		MaxRounds:   5,
+		NodeCount:   func() int { return 4 },
+		Done:        func() bool { return false },
+		Finish:      func(int) int { rounds++; return 1 },
 	}
 	res := rr.Run()
 	if res.Converged || res.Rounds != 5 || rounds != 5 {
@@ -153,17 +157,37 @@ func TestShardedRunnerMaxRounds(t *testing.T) {
 	}
 }
 
+// TestShardedRunnerHookOrder pins the order of a round's hooks, every round:
+// BeginRound, Prepare, Execute, Waves, Finish, EndRound.
+func TestShardedRunnerHookOrder(t *testing.T) {
+	var calls []string
+	note := func(name string, round int) int {
+		calls = append(calls, fmt.Sprintf("%s:%d", name, round))
+		return 0
+	}
+	rr := &ShardedRunner{
+		Partitioner: contiguousPartitioner{},
+		Shards:      1,
+		MaxRounds:   2,
+		NodeCount:   func() int { return 10 },
+		Done:        func() bool { return false },
+		BeginRound:  func(r int) { note("begin", r) },
+		Prepare:     func(r int, _ Shard) int { return note("prepare", r) },
+		Execute:     func(r int, _ Shard) int { return note("execute", r) },
+		Waves:       func(r int, _ ParallelFor) int { return note("waves", r) },
+		Finish:      func(r int) int { return note("finish", r) },
+		EndRound:    func(r int) { note("end", r) },
+	}
+	rr.Run()
+	want := "begin:0 prepare:0 execute:0 waves:0 finish:0 end:0 begin:1 prepare:1 execute:1 waves:1 finish:1 end:1"
+	if got := strings.Join(calls, " "); got != want {
+		t.Fatalf("hook order:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestEngineOptions(t *testing.T) {
-	e := NewEngine(1)
-	if e.Workers() < 1 {
-		t.Fatal("default Workers must be >= 1")
-	}
-	e = NewEngine(1, WithWorkers(7))
-	if e.Workers() != 7 {
-		t.Fatalf("WithWorkers: got %d", e.Workers())
-	}
 	rec := recordingTracer{}
-	e = NewEngine(1, WithTracer(&rec), WithWorkers(2))
+	e := NewEngine(1, WithTracer(&rec))
 	if e.Tracer() != &rec {
 		t.Fatal("WithTracer did not install the tracer")
 	}
@@ -201,10 +225,11 @@ func TestShardedRunnerProfilerSequence(t *testing.T) {
 		run := func(prof ShardProfiler) ShardResult {
 			cells := make([]int, n)
 			rr := &ShardedRunner{
-				Workers:   workers,
-				Shards:    2,
-				NodeCount: func() int { return n },
-				Prof:      prof,
+				Partitioner: contiguousPartitioner{},
+				Workers:     workers,
+				Shards:      2,
+				NodeCount:   func() int { return n },
+				Prof:        prof,
 				Done: func() bool {
 					for _, c := range cells {
 						if c < 1 {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -178,117 +177,53 @@ func TestEventTimeMonotonicProperty(t *testing.T) {
 	}
 }
 
-// toyCounter is a round-model "protocol": each node increments until it
-// reaches its index.
-type toyCounter struct {
-	vals []int
-}
-
-func (c *toyCounter) done() bool {
-	for i, v := range c.vals {
-		if v < i {
-			return false
-		}
-	}
-	return true
-}
-
-func TestRoundRunnerSynchronous(t *testing.T) {
-	c := &toyCounter{vals: make([]int, 5)}
-	rr := &RoundRunner{
-		Scheduler: Synchronous,
-		NodeCount: func() int { return len(c.vals) },
-		Activate: func(i int) bool {
-			if c.vals[i] < i {
-				c.vals[i]++
-				return true
-			}
-			return false
-		},
-		Done: c.done,
-	}
-	res := rr.Run(rand.New(rand.NewSource(1)))
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	if res.Rounds != 4 {
-		t.Errorf("Rounds = %d, want 4 (slowest node needs 4 increments)", res.Rounds)
-	}
-	if res.Activations != 0+1+2+3+4 {
-		t.Errorf("Activations = %d, want 10", res.Activations)
-	}
-}
-
-func TestRoundRunnerAlreadyDone(t *testing.T) {
-	rr := &RoundRunner{
-		NodeCount: func() int { return 0 },
-		Activate:  func(int) bool { return false },
-		Done:      func() bool { return true },
-	}
-	res := rr.Run(nil)
-	if !res.Converged || res.Rounds != 0 {
-		t.Errorf("already-done run: %+v", res)
-	}
-}
-
-func TestRoundRunnerMaxRounds(t *testing.T) {
-	rr := &RoundRunner{
-		MaxRounds: 7,
-		NodeCount: func() int { return 1 },
-		Activate:  func(int) bool { return true },
-		Done:      func() bool { return false },
-	}
-	res := rr.Run(rand.New(rand.NewSource(1)))
-	if res.Converged {
-		t.Error("should not converge")
-	}
-	if res.Rounds != 7 {
-		t.Errorf("Rounds = %d, want 7", res.Rounds)
-	}
-}
-
-func TestRoundRunnerHooksAndRandomSequential(t *testing.T) {
-	var begins, ends []int
-	order := make([]int, 0, 30)
-	rr := &RoundRunner{
-		Scheduler:  RandomSequential,
-		MaxRounds:  3,
-		NodeCount:  func() int { return 10 },
-		BeginRound: func(r int) { begins = append(begins, r) },
-		EndRound:   func(r int) { ends = append(ends, r) },
-		Activate: func(i int) bool {
-			order = append(order, i)
-			return false
-		},
-		Done: func() bool { return false },
-	}
-	rr.Run(rand.New(rand.NewSource(5)))
-	if len(begins) != 3 || len(ends) != 3 {
-		t.Errorf("hooks: begins=%v ends=%v", begins, ends)
-	}
-	// Each round must be a permutation of 0..9.
-	for r := 0; r < 3; r++ {
-		seen := map[int]bool{}
-		for _, i := range order[r*10 : (r+1)*10] {
-			seen[i] = true
-		}
-		if len(seen) != 10 {
-			t.Errorf("round %d activations are not a permutation: %v", r, order[r*10:(r+1)*10])
-		}
-	}
-	// At least one round should deviate from identity order (overwhelmingly
-	// likely with this seed).
-	identity := true
-	for i, v := range order[:10] {
-		if v != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		t.Log("first round happened to be identity permutation (seed-dependent)")
-	}
+func TestSchedulerString(t *testing.T) {
 	if Synchronous.String() != "synchronous" || RandomSequential.String() != "random-sequential" || Scheduler(99).String() != "unknown" {
 		t.Error("Scheduler.String broken")
+	}
+}
+
+// TestRunUntilHolds pins the poll loop the bootstrap clusters wait in: the
+// predicate is tested every `every` ticks (and once at the deadline), and
+// the loop ends on success, at the deadline, or when the queue drains.
+func TestRunUntilHolds(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		lastEvent, flip Time // a chain of events up to lastEvent; holds from flip on
+		wantAt          Time
+		wantOK          bool
+		wantChecks      int
+	}{
+		{"holds at a poll", 100, 20, 24, true, 3},
+		{"deadline first", 100, 90, 50, false, 7},
+		{"queue drains", 10, 90, 10, false, 2},
+	} {
+		e := NewEngine(1)
+		var step func()
+		step = func() {
+			if e.Now() < tc.lastEvent {
+				e.After(1, step)
+			}
+		}
+		e.After(1, step)
+		checks := 0
+		at, ok := e.RunUntilHolds(50, 8, func() bool { checks++; return e.Now() >= tc.flip })
+		if at != tc.wantAt || ok != tc.wantOK || checks != tc.wantChecks {
+			t.Errorf("%s: stopped at %d ok=%v after %d checks, want %d %v %d",
+				tc.name, at, ok, checks, tc.wantAt, tc.wantOK, tc.wantChecks)
+		}
+	}
+}
+
+// TestEvery: the callback fires one interval from now and then every
+// interval until it returns false; a non-positive interval schedules nothing.
+func TestEvery(t *testing.T) {
+	e := NewEngine(1)
+	var at []Time
+	e.Every(5, func() bool { at = append(at, e.Now()); return len(at) < 3 })
+	e.Every(0, func() bool { t.Error("Every(0) must not fire"); return false })
+	e.Run(0)
+	if len(at) != 3 || at[0] != 5 || at[1] != 10 || at[2] != 15 || e.Pending() != 0 {
+		t.Errorf("fired at %v with %d pending, want [5 10 15] and none", at, e.Pending())
 	}
 }

@@ -92,20 +92,7 @@ func (c *Cluster) Consistent() bool {
 // RunUntilConsistent drives the simulation until global consistency or the
 // deadline, returning the convergence time and whether it converged.
 func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	eng := c.Net.Engine()
-	const checkEvery = sim.Time(8)
-	for next := eng.Now() + checkEvery; ; next += checkEvery {
-		if next > deadline {
-			next = deadline
-		}
-		eng.RunUntil(next, nil)
-		if c.Consistent() {
-			return eng.Now(), true
-		}
-		if next >= deadline || eng.Pending() == 0 {
-			return eng.Now(), false
-		}
-	}
+	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
 }
 
 // Stop halts all nodes' periodic activity and any attached probes.
@@ -122,21 +109,18 @@ func (c *Cluster) Stop() {
 // the hook that lets the round-by-round probes of the abstract model watch
 // the asynchronous protocol too.
 func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil || every <= 0 {
+	if p == nil {
 		return
 	}
 	round := 0
-	eng := c.Net.Engine()
-	var tick func()
-	tick = func() {
+	c.Net.Engine().Every(every, func() bool {
 		if c.probeStopped {
-			return
+			return false
 		}
 		p.Observe(round, c.VirtualGraph())
 		round++
-		eng.After(every, tick)
-	}
-	eng.After(every, tick)
+		return true
+	})
 }
 
 // PendingOps returns the total number of in-flight introduction operations

@@ -962,6 +962,8 @@ func (n *Node) forwardData(dp dataPayload) bool {
 		via = cand.Via
 		bestDist = ids.RingDist(cand.Node, dp.Dst)
 	}
+	// Map order cannot matter here: distinct neighbors are at distinct ring
+	// distances from dp.Dst, so the strict minimum is unique.
 	for u, r := range n.liveRevNbrs() {
 		if d := ids.RingDist(u, dp.Dst); d < bestDist {
 			via, bestDist = r, d

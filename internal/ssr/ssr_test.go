@@ -1,6 +1,8 @@
 package ssr
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -158,6 +160,54 @@ func TestRoutingStretchReasonable(t *testing.T) {
 		t.Errorf("worst stretch %.1f is unreasonable", worst)
 	}
 	t.Logf("worst stretch: %.2f", worst)
+}
+
+// TestRoutingDeterministicAcrossRuns: two bootstraps of the same unit-disk
+// network on the same seed must route the same 1024 packets over the same
+// paths. Greedy forwarding picks among cached candidates that tie on
+// distance and hop count, so this fails if any pick follows map order.
+func TestRoutingDeterministicAcrossRuns(t *testing.T) {
+	const n, packets, seed = 192, 1024, 9
+	topo, err := graph.Generate(graph.TopoUnitDisk, n, graph.RandomIDs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() [][2]int {
+		net, c := bootstrapped(t, topo,
+			Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true}, seed, 1024)
+		nodes := topo.Nodes()
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][2]int, packets)
+		delivered := 0
+		for _, node := range c.Nodes {
+			node.OnDeliver = func(d Delivery) {
+				out[d.Body.(int)] = [2]int{d.Hops, d.Segments}
+				delivered++
+			}
+		}
+		// Open loop, as the benchmark's route phase: 64 packets every 4 ticks.
+		eng := net.Engine()
+		for i := 0; i < packets; i++ {
+			i, src, dst := i, nodes[rng.Intn(n)], nodes[rng.Intn(n)]
+			eng.After(sim.Time(i/64*4), func() {
+				if !c.Nodes[src].SendData(dst, i) {
+					t.Errorf("packet %d %s -> %s refused", i, src, dst)
+				}
+			})
+		}
+		eng.RunUntil(eng.Now()+4096, func() bool { return delivered == packets })
+		if delivered != packets {
+			t.Fatalf("%d of %d packets delivered", delivered, packets)
+		}
+		return out
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("packet %d took (hops, segments) %v, then %v on the same seed", i, a[i], b[i])
+			}
+		}
+	}
 }
 
 func TestSelfDelivery(t *testing.T) {

@@ -934,20 +934,7 @@ func (c *Cluster) Consistent() bool {
 
 // RunUntilConsistent drives the simulation until consistency or deadline.
 func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	eng := c.Net.Engine()
-	const checkEvery = sim.Time(8)
-	for next := eng.Now() + checkEvery; ; next += checkEvery {
-		if next > deadline {
-			next = deadline
-		}
-		eng.RunUntil(next, nil)
-		if c.Consistent() {
-			return eng.Now(), true
-		}
-		if next >= deadline || eng.Pending() == 0 {
-			return eng.Now(), false
-		}
-	}
+	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
 }
 
 // Stop halts all nodes and any attached probes.
@@ -963,21 +950,18 @@ func (c *Cluster) Stop() {
 // the same observation contract as ssr.Cluster.AttachProbe, so VRR
 // bootstraps produce comparable trace series.
 func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil || every <= 0 {
+	if p == nil {
 		return
 	}
 	round := 0
-	eng := c.Net.Engine()
-	var tick func()
-	tick = func() {
+	c.Net.Engine().Every(every, func() bool {
 		if c.probeStopped {
-			return
+			return false
 		}
 		p.Observe(round, c.VirtualGraph())
 		round++
-		eng.After(every, tick)
-	}
-	eng.After(every, tick)
+		return true
+	})
 }
 
 // StateSummary returns the per-node path-table sizes — the router-state
