@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race benchmark-check smoke bench-trace bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
+.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
-check: vet staticcheck build race benchmark-check
+check: vet staticcheck build race benchmark-check docs-check
 
 build:
 	$(GO) build ./...
@@ -32,14 +32,14 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
+# Every ./cmd/<name> and `-mode <m>` the docs quote must exist.
+docs-check:
+	GO=$(GO) ./scripts/docs-check.sh
+
 # Quick -race pass over the two execution models only: the discrete-event
 # engine (sim) and the message layer (phys) are where data races would live.
 smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/
-
-# Regenerate the tracing-overhead baseline in results/.
-bench-trace:
-	$(GO) run ./cmd/tracebench -out results/BENCH_trace_overhead.json
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic trace and pin the throughput baseline in results/.

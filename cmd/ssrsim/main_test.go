@@ -1,0 +1,131 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// Every mode the three former tools served: ssrsim's own, convergence's
+// round-model sweeps, and figures.
+var (
+	formerSsrsim = []string{"compare", "breakdown", "route", "occupancy", "closure", "vrr", "churn", "teardown",
+		"mobility", "loopy", "overlay", "dht", "boot", "chaos", "reliability", "profile"}
+	formerConvergence = []string{"powerlaw", "shape", "state", "stabilize", "scheduler", "degree", "diameter"}
+)
+
+func TestModeTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, m := range modes {
+		if seen[m.name] {
+			t.Errorf("mode %q listed twice", m.name)
+		}
+		seen[m.name] = true
+		if m.id == "" || m.about == "" || m.run == nil {
+			t.Errorf("mode %q: incomplete row %+v", m.name, m)
+		}
+		if !strings.Contains(modeHelp(), "\n  "+m.name+" ") {
+			t.Errorf("mode %q missing from the -mode help", m.name)
+		}
+	}
+	for _, name := range append(append([]string{"figures"}, formerConvergence...), formerSsrsim...) {
+		if !seen[name] {
+			t.Errorf("mode %q of the former CLIs is gone", name)
+		}
+	}
+	if len(seen) != 1+len(formerConvergence)+len(formerSsrsim) {
+		t.Errorf("%d modes in the table, former CLIs had %d: extend this test with the new one", len(seen), 1+len(formerConvergence)+len(formerSsrsim))
+	}
+
+	// Defaults are the old tools': convergence ran at -n 200 -sizes
+	// 100,200,400,800, ssrsim (and figures, which took neither flag) at
+	// -n 24 -sizes 16,24,32, and -mode profile at n=10000.
+	for _, name := range formerConvergence {
+		if m := findMode(name); m.n != 200 || m.sizes != "100,200,400,800" {
+			t.Errorf("round-model mode %q defaults = %+v", name, m.defaults)
+		}
+	}
+	for _, name := range append([]string{"figures"}, formerSsrsim...) {
+		wantN := 24
+		if name == "profile" {
+			wantN = 10000
+		}
+		if m := findMode(name); m.n != wantN || m.sizes != "16,24,32" {
+			t.Errorf("mode %q defaults = %+v", name, m.defaults)
+		}
+	}
+}
+
+// stdoutOf runs ssrsim with args and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = old
+	f.Close()
+	if code != 0 {
+		t.Fatalf("ssrsim %v: exit %d", args, code)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestModesReproduceCommittedResults runs three table entries — one from
+// each former tool — end to end and holds them to the committed artifacts
+// byte for byte: the mode's own defaults must be the flags the artifact was
+// made with.
+func TestModesReproduceCommittedResults(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		args []string
+		slow bool // a minute plain, past the test timeout under -race
+	}{
+		{"figures.txt", []string{"-mode", "figures", "-fig", "0"}, false},
+		{"a1_scheduler.txt", []string{"-mode", "scheduler"}, false}, // n=200, 3 seeds
+		{"e1b_loopy.txt", []string{"-mode", "loopy"}, true},
+	} {
+		if tc.slow && (raceEnabled || testing.Short()) {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stdoutOf(t, tc.args...); got != string(want) {
+			t.Errorf("ssrsim %v drifted from results/%s:\n%s", tc.args, tc.file, got)
+		}
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	old := os.Stderr
+	os.Stderr = devnull
+	defer func() { os.Stderr = old }()
+	for _, args := range [][]string{
+		{"-mode", "nonesuch"},
+		{"-mode", "figures", "-fig", "7"},
+		{"-mode", "shape", "-sizes", "10,x"},
+		{"-mode", "boot", "-proto", "nonesuch"},
+		{"-mode", "loopy", "-trace-level", "verbose", "-trace", filepath.Join(t.TempDir(), "t.jsonl")},
+		{"-no-such-flag"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("ssrsim %v: exit %d, want 2", args, code)
+		}
+	}
+}

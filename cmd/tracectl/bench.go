@@ -166,20 +166,16 @@ func cmdBenchCompare(args []string) error {
 
 	deltas, onlyOld, onlyNew := benchfmt.Diff(oldF.Doc, newF.Doc)
 	fmt.Printf("== bench compare: baseline=%s  candidate=%s ==\n", fs.Arg(0), fs.Arg(1))
-	changed := 0
 	if !*quiet {
-		tab := metrics.NewTable("field", "baseline", "candidate", "rel")
+		var moved []benchfmt.Delta
 		for _, d := range deltas {
-			if !d.Changed() {
-				continue
+			if d.Changed() {
+				moved = append(moved, d)
 			}
-			changed++
-			tab.AddRow(d.Path, fmt.Sprintf("%g", d.Old), fmt.Sprintf("%g", d.New),
-				fmt.Sprintf("%+.1f%%", 100*d.Rel))
 		}
-		if changed > 0 {
-			fmt.Printf("\n-- changed fields (%d of %d shared) --\n", changed, len(deltas))
-			fmt.Print(tab)
+		if len(moved) > 0 {
+			fmt.Printf("\n-- changed fields (%d of %d shared) --\n", len(moved), len(deltas))
+			fmt.Print(deltaRows(moved))
 		} else {
 			fmt.Printf("no changes across %d shared fields\n", len(deltas))
 		}
@@ -194,14 +190,17 @@ func cmdBenchCompare(args []string) error {
 	regs := benchfmt.Regressions(deltas, gate, *tol)
 	if len(regs) > 0 {
 		fmt.Printf("\nGATE FAILED: %d gated field(s) moved beyond tol=%g\n", len(regs), *tol)
-		tab := metrics.NewTable("field", "baseline", "candidate", "rel")
-		for _, d := range regs {
-			tab.AddRow(d.Path, fmt.Sprintf("%g", d.Old), fmt.Sprintf("%g", d.New),
-				fmt.Sprintf("%+.1f%%", 100*d.Rel))
-		}
-		fmt.Print(tab)
+		fmt.Print(deltaRows(regs))
 		return fmt.Errorf("bench compare: %d gated regression(s)", len(regs))
 	}
 	fmt.Println("gate: PASS")
 	return nil
+}
+
+func deltaRows(ds []benchfmt.Delta) *metrics.Table {
+	tab := metrics.NewTable("field", "baseline", "candidate", "rel")
+	for _, d := range ds {
+		tab.AddRow(d.Path, fmt.Sprintf("%g", d.Old), fmt.Sprintf("%g", d.New), fmt.Sprintf("%+.1f%%", 100*d.Rel))
+	}
+	return tab
 }

@@ -107,20 +107,6 @@ func analyzeFile(path string) (*trace.Analysis, error) {
 	return a, nil
 }
 
-func taxonomyTable(a *trace.Analysis) *metrics.Table {
-	tab := metrics.NewTable("kind", "frames", "share")
-	total := a.TotalSent()
-	for _, kt := range a.Taxonomy() {
-		share := 0.0
-		if total > 0 {
-			share = float64(kt.Count) / float64(total)
-		}
-		tab.AddRow(kt.Kind, kt.Count, share)
-	}
-	tab.AddRow("TOTAL", total, 1.0)
-	return tab
-}
-
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("tracectl report", flag.ExitOnError)
 	top := fs.Int("top", 10, "rows in the per-node hot-spot table")
@@ -138,9 +124,13 @@ func cmdReport(args []string) error {
 	fmt.Printf("== trace report: %s ==\n", path)
 	fmt.Printf("events=%d span=[%d,%d]\n", a.Events(), first, last)
 	fmt.Printf("verdict: %s\n", a.Verdict())
+	if s, ok := a.LastProbe(); ok {
+		fmt.Printf("last probe: round=%d missing=%d surplus=%d edges=%d connected=%v multi-left=%d multi-right=%d\n",
+			s.Round, s.Missing, s.Surplus, s.Edges, s.Connected, s.MultiLeft, s.MultiRight)
+	}
 
 	fmt.Println("\n-- message taxonomy --")
-	fmt.Print(taxonomyTable(a))
+	fmt.Print(trace.TaxonomyTable(a.Taxonomy()))
 
 	if drops := a.DropTotals(); len(drops) > 0 {
 		fmt.Println("\n-- drops --")
@@ -226,22 +216,7 @@ func cmdDiff(args []string) error {
 	fmt.Print(sum)
 
 	fmt.Println("\n-- per-type message delta --")
-	kinds := map[string][2]int64{}
-	for _, kt := range a.Taxonomy() {
-		v := kinds[kt.Kind]
-		v[0] = kt.Count
-		kinds[kt.Kind] = v
-	}
-	for _, kt := range b.Taxonomy() {
-		v := kinds[kt.Kind]
-		v[1] = kt.Count
-		kinds[kt.Kind] = v
-	}
-	tab := metrics.NewTable("kind", "A", "B", "delta (B-A)")
-	for _, kind := range sortedKeys(kinds) {
-		v := kinds[kind]
-		tab.AddRow(kind, v[0], v[1], v[1]-v[0])
-	}
+	tab := deltaTable(a.Taxonomy(), b.Taxonomy())
 	tab.AddRow("TOTAL", a.TotalSent(), b.TotalSent(), b.TotalSent()-a.TotalSent())
 	fmt.Print(tab)
 
@@ -250,22 +225,7 @@ func cmdDiff(args []string) error {
 	ra, rb := a.Rel(), b.Rel()
 	if !ra.Empty() || !rb.Empty() {
 		fmt.Println("\n-- retransmissions (reliable sublayer) --")
-		retx := map[string][2]int64{}
-		for _, kt := range ra.Retransmits {
-			v := retx[kt.Kind]
-			v[0] = kt.Count
-			retx[kt.Kind] = v
-		}
-		for _, kt := range rb.Retransmits {
-			v := retx[kt.Kind]
-			v[1] = kt.Count
-			retx[kt.Kind] = v
-		}
-		rtab := metrics.NewTable("kind", "A", "B", "delta (B-A)")
-		for _, kind := range sortedKeys(retx) {
-			v := retx[kind]
-			rtab.AddRow(kind, v[0], v[1], v[1]-v[0])
-		}
+		rtab := deltaTable(ra.Retransmits, rb.Retransmits)
 		rtab.AddRow("TOTAL", ra.Total, rb.Total, rb.Total-ra.Total)
 		rtab.AddRow("lease downs", ra.LeaseDowns, rb.LeaseDowns, rb.LeaseDowns-ra.LeaseDowns)
 		rtab.AddRow("lease ups", ra.LeaseUps, rb.LeaseUps, rb.LeaseUps-ra.LeaseUps)
@@ -281,13 +241,28 @@ func deltaRounds(a, b int64) string {
 	return fmt.Sprintf("%+d", b-a)
 }
 
-func sortedKeys(m map[string][2]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// deltaTable lines two per-kind totals up side by side, one row per kind
+// in either, sorted by kind.
+func deltaTable(a, b []trace.KindTotal) *metrics.Table {
+	kinds := map[string][2]int64{}
+	for side, totals := range [2][]trace.KindTotal{a, b} {
+		for _, kt := range totals {
+			v := kinds[kt.Kind]
+			v[side] = kt.Count
+			kinds[kt.Kind] = v
+		}
 	}
-	sort.Strings(out)
-	return out
+	names := make([]string, 0, len(kinds))
+	for k := range kinds {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	tab := metrics.NewTable("kind", "A", "B", "delta (B-A)")
+	for _, kind := range names {
+		v := kinds[kind]
+		tab.AddRow(kind, v[0], v[1], v[1]-v[0])
+	}
+	return tab
 }
 
 func cmdTimeline(args []string) error {

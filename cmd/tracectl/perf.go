@@ -37,7 +37,7 @@ func cmdPerf(args []string) error {
 	fmt.Printf("== perf breakdown: %s ==\n", path)
 	fmt.Printf("rounds=%d\n", p.Rounds)
 	if p.Policy != "" {
-		fmt.Printf("partition policy=%s shards=%d\n", p.Policy, p.PolicyShards)
+		fmt.Printf("partition policy=%s shards=%d rounds=%d\n", p.Policy, p.PolicyShards, p.PolicyRounds)
 	}
 
 	fmt.Println("\n-- phase wall time --")

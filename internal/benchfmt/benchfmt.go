@@ -54,7 +54,7 @@ func NewMeta(bench string) Meta {
 func (m Meta) CompatibleWith(o Meta) error {
 	var bad []string
 	check := func(field string, a, b any) {
-		if !equalField(a, b) {
+		if fmt.Sprint(a) != fmt.Sprint(b) { // scalars and []int alike; nil and empty sizes agree
 			bad = append(bad, fmt.Sprintf("%s %v vs %v", field, a, b))
 		}
 	}
@@ -73,22 +73,6 @@ func (m Meta) CompatibleWith(o Meta) error {
 		return fmt.Errorf("incompatible bench configs: %s", strings.Join(bad, "; "))
 	}
 	return nil
-}
-
-func equalField(a, b any) bool {
-	if as, ok := a.([]int); ok {
-		bs := b.([]int)
-		if len(as) != len(bs) {
-			return false
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return a == b
 }
 
 // File is one loaded bench artifact: its header plus the full decoded

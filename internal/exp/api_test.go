@@ -73,7 +73,7 @@ func TestParseSizes(t *testing.T) {
 }
 
 // TestSchedulerAblationMatchesCommitted pins the random-sequential daemon's
-// draw sequence across executor changes: `convergence -mode scheduler` (n=200,
+// draw sequence across executor changes: `ssrsim -mode scheduler` (n=200,
 // 3 seeds) must reproduce the committed artifact byte for byte.
 func TestSchedulerAblationMatchesCommitted(t *testing.T) {
 	want, err := os.ReadFile("../../results/a1_scheduler.txt")
@@ -82,6 +82,19 @@ func TestSchedulerAblationMatchesCommitted(t *testing.T) {
 	}
 	if got := SchedulerAblation(200, 3).String() + "\n"; got != string(want) {
 		t.Errorf("A1 drifted from results/a1_scheduler.txt:\n%s", got)
+	}
+}
+
+// TestMobilityMatchesCommitted pins E12 the same way: `ssrsim -mode mobility
+// -n 24` is a function of the seed (waypoints are drawn in id order, not map
+// order), so it must reproduce the committed artifact byte for byte.
+func TestMobilityMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile("../../results/e12_mobility.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MobilityRecovery(24, 1500, 0.02, 3).String() + "\n"; got != string(want) {
+		t.Errorf("E12 drifted from results/e12_mobility.txt:\n%s", got)
 	}
 }
 

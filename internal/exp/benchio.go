@@ -11,8 +11,9 @@ import (
 	"path/filepath"
 )
 
-// writeBenchJSON writes a bench record to path, creating the directory.
-func writeBenchJSON(path string, res any) error {
+// WriteBenchJSON writes a bench record (ChaosResult, ReliabilityResult,
+// ProfileResult) to path, creating the directory.
+func WriteBenchJSON(path string, res any) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err

@@ -31,7 +31,10 @@ func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery 
 	if err != nil {
 		return Report{}, err
 	}
-	probe := &trace.Probe{Tracer: tracer}
+	// The report's verdict line is the one `tracectl report` prints for the
+	// same probe events: both come from trace.Analysis.
+	verdict := trace.NewAnalysis()
+	probe := &trace.Probe{Tracer: trace.Tee(tracer, verdict)}
 	deadline := sim.Time(n) * 4096
 
 	cl.AttachProbe(probe, sim.Time(probeEvery))
@@ -57,8 +60,6 @@ func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery 
 	tab := metrics.NewTable("protocol", "n", "converged", "time", "frames")
 	tab.AddRow(proto, n, ok, int64(at), net.Counters().Total())
 	rep.Table = tab
-	if probe.Len() > 0 {
-		rep.Notes = append(rep.Notes, probe.String())
-	}
+	rep.Notes = append(rep.Notes, verdict.Verdict().String())
 	return rep, nil
 }

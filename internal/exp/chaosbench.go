@@ -160,8 +160,3 @@ func ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, Cha
 		len(scenarios), len(protos), int64(deadline)))
 	return rep, res, nil
 }
-
-// WriteChaosJSON writes the chaos record to path, creating the directory.
-func WriteChaosJSON(path string, res ChaosResult) error {
-	return writeBenchJSON(path, res)
-}

@@ -1,11 +1,11 @@
 package exp
 
-// This file is the shared CLI surface of the cmd/ experiment tools. ssrsim
-// and convergence used to duplicate the flag definitions for topology,
-// sizes, seeds, output format and the observability stack; BindCLI defines
-// them once on the tool's FlagSet and CLI carries the accessors (size-list
-// parsing, observability setup, report emission). Tool-specific flags stay
-// in the tools — they bind extras on the same FlagSet before Parse.
+// This file is the harness half of cmd/ssrsim's command line: BindCLI
+// defines the flags that configure the harness itself (topology, sizes,
+// seeds, output format, round executor, transport, the observability
+// stack) on the tool's FlagSet, and CLI carries the accessors (size-list
+// parsing, setup, report emission). Flags that belong to single modes stay
+// in the tool, bound on the same FlagSet before Parse.
 
 import (
 	"flag"
@@ -17,7 +17,7 @@ import (
 	"repro/internal/sim"
 )
 
-// CLIOptions parameterize the shared flag defaults per tool.
+// CLIOptions parameterize the flag defaults.
 type CLIOptions struct {
 	Modes        string // help text for -mode
 	DefaultMode  string
@@ -25,7 +25,7 @@ type CLIOptions struct {
 	DefaultN     int    // default for -n
 }
 
-// CLI holds the parsed shared flags of one experiment tool.
+// CLI holds the parsed harness flags.
 type CLI struct {
 	Mode  *string
 	Topo  *string

@@ -39,85 +39,76 @@ func pprofMux() *http.ServeMux {
 // returned cleanup — always non-nil — flushes the trace file and shuts
 // both HTTP servers down gracefully.
 func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (func(), error) {
-	var pprofSrv *http.Server
-	closePprof := func() {}
+	// cleanup grows by one step per resource opened, newest first; every
+	// error return below runs what has accumulated so far.
+	cleanup := func() {}
+	onCleanup := func(step func()) {
+		prev := cleanup
+		cleanup = func() { step(); prev() }
+	}
+	fail := func(err error) (func(), error) {
+		cleanup()
+		return func() {}, err
+	}
+
 	if pprofAddr != "" {
 		lis, err := net.Listen("tcp", pprofAddr)
 		if err != nil {
-			return func() {}, fmt.Errorf("-pprof: %w", err)
+			return fail(fmt.Errorf("-pprof: %w", err))
 		}
-		pprofSrv = &http.Server{Handler: pprofMux()}
+		pprofSrv := &http.Server{Handler: pprofMux()}
 		go func() {
 			if err := pprofSrv.Serve(lis); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "pprof:", err)
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof on http://%s\n", lis.Addr())
-		closePprof = func() {
+		onCleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			if err := pprofSrv.Shutdown(ctx); err != nil {
 				fmt.Fprintln(os.Stderr, "pprof shutdown:", err)
 			}
-		}
+			lis.Close() // Shutdown misses a listener Serve has not registered yet
+		})
 	}
 
-	var telem *telemetry.Server
+	var live trace.Tracer // stays a nil interface when -listen is unset, so Tee drops it
 	if listenAddr != "" {
-		telem = telemetry.NewServer()
+		telem := telemetry.NewServer()
 		bound, err := telem.Start(listenAddr)
 		if err != nil {
-			closePprof()
-			return func() {}, err
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics /healthz /probe on http://%s\n", bound)
-	}
-
-	var w *trace.JSONLWriter
-	if traceFile != "" {
-		level, ok := trace.ParseLevel(traceLevel)
-		if !ok {
-			if telem != nil {
-				telem.Close()
-			}
-			closePprof()
-			return func() {}, fmt.Errorf("bad -trace-level %q (want off|round|msg)", traceLevel)
-		}
-		f, err := os.Create(traceFile)
-		if err != nil {
-			if telem != nil {
-				telem.Close()
-			}
-			closePprof()
-			return func() {}, fmt.Errorf("-trace: %w", err)
-		}
-		w = trace.NewJSONLWriter(f)
-		EnableTracing(trace.Tee(trace.WithLevel(w, level), telemTracer(telem)))
-	} else if telem != nil {
-		EnableTracing(telem.Tracer())
-	}
-
-	return func() {
-		EnableTracing(nil)
-		if w != nil {
-			if err := w.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "trace close:", err)
-			}
-		}
-		if telem != nil {
+		onCleanup(func() {
 			if err := telem.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "telemetry close:", err)
 			}
-		}
-		closePprof()
-	}, nil
-}
-
-// telemTracer is the nil-safe accessor (a nil *Server must collapse to a
-// nil Tracer inside Tee, not a typed non-nil interface).
-func telemTracer(t *telemetry.Server) trace.Tracer {
-	if t == nil {
-		return nil
+		})
+		live = telem.Tracer()
 	}
-	return t.Tracer()
+
+	var file trace.Tracer
+	if traceFile != "" {
+		level, ok := trace.ParseLevel(traceLevel)
+		if !ok {
+			return fail(fmt.Errorf("bad -trace-level %q (want off|round|msg)", traceLevel))
+		}
+		f, err := os.Create(traceFile)
+		if err != nil {
+			return fail(fmt.Errorf("-trace: %w", err))
+		}
+		w := trace.NewJSONLWriter(f)
+		onCleanup(func() {
+			if err := w.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "trace close:", err)
+			}
+		})
+		file = trace.WithLevel(w, level)
+	}
+
+	EnableTracing(trace.Tee(file, live))
+	onCleanup(func() { EnableTracing(nil) })
+	return cleanup, nil
 }

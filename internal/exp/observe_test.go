@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -68,5 +69,27 @@ func TestSetupObservabilityPprofBindErrorSurfaces(t *testing.T) {
 	defer lis.Close()
 	if _, err := SetupObservability("", "round", lis.Addr().String(), ""); err == nil {
 		t.Fatal("expected a bind error for an occupied port")
+	}
+}
+
+// TestSetupObservabilityUnwindsOnError: a failure after servers are already
+// listening must shut them down — every error return runs the cleanup
+// accumulated so far.
+func TestSetupObservabilityUnwindsOnError(t *testing.T) {
+	for _, tc := range []struct{ name, traceFile, level string }{
+		{"bad trace level", filepath.Join(t.TempDir(), "t.jsonl"), "verbose"},
+		{"unwritable trace file", filepath.Join(t.TempDir(), "no-such-dir", "t.jsonl"), "round"},
+	} {
+		pprofAddr, listenAddr := freePort(t), freePort(t)
+		if _, err := SetupObservability(tc.traceFile, tc.level, pprofAddr, listenAddr); err == nil {
+			t.Fatalf("%s: expected an error", tc.name)
+		}
+		for _, addr := range []string{pprofAddr, listenAddr} {
+			lis, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("%s: port %s still held after the failed setup: %v", tc.name, addr, err)
+			}
+			lis.Close()
+		}
 	}
 }

@@ -238,8 +238,3 @@ func ProfileBench(n int, topo graph.Topology, workers, shards int, partition str
 	}
 	return rep, res, nil
 }
-
-// WriteProfileJSON writes the profiling record to path.
-func WriteProfileJSON(path string, res ProfileResult) error {
-	return writeBenchJSON(path, res)
-}

@@ -116,7 +116,7 @@ func MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
 	at, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	cl.Stop()
-	rep.Table = sink.TaxonomyTable()
+	rep.Table = trace.TaxonomyTable(sink.MessageTaxonomy())
 	rep.Notes = append(rep.Notes, fmt.Sprintf("n=%d converged=%v at t=%d", n, ok, at))
 	if drops := sink.Drops(); len(drops) > 0 {
 		parts := make([]string, len(drops))

@@ -197,8 +197,3 @@ func ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Repor
 		int64(2*sim.Time(2048))))
 	return rep, res, nil
 }
-
-// WriteReliabilityJSON writes the record to path, creating the directory.
-func WriteReliabilityJSON(path string, res ReliabilityResult) error {
-	return writeBenchJSON(path, res)
-}

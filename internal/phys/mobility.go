@@ -15,7 +15,11 @@ import (
 // MANET experiments — SSR/VRR must keep the virtual ring consistent while
 // the physical graph changes underneath.
 type Mobility struct {
-	net    *Network
+	net *Network
+	// nodes is the id set ascending. Every loop that draws from the engine
+	// RNG or changes the topology walks it, never a map, so a run is a
+	// function of the seed alone.
+	nodes  []ids.ID
 	pos    map[ids.ID][2]float64
 	wp     map[ids.ID][2]float64
 	radius float64
@@ -35,11 +39,15 @@ type Mobility struct {
 // given initial positions (e.g. from graph.UnitDisk) and radio radius.
 func NewMobility(net *Network, positions map[ids.ID][2]float64, radius float64) *Mobility {
 	pos := make(map[ids.ID][2]float64, len(positions))
+	nodes := make([]ids.ID, 0, len(positions))
 	for v, p := range positions {
 		pos[v] = p
+		nodes = append(nodes, v)
 	}
+	ids.SortAsc(nodes)
 	return &Mobility{
 		net:      net,
+		nodes:    nodes,
 		pos:      pos,
 		wp:       make(map[ids.ID][2]float64, len(positions)),
 		radius:   radius,
@@ -56,7 +64,7 @@ func (m *Mobility) LinkChanges() int64 { return m.linkChanges }
 
 // Start begins periodic movement.
 func (m *Mobility) Start() {
-	for v := range m.pos {
+	for _, v := range m.nodes {
 		m.wp[v] = m.randomWaypoint()
 	}
 	m.net.Engine().After(m.Interval, m.step)
@@ -74,8 +82,8 @@ func (m *Mobility) step() {
 	if m.stopped {
 		return
 	}
-	for v, p := range m.pos {
-		t := m.wp[v]
+	for _, v := range m.nodes {
+		p, t := m.pos[v], m.wp[v]
 		dx, dy := t[0]-p[0], t[1]-p[1]
 		d := math.Hypot(dx, dy)
 		if d <= m.Speed {
@@ -95,11 +103,7 @@ func (m *Mobility) step() {
 // graph are kept (modeling a minimum-connectivity deployment, consistent
 // with the paper's standing assumption of a connected physical network).
 func (m *Mobility) recomputeLinks() {
-	nodes := make([]ids.ID, 0, len(m.pos))
-	for v := range m.pos {
-		nodes = append(nodes, v)
-	}
-	ids.SortAsc(nodes)
+	nodes := m.nodes
 	rr := m.radius * m.radius
 	topo := m.net.Topology()
 	for i := 0; i < len(nodes); i++ {

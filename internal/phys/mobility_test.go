@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -99,5 +100,33 @@ func TestMobilityLinksMatchRadius(t *testing.T) {
 				t.Errorf("in-range pair %s-%s not linked", a, b)
 			}
 		}
+	}
+}
+
+// TestMobilityDeterministic pins that a mobility run is a function of the
+// seed alone: waypoints are drawn in ascending id order, never map order.
+func TestMobilityDeterministic(t *testing.T) {
+	run := func() (map[ids.ID][2]float64, int64, []graph.Edge) {
+		e := sim.NewEngine(5)
+		nodes := graph.MakeIDs(16, graph.RandomIDs, e.Rand())
+		topo, pos := graph.UnitDisk(nodes, 0.4, e.Rand())
+		m := NewMobility(NewNetwork(e, topo), pos, 0.4)
+		m.Speed = 0.05
+		m.Interval = 10
+		m.Start()
+		e.RunUntil(500, nil)
+		m.Stop()
+		return snapshotPositions(m), m.LinkChanges(), topo.Edges()
+	}
+	pos1, changes1, edges1 := run()
+	pos2, changes2, edges2 := run()
+	if !reflect.DeepEqual(pos1, pos2) {
+		t.Error("same seed gave different final positions")
+	}
+	if changes1 != changes2 {
+		t.Errorf("same seed gave LinkChanges %d then %d", changes1, changes2)
+	}
+	if !reflect.DeepEqual(edges1, edges2) {
+		t.Errorf("same seed gave different topologies:\n%v\n%v", edges1, edges2)
 	}
 }

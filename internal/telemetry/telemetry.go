@@ -1,14 +1,16 @@
 // Package telemetry serves live observability for a running simulation:
-// an HTTP endpoint exposing the metrics registry in OpenMetrics text
-// format (/metrics), a liveness check (/healthz), and the latest
-// convergence-probe sample as JSON (/probe). The cmd/ tools wire it behind
-// a -listen flag, so a long-running MANET-churn bootstrap can be scraped
-// by Prometheus or curled mid-run.
+// an HTTP endpoint exposing the run's aggregates in OpenMetrics text format
+// (/metrics), a liveness check (/healthz), and the latest convergence-probe
+// sample as JSON (/probe). The cmd/ tools wire it behind a -listen flag, so
+// a long-running MANET-churn bootstrap can be scraped by Prometheus or
+// curled mid-run.
 //
-// The server owns a collector — a trace.Tracer that folds every event into
-// a metrics.Registry, a trace.StatsSink and the latest probe sample. When
-// -listen is unset nothing is constructed and the simulation keeps its
-// nil-tracer fast path.
+// The server holds one trace.Analysis — the same fold `tracectl report`
+// runs over a trace file — and renders every endpoint from its accessors at
+// scrape time. A number is available live iff it is available offline:
+// there is no second store that could disagree with the trace. When -listen
+// is unset nothing is constructed and the simulation keeps its nil-tracer
+// fast path.
 package telemetry
 
 import (
@@ -17,213 +19,137 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
+func scalar(v float64) []metrics.Sample { return []metrics.Sample{{Value: v}} }
+
+// labeled renders one sample per map entry: {label="<key>"} value.
+func labeled(label string, kv map[string]float64) []metrics.Sample {
+	out := make([]metrics.Sample, 0, len(kv))
+	for k, v := range kv {
+		out = append(out, metrics.Sample{Labels: []string{label, k}, Value: v})
+	}
+	return out
+}
+
+// each renders one sample per item: {label="<key>"} value, both from kv.
+func each[T any](label string, items []T, kv func(T) (string, float64)) []metrics.Sample {
+	out := make([]metrics.Sample, len(items))
+	for i, it := range items {
+		k, v := kv(it)
+		out[i] = metrics.Sample{Labels: []string{label, k}, Value: v}
+	}
+	return out
+}
+
+func fam(name, help, typ string, samples []metrics.Sample) metrics.Family {
+	return metrics.Family{Name: name, Help: help, Type: typ, Samples: samples}
+}
+
+func totals(label string, ts []trace.KindTotal) []metrics.Sample {
+	return each(label, ts, func(kt trace.KindTotal) (string, float64) { return kt.Kind, float64(kt.Count) })
+}
+
+// families is the export table: every series /metrics serves, read from the
+// Analysis accessors at scrape time. Adding a series means adding an
+// accessor first, which `tracectl` can print too.
+func families(a *trace.Analysis) []metrics.Family {
+	const nsPerSec = 1e9 // spans arrive in nanoseconds, OpenMetrics wants seconds
+	const counter, gauge = metrics.Counter, metrics.Gauge
+	perf, rel, invs := a.Perf(), a.Rel(), a.Invariants()
+	gauges := map[string]float64{}
+	for name, g := range a.Stats.Gauges() {
+		gauges[name] = g.Last
+	}
+	var acts []metrics.Sample
+	for _, sh := range perf.Shards {
+		for phase, c := range sh.Activations {
+			acts = append(acts, metrics.Sample{Labels: []string{"shard", strconv.Itoa(sh.Shard), "phase", phase}, Value: float64(c)})
+		}
+	}
+	// No partition samples before the executor's first stamp, no RTO
+	// envelope before the first RTT sample.
+	var policyRounds, policyShards, rto map[string]float64
+	if perf.Policy != "" {
+		policyRounds = map[string]float64{perf.Policy: float64(perf.PolicyRounds)}
+		policyShards = map[string]float64{perf.Policy: float64(perf.PolicyShards)}
+	}
+	if rel.RTOSamples > 0 {
+		rto = map[string]float64{"min": rel.RTOMin, "max": rel.RTOMax, "last": rel.RTOLast}
+	}
+	return []metrics.Family{
+		fam("ssr_trace_events", "trace events observed, by event type", counter, totals("ev", a.Stats.TypeCounts())),
+		fam("ssr_trace_events_all", "trace events observed", counter, scalar(float64(a.Events()))),
+		fam("ssr_messages_sent", "physical frames put on the air, by kind", counter, totals("kind", a.Taxonomy())),
+		fam("ssr_messages_dropped", "physical frames lost, by reason", counter, totals("reason", a.DropTotals())),
+		fam("ssr_node_messages_sent", "physical frames put on the air, by sending node", counter,
+			each("node", a.Stats.TopSenders(0), func(nt trace.NodeTotal) (string, float64) { return nt.Node.String(), float64(nt.Count) })),
+		fam("ssr_rounds", "synchronous rounds completed", counter, scalar(float64(a.Stats.Rounds()))),
+		fam("ssr_probe", "latest convergence-probe reading, by metric", gauge, labeled("metric", a.Probes())),
+		fam("ssr_gauge", "latest generic gauge reading, by metric", gauge, labeled("metric", gauges)),
+		fam("ssr_shard_activations", "sharded-executor activations, by shard and phase", counter, acts),
+		fam("ssr_partition_rounds", "consecutive rounds stamped with the current partition policy", counter, labeled("policy", policyRounds)),
+		fam("ssr_partition_shards", "shard count of the latest partition stamp", gauge, labeled("policy", policyShards)),
+		fam("ssr_invariant_checks", "chaos-harness invariant checks, by invariant", counter,
+			each("invariant", invs, func(iv trace.InvariantReport) (string, float64) { return iv.Invariant, float64(iv.Checks) })),
+		fam("ssr_invariant_violations", "chaos-harness invariant violations, by invariant", counter,
+			each("invariant", invs, func(iv trace.InvariantReport) (string, float64) { return iv.Invariant, float64(iv.Violations) })),
+		fam("ssr_retransmits", "reliable-sublayer retransmissions, by frame kind", counter, totals("kind", rel.Retransmits)),
+		fam("ssr_rto_ticks", "adaptive RTO envelope across all links", gauge, labeled("stat", rto)),
+		fam("ssr_lease_verdicts", "failure-detector verdicts, by direction", counter,
+			labeled("verdict", map[string]float64{"down": float64(rel.LeaseDowns), "up": float64(rel.LeaseUps)})),
+		fam("ssr_phase_seconds", "profiler wall time inside executor phases, by phase", counter,
+			each("phase", perf.Spans, func(sp trace.SpanTotal) (string, float64) {
+				return strings.TrimPrefix(sp.Name, "phase/"), sp.TotalNs / nsPerSec
+			})),
+		fam("ssr_shard_busy_seconds", "profiler per-shard busy time in the parallel phases, by shard", counter,
+			each("shard", perf.Shards, func(sh trace.ShardPerf) (string, float64) { return strconv.Itoa(sh.Shard), sh.BusyNs / nsPerSec })),
+		fam("ssr_shard_imbalance", "per-round load imbalance (max/mean shard busy): mean and worst round", gauge,
+			labeled("stat", map[string]float64{"mean": perf.ImbalanceMean, "max": perf.ImbalanceMax})),
+		fam("ssr_alloc_bytes", "profiler heap bytes allocated during rounds", counter, scalar(perf.AllocBytes)),
+		fam("ssr_mallocs", "profiler heap objects allocated during rounds", counter, scalar(perf.Mallocs)),
+		fam("ssr_gc_cycles", "profiler GC cycles completed during rounds", counter, scalar(perf.GCCycles)),
+	}
+}
+
 // Server is the live telemetry endpoint. Create with NewServer, attach
 // Tracer() to the simulation, then Start.
 type Server struct {
-	reg   *metrics.Registry
-	stats *trace.StatsSink
-
-	mu         sync.Mutex
-	last       trace.ProbeSample
-	haveProbe  bool
-	decomposed bool // this round carried missing/surplus events
-	probeAt    time.Time
-	churn      float64 // edge adds+delegates since the last round end
-
+	an      *trace.Analysis
+	probeAt atomic.Int64 // wall clock (UnixNano) of the last probe event; 0: none yet
 	started time.Time
-	events  *metrics.Counter
 
 	httpSrv *http.Server
 	lis     net.Listener
 }
 
-// NewServer builds a server with a fresh registry and stats sink.
+// NewServer builds a server over a fresh analysis.
 func NewServer() *Server {
-	reg := metrics.NewRegistry()
-	reg.Describe("ssr_trace_events", "trace events observed, by event type")
-	reg.Describe("ssr_messages_sent", "physical frames put on the air, by kind")
-	reg.Describe("ssr_messages_dropped", "physical frames lost, by reason")
-	reg.Describe("ssr_node_messages_sent", "physical frames put on the air, by sending node")
-	reg.Describe("ssr_rounds", "synchronous rounds completed")
-	reg.Describe("ssr_round_edge_churn", "virtual-edge adds+delegations per round")
-	reg.Describe("ssr_probe", "latest convergence-probe reading, by metric")
-	reg.Describe("ssr_gauge", "latest generic gauge reading, by metric")
-	reg.Describe("ssr_shard_activations", "sharded-executor activations, by shard and phase")
-	reg.Describe("ssr_invariant_checks", "chaos-harness invariant checks, by invariant")
-	reg.Describe("ssr_invariant_violations", "chaos-harness invariant violations, by invariant")
-	reg.Describe("ssr_retransmits", "reliable-sublayer retransmissions, by frame kind")
-	reg.Describe("ssr_rto_ticks", "latest adaptive RTO reading, by sender node")
-	reg.Describe("ssr_lease_verdicts", "failure-detector verdicts, by direction")
-	reg.Describe("ssr_phase_seconds", "profiler wall time inside executor phases, by phase")
-	reg.Describe("ssr_shard_busy_seconds", "profiler per-shard busy time in the parallel phases, by shard and phase")
-	reg.Describe("ssr_shard_imbalance", "latest per-round load-imbalance ratio (max/mean shard busy)")
-	reg.Describe("ssr_alloc_bytes", "profiler heap bytes allocated during rounds")
-	reg.Describe("ssr_mallocs", "profiler heap objects allocated during rounds")
-	reg.Describe("ssr_gc_cycles", "profiler GC cycles completed during rounds")
-	reg.Describe("ssr_event_queue_depth", "latest engine event-queue depth after a firing")
-	return &Server{
-		reg:     reg,
-		stats:   trace.NewStatsSink(),
-		started: time.Now(),
-		events:  reg.Counter("ssr_trace_events_all"),
-	}
+	return &Server{an: trace.NewAnalysis(), started: time.Now()}
 }
 
-// Registry exposes the server's metrics registry so harnesses can add
-// their own series next to the trace-fed ones.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
+// Analysis exposes the fold every endpoint is rendered from.
+func (s *Server) Analysis() *trace.Analysis { return s.an }
 
-// Stats exposes the server's aggregating sink.
-func (s *Server) Stats() *trace.StatsSink { return s.stats }
+// Tracer returns the sink feeding this server. Tee it with the run's other
+// sinks.
+func (s *Server) Tracer() trace.Tracer { return s }
 
-// collector folds trace events into the registry, the stats sink, and the
-// latest-probe state.
-type collector struct {
-	s *Server
-}
-
-// Emit implements trace.Tracer.
-func (c collector) Emit(e trace.Event) {
-	s := c.s
-	s.stats.Emit(e)
-	s.events.Inc()
-	s.reg.Counter("ssr_trace_events", "ev", e.Type.String()).Inc()
-	switch e.Type {
-	case trace.EvMsgSend:
-		s.reg.Counter("ssr_messages_sent", "kind", e.Kind).Inc()
-		s.reg.Counter("ssr_node_messages_sent", "node", e.Node.String()).Inc()
-	case trace.EvMsgDrop:
-		s.reg.Counter("ssr_messages_dropped", "reason", e.Aux).Inc()
-	case trace.EvEdgeAdd, trace.EvEdgeDelegate:
-		s.mu.Lock()
-		s.churn++
-		s.mu.Unlock()
-	case trace.EvRoundEnd:
-		s.reg.Counter("ssr_rounds").Inc()
-		s.mu.Lock()
-		churn := s.churn
-		s.churn = 0
-		s.mu.Unlock()
-		s.reg.Histogram("ssr_round_edge_churn", metrics.ExponentialBuckets(1, 2, 12)).Observe(churn)
-	case trace.EvProbe:
-		s.reg.Gauge("ssr_probe", "metric", e.Kind).Set(e.Value)
-		s.foldProbe(e)
-	case trace.EvGauge:
-		s.reg.Gauge("ssr_gauge", "metric", e.Kind).Set(e.Value)
-	case trace.EvShardRound:
-		// Kind "policy" is the executor's per-round partition stamp (Aux =
-		// policy name, Value = shard count); numeric Kinds carry per-shard
-		// activation counts.
-		if e.Kind == "policy" {
-			s.reg.Counter("ssr_partition_rounds", "policy", e.Aux).Inc()
-			s.reg.Gauge("ssr_partition_shards", "policy", e.Aux).Set(e.Value)
-		} else {
-			s.reg.Counter("ssr_shard_activations", "shard", e.Kind, "phase", e.Aux).Add(e.Value)
-		}
-	case trace.EvInvariant:
-		s.reg.Counter("ssr_invariant_checks", "invariant", e.Kind).Inc()
-		if e.Value != 0 {
-			s.reg.Counter("ssr_invariant_violations", "invariant", e.Kind).Inc()
-		}
-	case trace.EvRetransmit:
-		s.reg.Counter("ssr_retransmits", "kind", e.Kind).Inc()
-	case trace.EvRtoUpdate:
-		s.reg.Gauge("ssr_rto_ticks", "node", e.Node.String()).Set(e.Value)
-	case trace.EvLeaseExpire:
-		s.reg.Counter("ssr_lease_verdicts", "verdict", e.Aux).Inc()
-	case trace.EvSimFire:
-		s.reg.Gauge("ssr_event_queue_depth").Set(e.Value)
-	case trace.EvSpan:
-		s.foldSpan(e)
+// Emit implements trace.Tracer: the fold is the Analysis's. The server adds
+// the one thing a trace cannot carry, the wall-clock time of the last probe.
+func (s *Server) Emit(e trace.Event) {
+	if e.Type == trace.EvProbe {
+		s.probeAt.Store(time.Now().UnixNano())
 	}
-}
-
-// foldSpan folds one profiler span into the perf series. Timing spans
-// arrive in nanoseconds and are exported in seconds, matching the
-// OpenMetrics unit conventions.
-func (s *Server) foldSpan(e trace.Event) {
-	const nsPerSec = 1e9
-	switch {
-	case strings.HasPrefix(e.Kind, "phase/"):
-		s.reg.Counter("ssr_phase_seconds", "phase", strings.TrimPrefix(e.Kind, "phase/")).Add(e.Value / nsPerSec)
-	case strings.HasPrefix(e.Kind, "shard/"):
-		s.reg.Counter("ssr_shard_busy_seconds", "shard", e.Aux, "phase", strings.TrimPrefix(e.Kind, "shard/")).Add(e.Value / nsPerSec)
-	case e.Kind == "imbalance":
-		s.reg.Gauge("ssr_shard_imbalance").Set(e.Value)
-	case e.Kind == "allocs":
-		s.reg.Counter("ssr_alloc_bytes").Add(e.Value)
-	case e.Kind == "mallocs":
-		s.reg.Counter("ssr_mallocs").Add(e.Value)
-	case e.Kind == "gc":
-		s.reg.Counter("ssr_gc_cycles").Add(e.Value)
-	default:
-		// Ad-hoc spans (e.g. snapshot/rebuild) fold into the phase series
-		// under their full name, so nothing measured is dropped.
-		s.reg.Counter("ssr_phase_seconds", "phase", e.Kind).Add(e.Value / nsPerSec)
-	}
-}
-
-// foldProbe reassembles ProbeSample fields from the per-metric EvProbe
-// events trace.Probe emits (all sharing one T = round index).
-func (s *Server) foldProbe(e trace.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	round := int(e.T)
-	if !s.haveProbe || round != s.last.Round {
-		s.last = trace.ProbeSample{Round: round}
-		s.haveProbe = true
-		s.decomposed = false
-	}
-	switch e.Kind {
-	case "distance":
-		// The scalar is Missing+Surplus; when this round also carries the
-		// decomposition events those take over, otherwise park it in
-		// Surplus with Missing zero (older traces).
-		if !s.decomposed {
-			s.last.Missing = 0
-			s.last.Surplus = int(e.Value)
-		}
-	case "missing":
-		if !s.decomposed {
-			s.last.Surplus = 0
-			s.decomposed = true
-		}
-		s.last.Missing = int(e.Value)
-	case "surplus":
-		if !s.decomposed {
-			s.last.Missing = 0
-			s.decomposed = true
-		}
-		s.last.Surplus = int(e.Value)
-	case "connected":
-		s.last.Connected = e.Value != 0
-	case "multi-left":
-		s.last.MultiLeft = int(e.Value)
-	case "multi-right":
-		s.last.MultiRight = int(e.Value)
-	case "edges":
-		s.last.Edges = int(e.Value)
-	}
-	s.probeAt = time.Now()
-}
-
-// Tracer returns the event collector feeding this server. Tee it with the
-// run's other sinks.
-func (s *Server) Tracer() trace.Tracer { return collector{s} }
-
-// LastProbe returns the most recent reassembled probe sample.
-func (s *Server) LastProbe() (trace.ProbeSample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last, s.haveProbe
+	s.an.Emit(e)
 }
 
 // Handler returns the telemetry mux, also usable under a larger server.
@@ -237,7 +163,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WriteOpenMetrics(w)
+	_ = metrics.WriteOpenMetrics(w, families(s.an))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -245,27 +171,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":    "ok",
 		"uptime_s":  time.Since(s.started).Seconds(),
-		"events":    int64(s.events.Value()),
-		"msgs_sent": s.stats.TotalSent(),
+		"events":    s.an.Events(),
+		"msgs_sent": s.an.TotalSent(),
 	})
 }
 
-// probeResponse is the /probe JSON shape: the latest sample plus the
-// derived scalar the convergence claim is about.
+// probeResponse is the /probe JSON shape: the latest sample, the derived
+// scalar the convergence claim is about, and the verdict over the whole
+// probe series — the line `tracectl report` prints for the same events.
 type probeResponse struct {
 	Present    bool              `json:"present"`
 	Sample     trace.ProbeSample `json:"sample,omitempty"`
 	Distance   int               `json:"distance"`
 	AgeSeconds float64           `json:"age_s"`
+	Verdict    string            `json:"verdict"`
 }
 
 func (s *Server) handleProbe(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	resp := probeResponse{Present: s.haveProbe, Sample: s.last, Distance: s.last.Distance()}
-	if s.haveProbe {
-		resp.AgeSeconds = time.Since(s.probeAt).Seconds()
+	sample, ok := s.an.LastProbe()
+	resp := probeResponse{Present: ok, Sample: sample, Distance: sample.Distance(), Verdict: s.an.Verdict().String()}
+	if at := s.probeAt.Load(); at != 0 {
+		resp.AgeSeconds = time.Since(time.Unix(0, at)).Seconds()
 	}
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
@@ -282,8 +209,7 @@ func (s *Server) Start(addr string) (string, error) {
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	go func() {
 		if err := s.httpSrv.Serve(lis); err != nil && err != http.ErrServerClosed {
-			// The listener died under us; nothing to do mid-simulation.
-			_ = err
+			fmt.Fprintln(os.Stderr, "telemetry:", err)
 		}
 	}()
 	return lis.Addr().String(), nil
@@ -296,5 +222,7 @@ func (s *Server) Close() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return s.httpSrv.Shutdown(ctx)
+	err := s.httpSrv.Shutdown(ctx)
+	s.lis.Close() // Shutdown misses a listener Serve has not registered yet
+	return err
 }

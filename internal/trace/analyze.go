@@ -107,6 +107,11 @@ type Analysis struct {
 	distance     seriesTrack
 	missing      seriesTrack
 	disconnected bool
+	// Latest reading of every probe series, stamped with its round, and
+	// the round of the newest one: LastProbe reassembles a ProbeSample
+	// from the readings that share that round.
+	probes map[string]probeReading
+	probeT int64
 
 	// Invariant accounting: per-invariant check/violation totals keyed by
 	// the EvInvariant event's Kind, plus each invariant's first violation
@@ -135,12 +140,19 @@ type Analysis struct {
 	shardActs    map[string]map[int]int64 // phase -> shard -> activations
 	policy       string                   // partition policy stamped by the executor
 	policyShards int                      // shard count of the last partition stamp
+	policyRounds int64                    // consecutive stamps naming that policy
 	imbSum       float64
 	imbN         int64
 	imbMax       float64
 	allocBytes   float64
 	mallocs      float64
 	gcCycles     float64
+}
+
+// probeReading is one probe series' latest value and the round it is from.
+type probeReading struct {
+	t int64
+	v float64
 }
 
 // spanAgg accumulates one span kind's cost.
@@ -163,6 +175,7 @@ func NewAnalysis() *Analysis {
 		Stats:         NewStatsSink(),
 		distance:      seriesTrack{convergedAt: -1},
 		missing:       seriesTrack{convergedAt: -1},
+		probes:        make(map[string]probeReading),
 		invChecks:     make(map[string]int64),
 		invViolations: make(map[string]int64),
 		invFirst:      make(map[string]InvariantViolation),
@@ -192,7 +205,6 @@ func (a *Analysis) Emit(e Event) {
 		if e.Value > a.maxAttempt {
 			a.maxAttempt = e.Value
 		}
-		return
 	case EvRtoUpdate:
 		if a.rtoSamples == 0 || e.Value < a.rtoMin {
 			a.rtoMin = e.Value
@@ -202,27 +214,25 @@ func (a *Analysis) Emit(e Event) {
 		}
 		a.rtoLast = e.Value
 		a.rtoSamples++
-		return
 	case EvLeaseExpire:
 		if e.Aux == "up" {
 			a.leaseUps++
 		} else {
 			a.leaseDowns++
 		}
-		return
 	case EvSpan:
 		a.foldSpan(e)
-		return
 	case EvShardRound:
 		// Kind "policy" is the executor's per-round partition stamp
 		// (Aux = policy name, Value = shard count); numeric Kinds are
 		// per-shard activation attribution.
 		if e.Kind == "policy" {
-			a.policy = e.Aux
+			if e.Aux != a.policy {
+				a.policy, a.policyRounds = e.Aux, 0
+			}
 			a.policyShards = int(e.Value)
-			return
-		}
-		if shard, err := strconv.Atoi(e.Kind); err == nil {
+			a.policyRounds++
+		} else if shard, err := strconv.Atoi(e.Kind); err == nil {
 			m := a.shardActs[e.Aux]
 			if m == nil {
 				m = make(map[int]int64)
@@ -230,9 +240,7 @@ func (a *Analysis) Emit(e Event) {
 			}
 			m[shard] += int64(e.Value)
 		}
-		return
-	}
-	if e.Type == EvInvariant {
+	case EvInvariant:
 		a.invChecks[e.Kind]++
 		if e.Value != 0 {
 			a.invViolations[e.Kind]++
@@ -240,21 +248,62 @@ func (a *Analysis) Emit(e Event) {
 				a.invFirst[e.Kind] = InvariantViolation{Invariant: e.Kind, T: e.T, Detail: e.Aux}
 			}
 		}
-		return
-	}
-	if e.Type != EvProbe {
-		return
-	}
-	switch e.Kind {
-	case "distance":
-		a.distance.add(e.T, e.Value)
-	case "missing":
-		a.missing.add(e.T, e.Value)
-	case "connected":
-		if e.Value == 0 {
-			a.disconnected = true
+	case EvProbe:
+		a.probes[e.Kind] = probeReading{t: e.T, v: e.Value}
+		a.probeT = e.T
+		switch e.Kind {
+		case "distance":
+			a.distance.add(e.T, e.Value)
+		case "missing":
+			a.missing.add(e.T, e.Value)
+		case "connected":
+			if e.Value == 0 {
+				a.disconnected = true
+			}
 		}
 	}
+}
+
+// Probes returns the latest reading of every probe series, by series name.
+func (a *Analysis) Probes() map[string]float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[string]float64, len(a.probes))
+	for kind, r := range a.probes {
+		out[kind] = r.v
+	}
+	return out
+}
+
+// LastProbe reassembles the newest ProbeSample from the per-metric EvProbe
+// events Probe.Observe emits (all sharing one T = round index); ok is false
+// before the first probe event. A round that carries the missing/surplus
+// decomposition reports it; a round with only the scalar "distance" (older
+// traces) parks it in Surplus with Missing zero.
+func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.probes) == 0 {
+		return s, false
+	}
+	at := func(kind string) (int, bool) {
+		r, ok := a.probes[kind]
+		return int(r.v), ok && r.t == a.probeT
+	}
+	s.Round = int(a.probeT)
+	missing, hasMissing := at("missing")
+	surplus, hasSurplus := at("surplus")
+	if hasMissing || hasSurplus {
+		s.Missing, s.Surplus = missing, surplus
+	} else {
+		s.Surplus, _ = at("distance")
+	}
+	connected, _ := at("connected")
+	s.Connected = connected != 0
+	s.MultiLeft, _ = at("multi-left")
+	s.MultiRight, _ = at("multi-right")
+	s.Edges, _ = at("edges")
+	return s, true
 }
 
 // Events returns how many events were folded in.
@@ -418,36 +467,33 @@ func (a *Analysis) counterTotals(prefix string) []KindTotal {
 func (a *Analysis) foldSpan(e Event) {
 	switch {
 	case strings.HasPrefix(e.Kind, "shard/"):
+		// Per-shard spans are attributed to their shard, not aggregated by kind.
 		if shard, err := strconv.Atoi(e.Aux); err == nil {
 			a.shardBusy[shard] += e.Value
 		}
-		return // per-shard spans are attributed, not aggregated by kind
 	case e.Kind == "imbalance":
 		a.imbSum += e.Value
 		a.imbN++
 		if e.Value > a.imbMax {
 			a.imbMax = e.Value
 		}
-		return
 	case e.Kind == "allocs":
 		a.allocBytes += e.Value
-		return
 	case e.Kind == "mallocs":
 		a.mallocs += e.Value
-		return
 	case e.Kind == "gc":
 		a.gcCycles += e.Value
-		return
-	}
-	ag := a.spans[e.Kind]
-	if ag == nil {
-		ag = &spanAgg{}
-		a.spans[e.Kind] = ag
-	}
-	ag.count++
-	ag.total += e.Value
-	if e.Value > ag.max {
-		ag.max = e.Value
+	default:
+		ag := a.spans[e.Kind]
+		if ag == nil {
+			ag = &spanAgg{}
+			a.spans[e.Kind] = ag
+		}
+		ag.count++
+		ag.total += e.Value
+		if e.Value > ag.max {
+			ag.max = e.Value
+		}
 	}
 }
 
@@ -478,9 +524,11 @@ type PerfReport struct {
 
 	// Policy is the partition policy the sharded executor stamped into the
 	// trace ("" on traces predating the stamp or without the executor);
-	// PolicyShards is the shard count of the last stamp.
+	// PolicyShards is the shard count of the last stamp and PolicyRounds
+	// the number of consecutive rounds stamped with that policy.
 	Policy       string
 	PolicyShards int
+	PolicyRounds int64
 
 	ImbalanceMean float64 // mean over rounds of max/mean parallel shard busy
 	ImbalanceMax  float64
@@ -503,21 +551,15 @@ func parallelSpan(name string) bool {
 }
 
 // SeqNs returns the wall time spent in the sequential share of the rounds.
-func (p PerfReport) SeqNs() float64 {
-	var t float64
-	for _, s := range p.Spans {
-		if !parallelSpan(s.Name) {
-			t += s.TotalNs
-		}
-	}
-	return t
-}
+func (p PerfReport) SeqNs() float64 { return p.spanNs(false) }
 
 // ParNs returns the wall time spent in the parallel phases.
-func (p PerfReport) ParNs() float64 {
+func (p PerfReport) ParNs() float64 { return p.spanNs(true) }
+
+func (p PerfReport) spanNs(parallel bool) float64 {
 	var t float64
 	for _, s := range p.Spans {
-		if parallelSpan(s.Name) {
+		if parallelSpan(s.Name) == parallel {
 			t += s.TotalNs
 		}
 	}
@@ -571,6 +613,7 @@ func (a *Analysis) Perf() PerfReport {
 		Rounds:       a.Stats.Rounds(),
 		Policy:       a.policy,
 		PolicyShards: a.policyShards,
+		PolicyRounds: a.policyRounds,
 	}
 	if a.imbN > 0 {
 		p.ImbalanceMean = a.imbSum / float64(a.imbN)
@@ -579,23 +622,23 @@ func (a *Analysis) Perf() PerfReport {
 		p.Spans = append(p.Spans, SpanTotal{Name: name, Count: ag.count, TotalNs: ag.total, MaxNs: ag.max})
 	}
 	sort.Slice(p.Spans, func(i, j int) bool { return p.Spans[i].Name < p.Spans[j].Name })
-	shardSet := make(map[int]bool, len(a.shardBusy))
-	for s := range a.shardBusy {
-		shardSet[s] = true
+	rows := make(map[int]*ShardPerf, len(a.shardBusy))
+	row := func(shard int) *ShardPerf {
+		if rows[shard] == nil {
+			rows[shard] = &ShardPerf{Shard: shard, Activations: make(map[string]int64)}
+		}
+		return rows[shard]
 	}
-	for _, m := range a.shardActs {
-		for s := range m {
-			shardSet[s] = true
+	for shard, ns := range a.shardBusy {
+		row(shard).BusyNs = ns
+	}
+	for phase, m := range a.shardActs {
+		for shard, c := range m {
+			row(shard).Activations[phase] = c
 		}
 	}
-	for s := range shardSet {
-		row := ShardPerf{Shard: s, BusyNs: a.shardBusy[s], Activations: make(map[string]int64)}
-		for phase, m := range a.shardActs {
-			if c, ok := m[s]; ok {
-				row.Activations[phase] = c
-			}
-		}
-		p.Shards = append(p.Shards, row)
+	for _, r := range rows {
+		p.Shards = append(p.Shards, *r)
 	}
 	sort.Slice(p.Shards, func(i, j int) bool { return p.Shards[i].Shard < p.Shards[j].Shard })
 	return p

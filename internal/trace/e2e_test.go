@@ -39,7 +39,8 @@ func TestSSRBootstrapTraceReplay(t *testing.T) {
 		phys.WithTracer(trace.Tee(trace.WithLevel(w, trace.LevelRound), sink)))
 
 	c := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded})
-	probe := &trace.Probe{Tracer: trace.Tee(w, sink)}
+	verdict := trace.NewAnalysis()
+	probe := &trace.Probe{Tracer: trace.Tee(w, sink, verdict)}
 	c.AttachProbe(probe, 8)
 
 	at, ok := c.RunUntilConsistent(2_000_000)
@@ -61,8 +62,8 @@ func TestSSRBootstrapTraceReplay(t *testing.T) {
 	if last.Missing != 0 {
 		t.Errorf("converged virtual graph still missing %d line edges", last.Missing)
 	}
-	if !probe.ConnectedAllRounds() {
-		t.Error("connectivity invariant violated during bootstrap")
+	if v := verdict.Verdict(); !v.ConnectedAll || !v.Converged {
+		t.Errorf("connectivity invariant violated during bootstrap, or no convergence: %s", v)
 	}
 	if sink.TotalSent() == 0 {
 		t.Error("stats sink saw no protocol messages")

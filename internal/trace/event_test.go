@@ -132,21 +132,21 @@ func TestStatsSinkAggregates(t *testing.T) {
 	if s.Counter("isprp:flood-origin") != 1 {
 		t.Errorf("counter %v", s.Counter("isprp:flood-origin"))
 	}
-	if g := s.Gauge("queue"); g.Last != 3 || g.Max != 5 || g.N != 2 {
+	if g := s.Gauges()["queue"]; g.Last != 3 || g.Max != 5 || g.N != 2 {
 		t.Errorf("gauge %+v", g)
 	}
 	if s.Rounds() != 1 {
 		t.Errorf("rounds %d", s.Rounds())
 	}
-	tab := s.TaxonomyTable().String()
+	tab := trace.TaxonomyTable(s.MessageTaxonomy()).String()
 	if !strings.Contains(tab, "ssr:notify") || !strings.Contains(tab, "TOTAL") {
 		t.Errorf("taxonomy table:\n%s", tab)
 	}
 }
 
 func TestProbeOnLoopyConvergence(t *testing.T) {
-	rec := &trace.Recorder{}
-	p := &trace.Probe{Tracer: rec}
+	rec, verdict := &trace.Recorder{}, trace.NewAnalysis()
+	p := &trace.Probe{Tracer: trace.Tee(rec, verdict)}
 	g := vring.LoopyExample().ToGraph()
 	p.Observe(0, g) // pre-run sample: loopy state is far from the line
 	stats, final := linearize.Run(g, linearize.Config{
@@ -160,8 +160,8 @@ func TestProbeOnLoopyConvergence(t *testing.T) {
 	if p.Len() != stats.Rounds+1 {
 		t.Errorf("samples=%d, want rounds+pre=%d", p.Len(), stats.Rounds+1)
 	}
-	if !p.ConnectedAllRounds() {
-		t.Error("connectivity invariant must hold every round")
+	if v := verdict.Verdict(); !v.ConnectedAll || !v.Converged || v.Probes != p.Len() {
+		t.Errorf("connectivity must hold every round and the run converge: %s", v)
 	}
 	first, _ := p.Samples()[0], final
 	if first.Distance() == 0 {
@@ -205,7 +205,7 @@ func TestProbeStallDetection(t *testing.T) {
 	if !p.Stalled() {
 		t.Error("constant nonzero distance must register as a stall")
 	}
-	if p.Converged() {
+	if last, _ := p.Last(); last.Distance() == 0 {
 		t.Error("star is not the line")
 	}
 }

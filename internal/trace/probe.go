@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/graph"
@@ -28,10 +27,11 @@ func (s ProbeSample) Distance() int { return s.Missing + s.Surplus }
 // Probe is the convergence monitor: fed one graph snapshot per round (its
 // Observe method matches linearize.Config.OnRound and the cluster probes of
 // the message-level protocols), it records the round-by-round
-// distance-to-linearized series, watches the connectivity invariant, and
-// detects stalls and oscillation. When Tracer is set, every sample is also
-// emitted as EvProbe events, so JSONL traces carry the series for offline
-// replay.
+// distance-to-linearized and connectivity series and detects stalls. When
+// Tracer is set, every sample is also emitted as EvProbe events, so JSONL
+// traces carry the series for offline replay; the verdict over that series
+// (converged, connected throughout, oscillations) is Analysis.Verdict,
+// nowhere else.
 type Probe struct {
 	// Tracer, if set, receives each sample as EvProbe events.
 	Tracer Tracer
@@ -107,33 +107,6 @@ func (p *Probe) Last() (ProbeSample, bool) {
 	return p.samples[len(p.samples)-1], true
 }
 
-// Series renders the round → distance curve for the figure toolkit.
-func (p *Probe) Series(name string) metrics.Series {
-	s := metrics.Series{Name: name}
-	for _, smp := range p.Samples() {
-		s.Add(float64(smp.Round), float64(smp.Distance()))
-	}
-	return s
-}
-
-// ConnectedAllRounds reports whether the connectivity invariant — the
-// property that makes local consistency equal global consistency on the
-// line (§3) — held in every observed round.
-func (p *Probe) ConnectedAllRounds() bool {
-	for _, s := range p.Samples() {
-		if !s.Connected {
-			return false
-		}
-	}
-	return true
-}
-
-// Converged reports whether the latest sample reached distance zero.
-func (p *Probe) Converged() bool {
-	last, ok := p.Last()
-	return ok && last.Distance() == 0
-}
-
 // Stalled reports whether the trailing StallWindow samples show no
 // improvement of the distance metric while it is still nonzero.
 func (p *Probe) Stalled() bool {
@@ -156,31 +129,6 @@ func (p *Probe) Stalled() bool {
 		}
 	}
 	return true
-}
-
-// Oscillations counts rounds in which the distance metric increased —
-// zero for the monotone variants; persistent positive counts flag the
-// crossing-chord regeneration pathology the synchronous pure variant is
-// known for.
-func (p *Probe) Oscillations() int {
-	samples := p.Samples()
-	osc := 0
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Distance() > samples[i-1].Distance() {
-			osc++
-		}
-	}
-	return osc
-}
-
-// String summarizes the probe's verdict.
-func (p *Probe) String() string {
-	last, ok := p.Last()
-	if !ok {
-		return "probe: no samples"
-	}
-	return fmt.Sprintf("probe: rounds=%d distance=%d connectedAll=%v stalled=%v oscillations=%d",
-		p.Len(), last.Distance(), p.ConnectedAllRounds(), p.Stalled(), p.Oscillations())
 }
 
 // SeriesFromEvents reconstructs the per-round convergence series from a

@@ -206,7 +206,7 @@ func TestStatsSinkConcurrent(t *testing.T) {
 				s.Emit(trace.Event{Type: trace.EvCounter, Kind: "c", Value: 1})
 				if i%500 == 0 {
 					_ = s.TopSenders(3)
-					_ = s.TaxonomyTable()
+					_ = trace.TaxonomyTable(s.MessageTaxonomy())
 				}
 			}
 		}(w)

@@ -279,11 +279,16 @@ func (s *StatsSink) Emit(e Event) {
 	}
 }
 
-// TypeCount returns how many events of type t were seen.
-func (s *StatsSink) TypeCount(t EventType) int64 {
+// TypeCounts returns how many events of each type were seen, sorted by
+// type name.
+func (s *StatsSink) TypeCounts() []KindTotal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.byType[t]
+	byName := make(map[string]int64, len(s.byType))
+	for t, c := range s.byType {
+		byName[t.String()] = c
+	}
+	return sortedTotals(byName)
 }
 
 // Rounds returns the number of completed rounds observed.
@@ -313,11 +318,15 @@ func (s *StatsSink) Counters() []KindTotal {
 	return out
 }
 
-// Gauge returns the summary of a named gauge.
-func (s *StatsSink) Gauge(name string) GaugeStat {
+// Gauges returns the summary of every named gauge, by name.
+func (s *StatsSink) Gauges() map[string]GaugeStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gauges[name]
+	out := make(map[string]GaugeStat, len(s.gauges))
+	for name, g := range s.gauges {
+		out[name] = g
+	}
+	return out
 }
 
 // MessageTaxonomy returns the per-kind send totals, sorted by kind — the
@@ -346,12 +355,15 @@ func (s *StatsSink) TotalSent() int64 {
 	return t
 }
 
-// TaxonomyTable renders the message taxonomy (plus a TOTAL row) as a
-// metrics table, ready to embed in an experiment report.
-func (s *StatsSink) TaxonomyTable() *metrics.Table {
+// TaxonomyTable renders per-kind send totals (plus a TOTAL row) as a
+// metrics table, ready to embed in an experiment or trace report.
+func TaxonomyTable(tax []KindTotal) *metrics.Table {
 	tab := metrics.NewTable("kind", "frames", "share")
-	total := s.TotalSent()
-	for _, kt := range s.MessageTaxonomy() {
+	var total int64
+	for _, kt := range tax {
+		total += kt.Count
+	}
+	for _, kt := range tax {
 		share := 0.0
 		if total > 0 {
 			share = float64(kt.Count) / float64(total)

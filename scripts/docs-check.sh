@@ -1,0 +1,15 @@
+#!/bin/sh
+# Fails when README.md, EXPERIMENTS.md, DESIGN.md or the verify skill quote
+# a ./cmd/<name> directory or an ssrsim `-mode <m>` that does not exist, so a
+# rename cannot leave dead commands in the docs. Run from the repo root.
+docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
+modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
+[ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
+fail=0
+for c in $(grep -oh 'cmd/[a-z][a-z]*' $docs | sort -u); do
+	[ -d "$c" ] || { echo "docs-check: the docs quote ./$c, which does not exist"; fail=1; }
+done
+for m in $(grep -oh -- '-mode [a-z][a-z]*' $docs | cut -d' ' -f2 | sort -u); do
+	echo "$modes" | grep -qx "$m" || { echo "docs-check: the docs quote -mode $m, which ssrsim -h does not list"; fail=1; }
+done
+exit $fail
