@@ -94,15 +94,16 @@ perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
-# Short native-fuzz pass over the frame-decoding and linearize-step
-# targets (one -fuzz run per target; Go allows a single fuzz target per
-# invocation). The committed corpora under testdata/fuzz replay in plain
-# `go test` as well.
+# Short native-fuzz pass over the frame-decoding, linearize-step and
+# trace-encoding targets (one -fuzz run per target; Go allows a single fuzz
+# target per invocation). The committed corpora under testdata/fuzz replay
+# in plain `go test` as well.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFramePayloadDecoding -fuzztime=10s ./internal/ssr/
 	$(GO) test -run=^$$ -fuzz=FuzzRouteOps -fuzztime=10s ./internal/sroute/
 	$(GO) test -run=^$$ -fuzz=FuzzLinearizeStep -fuzztime=10s ./internal/linearize/
 	$(GO) test -run=^$$ -fuzz=FuzzRelFrameDecoding -fuzztime=10s ./internal/rel/
+	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
 
 clean:
 	$(GO) clean ./...

@@ -7,6 +7,7 @@
 package ssrlin
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/cache"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/ssr"
+	"repro/internal/trace"
 	"repro/internal/vring"
 	"repro/internal/vrr"
 )
@@ -356,4 +358,25 @@ func BenchmarkChordVsSSR(b *testing.B) {
 			b.ReportMetric(float64(r.Hops), "physhops")
 		}
 	})
+}
+
+// BenchmarkTraceEmit: what one per-message event costs in each sink — the
+// per-layer figure behind the price of leaving a full-level trace on.
+func BenchmarkTraceEmit(b *testing.B) {
+	ev := trace.Event{T: 1234, Type: trace.EvMsgSend, Node: 0x1234567890abcdef, Peer: 0xfedcba0987654321, Kind: "ssr:notify", Value: 1}
+	for _, sink := range []struct {
+		name string
+		tr   trace.Tracer
+	}{
+		{"recorder", &trace.Recorder{}},
+		{"stats", trace.NewStatsSink()},
+		{"jsonl", trace.NewJSONLWriter(io.Discard)},
+	} {
+		b.Run(sink.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink.tr.Emit(ev)
+			}
+		})
+	}
 }

@@ -212,8 +212,9 @@ func findMode(name string) *mode {
 }
 
 // run is main without the process exit: parse args, set the harness up, run
-// the mode, return the exit status.
-func run(args []string) int {
+// the mode, return the exit status: 2 for a usage, set-up or run error and
+// for a trace that could not be written whole, 1 for unmet criteria.
+func run(args []string) (status int) {
 	fs := flag.NewFlagSet("ssrsim", flag.ContinueOnError)
 	c := &ctx{
 		CLI:        exp.BindCLI(fs, exp.CLIOptions{Modes: modeHelp(), DefaultMode: "compare", DefaultSizes: msgModel.sizes, DefaultN: msgModel.n}),
@@ -254,7 +255,13 @@ func run(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	defer cleanup() // flushes the trace on every path out
+	// Flushes the trace on every path out. A trace that did not reach its
+	// file whole is a failed run whatever the mode itself returned.
+	defer func() {
+		if err := cleanup(); err != nil {
+			status = fail(err)
+		}
+	}()
 	switch err := m.run(c); {
 	case errors.Is(err, errCriteria):
 		fmt.Fprintf(os.Stderr, "ssrsim: %s %v\n", m.name, err)

@@ -128,4 +128,18 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("ssrsim %v: exit %d, want 2", args, code)
 		}
 	}
+
+	// The mode succeeds, its trace does not reach the disk: still exit 2.
+	t.Run("lost trace", func(t *testing.T) {
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("no /dev/full to stand in for a full disk")
+		}
+		oldOut := os.Stdout
+		os.Stdout = devnull
+		defer func() { os.Stdout = oldOut }()
+		args := []string{"-mode", "boot", "-n", "16", "-trace", "/dev/full", "-trace-level", "msg"}
+		if code := run(args); code != 2 {
+			t.Errorf("ssrsim %v: exit %d, want 2", args, code)
+		}
+	})
 }

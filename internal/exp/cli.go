@@ -83,14 +83,16 @@ func BindCLI(fs *flag.FlagSet, opt CLIOptions) *CLI {
 // Setup wires the parsed flags into the harness: the observability stack
 // (SetupObservability), the round-executor selection (SetExecutor) and the
 // protocol transport (SetTransport). The returned cleanup is always
-// non-nil and must run before exit to flush traces.
-func (c *CLI) Setup() (func(), error) {
+// non-nil and must run before exit to flush traces; its error is a trace
+// that did not reach its file whole.
+func (c *CLI) Setup() (func() error, error) {
+	noop := func() error { return nil }
 	if _, err := sim.NewPartitioner(*c.Partition); err != nil {
-		return func() {}, err
+		return noop, err
 	}
 	SetExecutor(sim.ExecutorConfig{Workers: *c.Workers, Shards: *c.Shards, Partition: *c.Partition})
 	if err := SetTransport(*c.Transport); err != nil {
-		return func() {}, err
+		return noop, err
 	}
 	return SetupObservability(*c.traceFile, *c.traceLevel, *c.pprofAddr, *c.listenAddr)
 }

@@ -37,8 +37,11 @@ func pprofMux() *http.ServeMux {
 // Every server's lifecycle is owned here: bind errors surface to the
 // caller as errors (not stderr noise from a background goroutine), and the
 // returned cleanup — always non-nil — flushes the trace file and shuts
-// both HTTP servers down gracefully.
-func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (func(), error) {
+// both HTTP servers down gracefully. It returns the first error the trace
+// file hit over the whole run (write, flush or close): a truncated trace
+// must not pass for a successful run. Server shutdown problems only go to
+// stderr.
+func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (func() error, error) {
 	// cleanup grows by one step per resource opened, newest first; every
 	// error return below runs what has accumulated so far.
 	cleanup := func() {}
@@ -46,9 +49,9 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 		prev := cleanup
 		cleanup = func() { step(); prev() }
 	}
-	fail := func(err error) (func(), error) {
+	fail := func(err error) (func() error, error) {
 		cleanup()
-		return func() {}, err
+		return func() error { return nil }, err
 	}
 
 	if pprofAddr != "" {
@@ -90,6 +93,7 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 	}
 
 	var file trace.Tracer
+	var traceErr error
 	if traceFile != "" {
 		level, ok := trace.ParseLevel(traceLevel)
 		if !ok {
@@ -102,7 +106,7 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 		w := trace.NewJSONLWriter(f)
 		onCleanup(func() {
 			if err := w.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "trace close:", err)
+				traceErr = fmt.Errorf("-trace %s: %w", traceFile, err)
 			}
 		})
 		file = trace.WithLevel(w, level)
@@ -110,5 +114,5 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 
 	EnableTracing(trace.Tee(file, live))
 	onCleanup(func() { EnableTracing(nil) })
-	return cleanup, nil
+	return func() error { cleanup(); return traceErr }, nil
 }

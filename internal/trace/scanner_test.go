@@ -148,6 +148,28 @@ func TestJSONLWriterStickyFlushError(t *testing.T) {
 	}
 }
 
+// TestJSONLWriterOversizeEvent: an event longer than the writer's 64 KiB
+// buffer arrives intact, in order between its neighbours.
+func TestJSONLWriterOversizeEvent(t *testing.T) {
+	in := []trace.Event{
+		{T: 1, Type: trace.EvMsgSend, Node: 3, Kind: "before"},
+		{T: 2, Type: trace.EvInvariant, Kind: "route-loops", Aux: strings.Repeat("loop ", 20000), Value: 1},
+		{T: 3, Type: trace.EvMsgSend, Node: 3, Kind: "after"},
+	}
+	out, err := trace.ReadJSONL(writeEvents(t, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("read %d events, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Errorf("event %d differs (aux %d bytes, want %d)", i, len(out[i].Aux), len(in[i].Aux))
+		}
+	}
+}
+
 func TestStatsSinkPerNodeAggregation(t *testing.T) {
 	s := trace.NewStatsSink()
 	for i := 0; i < 5; i++ {

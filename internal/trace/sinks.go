@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/ids"
@@ -101,15 +102,13 @@ type JSONLWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	c   io.Closer // underlying closer, if any
-	enc *json.Encoder
 	n   int64
 	err error
 }
 
 // NewJSONLWriter wraps w. If w is an io.Closer, Close closes it too.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	j := &JSONLWriter{w: bw, enc: json.NewEncoder(bw)}
+	j := &JSONLWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	if c, ok := w.(io.Closer); ok {
 		j.c = c
 	}
@@ -125,11 +124,22 @@ func (j *JSONLWriter) Emit(e Event) {
 	if j.err != nil {
 		return
 	}
-	if err := j.enc.Encode(e); err != nil {
-		j.err = err
+	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+		j.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Value, 'g', -1, 64)}
 		return
 	}
-	j.n++
+	// The line is built in the buffer's own free space. Flushing first when
+	// it may not fit keeps append from outgrowing that space and allocating;
+	// only an event larger than the whole buffer still does, and Write then
+	// passes it through.
+	if j.w.Available() < maxPlainEvent+len(e.Kind)+len(e.Aux) {
+		if j.err = j.w.Flush(); j.err != nil {
+			return
+		}
+	}
+	if _, j.err = j.w.Write(appendEvent(j.w.AvailableBuffer(), e)); j.err == nil {
+		j.n++
+	}
 }
 
 // Count returns the number of events successfully encoded.
@@ -220,7 +230,7 @@ type nodeStat struct {
 // ad-hoc experiment counters and feeds internal/metrics tables directly.
 type StatsSink struct {
 	mu       sync.Mutex
-	byType   map[EventType]int64
+	byType   [256]int64       // indexed by EventType
 	sends    map[string]int64 // message kind -> frames sent
 	drops    map[string]int64 // drop reason (Aux) -> frames lost
 	byNode   map[ids.ID]*nodeStat
@@ -232,7 +242,6 @@ type StatsSink struct {
 // NewStatsSink returns an empty aggregator.
 func NewStatsSink() *StatsSink {
 	return &StatsSink{
-		byType:   make(map[EventType]int64),
 		sends:    make(map[string]int64),
 		drops:    make(map[string]int64),
 		byNode:   make(map[ids.ID]*nodeStat),
@@ -284,11 +293,13 @@ func (s *StatsSink) Emit(e Event) {
 func (s *StatsSink) TypeCounts() []KindTotal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byName := make(map[string]int64, len(s.byType))
+	var out []KindTotal
 	for t, c := range s.byType {
-		byName[t.String()] = c
+		if c != 0 {
+			out = append(out, KindTotal{Kind: EventType(t).String(), Count: c})
+		}
 	}
-	return sortedTotals(byName)
+	return sortByKind(out)
 }
 
 // Rounds returns the number of completed rounds observed.
@@ -314,8 +325,7 @@ func (s *StatsSink) Counters() []KindTotal {
 	for k, v := range s.counters {
 		out = append(out, KindTotal{Kind: k, Count: int64(math.Round(v))})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
+	return sortByKind(out)
 }
 
 // Gauges returns the summary of every named gauge, by name.
@@ -440,6 +450,10 @@ func sortedTotals(m map[string]int64) []KindTotal {
 	for k, v := range m {
 		out = append(out, KindTotal{Kind: k, Count: v})
 	}
+	return sortByKind(out)
+}
+
+func sortByKind(out []KindTotal) []KindTotal {
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }

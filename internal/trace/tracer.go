@@ -122,14 +122,18 @@ func (t EventType) String() string {
 	return fmt.Sprintf("event-%d", uint8(t))
 }
 
+var eventByName = func() map[string]EventType {
+	m := make(map[string]EventType, len(eventNames))
+	for i, n := range eventNames {
+		m[n] = EventType(i)
+	}
+	return m
+}()
+
 // ParseEventType inverts String. It returns ok=false for unknown names.
 func ParseEventType(s string) (EventType, bool) {
-	for i, n := range eventNames {
-		if n == s {
-			return EventType(i), true
-		}
-	}
-	return 0, false
+	t, ok := eventByName[s]
+	return t, ok
 }
 
 // MarshalJSON encodes the type as its name, keeping JSONL traces readable
