@@ -23,8 +23,11 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+# The second line repeats the test of graph's concurrency contract
+# (goroutines mutating disjoint identifier intervals of one Graph).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestConcurrentDisjointIntervals ./internal/graph/
 
 # benchmark/ is a module of its own that imports repro/internal/...: an
 # internal API change can break it with every root gate above green.
@@ -32,7 +35,8 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Every ./cmd/<name> and `-mode <m>` the docs quote must exist.
+# Every ./cmd/<name> and `-mode <m>` the docs quote must exist, and no
+# one-variable range over graph.Neighbors (it yields indices, not ids).
 docs-check:
 	GO=$(GO) ./scripts/docs-check.sh
 
@@ -94,16 +98,17 @@ perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
-# Short native-fuzz pass over the frame-decoding, linearize-step and
-# trace-encoding targets (one -fuzz run per target; Go allows a single fuzz
-# target per invocation). The committed corpora under testdata/fuzz replay
-# in plain `go test` as well.
+# Short native-fuzz pass over the frame-decoding, linearize-step,
+# trace-encoding and graph-mutation targets (one -fuzz run per target; Go
+# allows a single fuzz target per invocation). The committed corpora under
+# testdata/fuzz replay in plain `go test` as well.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFramePayloadDecoding -fuzztime=10s ./internal/ssr/
 	$(GO) test -run=^$$ -fuzz=FuzzRouteOps -fuzztime=10s ./internal/sroute/
 	$(GO) test -run=^$$ -fuzz=FuzzLinearizeStep -fuzztime=10s ./internal/linearize/
 	$(GO) test -run=^$$ -fuzz=FuzzRelFrameDecoding -fuzztime=10s ./internal/rel/
 	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
 
 clean:
 	$(GO) clean ./...

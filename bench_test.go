@@ -8,6 +8,8 @@ package ssrlin
 
 import (
 	"io"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/cache"
@@ -378,5 +380,36 @@ func BenchmarkTraceEmit(b *testing.B) {
 				sink.tr.Emit(ev)
 			}
 		})
+	}
+}
+
+// BenchmarkGeneratePowerLaw: set-up cost of the E4 input — configuration-
+// model pairing into sorted rows (the hub's row is the long one) plus the
+// component patch-up of RandomSpanningConnected.
+func BenchmarkGeneratePowerLaw(b *testing.B) {
+	for _, n := range []int{4000, 16000} {
+		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mustTopo(b, graph.TopoPowerLaw, n, int64(i+1))
+			}
+		})
+	}
+}
+
+// BenchmarkGraphAddRemoveEdge: one ordered insert and delete of an absent
+// edge between random nodes of a power-law graph; the graph is unchanged
+// after every iteration.
+func BenchmarkGraphAddRemoveEdge(b *testing.B) {
+	g := mustTopo(b, graph.TopoPowerLaw, 4000, 1)
+	nodes := g.Nodes()
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u, v := nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]
+		if g.AddEdge(u, v) {
+			g.RemoveEdge(u, v)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func New(g *graph.Graph) *System {
 	for _, v := range g.Nodes() {
 		s.nodes[v] = &node{
 			id:   v,
-			nbrs: g.Neighbors(v).Clone(),
+			nbrs: ids.NewSet(g.Neighbors(v)...),
 		}
 	}
 	for _, n := range s.nodes {

@@ -273,7 +273,7 @@ func partitionCut(topo *graph.Graph, r *rand.Rand) []graph.Edge {
 	for len(queue) > 0 && side.Len() < want {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range topo.NeighborsSorted(v) {
+		for _, u := range topo.Neighbors(v) {
 			if side.Len() >= want {
 				break
 			}

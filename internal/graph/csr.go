@@ -1,21 +1,22 @@
 package graph
 
-// This file provides the read-optimized snapshot form of a Graph: a
-// compressed-sparse-row adjacency image. The map-of-sets representation is
-// the right shape for the mutation-heavy protocol paths, but the per-round
-// neighbor scans of the synchronous executors touch every adjacency exactly
-// once in identifier order — a workload where map iteration plus a fresh
-// sort per node dominates the profile. The CSR snapshot pays one O(V+E)
-// conversion per round and then serves sorted neighbor rows as contiguous
-// slices, binary-searchable membership, and O(1) per-node identifier spans
-// (the footprint test of the sharded executor).
+// This file provides the frozen form of a Graph: a compressed-sparse-row
+// adjacency image. Graph already keeps every neighbourhood as a sorted row,
+// so the snapshot is not about order or lookup speed — it is the one thing
+// a live Graph cannot be: immutable. The Jacobi executor (linearization
+// with memory) needs every node of a round to read the same round-start
+// image while the merge writes the live graph; the CSR is that image. It
+// costs one O(V+E) row copy to build, an O(E + delta) merge to advance by
+// a round's accepted edges (WithEdges), packs all rows into one array, and
+// answers by dense node position (Row, RowSpan) without a hash probe.
 //
 // A CSR is immutable after construction and therefore safe for concurrent
 // readers without locking — the property the parallel round executor's
 // snapshot phase relies on.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/ids"
@@ -35,8 +36,8 @@ type CSR struct {
 func NewCSR(g *Graph) *CSR { return NewCSRParallel(g, 1) }
 
 // NewCSRParallel snapshots g using up to workers goroutines for the row
-// fill+sort (the dominant cost). workers <= 1 builds sequentially. The
-// result is independent of the worker count.
+// copy. workers <= 1 builds sequentially. The result is independent of the
+// worker count.
 func NewCSRParallel(g *Graph, workers int) *CSR {
 	nodes := g.Nodes()
 	n := len(nodes)
@@ -56,13 +57,7 @@ func NewCSRParallel(g *Graph, workers int) *CSR {
 
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out := c.nbr[c.row[i]:c.row[i+1]:c.row[i+1]]
-			k := 0
-			for u := range g.Neighbors(nodes[i]) {
-				out[k] = u
-				k++
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+			copy(c.nbr[c.row[i]:c.row[i+1]], g.Neighbors(nodes[i]))
 		}
 	}
 	if workers <= 1 || n < 2*workers {
@@ -112,11 +107,11 @@ func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
 		}
 		pairs = append(pairs, pair{iu, e.V}, pair{iv, e.U})
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
 		}
-		return pairs[a].nbr < pairs[b].nbr
+		return cmp.Compare(a.nbr, b.nbr)
 	})
 	dd := pairs[:0]
 	for _, p := range pairs {
@@ -143,7 +138,9 @@ func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
 	out.nbr = make([]ids.ID, total)
 
 	merge := func(lo, hi int) {
-		p := sort.Search(len(pairs), func(k int) bool { return int(pairs[k].i) >= lo })
+		p, _ := slices.BinarySearchFunc(pairs, lo, func(p pair, row int) int {
+			return cmp.Compare(int(p.i), row)
+		})
 		for i := lo; i < hi; i++ {
 			old := c.nbr[c.row[i]:c.row[i+1]]
 			dst := out.nbr[out.row[i]:out.row[i+1]]
@@ -225,9 +222,8 @@ func (c *CSR) HasEdge(u, v ids.ID) bool {
 	if !ok {
 		return false
 	}
-	r := c.Row(int(i))
-	k := sort.Search(len(r), func(j int) bool { return r[j] >= v })
-	return k < len(r) && r[k] == v
+	_, found := slices.BinarySearch(c.Row(int(i)), v)
+	return found
 }
 
 // MaxDegree returns the maximum degree in the snapshot.
@@ -246,12 +242,8 @@ func (c *CSR) MaxDegree() int {
 // frozen image, without map lookups.
 func (c *CSR) SupersetOfLine() bool {
 	for i := 0; i+1 < len(c.nodes); i++ {
-		next := c.nodes[i+1]
-		r := c.Row(i)
-		// The successor is the first row entry greater than nodes[i] that
-		// could equal next; binary search keeps wide rows cheap.
-		k := sort.Search(len(r), func(j int) bool { return r[j] >= next })
-		if k == len(r) || r[k] != next {
+		// Binary search keeps wide rows cheap.
+		if _, found := slices.BinarySearch(c.Row(i), c.nodes[i+1]); !found {
 			return false
 		}
 	}

@@ -40,7 +40,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 			t.Fatalf("IndexOf(%s) = %d,%v want %d", v, idx, ok, i)
 		}
 		row := c.Row(i)
-		want := g.NeighborsSorted(v)
+		want := g.Neighbors(v)
 		if len(row) != len(want) {
 			t.Fatalf("Row(%s): len %d want %d", v, len(row), len(want))
 		}

@@ -164,6 +164,14 @@ func RandomRegular(nodes []ids.ID, d int, r *rand.Rand) *Graph {
 // with tail exponent alpha, clamped to [1, n-1]. The paper quotes Onus et
 // al.'s experiment on power-law graphs with alpha = 2.
 func PowerLaw(nodes []ids.ID, alpha float64, r *rand.Rand) *Graph {
+	g := powerLawPairing(nodes, alpha, r)
+	g.RandomSpanningConnected(r)
+	return g
+}
+
+// powerLawPairing is PowerLaw before the patch-up: the configuration-model
+// pairing alone, which at alpha = 2 leaves hundreds of small components.
+func powerLawPairing(nodes []ids.ID, alpha float64, r *rand.Rand) *Graph {
 	n := len(nodes)
 	g := NewWithNodes(nodes...)
 	if n < 2 {
@@ -192,7 +200,6 @@ func PowerLaw(nodes []ids.ID, alpha float64, r *rand.Rand) *Graph {
 	for i := 0; i+1 < len(stubs); i += 2 {
 		g.AddEdge(stubs[i], stubs[i+1]) // self-loops/duplicates collapse
 	}
-	g.RandomSpanningConnected(r)
 	return g
 }
 

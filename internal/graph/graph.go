@@ -14,47 +14,95 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
 
 // Graph is an undirected simple graph over node identifiers. Self-loops are
 // rejected; parallel edges collapse. The zero value is not usable; call New.
+//
+// Every neighbourhood is stored as one strictly ascending []ids.ID row —
+// the order Algorithm 1 reads (u_1 < … < u_k < v < u_{k+1} < …) — so
+// membership is a binary search, the identifier span of N(v) is the row's
+// first and last element, and an ordered walk is an array scan. Rows sit
+// behind pointers: AddEdge and RemoveEdge between existing nodes rewrite
+// the two endpoint rows and never write the outer map, which is what lets
+// goroutines mutate disjoint sets of nodes of one Graph concurrently (the
+// interior-shard phase of linearize relies on it). AddNode and RemoveNode
+// write the outer map and need exclusive access.
 type Graph struct {
-	adj map[ids.ID]ids.Set
+	adj map[ids.ID]*row
+}
+
+// row is one node's neighbours, strictly ascending.
+type row []ids.ID
+
+// insert adds x in order and reports whether it was absent. Appending past
+// the last element — the common case when a generator or a chain walk adds
+// in ascending order — skips the search and the shift.
+func (r *row) insert(x ids.ID) bool {
+	s := *r
+	if n := len(s); n == 0 || s[n-1] < x {
+		*r = append(s, x)
+		return true
+	}
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return false
+	}
+	*r = slices.Insert(s, i, x)
+	return true
+}
+
+// remove deletes x and reports whether it was present.
+func (r *row) remove(x ids.ID) bool {
+	s := *r
+	i, found := slices.BinarySearch(s, x)
+	if !found {
+		return false
+	}
+	*r = slices.Delete(s, i, i+1)
+	return true
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{adj: make(map[ids.ID]ids.Set)}
+	return &Graph{adj: make(map[ids.ID]*row)}
 }
 
 // NewWithNodes returns a graph containing the given nodes and no edges.
 func NewWithNodes(nodes ...ids.ID) *Graph {
-	g := New()
+	g := &Graph{adj: make(map[ids.ID]*row, len(nodes))}
 	for _, n := range nodes {
 		g.AddNode(n)
 	}
 	return g
 }
 
-// AddNode inserts an isolated node if not present.
-func (g *Graph) AddNode(v ids.ID) {
-	if _, ok := g.adj[v]; !ok {
-		g.adj[v] = ids.NewSet()
+// rowOf returns v's row, inserting v as an isolated node if absent.
+func (g *Graph) rowOf(v ids.ID) *row {
+	r, ok := g.adj[v]
+	if !ok {
+		r = new(row)
+		g.adj[v] = r
 	}
+	return r
 }
+
+// AddNode inserts an isolated node if not present.
+func (g *Graph) AddNode(v ids.ID) { g.rowOf(v) }
 
 // RemoveNode deletes v and all incident edges. It is a no-op if v is absent.
 func (g *Graph) RemoveNode(v ids.ID) {
-	nbrs, ok := g.adj[v]
+	r, ok := g.adj[v]
 	if !ok {
 		return
 	}
-	for u := range nbrs {
-		g.adj[u].Remove(v)
+	for _, u := range *r {
+		g.adj[u].remove(v)
 	}
 	delete(g.adj, v)
 }
@@ -71,56 +119,50 @@ func (g *Graph) AddEdge(u, v ids.ID) bool {
 	if u == v {
 		return false
 	}
-	g.AddNode(u)
-	g.AddNode(v)
-	added := g.adj[u].Add(v)
-	g.adj[v].Add(u)
-	return added
+	if !g.rowOf(u).insert(v) {
+		return false
+	}
+	g.rowOf(v).insert(u)
+	return true
 }
 
 // RemoveEdge deletes the undirected edge {u,v} and reports whether it was
 // present.
 func (g *Graph) RemoveEdge(u, v ids.ID) bool {
-	if _, ok := g.adj[u]; !ok {
+	ru, ok := g.adj[u]
+	if !ok || !ru.remove(v) {
 		return false
 	}
-	removed := g.adj[u].Remove(v)
-	if nbrs, ok := g.adj[v]; ok {
-		nbrs.Remove(u)
-	}
-	return removed
+	g.adj[v].remove(u)
+	return true
 }
 
 // HasEdge reports whether the undirected edge {u,v} exists.
 func (g *Graph) HasEdge(u, v ids.ID) bool {
-	nbrs, ok := g.adj[u]
-	return ok && nbrs.Has(v)
-}
-
-// Neighbors returns the neighbor set of v. The returned set is the graph's
-// internal state; callers must not mutate it. It is nil if v is absent.
-func (g *Graph) Neighbors(v ids.ID) ids.Set { return g.adj[v] }
-
-// NeighborsSorted returns the neighbors of v in ascending identifier order.
-func (g *Graph) NeighborsSorted(v ids.ID) []ids.ID {
-	return g.adj[v].Sorted()
-}
-
-// NeighborsSortedInto appends the neighbors of v in ascending identifier
-// order to dst (reusing its capacity) and returns the extended slice — the
-// allocation-free variant of NeighborsSorted for per-round hot paths.
-func (g *Graph) NeighborsSortedInto(v ids.ID, dst []ids.ID) []ids.ID {
-	base := len(dst)
-	for u := range g.adj[v] {
-		dst = append(dst, u)
+	r, ok := g.adj[u]
+	if !ok {
+		return false
 	}
-	out := dst[base:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return dst
+	_, found := slices.BinarySearch(*r, v)
+	return found
+}
+
+// Neighbors returns the neighbours of v in ascending identifier order, nil
+// if v is absent. The slice is a read-only view of the graph's own row:
+// callers must not write to it, and AddEdge, RemoveEdge or RemoveNode
+// touching v invalidate it — copy it first to mutate v while walking its
+// neighbourhood. Range over it with two variables, `for _, u := range`:
+// the one-variable form compiles and yields indices (scripts/docs-check.sh
+// rejects it).
+func (g *Graph) Neighbors(v ids.ID) []ids.ID {
+	if r, ok := g.adj[v]; ok {
+		return *r
+	}
+	return nil
 }
 
 // Degree returns the degree of v, or 0 if absent.
-func (g *Graph) Degree(v ids.ID) int { return g.adj[v].Len() }
+func (g *Graph) Degree(v ids.ID) int { return len(g.Neighbors(v)) }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.adj) }
@@ -128,8 +170,8 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for _, nbrs := range g.adj {
-		total += nbrs.Len()
+	for _, r := range g.adj {
+		total += len(*r)
 	}
 	return total / 2
 }
@@ -163,27 +205,33 @@ func (e Edge) String() string { return fmt.Sprintf("{%s,%s}", e.U, e.V) }
 // Edges returns all edges in canonical, deterministic order.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
-	for v, nbrs := range g.adj {
-		for u := range nbrs {
+	for _, v := range g.Nodes() {
+		for _, u := range *g.adj[v] {
 			if v < u {
 				out = append(out, Edge{U: v, V: u})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copy's rows are carved out of
+// two slabs (one of row headers, one of neighbour identifiers), each row
+// capped at its length so a later insert reallocates that row alone.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make(map[ids.ID]ids.Set, len(g.adj))}
-	for v, nbrs := range g.adj {
-		c.adj[v] = nbrs.Clone()
+	c := &Graph{adj: make(map[ids.ID]*row, len(g.adj))}
+	total := 0
+	for _, r := range g.adj {
+		total += len(*r)
+	}
+	rows := make([]row, len(g.adj))
+	nbrs := make([]ids.ID, total)
+	i, off := 0, 0
+	for v, r := range g.adj {
+		end := off + copy(nbrs[off:], *r)
+		rows[i] = nbrs[off:end:end]
+		c.adj[v] = &rows[i]
+		i, off = i+1, end
 	}
 	return c
 }
@@ -193,15 +241,10 @@ func (g *Graph) Equal(h *Graph) bool {
 	if len(g.adj) != len(h.adj) {
 		return false
 	}
-	for v, nbrs := range g.adj {
-		hn, ok := h.adj[v]
-		if !ok || hn.Len() != nbrs.Len() {
+	for v, r := range g.adj {
+		hr, ok := h.adj[v]
+		if !ok || !slices.Equal(*r, *hr) {
 			return false
-		}
-		for u := range nbrs {
-			if !hn.Has(u) {
-				return false
-			}
 		}
 	}
 	return true
@@ -210,9 +253,9 @@ func (g *Graph) Equal(h *Graph) bool {
 // MaxDegree returns the maximum node degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, nbrs := range g.adj {
-		if nbrs.Len() > max {
-			max = nbrs.Len()
+	for _, r := range g.adj {
+		if len(*r) > max {
+			max = len(*r)
 		}
 	}
 	return max
@@ -238,7 +281,7 @@ func (g *Graph) BFSFrom(src ids.ID) map[ids.ID]int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for u := range g.adj[v] {
+		for _, u := range g.Neighbors(v) {
 			if _, seen := dist[u]; !seen {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -263,7 +306,7 @@ func (g *Graph) ShortestPath(src, dst ids.ID) []ids.ID {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.adj[v].Sorted() {
+		for _, u := range g.Neighbors(v) {
 			if _, seen := parent[u]; seen {
 				continue
 			}
@@ -314,9 +357,10 @@ func (g *Graph) Components() [][]ids.ID {
 			seen.Add(u)
 		}
 		ids.SortAsc(comp)
+		// v is the smallest node not yet seen, hence comp's smallest
+		// member: appending keeps comps ordered by smallest member.
 		comps = append(comps, comp)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 	return comps
 }
 
@@ -403,13 +447,69 @@ func (g *Graph) SupersetOfLine() bool {
 // until it is connected, using r for randomness. It is used by generators
 // that can produce disconnected graphs, so experiments always start from the
 // paper's standing assumption of a connected physical network.
+//
+// Each step draws three r.Intn values against Components()' order
+// (components by smallest member, members ascending): a member of
+// component 0, one of the other components, a member of that one; it joins
+// the two members and merges the component into component 0. The generated
+// graph is part of every seeded experiment, so the draws are fixed; what is
+// free is how the order is kept. Component 0 holds the smallest node and
+// stays first through every merge, and the others keep their relative
+// order, so Components() runs once and two rank trees stand in for
+// re-running it after every edge.
 func (g *Graph) RandomSpanningConnected(r *rand.Rand) {
 	comps := g.Components()
-	for len(comps) > 1 {
-		a := comps[0][r.Intn(len(comps[0]))]
-		c2 := comps[1+r.Intn(len(comps)-1)]
+	if len(comps) < 2 {
+		return
+	}
+	nodes := g.Nodes()
+	first := newRankTree(len(nodes)) // members of component 0, by position in nodes
+	join := func(comp []ids.ID) {
+		for _, v := range comp {
+			i, _ := slices.BinarySearch(nodes, v)
+			first.add(i, 1)
+		}
+	}
+	join(comps[0])
+	size := len(comps[0])
+	others := newRankTree(len(comps) - 1) // comps[1:] not yet merged
+	for i := range comps[1:] {
+		others.add(i, 1)
+	}
+	for left := len(comps) - 1; left > 0; left-- {
+		a := nodes[first.kth(r.Intn(size))]
+		k := others.kth(r.Intn(left))
+		c2 := comps[1+k]
 		b := c2[r.Intn(len(c2))]
 		g.AddEdge(a, b)
-		comps = g.Components()
+		join(c2)
+		size += len(c2)
+		others.add(k, -1)
 	}
+}
+
+// rankTree is a Fenwick tree of counts over positions 0..n-1 of a 0/1
+// array: add marks or clears a position, kth finds the k-th marked one,
+// both in O(log n).
+type rankTree []int32
+
+func newRankTree(n int) rankTree { return make(rankTree, n+1) }
+
+func (t rankTree) add(i int, d int32) {
+	for i++; i < len(t); i += i & -i {
+		t[i] += d
+	}
+}
+
+// kth returns the position of the k-th marked element, counting from 0.
+// k must be below the number of marks.
+func (t rankTree) kth(k int) int {
+	pos := 0
+	for step := 1 << bits.Len(uint(len(t)-1)); step > 0; step >>= 1 {
+		if next := pos + step; next < len(t) && int(t[next]) <= k {
+			pos = next
+			k -= int(t[next])
+		}
+	}
+	return pos
 }

@@ -365,6 +365,51 @@ func TestRandomSpanningConnectedProperty(t *testing.T) {
 	}
 }
 
+// referenceSpanningConnected is RandomSpanningConnected as first written:
+// recompute Components() after every added edge. Quadratic, and the
+// definition the incremental version must reproduce draw for draw.
+func referenceSpanningConnected(g *Graph, r *rand.Rand) {
+	comps := g.Components()
+	for len(comps) > 1 {
+		a := comps[0][r.Intn(len(comps[0]))]
+		c2 := comps[1+r.Intn(len(comps)-1)]
+		b := c2[r.Intn(len(c2))]
+		g.AddEdge(a, b)
+		comps = g.Components()
+	}
+}
+
+func TestRandomSpanningConnectedMatchesReference(t *testing.T) {
+	inputs := map[string]func(seed int64) *Graph{
+		// p well below the ln(n)/n connectivity threshold: many components.
+		"er": func(seed int64) *Graph { return randomTestGraph(60+int(seed%40), 0.012, seed) },
+		"powerlaw": func(seed int64) *Graph {
+			r := rand.New(rand.NewSource(seed))
+			return powerLawPairing(MakeIDs(400+int(seed%200), RandomIDs, r), 2.0, r)
+		},
+	}
+	for name, input := range inputs {
+		for seed := int64(1); seed <= 200; seed++ {
+			got, want := input(seed), input(seed)
+			if got.Connected() {
+				continue
+			}
+			rGot, rWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got.RandomSpanningConnected(rGot)
+			referenceSpanningConnected(want, rWant)
+			if !got.Equal(want) {
+				t.Fatalf("%s seed %d: graph differs from the reference loop's", name, seed)
+			}
+			if rGot.Int63() != rWant.Int63() {
+				t.Fatalf("%s seed %d: a different number of values was drawn", name, seed)
+			}
+			if !got.Connected() {
+				t.Fatalf("%s seed %d: not connected", name, seed)
+			}
+		}
+	}
+}
+
 func TestLinePathProperty(t *testing.T) {
 	// Property: a line over k distinct ids has k-1 edges, is connected, and
 	// is linearized.

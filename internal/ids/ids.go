@@ -17,9 +17,10 @@
 package ids
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // ID is a globally unique node identifier. The zero value is a valid
@@ -144,12 +145,12 @@ const NumIntervals = 64
 
 // SortAsc sorts s ascending in the line view.
 func SortAsc(s []ID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 }
 
 // SortDesc sorts s descending in the line view.
 func SortDesc(s []ID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] > s[j] })
+	slices.SortFunc(s, func(a, b ID) int { return cmp.Compare(b, a) })
 }
 
 // Max returns the largest identifier in s, or ok=false if s is empty.

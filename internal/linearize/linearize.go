@@ -253,18 +253,17 @@ func (e *Engine) Done() bool {
 
 // lineNeighborsInto appends v's current neighbors in the line view — all
 // neighbors except a wrap-edge partner — in ascending order to dst,
-// reusing its capacity, and returns the extended slice. The per-round hot
-// paths call this once per activation, so it must not allocate when dst's
-// capacity suffices.
+// reusing its capacity, and returns the extended slice. It is a copy, not
+// a view: stepInPlace rewrites v's row while walking the list. The
+// per-round hot paths call this once per activation, so it must not
+// allocate when dst's capacity suffices.
 func (e *Engine) lineNeighborsInto(g *graph.Graph, v ids.ID, dst []ids.ID) []ids.ID {
-	dst = g.NeighborsSortedInto(v, dst)
-	out := dst[:0]
-	for _, u := range dst {
+	for _, u := range g.Neighbors(v) {
 		if !e.isWrapEdge(v, u) {
-			out = append(out, u)
+			dst = append(dst, u)
 		}
 	}
-	return out
+	return dst
 }
 
 // opSink collects the side effects of node operations — stat deltas and
@@ -469,7 +468,7 @@ func (e *Engine) keepSet(g *graph.Graph, v ids.ID, dst []ids.ID) []ids.ID {
 	var best [2][ids.NumIntervals]ids.ID
 	var has [2][ids.NumIntervals]bool
 	out := dst
-	for u := range g.Neighbors(v) {
+	for _, u := range g.Neighbors(v) {
 		if e.isWrapEdge(v, u) {
 			out = append(out, u)
 			continue

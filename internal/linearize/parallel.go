@@ -237,21 +237,25 @@ func (e *Engine) Run() Stats {
 func (p *parExec) footprint(i int) sim.Footprint {
 	e := p.e
 	v := e.nodes[i]
-	lo, hi := v, v
-	deg := 0
-	for u := range e.g.Neighbors(v) {
-		if e.isWrapEdge(v, u) {
-			continue // ring state, exempt from linearization
-		}
-		if u < lo {
-			lo = u
-		}
-		if u > hi {
-			hi = u
-		}
-		deg++
+	nbrs := e.g.Neighbors(v)
+	// The wrap partner is ring state, exempt from linearization; it can
+	// only sit at the far end of an extremal node's row.
+	if k := len(nbrs); k > 0 && e.isWrapEdge(v, nbrs[k-1]) {
+		nbrs = nbrs[:k-1]
+	} else if k > 0 && e.isWrapEdge(v, nbrs[0]) {
+		nbrs = nbrs[1:]
 	}
-	return sim.Footprint{Lo: p.denseOf(lo), Hi: p.denseOf(hi), Weight: float64(deg + 1)}
+	lo, hi := rowSpan(v, nbrs)
+	return sim.Footprint{Lo: p.denseOf(lo), Hi: p.denseOf(hi), Weight: float64(len(nbrs) + 1)}
+}
+
+// rowSpan returns the smallest and largest identifier of {v} ∪ nbrs for an
+// ascending nbrs.
+func rowSpan(v ids.ID, nbrs []ids.ID) (lo, hi ids.ID) {
+	if len(nbrs) == 0 {
+		return v, v
+	}
+	return min(v, nbrs[0]), max(v, nbrs[len(nbrs)-1])
 }
 
 // denseOf maps a node identifier to its dense index by binary search over
@@ -474,16 +478,7 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 				outer = append(outer, i)
 				continue
 			}
-			lo, hi := v, v
-			for u := range e.g.Neighbors(v) {
-				if u < lo {
-					lo = u
-				}
-				if u > hi {
-					hi = u
-				}
-			}
-			if lo >= idLo && hi <= idHi {
+			if lo, hi := rowSpan(v, e.g.Neighbors(v)); lo >= idLo && hi <= idHi {
 				inner = append(inner, i)
 			} else if p.waves {
 				crossing = append(crossing, i)
@@ -502,7 +497,7 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 
 // atomicExecute runs the shard's interior nodes in identifier order. Every
 // touched edge has both endpoints inside the shard's identifier interval,
-// so concurrent shards never write the same adjacency sets; side effects go
+// so concurrent shards never write the same adjacency rows; side effects go
 // into the shard's buffering sink.
 func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
 	e := p.e
@@ -644,7 +639,7 @@ func (p *parExec) tryPick(i int, gen int32) bool {
 	touch = append(touch, int32(i))
 	ok := p.mark[i] != gen
 	if ok {
-		for u := range e.g.Neighbors(e.nodes[i]) {
+		for _, u := range e.g.Neighbors(e.nodes[i]) {
 			j := p.denseOf(u)
 			if p.mark[j] == gen {
 				ok = false

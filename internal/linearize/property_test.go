@@ -104,15 +104,14 @@ func TestKeepSetProperties(t *testing.T) {
 			if len(keep) > 2*ids.NumIntervals {
 				t.Fatalf("keep set too large: %d", len(keep))
 			}
-			nbrSet := g.Neighbors(v)
 			for _, u := range keep {
-				if !nbrSet.Has(u) {
+				if !g.HasEdge(v, u) {
 					t.Fatalf("keep set contains non-neighbor %s", u)
 				}
 			}
 			var closestL, closestR ids.ID
 			var hasL, hasR bool
-			for u := range nbrSet {
+			for _, u := range g.Neighbors(v) {
 				if u < v {
 					if !hasL || ids.LineDist(v, u) < ids.LineDist(v, closestL) {
 						closestL, hasL = u, true

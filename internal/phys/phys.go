@@ -236,12 +236,11 @@ func (n *Network) NeighborsOf(v ids.ID) []ids.ID {
 		return nil
 	}
 	var out []ids.ID
-	for u := range n.topo.Neighbors(v) {
+	for _, u := range n.topo.Neighbors(v) {
 		if !n.down.Has(u) {
 			out = append(out, u)
 		}
 	}
-	ids.SortAsc(out)
 	return out
 }
 

@@ -44,15 +44,13 @@ func RenderLine(g *graph.Graph) string {
 	var b strings.Builder
 	for _, v := range g.Nodes() {
 		var left, right []ids.ID
-		for u := range g.Neighbors(v) {
+		for _, u := range g.Neighbors(v) {
 			if ids.DirOf(v, u) == ids.Left {
 				left = append(left, u)
 			} else {
 				right = append(right, u)
 			}
 		}
-		ids.SortAsc(left)
-		ids.SortAsc(right)
 		flag := ""
 		if len(left) > 1 {
 			flag += " !multi-left"

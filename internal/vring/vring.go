@@ -275,7 +275,7 @@ func AnalyzeLine(g *graph.Graph) LineReport {
 	var rep LineReport
 	for _, v := range g.Nodes() {
 		left, right := 0, 0
-		for u := range g.Neighbors(v) {
+		for _, u := range g.Neighbors(v) {
 			if ids.DirOf(v, u) == ids.Left {
 				left++
 			} else {
