@@ -413,3 +413,50 @@ func BenchmarkGraphAddRemoveEdge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMemoryRegular: linearization with memory on a 4-regular graph of
+// 6000 nodes — the layered benchmark's lin-memory-regular input — on one
+// worker and on GOMAXPROCS workers. The whole round runs on the dense
+// graph.CSR image (DESIGN.md §9).
+func BenchmarkMemoryRegular(b *testing.B) {
+	g := mustTopo(b, graph.TopoRegular, 6000, 1)
+	for _, workers := range []int{1, 0} {
+		name := "workers1"
+		if workers == 0 {
+			name = "gomaxprocs"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats, _ := linearize.Run(g, linearize.Config{
+					Variant: linearize.Memory, Executor: sim.ExecutorConfig{Workers: workers},
+				})
+				if !stats.Converged {
+					b.Fatal("no convergence")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCSRMerge: one CSR.WithEdges of a 5 % delta of absent edges onto
+// the final graph of a BenchmarkMemoryRegular run.
+func BenchmarkCSRMerge(b *testing.B) {
+	_, final := linearize.Run(mustTopo(b, graph.TopoRegular, 6000, 1), linearize.Config{Variant: linearize.Memory})
+	csr := graph.NewCSR(final)
+	nodes := final.Nodes()
+	r := rand.New(rand.NewSource(1))
+	var adds []graph.Edge
+	for len(adds) < final.NumEdges()/20 {
+		if u, v := nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]; u != v && !csr.HasEdge(u, v) {
+			adds = append(adds, graph.NewEdge(u, v))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if csr.WithEdges(adds, 1).NumEdges() <= csr.NumEdges() {
+			b.Fatal("delta not applied")
+		}
+	}
+}

@@ -1,251 +1,249 @@
 package graph
 
 // This file provides the frozen form of a Graph: a compressed-sparse-row
-// adjacency image. Graph already keeps every neighbourhood as a sorted row,
-// so the snapshot is not about order or lookup speed — it is the one thing
-// a live Graph cannot be: immutable. The Jacobi executor (linearization
-// with memory) needs every node of a round to read the same round-start
-// image while the merge writes the live graph; the CSR is that image. It
-// costs one O(V+E) row copy to build, an O(E + delta) merge to advance by
-// a round's accepted edges (WithEdges), packs all rows into one array, and
-// answers by dense node position (Row, RowSpan) without a hash probe.
+// adjacency image over dense node indices. Index i names the i-th smallest
+// identifier, so index order is identifier order: a row of ascending
+// indices is the row Algorithm 1 reads, at half the width, and membership
+// is one binary search with no identifier → row hash probe. The Jacobi
+// executor (linearization with memory) runs its whole round on this image:
+// every node proposes against the same round-start rows, and Merge folds
+// the proposals into the next image and into the live Graph.
 //
 // A CSR is immutable after construction and therefore safe for concurrent
-// readers without locking — the property the parallel round executor's
-// snapshot phase relies on.
+// readers without locking — what the parallel proposal phase relies on.
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
 	"repro/internal/ids"
 )
 
-// CSR is an immutable compressed-sparse-row snapshot of a Graph. Rows are
-// indexed by the node's dense position in ascending identifier order, so
-// row order and identifier order coincide.
+// CSR is an immutable compressed-sparse-row snapshot of a Graph over dense
+// node indices; HasEdge and WithEdges are adapters for callers that hold
+// identifiers.
 type CSR struct {
-	nodes []ids.ID // ascending
+	nodes []ids.ID // ascending; index i names nodes[i]
 	row   []int32  // len(nodes)+1 offsets into nbr
-	nbr   []ids.ID // concatenated per-row neighbor identifiers, each row sorted
-	index map[ids.ID]int32
+	nbr   []int32  // concatenated rows of neighbour indices, each strictly ascending
 }
 
-// NewCSR snapshots g single-threaded. See NewCSRParallel.
-func NewCSR(g *Graph) *CSR { return NewCSRParallel(g, 1) }
+// Pair is an undirected edge between the nodes at dense indices A < B.
+type Pair struct{ A, B int32 }
 
-// NewCSRParallel snapshots g using up to workers goroutines for the row
-// copy. workers <= 1 builds sequentially. The result is independent of the
-// worker count.
-func NewCSRParallel(g *Graph, workers int) *CSR {
+// NewCSR snapshots g.
+func NewCSR(g *Graph) *CSR {
 	nodes := g.Nodes()
 	n := len(nodes)
-	c := &CSR{
-		nodes: nodes,
-		row:   make([]int32, n+1),
-		index: make(map[ids.ID]int32, n),
-	}
-	total := int32(0)
+	c := &CSR{nodes: nodes, row: make([]int32, n+1), nbr: make([]int32, 0, 2*g.NumEdges())}
+	// The identifier → index table lives for this build only: a run builds
+	// its image once, and nothing after that translates on a hot path.
+	index := make(map[ids.ID]int32, n)
 	for i, v := range nodes {
-		c.index[v] = int32(i)
-		c.row[i] = total
-		total += int32(g.Degree(v))
+		index[v] = int32(i)
 	}
-	c.row[n] = total
-	c.nbr = make([]ids.ID, total)
-
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(c.nbr[c.row[i]:c.row[i+1]], g.Neighbors(nodes[i]))
+	for i, v := range nodes {
+		for _, u := range g.Neighbors(v) {
+			c.nbr = append(c.nbr, index[u])
 		}
+		c.row[i+1] = int32(len(c.nbr))
 	}
-	if workers <= 1 || n < 2*workers {
-		fill(0, n)
-		return c
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill(lo, hi)
-		}()
-	}
-	wg.Wait()
 	return c
 }
-
-// WithEdges returns a snapshot equal to c plus the given undirected edges,
-// sharing the (immutable) node slice and index map with c — the delta
-// update that lets the Jacobi executor avoid a full O(V+E) rebuild plus
-// index re-hash per round when only a handful of edges were accepted.
-//
-// Caller contract: every endpoint must be a node of c (the executor's node
-// set is fixed for a run), and adds should be edges absent from c —
-// duplicates among adds are ignored, but an add already present in c would
-// produce a (harmless but wasteful) repeated row entry. workers bounds the
-// parallel row merge as in NewCSRParallel. An empty adds returns c itself.
-func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
-	if len(adds) == 0 {
-		return c
-	}
-	type pair struct {
-		i   int32
-		nbr ids.ID
-	}
-	pairs := make([]pair, 0, 2*len(adds))
-	for _, e := range adds {
-		iu, okU := c.index[e.U]
-		iv, okV := c.index[e.V]
-		if !okU || !okV {
-			continue // unknown endpoint: not representable in this snapshot
-		}
-		pairs = append(pairs, pair{iu, e.V}, pair{iv, e.U})
-	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		if c := cmp.Compare(a.i, b.i); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.nbr, b.nbr)
-	})
-	dd := pairs[:0]
-	for _, p := range pairs {
-		if len(dd) > 0 && dd[len(dd)-1] == p {
-			continue
-		}
-		dd = append(dd, p)
-	}
-	pairs = dd
-
-	n := len(c.nodes)
-	out := &CSR{nodes: c.nodes, index: c.index, row: make([]int32, n+1)}
-	total := int32(0)
-	p := 0
-	for i := 0; i < n; i++ {
-		out.row[i] = total
-		total += c.row[i+1] - c.row[i]
-		for p < len(pairs) && int(pairs[p].i) == i {
-			total++
-			p++
-		}
-	}
-	out.row[n] = total
-	out.nbr = make([]ids.ID, total)
-
-	merge := func(lo, hi int) {
-		p, _ := slices.BinarySearchFunc(pairs, lo, func(p pair, row int) int {
-			return cmp.Compare(int(p.i), row)
-		})
-		for i := lo; i < hi; i++ {
-			old := c.nbr[c.row[i]:c.row[i+1]]
-			dst := out.nbr[out.row[i]:out.row[i+1]]
-			oi, di := 0, 0
-			for p < len(pairs) && int(pairs[p].i) == i {
-				nb := pairs[p].nbr
-				for oi < len(old) && old[oi] < nb {
-					dst[di] = old[oi]
-					oi++
-					di++
-				}
-				dst[di] = nb
-				di++
-				p++
-			}
-			copy(dst[di:], old[oi:])
-		}
-	}
-	if workers <= 1 || n < 2*workers {
-		merge(0, n)
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			merge(lo, hi)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// NumNodes returns the node count.
-func (c *CSR) NumNodes() int { return len(c.nodes) }
 
 // NumEdges returns the undirected edge count.
 func (c *CSR) NumEdges() int { return len(c.nbr) / 2 }
 
-// Node returns the identifier at dense index i (ascending order).
-func (c *CSR) Node(i int) ids.ID { return c.nodes[i] }
+// Row returns node i's ascending neighbour indices, a read-only view.
+func (c *CSR) Row(i int) []int32 { return c.nbr[c.row[i]:c.row[i+1]] }
 
-// Nodes returns the ascending identifier slice. Callers must not mutate it.
-func (c *CSR) Nodes() []ids.ID { return c.nodes }
-
-// IndexOf returns the dense index of v, or ok=false if absent.
-func (c *CSR) IndexOf(v ids.ID) (int, bool) {
-	i, ok := c.index[v]
-	return int(i), ok
-}
-
-// Row returns the sorted neighbor identifiers of the node at dense index i.
-// The slice aliases the snapshot; callers must not mutate it.
-func (c *CSR) Row(i int) []ids.ID { return c.nbr[c.row[i]:c.row[i+1]] }
-
-// Degree returns the degree of the node at dense index i.
-func (c *CSR) Degree(i int) int { return int(c.row[i+1] - c.row[i]) }
-
-// RowSpan returns the smallest and largest neighbor identifier of the node
-// at dense index i, or ok=false for an isolated node. This is the O(1)
-// identifier footprint that shard-interior classification uses.
-func (c *CSR) RowSpan(i int) (lo, hi ids.ID, ok bool) {
-	r := c.Row(i)
-	if len(r) == 0 {
-		return 0, 0, false
+// Has reports whether nodes i and j are adjacent, by binary search in i's row.
+func (c *CSR) Has(i, j int32) bool {
+	r := c.nbr[c.row[i]:c.row[i+1]]
+	lo, hi := 0, len(r)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r[0], r[len(r)-1], true
+	return lo < len(r) && r[lo] == j
 }
 
-// HasEdge reports whether the snapshot contains the undirected edge {u,v},
-// by binary search in u's row.
+// HasEdge reports whether the snapshot contains the undirected edge {u,v}.
 func (c *CSR) HasEdge(u, v ids.ID) bool {
-	i, ok := c.index[u]
-	if !ok {
-		return false
-	}
-	_, found := slices.BinarySearch(c.Row(int(i)), v)
-	return found
+	i, okU := slices.BinarySearch(c.nodes, u)
+	j, okV := slices.BinarySearch(c.nodes, v)
+	return okU && okV && c.Has(int32(i), int32(j))
 }
 
 // MaxDegree returns the maximum degree in the snapshot.
 func (c *CSR) MaxDegree() int {
-	maxDeg := 0
-	for i := 0; i < len(c.nodes); i++ {
-		if d := c.Degree(i); d > maxDeg {
-			maxDeg = d
-		}
+	maxDeg := int32(0)
+	for i := range c.nodes {
+		maxDeg = max(maxDeg, c.row[i+1]-c.row[i])
 	}
-	return maxDeg
+	return int(maxDeg)
 }
 
 // SupersetOfLine reports whether the snapshot contains every consecutive
-// edge of the sorted line over its node set — Graph.SupersetOfLine on the
-// frozen image, without map lookups.
+// edge of the sorted line over its node set, like Graph.SupersetOfLine.
 func (c *CSR) SupersetOfLine() bool {
 	for i := 0; i+1 < len(c.nodes); i++ {
-		// Binary search keeps wide rows cheap.
-		if _, found := slices.BinarySearch(c.Row(i), c.nodes[i+1]); !found {
+		if !c.Has(int32(i), int32(i+1)) {
 			return false
 		}
 	}
 	return true
+}
+
+// WithEdges is Merge for callers that hold identifiers: c plus the given
+// edges. Edges already in c, duplicates, self-loops and edges with an
+// endpoint outside c's node set are ignored; nothing to add returns c.
+func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
+	pairs := make([]Pair, 0, len(adds))
+	for _, e := range adds {
+		i, okU := slices.BinarySearch(c.nodes, e.U)
+		j, okV := slices.BinarySearch(c.nodes, e.V)
+		if a, b := int32(min(i, j)), int32(max(i, j)); okU && okV && a != b && !c.Has(a, b) {
+			pairs = append(pairs, Pair{a, b})
+		}
+	}
+	return c.Merge(new(Merger), pairs, nil, workers)
+}
+
+// Merger is the scratch of CSR.Merge, reusable across calls so that a
+// per-round caller allocates nothing but the next image.
+type Merger struct {
+	// Won marks, per input pair of the last Merge, the pairs that added
+	// their edge: the first of each run of equal pairs.
+	Won []bool
+
+	keys []uint64 // B<<32 | input position, bucketed by A
+	off  []int32  // bucket a of keys and of hi starts at off[a]
+	hi   []int32  // per bucket a, the cnt[a] distinct B ascending: row a's additions above a
+	cnt  []int32
+	lo   []int32 // per row b, the A of the pairs it won, ascending: its additions below b
+	loAt []int32 // row b's part of lo starts at loAt[b]
+	cur  []int32 // write cursors of the two scatters
+}
+
+// Merge returns the snapshot c plus pairs. Every pair must be absent from
+// c; equal pairs may repeat, and the first in input order is the one that
+// counts as adding the edge (m.Won) — what Graph.AddEdge would report pair
+// by pair. No pairs returns c itself. When live is non-nil it must hold
+// exactly c's nodes and edges; Merge overwrites live's row of every touched
+// node with the merged row, so live equals the result afterwards.
+//
+// The pairs are bucketed by A in input order (a counting sort) and each
+// bucket is sorted on B<<32 | position: the first of every run of equal B
+// is the winner, and the bucket's distinct B are row A's additions.
+// Scattering the winners by B in bucket order gives each row its additions
+// from below, again ascending; one merge per touched row writes the next
+// image. Sorting and merging are row-local and run on up to workers
+// goroutines; the result does not depend on how many.
+func (c *CSR) Merge(m *Merger, pairs []Pair, live *Graph, workers int) *CSR {
+	if len(pairs) == 0 {
+		return c
+	}
+	n := len(c.nodes)
+	m.Won, m.keys, m.hi = resized(m.Won, len(pairs)), resized(m.keys, len(pairs)), resized(m.hi, len(pairs))
+	m.off, m.cnt, m.loAt, m.cur = resized(m.off, n+1), resized(m.cnt, n+1), resized(m.loAt, n+1), resized(m.cur, n+1)
+	clear(m.Won)
+	clear(m.off)
+	clear(m.loAt)
+	off, cnt, loAt, cur := m.off, m.cnt, m.loAt, m.cur
+
+	for _, p := range pairs {
+		off[p.A+1]++
+	}
+	for a := 0; a < n; a++ {
+		off[a+1] += off[a]
+	}
+	copy(cur, off)
+	for seq, p := range pairs {
+		m.keys[cur[p.A]] = uint64(p.B)<<32 | uint64(seq)
+		cur[p.A]++
+	}
+	fanOut(n, workers, func(a int) {
+		bucket := m.keys[off[a]:off[a+1]]
+		slices.Sort(bucket)
+		hi := m.hi[off[a]:off[a]]
+		for _, key := range bucket {
+			if b := int32(key >> 32); len(hi) == 0 || hi[len(hi)-1] != b {
+				hi = append(hi, b)
+				m.Won[uint32(key)] = true
+			}
+		}
+		cnt[a] = int32(len(hi))
+	})
+
+	for a := 0; a < n; a++ {
+		for _, b := range m.hi[off[a] : off[a]+cnt[a]] {
+			loAt[b+1]++
+		}
+	}
+	for b := 0; b < n; b++ {
+		loAt[b+1] += loAt[b]
+	}
+	copy(cur, loAt)
+	m.lo = resized(m.lo, int(loAt[n]))
+	out := &CSR{nodes: c.nodes, row: make([]int32, n+1), nbr: make([]int32, len(c.nbr)+2*len(m.lo))}
+	for a := 0; a < n; a++ {
+		for _, b := range m.hi[off[a] : off[a]+cnt[a]] {
+			m.lo[cur[b]] = int32(a)
+			cur[b]++
+		}
+		out.row[a+1] = out.row[a] + c.row[a+1] - c.row[a] + loAt[a+1] - loAt[a] + cnt[a]
+	}
+	fanOut(n, workers, func(i int) {
+		old, dst := c.Row(i), out.nbr[out.row[i]:out.row[i+1]]
+		if len(dst) == len(old) {
+			copy(dst, old)
+			return
+		}
+		// lo < i < hi, so the two addition lists are one ascending sequence.
+		oi, di := 0, 0
+		for _, adds := range [2][]int32{m.lo[loAt[i]:loAt[i+1]], m.hi[off[i] : off[i]+cnt[i]]} {
+			for _, x := range adds {
+				for ; oi < len(old) && old[oi] < x; oi, di = oi+1, di+1 {
+					dst[di] = old[oi]
+				}
+				dst[di] = x
+				di++
+			}
+		}
+		copy(dst[di:], old[oi:])
+		if live != nil {
+			live.setRow(c.nodes[i], c.nodes, dst)
+		}
+	})
+	return out
+}
+
+// fanOut runs fn(i) for every i in [0,n), split into contiguous ranges over
+// up to workers goroutines.
+func fanOut(n, workers int, fn func(i int)) {
+	workers = max(1, min(workers, n/2))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// resized returns s with length n and unspecified contents, reusing its array.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -22,52 +23,52 @@ func randomTestGraph(n int, p float64, seed int64) *Graph {
 	return g
 }
 
+// rowIDs maps row i of c back to identifiers.
+func rowIDs(c *CSR, i int) []ids.ID {
+	var out []ids.ID
+	for _, j := range c.Row(i) {
+		out = append(out, c.nodes[j])
+	}
+	return out
+}
+
+// sameAsGraph asserts that c is the image of g: same nodes in ascending
+// order, and every row the node's neighbourhood.
+func sameAsGraph(t *testing.T, label string, c *CSR, g *Graph) {
+	t.Helper()
+	if !slices.Equal(c.nodes, g.Nodes()) {
+		t.Fatalf("%s: node sets differ", label)
+	}
+	if c.NumEdges() != g.NumEdges() {
+		t.Fatalf("%s: NumEdges %d, graph has %d", label, c.NumEdges(), g.NumEdges())
+	}
+	for i, v := range c.nodes {
+		if got, want := rowIDs(c, i), g.Neighbors(v); !slices.Equal(got, want) {
+			t.Fatalf("%s: row of %s = %v, want %v", label, v, got, want)
+		}
+	}
+}
+
 func TestCSRMatchesGraph(t *testing.T) {
 	g := randomTestGraph(200, 0.05, 7)
 	c := NewCSR(g)
-	if c.NumNodes() != g.NumNodes() {
-		t.Fatalf("NumNodes: csr %d graph %d", c.NumNodes(), g.NumNodes())
-	}
-	if c.NumEdges() != g.NumEdges() {
-		t.Fatalf("NumEdges: csr %d graph %d", c.NumEdges(), g.NumEdges())
-	}
+	sameAsGraph(t, "NewCSR", c, g)
 	nodes := g.Nodes()
-	for i, v := range nodes {
-		if c.Node(i) != v {
-			t.Fatalf("Node(%d) = %s, want %s", i, c.Node(i), v)
-		}
-		if idx, ok := c.IndexOf(v); !ok || idx != i {
-			t.Fatalf("IndexOf(%s) = %d,%v want %d", v, idx, ok, i)
-		}
-		row := c.Row(i)
-		want := g.Neighbors(v)
-		if len(row) != len(want) {
-			t.Fatalf("Row(%s): len %d want %d", v, len(row), len(want))
-		}
-		for k := range row {
-			if row[k] != want[k] {
-				t.Fatalf("Row(%s)[%d] = %s want %s", v, k, row[k], want[k])
-			}
-		}
-		if lo, hi, ok := c.RowSpan(i); ok != (len(want) > 0) {
-			t.Fatalf("RowSpan(%s) ok=%v with %d neighbors", v, ok, len(want))
-		} else if ok && (lo != want[0] || hi != want[len(want)-1]) {
-			t.Fatalf("RowSpan(%s) = [%s,%s] want [%s,%s]", v, lo, hi, want[0], want[len(want)-1])
-		}
-	}
-	// Edge membership agrees on present and absent pairs.
+	// Edge membership agrees on present and absent pairs, by identifier and
+	// by index.
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 2000; trial++ {
-		u := nodes[r.Intn(len(nodes))]
-		v := nodes[r.Intn(len(nodes))]
-		if c.HasEdge(u, v) != g.HasEdge(u, v) {
-			t.Fatalf("HasEdge(%s,%s): csr %v graph %v", u, v, c.HasEdge(u, v), g.HasEdge(u, v))
+		i, j := r.Intn(len(nodes)), r.Intn(len(nodes))
+		want := g.HasEdge(nodes[i], nodes[j])
+		if c.HasEdge(nodes[i], nodes[j]) != want || c.Has(int32(i), int32(j)) != want {
+			t.Fatalf("edge {%s,%s}: graph says %v, csr HasEdge %v Has %v", nodes[i], nodes[j],
+				want, c.HasEdge(nodes[i], nodes[j]), c.Has(int32(i), int32(j)))
 		}
 	}
 	if c.MaxDegree() != g.MaxDegree() {
 		t.Fatalf("MaxDegree: csr %d graph %d", c.MaxDegree(), g.MaxDegree())
 	}
-	if c.HasEdge(ids.ID(1234567), nodes[0]) {
+	if c.HasEdge(ids.ID(1234567), nodes[0]) || c.HasEdge(nodes[0], ids.ID(1234567)) {
 		t.Fatal("HasEdge on absent node must be false")
 	}
 }
@@ -93,62 +94,19 @@ func TestCSRSupersetOfLine(t *testing.T) {
 	}
 }
 
-func TestCSRParallelBuildIdentical(t *testing.T) {
-	g := randomTestGraph(500, 0.02, 21)
-	base := NewCSR(g)
-	for _, w := range []int{2, 4, 8} {
-		c := NewCSRParallel(g, w)
-		if c.NumNodes() != base.NumNodes() || c.NumEdges() != base.NumEdges() {
-			t.Fatalf("workers=%d: size mismatch", w)
-		}
-		for i := 0; i < base.NumNodes(); i++ {
-			r1, r2 := base.Row(i), c.Row(i)
-			if len(r1) != len(r2) {
-				t.Fatalf("workers=%d row %d: len %d want %d", w, i, len(r2), len(r1))
-			}
-			for k := range r1 {
-				if r1[k] != r2[k] {
-					t.Fatalf("workers=%d row %d[%d]: %s want %s", w, i, k, r2[k], r1[k])
-				}
-			}
-		}
-	}
-}
-
 func TestCSREmptyAndTiny(t *testing.T) {
-	if c := NewCSR(New()); c.NumNodes() != 0 || c.NumEdges() != 0 || c.SupersetOfLine() != true {
+	if c := NewCSR(New()); len(c.nodes) != 0 || c.NumEdges() != 0 || c.SupersetOfLine() != true {
 		t.Fatal("empty graph CSR misbehaves")
 	}
-	g := NewWithNodes(ids.ID(5))
-	c := NewCSR(g)
-	if _, _, ok := c.RowSpan(0); ok {
-		t.Fatal("isolated node must have no row span")
-	}
-}
-
-// sameCSR asserts two snapshots agree row for row.
-func sameCSR(t *testing.T, label string, got, want *CSR) {
-	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("%s: size mismatch: %d/%d nodes, %d/%d edges",
-			label, got.NumNodes(), want.NumNodes(), got.NumEdges(), want.NumEdges())
-	}
-	for i := 0; i < want.NumNodes(); i++ {
-		r1, r2 := want.Row(i), got.Row(i)
-		if len(r1) != len(r2) {
-			t.Fatalf("%s row %d: len %d want %d", label, i, len(r2), len(r1))
-		}
-		for k := range r1 {
-			if r1[k] != r2[k] {
-				t.Fatalf("%s row %d[%d]: %s want %s", label, i, k, r2[k], r1[k])
-			}
-		}
+	c := NewCSR(NewWithNodes(ids.ID(5)))
+	if len(c.Row(0)) != 0 || c.MaxDegree() != 0 || c.HasEdge(5, 5) {
+		t.Fatal("isolated node must have an empty row")
 	}
 }
 
 // TestCSRWithEdgesMatchesRebuild: a delta-applied snapshot must be
 // indistinguishable from a full rebuild of the mutated graph, across
-// repeated delta generations and worker counts.
+// repeated delta generations.
 func TestCSRWithEdgesMatchesRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomTestGraph(300, 0.01, 5)
@@ -168,24 +126,31 @@ func TestCSRWithEdgesMatchesRebuild(t *testing.T) {
 				adds = append(adds, NewEdge(u, v))
 			}
 			c = c.WithEdges(adds, workers)
-			sameCSR(t, "delta round", c, NewCSR(gen))
+			sameAsGraph(t, "delta round", c, gen)
 		}
 	}
 }
 
-// TestCSRWithEdgesEdgeCases: empty deltas share the snapshot, duplicate
-// adds collapse, and unknown endpoints are skipped rather than corrupting
-// the rows.
+// TestCSRWithEdgesEdgeCases: a delta with nothing to add shares the
+// snapshot; present edges, duplicates, self-loops and unknown endpoints are
+// dropped rather than corrupting a row; the wrap edge between the first and
+// the last node lands at the far end of both rows.
 func TestCSRWithEdgesEdgeCases(t *testing.T) {
 	g := randomTestGraph(40, 0.1, 9)
+	nodes := g.Nodes()
+	first, last := nodes[0], nodes[len(nodes)-1]
+	g.RemoveEdge(first, last)
 	c := NewCSR(g)
+	present := g.Edges()[0]
 	if c.WithEdges(nil, 4) != c {
 		t.Fatal("empty delta must return the receiver")
 	}
-	nodes := g.Nodes()
+	if c.WithEdges([]Edge{present, {U: present.V, V: present.U}, {U: first, V: first}}, 1) != c {
+		t.Fatal("a delta of present edges and self-loops must return the receiver")
+	}
 	var u, v ids.ID
 	found := false
-	for i := 0; i < len(nodes) && !found; i++ {
+	for i := 1; i < len(nodes) && !found; i++ {
 		for j := i + 1; j < len(nodes); j++ {
 			if !g.HasEdge(nodes[i], nodes[j]) {
 				u, v, found = nodes[i], nodes[j], true
@@ -196,9 +161,80 @@ func TestCSRWithEdgesEdgeCases(t *testing.T) {
 	if !found {
 		t.Skip("graph too dense for the test")
 	}
-	dup := []Edge{NewEdge(u, v), NewEdge(u, v), NewEdge(ids.ID(987654321), u)}
-	got := c.WithEdges(dup, 1)
+	adds := []Edge{
+		present,                                  // already in the snapshot
+		{U: u, V: v}, {U: v, V: u}, {U: u, V: v}, // one edge, three times, both orders
+		{U: ids.ID(987654321), V: u}, {U: v, V: ids.ID(987654321)}, // unknown endpoint
+		{U: last, V: first}, // wrap edge
+		{U: u, V: u},
+	}
+	got := c.WithEdges(adds, 1)
 	want := g.Clone()
 	want.AddEdge(u, v)
-	sameCSR(t, "dup+unknown", got, NewCSR(want))
+	want.AddEdge(first, last)
+	sameAsGraph(t, "edge cases", got, want)
+	if got.NumEdges() != c.NumEdges()+2 {
+		t.Fatalf("NumEdges = %d, want %d", got.NumEdges(), c.NumEdges()+2)
+	}
+	n := int32(len(nodes))
+	if r := got.Row(0); r[len(r)-1] != n-1 {
+		t.Fatalf("first node's row %v does not end on the wrap partner", r)
+	}
+	if r := got.Row(int(n - 1)); r[0] != 0 {
+		t.Fatalf("last node's row %v does not start on the wrap partner", r)
+	}
+	sameAsGraph(t, "receiver untouched", c, g)
+}
+
+// TestCSRMergeMatchesAddEdge is the merge's model check: over random graphs
+// and random pair lists with duplicates, Merge must build the image of the
+// graph that AddEdge of the same pairs in the same order builds, mark as
+// winners exactly the pairs AddEdge accepts, leave the live graph equal to
+// it, and leave the receiver as it was. WithEdges must agree when handed
+// the same edges with either endpoint first.
+func TestCSRMergeMatchesAddEdge(t *testing.T) {
+	var m Merger
+	for seed := int64(0); seed < 240; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(40)
+		g := randomTestGraph(n, r.Float64()*0.3, seed)
+		nodes := g.Nodes()
+		c := NewCSR(g)
+
+		var pairs []Pair
+		var edges []Edge
+		for k := r.Intn(4 * n); k > 0; k-- {
+			a, b := int32(r.Intn(n)), int32(r.Intn(n))
+			if a > b {
+				a, b = b, a
+			}
+			if a == b || c.Has(a, b) {
+				continue
+			}
+			for dup := 1 + r.Intn(3)/2; dup > 0; dup-- {
+				pairs = append(pairs, Pair{a, b})
+			}
+			if r.Intn(2) == 0 {
+				a, b = b, a
+			}
+			edges = append(edges, Edge{U: nodes[a], V: nodes[b]})
+		}
+		r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+
+		want, live := g.Clone(), g.Clone()
+		wantWon := make([]bool, len(pairs))
+		for i, p := range pairs {
+			wantWon[i] = want.AddEdge(nodes[p.A], nodes[p.B])
+		}
+		got := c.Merge(&m, pairs, live, 1+int(seed%3))
+		sameAsGraph(t, "merge", got, want)
+		sameAsGraph(t, "receiver", c, g)
+		if !live.Equal(want) {
+			t.Fatalf("seed %d: live graph differs from AddEdge of the same pairs", seed)
+		}
+		if len(pairs) > 0 && !slices.Equal(m.Won, wantWon) {
+			t.Fatalf("seed %d: winners %v, AddEdge accepts %v", seed, m.Won, wantWon)
+		}
+		sameAsGraph(t, "WithEdges", c.WithEdges(edges, 1), want)
+	}
 }

@@ -137,6 +137,19 @@ func (g *Graph) RemoveEdge(u, v ids.ID) bool {
 	return true
 }
 
+// setRow overwrites the row of the existing node v with nodes[j] for the
+// ascending indices j in idx — the bulk write of CSR.Merge, which merges
+// both endpoint rows of every edge it adds and so keeps rows symmetric.
+// Like AddEdge between existing nodes it never writes the outer map.
+func (g *Graph) setRow(v ids.ID, nodes []ids.ID, idx []int32) {
+	r := g.adj[v]
+	s := slices.Grow((*r)[:0], len(idx))[:len(idx)]
+	for k, j := range idx {
+		s[k] = nodes[j]
+	}
+	*r = s
+}
+
 // HasEdge reports whether the undirected edge {u,v} exists.
 func (g *Graph) HasEdge(u, v ids.ID) bool {
 	r, ok := g.adj[u]

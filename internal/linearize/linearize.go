@@ -180,7 +180,8 @@ func (s Stats) String() string {
 type Engine struct {
 	cfg      Config
 	g        *graph.Graph
-	nodes    []ids.ID // ascending
+	nodes    []ids.ID   // ascending; fixed for the run
+	csr      *graph.CSR // Memory's synchronous round: the frozen image of g (parallel.go)
 	stats    Stats
 	curRound int // current round index, for event timestamps
 }
@@ -234,21 +235,28 @@ func (e *Engine) isWrapEdge(v, u ids.ID) bool {
 // a superset of it (Memory, LSN — their fixed points retain extra shortcut
 // edges by design), plus the wrap edge when CloseRing is set.
 func (e *Engine) Done() bool {
-	if e.cfg.CloseRing {
-		if min, max, ok := e.extremes(); ok {
-			if !e.g.HasEdge(min, max) {
-				return false
-			}
-			if e.cfg.Variant == Pure {
-				return e.g.IsSortedRing()
-			}
-			return e.g.SupersetOfLine()
+	n := len(e.nodes)
+	ring := e.cfg.CloseRing && n >= 3
+	if c := e.csr; c != nil {
+		return (!ring || c.Has(0, int32(n-1))) && c.SupersetOfLine()
+	}
+	lineEdges := max(n-1, 0)
+	if ring {
+		if !e.g.HasEdge(e.nodes[0], e.nodes[n-1]) {
+			return false
+		}
+		lineEdges = n
+	}
+	if e.cfg.Variant == Pure && e.g.NumEdges() != lineEdges {
+		return false
+	}
+	// The node set is fixed for a run, so e.nodes is the sorted universe.
+	for i := 0; i+1 < n; i++ {
+		if !e.g.HasEdge(e.nodes[i], e.nodes[i+1]) {
+			return false
 		}
 	}
-	if e.cfg.Variant == Pure {
-		return e.g.IsLinearized()
-	}
-	return e.g.SupersetOfLine()
+	return true
 }
 
 // lineNeighborsInto appends v's current neighbors in the line view — all
@@ -530,12 +538,6 @@ func appendChainEdges(dst []graph.Edge, v ids.ID, sortedNbrs []ids.ID) []graph.E
 		dst = append(dst, graph.NewEdge(prev, v))
 	}
 	return dst
-}
-
-// chainEdges is the allocating convenience form of appendChainEdges; the
-// hot paths use the append form with pooled buffers.
-func chainEdges(v ids.ID, sortedNbrs []ids.ID) []graph.Edge {
-	return appendChainEdges(nil, v, sortedNbrs)
 }
 
 // sortIDs sorts a small identifier slice in place by insertion sort —

@@ -6,13 +6,14 @@ package linearize
 // according to its atomicity needs (see DESIGN.md §9 for the full
 // argument):
 //
-//   - Memory is Jacobi-style: additions commute, so Prepare computes every
-//     node's chain proposals in parallel against an immutable CSR snapshot
-//     of the round-start graph, and Finish merges them into the live graph
-//     in global identifier order. The merge order, the snapshot-presence
-//     pre-filter and the ring-closure slotting are arranged so that the
-//     graph, stats and trace stream are the same for every shard count
-//     (the single-threaded reference model in parallel_test.go pins them).
+//   - Memory is Jacobi-style: additions commute, so the whole round runs on
+//     an immutable dense-index image of the round-start graph (graph.CSR).
+//     Prepare stages, in parallel, the chain pairs the image lacks; Finish
+//     hands them in global identifier order to CSR.Merge, which resolves
+//     duplicates to the first proposer, builds the next image and rewrites
+//     the touched rows of the live graph. Proposal order, presence filter
+//     and ring-closure slot make the graph, stats and trace stream the same
+//     for every shard count (the reference model in parallel_test.go).
 //
 //   - Pure and LSN need atomic node operations (fully simultaneous
 //     replacement does not converge). Prepare classifies each node by its
@@ -54,6 +55,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -79,14 +81,6 @@ type ParallelStats struct {
 	BoundaryActivations int64
 }
 
-// propEdge is one staged Jacobi addition: the chain edge {u,v} proposed by
-// the node at dense index idx. Proposals are merged in (idx, proposal)
-// order — what a single-threaded pass in identifier order would write.
-type propEdge struct {
-	idx  int32
-	u, v ids.ID
-}
-
 // parExec holds the per-run state of the executor.
 type parExec struct {
 	e       *Engine
@@ -95,7 +89,7 @@ type parExec struct {
 	policy  string
 	jacobi  bool // Memory under the synchronous scheduler (snapshot-merge rounds)
 	waves   bool // cross-shard nodes run under the wave discipline
-	workers int  // pool width (snapshot/delta parallelism)
+	workers int  // pool width (the merge's fan-out)
 	// extremal identifiers, for wrap-edge handling (valid when hasExt)
 	min, max ids.ID
 	hasExt   bool
@@ -106,12 +100,13 @@ type parExec struct {
 	wvCounts  []int    // per-shard wave activations this round
 	bndCounts []int    // per-shard sequential activations this round
 
-	// Jacobi state (Memory)
-	csr      *graph.CSR
-	csrAdds  []graph.Edge // edges accepted since the last snapshot
-	props    [][]propEdge
-	preWrap  bool // wrap edge present at round start
-	preSuper bool // SupersetOfLine held at round start
+	// Jacobi state (Memory; the image itself is Engine.csr). A proposal is
+	// a chain pair of dense indices absent from the image.
+	props    [][]graph.Pair // staged per shard in Prepare
+	all      []graph.Pair   // props in shard order: what a single-threaded pass would write
+	minProps int            // how many of them the smallest node staged
+	closing  bool           // this round's merge establishes the wrap edge
+	merger   graph.Merger
 
 	// atomic state (Pure, LSN): dense indices per shard. boundary holds
 	// the nodes that must run sequentially (cross-shard under the
@@ -199,7 +194,8 @@ func (e *Engine) Run() Stats {
 		rr.Execute = p.daemonExecute
 	case e.cfg.Variant == Memory:
 		p.jacobi = true
-		p.props = make([][]propEdge, shardCount)
+		e.csr = nil // rebuilt from e.g in round 0
+		p.props = make([][]graph.Pair, shardCount)
 		rr.BeginRound = p.jacobiBegin
 		rr.Prepare = p.jacobiPrepare
 		rr.Finish = p.jacobiFinish
@@ -340,60 +336,52 @@ func (p *parExec) emitShardRound(phase string, counts []int) {
 	})
 }
 
-// jacobiBegin snapshots the round-start graph as a CSR and latches the
-// ring-closure preconditions against it, so the parallel Prepare phase and
-// the ordered merge both read one frozen image. After the first full
-// build, each round's snapshot is produced by replaying the previous
-// round's accepted edges onto the previous snapshot (CSR.WithEdges) —
-// Memory only ever adds edges, so the delta path is exact and avoids the
-// per-round O(V+E) rebuild plus index re-hash the profile flagged.
+// jacobiBegin latches the ring-closure precondition against the round-start
+// image, so Prepare and the ordered merge read one frozen state. The image
+// is built from the live graph once; after that it is the previous round's
+// merge output — Memory only adds edges, and all of them go through Merge.
 func (p *parExec) jacobiBegin(round int) {
 	p.beginRound(round)
 	e := p.e
-	t0 := e.cfg.Prof.Start()
-	if p.csr == nil {
-		p.csr = graph.NewCSRParallel(e.g, p.workers)
+	if e.csr == nil {
+		t0 := e.cfg.Prof.Start()
+		e.csr = graph.NewCSR(e.g)
 		e.cfg.Prof.End(round, "snapshot/rebuild", e.cfg.Variant.String(), t0)
-	} else {
-		p.csr = p.csr.WithEdges(p.csrAdds, p.workers)
-		e.cfg.Prof.End(round, "snapshot/delta", e.cfg.Variant.String(), t0)
 	}
-	p.csrAdds = p.csrAdds[:0]
-	p.preWrap, p.preSuper = false, false
-	if e.cfg.CloseRing && p.hasExt {
-		p.preWrap = p.csr.HasEdge(p.min, p.max)
-		if !p.preWrap {
-			p.preSuper = p.csr.SupersetOfLine()
-		}
-	}
+	p.closing = e.cfg.CloseRing && p.hasExt &&
+		!e.csr.Has(0, int32(len(e.nodes)-1)) && e.csr.SupersetOfLine()
 }
 
-// jacobiPrepare computes the shard's chain proposals against the CSR
-// snapshot: read-only, embarrassingly parallel. Only edges absent from the
-// snapshot are recorded, and a node counts as activated iff it proposed
-// something new.
+// jacobiPrepare stages the shard's chain proposals against the frozen
+// image: read-only, embarrassingly parallel. v's chain is the consecutive
+// pairs of its row in appendChainEdges' order, left of v then right of v;
+// where a pair straddles v the chain has {a,v} and {v,b}, v's own row
+// entries. Only pairs absent from the image are staged, and a node counts
+// as activated iff it staged one.
 func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
-	e, c := p.e, p.csr
+	e, c := p.e, p.e.csr
+	ring, last := e.cfg.CloseRing && p.hasExt, int32(len(e.nodes)-1)
 	buf := p.props[s.Index][:0]
 	changed := 0
 	for i := s.Lo; i < s.Hi; i++ {
-		v := c.Node(i)
-		nbrs := c.Row(i)
-		if e.cfg.CloseRing && p.hasExt && (v == p.min || v == p.max) {
-			// Line view: the wrap partner is ring state, not a neighbor.
-			filtered := make([]ids.ID, 0, len(nbrs))
-			for _, u := range nbrs {
-				if !e.isWrapEdge(v, u) {
-					filtered = append(filtered, u)
-				}
+		v, row := int32(i), c.Row(i)
+		// Line view: the wrap partner is ring state, not a neighbor; it can
+		// only sit at the far end of an extremal node's row.
+		if k := len(row); ring && k > 0 {
+			if v == 0 && row[k-1] == last {
+				row = row[:k-1]
+			} else if v == last && row[0] == 0 {
+				row = row[1:]
 			}
-			nbrs = filtered
 		}
 		before := len(buf)
-		for _, ce := range chainEdges(v, nbrs) {
-			if !c.HasEdge(ce.U, ce.V) {
-				buf = append(buf, propEdge{idx: int32(i), u: ce.U, v: ce.V})
+		for k := 1; k < len(row); k++ {
+			if a, b := row[k-1], row[k]; (v < a || b < v) && !c.Has(a, b) {
+				buf = append(buf, graph.Pair{A: a, B: b})
 			}
+		}
+		if i == 0 {
+			p.minProps = len(buf) - before
 		}
 		if len(buf) > before {
 			changed++
@@ -404,55 +392,54 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 	return changed
 }
 
-// jacobiFinish merges all shards' proposals into the live graph in global
-// identifier order, so duplicate proposals resolve to the same winner and
-// the EdgesAdded count and EvEdgeAdd stream are the same for every shard
-// count. Ring closure is evaluated against the round-start preconditions
-// at the smallest node's merge slot, where a single-threaded pass in
-// identifier order performs (and attributes) it. Returns the closure-only
-// activation credit; proposal activations were counted in Prepare.
-func (p *parExec) jacobiFinish(_ int) int {
+// jacobiFinish resolves the round: all shards' proposals, concatenated in
+// global identifier order, go through one CSR.Merge, whose winner of every
+// run of equal pairs is the proposal Graph.AddEdge would have accepted in a
+// single-threaded pass — so the EdgesAdded count and the EvEdgeAdd stream
+// are the same for every shard count. Ring closure is one more pair in the
+// slot behind the smallest node's proposals, where that pass performs (and
+// attributes) it; no chain pair names the wrap edge, because both ends of
+// a chain pair lie on one side of their proposer. The merge also rewrites
+// the touched rows of the live graph, so e.g is current for EndRound's
+// observers; degrees only grow, so the largest merged row is the peak.
+// Returns the closure-only activation credit; proposal activations were
+// counted in Prepare.
+func (p *parExec) jacobiFinish(round int) int {
 	e := p.e
-	root := &p.root
-	fire := e.cfg.CloseRing && p.hasExt && !p.preWrap && p.preSuper
-	minProposed := len(p.props) > 0 && len(p.props[0]) > 0 && p.props[0][0].idx == 0
-	act := 0
-	closedMin := false
-	closeMin := func() {
-		closedMin = true
-		if !fire || !e.g.AddEdge(p.min, p.max) {
-			return
-		}
-		p.csrAdds = append(p.csrAdds, graph.NewEdge(p.min, p.max))
-		root.addEdge()
-		root.observe(p.min)
-		root.observe(p.max)
-		root.emit(trace.Event{
-			T: int64(e.curRound), Type: trace.EvRingClosed, Node: p.min, Peer: p.max,
-		})
-		if !minProposed {
-			act++
-		}
-		p.bndCounts[0]++
+	all := p.all[:0]
+	for _, props := range p.props {
+		all = append(all, props...)
 	}
-	for si := range p.props {
-		for _, pr := range p.props[si] {
-			if !closedMin && pr.idx > 0 {
-				closeMin()
+	if p.closing {
+		all = slices.Insert(all, p.minProps, graph.Pair{A: 0, B: int32(len(e.nodes) - 1)})
+	}
+	p.all = all
+	t0 := e.cfg.Prof.Start()
+	before := e.csr.NumEdges()
+	e.csr = e.csr.Merge(&p.merger, all, e.g, p.workers)
+	e.cfg.Prof.End(round, "snapshot/delta", e.cfg.Variant.String(), t0)
+	e.stats.EdgesAdded += int64(e.csr.NumEdges() - before)
+	e.stats.PeakDegree = max(e.stats.PeakDegree, e.csr.MaxDegree())
+	if e.cfg.Tracer != nil {
+		for seq, pr := range all {
+			if !p.merger.Won[seq] {
+				continue
 			}
-			if e.g.AddEdge(pr.u, pr.v) {
-				p.csrAdds = append(p.csrAdds, graph.NewEdge(pr.u, pr.v))
-				root.addEdge()
-				root.observe(pr.u)
-				root.observe(pr.v)
-				root.traceEdge(trace.EvEdgeAdd, pr.u, pr.v)
+			ev := trace.Event{T: int64(round), Type: trace.EvEdgeAdd, Node: e.nodes[pr.A], Peer: e.nodes[pr.B]}
+			if p.closing && seq == p.minProps {
+				ev.Type = trace.EvRingClosed
 			}
+			e.cfg.Tracer.Emit(ev)
 		}
 	}
-	if !closedMin {
-		closeMin()
+	if !p.closing {
+		return 0
 	}
-	return act
+	p.bndCounts[0]++
+	if p.minProps > 0 {
+		return 0 // the smallest node was already counted in Prepare
+	}
+	return 1
 }
 
 // atomicPrepare classifies the shard's nodes by identifier footprint:
