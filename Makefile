@@ -40,10 +40,12 @@ benchmark-check:
 docs-check:
 	GO=$(GO) ./scripts/docs-check.sh
 
-# Quick -race pass over the two execution models only: the discrete-event
-# engine (sim) and the message layer (phys) are where data races would live.
+# Quick -race pass over the execution models only: the discrete-event
+# engine (sim), the message layer (phys) and the reliable sublayer (rel),
+# which hand the engine event storage they own, are where data races would
+# live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic trace and pin the throughput baseline in results/.
@@ -99,7 +101,8 @@ perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
-# trace-encoding and graph-mutation targets (one -fuzz run per target; Go
+# trace-encoding, graph-mutation and event-order targets (one -fuzz run per
+# target; Go
 # allows a single fuzz target per invocation). The committed corpora under
 # testdata/fuzz replay in plain `go test` as well.
 fuzz-smoke:
@@ -109,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRelFrameDecoding -fuzztime=10s ./internal/rel/
 	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
+	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
 clean:
 	$(GO) clean ./...

@@ -122,6 +122,8 @@ type Network struct {
 	// deliver a frame across a link incarnation it never traveled.
 	linkEpoch map[linkKey]uint64
 
+	free *frame // delivered frames awaiting reuse, linked through frame.next
+
 	counters *Counters
 	tracer   trace.Tracer
 }
@@ -279,48 +281,77 @@ func (n *Network) Send(m Message) bool {
 		})
 	}
 	m.Hops++
-	n.engine.After(d, func() {
-		// In-flight losses are attributed precisely: a dead receiver is
-		// "dest-down", a link that churned away mid-flight is "link-gone".
-		// Chaos runs rely on the distinction to tell crash faults from
-		// partition faults in the drop economy.
-		if !n.Up(m.To) {
-			n.counters.Inc("drop:dest-down", 1)
-			n.traceDrop(m, "dest-down")
-			return
-		}
-		if !n.topo.HasEdge(m.From, m.To) {
-			n.counters.Inc("drop:link-gone", 1)
-			n.traceDrop(m, "link-gone")
-			return
-		}
-		if n.linkEpoch[mkLinkKey(m.From, m.To)] != epoch {
-			// The link was torn down (and re-added) while the frame was in
-			// flight: the frame traveled a link incarnation that no longer
-			// exists. Jitter reordering made this reachable — a late frame
-			// could otherwise slip across the healed link.
-			n.counters.Inc("drop:stale-link", 1)
-			n.traceDrop(m, "stale-link")
-			return
-		}
-		if n.corruptProb > 0 && n.engine.Rand().Float64() < n.corruptProb {
-			// The frame arrives, its content does not: deliver Garbled so
-			// the receiver's decode path sees malformed input.
-			n.counters.Inc("drop:corrupt", 1)
-			n.traceDrop(m, "corrupt")
-			m.Payload = Garbled{}
-		}
-		if n.tracer != nil {
-			n.tracer.Emit(trace.Event{
-				T: int64(n.engine.Now()), Type: trace.EvMsgRecv,
-				Node: m.To, Peer: m.From, Kind: m.Kind,
-			})
-		}
-		if h, ok := n.handlers[m.To]; ok {
-			h.HandleMessage(m)
-		}
-	})
+	f := n.free
+	if f == nil {
+		f = &frame{n: n}
+		f.ev.Fn = f.deliver
+	} else {
+		n.free = f.next
+	}
+	f.m, f.epoch = m, epoch
+	n.engine.Arm(&f.ev, d)
 	return true
+}
+
+// frame is one frame in flight: the message, the incarnation of the link it
+// was sent on, and its delivery event. A Network recycles its frames
+// through free, so a send allocates only when more frames are in flight
+// than ever before.
+type frame struct {
+	ev    sim.Event // Fn is f.deliver, bound once
+	n     *Network
+	m     Message
+	epoch uint64
+	next  *frame
+}
+
+// deliver is the frame's arrival at m.To.
+func (f *frame) deliver() {
+	// Handlers send from inside their delivery: the struct goes back to the
+	// free list first, and everything below reads the copies.
+	n, m, epoch := f.n, f.m, f.epoch
+	f.m.Payload = nil
+	f.next, n.free = n.free, f
+
+	// In-flight losses are attributed precisely: a dead receiver is
+	// "dest-down", a link that churned away mid-flight is "link-gone".
+	// Chaos runs rely on the distinction to tell crash faults from
+	// partition faults in the drop economy.
+	if !n.Up(m.To) {
+		n.counters.Inc("drop:dest-down", 1)
+		n.traceDrop(m, "dest-down")
+		return
+	}
+	if !n.topo.HasEdge(m.From, m.To) {
+		n.counters.Inc("drop:link-gone", 1)
+		n.traceDrop(m, "link-gone")
+		return
+	}
+	if n.linkEpoch[mkLinkKey(m.From, m.To)] != epoch {
+		// The link was torn down (and re-added) while the frame was in
+		// flight: the frame traveled a link incarnation that no longer
+		// exists. Jitter reordering made this reachable — a late frame
+		// could otherwise slip across the healed link.
+		n.counters.Inc("drop:stale-link", 1)
+		n.traceDrop(m, "stale-link")
+		return
+	}
+	if n.corruptProb > 0 && n.engine.Rand().Float64() < n.corruptProb {
+		// The frame arrives, its content does not: deliver Garbled so
+		// the receiver's decode path sees malformed input.
+		n.counters.Inc("drop:corrupt", 1)
+		n.traceDrop(m, "corrupt")
+		m.Payload = Garbled{}
+	}
+	if n.tracer != nil {
+		n.tracer.Emit(trace.Event{
+			T: int64(n.engine.Now()), Type: trace.EvMsgRecv,
+			Node: m.To, Peer: m.From, Kind: m.Kind,
+		})
+	}
+	if h, ok := n.handlers[m.To]; ok {
+		h.HandleMessage(m)
+	}
 }
 
 // traceDrop emits a loss event tagged with its reason.

@@ -399,3 +399,104 @@ func TestTopologyIsCloned(t *testing.T) {
 		t.Error("network must clone the topology")
 	}
 }
+
+// TestInFlightAcrossSenderFailure: a frame that left its sender is the
+// network's; the sender crashing and recovering while it is in flight
+// neither drops it nor delivers it twice.
+func TestInFlightAcrossSenderFailure(t *testing.T) {
+	e, net := lineNet(t, 2, WithLatency(ConstantLatency(10)))
+	var got []Message
+	net.Register(1, HandlerFunc(func(Message) {}))
+	net.Register(2, HandlerFunc(func(m Message) { got = append(got, m) }))
+	net.Send(Message{From: 1, To: 2, Kind: "t:x", Payload: "before"})
+	e.After(3, func() {
+		net.FailNode(1)
+		if net.Send(Message{From: 1, To: 2, Kind: "t:x", Payload: "while down"}) {
+			t.Error("down sender should fail")
+		}
+	})
+	e.After(6, func() { net.RecoverNode(1) })
+	e.Run(0)
+	if len(got) != 1 || got[0].Payload != "before" || e.Now() != 10 {
+		t.Fatalf("delivered %+v by t=%d, want the one frame sent before the crash, at t=10", got, e.Now())
+	}
+}
+
+// TestHandlerSendsDuringDelivery: frames are recycled, and the one being
+// delivered goes back to the free list before its handler runs. A handler
+// that sends from inside its delivery must still read the message it was
+// given, and what it sends must arrive as sent.
+func TestHandlerSendsDuringDelivery(t *testing.T) {
+	e, net := lineNet(t, 3)
+	var at1, at3 []Message
+	net.Register(1, HandlerFunc(func(m Message) { at1 = append(at1, m) }))
+	net.Register(3, HandlerFunc(func(m Message) { at3 = append(at3, m) }))
+	net.Register(2, HandlerFunc(func(m Message) {
+		for i := 0; i < 3; i++ {
+			net.Send(Message{From: 2, To: 1, Kind: "t:reply", Payload: i})
+		}
+		// m is a copy: the sends above reused its frame and must not show.
+		net.Send(Message{From: 2, To: 3, Kind: "t:fwd", Payload: m.Payload, Hops: m.Hops})
+	}))
+	net.Send(Message{From: 1, To: 2, Kind: "t:x", Payload: "ping"})
+	e.Run(0)
+	if len(at1) != 3 || len(at3) != 1 {
+		t.Fatalf("node 1 got %d frames and node 3 got %d, want 3 and 1", len(at1), len(at3))
+	}
+	for i, m := range at1 {
+		if m.From != 2 || m.To != 1 || m.Kind != "t:reply" || m.Payload != i || m.Hops != 1 {
+			t.Errorf("reply %d arrived as %+v", i, m)
+		}
+	}
+	if m := at3[0]; m.From != 2 || m.Kind != "t:fwd" || m.Payload != "ping" || m.Hops != 2 {
+		t.Errorf("forwarded frame arrived as %+v", m)
+	}
+}
+
+// TestSendDeliverAllocatesNothing: with no tracer, a frame through the raw
+// network costs no allocation once the frame pool and the engine's bucket
+// pool are warm.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	one := gridNet(t)
+	if allocs := testing.AllocsPerRun(1000, one); allocs != 0 {
+		t.Errorf("raw Send + delivery allocates %v times per frame, want 0", allocs)
+	}
+}
+
+// gridNet builds a 16x16 grid with a no-op handler on every node and
+// returns benchmark/micro.go's phys.send_ns_frame loop body over it: one
+// frame across a random link, its delivery event included.
+func gridNet(tb testing.TB) (one func()) {
+	tb.Helper()
+	nodes := make([]ids.ID, 256)
+	for i := range nodes {
+		nodes[i] = ids.ID(i + 1)
+	}
+	g, err := graph.Grid(nodes, 16, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := sim.NewEngine(1)
+	net := NewNetwork(e, g)
+	for _, v := range nodes {
+		net.Register(v, HandlerFunc(func(Message) {}))
+	}
+	edges := g.Edges()
+	return func() {
+		l := edges[e.Rand().Intn(len(edges))]
+		net.Send(Message{From: l.U, To: l.V, Kind: "bench"})
+		e.Run(0)
+	}
+}
+
+// BenchmarkSendDeliver/raw times one frame through the raw network.
+func BenchmarkSendDeliver(b *testing.B) {
+	b.Run("raw", func(b *testing.B) {
+		one := gridNet(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			one()
+		}
+	})
+}

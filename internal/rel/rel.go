@@ -342,6 +342,7 @@ func (ep *endpoint) handle(m phys.Message) {
 
 // pending is one unacked data frame on a link's sender side.
 type pending struct {
+	timer    sim.Event    // the retransmission timer; see armTimer
 	m        phys.Message // original protocol message (pre-wrap)
 	seq      uint64
 	attempts int // retransmissions so far
@@ -356,11 +357,15 @@ type link struct {
 	ep   *endpoint
 	peer ids.ID
 
-	// sender side
-	nextSeq  uint64
-	inflight map[uint64]*pending
-	queue    []*pending
-	est      *RTOEstimator
+	// sender side. Frames are transmitted in sequence order: sent is the
+	// highest sequence number transmitted, and every in-flight one is at or
+	// above lowest.
+	nextSeq      uint64
+	sent, lowest uint64
+	inflight     map[uint64]*pending
+	queue        []*pending // queue[qhead:] waits for window space
+	qhead        int
+	est          *RTOEstimator
 
 	// receiver side: every seq ≤ maxRun has been delivered; ahead holds the
 	// out-of-order deliveries beyond it.
@@ -390,6 +395,11 @@ func (l *link) heard() {
 func (l *link) send(m phys.Message) {
 	l.nextSeq++
 	p := &pending{m: m, seq: l.nextSeq}
+	p.timer.Fn = func() {
+		if l.inflight[p.seq] == p { // else ACKed or abandoned; stale timer
+			l.retransmit(p)
+		}
+	}
 	if len(l.inflight) < l.ep.net.cfg.Window {
 		l.transmit(p)
 	} else {
@@ -401,6 +411,7 @@ func (l *link) send(m phys.Message) {
 // timer.
 func (l *link) transmit(p *pending) {
 	l.inflight[p.seq] = p
+	l.sent = p.seq
 	p.sentAt = l.ep.net.raw.Engine().Now()
 	l.ep.net.raw.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
@@ -412,15 +423,10 @@ func (l *link) transmit(p *pending) {
 // armTimer schedules the retransmission check for p at the link's current
 // RTO. Timers are never cancelled — a fired timer whose frame was ACKed (or
 // superseded) notices and does nothing, the engine-idiomatic dangling-timer
-// pattern.
+// pattern. The event is p's own: transmit arms it once, and after that only
+// its own firing does, so it is never pending here.
 func (l *link) armTimer(p *pending) {
-	eng := l.ep.net.raw.Engine()
-	eng.After(l.est.RTO(), func() {
-		if l.inflight[p.seq] != p {
-			return // ACKed or abandoned; stale timer
-		}
-		l.retransmit(p)
-	})
+	l.ep.net.raw.Engine().Arm(&p.timer, l.est.RTO())
 }
 
 // retransmit handles one expired retransmission timer: back off, re-send,
@@ -466,10 +472,14 @@ func (l *link) retransmit(p *pending) {
 
 // pump moves queued frames into the freed window space.
 func (l *link) pump() {
-	for len(l.queue) > 0 && len(l.inflight) < l.ep.net.cfg.Window {
-		p := l.queue[0]
-		l.queue = l.queue[1:]
+	for l.qhead < len(l.queue) && len(l.inflight) < l.ep.net.cfg.Window {
+		p := l.queue[l.qhead]
+		l.queue[l.qhead] = nil
+		l.qhead++
 		l.transmit(p)
+	}
+	if l.qhead == len(l.queue) {
+		l.queue, l.qhead = l.queue[:0], 0
 	}
 }
 
@@ -543,26 +553,12 @@ func (l *link) recvAck(a Ack) {
 			}
 		}
 	}
-	// Cumulative retirement, ascending for deterministic pump order.
-	var retired []uint64
-	for seq := range l.inflight {
-		if seq <= a.Cum {
-			retired = append(retired, seq)
-		}
-	}
-	if len(retired) > 0 {
-		sortUint64(retired)
-		for _, seq := range retired {
-			delete(l.inflight, seq)
-		}
+	// Cumulative retirement: every frame at or below a.Cum has arrived.
+	// lowest passes each transmitted sequence number once, so an ACK pays
+	// for the frames it retires, not for the ones still in flight; a forged
+	// Cum retires nothing that was not sent.
+	for cum := min(a.Cum, l.sent); l.lowest <= cum; l.lowest++ {
+		delete(l.inflight, l.lowest)
 	}
 	l.pump()
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

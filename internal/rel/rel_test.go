@@ -2,6 +2,8 @@ package rel
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -255,4 +257,97 @@ func TestRelRaceHammer(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
+}
+
+// TestCumulativeAckRetirement drives one link's sender side by hand: a
+// cumulative mark retires every in-flight frame at or below it and nothing
+// above it, and a forged mark beyond the last transmitted frame does not
+// keep later frames from being retired.
+func TestCumulativeAckRetirement(t *testing.T) {
+	n, _ := newPair(t, 1, DefaultConfig())
+	for i := 0; i < 5; i++ {
+		n.Send(phys.Message{From: 1, To: 2, Kind: "test:data", Payload: i})
+	}
+	l := n.eps[1].link(2)
+	inflight := func() []uint64 {
+		var seqs []uint64
+		for seq := range l.inflight {
+			seqs = append(seqs, seq)
+		}
+		slices.Sort(seqs)
+		return seqs
+	}
+	l.recvAck(Ack{Seq: 99, Cum: 3})
+	if got := inflight(); !slices.Equal(got, []uint64{4, 5}) {
+		t.Fatalf("after Cum=3 in flight = %v, want [4 5]", got)
+	}
+	l.recvAck(Ack{Seq: 99, Cum: 1})
+	if got := inflight(); !slices.Equal(got, []uint64{4, 5}) {
+		t.Fatalf("after a stale Cum=1 in flight = %v, want [4 5]", got)
+	}
+	l.recvAck(Ack{Seq: 4, Cum: ^uint64(0)})
+	if got := inflight(); len(got) != 0 {
+		t.Fatalf("after a forged Cum in flight = %v, want none", got)
+	}
+	n.Send(phys.Message{From: 1, To: 2, Kind: "test:data", Payload: 5})
+	l.recvAck(Ack{Seq: 99, Cum: 6})
+	if got := inflight(); len(got) != 0 {
+		t.Fatalf("frame 6, sent after the forged Cum, still in flight: %v", got)
+	}
+}
+
+// gridNet builds a reliable 16x16 grid with a no-op handler on every node
+// and heartbeats out of the way, and returns its links and benchmark/
+// micro.go's rel.send_ack_ns_frame loop body: one frame across a link
+// without loss — the data frame, its ACK and the retransmission timer that
+// finds it retired.
+func gridNet(tb testing.TB) (edges []graph.Edge, one func(graph.Edge)) {
+	tb.Helper()
+	nodes := make([]ids.ID, 256)
+	for i := range nodes {
+		nodes[i] = ids.ID(i + 1)
+	}
+	g, err := graph.Grid(nodes, 16, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.HeartbeatEvery = 1 << 40
+	n := New(phys.NewNetwork(sim.NewEngine(1), g), cfg)
+	for _, v := range nodes {
+		n.Register(v, phys.HandlerFunc(func(phys.Message) {}))
+	}
+	e := n.Engine()
+	return g.Edges(), func(l graph.Edge) {
+		n.Send(phys.Message{From: l.U, To: l.V, Kind: "bench"})
+		e.RunUntil(e.Now()+4, nil)
+	}
+}
+
+// TestSendAckAllocations pins what a reliable frame costs the allocator on
+// a lossless link: the pending record, its timer's closure, and the Frame
+// and the Ack boxed into their messages' Payload. The raw frames under
+// them, the delivery events and the retransmission timer cost nothing.
+func TestSendAckAllocations(t *testing.T) {
+	edges, one := gridNet(t)
+	for _, l := range edges {
+		one(l) // first use of a link allocates its state
+	}
+	rng := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(1000, func() { one(edges[rng.Intn(len(edges))]) }); allocs > 4 {
+		t.Errorf("reliable send + ACK allocates %v times per frame, want at most 4", allocs)
+	}
+}
+
+// BenchmarkSendDeliver/rel times one frame through the reliable sublayer.
+func BenchmarkSendDeliver(b *testing.B) {
+	b.Run("rel", func(b *testing.B) {
+		edges, one := gridNet(b)
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			one(edges[rng.Intn(len(edges))])
+		}
+	})
 }
