@@ -80,10 +80,11 @@ func stdoutOf(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// TestModesReproduceCommittedResults runs three table entries — one from
-// each former tool — end to end and holds them to the committed artifacts
-// byte for byte: the mode's own defaults must be the flags the artifact was
-// made with.
+// TestModesReproduceCommittedResults runs table entries — one from each
+// former tool, and three that between them pass through all four
+// message-level protocols — end to end and holds them to the committed
+// artifacts byte for byte: the flags here are the flags the artifact was
+// made with (EXPERIMENTS.md quotes the same commands).
 func TestModesReproduceCommittedResults(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -93,6 +94,9 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 		{"figures.txt", []string{"-mode", "figures", "-fig", "0"}, false},
 		{"a1_scheduler.txt", []string{"-mode", "scheduler"}, false}, // n=200, 3 seeds
 		{"e1b_loopy.txt", []string{"-mode", "loopy"}, true},
+		{"e6_msgcost.txt", []string{"-mode", "compare", "-sizes", "16,32,64,128"}, false}, // floodboot, isprp, ssr
+		{"e6b_breakdown.txt", []string{"-mode", "breakdown", "-n", "64"}, false},
+		{"e11_vrr.txt", []string{"-mode", "vrr", "-n", "32"}, false}, // vrr and ssr with CloseRing
 	} {
 		if tc.slow && (raceEnabled || testing.Short()) {
 			continue

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"flag"
+	"hash/fnv"
 	"os"
 	"reflect"
 	"strings"
@@ -57,6 +58,47 @@ func TestProtocolContract(t *testing.T) {
 				t.Error("probe should hold at least the final sample")
 			}
 		})
+	}
+}
+
+// TestProtocolEventStreamPinned holds every registered protocol, on both
+// transports, to the event and not to a table that happens to be
+// insensitive: the FNV-64a of the full-level JSONL stream of `ssrsim -mode
+// boot -proto P -transport T -n 48 -seed 1 -trace F -trace-level msg` (F's
+// bytes, so `cmp` against a trace from another build says the same thing).
+// A change to ssr, vrr, isprp, floodboot or the node runtime under them that
+// moves one frame, one timer or one RNG draw changes a constant here.
+func TestProtocolEventStreamPinned(t *testing.T) {
+	want := map[string]uint64{
+		"flood/raw":              0x61bc2ca6ede74b47,
+		"flood/reliable":         0x965313e82bc33c95,
+		"isprp/raw":              0xb02be9da60979c9e,
+		"isprp/reliable":         0x53c8aa1143767656,
+		"linearization/raw":      0x777a1c81d436466e,
+		"linearization/reliable": 0x4f44c607a0097c62,
+		"vrr/raw":                0x49d051c708e4fa14,
+		"vrr/reliable":           0x8f46a34073337a8f,
+	}
+	defer func(tr trace.Tracer, name string) { tracer, transportName = tr, name }(tracer, transportName)
+	for _, name := range ProtocolNames() {
+		for _, transport := range []string{TransportRaw, TransportReliable} {
+			h := fnv.New64a()
+			sink := trace.NewJSONLWriter(h)
+			EnableTracing(trace.WithLevel(sink, trace.LevelMsg))
+			if err := SetTransport(transport); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Bootstrap(name, 48, graph.TopoER, 1, 16); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			key := name + "/" + transport
+			if got := h.Sum64(); got != want[key] {
+				t.Errorf("%s: event stream hash %#016x (%d events), want %#016x", key, got, sink.Count(), want[key])
+			}
+		}
 	}
 }
 
