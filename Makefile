@@ -42,10 +42,10 @@ docs-check:
 
 # Quick -race pass over the execution models only: the discrete-event
 # engine (sim), the message layer (phys) and the reliable sublayer (rel),
-# which hand the engine event storage they own, are where data races would
-# live.
+# which hand the engine event storage they own, and the node runtime (node),
+# which owns every protocol's tick chain, are where data races would live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic trace and pin the throughput baseline in results/.

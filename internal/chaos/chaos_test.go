@@ -134,6 +134,7 @@ func (b *brokenProto) VirtualGraph() *graph.Graph {
 	return g
 }
 func (b *brokenProto) AttachProbe(*trace.Probe, sim.Time)           {}
+func (b *brokenProto) Consistent() bool                             { return false }
 func (b *brokenProto) RunUntilConsistent(sim.Time) (sim.Time, bool) { return 0, false }
 func (b *brokenProto) Stop()                                        {}
 func (b *brokenProto) PendingOps() int                              { return 1 << 20 }

@@ -5,21 +5,15 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Protocol is the slice of the bootstrap-protocol contract the harness
-// needs. It is declared structurally here (rather than importing the exp
-// registry) so exp can depend on chaos without a cycle; exp.Protocol
-// satisfies it as-is.
-type Protocol interface {
-	VirtualGraph() *graph.Graph
-	AttachProbe(p *trace.Probe, every sim.Time)
-	RunUntilConsistent(deadline sim.Time) (sim.Time, bool)
-	Stop()
-}
+// Protocol is the bootstrap-protocol contract, declared once in package
+// node.
+type Protocol = node.Protocol
 
 // PendingAuditor is an optional protocol capability: the total count of
 // in-flight introduction operations. Implemented by ssr.Cluster; protocols

@@ -18,15 +18,6 @@ type RunConfig struct {
 	Deadline     sim.Time
 }
 
-// ConsistencyProber is an optional protocol capability: an instantaneous
-// global-consistency predicate. All four bootstrap clusters implement it.
-// When present, Run polls it on the check cadence from the start of the
-// run and records the first instant it holds — the cold-start convergence
-// metric for scenarios whose faults are active during bootstrap itself.
-type ConsistencyProber interface {
-	Consistent() bool
-}
-
 // Result is the machine-readable outcome of one (scenario, protocol) run.
 type Result struct {
 	Scenario string `json:"scenario"`
@@ -91,26 +82,24 @@ func Run(scn Scenario, sched *Schedule, net *phys.Network, proto Protocol, cfg R
 	// Poll instantaneous consistency on the check cadence from the start,
 	// recording the first instant it holds. The chain retires itself at the
 	// settle boundary; phase 3's convergence drive covers the tail.
-	if cp, ok := proto.(ConsistencyProber); ok {
-		every := cfg.CheckEvery
-		if every <= 0 {
-			every = 64
-		}
-		var poll func()
-		poll = func() {
-			if res.FirstConsistentAt >= 0 {
-				return
-			}
-			if cp.Consistent() {
-				res.FirstConsistentAt = eng.Now()
-				return
-			}
-			if eng.Now()+every <= settleEnd {
-				eng.After(every, poll)
-			}
-		}
-		eng.After(every, poll)
+	every := cfg.CheckEvery
+	if every <= 0 {
+		every = 64
 	}
+	var poll func()
+	poll = func() {
+		if res.FirstConsistentAt >= 0 {
+			return
+		}
+		if proto.Consistent() {
+			res.FirstConsistentAt = eng.Now()
+			return
+		}
+		if eng.Now()+every <= settleEnd {
+			eng.After(every, poll)
+		}
+	}
+	eng.After(every, poll)
 
 	// Phase 1: warmup. Fault-free unless the scenario scheduled cold-start
 	// actions above. The protocol bootstraps to consistency (recorded, not

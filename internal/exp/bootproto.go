@@ -2,9 +2,10 @@ package exp
 
 // This file defines the unified bootstrap-protocol surface. Every
 // message-level bootstrap in this reproduction — the linearization protocol
-// (package ssr), ISPRP, VRR and the flood baseline — exposes the same four
-// operations; Protocol names that contract so harnesses and CLIs can treat
-// "which protocol" as data instead of a switch statement per call site.
+// (package ssr), ISPRP, VRR and the flood baseline — exposes the same
+// operations; node.Protocol names that contract so harnesses and CLIs can
+// treat "which protocol" as data instead of a switch statement per call
+// site.
 
 import (
 	"fmt"
@@ -12,33 +13,16 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/floodboot"
-	"repro/internal/graph"
 	"repro/internal/isprp"
+	"repro/internal/node"
 	"repro/internal/phys"
-	"repro/internal/sim"
 	"repro/internal/ssr"
-	"repro/internal/trace"
 	"repro/internal/vrr"
 )
 
-// Protocol is a running bootstrap protocol over a physical network: it
-// exposes its current virtual graph, accepts a convergence probe, can be
-// driven to global consistency, and can be stopped. All four bootstrap
-// implementations satisfy it.
-type Protocol interface {
-	// VirtualGraph snapshots the protocol's current virtual edge set E_v.
-	VirtualGraph() *graph.Graph
-	// AttachProbe samples the virtual graph into p every `every` engine
-	// ticks until Stop; each sample is one "round" of the convergence
-	// series, the bridge between the asynchronous protocols and the
-	// round-model probes.
-	AttachProbe(p *trace.Probe, every sim.Time)
-	// RunUntilConsistent drives the simulation until global consistency or
-	// the deadline, returning the reached time and whether it converged.
-	RunUntilConsistent(deadline sim.Time) (sim.Time, bool)
-	// Stop halts periodic activity and attached probes.
-	Stop()
-}
+// Protocol is the bootstrap-protocol contract, declared once in package
+// node; the alias keeps the harness signatures reading exp.Protocol.
+type Protocol = node.Protocol
 
 // protocolRegistry maps the CLI protocol names onto constructors. The
 // configurations match what the experiments use as each protocol's

@@ -5,13 +5,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/graph"
-	"repro/internal/ids"
 	"repro/internal/isprp"
 	"repro/internal/linearize"
 	"repro/internal/metrics"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/sroute"
 	"repro/internal/ssr"
 	"repro/internal/trace"
 	"repro/internal/vring"
@@ -64,19 +62,8 @@ func Fig1Loopy(seed int64) Report {
 
 func isprpOnLoopy(seed int64, cfg isprp.Config) (*phys.Network, *isprp.Cluster) {
 	loopy := vring.LoopyExample()
-	topo := loopy.ToGraph()
-	net := phys.NewNetwork(sim.NewEngine(seed), topo)
-	cl := &isprp.Cluster{Net: net, Nodes: make(map[ids.ID]*isprp.Node)}
-	for _, v := range topo.Nodes() {
-		cl.Nodes[v] = isprp.NewNode(net, v, cfg)
-	}
-	for v, n := range cl.Nodes {
-		if r, err := sroute.New(v, loopy[v]); err == nil {
-			n.SetSuccessor(r)
-		}
-		n.Start(sim.Time(int64(v) % 8))
-	}
-	return net, cl
+	net := phys.NewNetwork(sim.NewEngine(seed), loopy.ToGraph())
+	return net, isprp.NewClusterFrom(net, cfg, loopy)
 }
 
 // Fig2SeparateRings reproduces Figure 2 / experiment E2: two disjoint

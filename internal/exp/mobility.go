@@ -5,12 +5,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/graph"
-	"repro/internal/ids"
 	"repro/internal/isprp"
 	"repro/internal/metrics"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/sroute"
 	"repro/internal/ssr"
 	"repro/internal/vring"
 )
@@ -79,16 +77,7 @@ func ScaledLoopy(sizes []int, step int, seed int64) Report {
 		// construction at every size).
 		if n == sizes[0] {
 			net2 := phys.NewNetwork(sim.NewEngine(seed), topo)
-			icl := &isprp.Cluster{Net: net2, Nodes: make(map[ids.ID]*isprp.Node)}
-			for _, v := range topo.Nodes() {
-				icl.Nodes[v] = isprp.NewNode(net2, v, isprp.Config{EnableFlood: false})
-			}
-			for v, nd := range icl.Nodes {
-				if r, err := sroute.New(v, loopy[v]); err == nil {
-					nd.SetSuccessor(r)
-				}
-				nd.Start(sim.Time(int64(v) % 8))
-			}
+			icl := isprp.NewClusterFrom(net2, isprp.Config{EnableFlood: false}, loopy)
 			at2, ok2 := icl.RunUntilConsistent(40000)
 			icl.Stop()
 			tab.AddRow(n, "isprp (no flood)", ok2, int64(at2), net2.Counters().Total())

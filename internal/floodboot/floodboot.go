@@ -8,13 +8,10 @@
 package floodboot
 
 import (
-	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
-	"repro/internal/sim"
 	"repro/internal/sroute"
-	"repro/internal/trace"
-	"repro/internal/vring"
 )
 
 // KindAnnounce is the counter kind for flood frames.
@@ -89,10 +86,24 @@ func (n *Node) Successor() (ids.ID, bool) {
 	return best, found
 }
 
+// VirtualNeighbors returns the locally computed successor as this node's
+// one virtual edge — the view the convergence probes measure, matching the
+// other bootstrap protocols.
+func (n *Node) VirtualNeighbors() []ids.ID {
+	if succ, ok := n.Successor(); ok {
+		return []ids.ID{succ}
+	}
+	return nil
+}
+
 // Start floods this node's identifier.
 func (n *Node) Start() {
 	n.net.Broadcast(n.id, KindAnnounce, announce{Origin: n.id, Path: []ids.ID{n.id}})
 }
+
+// Stop does nothing: a flood node has no periodic activity of its own; the
+// flood quiesces once every announcement has propagated.
+func (n *Node) Stop() {}
 
 func (n *Node) handle(m phys.Message) {
 	a, ok := m.Payload.(announce)
@@ -115,90 +126,23 @@ func (n *Node) handle(m phys.Message) {
 // Θ(n), the cost of full knowledge.
 func (n *Node) StateSize() int { return n.known.Len() + len(n.routes) }
 
-// Cluster drives floodboot over a network.
+// Cluster drives floodboot over a network — the shared driver of package
+// node.
 type Cluster struct {
-	Net          phys.Transport
-	Nodes        map[ids.ID]*Node
-	probeStopped bool
+	node.Cluster[*Node]
 }
 
-// NewCluster creates and starts one node per topology member. Nodes start
-// in ascending identifier order — map-order iteration here would reshuffle
-// the initial flood's event sequence (and with it every engine RNG draw)
-// between runs of the same seed.
+// NewCluster creates and starts one node per topology member.
 func NewCluster(net phys.Transport) *Cluster {
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node)}
-	order := net.Topology().Nodes()
-	for _, v := range order {
-		c.Nodes[v] = NewNode(net, v)
-	}
-	for _, v := range order {
-		c.Nodes[v].Start()
-	}
+	c := &Cluster{}
+	c.Cluster = node.NewCluster(net, c.Consistent,
+		func(v ids.ID) *Node { return NewNode(net, v) },
+		func(_ ids.ID, n *Node) { n.Start() })
 	return c
 }
-
-// SuccMap snapshots the locally computed successor pointers.
-func (c *Cluster) SuccMap() vring.SuccMap {
-	s := make(vring.SuccMap, len(c.Nodes))
-	for v, n := range c.Nodes {
-		if succ, ok := n.Successor(); ok {
-			s[v] = succ
-		}
-	}
-	return s
-}
-
-// VirtualGraph returns the successor structure as an undirected graph —
-// the view the convergence probes measure, matching the contract of the
-// other bootstrap protocols' VirtualGraph.
-func (c *Cluster) VirtualGraph() *graph.Graph {
-	g := graph.New()
-	for v, n := range c.Nodes {
-		g.AddNode(v)
-		if succ, ok := n.Successor(); ok {
-			g.AddEdge(v, succ)
-		}
-	}
-	return g
-}
-
-// AttachProbe samples the cluster's successor structure into the
-// convergence probe every `every` ticks, starting one interval from now,
-// until Stop — the same observation contract as ssr.Cluster.AttachProbe.
-func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil {
-		return
-	}
-	round := 0
-	c.Net.Engine().Every(every, func() bool {
-		if c.probeStopped {
-			return false
-		}
-		p.Observe(round, c.VirtualGraph())
-		round++
-		return true
-	})
-}
-
-// Stop halts any attached probes. Flood nodes have no periodic activity of
-// their own; the flood quiesces once every announcement has propagated.
-func (c *Cluster) Stop() { c.probeStopped = true }
 
 // Consistent reports whether every node's local knowledge yields the
 // globally consistent ring.
 func (c *Cluster) Consistent() bool {
-	if len(c.Nodes) < 2 {
-		return true
-	}
-	all := make([]ids.ID, 0, len(c.Nodes))
-	for v := range c.Nodes {
-		all = append(all, v)
-	}
-	return c.SuccMap().GloballyConsistent(all)
-}
-
-// RunUntilConsistent drives the engine until consistency or the deadline.
-func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
+	return len(c.Nodes) < 2 || node.Successors(c.Nodes).GloballyConsistent(c.IDs())
 }

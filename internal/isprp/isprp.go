@@ -29,8 +29,8 @@ package isprp
 
 import (
 	"repro/internal/cache"
-	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/sroute"
@@ -158,6 +158,16 @@ func (n *Node) ID() ids.ID { return n.id }
 // Successor returns the current successor pointer.
 func (n *Node) Successor() (ids.ID, bool) { return n.succ, n.hasSucc }
 
+// VirtualNeighbors returns the successor pointer as this node's one virtual
+// edge — the view the convergence probes measure. A consistent ring shows
+// up as the sorted line plus the wrap edge, which LineDistance exempts.
+func (n *Node) VirtualNeighbors() []ids.ID {
+	if !n.hasSucc {
+		return nil
+	}
+	return []ids.ID{n.succ}
+}
+
 // Cache exposes the node's route cache (for inspection in experiments).
 func (n *Node) Cache() *cache.Cache { return n.rc }
 
@@ -177,7 +187,7 @@ func (n *Node) Start(jitter sim.Time) {
 			n.learnRoute(r)
 		}
 	}
-	n.net.Engine().After(n.cfg.TickInterval+jitter, n.tick)
+	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
 	if n.cfg.EnableFlood {
 		n.net.Engine().After(n.cfg.FloodDelay+jitter, n.maybeFlood)
 	}
@@ -187,21 +197,11 @@ func (n *Node) Start(jitter sim.Time) {
 func (n *Node) Stop() { n.stopped = true }
 
 func (n *Node) tick() {
-	if n.stopped {
-		return
-	}
-	if !n.net.Up(n.id) {
-		// Keep the chain scheduled while down so RecoverNode resumes
-		// maintenance (crash/recover churn in the chaos harness).
-		n.net.Engine().After(n.cfg.TickInterval, n.tick)
-		return
-	}
 	if n.hasSucc {
 		if r := n.rc.Route(n.succ); r != nil {
 			n.courier.Send(r, KindNotify, nil)
 		}
 	}
-	n.net.Engine().After(n.cfg.TickInterval, n.tick)
 }
 
 // maybeFlood initiates the representative flood if this node still believes
@@ -385,93 +385,44 @@ func (n *Node) learnRoute(r sroute.Route) {
 
 // --- Cluster driver --------------------------------------------------------
 
-// Cluster runs ISPRP over an entire network and provides the convergence
-// oracle used by experiments.
+// Cluster runs ISPRP over an entire network — the shared driver of package
+// node — and provides the convergence oracle used by experiments.
 type Cluster struct {
-	Net          phys.Transport
-	Nodes        map[ids.ID]*Node
-	probeStopped bool
+	node.Cluster[*Node]
 }
 
 // NewCluster creates one ISPRP node per registered topology node and starts
-// them with per-node jitter.
+// them from empty virtual state with per-node jitter.
 func NewCluster(net phys.Transport, cfg Config) *Cluster {
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node)}
-	for _, v := range net.Topology().Nodes() {
-		c.Nodes[v] = NewNode(net, v, cfg)
-	}
-	for _, v := range net.Topology().Nodes() {
-		c.Nodes[v].Start(sim.Time(net.Engine().Rand().Int63n(int64(cfg.withDefaults().TickInterval))))
-	}
+	return NewClusterFrom(net, cfg, nil)
+}
+
+// NewClusterFrom is NewCluster from a given initial state: every node that
+// succ names starts with that successor pointer and the direct route to it
+// (succ[v] must be a physical neighbor of v) — how the locally consistent
+// but globally wrong states of Figs. 1 and 2 are injected. With a preset
+// state the start offsets are id mod 8, a fixed function of the scenario;
+// without one they are drawn from the engine's seeded source.
+func NewClusterFrom(net phys.Transport, cfg Config, succ vring.SuccMap) *Cluster {
+	c := &Cluster{}
+	c.Cluster = node.NewCluster(net, c.Consistent,
+		func(v ids.ID) *Node { return NewNode(net, v, cfg) },
+		func(v ids.ID, n *Node) {
+			if succ == nil {
+				n.Start(sim.Time(net.Engine().Rand().Int63n(int64(n.cfg.TickInterval))))
+				return
+			}
+			if to, ok := succ[v]; ok {
+				if r, err := sroute.New(v, to); err == nil {
+					n.SetSuccessor(r)
+				}
+			}
+			n.Start(sim.Time(int64(v) % 8))
+		})
 	return c
-}
-
-// SuccMap snapshots all successor pointers.
-func (c *Cluster) SuccMap() vring.SuccMap {
-	s := make(vring.SuccMap, len(c.Nodes))
-	for v, n := range c.Nodes {
-		if succ, ok := n.Successor(); ok {
-			s[v] = succ
-		}
-	}
-	return s
-}
-
-// VirtualGraph snapshots the successor structure as an undirected virtual
-// graph — the view the convergence probes measure. A consistent ring shows
-// up as the sorted line plus the wrap edge, which LineDistance exempts.
-func (c *Cluster) VirtualGraph() *graph.Graph {
-	g := graph.New()
-	for v, n := range c.Nodes {
-		g.AddNode(v)
-		if succ, ok := n.Successor(); ok {
-			g.AddEdge(v, succ)
-		}
-	}
-	return g
-}
-
-// AttachProbe samples the cluster's successor structure into the
-// convergence probe every `every` ticks, starting one interval from now,
-// until Stop — the same observation contract as ssr.Cluster.AttachProbe,
-// so linearization and ISPRP bootstraps produce comparable trace series.
-func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil {
-		return
-	}
-	round := 0
-	c.Net.Engine().Every(every, func() bool {
-		if c.probeStopped {
-			return false
-		}
-		p.Observe(round, c.VirtualGraph())
-		round++
-		return true
-	})
 }
 
 // Consistent reports whether the ring is globally consistent right now.
 func (c *Cluster) Consistent() bool {
-	if len(c.Nodes) < 2 {
-		return true
-	}
-	all := make([]ids.ID, 0, len(c.Nodes))
-	for v := range c.Nodes {
-		all = append(all, v)
-	}
-	return c.SuccMap().GloballyConsistent(all)
-}
-
-// RunUntilConsistent drives the simulation until global consistency or the
-// deadline. It returns the convergence time and whether it converged.
-func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
-}
-
-// Stop halts all nodes' periodic activity and any attached probes.
-func (c *Cluster) Stop() {
-	c.probeStopped = true
-	for _, n := range c.Nodes {
-		n.Stop()
-	}
+	return len(c.Nodes) < 2 || node.Successors(c.Nodes).GloballyConsistent(c.IDs())
 }

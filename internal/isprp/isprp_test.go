@@ -1,13 +1,17 @@
 package isprp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/sroute"
+	"repro/internal/trace"
 	"repro/internal/vring"
 )
 
@@ -22,10 +26,10 @@ func TestConvergesOnLineTopology(t *testing.T) {
 	c := NewCluster(net, Config{EnableFlood: true})
 	at, ok := c.RunUntilConsistent(20000)
 	if !ok {
-		t.Fatalf("ISPRP did not converge on a line; succ=%v", c.SuccMap())
+		t.Fatalf("ISPRP did not converge on a line; succ=%v", node.Successors(c.Nodes))
 	}
 	t.Logf("line converged at t=%d, msgs=%d", at, net.Counters().Total())
-	if c.SuccMap().Classify() != vring.Consistent {
+	if node.Successors(c.Nodes).Classify() != vring.Consistent {
 		t.Error("oracle disagrees with Classify")
 	}
 }
@@ -39,7 +43,7 @@ func TestConvergesOnRandomTopologies(t *testing.T) {
 		net := newNet(t, topo, seed)
 		c := NewCluster(net, Config{EnableFlood: true})
 		if _, ok := c.RunUntilConsistent(60000); !ok {
-			t.Errorf("seed %d: not consistent: %v", seed, c.SuccMap().Classify())
+			t.Errorf("seed %d: not consistent: %v", seed, node.Successors(c.Nodes).Classify())
 		}
 		c.Stop()
 	}
@@ -68,19 +72,34 @@ func injectLoopy(t *testing.T, seed int64, cfg Config) (*phys.Network, *Cluster)
 	loopySucc := vring.LoopyExample()
 	topo := loopySucc.ToGraph() // physical links mirror the loopy virtual edges
 	net := newNet(t, topo, seed)
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node)}
-	for _, v := range topo.Nodes() {
-		c.Nodes[v] = NewNode(net, v, cfg)
-	}
-	for v, n := range c.Nodes {
-		r, err := sroute.New(v, loopySucc[v])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.SetSuccessor(r)
-		n.Start(sim.Time(int64(v) % 8))
-	}
+	c := NewClusterFrom(net, cfg, loopySucc)
 	return net, c
+}
+
+// TestSameSeedSameEventOrder: the Fig. 1 scenario, twenty times with one
+// seed, must produce one message-level event sequence. Nodes 1, 9 and 25
+// (and 13, 21) share a start offset, so a cluster that starts its nodes in
+// map order reorders their first ticks from run to run.
+func TestSameSeedSameEventOrder(t *testing.T) {
+	loopy := vring.LoopyExample()
+	orders := map[uint64]int{}
+	for run := 0; run < 20; run++ {
+		rec := &trace.Recorder{}
+		net := phys.NewNetwork(sim.NewEngine(3), loopy.ToGraph(), phys.WithTracer(rec))
+		c := NewClusterFrom(net, Config{EnableFlood: true}, loopy)
+		if _, ok := c.RunUntilConsistent(60000); !ok {
+			t.Fatal("flood failed to resolve the loopy state")
+		}
+		c.Stop()
+		h := fnv.New64a()
+		for _, e := range rec.Events() {
+			fmt.Fprintf(h, "%d %s %d %d %s\n", e.T, e.Type, e.Node, e.Peer, e.Kind)
+		}
+		orders[h.Sum64()]++
+	}
+	if len(orders) != 1 {
+		t.Errorf("%d distinct event orders from one seed: %v", len(orders), orders)
+	}
 }
 
 func TestLoopyStateStuckWithoutFlood(t *testing.T) {
@@ -91,7 +110,7 @@ func TestLoopyStateStuckWithoutFlood(t *testing.T) {
 	if ok {
 		t.Fatal("loopy state must persist without flooding")
 	}
-	if got := c.SuccMap().Classify(); got != vring.Loopy {
+	if got := node.Successors(c.Nodes).Classify(); got != vring.Loopy {
 		t.Errorf("state = %v, want still loopy", got)
 	}
 }
@@ -102,7 +121,7 @@ func TestLoopyStateResolvedByFlood(t *testing.T) {
 	_, c := injectLoopy(t, 3, Config{EnableFlood: true})
 	if _, ok := c.RunUntilConsistent(60000); !ok {
 		t.Fatalf("flood failed to resolve loopy state: %v (%v)",
-			c.SuccMap().Classify(), c.SuccMap())
+			node.Successors(c.Nodes).Classify(), node.Successors(c.Nodes))
 	}
 }
 
@@ -114,18 +133,7 @@ func injectSeparateRings(t *testing.T, cfg Config) (*phys.Network, *Cluster) {
 	topo := succ.ToGraph()
 	topo.AddEdge(18, 21) // physical bridge between the two islands
 	net := newNet(t, topo, 5)
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node)}
-	for _, v := range topo.Nodes() {
-		c.Nodes[v] = NewNode(net, v, cfg)
-	}
-	for v, n := range c.Nodes {
-		r, err := sroute.New(v, succ[v])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.SetSuccessor(r)
-		n.Start(sim.Time(int64(v) % 8))
-	}
+	c := NewClusterFrom(net, cfg, succ)
 	return net, c
 }
 
@@ -134,7 +142,7 @@ func TestSeparateRingsMergedByFlood(t *testing.T) {
 	// other's representative and the rings merge.
 	_, c := injectSeparateRings(t, Config{EnableFlood: true})
 	if _, ok := c.RunUntilConsistent(60000); !ok {
-		t.Fatalf("rings not merged: %v (%v)", c.SuccMap().Classify(), c.SuccMap())
+		t.Fatalf("rings not merged: %v (%v)", node.Successors(c.Nodes).Classify(), node.Successors(c.Nodes))
 	}
 }
 

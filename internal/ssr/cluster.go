@@ -1,55 +1,35 @@
 package ssr
 
 import (
-	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vring"
 )
 
-// Cluster runs SSR over an entire network and provides the convergence
-// oracle and routing-experiment helpers.
+// Cluster runs SSR over an entire network — the shared driver of
+// package node — and provides the convergence oracle and
+// routing-experiment helpers.
 type Cluster struct {
-	Net   phys.Transport
-	Nodes map[ids.ID]*Node
-	cfg   Config
-
-	minID, maxID ids.ID
-	probeStopped bool
+	node.Cluster[*Node]
+	cfg Config
 }
 
 // NewCluster creates one SSR node per topology node and starts them with
 // per-node jitter drawn from the engine's seeded source.
 func NewCluster(net phys.Transport, cfg Config) *Cluster {
-	cfg = cfg.withDefaults()
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node), cfg: cfg}
-	nodes := net.Topology().Nodes()
-	for _, v := range nodes {
-		c.Nodes[v] = NewNode(net, v, cfg)
-	}
-	if len(nodes) > 0 {
-		c.minID = nodes[0]
-		c.maxID = nodes[len(nodes)-1]
-	}
-	for _, v := range nodes {
-		c.Nodes[v].Start(sim.Time(net.Engine().Rand().Int63n(int64(cfg.TickInterval))))
-	}
+	c := &Cluster{cfg: cfg.withDefaults()}
+	c.Cluster = node.NewCluster(net, c.Consistent,
+		func(v ids.ID) *Node { return NewNode(net, v, c.cfg) },
+		func(_ ids.ID, n *Node) { n.Start(startJitter(net, c.cfg)) })
 	return c
 }
 
-// VirtualGraph returns the current virtual edge set E_v: an undirected edge
-// {v,u} for every cached route destination u of every node v.
-func (c *Cluster) VirtualGraph() *graph.Graph {
-	g := graph.New()
-	for v, n := range c.Nodes {
-		g.AddNode(v)
-		for _, dst := range n.Cache().Destinations() {
-			g.AddEdge(v, dst)
-		}
-	}
-	return g
+// startJitter draws one node's start offset within the first tick interval
+// from the engine's seeded source.
+func startJitter(net phys.Transport, cfg Config) sim.Time {
+	return sim.Time(net.Engine().Rand().Int63n(int64(cfg.TickInterval)))
 }
 
 // LineReport diagnoses the line view of the current virtual graph.
@@ -67,11 +47,7 @@ func (c *Cluster) Consistent() bool {
 	if len(c.Nodes) < 2 {
 		return true
 	}
-	nodes := make([]ids.ID, 0, len(c.Nodes))
-	for v := range c.Nodes {
-		nodes = append(nodes, v)
-	}
-	ids.SortAsc(nodes)
+	nodes := c.IDs()
 	for i, v := range nodes {
 		n := c.Nodes[v]
 		if i > 0 && n.Cache().Route(nodes[i-1]) == nil {
@@ -84,43 +60,7 @@ func (c *Cluster) Consistent() bool {
 	if !c.cfg.CloseRing || len(c.Nodes) < 3 {
 		return true
 	}
-	min, max := c.Nodes[c.minID], c.Nodes[c.maxID]
-	return min.hasWrapLeft && min.wrapLeft == c.maxID &&
-		max.hasWrapRight && max.wrapRight == c.minID
-}
-
-// RunUntilConsistent drives the simulation until global consistency or the
-// deadline, returning the convergence time and whether it converged.
-func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
-}
-
-// Stop halts all nodes' periodic activity and any attached probes.
-func (c *Cluster) Stop() {
-	c.probeStopped = true
-	for _, n := range c.Nodes {
-		n.Stop()
-	}
-}
-
-// AttachProbe samples the cluster's virtual graph into the convergence
-// probe every `every` ticks, starting one interval from now, until Stop.
-// Each sample is one "round" of the message-level convergence series —
-// the hook that lets the round-by-round probes of the abstract model watch
-// the asynchronous protocol too.
-func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil {
-		return
-	}
-	round := 0
-	c.Net.Engine().Every(every, func() bool {
-		if c.probeStopped {
-			return false
-		}
-		p.Observe(round, c.VirtualGraph())
-		round++
-		return true
-	})
+	return node.AtExtremes(&c.Nodes[nodes[0]].wrap, &c.Nodes[nodes[len(nodes)-1]].wrap)
 }
 
 // PendingOps returns the total number of in-flight introduction operations

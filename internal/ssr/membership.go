@@ -1,9 +1,6 @@
 package ssr
 
-import (
-	"repro/internal/ids"
-	"repro/internal/sim"
-)
+import "repro/internal/ids"
 
 // Join adds a new node to a running cluster. The caller must already have
 // attached the node's physical links (net.AddLink); Join registers the SSR
@@ -14,13 +11,7 @@ import (
 func (c *Cluster) Join(v ids.ID) *Node {
 	n := NewNode(c.Net, v, c.cfg)
 	c.Nodes[v] = n
-	if v < c.minID || len(c.Nodes) == 1 {
-		c.minID = v
-	}
-	if v > c.maxID || len(c.Nodes) == 1 {
-		c.maxID = v
-	}
-	n.Start(sim.Time(c.Net.Engine().Rand().Int63n(int64(c.cfg.TickInterval))))
+	n.Start(startJitter(c.Net, c.cfg))
 	// A new extremal node invalidates previously-correct wrap edges; the
 	// wrap re-validation in maybeDiscover heals them as knowledge spreads.
 	return n
@@ -28,9 +19,9 @@ func (c *Cluster) Join(v ids.ID) *Node {
 
 // Leave fails a node without any cooperative shutdown: the node simply
 // goes dark. Survivors notice through the keepalive failure detector and
-// re-linearize around the gap. Leave updates the cluster's oracle
-// bookkeeping (survivor extremes) but deliberately does NOT purge any
-// caches — detection must be organic.
+// re-linearize around the gap. Leave removes the node from the oracle's
+// membership but deliberately does NOT purge any caches — detection must be
+// organic.
 func (c *Cluster) Leave(v ids.ID) {
 	n, ok := c.Nodes[v]
 	if !ok {
@@ -39,7 +30,6 @@ func (c *Cluster) Leave(v ids.ID) {
 	n.Stop()
 	c.Net.FailNode(v)
 	delete(c.Nodes, v)
-	c.recomputeExtremes()
 }
 
 // LeaveGraceful removes a node with explicit notice: every survivor purges
@@ -58,29 +48,6 @@ func (c *Cluster) LeaveGraceful(v ids.ID) {
 		s.Cache().Remove(v)
 		delete(s.revNbrs, v)
 		delete(s.lastHeard, v)
-		if s.hasWrapLeft && s.wrapLeft == v {
-			s.hasWrapLeft, s.wrapLeftRoute = false, nil
-		}
-		if s.hasWrapRight && s.wrapRight == v {
-			s.hasWrapRight, s.wrapRightRoute = false, nil
-		}
-	}
-	c.recomputeExtremes()
-}
-
-func (c *Cluster) recomputeExtremes() {
-	first := true
-	for v := range c.Nodes {
-		if first {
-			c.minID, c.maxID = v, v
-			first = false
-			continue
-		}
-		if v < c.minID {
-			c.minID = v
-		}
-		if v > c.maxID {
-			c.maxID = v
-		}
+		s.wrap.Forget(v)
 	}
 }

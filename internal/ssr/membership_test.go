@@ -67,7 +67,7 @@ func TestJoinNewExtremeUpdatesWrap(t *testing.T) {
 	min := nodes[0]
 	wl, _, hasWL, _ := c.Nodes[min].WrapPartners()
 	if !hasWL || wl != newMax {
-		t.Errorf("min wrapLeft = %v (has=%v), want new max %v", wl, hasWL, newMax)
+		t.Errorf("min left wrap partner = %v (has=%v), want new max %v", wl, hasWL, newMax)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestJoinIntoSingletonCluster(t *testing.T) {
 	if _, ok := c.RunUntilConsistent(net.Engine().Now() + 40000); !ok {
 		t.Fatal("two-node ring should be trivial")
 	}
-	if c.minID != 100 || c.maxID != 200 {
-		t.Errorf("extremes = %v,%v", c.minID, c.maxID)
+	if got := c.IDs(); len(got) != 2 || got[0] != 100 || got[1] != 200 {
+		t.Errorf("members = %v, want [100 200]", got)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestDiscoverAckFromForeignRouteIgnored(t *testing.T) {
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindDiscoverAck,
 		Payload: phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindDiscoverAck, Payload: bad}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
-	if a.hasWrapLeft {
+	if _, has := a.wrap.Partner(ids.Left); has {
 		t.Error("foreign discover-ack must not set a wrap partner")
 	}
 }

@@ -38,6 +38,7 @@ package ssr
 import (
 	"repro/internal/cache"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/sroute"
@@ -188,13 +189,11 @@ type Node struct {
 	// intermediate hops).
 	lastHeard map[ids.ID]sim.Time
 
-	// Ring closure state: the wrap partners, exempt from linearization.
-	// Wrap routes are stored here, not in the route cache, because the
-	// cache's interval slots may be contested by ring-far but line-near
-	// nodes; the wrap edge must survive regardless.
-	wrapLeft, wrapRight           ids.ID
-	hasWrapLeft, hasWrapRight     bool
-	wrapLeftRoute, wrapRightRoute sroute.Route
+	// Ring closure state (rules in node.Wrap): the wrap partners and the
+	// source routes to them. Wrap routes are stored here, not in the route
+	// cache, because the cache's interval slots may be contested by
+	// ring-far but line-near nodes; the wrap edge must survive regardless.
+	wrap node.Wrap[sroute.Route]
 
 	// OnDeliver, if set, observes data packets addressed to this node.
 	OnDeliver func(d Delivery)
@@ -219,6 +218,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 		revNbrs:    make(map[ids.ID]revEntry),
 		tornDown:   make(map[ids.ID]sim.Time),
 		lastHeard:  make(map[ids.ID]sim.Time),
+		wrap:       node.NewWrap[sroute.Route](id),
 	}
 	n.courier = phys.NewCourier(net, id)
 	n.courier.OnDeliver = n.deliver
@@ -265,11 +265,12 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 			delete(n.revNbrs, u)
 		}
 	}
-	if n.hasWrapLeft && (n.wrapLeft == peer || (len(n.wrapLeftRoute) >= 2 && n.wrapLeftRoute[1] == peer)) {
-		n.hasWrapLeft, n.wrapLeftRoute = false, nil
-	}
-	if n.hasWrapRight && (n.wrapRight == peer || (len(n.wrapRightRoute) >= 2 && n.wrapRightRoute[1] == peer)) {
-		n.hasWrapRight, n.wrapRightRoute = false, nil
+	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
+		if p, ok := n.wrap.Partner(d); ok {
+			if r := n.wrap.State(d); p == peer || (len(r) >= 2 && r[1] == peer) {
+				n.wrap.Drop(d)
+			}
+		}
 	}
 	n.tombstone(peer, deadAfter)
 }
@@ -289,8 +290,14 @@ func (n *Node) Predecessor() (ids.ID, bool) { return n.predecessorID() }
 
 // WrapPartners returns the established ring-closure partners.
 func (n *Node) WrapPartners() (left, right ids.ID, hasLeft, hasRight bool) {
-	return n.wrapLeft, n.wrapRight, n.hasWrapLeft, n.hasWrapRight
+	left, hasLeft = n.wrap.Partner(ids.Left)
+	right, hasRight = n.wrap.Partner(ids.Right)
+	return
 }
+
+// VirtualNeighbors returns the cached route destinations, ascending: this
+// node's share of the virtual edge set E_v.
+func (n *Node) VirtualNeighbors() []ids.ID { return n.rc.Destinations() }
 
 // Start seeds the cache with the physical neighborhood (E_v := E_p) and
 // begins the maintenance tick. jitter staggers the first tick.
@@ -300,23 +307,13 @@ func (n *Node) Start(jitter sim.Time) {
 			n.rc.Insert(r)
 		}
 	}
-	n.net.Engine().After(n.cfg.TickInterval+jitter, n.tick)
+	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
 }
 
 // Stop halts periodic activity after the current event.
 func (n *Node) Stop() { n.stopped = true }
 
 func (n *Node) tick() {
-	if n.stopped {
-		return
-	}
-	if !n.net.Up(n.id) {
-		// Stay scheduled while down: a crashed node does no protocol work,
-		// but keeping the chain alive means RecoverNode resumes maintenance
-		// without anyone having to restart the node (crash/recover churn).
-		n.net.Engine().After(n.cfg.TickInterval, n.tick)
-		return
-	}
 	n.ticks++
 	n.linearizeSide(ids.Right)
 	n.linearizeSide(ids.Left)
@@ -359,7 +356,6 @@ func (n *Node) tick() {
 			}
 		}
 	}
-	n.net.Engine().After(n.cfg.TickInterval, n.tick)
 }
 
 // deadAfter is the failure-detection threshold in ticks (several keepalive
@@ -370,15 +366,14 @@ const deadAfter = 5 * keepaliveEvery
 const keepaliveEvery = 8
 
 // lineNeighbors returns the cache destinations on the given side excluding
-// wrap partners — the N_L / N_R sets of §4. Wrap partners are excluded by
-// identity regardless of side: the minimum node's ring predecessor is the
-// maximum node, which lies to its line-*right*.
+// wrap partners (by identity, whichever side they lie on) — the N_L / N_R
+// sets of §4.
 func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
 	now := n.net.Engine().Now()
 	seen := ids.NewSet()
 	var out []ids.ID
 	add := func(u ids.ID) {
-		if (n.hasWrapLeft && u == n.wrapLeft) || (n.hasWrapRight && u == n.wrapRight) {
+		if n.wrap.Has(u) {
 			return
 		}
 		if ids.DirOf(n.id, u) == d && seen.Add(u) {
@@ -486,77 +481,34 @@ func (n *Node) introduce(a, b ids.ID, tear bool) {
 // maybeDiscover sends ring-closure discovery from the extremal sides: a
 // node with an empty left neighbor set sends clockwise discovery (seeking
 // the node with an empty right set), and symmetrically for redundancy. An
-// already-established wrap is re-validated: if the cache meanwhile knows a
-// ring-closer partner, the stale wrap is dropped and discovery retried —
-// this heals wraps that were established before the line had fully formed.
+// already-established wrap is re-validated first (node.Wrap.Revalidate): a
+// wrap on a side that is no longer empty, or beaten by a ring-closer node
+// the cache or the reverse neighbors meanwhile know, is dropped and
+// discovery retried — this heals wraps that were established before the
+// line had fully formed. (The true extremes keep theirs: the wrap partner
+// itself is excluded from the side scan.)
 func (n *Node) maybeDiscover() {
-	// Wrap state is only legitimate while the corresponding line side is
-	// actually empty: a non-extremal node that adopted a wrap partner
-	// during a transient empty-side phase would otherwise exempt its true
-	// line neighbor from linearization forever. (The true extremes keep
-	// theirs: the wrap partner itself is excluded from the side scan.)
-	if n.hasWrapLeft && len(n.lineNeighbors(ids.Left)) > 0 {
-		n.hasWrapLeft, n.wrapLeftRoute = false, nil
-	}
-	if n.hasWrapRight && len(n.lineNeighbors(ids.Right)) > 0 {
-		n.hasWrapRight, n.wrapRightRoute = false, nil
-	}
-	if n.hasWrapLeft && !n.wrapStillBest(ids.Left) {
-		n.hasWrapLeft, n.wrapLeftRoute = false, nil
-	}
-	if n.hasWrapRight && !n.wrapStillBest(ids.Right) {
-		n.hasWrapRight, n.wrapRightRoute = false, nil
-	}
+	sideEmpty := func(d ids.Dir) bool { return len(n.lineNeighbors(d)) == 0 }
+	n.wrap.Revalidate(sideEmpty, func() []ids.ID {
+		known := n.rc.Destinations()
+		for u := range n.liveRevNbrs() {
+			known = append(known, u)
+		}
+		return known
+	})
 	// Even an established wrap is re-probed periodically: with bounded
 	// caches the extremal nodes may never learn of each other through the
 	// cache alone (they evict each other's far-away entries), so a wrap
 	// that was acknowledged by a transient dead end would otherwise freeze
 	// forever. Re-discovery is cheap — only nodes with an empty side do it
 	// — and best-wins adoption makes it converge to the true extreme.
-	refresh := n.ticks%wrapRefreshEvery == 0
-	if len(n.lineNeighbors(ids.Left)) == 0 && (!n.hasWrapLeft || refresh) {
+	refresh := n.ticks%node.WrapRefreshEvery == 0
+	if _, has := n.wrap.Partner(ids.Left); sideEmpty(ids.Left) && (!has || refresh) {
 		n.sendDiscover(ids.Left)
 	}
-	if n.cfg.BothDirections && len(n.lineNeighbors(ids.Right)) == 0 && (!n.hasWrapRight || refresh) {
+	if _, has := n.wrap.Partner(ids.Right); n.cfg.BothDirections && sideEmpty(ids.Right) && (!has || refresh) {
 		n.sendDiscover(ids.Right)
 	}
-}
-
-// wrapRefreshEvery is the wrap re-probe period in ticks.
-const wrapRefreshEvery = 8
-
-// discoveryMetric returns the greedy metric of a discovery launched by
-// origin in direction d: clockwise (Left) discovery seeks origin's ring
-// predecessor, so candidates are ranked by clockwise distance *to* the
-// origin; counter-clockwise (Right) discovery seeks the ring successor, so
-// candidates are ranked by clockwise distance *from* the origin.
-func discoveryMetric(origin ids.ID, d ids.Dir) func(ids.ID) uint64 {
-	if d == ids.Left {
-		return func(x ids.ID) uint64 { return ids.RingDist(x, origin) }
-	}
-	return func(x ids.ID) uint64 { return ids.RingDist(origin, x) }
-}
-
-// wrapStillBest reports whether the current wrap partner on side d is still
-// the ring-closest candidate we know of.
-func (n *Node) wrapStillBest(d ids.Dir) bool {
-	metric := discoveryMetric(n.id, d)
-	partner := n.wrapLeft
-	if d == ids.Right {
-		partner = n.wrapRight
-	}
-	best := metric(partner)
-	for _, x := range n.rc.Destinations() {
-		if x != n.id && metric(x) < best {
-			return false
-		}
-	}
-	for u := range n.liveRevNbrs() {
-		if u != n.id && metric(u) < best {
-			return false
-		}
-	}
-	return true
 }
 
 // liveRevNbrs returns the fresh reverse-neighbor entries (see revNbrs).
@@ -596,7 +548,7 @@ func (n *Node) bestByMetric(exclude ids.ID, metric func(ids.ID) uint64) (ids.ID,
 }
 
 func (n *Node) sendDiscover(d ids.Dir) {
-	metric := discoveryMetric(n.id, d)
+	metric := node.RingMetric(n.id, d)
 	_, via, ok := n.bestByMetric(n.id, metric)
 	if !ok || via == nil {
 		return
@@ -777,7 +729,7 @@ func (n *Node) handleDiscover(pkt phys.SRPacket) {
 	// Can we make greedy progress toward the sought extremal position? If
 	// yes, extend the accumulated route and forward; if not, we are the
 	// sought node: acknowledge, establishing the wrap edge.
-	metric := discoveryMetric(dp.Origin, dp.Dir)
+	metric := node.RingMetric(dp.Origin, dp.Dir)
 	if next, via, found := n.bestByMetric(dp.Origin, metric); found && via != nil && metric(next) < metric(n.id) {
 		if extended, err := dp.RouteFromOrigin.Append(via); err == nil {
 			n.courier.Send(via, KindDiscover, discoverPayload{
@@ -793,40 +745,19 @@ func (n *Node) handleDiscover(pkt phys.SRPacket) {
 	if len(back) < 2 || back.Src() != n.id {
 		return
 	}
+	side := ids.Left
 	if dp.Dir == ids.Left {
-		n.adoptWrap(ids.Right, dp.Origin, back)
-	} else {
-		n.adoptWrap(ids.Left, dp.Origin, back)
+		side = ids.Right
 	}
+	n.adoptWrap(side, dp.Origin, back)
 	n.courier.Send(back, KindDiscoverAck, discoverAckPayload{RouteFromOrigin: dp.RouteFromOrigin.Clone(), Dir: dp.Dir})
 }
 
 // adoptWrap installs a wrap partner on the given ring side if it beats the
-// incumbent under that side's discovery metric. Acks can arrive out of
-// order (a stale pre-line discovery may be acknowledged after the correct
-// one), so adoption must be best-wins, not last-wins.
+// incumbent (best-wins, see node.Wrap.Adopt).
 func (n *Node) adoptWrap(side ids.Dir, partner ids.ID, route sroute.Route) {
-	var metric func(ids.ID) uint64
-	if side == ids.Left {
-		// Our ring predecessor: ring-closest before us.
-		metric = func(x ids.ID) uint64 { return ids.RingDist(x, n.id) }
-	} else {
-		// Our ring successor: ring-closest after us.
-		metric = func(x ids.ID) uint64 { return ids.RingDist(n.id, x) }
-	}
-	switch side {
-	case ids.Left:
-		if n.hasWrapLeft && metric(n.wrapLeft) <= metric(partner) {
-			return
-		}
-		n.wrapLeft, n.hasWrapLeft, n.wrapLeftRoute = partner, true, route.Clone()
-		n.traceEvent(trace.EvRingClosed, partner, "wrap-left")
-	default:
-		if n.hasWrapRight && metric(n.wrapRight) <= metric(partner) {
-			return
-		}
-		n.wrapRight, n.hasWrapRight, n.wrapRightRoute = partner, true, route.Clone()
-		n.traceEvent(trace.EvRingClosed, partner, "wrap-right")
+	if n.wrap.Adopt(side, partner, route.Clone()) {
+		n.traceEvent(trace.EvRingClosed, partner, "wrap-"+side.String())
 	}
 }
 
@@ -835,12 +766,7 @@ func (n *Node) handleDiscoverAck(pkt phys.SRPacket) {
 	if !ok || len(da.RouteFromOrigin) < 2 || da.RouteFromOrigin.Src() != n.id {
 		return
 	}
-	endpoint := da.RouteFromOrigin.Dst()
-	if da.Dir == ids.Left {
-		n.adoptWrap(ids.Left, endpoint, da.RouteFromOrigin)
-	} else {
-		n.adoptWrap(ids.Right, endpoint, da.RouteFromOrigin)
-	}
+	n.adoptWrap(da.Dir, da.RouteFromOrigin.Dst(), da.RouteFromOrigin)
 }
 
 // SendData launches an application packet toward dst using SSR's greedy
@@ -876,10 +802,7 @@ func (n *Node) predecessorID() (ids.ID, bool) {
 	if p, ok := n.rc.Nearest(ids.Left); ok {
 		return p, true
 	}
-	if n.hasWrapLeft {
-		return n.wrapLeft, true
-	}
-	return 0, false
+	return n.wrap.Partner(ids.Left)
 }
 
 // successorID mirrors predecessorID on the right side.
@@ -887,10 +810,7 @@ func (n *Node) successorID() (ids.ID, bool) {
 	if s, ok := n.rc.Nearest(ids.Right); ok {
 		return s, true
 	}
-	if n.hasWrapRight {
-		return n.wrapRight, true
-	}
-	return 0, false
+	return n.wrap.Partner(ids.Right)
 }
 
 // ownsKey reports whether this node is the key's owner: the key lies in
@@ -916,8 +836,8 @@ func (n *Node) forwardAnycast(dp dataPayload) bool {
 		return false
 	}
 	via := n.routeTo(succ)
-	if via == nil && n.hasWrapRight && succ == n.wrapRight {
-		via = n.wrapRightRoute
+	if p, ok := n.wrap.Partner(ids.Right); via == nil && ok && succ == p {
+		via = n.wrap.State(ids.Right)
 	}
 	if via == nil {
 		return false
@@ -969,14 +889,11 @@ func (n *Node) forwardData(dp dataPayload) bool {
 			via, bestDist = r, d
 		}
 	}
-	if n.hasWrapLeft && n.wrapLeftRoute != nil {
-		if d := ids.RingDist(n.wrapLeft, dp.Dst); d < bestDist {
-			via, bestDist = n.wrapLeftRoute, d
-		}
-	}
-	if n.hasWrapRight && n.wrapRightRoute != nil {
-		if d := ids.RingDist(n.wrapRight, dp.Dst); d < bestDist {
-			via, bestDist = n.wrapRightRoute, d
+	for _, side := range [2]ids.Dir{ids.Left, ids.Right} {
+		if p, ok := n.wrap.Partner(side); ok && n.wrap.State(side) != nil {
+			if d := ids.RingDist(p, dp.Dst); d < bestDist {
+				via, bestDist = n.wrap.State(side), d
+			}
 		}
 	}
 	if via == nil {

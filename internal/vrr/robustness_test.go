@@ -105,7 +105,7 @@ func TestSideEmptyExcludesWrapPartner(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	min := c.Nodes[10]
-	if !min.hasWrapLeft {
+	if _, has := min.wrap.Partner(ids.Left); !has {
 		t.Fatal("min should hold a wrap partner")
 	}
 	if !min.sideEmpty(ids.Left) {

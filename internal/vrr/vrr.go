@@ -27,11 +27,10 @@
 package vrr
 
 import (
-	"repro/internal/graph"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Message kinds for counter accounting.
@@ -209,10 +208,10 @@ type Node struct {
 	ticks      int64
 	prov       map[provKey]ids.ID // toward-origin hop for in-flight discoveries
 
-	// Ring-closure state: wrap partners are ring neighbors, exempt from
-	// linearization of the vset (they are not line neighbors).
-	wrapLeft, wrapRight       ids.ID
-	hasWrapLeft, hasWrapRight bool
+	// Ring-closure state (rules in node.Wrap): wrap partners are ring
+	// neighbors, exempt from linearization of the vset. The wrap path itself
+	// is ordinary path state, so nothing is kept per partner.
+	wrap node.Wrap[struct{}]
 
 	// OnDeliver, if set, observes data packets addressed to this node.
 	OnDeliver func(d Delivery)
@@ -234,6 +233,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 		introduced: make(map[pairKey]sim.Time),
 		attempts:   make(map[pairKey]uint),
 		prov:       make(map[provKey]ids.ID),
+		wrap:       node.NewWrap[struct{}](id),
 	}
 	n.beacon = phys.NewBeaconer(net, id, cfg.HelloInterval)
 	n.beacon.OnNewNeighbor = n.addPhysicalNeighbor
@@ -281,12 +281,7 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 			continue
 		}
 		n.vset.Remove(u)
-		if n.hasWrapLeft && n.wrapLeft == u {
-			n.hasWrapLeft = false
-		}
-		if n.hasWrapRight && n.wrapRight == u {
-			n.hasWrapRight = false
-		}
+		n.wrap.Forget(u)
 	}
 }
 
@@ -306,7 +301,7 @@ func (n *Node) Representative() ids.ID { return n.beacon.Representative() }
 // Start begins beaconing and the linearization tick.
 func (n *Node) Start(jitter sim.Time) {
 	n.beacon.Start()
-	n.net.Engine().After(n.cfg.TickInterval+jitter, n.tick)
+	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
 }
 
 // Stop halts periodic activity.
@@ -336,22 +331,12 @@ func (n *Node) addPhysicalNeighbor(u ids.ID) {
 }
 
 func (n *Node) tick() {
-	if n.stopped {
-		return
-	}
-	if !n.net.Up(n.id) {
-		// Keep the chain scheduled while down so RecoverNode resumes
-		// maintenance (crash/recover churn in the chaos harness).
-		n.net.Engine().After(n.cfg.TickInterval, n.tick)
-		return
-	}
 	n.ticks++
 	n.linearizeSide(ids.Left)
 	n.linearizeSide(ids.Right)
 	if n.cfg.CloseRing {
 		n.maybeDiscover()
 	}
-	n.net.Engine().After(n.cfg.TickInterval, n.tick)
 }
 
 // pathTo returns a confirmed path where we are one endpoint and v the
@@ -377,10 +362,7 @@ func (n *Node) pathTo(v ids.ID) (PathID, bool) {
 func (n *Node) linearizeSide(d ids.Dir) {
 	var side []ids.ID
 	for _, u := range n.vset.Sorted() {
-		if (n.hasWrapLeft && u == n.wrapLeft) || (n.hasWrapRight && u == n.wrapRight) {
-			continue
-		}
-		if ids.DirOf(n.id, u) == d {
+		if !n.wrap.Has(u) && ids.DirOf(n.id, u) == d {
 			side = append(side, u)
 		}
 	}
@@ -506,72 +488,34 @@ func (n *Node) handleSetupAck(m phys.Message) {
 // on the given side.
 func (n *Node) sideEmpty(d ids.Dir) bool {
 	for u := range n.vset {
-		if (n.hasWrapLeft && u == n.wrapLeft) || (n.hasWrapRight && u == n.wrapRight) {
-			continue
-		}
-		if ids.DirOf(n.id, u) == d {
+		if !n.wrap.Has(u) && ids.DirOf(n.id, u) == d {
 			return false
 		}
 	}
 	return true
 }
 
-// wrapMetric ranks candidates for the wrap partner on the given ring side
-// of origin: Left wants the ring predecessor, Right the ring successor.
-func wrapMetric(origin ids.ID, side ids.Dir) func(ids.ID) uint64 {
-	if side == ids.Left {
-		return func(x ids.ID) uint64 { return ids.RingDist(x, origin) }
-	}
-	return func(x ids.ID) uint64 { return ids.RingDist(origin, x) }
-}
-
-// maybeDiscover launches discovery from the extremal sides and re-validates
-// stale wrap partners against newer knowledge.
+// maybeDiscover launches discovery from the extremal sides after
+// re-validating established wrap partners (node.Wrap.Revalidate) against
+// every endpoint the path table names, transit paths included.
 func (n *Node) maybeDiscover() {
-	// Wrap state is only legitimate while the side is actually empty: a
-	// non-extremal node that adopted a wrap partner during a transient
-	// empty-side phase would otherwise exempt its true line neighbor from
-	// linearization forever.
-	if n.hasWrapLeft && !n.sideEmpty(ids.Left) {
-		n.hasWrapLeft = false
-	}
-	if n.hasWrapRight && !n.sideEmpty(ids.Right) {
-		n.hasWrapRight = false
-	}
-	if n.hasWrapLeft && !n.wrapStillBest(ids.Left) {
-		n.hasWrapLeft = false
-	}
-	if n.hasWrapRight && !n.wrapStillBest(ids.Right) {
-		n.hasWrapRight = false
-	}
+	n.wrap.Revalidate(n.sideEmpty, func() []ids.ID {
+		known := make([]ids.ID, 0, 2*len(n.paths))
+		for p := range n.paths {
+			known = append(known, p.A, p.B)
+		}
+		return known
+	})
 	// Established wraps are re-probed periodically: a wrap acknowledged by
 	// a transient dead end would otherwise freeze (same rationale as in
 	// package ssr), and the extremal nodes may never meet through the path
 	// tables alone.
-	refresh := n.ticks%8 == 0
-	if n.sideEmpty(ids.Left) && (!n.hasWrapLeft || refresh) {
-		n.sendDiscover(ids.Left)
-	}
-	if n.sideEmpty(ids.Right) && (!n.hasWrapRight || refresh) {
-		n.sendDiscover(ids.Right)
-	}
-}
-
-func (n *Node) wrapStillBest(side ids.Dir) bool {
-	metric := wrapMetric(n.id, side)
-	partner := n.wrapLeft
-	if side == ids.Right {
-		partner = n.wrapRight
-	}
-	best := metric(partner)
-	for p := range n.paths {
-		for _, ep := range [2]ids.ID{p.A, p.B} {
-			if ep != n.id && metric(ep) < best {
-				return false
-			}
+	refresh := n.ticks%node.WrapRefreshEvery == 0
+	for _, side := range [2]ids.Dir{ids.Left, ids.Right} {
+		if _, has := n.wrap.Partner(side); n.sideEmpty(side) && (!has || refresh) {
+			n.sendDiscover(side)
 		}
 	}
-	return true
 }
 
 // bestEndpoint returns the confirmed own-endpoint path whose far endpoint
@@ -602,7 +546,7 @@ func (n *Node) bestEndpoint(exclude ids.ID, metric func(ids.ID) uint64) (PathID,
 }
 
 func (n *Node) sendDiscover(side ids.Dir) {
-	metric := wrapMetric(n.id, side)
+	metric := node.RingMetric(n.id, side)
 	via, ep, ok := n.bestEndpoint(n.id, metric)
 	if !ok {
 		return
@@ -648,7 +592,7 @@ func (n *Node) handleDiscover(m phys.Message) {
 	}
 	// At a committed endpoint: re-decide with strict metric improvement so
 	// the endpoint sequence is monotone and the walk terminates.
-	metric := wrapMetric(dp.Origin, dp.Dir)
+	metric := node.RingMetric(dp.Origin, dp.Dir)
 	if via, ep, found := n.bestEndpoint(dp.Origin, metric); found && metric(ep) < metric(n.id) {
 		if next, okN := n.paths[via].next(via, ep); okN {
 			n.net.Send(phys.Message{From: n.id, To: next, Kind: KindDiscover, Payload: discoverPayload{
@@ -672,16 +616,11 @@ func (n *Node) handleDiscover(m phys.Message) {
 		e.toB, e.hasToB = dp.PrevHop, true
 	}
 	n.paths[wrap] = e
+	side := ids.Left
 	if dp.Dir == ids.Left {
-		// The origin is our ring successor.
-		if !n.hasWrapRight || wrapMetric(n.id, ids.Right)(dp.Origin) < wrapMetric(n.id, ids.Right)(n.wrapRight) {
-			n.wrapRight, n.hasWrapRight = dp.Origin, true
-		}
-	} else {
-		if !n.hasWrapLeft || wrapMetric(n.id, ids.Left)(dp.Origin) < wrapMetric(n.id, ids.Left)(n.wrapLeft) {
-			n.wrapLeft, n.hasWrapLeft = dp.Origin, true
-		}
+		side = ids.Right // a clockwise discovery's origin is our ring successor
 	}
+	n.wrap.Adopt(side, dp.Origin, struct{}{})
 	n.vset.Add(dp.Origin)
 	n.net.Send(phys.Message{From: n.id, To: dp.PrevHop, Kind: KindDiscoverAck, Payload: discoverAckPayload{
 		Path: wrap, Key: key, Dir: dp.Dir, PrevHop: n.id,
@@ -712,17 +651,7 @@ func (n *Node) handleDiscoverAck(m phys.Message) {
 	if da.Key.Origin == n.id {
 		e.confirmed = true
 		// Discovery complete: adopt the endpoint as wrap partner.
-		side := da.Dir
-		metric := wrapMetric(n.id, side)
-		if side == ids.Left {
-			if !n.hasWrapLeft || metric(endpoint) < metric(n.wrapLeft) {
-				n.wrapLeft, n.hasWrapLeft = endpoint, true
-			}
-		} else {
-			if !n.hasWrapRight || metric(endpoint) < metric(n.wrapRight) {
-				n.wrapRight, n.hasWrapRight = endpoint, true
-			}
-		}
+		n.wrap.Adopt(da.Dir, endpoint, struct{}{})
 		n.vset.Add(endpoint)
 		return
 	}
@@ -863,43 +792,20 @@ func (n *Node) forwardData(dp dataPayload) bool {
 
 // --- Cluster driver --------------------------------------------------------
 
-// Cluster runs VRR over a network with a convergence oracle.
+// Cluster runs VRR over a network — the shared driver of package node —
+// with a convergence oracle.
 type Cluster struct {
-	Net   phys.Transport
-	Nodes map[ids.ID]*Node
-	cfg   Config
-
-	minID, maxID ids.ID
-	probeStopped bool
+	node.Cluster[*Node]
+	cfg Config
 }
 
 // NewCluster creates one VRR node per topology node and starts them.
 func NewCluster(net phys.Transport, cfg Config) *Cluster {
-	c := &Cluster{Net: net, Nodes: make(map[ids.ID]*Node), cfg: cfg}
-	nodes := net.Topology().Nodes()
-	for _, v := range nodes {
-		c.Nodes[v] = NewNode(net, v, cfg)
-	}
-	if len(nodes) > 0 {
-		c.minID = nodes[0]
-		c.maxID = nodes[len(nodes)-1]
-	}
-	for _, v := range nodes {
-		c.Nodes[v].Start(sim.Time(net.Engine().Rand().Int63n(8)))
-	}
+	c := &Cluster{cfg: cfg}
+	c.Cluster = node.NewCluster(net, c.Consistent,
+		func(v ids.ID) *Node { return NewNode(net, v, cfg) },
+		func(_ ids.ID, n *Node) { n.Start(sim.Time(net.Engine().Rand().Int63n(8))) })
 	return c
-}
-
-// VirtualGraph returns E_v: an edge for every virtual neighbor relation.
-func (c *Cluster) VirtualGraph() *graph.Graph {
-	g := graph.New()
-	for v, n := range c.Nodes {
-		g.AddNode(v)
-		for _, u := range n.VirtualNeighbors() {
-			g.AddEdge(v, u)
-		}
-	}
-	return g
 }
 
 // Consistent reports whether the virtual graph embeds the sorted line and,
@@ -915,7 +821,7 @@ func (c *Cluster) Consistent() bool {
 	// VRR has no reverse-neighbor mechanism, so routing correctness needs
 	// every node to know its own line neighbors (two-sided edges), not just
 	// one endpoint of each edge.
-	nodes := c.Net.Topology().Nodes()
+	nodes := c.IDs()
 	for i, v := range nodes {
 		if i > 0 && !c.Nodes[v].vset.Has(nodes[i-1]) {
 			return false
@@ -927,41 +833,7 @@ func (c *Cluster) Consistent() bool {
 	if !c.cfg.CloseRing || len(c.Nodes) < 3 {
 		return true
 	}
-	min, max := c.Nodes[c.minID], c.Nodes[c.maxID]
-	return min.hasWrapLeft && min.wrapLeft == c.maxID &&
-		max.hasWrapRight && max.wrapRight == c.minID
-}
-
-// RunUntilConsistent drives the simulation until consistency or deadline.
-func (c *Cluster) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {
-	return c.Net.Engine().RunUntilHolds(deadline, 8, c.Consistent)
-}
-
-// Stop halts all nodes and any attached probes.
-func (c *Cluster) Stop() {
-	c.probeStopped = true
-	for _, n := range c.Nodes {
-		n.Stop()
-	}
-}
-
-// AttachProbe samples the cluster's virtual graph into the convergence
-// probe every `every` ticks, starting one interval from now, until Stop —
-// the same observation contract as ssr.Cluster.AttachProbe, so VRR
-// bootstraps produce comparable trace series.
-func (c *Cluster) AttachProbe(p *trace.Probe, every sim.Time) {
-	if p == nil {
-		return
-	}
-	round := 0
-	c.Net.Engine().Every(every, func() bool {
-		if c.probeStopped {
-			return false
-		}
-		p.Observe(round, c.VirtualGraph())
-		round++
-		return true
-	})
+	return node.AtExtremes(&c.Nodes[nodes[0]].wrap, &c.Nodes[nodes[len(nodes)-1]].wrap)
 }
 
 // StateSummary returns the per-node path-table sizes — the router-state

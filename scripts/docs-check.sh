@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fails when README.md, EXPERIMENTS.md, DESIGN.md or the verify skill quote
-# a ./cmd/<name> directory or an ssrsim `-mode <m>` that does not exist, so a
-# rename cannot leave dead commands in the docs. Also fails on a one-variable
+# a ./cmd/<name> or internal/<pkg> directory or an ssrsim `-mode <m>` that
+# does not exist, so a rename or a deletion cannot leave dead commands or
+# package names in the docs. Also fails on a one-variable
 # `for u := range g.Neighbors(v)` anywhere in the Go sources: Neighbors
 # returns a slice, so that form compiles and yields indices, and go vet does
 # not flag it where u is only compared. Run from the repo root.
@@ -9,7 +10,7 @@ docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
 fail=0
-for c in $(grep -oh 'cmd/[a-z][a-z]*' $docs | sort -u); do
+for c in $(grep -oh -e 'cmd/[a-z][a-z]*' -e 'internal/[a-z][a-z0-9]*' $docs | sort -u); do
 	[ -d "$c" ] || { echo "docs-check: the docs quote ./$c, which does not exist"; fail=1; }
 done
 for m in $(grep -oh -- '-mode [a-z][a-z]*' $docs | cut -d' ' -f2 | sort -u); do

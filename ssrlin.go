@@ -34,6 +34,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/isprp"
 	"repro/internal/linearize"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/ssr"
@@ -87,6 +88,8 @@ type Simulation struct {
 	ssrCluster   *ssr.Cluster
 	vrrCluster   *vrr.Cluster
 	isprpCluster *isprp.Cluster
+	// proto is whichever of the three was bootstrapped, for Consistent.
+	proto node.Protocol
 }
 
 // NewSimulation builds the physical network.
@@ -138,7 +141,13 @@ type SSRConfig = ssr.Config
 // drives the simulation to global consistency (deadline scales with n).
 func (s *Simulation) BootstrapSSR(cfg SSRConfig) BootstrapResult {
 	s.ssrCluster = ssr.NewCluster(s.net, cfg)
-	at, ok := s.ssrCluster.RunUntilConsistent(s.deadline())
+	return s.bootstrap(s.ssrCluster)
+}
+
+// bootstrap drives the freshly started protocol to global consistency.
+func (s *Simulation) bootstrap(p node.Protocol) BootstrapResult {
+	s.proto = p
+	at, ok := p.RunUntilConsistent(s.deadline())
 	return BootstrapResult{Converged: ok, Time: int64(at), Messages: s.Messages()}
 }
 
@@ -148,8 +157,7 @@ type VRRConfig = vrr.Config
 // BootstrapVRR runs the linearized VRR bootstrap (footnote 1 of §4).
 func (s *Simulation) BootstrapVRR(cfg VRRConfig) BootstrapResult {
 	s.vrrCluster = vrr.NewCluster(s.net, cfg)
-	at, ok := s.vrrCluster.RunUntilConsistent(s.deadline())
-	return BootstrapResult{Converged: ok, Time: int64(at), Messages: s.Messages()}
+	return s.bootstrap(s.vrrCluster)
 }
 
 // ISPRPConfig re-exports isprp.Config.
@@ -158,8 +166,7 @@ type ISPRPConfig = isprp.Config
 // BootstrapISPRP runs the flooding baseline that linearization replaces.
 func (s *Simulation) BootstrapISPRP(cfg ISPRPConfig) BootstrapResult {
 	s.isprpCluster = isprp.NewCluster(s.net, cfg)
-	at, ok := s.isprpCluster.RunUntilConsistent(s.deadline())
-	return BootstrapResult{Converged: ok, Time: int64(at), Messages: s.Messages()}
+	return s.bootstrap(s.isprpCluster)
 }
 
 func (s *Simulation) deadline() sim.Time {
@@ -190,16 +197,7 @@ func (s *Simulation) Route(src, dst ID) RouteOutcome {
 // Consistent reports whether the bootstrapped protocol's virtual structure
 // is globally consistent right now.
 func (s *Simulation) Consistent() bool {
-	switch {
-	case s.ssrCluster != nil:
-		return s.ssrCluster.Consistent()
-	case s.vrrCluster != nil:
-		return s.vrrCluster.Consistent()
-	case s.isprpCluster != nil:
-		return s.isprpCluster.Consistent()
-	default:
-		return false
-	}
+	return s.proto != nil && s.proto.Consistent()
 }
 
 // SSR exposes the SSR cluster after BootstrapSSR (nil before).
