@@ -23,11 +23,11 @@ staticcheck:
 test:
 	$(GO) test ./...
 
-# The second line repeats the test of graph's concurrency contract
-# (goroutines mutating disjoint identifier intervals of one Graph).
+# The second line repeats the test of linearize's concurrency contract
+# (one writer per index interval of the engine's dense rows).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run TestConcurrentDisjointIntervals ./internal/graph/
+	$(GO) test -race -count=10 -run TestParallelRaceHammer ./internal/linearize/
 
 # benchmark/ is a module of its own that imports repro/internal/...: an
 # internal API change can break it with every root gate above green.

@@ -7,10 +7,14 @@ package graph
 // is one binary search with no identifier → row hash probe. The Jacobi
 // executor (linearization with memory) runs its whole round on this image:
 // every node proposes against the same round-start rows, and Merge folds
-// the proposals into the next image and into the live Graph.
+// the proposals into the next image.
 //
 // A CSR is immutable after construction and therefore safe for concurrent
 // readers without locking — what the parallel proposal phase relies on.
+// Its mutable sibling is the same rows as one []int32 per node (DenseRows,
+// and FreezeRows back), the state of linearize's in-place step. A Graph
+// goes in (NewCSR, DenseRows) and a Graph comes out (CSR.Graph); nothing in
+// between translates an identifier.
 
 import (
 	"slices"
@@ -51,6 +55,49 @@ func NewCSR(g *Graph) *CSR {
 	return c
 }
 
+// DenseRows returns g's nodes ascending and g's rows over their dense
+// indices, one mutable []int32 per node: NewCSR's image thawed. The rows
+// are carved out of one slab, each capped at its length so a later insert
+// reallocates that row alone.
+func DenseRows(g *Graph) ([]ids.ID, [][]int32) {
+	c := NewCSR(g)
+	rows := make([][]int32, len(c.nodes))
+	for i := range rows {
+		rows[i] = c.nbr[c.row[i]:c.row[i+1]:c.row[i+1]]
+	}
+	return c.nodes, rows
+}
+
+// FreezeRows is the image of the graph whose node i is nodes[i] with the
+// neighbours rows[i], ascending dense indices. It copies the rows.
+func FreezeRows(nodes []ids.ID, rows [][]int32) *CSR {
+	c := &CSR{nodes: nodes, row: make([]int32, len(nodes)+1)}
+	for i, r := range rows {
+		c.row[i+1] = c.row[i] + int32(len(r))
+	}
+	c.nbr = make([]int32, 0, c.row[len(nodes)])
+	for _, r := range rows {
+		c.nbr = append(c.nbr, r...)
+	}
+	return c
+}
+
+// Graph builds the Graph c is the image of. Like Clone it carves the rows
+// out of two slabs, each row capped at its length.
+func (c *CSR) Graph() *Graph {
+	g := &Graph{adj: make(map[ids.ID]*row, len(c.nodes))}
+	rows := make([]row, len(c.nodes))
+	nbrs := make([]ids.ID, len(c.nbr))
+	for k, j := range c.nbr {
+		nbrs[k] = c.nodes[j]
+	}
+	for i, v := range c.nodes {
+		rows[i] = nbrs[c.row[i]:c.row[i+1]:c.row[i+1]]
+		g.adj[v] = &rows[i]
+	}
+	return g
+}
+
 // NumEdges returns the undirected edge count.
 func (c *CSR) NumEdges() int { return len(c.nbr) / 2 }
 
@@ -59,17 +106,23 @@ func (c *CSR) Row(i int) []int32 { return c.nbr[c.row[i]:c.row[i+1]] }
 
 // Has reports whether nodes i and j are adjacent, by binary search in i's row.
 func (c *CSR) Has(i, j int32) bool {
-	r := c.nbr[c.row[i]:c.row[i+1]]
-	lo, hi := 0, len(r)
+	_, found := SearchRow(c.nbr[c.row[i]:c.row[i+1]], j)
+	return found
+}
+
+// SearchRow returns where x sits, or would sit, in the ascending row and
+// whether it is there: slices.BinarySearch without the generic comparison.
+func SearchRow(row []int32, x int32) (int, bool) {
+	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r[mid] < j {
+		if row[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(r) && r[lo] == j
+	return lo, lo < len(row) && row[lo] == x
 }
 
 // HasEdge reports whether the snapshot contains the undirected edge {u,v}.
@@ -111,7 +164,7 @@ func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
 			pairs = append(pairs, Pair{a, b})
 		}
 	}
-	return c.Merge(new(Merger), pairs, nil, workers)
+	return c.Merge(new(Merger), pairs, workers)
 }
 
 // Merger is the scratch of CSR.Merge, reusable across calls so that a
@@ -133,9 +186,7 @@ type Merger struct {
 // Merge returns the snapshot c plus pairs. Every pair must be absent from
 // c; equal pairs may repeat, and the first in input order is the one that
 // counts as adding the edge (m.Won) — what Graph.AddEdge would report pair
-// by pair. No pairs returns c itself. When live is non-nil it must hold
-// exactly c's nodes and edges; Merge overwrites live's row of every touched
-// node with the merged row, so live equals the result afterwards.
+// by pair. No pairs returns c itself.
 //
 // The pairs are bucketed by A in input order (a counting sort) and each
 // bucket is sorted on B<<32 | position: the first of every run of equal B
@@ -144,7 +195,7 @@ type Merger struct {
 // from below, again ascending; one merge per touched row writes the next
 // image. Sorting and merging are row-local and run on up to workers
 // goroutines; the result does not depend on how many.
-func (c *CSR) Merge(m *Merger, pairs []Pair, live *Graph, workers int) *CSR {
+func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
 	if len(pairs) == 0 {
 		return c
 	}
@@ -216,9 +267,6 @@ func (c *CSR) Merge(m *Merger, pairs []Pair, live *Graph, workers int) *CSR {
 			}
 		}
 		copy(dst[di:], old[oi:])
-		if live != nil {
-			live.setRow(c.nodes[i], c.nodes, dst)
-		}
 	})
 	return out
 }

@@ -54,6 +54,18 @@ func TestCSRMatchesGraph(t *testing.T) {
 	c := NewCSR(g)
 	sameAsGraph(t, "NewCSR", c, g)
 	nodes := g.Nodes()
+	// Both dense forms lead back to g, and the mutable one freezes into c.
+	dn, rows := DenseRows(g)
+	sameAsGraph(t, "FreezeRows(DenseRows)", FreezeRows(dn, rows), g)
+	if !c.Graph().Equal(g) {
+		t.Fatal("CSR.Graph is not the graph that went in")
+	}
+	// A thawed row is capped at its length: growing one leaves the next alone.
+	next := slices.Clone(rows[1])
+	rows[0] = append(rows[0], 1<<30)
+	if !slices.Equal(rows[1], next) {
+		t.Fatal("appending to one dense row wrote into its neighbour")
+	}
 	// Edge membership agrees on present and absent pairs, by identifier and
 	// by index.
 	r := rand.New(rand.NewSource(99))
@@ -188,10 +200,11 @@ func TestCSRWithEdgesEdgeCases(t *testing.T) {
 
 // TestCSRMergeMatchesAddEdge is the merge's model check: over random graphs
 // and random pair lists with duplicates, Merge must build the image of the
-// graph that AddEdge of the same pairs in the same order builds, mark as
-// winners exactly the pairs AddEdge accepts, leave the live graph equal to
-// it, and leave the receiver as it was. WithEdges must agree when handed
-// the same edges with either endpoint first.
+// graph that AddEdge of the same pairs in the same order builds — and the
+// graph built back from that image must be that graph — mark as winners
+// exactly the pairs AddEdge accepts, and leave the receiver as it was.
+// WithEdges must agree when handed the same edges with either endpoint
+// first.
 func TestCSRMergeMatchesAddEdge(t *testing.T) {
 	var m Merger
 	for seed := int64(0); seed < 240; seed++ {
@@ -221,16 +234,16 @@ func TestCSRMergeMatchesAddEdge(t *testing.T) {
 		}
 		r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 
-		want, live := g.Clone(), g.Clone()
+		want := g.Clone()
 		wantWon := make([]bool, len(pairs))
 		for i, p := range pairs {
 			wantWon[i] = want.AddEdge(nodes[p.A], nodes[p.B])
 		}
-		got := c.Merge(&m, pairs, live, 1+int(seed%3))
+		got := c.Merge(&m, pairs, 1+int(seed%3))
 		sameAsGraph(t, "merge", got, want)
 		sameAsGraph(t, "receiver", c, g)
-		if !live.Equal(want) {
-			t.Fatalf("seed %d: live graph differs from AddEdge of the same pairs", seed)
+		if !got.Graph().Equal(want) {
+			t.Fatalf("seed %d: the merged image's graph differs from AddEdge of the same pairs", seed)
 		}
 		if len(pairs) > 0 && !slices.Equal(m.Won, wantWon) {
 			t.Fatalf("seed %d: winners %v, AddEdge accepts %v", seed, m.Won, wantWon)

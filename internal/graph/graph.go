@@ -29,10 +29,7 @@ import (
 // membership is a binary search, the identifier span of N(v) is the row's
 // first and last element, and an ordered walk is an array scan. Rows sit
 // behind pointers: AddEdge and RemoveEdge between existing nodes rewrite
-// the two endpoint rows and never write the outer map, which is what lets
-// goroutines mutate disjoint sets of nodes of one Graph concurrently (the
-// interior-shard phase of linearize relies on it). AddNode and RemoveNode
-// write the outer map and need exclusive access.
+// the two endpoint rows and never write the outer map.
 type Graph struct {
 	adj map[ids.ID]*row
 }
@@ -135,19 +132,6 @@ func (g *Graph) RemoveEdge(u, v ids.ID) bool {
 	}
 	g.adj[v].remove(u)
 	return true
-}
-
-// setRow overwrites the row of the existing node v with nodes[j] for the
-// ascending indices j in idx — the bulk write of CSR.Merge, which merges
-// both endpoint rows of every edge it adds and so keeps rows symmetric.
-// Like AddEdge between existing nodes it never writes the outer map.
-func (g *Graph) setRow(v ids.ID, nodes []ids.ID, idx []int32) {
-	r := g.adj[v]
-	s := slices.Grow((*r)[:0], len(idx))[:len(idx)]
-	for k, j := range idx {
-		s[k] = nodes[j]
-	}
-	*r = s
 }
 
 // HasEdge reports whether the undirected edge {u,v} exists.

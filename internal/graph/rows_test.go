@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -172,45 +171,4 @@ func FuzzGraphOps(f *testing.F) {
 			m.check(t, g, universe)
 		}
 	})
-}
-
-// TestConcurrentDisjointIntervals is the interior-shard contract of the
-// parallel executor, checked where it lives: goroutines that add and remove
-// edges inside disjoint identifier intervals of one Graph never write the
-// same memory, because AddEdge/RemoveEdge between existing nodes leave the
-// outer map alone. Run under -race (make race repeats it ten times); the
-// result must equal the same ops applied one shard after the other.
-func TestConcurrentDisjointIntervals(t *testing.T) {
-	const shards, width, steps = 4, 64, 4000
-	g, want := New(), New()
-	for v := 0; v < shards*width; v++ {
-		g.AddNode(ids.ID(v))
-		want.AddNode(ids.ID(v))
-	}
-	mutate := func(g *Graph, shard int) {
-		r := rand.New(rand.NewSource(int64(shard)))
-		lo := shard * width
-		for i := 0; i < steps; i++ {
-			u, v := ids.ID(lo+r.Intn(width)), ids.ID(lo+r.Intn(width))
-			if r.Intn(3) == 0 {
-				g.RemoveEdge(u, v)
-			} else if !g.HasEdge(u, v) {
-				g.AddEdge(u, v)
-			}
-			_ = g.Degree(u) + len(g.Neighbors(v))
-		}
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mutate(g, s)
-		}()
-		mutate(want, s)
-	}
-	wg.Wait()
-	if !g.Equal(want) {
-		t.Fatal("concurrent disjoint-interval mutation differs from the sequential result")
-	}
 }

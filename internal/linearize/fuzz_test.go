@@ -12,7 +12,8 @@ import (
 // checks the paper's core safety property on every variant: linearization
 // steps never disconnect a connected virtual graph (Lemma 1 — each replaced
 // edge is covered by the new path), and a converged run over a connected
-// input contains the sorted line.
+// input contains the sorted line. Every run must also end where the
+// reference model (parallel_test.go) ends, on the same stats.
 func FuzzLinearizeStep(f *testing.F) {
 	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 4})
 	f.Add([]byte{4, 1, 0, 1, 0, 2, 0, 3})
@@ -35,14 +36,20 @@ func FuzzLinearizeStep(f *testing.F) {
 			}
 		}
 		variant := Variants()[int(data[1])%3]
-		stats, out := Run(g, Config{
+		cfg := Config{
 			Variant:   variant,
 			Scheduler: sim.Synchronous,
 			MaxRounds: 48,
 			Seed:      1,
-		})
+		}
+		stats, out := Run(g, cfg)
 		if stats.FinalEdges != out.NumEdges() {
 			t.Fatalf("stats report %d edges, graph has %d", stats.FinalEdges, out.NumEdges())
+		}
+		ref := referenceRun(t, g, cfg, nil)
+		sameStats(t, variant.String(), stats, ref.stats)
+		if !out.Equal(ref.final) {
+			t.Fatalf("%s: final graph differs from the reference model", variant)
 		}
 		if !g.Connected() {
 			return // per-component guarantees only; nothing global to assert

@@ -1,8 +1,8 @@
 package linearize
 
-// Memory's round keeps two copies of the virtual graph: the dense image
-// the round reads (Engine.csr) and the live graph.Graph the observers read.
-// CSR.Merge advances both; this test holds them to each other after every
+// Memory's round keeps one copy of the virtual graph, the dense image the
+// round reads (Engine.csr); the graph.Graph the observers read is built from
+// it when they look. This test holds the two to each other after every
 // round, and the reference model in parallel_test.go holds the pair to the
 // single-threaded semantics.
 
@@ -17,8 +17,8 @@ import (
 )
 
 // TestJacobiSnapshotMatchesLiveGraph: after every round of a Memory run the
-// image equals a rebuild of the live graph row for row, and every live row
-// is strictly ascending and symmetric — on regular, power-law, unit-disk
+// image equals a rebuild of the observer's graph row for row, and every row
+// of that graph is strictly ascending and symmetric — on regular, power-law, unit-disk
 // and line inputs and on the smallest ring, with and without ring closure,
 // for several shard counts, and always in agreement with the reference
 // model at the end.
@@ -33,8 +33,9 @@ func TestJacobiSnapshotMatchesLiveGraph(t *testing.T) {
 	}
 	// The smallest universe that has a ring. On the line, closing the ring
 	// is the whole run. On the path 3–9–7, node 9 chains 3 to 7 — unless the
-	// ring is asked for: then {3,9} is the wrap edge, no line neighbour of
-	// anyone, and the run cannot converge (skipped below).
+	// ring is asked for: then {3,9} is taken for the wrap edge, no line
+	// neighbour of anyone, and the run cannot converge. That is a known bug
+	// (knownRingClosureBug), not intended semantics; the input is set aside.
 	inputs["n3-line"] = graph.Line([]ids.ID{3, 7, 9})
 	path := graph.NewWithNodes(3, 7, 9)
 	path.AddEdge(3, 9)
@@ -43,9 +44,12 @@ func TestJacobiSnapshotMatchesLiveGraph(t *testing.T) {
 
 	for name, g := range inputs {
 		for _, closeRing := range []bool{false, true} {
-			ref, refGraph, _ := referenceRun(g, Config{Variant: Memory, CloseRing: closeRing})
-			if !ref.Converged {
+			if closeRing && knownRingClosureBug(g) {
 				continue
+			}
+			ref := referenceRun(t, g, Config{Variant: Memory, CloseRing: closeRing}, nil)
+			if !ref.stats.Converged {
+				t.Fatalf("%s ring=%v: the reference did not converge: %s", name, closeRing, ref.stats)
 			}
 			for _, shards := range []int{1, 3, 8} {
 				label := fmt.Sprintf("%s ring=%v shards=%d", name, closeRing, shards)
@@ -80,10 +84,10 @@ func TestJacobiSnapshotMatchesLiveGraph(t *testing.T) {
 				if rounds != st.Rounds {
 					t.Fatalf("%s: observed %d rounds of %d", label, rounds, st.Rounds)
 				}
-				if !e.Graph().Equal(refGraph) {
+				if !e.Graph().Equal(ref.final) {
 					t.Fatalf("%s: final graph differs from the reference model", label)
 				}
-				sameStats(t, label, st, ref)
+				sameStats(t, label, st, ref.stats)
 			}
 		}
 	}

@@ -62,6 +62,13 @@
 // the leftmost node simply has an empty left set — the wrap edge is ring
 // state, not a line neighbor.
 //
+// The §2 step — sort N(v), chain the consecutive pairs, delegate what the
+// variant does not keep — is array work over an ordered neighborhood, and
+// the engine keeps its state that way: one ascending row of dense node
+// indices per node (index order is identifier order). A graph.Graph is the
+// engine's input and its output, built when somebody looks; no round reads
+// or writes one.
+//
 // The message-level version of the protocol (§4's neighbor notification /
 // acknowledgment / teardown exchange over source routes) lives in package
 // ssr; this package is the transport-independent algorithmic core.
@@ -69,6 +76,7 @@ package linearize
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -133,7 +141,10 @@ type Config struct {
 	// validate user input with sim.NewPartitioner first.
 	Executor sim.ExecutorConfig
 	// OnRound, if set, is called after every round with the round number
-	// and the current virtual graph (read-only). Used for Figure 3 traces.
+	// and the current virtual graph, which the engine builds from its dense
+	// state for this call (so does Probe; a run with neither builds none).
+	// The graph is valid for the call and must not be retained: copy what
+	// has to outlive it. Used for Figure 3 traces.
 	OnRound func(round int, g *graph.Graph)
 	// Tracer, if set, receives structured events: RoundStart/RoundEnd,
 	// per-activation NodeActivate (with the keep-set size), per-change
@@ -177,58 +188,96 @@ func (s Stats) String() string {
 
 // Engine runs a linearization variant over a virtual graph until the goal
 // state. Create with NewEngine, drive with Run.
+//
+// The engine's state is dense: node i is the i-th smallest identifier, so
+// index order is identifier order, and a graph.Graph is what goes in
+// (NewEngine) and what comes out (Graph) — nothing in a round translates an
+// identifier or probes a map. Pure, LSN and the sequential daemon step on
+// rows; Memory's synchronous round freezes them into csr (parallel.go).
 type Engine struct {
-	cfg      Config
-	g        *graph.Graph
-	nodes    []ids.ID   // ascending; fixed for the run
-	csr      *graph.CSR // Memory's synchronous round: the frozen image of g (parallel.go)
-	stats    Stats
-	curRound int // current round index, for event timestamps
+	cfg   Config
+	nodes []ids.ID   // ascending; fixed for the run
+	rows  [][]int32  // node i's neighbours, strictly ascending; nil once frozen into csr
+	csr   *graph.CSR // Memory's synchronous round: the frozen image
+	ring  bool       // CloseRing on a universe that has a ring (three nodes or more)
+	// startEdges is the input's edge count. Every later edge is counted in
+	// stats when it comes or goes, so the live count needs no walk.
+	startEdges int
+	stats      Stats
+	curRound   int // current round index, for event timestamps
 }
 
 // NewEngine initializes a run on the given virtual graph. Per §4 the
 // virtual edge set is initialized from the physical one (E_v := E_p): pass
-// the physical graph (it is cloned, not mutated).
+// the physical graph (it is read, not kept).
 func NewEngine(virtual *graph.Graph, cfg Config) *Engine {
-	e := &Engine{
-		cfg:   cfg,
-		g:     virtual.Clone(),
-		nodes: virtual.Nodes(),
-	}
+	e := &Engine{cfg: cfg, startEdges: virtual.NumEdges()}
+	e.nodes, e.rows = graph.DenseRows(virtual)
+	e.ring = cfg.CloseRing && len(e.nodes) >= 3
 	e.stats.Variant = cfg.Variant
 	e.stats.Scheduler = cfg.Scheduler
-	e.stats.PeakDegree = e.g.MaxDegree()
+	e.stats.PeakDegree = virtual.MaxDegree()
 	return e
 }
 
-// Graph exposes the current virtual graph (read-only by convention).
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// Graph builds the current virtual graph from the dense state; the caller
+// owns the result.
+func (e *Engine) Graph() *graph.Graph {
+	c := e.csr
+	if c == nil {
+		c = graph.FreezeRows(e.nodes, e.rows)
+	}
+	return c.Graph()
+}
 
 // Stats returns the accumulated run statistics.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.FinalEdges = e.g.NumEdges()
+	s.FinalEdges = e.numEdges()
 	return s
 }
 
-func (e *Engine) extremes() (min, max ids.ID, ok bool) {
-	if len(e.nodes) < 3 {
-		return 0, 0, false
-	}
-	return e.nodes[0], e.nodes[len(e.nodes)-1], true
+// numEdges is the live edge count between activations (a shard's sink holds
+// its share of the counts back until it is flushed).
+func (e *Engine) numEdges() int {
+	return e.startEdges + int(e.stats.EdgesAdded-e.stats.EdgesDropped)
 }
 
-// isWrapEdge reports whether {v,u} is the ring-closure edge, which is
-// exempt from linearization and pruning.
-func (e *Engine) isWrapEdge(v, u ids.ID) bool {
-	if !e.cfg.CloseRing {
-		return false
+// row returns node i's neighbours in whichever form holds them.
+func (e *Engine) row(i int) []int32 {
+	if e.csr != nil {
+		return e.csr.Row(i)
 	}
-	min, max, ok := e.extremes()
-	if !ok {
-		return false
+	return e.rows[i]
+}
+
+// lineRow returns row, node v's, in the line view: without the wrap
+// partner, which is ring state, exempt from linearization and pruning, and
+// can only sit at the far end of an extremal node's row.
+func (e *Engine) lineRow(v int32, row []int32) []int32 {
+	if k := len(row); e.ring && k > 0 {
+		last := int32(len(e.nodes) - 1)
+		if v == 0 && row[k-1] == last {
+			return row[:k-1]
+		}
+		if v == last && row[0] == 0 {
+			return row[1:]
+		}
 	}
-	return (v == min && u == max) || (v == max && u == min)
+	return row
+}
+
+// supersetOfLine reports whether every node is adjacent to its successor.
+func (e *Engine) supersetOfLine() bool {
+	if e.csr != nil {
+		return e.csr.SupersetOfLine()
+	}
+	for i := 0; i+1 < len(e.rows); i++ {
+		if _, ok := graph.SearchRow(e.rows[i], int32(i+1)); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Done reports whether the goal state is reached: the sorted line (Pure) or
@@ -236,42 +285,18 @@ func (e *Engine) isWrapEdge(v, u ids.ID) bool {
 // edges by design), plus the wrap edge when CloseRing is set.
 func (e *Engine) Done() bool {
 	n := len(e.nodes)
-	ring := e.cfg.CloseRing && n >= 3
-	if c := e.csr; c != nil {
-		return (!ring || c.Has(0, int32(n-1))) && c.SupersetOfLine()
-	}
 	lineEdges := max(n-1, 0)
-	if ring {
-		if !e.g.HasEdge(e.nodes[0], e.nodes[n-1]) {
+	if e.ring {
+		// The wrap edge is the last entry of the smallest node's row.
+		if r := e.row(0); len(r) == 0 || r[len(r)-1] != int32(n-1) {
 			return false
 		}
 		lineEdges = n
 	}
-	if e.cfg.Variant == Pure && e.g.NumEdges() != lineEdges {
+	if e.cfg.Variant == Pure && e.numEdges() != lineEdges {
 		return false
 	}
-	// The node set is fixed for a run, so e.nodes is the sorted universe.
-	for i := 0; i+1 < n; i++ {
-		if !e.g.HasEdge(e.nodes[i], e.nodes[i+1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// lineNeighborsInto appends v's current neighbors in the line view — all
-// neighbors except a wrap-edge partner — in ascending order to dst,
-// reusing its capacity, and returns the extended slice. It is a copy, not
-// a view: stepInPlace rewrites v's row while walking the list. The
-// per-round hot paths call this once per activation, so it must not
-// allocate when dst's capacity suffices.
-func (e *Engine) lineNeighborsInto(g *graph.Graph, v ids.ID, dst []ids.ID) []ids.ID {
-	for _, u := range g.Neighbors(v) {
-		if !e.isWrapEdge(v, u) {
-			dst = append(dst, u)
-		}
-	}
-	return dst
+	return e.supersetOfLine()
 }
 
 // opSink collects the side effects of node operations — stat deltas and
@@ -288,13 +313,11 @@ type opSink struct {
 	peak    int
 	events  []trace.Event
 
-	// Per-activation scratch buffers, reused across activations. A sink is
-	// only ever driven by one goroutine at a time (per-shard sinks by their
-	// shard's worker, per-pick wave sinks by their pick's worker, the root
-	// sink by the sequential phases), so the scratch needs no locking.
-	nbrs  []ids.ID
-	keep  []ids.ID
-	chain []graph.Edge
+	// keep is the per-activation scratch, reused across activations. A sink
+	// is only ever driven by one goroutine at a time (per-shard sinks by
+	// their shard's worker, per-pick wave sinks by their pick's worker, the
+	// root sink by the sequential phases), so it needs no locking.
+	keep []int32
 }
 
 func (s *opSink) addEdge() {
@@ -313,16 +336,13 @@ func (s *opSink) dropEdge() {
 	}
 }
 
-// observe folds the current degree of a touched node into the peak-degree
-// statistic — O(1) per touched endpoint instead of a full-graph rescan.
-func (s *opSink) observe(v ids.ID) {
-	d := s.e.g.Degree(v)
+// observe folds the degree of a node that gained an edge into the
+// peak-degree statistic — O(1) per touched endpoint instead of a full rescan.
+func (s *opSink) observe(degree int) {
 	if s.direct {
-		if d > s.e.stats.PeakDegree {
-			s.e.stats.PeakDegree = d
-		}
-	} else if d > s.peak {
-		s.peak = d
+		s.e.stats.PeakDegree = max(s.e.stats.PeakDegree, degree)
+	} else {
+		s.peak = max(s.peak, degree)
 	}
 }
 
@@ -337,9 +357,10 @@ func (s *opSink) emit(ev trace.Event) {
 	s.events = append(s.events, ev)
 }
 
-func (s *opSink) traceEdge(t trace.EventType, u, v ids.ID) {
-	if s.e.cfg.Tracer != nil {
-		s.emit(trace.Event{T: int64(s.e.curRound), Type: t, Node: u, Peer: v})
+// traceEdge emits an edge event between the nodes at indices u and v.
+func (s *opSink) traceEdge(t trace.EventType, u, v int32) {
+	if e := s.e; e.cfg.Tracer != nil {
+		s.emit(trace.Event{T: int64(e.curRound), Type: t, Node: e.nodes[u], Peer: e.nodes[v]})
 	}
 }
 
@@ -365,51 +386,73 @@ func (s *opSink) flush() {
 	s.reset()
 }
 
-// stepInPlace atomically applies v's operation on the live graph: add the
-// chain edges, then delegate away the neighbors outside v's keep set (the
-// chain has just connected each of them to a strictly closer node, so no
-// removal loses information). It reports whether any edge changed. All side
-// effects flow through sink; when run from a shard worker, every touched
-// edge has both endpoints inside the shard's identifier interval (the
-// interior contract of the parallel executor), so the graph mutation is
-// single-writer even though shards run concurrently.
-func (e *Engine) stepInPlace(v ids.ID, sink *opSink) bool {
-	// The neighbor list is copied into the sink's scratch before any
-	// mutation: the removals below would otherwise invalidate the
-	// iteration. All per-activation buffers come from the sink, so the
-	// steady-state hot path allocates nothing.
-	sink.nbrs = e.lineNeighborsInto(e.g, v, sink.nbrs[:0])
-	nbrs := sink.nbrs
-	sink.chain = appendChainEdges(sink.chain[:0], v, nbrs)
+// stepInPlace atomically applies the operation of the node at index v to
+// the live rows: add Algorithm 1's chain edges, then delegate away the
+// neighbors outside v's keep set (the chain has just connected each of them
+// to a strictly closer node, so no removal loses information). It reports
+// whether any edge changed. All side effects flow through sink; when run
+// from a shard worker, every touched row belongs to a node inside the
+// shard's index interval (the interior contract of the parallel executor),
+// so each row has a single writer even though shards run concurrently.
+func (e *Engine) stepInPlace(v int32, sink *opSink) bool {
+	// nbrs is a view of v's own row, which nothing writes before the walks
+	// below are over: a chain pair never names v, and a delegation edits
+	// the other endpoint's row. The keep set lives in the sink's scratch, so
+	// the steady-state hot path allocates nothing.
+	row := e.rows[v]
+	nbrs := e.lineRow(v, row)
 	changed := false
-	for _, c := range sink.chain {
-		if e.g.AddEdge(c.U, c.V) {
+	// With u_1 < … < u_k < v < u_{k+1} < … < u_n the chain is {u_1,u_2}, …,
+	// {u_k,v}, {v,u_{k+1}}, …, {u_{n-1},u_n}: the consecutive pairs of the
+	// row, except that the pair straddling v stands for two of v's own
+	// edges, which are there already.
+	for k := 1; k < len(nbrs); k++ {
+		if a, b := nbrs[k-1], nbrs[k]; (v < a || b < v) && e.link(a, b) {
 			sink.addEdge()
 			changed = true
-			sink.observe(c.U)
-			sink.observe(c.V)
-			sink.traceEdge(trace.EvEdgeAdd, c.U, c.V)
+			sink.observe(max(len(e.rows[a]), len(e.rows[b])))
+			sink.traceEdge(trace.EvEdgeAdd, a, b)
 		}
 	}
 	if e.cfg.Variant != Memory {
-		sink.keep = e.keepFor(v, nbrs, sink.keep[:0])
-		keepNbrs := sink.keep
+		keep := e.keepLine(v, nbrs, sink.keep[:0])
+		sink.keep = keep
+		wrapped := len(row) - len(nbrs) // 1 when v holds the wrap edge
 		if e.cfg.Tracer != nil {
+			kept := len(keep)
+			if e.cfg.Variant == LSN {
+				kept += wrapped // LSN's keep set names the wrap partner, Pure's does not
+			}
 			sink.emit(trace.Event{
 				T: int64(e.curRound), Type: trace.EvNodeActivate,
-				Node: v, Aux: e.cfg.Variant.String(), Value: float64(len(keepNbrs)),
+				Node: e.nodes[v], Aux: e.cfg.Variant.String(), Value: float64(kept),
 			})
 		}
-		sortIDs(keepNbrs)
-		for _, w := range nbrs {
-			if containsID(keepNbrs, w) {
-				continue
-			}
-			if e.g.RemoveEdge(v, w) {
+		if len(keep) < len(nbrs) {
+			changed = true
+			ki := 0
+			for _, w := range nbrs {
+				if ki < len(keep) && keep[ki] == w {
+					ki++
+					continue
+				}
+				i, _ := graph.SearchRow(e.rows[w], v)
+				e.rows[w] = slices.Delete(e.rows[w], i, i+1)
 				sink.dropEdge()
-				changed = true
 				sink.traceEdge(trace.EvEdgeDelegate, v, w)
 			}
+			// v's own row is written once: what it keeps, around the wrap
+			// partner (index 0 leads the largest node's row, the largest
+			// index ends the smallest node's).
+			out := row[:0]
+			if wrapped > 0 && v != 0 {
+				out = row[:1]
+			}
+			out = append(out, keep...)
+			if wrapped > 0 && v == 0 {
+				out = append(out, int32(len(e.nodes)-1))
+			}
+			e.rows[v] = out
 		}
 	}
 	if e.closeRingStep(v, sink) {
@@ -419,150 +462,70 @@ func (e *Engine) stepInPlace(v ids.ID, sink *opSink) bool {
 	return changed
 }
 
-// keepFor appends the neighbors v retains under the configured variant to
-// dst (reusing its capacity): Pure keeps only the closest neighbor per
-// side (Algorithm 1); LSN keeps the closest neighbor within each occupied
-// exponential interval per side. nbrs is v's current sorted line
-// neighborhood.
-func (e *Engine) keepFor(v ids.ID, nbrs []ids.ID, dst []ids.ID) []ids.ID {
-	if e.cfg.Variant == Pure {
-		// nbrs ascending: closest left is the last one below v, closest
-		// right the first one above.
-		for i := len(nbrs) - 1; i >= 0; i-- {
-			if nbrs[i] < v {
-				dst = append(dst, nbrs[i])
-				break
-			}
-		}
-		for _, u := range nbrs {
-			if u > v {
-				dst = append(dst, u)
-				break
-			}
-		}
-		return dst
+// link inserts the edge between the nodes at indices a and b and reports
+// whether it was absent. Membership is decided on the shorter row: a hub is
+// everyone's neighbour, and its own row is the longest there is.
+func (e *Engine) link(a, b int32) bool {
+	if len(e.rows[a]) > len(e.rows[b]) {
+		a, b = b, a
 	}
-	return e.keepSet(e.g, v, dst)
-}
-
-// closeRingStep abstracts §4's discovery messages: an extremal node whose
-// line is in place establishes the wrap edge.
-func (e *Engine) closeRingStep(v ids.ID, sink *opSink) bool {
-	if !e.cfg.CloseRing {
+	i, found := graph.SearchRow(e.rows[a], b)
+	if found {
 		return false
 	}
-	min, max, ok := e.extremes()
-	if !ok || (v != min && v != max) {
-		return false
-	}
-	if e.g.HasEdge(min, max) || !e.g.SupersetOfLine() {
-		return false
-	}
-	if !e.g.AddEdge(min, max) {
-		return false
-	}
-	sink.emit(trace.Event{
-		T: int64(e.curRound), Type: trace.EvRingClosed, Node: min, Peer: max,
-	})
+	j, _ := graph.SearchRow(e.rows[b], a)
+	e.rows[a] = slices.Insert(e.rows[a], i, b)
+	e.rows[b] = slices.Insert(e.rows[b], j, a)
 	return true
 }
 
-// keepSet appends the neighbors of v that v's LSN policy retains to dst
-// (reusing its capacity): per direction, the closest neighbor within each
-// occupied exponential interval (which automatically includes the overall
-// closest neighbor on each side). Wrap-edge partners are always retained.
-// The result is O(log |space|) in size.
-func (e *Engine) keepSet(g *graph.Graph, v ids.ID, dst []ids.ID) []ids.ID {
-	var best [2][ids.NumIntervals]ids.ID
-	var has [2][ids.NumIntervals]bool
-	out := dst
-	for _, u := range g.Neighbors(v) {
-		if e.isWrapEdge(v, u) {
-			out = append(out, u)
-			continue
-		}
-		d := 0
-		if ids.DirOf(v, u) == ids.Right {
-			d = 1
-		}
-		k := ids.IntervalIndex(ids.LineDist(v, u))
-		if k < 0 {
-			continue
-		}
-		if !has[d][k] {
-			best[d][k] = u
-			has[d][k] = true
-			continue
-		}
-		inc := best[d][k]
-		dU, dInc := ids.LineDist(v, u), ids.LineDist(v, inc)
-		if dU < dInc || (dU == dInc && u < inc) {
-			best[d][k] = u
-		}
+// keepLine appends to dst (reusing its capacity), in ascending order, the
+// members of nbrs — v's line view — that v retains under the configured
+// variant: Pure keeps the closest neighbor per side (Algorithm 1); LSN the
+// closest neighbor within each occupied exponential interval per side,
+// O(log |space|) of them. Within one side the row is monotone in distance,
+// so the closest of an interval is the last of its run on the left of v
+// and the first of its run on the right.
+func (e *Engine) keepLine(v int32, nbrs, dst []int32) []int32 {
+	split, _ := graph.SearchRow(nbrs, v) // nbrs[:split] lie left of v
+	if e.cfg.Variant == Pure {
+		return append(dst, nbrs[max(split-1, 0):min(split+1, len(nbrs))]...)
 	}
-	for d := 0; d < 2; d++ {
-		for k := 0; k < ids.NumIntervals; k++ {
-			if has[d][k] {
-				out = append(out, best[d][k])
+	prev := -1 // the interval of nbrs[k-1]
+	for k, u := range nbrs {
+		interval := ids.IntervalIndex(ids.LineDist(e.nodes[v], e.nodes[u]))
+		switch {
+		case k < split:
+			if k > 0 && interval != prev {
+				dst = append(dst, nbrs[k-1])
 			}
-		}
-	}
-	return out
-}
-
-// appendChainEdges appends the chain through v's sorted neighborhood to
-// dst (reusing its capacity): with u_1 < … < u_k < v < u_{k+1} < … < u_n
-// the edges {u_1,u_2}, …, {u_k,v}, {v,u_{k+1}}, …, {u_{n-1},u_n}
-// (Algorithm 1). An empty neighborhood contributes nothing; a neighborhood
-// entirely on one side still chains v to its closest member.
-func appendChainEdges(dst []graph.Edge, v ids.ID, sortedNbrs []ids.ID) []graph.Edge {
-	if len(sortedNbrs) == 0 {
-		return dst
-	}
-	prev := v
-	placed := false
-	first := true
-	for _, u := range sortedNbrs {
-		if !placed && v < u {
-			if !first {
-				dst = append(dst, graph.NewEdge(prev, v))
+			if k == split-1 {
+				dst = append(dst, u)
 			}
-			prev, first, placed = v, false, true
+		case k == split || interval != prev:
+			dst = append(dst, u)
 		}
-		if !first {
-			dst = append(dst, graph.NewEdge(prev, u))
-		}
-		prev, first = u, false
-	}
-	if !placed {
-		dst = append(dst, graph.NewEdge(prev, v))
+		prev = interval
 	}
 	return dst
 }
 
-// sortIDs sorts a small identifier slice in place by insertion sort —
-// allocation-free, unlike sort.Slice, and the keep sets it serves are
-// O(log |space|) long.
-func sortIDs(a []ids.ID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// closeRingStep abstracts §4's discovery messages: an extremal node whose
+// line is in place establishes the wrap edge.
+func (e *Engine) closeRingStep(v int32, sink *opSink) bool {
+	last := int32(len(e.nodes) - 1)
+	if !e.ring || (v != 0 && v != last) {
+		return false
 	}
-}
-
-// containsID reports whether x occurs in the ascending slice sorted.
-func containsID(sorted []ids.ID, x ids.ID) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if r := e.rows[0]; (len(r) > 0 && r[len(r)-1] == last) || !e.supersetOfLine() {
+		return false
 	}
-	return lo < len(sorted) && sorted[lo] == x
+	e.rows[0] = append(e.rows[0], last)
+	e.rows[last] = slices.Insert(e.rows[last], 0, 0)
+	sink.emit(trace.Event{
+		T: int64(e.curRound), Type: trace.EvRingClosed, Node: e.nodes[0], Peer: e.nodes[last],
+	})
+	return true
 }
 
 // Run is the one-shot convenience entry point: linearize the virtual graph

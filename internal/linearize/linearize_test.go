@@ -10,12 +10,9 @@ import (
 	"repro/internal/vring"
 )
 
-// chainEdges is the allocating form of appendChainEdges, for the tests and
-// the reference model in parallel_test.go.
-func chainEdges(v ids.ID, sortedNbrs []ids.ID) []graph.Edge {
-	return appendChainEdges(nil, v, sortedNbrs)
-}
-
+// TestChainEdges and the chain properties in property_test.go hold the
+// reference model's chainEdges (parallel_test.go); the dense step has no
+// chain function of its own and is held to the reference run by run.
 func TestChainEdges(t *testing.T) {
 	// v=10 with neighbors 2 < 5 < 10 < 20 < 30:
 	// chain = {2,5},{5,10},{10,20},{20,30}.

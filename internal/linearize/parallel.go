@@ -7,24 +7,24 @@ package linearize
 // argument):
 //
 //   - Memory is Jacobi-style: additions commute, so the whole round runs on
-//     an immutable dense-index image of the round-start graph (graph.CSR).
-//     Prepare stages, in parallel, the chain pairs the image lacks; Finish
-//     hands them in global identifier order to CSR.Merge, which resolves
-//     duplicates to the first proposer, builds the next image and rewrites
-//     the touched rows of the live graph. Proposal order, presence filter
-//     and ring-closure slot make the graph, stats and trace stream the same
-//     for every shard count (the reference model in parallel_test.go).
+//     an immutable image of the round-start rows (graph.CSR). Prepare
+//     stages, in parallel, the chain pairs the image lacks; Finish hands
+//     them in global identifier order to CSR.Merge, which resolves
+//     duplicates to the first proposer and builds the next image. Proposal
+//     order, presence filter and ring-closure slot make the graph, stats
+//     and trace stream the same for every shard count (the reference model
+//     in parallel_test.go).
 //
 //   - Pure and LSN need atomic node operations (fully simultaneous
 //     replacement does not converge). Prepare classifies each node by its
-//     identifier footprint — min/max over N(v) ∪ {v} — as shard-interior
-//     (footprint inside the shard's identifier interval) or cross-shard.
-//     Execute runs the interior nodes of each shard in identifier order,
-//     concurrently across shards: an interior operation only touches edges
-//     whose both endpoints lie inside its own shard, and interior
-//     operations can only add shard-local neighbors, so the classification
-//     stays valid for the whole phase and the adjacency structure is
-//     single-writer per shard. The cross-shard nodes run under the
+//     footprint — the first and last entry of its row, and itself — as
+//     shard-interior (footprint inside the shard's index interval) or
+//     cross-shard. Execute runs the interior nodes of each shard in
+//     identifier order, concurrently across shards: an interior operation
+//     only touches rows of its own shard, and interior operations can only
+//     add shard-local neighbors, so the classification stays valid for the
+//     whole phase and every row of Engine.rows has a single writer. The
+//     cross-shard nodes run under the
 //     policy's boundary discipline: sequentially in global identifier
 //     order during Finish (BoundarySequential), or in deterministic
 //     conflict-free waves on the worker pool (BoundaryWaves, see runWaves).
@@ -47,9 +47,10 @@ package linearize
 // deterministic order, so even the trace stream is identical for every
 // pool width.
 //
-// Ring closure reads global state (SupersetOfLine) and writes the wrap edge
-// across shards, so under CloseRing with more than one shard the extremal
-// nodes are forced onto the sequential boundary path — under every policy.
+// Ring closure reads global state (every node's successor edge) and writes
+// the wrap edge across shards, so under CloseRing with more than one shard
+// the extremal nodes are forced onto the sequential boundary path — under
+// every policy.
 
 import (
 	"fmt"
@@ -60,7 +61,6 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/ids"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -90,9 +90,6 @@ type parExec struct {
 	jacobi  bool // Memory under the synchronous scheduler (snapshot-merge rounds)
 	waves   bool // cross-shard nodes run under the wave discipline
 	workers int  // pool width (the merge's fan-out)
-	// extremal identifiers, for wrap-edge handling (valid when hasExt)
-	min, max ids.ID
-	hasExt   bool
 
 	root      opSink   // sequential-phase sink (direct)
 	sinks     []opSink // per-shard buffering sinks (atomic Execute)
@@ -127,7 +124,6 @@ type parExec struct {
 	picks       []int32
 	pickChanged []bool
 	waveSinks   []opSink
-	touch       []int32
 	mark        []int32
 	markGen     int32
 }
@@ -167,7 +163,6 @@ func (e *Engine) Run() Stats {
 		intCounts: make([]int, shardCount),
 		bndCounts: make([]int, shardCount),
 	}
-	p.min, p.max, p.hasExt = e.extremes()
 	for i := range p.sinks {
 		p.sinks[i].e = e
 	}
@@ -194,7 +189,6 @@ func (e *Engine) Run() Stats {
 		rr.Execute = p.daemonExecute
 	case e.cfg.Variant == Memory:
 		p.jacobi = true
-		e.csr = nil // rebuilt from e.g in round 0
 		p.props = make([][]graph.Pair, shardCount)
 		rr.BeginRound = p.jacobiBegin
 		rr.Prepare = p.jacobiPrepare
@@ -229,36 +223,15 @@ func (e *Engine) Run() Stats {
 }
 
 // footprint describes the node at dense index i to the partition policy:
-// its neighborhood's dense-index span and its degree as the work estimate.
+// the index span of its line view and itself, and its degree as the work
+// estimate.
 func (p *parExec) footprint(i int) sim.Footprint {
-	e := p.e
-	v := e.nodes[i]
-	nbrs := e.g.Neighbors(v)
-	// The wrap partner is ring state, exempt from linearization; it can
-	// only sit at the far end of an extremal node's row.
-	if k := len(nbrs); k > 0 && e.isWrapEdge(v, nbrs[k-1]) {
-		nbrs = nbrs[:k-1]
-	} else if k > 0 && e.isWrapEdge(v, nbrs[0]) {
-		nbrs = nbrs[1:]
+	nbrs := p.e.lineRow(int32(i), p.e.row(i))
+	f := sim.Footprint{Lo: i, Hi: i, Weight: float64(len(nbrs) + 1)}
+	if k := len(nbrs); k > 0 {
+		f.Lo, f.Hi = min(i, int(nbrs[0])), max(i, int(nbrs[k-1]))
 	}
-	lo, hi := rowSpan(v, nbrs)
-	return sim.Footprint{Lo: p.denseOf(lo), Hi: p.denseOf(hi), Weight: float64(len(nbrs) + 1)}
-}
-
-// rowSpan returns the smallest and largest identifier of {v} ∪ nbrs for an
-// ascending nbrs.
-func rowSpan(v ids.ID, nbrs []ids.ID) (lo, hi ids.ID) {
-	if len(nbrs) == 0 {
-		return v, v
-	}
-	return min(v, nbrs[0]), max(v, nbrs[len(nbrs)-1])
-}
-
-// denseOf maps a node identifier to its dense index by binary search over
-// the ascending node slice.
-func (p *parExec) denseOf(v ids.ID) int {
-	nodes := p.e.nodes
-	return sort.Search(len(nodes), func(i int) bool { return nodes[i] >= v })
+	return f
 }
 
 // onPartition installs a (re)computed shard layout.
@@ -274,17 +247,22 @@ func (p *parExec) beginRound(round int) {
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(round), Type: trace.EvRoundStart,
-			Aux: e.cfg.Variant.String(), Value: float64(e.g.NumEdges()),
+			Aux: e.cfg.Variant.String(), Value: float64(e.numEdges()),
 		})
 	}
 }
 
 // endRound emits the per-shard accounting, runs the OnRound hook and closes
-// the round — the sequential observability tail of every mode.
+// the round — the sequential observability tail of every mode. The round's
+// graph is built only when a hook is there to look at it.
 func (p *parExec) endRound(round int) {
 	e := p.e
+	var g *graph.Graph
+	if e.cfg.OnRound != nil || e.cfg.Probe != nil {
+		g = e.Graph()
+	}
 	if e.cfg.OnRound != nil {
-		e.cfg.OnRound(round, e.g)
+		e.cfg.OnRound(round, g)
 	}
 	if e.cfg.Tracer != nil {
 		if p.jacobi {
@@ -304,11 +282,11 @@ func (p *parExec) endRound(round int) {
 		})
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(round), Type: trace.EvRoundEnd,
-			Aux: e.cfg.Variant.String(), Value: float64(e.g.NumEdges()),
+			Aux: e.cfg.Variant.String(), Value: float64(e.numEdges()),
 		})
 	}
 	if e.cfg.Probe != nil {
-		e.cfg.Probe.Observe(round, e.g)
+		e.cfg.Probe.Observe(round, g)
 	}
 	for i := range p.intCounts {
 		p.intCounts[i], p.bndCounts[i] = 0, 0
@@ -338,42 +316,33 @@ func (p *parExec) emitShardRound(phase string, counts []int) {
 
 // jacobiBegin latches the ring-closure precondition against the round-start
 // image, so Prepare and the ordered merge read one frozen state. The image
-// is built from the live graph once; after that it is the previous round's
-// merge output — Memory only adds edges, and all of them go through Merge.
+// is frozen from the engine's rows once; after that it is the previous
+// round's merge output — Memory only adds edges, and all of them go through
+// Merge.
 func (p *parExec) jacobiBegin(round int) {
 	p.beginRound(round)
 	e := p.e
 	if e.csr == nil {
 		t0 := e.cfg.Prof.Start()
-		e.csr = graph.NewCSR(e.g)
+		e.csr, e.rows = graph.FreezeRows(e.nodes, e.rows), nil
 		e.cfg.Prof.End(round, "snapshot/rebuild", e.cfg.Variant.String(), t0)
 	}
-	p.closing = e.cfg.CloseRing && p.hasExt &&
-		!e.csr.Has(0, int32(len(e.nodes)-1)) && e.csr.SupersetOfLine()
+	p.closing = e.ring && !e.csr.Has(0, int32(len(e.nodes)-1)) && e.csr.SupersetOfLine()
 }
 
 // jacobiPrepare stages the shard's chain proposals against the frozen
 // image: read-only, embarrassingly parallel. v's chain is the consecutive
-// pairs of its row in appendChainEdges' order, left of v then right of v;
+// pairs of its line view in stepInPlace's order, left of v then right of v;
 // where a pair straddles v the chain has {a,v} and {v,b}, v's own row
 // entries. Only pairs absent from the image are staged, and a node counts
 // as activated iff it staged one.
 func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 	e, c := p.e, p.e.csr
-	ring, last := e.cfg.CloseRing && p.hasExt, int32(len(e.nodes)-1)
 	buf := p.props[s.Index][:0]
 	changed := 0
 	for i := s.Lo; i < s.Hi; i++ {
-		v, row := int32(i), c.Row(i)
-		// Line view: the wrap partner is ring state, not a neighbor; it can
-		// only sit at the far end of an extremal node's row.
-		if k := len(row); ring && k > 0 {
-			if v == 0 && row[k-1] == last {
-				row = row[:k-1]
-			} else if v == last && row[0] == 0 {
-				row = row[1:]
-			}
-		}
+		v := int32(i)
+		row := e.lineRow(v, c.Row(i))
 		before := len(buf)
 		for k := 1; k < len(row); k++ {
 			if a, b := row[k-1], row[k]; (v < a || b < v) && !c.Has(a, b) {
@@ -399,10 +368,8 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 // are the same for every shard count. Ring closure is one more pair in the
 // slot behind the smallest node's proposals, where that pass performs (and
 // attributes) it; no chain pair names the wrap edge, because both ends of
-// a chain pair lie on one side of their proposer. The merge also rewrites
-// the touched rows of the live graph, so e.g is current for EndRound's
-// observers; degrees only grow, so the largest merged row is the peak.
-// Returns the closure-only activation credit; proposal activations were
+// a chain pair lie on one side of their proposer. Degrees only grow, so the
+// largest merged row is the peak. Returns the closure-only activation credit; proposal activations were
 // counted in Prepare.
 func (p *parExec) jacobiFinish(round int) int {
 	e := p.e
@@ -416,7 +383,7 @@ func (p *parExec) jacobiFinish(round int) int {
 	p.all = all
 	t0 := e.cfg.Prof.Start()
 	before := e.csr.NumEdges()
-	e.csr = e.csr.Merge(&p.merger, all, e.g, p.workers)
+	e.csr = e.csr.Merge(&p.merger, all, p.workers)
 	e.cfg.Prof.End(round, "snapshot/delta", e.cfg.Variant.String(), t0)
 	e.stats.EdgesAdded += int64(e.csr.NumEdges() - before)
 	e.stats.PeakDegree = max(e.stats.PeakDegree, e.csr.MaxDegree())
@@ -442,8 +409,9 @@ func (p *parExec) jacobiFinish(round int) int {
 	return 1
 }
 
-// atomicPrepare classifies the shard's nodes by identifier footprint:
-// interior nodes run concurrently in Execute; the rest go to the policy's
+// atomicPrepare classifies the shard's nodes by footprint: a node whose row
+// starts and ends inside the shard is interior and runs concurrently in
+// Execute; the rest go to the policy's
 // boundary path — the sequential Finish pass, or the wave scheduler when
 // the policy opted into BoundaryWaves. Under CloseRing with several shards
 // the extremal nodes are always sequential-boundary — their ring-closure
@@ -457,21 +425,17 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 	if p.waves {
 		crossing = p.cross[s.Index][:0]
 	}
-	if s.Len() > 0 {
-		idLo, idHi := e.nodes[s.Lo], e.nodes[s.Hi-1]
-		for i := s.Lo; i < s.Hi; i++ {
-			v := e.nodes[i]
-			if p.multi && e.cfg.CloseRing && p.hasExt && (v == p.min || v == p.max) {
-				outer = append(outer, i)
-				continue
-			}
-			if lo, hi := rowSpan(v, e.g.Neighbors(v)); lo >= idLo && hi <= idHi {
-				inner = append(inner, i)
-			} else if p.waves {
-				crossing = append(crossing, i)
-			} else {
-				outer = append(outer, i)
-			}
+	for i := s.Lo; i < s.Hi; i++ {
+		if p.multi && e.ring && (i == 0 || i == len(e.nodes)-1) {
+			outer = append(outer, i)
+			continue
+		}
+		if r := e.rows[i]; len(r) == 0 || (int(r[0]) >= s.Lo && int(r[len(r)-1]) < s.Hi) {
+			inner = append(inner, i)
+		} else if p.waves {
+			crossing = append(crossing, i)
+		} else {
+			outer = append(outer, i)
 		}
 	}
 	p.interior[s.Index] = inner
@@ -483,15 +447,15 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 }
 
 // atomicExecute runs the shard's interior nodes in identifier order. Every
-// touched edge has both endpoints inside the shard's identifier interval,
-// so concurrent shards never write the same adjacency rows; side effects go
-// into the shard's buffering sink.
+// touched edge has both endpoints inside the shard's index interval, so
+// concurrent shards never write the same rows; side effects go into the
+// shard's buffering sink.
 func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
 	e := p.e
 	sink := &p.sinks[s.Index]
 	changed := 0
 	for _, i := range p.interior[s.Index] {
-		if e.stepInPlace(e.nodes[i], sink) {
+		if e.stepInPlace(int32(i), sink) {
 			changed++
 		}
 	}
@@ -514,7 +478,7 @@ func (p *parExec) daemonExecute(_ int, s sim.Shard) int {
 	p.order = order
 	changed := 0
 	for _, i := range order {
-		if e.stepInPlace(e.nodes[i], &p.root) {
+		if e.stepInPlace(int32(i), &p.root) {
 			changed++
 		}
 	}
@@ -536,7 +500,7 @@ func (p *parExec) atomicFinish(_ int) int {
 	for si := range p.boundary {
 		changed := 0
 		for _, i := range p.boundary[si] {
-			if e.stepInPlace(e.nodes[i], &p.root) {
+			if e.stepInPlace(int32(i), &p.root) {
 				changed++
 			}
 		}
@@ -549,8 +513,8 @@ func (p *parExec) atomicFinish(_ int) int {
 // runWaves executes the round's cross-shard nodes in deterministic
 // conflict-free waves — the BoundaryWaves discipline. Each wave makes one
 // greedy pass over the pending nodes in ascending identifier order and
-// picks every node whose touch set — N(v) ∪ {v}, exactly the adjacency
-// sets its atomic step reads and writes — is disjoint from the touch sets
+// picks every node whose touch set — N(v) ∪ {v}, exactly the rows its
+// atomic step reads and writes — is disjoint from the touch sets
 // already picked this wave (a greedy maximal independent set in the
 // conflict graph). The picks then execute concurrently over the worker
 // pool: disjoint touch sets mean disjoint memory footprints, so the
@@ -598,7 +562,7 @@ func (p *parExec) runWaves(_ int, pf sim.ParallelFor) int {
 		}
 		changed := p.pickChanged[:len(picks)]
 		pf(len(picks), func(k int) {
-			changed[k] = e.stepInPlace(e.nodes[picks[k]], &p.waveSinks[k])
+			changed[k] = e.stepInPlace(picks[k], &p.waveSinks[k])
 		})
 		for k := range picks {
 			p.waveSinks[k].flush()
@@ -618,28 +582,20 @@ func (p *parExec) runWaves(_ int, pf sim.ParallelFor) int {
 }
 
 // tryPick checks whether node i's touch set is free this wave and, only if
-// every member is free, marks it taken. The two-pass shape (collect, test,
-// then mark) guarantees a rejected candidate leaves no marks behind.
+// every member is free, marks it taken. The two-pass shape (test, then
+// mark) guarantees a rejected candidate leaves no marks behind.
 func (p *parExec) tryPick(i int, gen int32) bool {
-	e := p.e
-	touch := p.touch[:0]
-	touch = append(touch, int32(i))
-	ok := p.mark[i] != gen
-	if ok {
-		for _, u := range e.g.Neighbors(e.nodes[i]) {
-			j := p.denseOf(u)
-			if p.mark[j] == gen {
-				ok = false
-				break
-			}
-			touch = append(touch, int32(j))
-		}
-	}
-	p.touch = touch
-	if !ok {
+	if p.mark[i] == gen {
 		return false
 	}
-	for _, j := range touch {
+	row := p.e.rows[i]
+	for _, j := range row {
+		if p.mark[j] == gen {
+			return false
+		}
+	}
+	p.mark[i] = gen
+	for _, j := range row {
 		p.mark[j] = gen
 	}
 	return true

@@ -6,15 +6,19 @@ package linearize
 //  1. For any fixed shard partition, the outcome is identical for every
 //     worker count — including stats and the full trace stream — and a
 //     zero Config is the default partition at any worker count.
-//  2. The executor agrees with referenceRun, the single-threaded model the
-//     repository used to run by default ("legacy" below): Memory (Jacobi)
-//     bit for bit at every shard count, Pure/LSN at one shard.
+//  2. The executor agrees with referenceRun, the single-threaded model on
+//     graph.Graph that the repository used to run ("legacy" below): Memory
+//     (Jacobi) bit for bit at every shard count, Pure/LSN and the daemon on
+//     their one-shard schedule, and Pure/LSN on several shards by replay —
+//     the reference applies its step in the order the run under test
+//     activated its nodes.
 //  3. The worker pool is race-free (hammer test, effective under -race).
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,7 +48,7 @@ func sansShardEvents(evs []trace.Event) []trace.Event {
 	return out
 }
 
-func sameEvents(t *testing.T, label string, a, b []trace.Event) {
+func sameEvents(t testing.TB, label string, a, b []trace.Event) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: event counts differ: %d vs %d", label, len(a), len(b))
@@ -57,7 +61,7 @@ func sameEvents(t *testing.T, label string, a, b []trace.Event) {
 }
 
 // sameStats compares run statistics ignoring the executor-shape field.
-func sameStats(t *testing.T, label string, a, b Stats) {
+func sameStats(t testing.TB, label string, a, b Stats) {
 	t.Helper()
 	a.Par, b.Par = ParallelStats{}, ParallelStats{}
 	if a != b {
@@ -73,47 +77,353 @@ func runOnce(g *graph.Graph, cfg Config) (Stats, *graph.Graph, []trace.Event) {
 	return st, e.Graph(), cap.events
 }
 
-// referenceRun is the small model the executor is held to: one goroutine,
-// nodes in ascending identifier order, no shards. A Memory round reads the
-// round-start graph (a clone) while every node adds its chain edges — and
-// an extremal node the wrap edge — to the live one; a Pure/LSN round is
-// stepInPlace node after node.
-func referenceRun(g *graph.Graph, cfg Config) (Stats, *graph.Graph, []trace.Event) {
-	tr := &captureTracer{}
-	cfg.Tracer = tr
-	e := NewEngine(g, cfg)
-	sink := &opSink{e: e, direct: true}
-	lo, hi, ring := e.extremes()
-	add := func(t trace.EventType, u, v ids.ID) { // one edge a Memory round accepted
-		sink.addEdge()
-		sink.observe(u)
-		sink.observe(v)
-		tr.Emit(trace.Event{T: int64(e.curRound), Type: t, Node: u, Peer: v})
+// runResult is everything a run shows: stats, final graph, trace stream and
+// the graph after every round.
+type runResult struct {
+	stats  Stats
+	final  *graph.Graph
+	events []trace.Event
+	rounds []*graph.Graph
+}
+
+// runRounds is runOnce with the OnRound hook set, so the engine builds its
+// graph every round and the result holds a copy of each.
+func runRounds(g *graph.Graph, cfg Config) runResult {
+	var res runResult
+	cfg.OnRound = func(_ int, cur *graph.Graph) { res.rounds = append(res.rounds, cur.Clone()) }
+	res.stats, res.final, res.events = runOnce(g, cfg)
+	return res
+}
+
+// sameRun holds a run of the engine to the reference's: stats, final graph,
+// the protocol-level trace stream and the graph OnRound saw in every round.
+func sameRun(t testing.TB, label string, got, want runResult) {
+	t.Helper()
+	sameStats(t, label, got.stats, want.stats)
+	sameEvents(t, label, want.events, sansShardEvents(got.events))
+	if !got.final.Equal(want.final) {
+		t.Fatalf("%s: final graph differs from the reference", label)
 	}
-	for ; !e.Done() && e.curRound < 16*len(e.nodes)+1024; e.curRound++ {
-		round := trace.Event{T: int64(e.curRound), Type: trace.EvRoundStart, Aux: cfg.Variant.String(), Value: float64(e.g.NumEdges())}
-		tr.Emit(round)
-		start := e.g.Clone()
-		for _, v := range e.nodes {
-			if cfg.Variant != Memory {
-				e.stepInPlace(v, sink)
-				continue
-			}
-			for _, c := range chainEdges(v, e.lineNeighborsInto(start, v, nil)) {
-				if e.g.AddEdge(c.U, c.V) {
-					add(trace.EvEdgeAdd, c.U, c.V)
-				}
-			}
-			if ring && cfg.CloseRing && (v == lo || v == hi) && !start.HasEdge(lo, hi) && start.SupersetOfLine() && e.g.AddEdge(lo, hi) {
-				add(trace.EvRingClosed, lo, hi)
+	if len(got.rounds) != len(want.rounds) {
+		t.Fatalf("%s: OnRound saw %d rounds, the reference ran %d", label, len(got.rounds), len(want.rounds))
+	}
+	for r := range want.rounds {
+		if !got.rounds[r].Equal(want.rounds[r]) {
+			t.Fatalf("%s: graph after round %d differs from the reference", label, r)
+		}
+	}
+}
+
+// refModel is the engine as it was before its state became dense rows, kept
+// as the model the dense step is held to: the virtual graph is a
+// graph.Graph, and one activation sorts N(v), AddEdges the chain and
+// RemoveEdges what the variant does not keep, one identifier at a time.
+type refModel struct {
+	cfg    Config
+	g      *graph.Graph
+	nodes  []ids.ID
+	stats  Stats
+	round  int
+	events []trace.Event
+}
+
+func (m *refModel) emit(ev trace.Event) {
+	ev.T = int64(m.round)
+	m.events = append(m.events, ev)
+}
+
+// isWrapEdge reports whether {v,u} is the ring-closure edge, which is
+// exempt from linearization and pruning.
+func (m *refModel) isWrapEdge(v, u ids.ID) bool {
+	n := len(m.nodes)
+	if !m.cfg.CloseRing || n < 3 {
+		return false
+	}
+	lo, hi := m.nodes[0], m.nodes[n-1]
+	return (v == lo && u == hi) || (v == hi && u == lo)
+}
+
+// lineNeighbors returns v's neighbors in g in the line view — all but a
+// wrap-edge partner — in ascending order.
+func (m *refModel) lineNeighbors(g *graph.Graph, v ids.ID) []ids.ID {
+	var out []ids.ID
+	for _, u := range g.Neighbors(v) {
+		if !m.isWrapEdge(v, u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func (m *refModel) done() bool {
+	n := len(m.nodes)
+	lineEdges := max(n-1, 0)
+	if m.cfg.CloseRing && n >= 3 {
+		if !m.g.HasEdge(m.nodes[0], m.nodes[n-1]) {
+			return false
+		}
+		lineEdges = n
+	}
+	if m.cfg.Variant == Pure && m.g.NumEdges() != lineEdges {
+		return false
+	}
+	return m.g.SupersetOfLine()
+}
+
+// added accounts for one edge AddEdge accepted; observe folds the degrees
+// of its endpoints into the peak.
+func (m *refModel) added(t trace.EventType, u, v ids.ID, observe bool) {
+	m.stats.EdgesAdded++
+	if observe {
+		m.stats.PeakDegree = max(m.stats.PeakDegree, m.g.Degree(u), m.g.Degree(v))
+	}
+	m.emit(trace.Event{Type: t, Node: u, Peer: v})
+}
+
+// step atomically applies v's operation: add the chain edges, then delegate
+// away the neighbors outside v's keep set, then try to close the ring. It
+// reports whether any edge changed.
+func (m *refModel) step(v ids.ID) bool {
+	nbrs := m.lineNeighbors(m.g, v)
+	changed := false
+	for _, c := range chainEdges(v, nbrs) {
+		if m.g.AddEdge(c.U, c.V) {
+			m.added(trace.EvEdgeAdd, c.U, c.V, true)
+			changed = true
+		}
+	}
+	if m.cfg.Variant != Memory {
+		keep := m.keepFor(v, nbrs)
+		m.emit(trace.Event{Type: trace.EvNodeActivate, Node: v, Aux: m.cfg.Variant.String(), Value: float64(len(keep))})
+		sortIDs(keep)
+		for _, w := range nbrs {
+			if !containsID(keep, w) && m.g.RemoveEdge(v, w) {
+				m.stats.EdgesDropped++
+				changed = true
+				m.emit(trace.Event{Type: trace.EvEdgeDelegate, Node: v, Peer: w})
 			}
 		}
-		round.Type, round.Value = trace.EvRoundEnd, float64(e.g.NumEdges())
-		tr.Emit(round)
-		e.stats.Rounds = e.curRound + 1
 	}
-	e.stats.Converged = e.Done()
-	return e.Stats(), e.g, tr.events
+	// §4's discovery messages, abstracted: an extremal node whose line is in
+	// place establishes the wrap edge.
+	if n := len(m.nodes); m.cfg.CloseRing && n >= 3 && (v == m.nodes[0] || v == m.nodes[n-1]) {
+		lo, hi := m.nodes[0], m.nodes[n-1]
+		if !m.g.HasEdge(lo, hi) && m.g.SupersetOfLine() && m.g.AddEdge(lo, hi) {
+			m.added(trace.EvRingClosed, lo, hi, false)
+			changed = true
+		}
+	}
+	return changed
+}
+
+// keepFor returns the neighbors v retains under the configured variant:
+// Pure keeps only the closest neighbor per side (Algorithm 1); LSN the
+// closest neighbor within each occupied exponential interval per side.
+// nbrs is v's current sorted line neighborhood.
+func (m *refModel) keepFor(v ids.ID, nbrs []ids.ID) []ids.ID {
+	if m.cfg.Variant != Pure {
+		return m.keepSet(v)
+	}
+	var keep []ids.ID
+	for i := len(nbrs) - 1; i >= 0; i-- {
+		if nbrs[i] < v {
+			keep = append(keep, nbrs[i])
+			break
+		}
+	}
+	for _, u := range nbrs {
+		if u > v {
+			keep = append(keep, u)
+			break
+		}
+	}
+	return keep
+}
+
+// keepSet returns the neighbors of v that v's LSN policy retains: per
+// direction, the closest neighbor within each occupied exponential interval
+// (which automatically includes the overall closest neighbor on each side).
+// Wrap-edge partners are always retained.
+func (m *refModel) keepSet(v ids.ID) []ids.ID {
+	var best [2][ids.NumIntervals]ids.ID
+	var has [2][ids.NumIntervals]bool
+	var out []ids.ID
+	for _, u := range m.g.Neighbors(v) {
+		if m.isWrapEdge(v, u) {
+			out = append(out, u)
+			continue
+		}
+		d := 0
+		if ids.DirOf(v, u) == ids.Right {
+			d = 1
+		}
+		k := ids.IntervalIndex(ids.LineDist(v, u))
+		if k < 0 {
+			continue
+		}
+		if !has[d][k] {
+			best[d][k] = u
+			has[d][k] = true
+			continue
+		}
+		inc := best[d][k]
+		dU, dInc := ids.LineDist(v, u), ids.LineDist(v, inc)
+		if dU < dInc || (dU == dInc && u < inc) {
+			best[d][k] = u
+		}
+	}
+	for d := 0; d < 2; d++ {
+		for k := 0; k < ids.NumIntervals; k++ {
+			if has[d][k] {
+				out = append(out, best[d][k])
+			}
+		}
+	}
+	return out
+}
+
+// chainEdges returns the chain through v's sorted neighborhood: with
+// u_1 < … < u_k < v < u_{k+1} < … < u_n the edges {u_1,u_2}, …, {u_k,v},
+// {v,u_{k+1}}, …, {u_{n-1},u_n} (Algorithm 1). An empty neighborhood
+// contributes nothing; a neighborhood entirely on one side still chains v
+// to its closest member.
+func chainEdges(v ids.ID, sortedNbrs []ids.ID) []graph.Edge {
+	if len(sortedNbrs) == 0 {
+		return nil
+	}
+	var out []graph.Edge
+	prev := v
+	placed := false
+	first := true
+	for _, u := range sortedNbrs {
+		if !placed && v < u {
+			if !first {
+				out = append(out, graph.NewEdge(prev, v))
+			}
+			prev, first, placed = v, false, true
+		}
+		if !first {
+			out = append(out, graph.NewEdge(prev, u))
+		}
+		prev, first = u, false
+	}
+	if !placed {
+		out = append(out, graph.NewEdge(prev, v))
+	}
+	return out
+}
+
+// sortIDs sorts a small identifier slice in place by insertion sort.
+func sortIDs(a []ids.ID) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// containsID reports whether x occurs in the ascending slice sorted.
+func containsID(sorted []ids.ID, x ids.ID) bool {
+	_, found := slices.BinarySearch(sorted, x)
+	return found
+}
+
+// jacobiRound is Memory's synchronous round: every node reads the
+// round-start graph (a clone) while it adds its chain edges — and an
+// extremal node the wrap edge — to the live one.
+func (m *refModel) jacobiRound() {
+	start := m.g.Clone()
+	n := len(m.nodes)
+	for _, v := range m.nodes {
+		for _, c := range chainEdges(v, m.lineNeighbors(start, v)) {
+			if m.g.AddEdge(c.U, c.V) {
+				m.added(trace.EvEdgeAdd, c.U, c.V, true)
+			}
+		}
+		if lo, hi := m.nodes[0], m.nodes[n-1]; m.cfg.CloseRing && n >= 3 && (v == lo || v == hi) &&
+			!start.HasEdge(lo, hi) && start.SupersetOfLine() && m.g.AddEdge(lo, hi) {
+			m.added(trace.EvRingClosed, lo, hi, true)
+		}
+	}
+}
+
+// referenceRun is the small model the executor is held to: one goroutine,
+// no shards, refModel's step. With a nil order it runs the one-shard
+// schedule — nodes in ascending identifier order, or under the daemon the
+// seeded permutation TestRandomSequentialDrawSequence pins — and a Memory
+// round under the synchronous scheduler is jacobiRound. A non-nil order is
+// a replay: round r activates order[r], which must name every node once.
+func referenceRun(t testing.TB, g *graph.Graph, cfg Config, order [][]ids.ID) runResult {
+	t.Helper()
+	m := &refModel{cfg: cfg, g: g.Clone(), nodes: g.Nodes()}
+	m.stats = Stats{Variant: cfg.Variant, Scheduler: cfg.Scheduler, PeakDegree: g.MaxDegree()}
+	maxRounds := cfg.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = max(16*len(m.nodes), 1024)
+	}
+	var rng *rand.Rand // the daemon's; seeding one is the dearest step of a small run
+	if cfg.Scheduler == sim.RandomSequential {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	var rounds []*graph.Graph
+	for ; !m.done() && m.round < maxRounds; m.round++ {
+		round := trace.Event{Type: trace.EvRoundStart, Aux: cfg.Variant.String(), Value: float64(m.g.NumEdges())}
+		m.emit(round)
+		acts := m.nodes
+		switch {
+		case order != nil:
+			if m.round >= len(order) {
+				t.Fatalf("the reference is not done after %d rounds, the run under test stopped there", m.round)
+			}
+			acts = order[m.round]
+			sorted := slices.Clone(acts)
+			slices.Sort(sorted)
+			if !slices.Equal(sorted, m.nodes) {
+				t.Fatalf("round %d activated %d nodes, not every node once", m.round, len(acts))
+			}
+		case cfg.Scheduler == sim.RandomSequential:
+			acts = slices.Clone(m.nodes)
+			rng.Shuffle(len(acts), func(i, j int) { acts[i], acts[j] = acts[j], acts[i] })
+		}
+		if cfg.Variant == Memory && cfg.Scheduler == sim.Synchronous {
+			m.jacobiRound()
+		} else {
+			for _, v := range acts {
+				m.step(v)
+			}
+		}
+		round.Type, round.Value = trace.EvRoundEnd, float64(m.g.NumEdges())
+		m.emit(round)
+		m.stats.Rounds = m.round + 1
+		rounds = append(rounds, m.g.Clone())
+	}
+	m.stats.Converged = m.done()
+	m.stats.FinalEdges = m.g.NumEdges()
+	return runResult{stats: m.stats, final: m.g, events: m.events, rounds: rounds}
+}
+
+// activationOrder reads the schedule off a Pure or LSN trace: per round,
+// the nodes in the order of their EvNodeActivate events.
+func activationOrder(evs []trace.Event) [][]ids.ID {
+	var order [][]ids.ID
+	for _, e := range evs {
+		switch e.Type {
+		case trace.EvRoundStart:
+			order = append(order, nil)
+		case trace.EvNodeActivate:
+			order[len(order)-1] = append(order[len(order)-1], e.Node)
+		}
+	}
+	return order
+}
+
+// sameAsReplay holds a Pure or LSN run on any shard layout to the
+// reference: the reference step, applied in the run's own activation order,
+// must produce the same per-activation events, the same graph after every
+// round and the same stats.
+func sameAsReplay(t testing.TB, label string, g *graph.Graph, cfg Config, got runResult) {
+	t.Helper()
+	sameRun(t, label, got, referenceRun(t, g, cfg, activationOrder(got.events)))
 }
 
 // TestParallelIndependentOfWorkers pins layer 1: with the shard partition
@@ -182,48 +492,77 @@ func TestJacobiShardedMatchesLegacy(t *testing.T) {
 		g := randomConnected(300, seed)
 		for _, closeRing := range []bool{false, true} {
 			legacy := Config{Variant: Memory, Scheduler: sim.Synchronous, CloseRing: closeRing}
-			lStats, lGraph, lEvents := referenceRun(g, legacy)
-			if !lStats.Converged {
+			ref := referenceRun(t, g, legacy, nil)
+			if !ref.stats.Converged {
 				t.Fatalf("legacy memory run did not converge")
 			}
 			for _, shards := range []int{1, 3, 8, 64} {
 				cfg := legacy
 				cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: shards}
-				st, fg, evs := runOnce(g, cfg)
-				label := "memory"
-				if closeRing {
-					label += "/ring"
-				}
-				if !fg.Equal(lGraph) {
-					t.Fatalf("%s shards=%d: final graph differs from legacy", label, shards)
-				}
-				sameStats(t, label, st, lStats)
-				sameEvents(t, label, lEvents, sansShardEvents(evs))
+				sameRun(t, fmt.Sprintf("memory ring=%v shards=%d", closeRing, shards), runRounds(g, cfg), ref)
 			}
 		}
 	}
 }
 
 // TestAtomicShardOneMatchesLegacy pins layer 2 for Pure and LSN: a single
-// shard degenerates to exactly the reference Gauss-Seidel schedule.
+// shard degenerates to exactly the reference Gauss-Seidel schedule — stats,
+// trace stream, final graph and the graph OnRound sees in every round.
 func TestAtomicShardOneMatchesLegacy(t *testing.T) {
 	for _, v := range []Variant{Pure, LSN} {
 		g := randomConnected(200, 17)
 		for _, closeRing := range []bool{false, true} {
-			legacy := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing}
-			lStats, lGraph, lEvents := referenceRun(g, legacy)
-			cfg := legacy
-			cfg.Executor = sim.ExecutorConfig{Workers: 4, Shards: 1}
-			st, fg, evs := runOnce(g, cfg)
-			label := v.String()
-			if closeRing {
-				label += "/ring"
+			cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: closeRing,
+				Executor: sim.ExecutorConfig{Workers: 4, Shards: 1}}
+			sameRun(t, fmt.Sprintf("%s ring=%v", v, closeRing), runRounds(g, cfg), referenceRun(t, g, cfg, nil))
+		}
+	}
+}
+
+// TestDaemonMatchesLegacy pins layer 2 for the sequential daemon, under
+// which every variant steps in place: the reference, walking the seeded
+// permutation, takes the same run.
+func TestDaemonMatchesLegacy(t *testing.T) {
+	g := randomConnected(120, 5)
+	for _, v := range Variants() {
+		for _, closeRing := range []bool{false, true} {
+			cfg := Config{Variant: v, Scheduler: sim.RandomSequential, Seed: 9, CloseRing: closeRing}
+			sameRun(t, fmt.Sprintf("%s ring=%v", v, closeRing), runRounds(g, cfg), referenceRun(t, g, cfg, nil))
+		}
+	}
+}
+
+// TestShardedMatchesLegacyReplay pins layer 2 where the shard layout is part
+// of the schedule: Pure and LSN on several shards, under every partition
+// policy, with and without ring closure. The reference replays the
+// activation order of the one-worker run, and every worker count must take
+// that same run. At n=1100 the default partition has two shards.
+func TestShardedMatchesLegacyReplay(t *testing.T) {
+	g, err := graph.Generate(graph.TopoPowerLaw, 1100, graph.RandomIDs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Variant{Pure, LSN} {
+		for _, closeRing := range []bool{false, true} {
+			for _, shards := range []int{3, 8, 0} {
+				for _, policy := range sim.PartitionPolicies() {
+					cfg := Config{Variant: v, CloseRing: closeRing, MaxRounds: 12,
+						Executor: sim.ExecutorConfig{Shards: shards, Partition: policy}}
+					var ref runResult
+					for _, workers := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%s ring=%v shards=%d %s workers=%d", v, closeRing, shards, policy, workers)
+						cfg.Executor.Workers = workers
+						got := runRounds(g, cfg)
+						if workers == 1 {
+							ref = referenceRun(t, g, cfg, activationOrder(got.events))
+							if want := max(shards, 2); got.stats.Par.Shards != want {
+								t.Fatalf("%s: ran on %d shards, want %d", label, got.stats.Par.Shards, want)
+							}
+						}
+						sameRun(t, label, got, ref)
+					}
+				}
 			}
-			if !fg.Equal(lGraph) {
-				t.Fatalf("%s: final graph differs from legacy", label)
-			}
-			sameStats(t, label, st, lStats)
-			sameEvents(t, label, lEvents, sansShardEvents(evs))
 		}
 	}
 }
@@ -327,8 +666,10 @@ func TestParallelEquivalence10k(t *testing.T) {
 }
 
 // TestParallelRaceHammer drives the worker pool hard on all variants; its
-// value is under `go test -race` (the Makefile race target), where any
-// violation of the shard-confinement discipline becomes a report.
+// value is under `go test -race` (the Makefile race target repeats it ten
+// times), where any violation of the shard-confinement discipline — one
+// writer per index interval of Engine.rows — becomes a report. Each final
+// graph must also be the one-worker run's.
 func TestParallelRaceHammer(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	nodes := graph.MakeIDs(1200, graph.RandomIDs, r)
@@ -337,10 +678,13 @@ func TestParallelRaceHammer(t *testing.T) {
 		for _, shards := range []int{4, 16} {
 			cfg := Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: true,
 				Executor: sim.ExecutorConfig{Workers: 8, Shards: shards}, MaxRounds: 20}
-			e := NewEngine(g, cfg)
-			st := e.Run()
-			if fg := e.Graph(); !fg.Connected() {
+			st, fg := Run(g, cfg)
+			if !fg.Connected() {
 				t.Fatalf("%s shards=%d: connectivity lost (rounds=%d)", v, shards, st.Rounds)
+			}
+			cfg.Executor.Workers = 1
+			if _, one := Run(g, cfg); !fg.Equal(one) {
+				t.Fatalf("%s shards=%d: final graph differs from the one-worker run", v, shards)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package linearize
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,15 +93,26 @@ func TestChainEdgesConnectNeighborhood(t *testing.T) {
 
 func TestKeepSetProperties(t *testing.T) {
 	// LSN's keep set: bounded by 2·NumIntervals, always contains the
-	// closest neighbor per side, and every member is a current neighbor.
+	// closest neighbor per side, every member is a current neighbor, and the
+	// dense form (ascending, read off the row in one pass) names exactly the
+	// members of the reference model's.
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		n := 5 + r.Intn(60)
 		nodes := graph.MakeIDs(n, graph.RandomIDs, r)
 		g := graph.ErdosRenyi(nodes, 0.3, r)
 		e := NewEngine(g, Config{Variant: LSN})
-		for _, v := range g.Nodes() {
-			keep := e.keepSet(g, v, nil)
+		ref := &refModel{cfg: e.cfg, g: g, nodes: e.nodes}
+		for i, v := range e.nodes {
+			var keep []ids.ID
+			for _, j := range e.keepLine(int32(i), e.rows[i], nil) {
+				keep = append(keep, e.nodes[j])
+			}
+			want := ref.keepSet(v)
+			sortIDs(want)
+			if !slices.Equal(keep, want) {
+				t.Fatalf("keep set of %s is %v, the reference keeps %v", v, keep, want)
+			}
 			if len(keep) > 2*ids.NumIntervals {
 				t.Fatalf("keep set too large: %d", len(keep))
 			}
