@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate fuzz-smoke clean
+.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate sweep fuzz-smoke clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
 check: vet staticcheck build race benchmark-check docs-check
@@ -99,6 +99,14 @@ profile-quick:
 perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
+
+# Stall sweep: 1000 generator seeds through every round-model variant with
+# CloseRing, as generated and with the extremal nodes linked; prints the
+# stall count, which must be 0 (the test fails otherwise). The `vrr` and
+# `ssr` sweeps (`regular` n=64, `unitdisk` n=192) join when their stall
+# families are fixed (ROADMAP item 1).
+sweep:
+	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
 # trace-encoding, graph-mutation and event-order targets (one -fuzz run per

@@ -36,10 +36,7 @@ type Node struct {
 // NewNode creates and registers a flood-bootstrap node.
 func NewNode(net phys.Transport, id ids.ID) *Node {
 	n := &Node{id: id, net: net, known: ids.NewSet(id), routes: make(map[ids.ID]sroute.Route)}
-	net.Register(id, phys.HandlerFunc(n.handle))
-	if fd, ok := net.(phys.FailureDetector); ok {
-		fd.SubscribeLeases(id, n.onLease)
-	}
+	node.Attach(net, id, n.handle, n.onLease)
 	return n
 }
 

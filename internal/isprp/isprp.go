@@ -113,10 +113,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 	n.courier = phys.NewCourier(net, id)
 	n.courier.OnDeliver = n.deliver
 	n.courier.OnForward = n.overhear
-	net.Register(id, phys.HandlerFunc(n.handle))
-	if fd, ok := net.(phys.FailureDetector); ok {
-		fd.SubscribeLeases(id, n.onLease)
-	}
+	node.Attach(net, id, n.handle, n.onLease)
 	return n
 }
 
@@ -284,14 +281,7 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 
 // overhear lets forwarding nodes cache route segments of relayed packets —
 // SSR route learning (§1: nodes "store (some of) these source routes").
-func (n *Node) overhear(pkt phys.SRPacket) {
-	if back := pkt.Route[:pkt.Hop+1].Reverse(); len(back) >= 2 {
-		n.learnRoute(back)
-	}
-	if fwd := pkt.Route[pkt.Hop:]; len(fwd) >= 2 {
-		n.learnRoute(fwd.Clone())
-	}
-}
+func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, n.learnRoute) }
 
 // handleNotify processes a successor claim from node from.
 func (n *Node) handleNotify(from ids.ID) {

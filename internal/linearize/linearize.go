@@ -56,11 +56,10 @@
 //
 // Ring closure (§4's clockwise/counter-clockwise discovery messages between
 // the nodes with empty left/right neighbor sets) is modeled by the
-// CloseRing option. The wrap edge it establishes connects the extremal
-// nodes of the identifier space and is deliberately *exempt* from
-// linearization and pruning: linearization works on the line view, where
-// the leftmost node simply has an empty left set — the wrap edge is ring
-// state, not a line neighbor.
+// CloseRing option. Linearization works on the line, so the wrap edge is
+// ring state kept *beside* the line (Engine.closed, decided between rounds)
+// and never an entry of it: a link the input has between the two extremal
+// nodes is a neighbor like any other, chained and delegated like one.
 //
 // The §2 step — sort N(v), chain the consecutive pairs, delegate what the
 // variant does not keep — is array work over an ordered neighborhood, and
@@ -124,8 +123,9 @@ type Config struct {
 	// Seed drives the random-sequential daemon's activation order.
 	Seed int64
 	// CloseRing also establishes the wrap edge between the smallest and
-	// largest node once the line is in place (§4's discovery step,
-	// abstracted). The wrap edge is exempt from linearization.
+	// largest node at the end of the round that puts the line in place (§4's
+	// discovery step, abstracted). The wrap edge is no line neighbor: no
+	// step reads or drops it.
 	CloseRing bool
 	// Executor configures the round executor (see parallel.go and
 	// sim.ExecutorConfig): pool width (<= 0: GOMAXPROCS), partition size
@@ -200,6 +200,9 @@ type Engine struct {
 	rows  [][]int32  // node i's neighbours, strictly ascending; nil once frozen into csr
 	csr   *graph.CSR // Memory's synchronous round: the frozen image
 	ring  bool       // CloseRing on a universe that has a ring (three nodes or more)
+	// closed is the wrap edge: ring state beside the rows, which hold line
+	// edges only. closeRing sets it between rounds; Graph adds the edge.
+	closed bool
 	// startEdges is the input's edge count. Every later edge is counted in
 	// stats when it comes or goes, so the live count needs no walk.
 	startEdges int
@@ -220,14 +223,18 @@ func NewEngine(virtual *graph.Graph, cfg Config) *Engine {
 	return e
 }
 
-// Graph builds the current virtual graph from the dense state; the caller
-// owns the result.
+// Graph builds the current virtual graph from the dense state — the rows,
+// plus the wrap edge once the ring is closed; the caller owns the result.
 func (e *Engine) Graph() *graph.Graph {
 	c := e.csr
 	if c == nil {
 		c = graph.FreezeRows(e.nodes, e.rows)
 	}
-	return c.Graph()
+	g := c.Graph()
+	if e.closed {
+		g.AddEdge(e.nodes[0], e.nodes[len(e.nodes)-1])
+	}
+	return g
 }
 
 // Stats returns the accumulated run statistics.
@@ -238,9 +245,17 @@ func (e *Engine) Stats() Stats {
 }
 
 // numEdges is the live edge count between activations (a shard's sink holds
-// its share of the counts back until it is flushed).
+// its share of the counts back until it is flushed). A closed ring whose
+// extremal nodes are also line neighbours — a link of the input that Memory
+// or LSN kept — has that pair once, not twice.
 func (e *Engine) numEdges() int {
-	return e.startEdges + int(e.stats.EdgesAdded-e.stats.EdgesDropped)
+	m := e.startEdges + int(e.stats.EdgesAdded-e.stats.EdgesDropped)
+	if e.closed { // so the line is in place and row 0 is not empty
+		if r := e.row(0); r[len(r)-1] == int32(len(e.nodes)-1) {
+			m--
+		}
+	}
+	return m
 }
 
 // row returns node i's neighbours in whichever form holds them.
@@ -249,22 +264,6 @@ func (e *Engine) row(i int) []int32 {
 		return e.csr.Row(i)
 	}
 	return e.rows[i]
-}
-
-// lineRow returns row, node v's, in the line view: without the wrap
-// partner, which is ring state, exempt from linearization and pruning, and
-// can only sit at the far end of an extremal node's row.
-func (e *Engine) lineRow(v int32, row []int32) []int32 {
-	if k := len(row); e.ring && k > 0 {
-		last := int32(len(e.nodes) - 1)
-		if v == 0 && row[k-1] == last {
-			return row[:k-1]
-		}
-		if v == last && row[0] == 0 {
-			return row[1:]
-		}
-	}
-	return row
 }
 
 // supersetOfLine reports whether every node is adjacent to its successor.
@@ -282,13 +281,12 @@ func (e *Engine) supersetOfLine() bool {
 
 // Done reports whether the goal state is reached: the sorted line (Pure) or
 // a superset of it (Memory, LSN — their fixed points retain extra shortcut
-// edges by design), plus the wrap edge when CloseRing is set.
+// edges by design), closed into the ring when CloseRing is set.
 func (e *Engine) Done() bool {
 	n := len(e.nodes)
 	lineEdges := max(n-1, 0)
 	if e.ring {
-		// The wrap edge is the last entry of the smallest node's row.
-		if r := e.row(0); len(r) == 0 || r[len(r)-1] != int32(n-1) {
+		if !e.closed {
 			return false
 		}
 		lineEdges = n
@@ -395,12 +393,11 @@ func (s *opSink) flush() {
 // shard's index interval (the interior contract of the parallel executor),
 // so each row has a single writer even though shards run concurrently.
 func (e *Engine) stepInPlace(v int32, sink *opSink) bool {
-	// nbrs is a view of v's own row, which nothing writes before the walks
-	// below are over: a chain pair never names v, and a delegation edits
-	// the other endpoint's row. The keep set lives in the sink's scratch, so
-	// the steady-state hot path allocates nothing.
-	row := e.rows[v]
-	nbrs := e.lineRow(v, row)
+	// nbrs is v's own row, which nothing writes before the walks below are
+	// over: a chain pair never names v, and a delegation edits the other
+	// endpoint's row. The keep set lives in the sink's scratch, so the
+	// steady-state hot path allocates nothing.
+	nbrs := e.rows[v]
 	changed := false
 	// With u_1 < … < u_k < v < u_{k+1} < … < u_n the chain is {u_1,u_2}, …,
 	// {u_k,v}, {v,u_{k+1}}, …, {u_{n-1},u_n}: the consecutive pairs of the
@@ -417,15 +414,10 @@ func (e *Engine) stepInPlace(v int32, sink *opSink) bool {
 	if e.cfg.Variant != Memory {
 		keep := e.keepLine(v, nbrs, sink.keep[:0])
 		sink.keep = keep
-		wrapped := len(row) - len(nbrs) // 1 when v holds the wrap edge
 		if e.cfg.Tracer != nil {
-			kept := len(keep)
-			if e.cfg.Variant == LSN {
-				kept += wrapped // LSN's keep set names the wrap partner, Pure's does not
-			}
 			sink.emit(trace.Event{
 				T: int64(e.curRound), Type: trace.EvNodeActivate,
-				Node: e.nodes[v], Aux: e.cfg.Variant.String(), Value: float64(kept),
+				Node: e.nodes[v], Aux: e.cfg.Variant.String(), Value: float64(len(keep)),
 			})
 		}
 		if len(keep) < len(nbrs) {
@@ -441,23 +433,8 @@ func (e *Engine) stepInPlace(v int32, sink *opSink) bool {
 				sink.dropEdge()
 				sink.traceEdge(trace.EvEdgeDelegate, v, w)
 			}
-			// v's own row is written once: what it keeps, around the wrap
-			// partner (index 0 leads the largest node's row, the largest
-			// index ends the smallest node's).
-			out := row[:0]
-			if wrapped > 0 && v != 0 {
-				out = row[:1]
-			}
-			out = append(out, keep...)
-			if wrapped > 0 && v == 0 {
-				out = append(out, int32(len(e.nodes)-1))
-			}
-			e.rows[v] = out
+			e.rows[v] = append(nbrs[:0], keep...) // v's own row is written once
 		}
-	}
-	if e.closeRingStep(v, sink) {
-		sink.addEdge()
-		changed = true
 	}
 	return changed
 }
@@ -480,8 +457,8 @@ func (e *Engine) link(a, b int32) bool {
 }
 
 // keepLine appends to dst (reusing its capacity), in ascending order, the
-// members of nbrs — v's line view — that v retains under the configured
-// variant: Pure keeps the closest neighbor per side (Algorithm 1); LSN the
+// members of nbrs — v's row — that v retains under the configured variant:
+// Pure keeps the closest neighbor per side (Algorithm 1); LSN the
 // closest neighbor within each occupied exponential interval per side,
 // O(log |space|) of them. Within one side the row is monotone in distance,
 // so the closest of an interval is the last of its run on the left of v
@@ -510,22 +487,21 @@ func (e *Engine) keepLine(v int32, nbrs, dst []int32) []int32 {
 	return dst
 }
 
-// closeRingStep abstracts §4's discovery messages: an extremal node whose
-// line is in place establishes the wrap edge.
-func (e *Engine) closeRingStep(v int32, sink *opSink) bool {
-	last := int32(len(e.nodes) - 1)
-	if !e.ring || (v != 0 && v != last) {
-		return false
+// closeRing abstracts §4's discovery messages: once the line is in place the
+// two nodes with an empty side find each other. It runs between rounds —
+// before the first and in the sequential tail of each — and writes no row.
+func (e *Engine) closeRing() {
+	if !e.ring || e.closed || !e.supersetOfLine() {
+		return
 	}
-	if r := e.rows[0]; (len(r) > 0 && r[len(r)-1] == last) || !e.supersetOfLine() {
-		return false
+	e.closed = true
+	e.stats.EdgesAdded++
+	if e.cfg.Tracer != nil {
+		last := len(e.nodes) - 1
+		e.cfg.Tracer.Emit(trace.Event{
+			T: int64(e.curRound), Type: trace.EvRingClosed, Node: e.nodes[0], Peer: e.nodes[last],
+		})
 	}
-	e.rows[0] = append(e.rows[0], last)
-	e.rows[last] = slices.Insert(e.rows[last], 0, 0)
-	sink.emit(trace.Event{
-		T: int64(e.curRound), Type: trace.EvRingClosed, Node: e.nodes[0], Peer: e.nodes[last],
-	})
-	return true
 }
 
 // Run is the one-shot convenience entry point: linearize the virtual graph

@@ -169,15 +169,19 @@ func TestCloseRingSequential(t *testing.T) {
 	}
 }
 
-func TestWrapEdgeExemptFromLinearization(t *testing.T) {
-	// Start from the already-closed sorted ring: with CloseRing set this is
-	// a fixed point (0 rounds of work); without it, pure linearization
-	// opens the ring back into the line.
+func TestClosedSortedRingStaysOne(t *testing.T) {
+	// Start from the already-closed sorted ring: with CloseRing set its line
+	// is in place, so the ring closes before the first round and the run is
+	// over — the link between the extremes is the wrap edge's double, one
+	// edge of the output. Without CloseRing, pure linearization opens the
+	// ring back into the line.
 	nodes := []ids.ID{10, 20, 30, 40, 50}
 	ring := graph.Ring(nodes)
-	e := NewEngine(ring, Config{Variant: Pure, Scheduler: sim.Synchronous, CloseRing: true})
-	if !e.Done() {
-		t.Error("closed sorted ring should already be Done with CloseRing")
+	for _, v := range Variants() {
+		stats, final := Run(ring, Config{Variant: v, Scheduler: sim.Synchronous, CloseRing: true})
+		if !stats.Converged || stats.Rounds != 0 || stats.FinalEdges != len(nodes) || !final.Equal(ring) {
+			t.Errorf("%s: a closed sorted ring should stay one in 0 rounds: %s, %v", v, stats, final.Edges())
+		}
 	}
 	stats, final := Run(ring, Config{Variant: Pure, Scheduler: sim.Synchronous})
 	if !stats.Converged {

@@ -11,9 +11,8 @@ package linearize
 //     stages, in parallel, the chain pairs the image lacks; Finish hands
 //     them in global identifier order to CSR.Merge, which resolves
 //     duplicates to the first proposer and builds the next image. Proposal
-//     order, presence filter and ring-closure slot make the graph, stats
-//     and trace stream the same for every shard count (the reference model
-//     in parallel_test.go).
+//     order and presence filter make the graph, stats and trace stream the
+//     same for every shard count (the reference model in parallel_test.go).
 //
 //   - Pure and LSN need atomic node operations (fully simultaneous
 //     replacement does not converge). Prepare classifies each node by its
@@ -47,16 +46,14 @@ package linearize
 // deterministic order, so even the trace stream is identical for every
 // pool width.
 //
-// Ring closure reads global state (every node's successor edge) and writes
-// the wrap edge across shards, so under CloseRing with more than one shard
-// the extremal nodes are forced onto the sequential boundary path — under
-// every policy.
+// Ring closure is no node's operation: Engine.closeRing reads every node's
+// successor edge and sets a flag, once before the first round and at the end
+// of every round's sequential Finish.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -74,8 +71,8 @@ type ParallelStats struct {
 	// the parallel phases (Jacobi proposals, atomic interior steps, the
 	// daemon's one-shard pass); WaveActivations counts cross-shard
 	// activations executed in conflict-free waves (also parallel);
-	// BoundaryActivations counts the sequential share (ring closure during
-	// the ordered merge, atomic boundary fallbacks).
+	// BoundaryActivations counts the sequential share (atomic boundary
+	// fallbacks).
 	InteriorActivations int64
 	WaveActivations     int64
 	BoundaryActivations int64
@@ -99,16 +96,15 @@ type parExec struct {
 
 	// Jacobi state (Memory; the image itself is Engine.csr). A proposal is
 	// a chain pair of dense indices absent from the image.
-	props    [][]graph.Pair // staged per shard in Prepare
-	all      []graph.Pair   // props in shard order: what a single-threaded pass would write
-	minProps int            // how many of them the smallest node staged
-	closing  bool           // this round's merge establishes the wrap edge
-	merger   graph.Merger
+	props  [][]graph.Pair // staged per shard in Prepare
+	all    []graph.Pair   // props in shard order: what a single-threaded pass would write
+	merger graph.Merger
 
 	// atomic state (Pure, LSN): dense indices per shard. boundary holds
 	// the nodes that must run sequentially (cross-shard under the
-	// sequential discipline; ring-closure extremal nodes always); cross
-	// holds the nodes the wave discipline runs in parallel.
+	// sequential discipline; the extremal nodes under CloseRing, see
+	// atomicPrepare); cross holds the nodes the wave discipline runs in
+	// parallel.
 	interior [][]int
 	boundary [][]int
 	cross    [][]int
@@ -187,6 +183,7 @@ func (e *Engine) Run() Stats {
 		p.rng = rand.New(rand.NewSource(e.cfg.Seed))
 		rr.BeginRound = p.beginRound
 		rr.Execute = p.daemonExecute
+		rr.Finish = func(int) int { e.closeRing(); return 0 }
 	case e.cfg.Variant == Memory:
 		p.jacobi = true
 		p.props = make([][]graph.Pair, shardCount)
@@ -208,6 +205,7 @@ func (e *Engine) Run() Stats {
 			rr.Waves = p.runWaves
 		}
 	}
+	e.closeRing() // an input whose line is in place needs no round
 	res := rr.Run()
 	e.stats.Rounds = res.Rounds
 	e.stats.Converged = res.Converged
@@ -223,10 +221,9 @@ func (e *Engine) Run() Stats {
 }
 
 // footprint describes the node at dense index i to the partition policy:
-// the index span of its line view and itself, and its degree as the work
-// estimate.
+// the index span of its row and itself, and its degree as the work estimate.
 func (p *parExec) footprint(i int) sim.Footprint {
-	nbrs := p.e.lineRow(int32(i), p.e.row(i))
+	nbrs := p.e.row(i)
 	f := sim.Footprint{Lo: i, Hi: i, Weight: float64(len(nbrs) + 1)}
 	if k := len(nbrs); k > 0 {
 		f.Lo, f.Hi = min(i, int(nbrs[0])), max(i, int(nbrs[k-1]))
@@ -314,11 +311,9 @@ func (p *parExec) emitShardRound(phase string, counts []int) {
 	})
 }
 
-// jacobiBegin latches the ring-closure precondition against the round-start
-// image, so Prepare and the ordered merge read one frozen state. The image
-// is frozen from the engine's rows once; after that it is the previous
-// round's merge output — Memory only adds edges, and all of them go through
-// Merge.
+// jacobiBegin freezes the engine's rows into the image Prepare and the
+// ordered merge read, once; after that the image is the previous round's
+// merge output — Memory only adds edges, and all of them go through Merge.
 func (p *parExec) jacobiBegin(round int) {
 	p.beginRound(round)
 	e := p.e
@@ -327,30 +322,26 @@ func (p *parExec) jacobiBegin(round int) {
 		e.csr, e.rows = graph.FreezeRows(e.nodes, e.rows), nil
 		e.cfg.Prof.End(round, "snapshot/rebuild", e.cfg.Variant.String(), t0)
 	}
-	p.closing = e.ring && !e.csr.Has(0, int32(len(e.nodes)-1)) && e.csr.SupersetOfLine()
 }
 
 // jacobiPrepare stages the shard's chain proposals against the frozen
 // image: read-only, embarrassingly parallel. v's chain is the consecutive
-// pairs of its line view in stepInPlace's order, left of v then right of v;
+// pairs of its row in stepInPlace's order, left of v then right of v;
 // where a pair straddles v the chain has {a,v} and {v,b}, v's own row
 // entries. Only pairs absent from the image are staged, and a node counts
 // as activated iff it staged one.
 func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
-	e, c := p.e, p.e.csr
+	c := p.e.csr
 	buf := p.props[s.Index][:0]
 	changed := 0
 	for i := s.Lo; i < s.Hi; i++ {
 		v := int32(i)
-		row := e.lineRow(v, c.Row(i))
+		row := c.Row(i)
 		before := len(buf)
 		for k := 1; k < len(row); k++ {
 			if a, b := row[k-1], row[k]; (v < a || b < v) && !c.Has(a, b) {
 				buf = append(buf, graph.Pair{A: a, B: b})
 			}
-		}
-		if i == 0 {
-			p.minProps = len(buf) - before
 		}
 		if len(buf) > before {
 			changed++
@@ -365,20 +356,14 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 // global identifier order, go through one CSR.Merge, whose winner of every
 // run of equal pairs is the proposal Graph.AddEdge would have accepted in a
 // single-threaded pass — so the EdgesAdded count and the EvEdgeAdd stream
-// are the same for every shard count. Ring closure is one more pair in the
-// slot behind the smallest node's proposals, where that pass performs (and
-// attributes) it; no chain pair names the wrap edge, because both ends of
-// a chain pair lie on one side of their proposer. Degrees only grow, so the
-// largest merged row is the peak. Returns the closure-only activation credit; proposal activations were
-// counted in Prepare.
+// are the same for every shard count. Degrees only grow, so the largest
+// merged row is the peak. The ring closes on the merged image. Returns no
+// activations: proposers were counted in Prepare.
 func (p *parExec) jacobiFinish(round int) int {
 	e := p.e
 	all := p.all[:0]
 	for _, props := range p.props {
 		all = append(all, props...)
-	}
-	if p.closing {
-		all = slices.Insert(all, p.minProps, graph.Pair{A: 0, B: int32(len(e.nodes) - 1)})
 	}
 	p.all = all
 	t0 := e.cfg.Prof.Start()
@@ -389,34 +374,26 @@ func (p *parExec) jacobiFinish(round int) int {
 	e.stats.PeakDegree = max(e.stats.PeakDegree, e.csr.MaxDegree())
 	if e.cfg.Tracer != nil {
 		for seq, pr := range all {
-			if !p.merger.Won[seq] {
-				continue
+			if p.merger.Won[seq] {
+				e.cfg.Tracer.Emit(trace.Event{T: int64(round), Type: trace.EvEdgeAdd, Node: e.nodes[pr.A], Peer: e.nodes[pr.B]})
 			}
-			ev := trace.Event{T: int64(round), Type: trace.EvEdgeAdd, Node: e.nodes[pr.A], Peer: e.nodes[pr.B]}
-			if p.closing && seq == p.minProps {
-				ev.Type = trace.EvRingClosed
-			}
-			e.cfg.Tracer.Emit(ev)
 		}
 	}
-	if !p.closing {
-		return 0
-	}
-	p.bndCounts[0]++
-	if p.minProps > 0 {
-		return 0 // the smallest node was already counted in Prepare
-	}
-	return 1
+	e.closeRing()
+	return 0
 }
 
 // atomicPrepare classifies the shard's nodes by footprint: a node whose row
 // starts and ends inside the shard is interior and runs concurrently in
-// Execute; the rest go to the policy's
-// boundary path — the sequential Finish pass, or the wave scheduler when
-// the policy opted into BoundaryWaves. Under CloseRing with several shards
-// the extremal nodes are always sequential-boundary — their ring-closure
-// step reads and writes global state, which no parallel discipline can
-// admit. Read-only; activations are counted by the later phases.
+// Execute; the rest go to the policy's boundary path — the sequential Finish
+// pass, or the wave scheduler when the policy opted into BoundaryWaves.
+// Under CloseRing with several shards the extremal nodes are always
+// sequential-boundary. Nothing needs that (ring closure is no node's step):
+// it pins the activation order and with it every committed count — without
+// it LSN on 40 power-law inputs (n = 4000) moves −26 … +15 % in edge
+// operations per input at a neutral mean, 694 → 693 rounds in all — so it
+// goes when ROADMAP item 3 re-baselines. Read-only; activations are counted
+// by the later phases.
 func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 	e := p.e
 	inner := p.interior[s.Index][:0]
@@ -490,7 +467,8 @@ func (p *parExec) daemonExecute(_ int, s sim.Shard) int {
 // and trace stream for any worker count), then runs the boundary nodes
 // sequentially in global identifier order. Under the wave discipline the
 // shard sinks were already flushed at the top of the wave phase, so the
-// flush loop is a no-op and only the extremal ring-closure nodes remain.
+// flush loop is a no-op and only the forced-boundary extremal nodes remain.
+// Then the ring may close.
 func (p *parExec) atomicFinish(_ int) int {
 	e := p.e
 	for i := range p.sinks {
@@ -507,6 +485,7 @@ func (p *parExec) atomicFinish(_ int) int {
 		p.bndCounts[si] = changed
 		act += changed
 	}
+	e.closeRing()
 	return act
 }
 

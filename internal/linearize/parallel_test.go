@@ -70,28 +70,36 @@ func sameStats(t testing.TB, label string, a, b Stats) {
 }
 
 func runOnce(g *graph.Graph, cfg Config) (Stats, *graph.Graph, []trace.Event) {
-	cap := &captureTracer{}
-	cfg.Tracer = cap
-	e := NewEngine(g, cfg)
-	st := e.Run()
-	return st, e.Graph(), cap.events
+	res := runEngine(g, cfg)
+	return res.stats, res.final, res.events
 }
 
 // runResult is everything a run shows: stats, final graph, trace stream and
-// the graph after every round.
+// the graph after every round — and, for a run of the engine, the engine.
 type runResult struct {
 	stats  Stats
 	final  *graph.Graph
 	events []trace.Event
 	rounds []*graph.Graph
+	engine *Engine
 }
 
-// runRounds is runOnce with the OnRound hook set, so the engine builds its
+// runEngine runs the engine with a capturing tracer.
+func runEngine(g *graph.Graph, cfg Config) runResult {
+	cap := &captureTracer{}
+	cfg.Tracer = cap
+	e := NewEngine(g, cfg)
+	st := e.Run()
+	return runResult{stats: st, final: e.Graph(), events: cap.events, engine: e}
+}
+
+// runRounds is runEngine with the OnRound hook set, so the engine builds its
 // graph every round and the result holds a copy of each.
 func runRounds(g *graph.Graph, cfg Config) runResult {
-	var res runResult
-	cfg.OnRound = func(_ int, cur *graph.Graph) { res.rounds = append(res.rounds, cur.Clone()) }
-	res.stats, res.final, res.events = runOnce(g, cfg)
+	var rounds []*graph.Graph
+	cfg.OnRound = func(_ int, cur *graph.Graph) { rounds = append(rounds, cur.Clone()) }
+	res := runEngine(g, cfg)
+	res.rounds = rounds
 	return res
 }
 
@@ -117,10 +125,12 @@ func sameRun(t testing.TB, label string, got, want runResult) {
 // refModel is the engine as it was before its state became dense rows, kept
 // as the model the dense step is held to: the virtual graph is a
 // graph.Graph, and one activation sorts N(v), AddEdges the chain and
-// RemoveEdges what the variant does not keep, one identifier at a time.
+// RemoveEdges what the variant does not keep, one identifier at a time. The
+// wrap edge is ring state beside g, as in the engine.
 type refModel struct {
 	cfg    Config
-	g      *graph.Graph
+	g      *graph.Graph // line edges only
+	closed bool
 	nodes  []ids.ID
 	stats  Stats
 	round  int
@@ -132,64 +142,69 @@ func (m *refModel) emit(ev trace.Event) {
 	m.events = append(m.events, ev)
 }
 
-// isWrapEdge reports whether {v,u} is the ring-closure edge, which is
-// exempt from linearization and pruning.
-func (m *refModel) isWrapEdge(v, u ids.ID) bool {
-	n := len(m.nodes)
-	if !m.cfg.CloseRing || n < 3 {
-		return false
+// ends returns the smallest and the largest identifier.
+func (m *refModel) ends() (lo, hi ids.ID) { return m.nodes[0], m.nodes[len(m.nodes)-1] }
+
+// view is what an observer sees: g, plus the wrap edge once the ring is
+// closed.
+func (m *refModel) view() *graph.Graph {
+	g := m.g.Clone()
+	if m.closed {
+		g.AddEdge(m.ends())
 	}
-	lo, hi := m.nodes[0], m.nodes[n-1]
-	return (v == lo && u == hi) || (v == hi && u == lo)
+	return g
 }
 
-// lineNeighbors returns v's neighbors in g in the line view — all but a
-// wrap-edge partner — in ascending order.
-func (m *refModel) lineNeighbors(g *graph.Graph, v ids.ID) []ids.ID {
-	var out []ids.ID
-	for _, u := range g.Neighbors(v) {
-		if !m.isWrapEdge(v, u) {
-			out = append(out, u)
-		}
+// numEdges is view().NumEdges() without the copy.
+func (m *refModel) numEdges() int {
+	if m.closed && !m.g.HasEdge(m.ends()) {
+		return m.g.NumEdges() + 1
 	}
-	return out
+	return m.g.NumEdges()
+}
+
+// closeRing is §4's discovery messages, abstracted: between rounds, once the
+// line is in place, the extremal nodes establish the wrap edge.
+func (m *refModel) closeRing() {
+	if !m.cfg.CloseRing || len(m.nodes) < 3 || m.closed || !m.g.SupersetOfLine() {
+		return
+	}
+	m.closed = true
+	m.stats.EdgesAdded++
+	lo, hi := m.ends()
+	m.emit(trace.Event{Type: trace.EvRingClosed, Node: lo, Peer: hi})
 }
 
 func (m *refModel) done() bool {
 	n := len(m.nodes)
 	lineEdges := max(n-1, 0)
 	if m.cfg.CloseRing && n >= 3 {
-		if !m.g.HasEdge(m.nodes[0], m.nodes[n-1]) {
+		if !m.closed {
 			return false
 		}
 		lineEdges = n
 	}
-	if m.cfg.Variant == Pure && m.g.NumEdges() != lineEdges {
+	if m.cfg.Variant == Pure && m.numEdges() != lineEdges {
 		return false
 	}
 	return m.g.SupersetOfLine()
 }
 
-// added accounts for one edge AddEdge accepted; observe folds the degrees
-// of its endpoints into the peak.
-func (m *refModel) added(t trace.EventType, u, v ids.ID, observe bool) {
+// added accounts for one edge AddEdge accepted and folds the degrees of its
+// endpoints into the peak.
+func (m *refModel) added(u, v ids.ID) {
 	m.stats.EdgesAdded++
-	if observe {
-		m.stats.PeakDegree = max(m.stats.PeakDegree, m.g.Degree(u), m.g.Degree(v))
-	}
-	m.emit(trace.Event{Type: t, Node: u, Peer: v})
+	m.stats.PeakDegree = max(m.stats.PeakDegree, m.g.Degree(u), m.g.Degree(v))
+	m.emit(trace.Event{Type: trace.EvEdgeAdd, Node: u, Peer: v})
 }
 
 // step atomically applies v's operation: add the chain edges, then delegate
-// away the neighbors outside v's keep set, then try to close the ring. It
-// reports whether any edge changed.
-func (m *refModel) step(v ids.ID) bool {
-	nbrs := m.lineNeighbors(m.g, v)
-	changed := false
+// away the neighbors outside v's keep set.
+func (m *refModel) step(v ids.ID) {
+	nbrs := slices.Clone(m.g.Neighbors(v)) // the removals below edit v's row
 	for _, c := range chainEdges(v, nbrs) {
 		if m.g.AddEdge(c.U, c.V) {
-			m.added(trace.EvEdgeAdd, c.U, c.V, true)
-			changed = true
+			m.added(c.U, c.V)
 		}
 	}
 	if m.cfg.Variant != Memory {
@@ -199,27 +214,16 @@ func (m *refModel) step(v ids.ID) bool {
 		for _, w := range nbrs {
 			if !containsID(keep, w) && m.g.RemoveEdge(v, w) {
 				m.stats.EdgesDropped++
-				changed = true
 				m.emit(trace.Event{Type: trace.EvEdgeDelegate, Node: v, Peer: w})
 			}
 		}
 	}
-	// §4's discovery messages, abstracted: an extremal node whose line is in
-	// place establishes the wrap edge.
-	if n := len(m.nodes); m.cfg.CloseRing && n >= 3 && (v == m.nodes[0] || v == m.nodes[n-1]) {
-		lo, hi := m.nodes[0], m.nodes[n-1]
-		if !m.g.HasEdge(lo, hi) && m.g.SupersetOfLine() && m.g.AddEdge(lo, hi) {
-			m.added(trace.EvRingClosed, lo, hi, false)
-			changed = true
-		}
-	}
-	return changed
 }
 
 // keepFor returns the neighbors v retains under the configured variant:
 // Pure keeps only the closest neighbor per side (Algorithm 1); LSN the
 // closest neighbor within each occupied exponential interval per side.
-// nbrs is v's current sorted line neighborhood.
+// nbrs is v's current sorted neighborhood.
 func (m *refModel) keepFor(v ids.ID, nbrs []ids.ID) []ids.ID {
 	if m.cfg.Variant != Pure {
 		return m.keepSet(v)
@@ -243,16 +247,11 @@ func (m *refModel) keepFor(v ids.ID, nbrs []ids.ID) []ids.ID {
 // keepSet returns the neighbors of v that v's LSN policy retains: per
 // direction, the closest neighbor within each occupied exponential interval
 // (which automatically includes the overall closest neighbor on each side).
-// Wrap-edge partners are always retained.
 func (m *refModel) keepSet(v ids.ID) []ids.ID {
 	var best [2][ids.NumIntervals]ids.ID
 	var has [2][ids.NumIntervals]bool
 	var out []ids.ID
 	for _, u := range m.g.Neighbors(v) {
-		if m.isWrapEdge(v, u) {
-			out = append(out, u)
-			continue
-		}
 		d := 0
 		if ids.DirOf(v, u) == ids.Right {
 			d = 1
@@ -329,20 +328,14 @@ func containsID(sorted []ids.ID, x ids.ID) bool {
 }
 
 // jacobiRound is Memory's synchronous round: every node reads the
-// round-start graph (a clone) while it adds its chain edges — and an
-// extremal node the wrap edge — to the live one.
+// round-start graph (a clone) while it adds its chain edges to the live one.
 func (m *refModel) jacobiRound() {
 	start := m.g.Clone()
-	n := len(m.nodes)
 	for _, v := range m.nodes {
-		for _, c := range chainEdges(v, m.lineNeighbors(start, v)) {
+		for _, c := range chainEdges(v, start.Neighbors(v)) {
 			if m.g.AddEdge(c.U, c.V) {
-				m.added(trace.EvEdgeAdd, c.U, c.V, true)
+				m.added(c.U, c.V)
 			}
-		}
-		if lo, hi := m.nodes[0], m.nodes[n-1]; m.cfg.CloseRing && n >= 3 && (v == lo || v == hi) &&
-			!start.HasEdge(lo, hi) && start.SupersetOfLine() && m.g.AddEdge(lo, hi) {
-			m.added(trace.EvRingClosed, lo, hi, true)
 		}
 	}
 }
@@ -353,6 +346,7 @@ func (m *refModel) jacobiRound() {
 // seeded permutation TestRandomSequentialDrawSequence pins — and a Memory
 // round under the synchronous scheduler is jacobiRound. A non-nil order is
 // a replay: round r activates order[r], which must name every node once.
+// The ring closes between rounds: before the first and at the end of each.
 func referenceRun(t testing.TB, g *graph.Graph, cfg Config, order [][]ids.ID) runResult {
 	t.Helper()
 	m := &refModel{cfg: cfg, g: g.Clone(), nodes: g.Nodes()}
@@ -366,8 +360,9 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, order [][]ids.ID) ru
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	var rounds []*graph.Graph
+	m.closeRing()
 	for ; !m.done() && m.round < maxRounds; m.round++ {
-		round := trace.Event{Type: trace.EvRoundStart, Aux: cfg.Variant.String(), Value: float64(m.g.NumEdges())}
+		round := trace.Event{Type: trace.EvRoundStart, Aux: cfg.Variant.String(), Value: float64(m.numEdges())}
 		m.emit(round)
 		acts := m.nodes
 		switch {
@@ -392,14 +387,15 @@ func referenceRun(t testing.TB, g *graph.Graph, cfg Config, order [][]ids.ID) ru
 				m.step(v)
 			}
 		}
-		round.Type, round.Value = trace.EvRoundEnd, float64(m.g.NumEdges())
+		m.closeRing()
+		round.Type, round.Value = trace.EvRoundEnd, float64(m.numEdges())
 		m.emit(round)
 		m.stats.Rounds = m.round + 1
-		rounds = append(rounds, m.g.Clone())
+		rounds = append(rounds, m.view())
 	}
 	m.stats.Converged = m.done()
-	m.stats.FinalEdges = m.g.NumEdges()
-	return runResult{stats: m.stats, final: m.g, events: m.events, rounds: rounds}
+	m.stats.FinalEdges = m.numEdges()
+	return runResult{stats: m.stats, final: m.view(), events: m.events, rounds: rounds}
 }
 
 // activationOrder reads the schedule off a Pure or LSN trace: per round,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/sroute"
 	"repro/internal/trace"
 	"repro/internal/vring"
 )
@@ -34,6 +35,29 @@ type Protocol interface {
 	RunUntilConsistent(deadline sim.Time) (sim.Time, bool)
 	// Stop halts periodic activity and attached probes.
 	Stop()
+}
+
+// Attach puts one protocol participant on the network: handler gets its
+// frames and, over a transport with a failure detector (rel), onLease gets
+// the lease verdicts about its physical neighbours — long before the
+// protocol's own silence threshold would notice a dead one.
+func Attach(net phys.Transport, id ids.ID, handler func(phys.Message), onLease phys.LeaseFunc) {
+	net.Register(id, phys.HandlerFunc(handler))
+	if fd, ok := net.(phys.FailureDetector); ok {
+		fd.SubscribeLeases(id, onLease)
+	}
+}
+
+// Overhear hands learn the route segments a relay reads off a packet it
+// forwards (§1: nodes store overheard source routes), each starting at the
+// relay: the way back to the source, then the way on to the destination.
+func Overhear(pkt phys.SRPacket, learn func(sroute.Route)) {
+	if back := pkt.Route[:pkt.Hop+1].Reverse(); len(back) >= 2 {
+		learn(back)
+	}
+	if fwd := pkt.Route[pkt.Hop:]; len(fwd) >= 2 {
+		learn(fwd.Clone())
+	}
 }
 
 // Member is what the cluster driver needs of one protocol participant.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/sroute"
 	"repro/internal/trace"
 )
 
@@ -202,5 +203,62 @@ func TestMaintainBodyRunsBeforeRearm(t *testing.T) {
 	eng.RunUntil(20, nil)
 	if want := []string{"tick", "timer", "tick"}; !reflect.DeepEqual(order, want) {
 		t.Errorf("order %v, want %v", order, want)
+	}
+}
+
+// leasedNet is a raw network that also claims a failure detector.
+type leasedNet struct {
+	*phys.Network
+	subscribed map[ids.ID]phys.LeaseFunc
+}
+
+func (l *leasedNet) SubscribeLeases(self ids.ID, cb phys.LeaseFunc) { l.subscribed[self] = cb }
+
+func TestAttach(t *testing.T) {
+	topo := graph.Line([]ids.ID{1, 2})
+	raw := phys.NewNetwork(sim.NewEngine(1), topo)
+	got := 0
+	noLease := func(ids.ID, bool) { t.Error("the raw network has no leases") }
+	Attach(raw, 1, func(phys.Message) {}, noLease)
+	Attach(raw, 2, func(phys.Message) { got++ }, noLease)
+	raw.Send(phys.Message{From: 1, To: 2, Kind: "frame"})
+	raw.Engine().Run(0)
+	if got != 1 {
+		t.Fatalf("handler saw %d frames, want 1", got)
+	}
+	leased := &leasedNet{Network: raw, subscribed: map[ids.ID]phys.LeaseFunc{}}
+	var verdicts []ids.ID
+	Attach(leased, 1, func(phys.Message) {}, func(peer ids.ID, _ bool) { verdicts = append(verdicts, peer) })
+	if leased.subscribed[1] == nil {
+		t.Fatal("a transport with a failure detector must get the lease callback")
+	}
+	leased.subscribed[1](2, false)
+	if !reflect.DeepEqual(verdicts, []ids.ID{2}) {
+		t.Fatalf("lease verdicts = %v", verdicts)
+	}
+}
+
+func TestOverhear(t *testing.T) {
+	route := sroute.Route{1, 2, 3, 4}
+	segments := func(hop int) []sroute.Route {
+		var out []sroute.Route
+		Overhear(phys.SRPacket{Route: route, Hop: hop}, func(r sroute.Route) { out = append(out, r) })
+		return out
+	}
+	if got, want := segments(1), []sroute.Route{{2, 1}, {2, 3, 4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("relay 2 overheard %v, want %v", got, want)
+	}
+	// The ends of a route have one segment each: a route needs two nodes.
+	if got, want := segments(0), []sroute.Route{{1, 2, 3, 4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("source overheard %v, want %v", got, want)
+	}
+	if got, want := segments(3), []sroute.Route{{4, 3, 2, 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("destination overheard %v, want %v", got, want)
+	}
+	// The forward segment is the learner's to keep: not a view of the packet.
+	fwd := segments(1)[1]
+	fwd[1] = 99
+	if route[2] != 3 {
+		t.Error("the forward segment aliases the packet's route")
 	}
 }

@@ -31,7 +31,7 @@ type ExecutorConfig struct {
 	// the schedule, like Partition.
 	Shards int
 	// Partition names the shard-assignment policy ("" = contiguous). See
-	// RegisterPartitioner / PartitionPolicies.
+	// PartitionPolicies.
 	Partition string
 }
 
@@ -69,7 +69,7 @@ const (
 // stateless between Assign calls or derive any state deterministically
 // from their inputs.
 type Partitioner interface {
-	// Name returns the registry name of the policy.
+	// Name returns the policy's name, as NewPartitioner takes it.
 	Name() string
 	// Assign splits n dense node indices into at most shards contiguous,
 	// ordered, exactly-covering shards. footprint may be consulted per
@@ -124,45 +124,23 @@ func Partition(n, shardCount int) []Shard {
 	return out
 }
 
-// partitioners is the policy registry, keyed by name.
-var partitioners = map[string]func() Partitioner{}
-
-// RegisterPartitioner adds a policy factory under name. Registering a
-// duplicate name panics — policies are wired at init time.
-func RegisterPartitioner(name string, factory func() Partitioner) {
-	if _, dup := partitioners[name]; dup {
-		panic("sim: duplicate partitioner " + name)
-	}
-	partitioners[name] = factory
-}
-
-// NewPartitioner returns a fresh instance of the named policy. The empty
-// name resolves to the contiguous baseline.
+// NewPartitioner returns the named policy. The empty name resolves to the
+// contiguous baseline.
 func NewPartitioner(name string) (Partitioner, error) {
-	if name == "" {
-		name = "contiguous"
+	switch name {
+	case "", "contiguous":
+		return contiguousPartitioner{}, nil
+	case "degree-balanced":
+		return degreeBalancedPartitioner{}, nil
+	case "locality":
+		return localityPartitioner{}, nil
 	}
-	f, ok := partitioners[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown partition policy %q (have %v)", name, PartitionPolicies())
-	}
-	return f(), nil
+	return nil, fmt.Errorf("unknown partition policy %q (have %v)", name, PartitionPolicies())
 }
 
-// PartitionPolicies lists the registered policy names, sorted.
+// PartitionPolicies lists the policy names, sorted.
 func PartitionPolicies() []string {
-	out := make([]string, 0, len(partitioners))
-	for name := range partitioners {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	RegisterPartitioner("contiguous", func() Partitioner { return contiguousPartitioner{} })
-	RegisterPartitioner("degree-balanced", func() Partitioner { return degreeBalancedPartitioner{} })
-	RegisterPartitioner("locality", func() Partitioner { return localityPartitioner{} })
+	return []string{"contiguous", "degree-balanced", "locality"}
 }
 
 // contiguousPartitioner is the default policy: near-equal index intervals,

@@ -55,15 +55,14 @@ func TestPartitionerRegistry(t *testing.T) {
 	if err != nil || p.Name() != "contiguous" {
 		t.Fatalf("empty name must resolve to contiguous, got %v, %v", p, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
+	for _, name := range want {
+		if p, err := NewPartitioner(name); err != nil || p.Name() != name {
+			t.Fatalf("NewPartitioner(%q) = %v, %v", name, p, err)
 		}
-	}()
-	RegisterPartitioner("contiguous", func() Partitioner { return contiguousPartitioner{} })
+	}
 }
 
-// TestPoliciesProduceValidLayouts: every registered policy must return
+// TestPoliciesProduceValidLayouts: every policy must return
 // contiguous ordered shards exactly covering [0, n) for awkward shapes,
 // including the clamp edge cases.
 func TestPoliciesProduceValidLayouts(t *testing.T) {

@@ -223,13 +223,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 	n.courier = phys.NewCourier(net, id)
 	n.courier.OnDeliver = n.deliver
 	n.courier.OnForward = n.overhear
-	net.Register(id, phys.HandlerFunc(func(m phys.Message) { n.courier.Handle(m) }))
-	if fd, ok := net.(phys.FailureDetector); ok {
-		// With a reliable transport underneath, the lease detector tells us
-		// about dead physical neighbors long before our own keepalive
-		// silence threshold (deadAfter ticks) would.
-		fd.SubscribeLeases(id, n.onLease)
-	}
+	node.Attach(net, id, func(m phys.Message) { n.courier.Handle(m) }, n.onLease)
 	return n
 }
 
@@ -598,16 +592,8 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 	}
 }
 
-// overhear caches route segments of relayed packets (§1: nodes store
-// overheard source routes).
-func (n *Node) overhear(pkt phys.SRPacket) {
-	if back := pkt.Route[:pkt.Hop+1].Reverse(); len(back) >= 2 {
-		n.learn(back)
-	}
-	if fwd := pkt.Route[pkt.Hop:]; len(fwd) >= 2 {
-		n.learn(fwd.Clone())
-	}
-}
+// overhear caches route segments of relayed packets.
+func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, n.learn) }
 
 // tombstoned reports whether the edge to x is currently tombstoned.
 func (n *Node) tombstoned(x ids.ID) bool {

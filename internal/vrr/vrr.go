@@ -237,13 +237,9 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 	}
 	n.beacon = phys.NewBeaconer(net, id, cfg.HelloInterval)
 	n.beacon.OnNewNeighbor = n.addPhysicalNeighbor
-	net.Register(id, phys.HandlerFunc(n.handle))
-	if fd, ok := net.(phys.FailureDetector); ok {
-		// The reliable transport's lease detector beats the beacon MissLimit
-		// expiry to the verdict and, unlike it, also names the broken
-		// *transit* paths through the dead neighbor.
-		fd.SubscribeLeases(id, n.onLease)
-	}
+	// A lease verdict beats the beacon MissLimit expiry and, unlike it, also
+	// names the broken *transit* paths through the dead neighbor.
+	node.Attach(net, id, n.handle, n.onLease)
 	return n
 }
 
