@@ -80,11 +80,10 @@ func stdoutOf(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// TestModesReproduceCommittedResults runs table entries — one from each
-// former tool, and three that between them pass through all four
-// message-level protocols — end to end and holds them to the committed
-// artifacts byte for byte: the flags here are the flags the artifact was
-// made with (EXPERIMENTS.md quotes the same commands).
+// TestModesReproduceCommittedResults runs every mode that has a committed
+// results/*.txt end to end and holds it to the artifact byte for byte: the
+// flags here are the flags the artifact was made with (EXPERIMENTS.md
+// quotes the same commands).
 func TestModesReproduceCommittedResults(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -93,10 +92,22 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 	}{
 		{"figures.txt", []string{"-mode", "figures", "-fig", "0"}, false},
 		{"a1_scheduler.txt", []string{"-mode", "scheduler"}, false}, // n=200, 3 seeds
+		{"a2_teardown.txt", []string{"-mode", "teardown"}, false},
+		{"b1_degree.txt", []string{"-mode", "degree", "-seeds", "2"}, false},
+		{"b2_diameter.txt", []string{"-mode", "diameter", "-n", "100", "-seeds", "2"}, false},
 		{"e1b_loopy.txt", []string{"-mode", "loopy"}, true},
+		{"e4_powerlaw.txt", []string{"-mode", "powerlaw", "-sizes", "1000,10000,50000,100000", "-seeds", "3"}, true},
+		{"e5_shape.txt", []string{"-mode", "shape", "-sizes", "100,200,400,800,1600"}, false},
 		{"e6_msgcost.txt", []string{"-mode", "compare", "-sizes", "16,32,64,128"}, false}, // floodboot, isprp, ssr
 		{"e6b_breakdown.txt", []string{"-mode", "breakdown", "-n", "64"}, false},
+		{"e7_routing.txt", []string{"-mode", "route", "-n", "32", "-pairs", "400"}, false},
+		{"e8_state.txt", []string{"-mode", "state", "-sizes", "100,200,400,800"}, false},
+		{"e8b_occupancy.txt", []string{"-mode", "occupancy", "-n", "64"}, false},
+		{"e9_stabilize.txt", []string{"-mode", "stabilize", "-n", "300", "-seeds", "5"}, false},
+		{"e9b_churn.txt", []string{"-mode", "churn", "-n", "40", "-kill", "5"}, false},
+		{"e10_closure.txt", []string{"-mode", "closure", "-n", "32"}, false},
 		{"e11_vrr.txt", []string{"-mode", "vrr", "-n", "32"}, false}, // vrr and ssr with CloseRing
+		{"e12_mobility.txt", []string{"-mode", "mobility", "-n", "24"}, false},
 	} {
 		if tc.slow && (raceEnabled || testing.Short()) {
 			continue
