@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate sweep fuzz-smoke clean
+.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate sweep fuzz-smoke loc clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
 check: vet staticcheck build race benchmark-check docs-check
@@ -48,9 +48,9 @@ smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
-# synthetic trace and pin the throughput baseline in results/.
+# synthetic 500k-event trace.
 bench-analyze:
-	$(GO) run ./cmd/tracectl bench -events 500000 -nodes 256 -reps 5 -out results/BENCH_tracectl.json
+	$(GO) test -run '^$$' -bench BenchmarkAnalyzeStream -benchmem ./internal/trace/
 
 # Chaos suite: replay the committed fault scenarios (loss bursts,
 # partition+heal, churn, jitter, corruption) over every registered
@@ -121,6 +121,18 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
+
+# The ROADMAP's size table from one counter: non-test Go lines per package
+# group, of the tree outside benchmark/, and that tree's test lines. Issues,
+# CHANGES.md and re-anchors quote these numbers.
+loc:
+	@for g in internal/exp internal/trace benchmark "internal/linearize internal/sim" \
+		"internal/ssr internal/vrr internal/isprp internal/floodboot internal/node" \
+		internal/graph "internal/phys internal/rel" internal/chaos; do \
+		printf '%6d  %s\n' $$(find $$g -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) "$$g"; \
+	done
+	@printf '%6d  total outside benchmark/\n' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
+	@printf '%6d  tests outside benchmark/\n' $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -140,10 +140,6 @@ var modes = []mode{
 		one(func(c *ctx) exp.Report { return exp.MobilityRecovery(*c.N, 1500, 0.02, *c.Seeds) })},
 	{"loopy", "E1b", "scaled loopy states", msgModel,
 		one(func(c *ctx) exp.Report { return exp.ScaledLoopy([]int{15, 63, 255}, 2, *c.Seed) })},
-	{"overlay", "E13", "Chord overlay vs SSR underlay", msgModel,
-		one(func(c *ctx) exp.Report { return exp.OverlayVsUnderlay(*c.N, c.Topology(), *c.pairs, *c.Seed) })},
-	{"dht", "E14", "DHT workload over SSR", msgModel,
-		one(func(c *ctx) exp.Report { return exp.DHTWorkload(*c.N, 80, c.Topology(), *c.Seed) })},
 	{"teardown", "A2", "§4 edge teardown on/off", msgModel,
 		one(func(c *ctx) exp.Report { return exp.TeardownAblation(*c.N, c.Topology(), *c.Seeds) })},
 	{"chaos", "E16", "fault-scenario suite over every protocol, invariants checked online", msgModel, func(c *ctx) error {
@@ -220,7 +216,7 @@ func run(args []string) (status int) {
 		CLI:        exp.BindCLI(fs, exp.CLIOptions{Modes: modeHelp(), DefaultMode: "compare", DefaultSizes: msgModel.sizes, DefaultN: msgModel.n}),
 		set:        map[string]bool{},
 		fig:        fs.Int("fig", 0, "figure for -mode figures (1, 2, 3; 0 = all)"),
-		pairs:      fs.Int("pairs", 200, "routed pairs for -mode route / overlay (0 = all)"),
+		pairs:      fs.Int("pairs", 200, "routed pairs for -mode route (0 = all)"),
 		kill:       fs.Int("kill", 3, "nodes to fail for -mode churn"),
 		proto:      fs.String("proto", "linearization", "protocol for -mode boot: "+strings.Join(exp.ProtocolNames(), " | ")),
 		probeEvery: fs.Int("probe-every", 16, "convergence-probe sampling interval in ticks for -mode boot"),

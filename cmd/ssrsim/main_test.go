@@ -5,13 +5,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // Every mode the three former tools served: ssrsim's own, convergence's
 // round-model sweeps, and figures.
 var (
 	formerSsrsim = []string{"compare", "breakdown", "route", "occupancy", "closure", "vrr", "churn", "teardown",
-		"mobility", "loopy", "overlay", "dht", "boot", "chaos", "reliability", "profile"}
+		"mobility", "loopy", "boot", "chaos", "reliability", "profile"}
 	formerConvergence = []string{"powerlaw", "shape", "state", "stabilize", "scheduler", "degree", "diameter"}
 )
 
@@ -119,6 +121,56 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 		if got := stdoutOf(t, tc.args...); got != string(want) {
 			t.Errorf("ssrsim %v drifted from results/%s:\n%s", tc.args, tc.file, got)
 		}
+	}
+}
+
+// TestHarnessFlagsReachEveryMode: -trace, the executor flags and -transport
+// are the harness's, not a mode's. Every mode builds its engines, networks
+// and round-model runs through internal/exp's one constructor and runLin,
+// so the modes that used to build their own see the flags too.
+func TestHarnessFlagsReachEveryMode(t *testing.T) {
+	traceOf := func(args ...string) string {
+		t.Helper()
+		file := filepath.Join(t.TempDir(), "t.jsonl")
+		stdoutOf(t, append(args, "-trace", file)...)
+		out, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	if traceOf("-mode", "degree", "-seeds", "1", "-trace-level", "round") == "" {
+		t.Error("-mode degree wrote an empty round-level trace")
+	}
+
+	// -mode loopy at its smallest size (the mode runs 15, 63 and 255).
+	file := filepath.Join(t.TempDir(), "loopy.jsonl")
+	cleanup, err := exp.SetupObservability(file, "msg", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.ScaledLoopy([]int{15}, 2, 1)
+	if err := cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := os.ReadFile(file); err != nil || len(out) == 0 {
+		t.Errorf("-mode loopy wrote an empty msg-level trace (err %v)", err)
+	}
+
+	// The reliable sublayer carries a mode that used to run raw whatever
+	// the flag said. On a loss-free network it moves no protocol frame and
+	// no consistency instant, so E10's columns are the raw run's; the
+	// sublayer shows in the trace and in a table that counts every frame.
+	closure := []string{"-mode", "closure", "-n", "16", "-transport", "reliable"}
+	if out := stdoutOf(t, closure...); strings.Count(out, "3/3") != 2 {
+		t.Errorf("ssrsim %v: want both rows converged 3/3:\n%s", closure, out)
+	}
+	if !strings.Contains(traceOf(append(closure, "-trace-level", "msg")...), `"kind":"rel:ack"`) {
+		t.Errorf("ssrsim %v: no rel:ack frame in the trace", closure)
+	}
+	raw := stdoutOf(t, "-mode", "teardown", "-n", "16")
+	if rel := stdoutOf(t, "-mode", "teardown", "-n", "16", "-transport", "reliable"); rel == raw || strings.Count(rel, "3/3") != 2 {
+		t.Errorf("-mode teardown -transport reliable: want 3/3 twice and more frames than the raw run:\n%s", rel)
 	}
 }
 

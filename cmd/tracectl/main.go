@@ -7,7 +7,6 @@
 //	tracectl diff lin.jsonl isprp.jsonl       # two runs: rounds + per-type message deltas
 //	tracectl timeline -node 42 run.jsonl      # per-node (or per-round) event slice
 //	tracectl perf profiled.jsonl              # phase/shard cost breakdown + Amdahl ceiling
-//	tracectl bench -out results/BENCH_tracectl.json
 //	tracectl bench compare old.json new.json  # diff two bench artifacts (CI perf gate)
 package main
 
@@ -33,7 +32,6 @@ commands:
   diff      compare two traces: rounds-to-converge and per-type message deltas
   timeline  print a filtered slice of events (per node, per type, per time window)
   perf      per-phase and per-shard cost breakdown of a profiled trace (Amdahl ceiling)
-  bench     measure report-path throughput and write a JSON baseline
   bench compare  diff two BENCH_*.json artifacts with a perf-regression gate
 
 run 'tracectl <command> -h' for per-command flags`)

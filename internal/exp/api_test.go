@@ -21,7 +21,7 @@ func TestProtocolNames(t *testing.T) {
 }
 
 func TestNewBootProtocolUnknown(t *testing.T) {
-	net := newNet(graph.TopoER, 10, 1)
+	_, net := newNet(graph.TopoER, 10, 1)
 	if _, err := NewBootProtocol("nope", net); err == nil {
 		t.Fatal("unknown protocol should error")
 	} else if !strings.Contains(err.Error(), "linearization") {
@@ -34,7 +34,7 @@ func TestNewBootProtocolUnknown(t *testing.T) {
 func TestProtocolContract(t *testing.T) {
 	for _, name := range ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
-			net := newNet(graph.TopoER, 12, 3)
+			_, net := newNet(graph.TopoER, 12, 3)
 			cl, err := NewBootProtocol(name, net)
 			if err != nil {
 				t.Fatal(err)

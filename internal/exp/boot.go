@@ -26,7 +26,7 @@ import (
 // counters, so even a round-level trace carries the message taxonomy.
 func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, error) {
 	rep := Report{ID: "E6c", Title: fmt.Sprintf("single %s bootstrap, n=%d on %s (%s transport)", proto, n, topo, transportName)}
-	net, tr := newTransportNet(topo, n, seed)
+	net, tr := newNet(topo, n, seed)
 	cl, err := NewBootProtocol(proto, tr)
 	if err != nil {
 		return Report{}, err

@@ -18,20 +18,12 @@ func DegreeSweep(n int, degrees []int, seeds int) Report {
 	tab := metrics.NewTable("degree", "variant", "rounds mean", "rounds max", "edges added mean")
 	for _, d := range degrees {
 		for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
-			var rounds []int
-			var added []int64
-			for s := 0; s < seeds; s++ {
+			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
 				r := rand.New(rand.NewSource(int64(1000*d + s)))
-				nodes := graph.MakeIDs(n, graph.RandomIDs, r)
-				g := graph.RandomRegular(nodes, d, r)
-				stats, _ := linearize.Run(g, linearize.Config{
-					Variant: v, Scheduler: sim.Synchronous, Seed: int64(s),
-				})
-				rounds = append(rounds, stats.Rounds)
-				added = append(added, stats.EdgesAdded)
-			}
-			rs := metrics.Summarize(metrics.Ints(rounds))
-			as := metrics.Summarize(metrics.Int64s(added))
+				return graph.RandomRegular(graph.MakeIDs(n, graph.RandomIDs, r), d, r)
+			})
+			rs := over(runs, rounds)
+			as := over(runs, func(st linearize.Stats) float64 { return float64(st.EdgesAdded) })
 			tab.AddRow(d, v.String(), rs.Mean, int(rs.Max), as.Mean)
 		}
 	}
@@ -85,21 +77,15 @@ func DiameterSweep(n int, seeds int) Report {
 	}
 	for _, tc := range cases {
 		for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
-			var rounds []int
 			diam := -1
-			for s := 0; s < seeds; s++ {
-				r := rand.New(rand.NewSource(int64(31*n + s)))
-				g := tc.make(r)
+			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
+				g := tc.make(rand.New(rand.NewSource(int64(31*n + s))))
 				if s == 0 {
 					diam = g.Diameter()
 				}
-				stats, _ := linearize.Run(g, linearize.Config{
-					Variant: v, Scheduler: sim.Synchronous, Seed: int64(s),
-				})
-				rounds = append(rounds, stats.Rounds)
-			}
-			rs := metrics.Summarize(metrics.Ints(rounds))
-			tab.AddRow(tc.name, diam, v.String(), rs.Mean)
+				return g
+			})
+			tab.AddRow(tc.name, diam, v.String(), over(runs, rounds).Mean)
 		}
 	}
 	rep.Table = tab

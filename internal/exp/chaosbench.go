@@ -107,7 +107,7 @@ func ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, Cha
 	allConverged, totalViolations := true, 0
 	for i, scn := range scenarios {
 		for _, name := range protos {
-			net, tr := newTransportNet(topo, n, seed)
+			net, tr := newNet(topo, n, seed)
 			proto, err := NewBootProtocol(name, tr)
 			if err != nil {
 				return Report{}, ChaosResult{}, err

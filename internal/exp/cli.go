@@ -41,8 +41,9 @@ type CLI struct {
 	Workers   *int
 	Shards    *int
 	Partition *string
-	// Transport selects what the bootstrap protocols run over: the raw
-	// lossy network or the reliable-delivery sublayer (internal/rel).
+	// Transport selects what every message-level mode runs its protocols
+	// over: the raw lossy network or the reliable-delivery sublayer
+	// (internal/rel). -mode reliability compares the two and ignores it.
 	Transport *string
 
 	traceFile  *string

@@ -18,23 +18,11 @@ func PowerLawConvergence(sizes []int, seeds int) Report {
 	tab := metrics.NewTable("n", "runs", "rounds mean", "rounds max", "converged", "paper bound")
 	worstEver := 0
 	for _, n := range sizes {
-		var rounds []int
-		conv := 0
-		for s := 0; s < seeds; s++ {
-			g := topoOrDie(graph.TopoPowerLaw, n, int64(1000*n+s))
-			stats, _ := runLin(g, linearize.Config{
-				Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: int64(s),
-			})
-			rounds = append(rounds, stats.Rounds)
-			if stats.Converged {
-				conv++
-			}
-			if stats.Rounds > worstEver {
-				worstEver = stats.Rounds
-			}
-		}
-		sum := metrics.Summarize(metrics.Ints(rounds))
-		tab.AddRow(n, seeds, sum.Mean, int(sum.Max), fmt.Sprintf("%d/%d", conv, seeds), "< 39")
+		runs := linRuns(seeds, linearize.Config{Variant: linearize.LSN, Scheduler: sim.Synchronous},
+			func(s int) *graph.Graph { return topoOrDie(graph.TopoPowerLaw, n, int64(1000*n+s)) })
+		sum := over(runs, rounds)
+		worstEver = max(worstEver, int(sum.Max))
+		tab.AddRow(n, seeds, sum.Mean, int(sum.Max), share(runs, converged), "< 39")
 	}
 	rep.Table = tab
 	if worstEver < 39 {
@@ -60,15 +48,9 @@ func ConvergenceShape(sizes []int, topo graph.Topology, seeds int) Report {
 	for _, v := range linearize.Variants() {
 		var series metrics.Series
 		for _, n := range sizes {
-			var rounds []int
-			for s := 0; s < seeds; s++ {
-				g := topoOrDie(topo, n, int64(31*n+s))
-				stats, _ := runLin(g, linearize.Config{
-					Variant: v, Scheduler: sim.Synchronous, Seed: int64(s),
-				})
-				rounds = append(rounds, stats.Rounds)
-			}
-			sum := metrics.Summarize(metrics.Ints(rounds))
+			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
+				func(s int) *graph.Graph { return topoOrDie(topo, n, int64(31*n+s)) })
+			sum := over(runs, rounds)
 			tab.AddRow(v.String(), n, sum.Mean, int(sum.Max))
 			series.Add(float64(n), sum.Mean)
 		}
@@ -90,17 +72,10 @@ func StateSize(sizes []int, seeds int) Report {
 	tab := metrics.NewTable("variant", "n", "peak degree", "final edges", "edges/node")
 	for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
 		for _, n := range sizes {
-			var peak, final []int
-			for s := 0; s < seeds; s++ {
-				g := topoOrDie(graph.TopoER, n, int64(77*n+s))
-				stats, _ := runLin(g, linearize.Config{
-					Variant: v, Scheduler: sim.Synchronous, Seed: int64(s),
-				})
-				peak = append(peak, stats.PeakDegree)
-				final = append(final, stats.FinalEdges)
-			}
-			ps := metrics.Summarize(metrics.Ints(peak))
-			fs := metrics.Summarize(metrics.Ints(final))
+			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
+				func(s int) *graph.Graph { return topoOrDie(graph.TopoER, n, int64(77*n+s)) })
+			ps := over(runs, func(st linearize.Stats) float64 { return float64(st.PeakDegree) })
+			fs := over(runs, func(st linearize.Stats) float64 { return float64(st.FinalEdges) })
 			tab.AddRow(v.String(), n, ps.Mean, fs.Mean, fs.Mean/float64(n))
 		}
 	}
@@ -116,14 +91,13 @@ func StateSize(sizes []int, seeds int) Report {
 func SelfStabilization(n, perturbations, seeds int) Report {
 	rep := Report{ID: "E9", Title: "Self-stabilization: recovery after perturbation"}
 	tab := metrics.NewTable("phase", "rounds mean", "rounds max", "recovered")
-	var boot, recover []int
-	recovered := 0
+	var boot, recovery []linearize.Stats
 	for s := 0; s < seeds; s++ {
 		g := topoOrDie(graph.TopoER, n, int64(13*n+s))
 		stats, line := runLin(g, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: int64(s),
 		})
-		boot = append(boot, stats.Rounds)
+		boot = append(boot, stats)
 		nodes := line.Nodes()
 		perturbed := line.Clone()
 		for p := 0; p < perturbations; p++ {
@@ -141,15 +115,11 @@ func SelfStabilization(n, perturbations, seeds int) Report {
 		stats2, _ := runLin(perturbed, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: int64(s + 1),
 		})
-		recover = append(recover, stats2.Rounds)
-		if stats2.Converged {
-			recovered++
-		}
+		recovery = append(recovery, stats2)
 	}
-	bs := metrics.Summarize(metrics.Ints(boot))
-	rs := metrics.Summarize(metrics.Ints(recover))
+	bs, rs := over(boot, rounds), over(recovery, rounds)
 	tab.AddRow("bootstrap", bs.Mean, int(bs.Max), fmt.Sprintf("%d/%d", seeds, seeds))
-	tab.AddRow("recovery", rs.Mean, int(rs.Max), fmt.Sprintf("%d/%d", recovered, len(recover)))
+	tab.AddRow("recovery", rs.Mean, int(rs.Max), share(recovery, converged))
 	rep.Table = tab
 	rep.Notes = append(rep.Notes,
 		"recovery starts from the damaged state as-is: self-stabilization needs no reset")
@@ -164,20 +134,9 @@ func SchedulerAblation(n, seeds int) Report {
 	tab := metrics.NewTable("variant", "scheduler", "rounds mean", "converged")
 	for _, v := range linearize.Variants() {
 		for _, sched := range []sim.Scheduler{sim.Synchronous, sim.RandomSequential} {
-			var rounds []int
-			conv := 0
-			for s := 0; s < seeds; s++ {
-				g := topoOrDie(graph.TopoER, n, int64(7*n+s))
-				stats, _ := runLin(g, linearize.Config{
-					Variant: v, Scheduler: sched, Seed: int64(s),
-				})
-				rounds = append(rounds, stats.Rounds)
-				if stats.Converged {
-					conv++
-				}
-			}
-			sum := metrics.Summarize(metrics.Ints(rounds))
-			tab.AddRow(v.String(), sched.String(), sum.Mean, fmt.Sprintf("%d/%d", conv, seeds))
+			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sched},
+				func(s int) *graph.Graph { return topoOrDie(graph.TopoER, n, int64(7*n+s)) })
+			tab.AddRow(v.String(), sched.String(), over(runs, rounds).Mean, share(runs, converged))
 		}
 	}
 	rep.Table = tab

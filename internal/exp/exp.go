@@ -1,8 +1,7 @@
 // Package exp implements the paper's experiments: each function reproduces
 // one figure or quantitative claim (see DESIGN.md's per-experiment index)
 // and returns a Report with the same rows/series the paper's evaluation
-// would print. The cmd/ tools and the root benchmark suite are thin
-// wrappers around this package.
+// would print. cmd/ssrsim is a thin wrapper around this package.
 package exp
 
 import (
@@ -16,10 +15,10 @@ import (
 	"repro/internal/trace"
 )
 
-// tracer, when set via EnableTracing, is attached to every network, engine
-// and linearization run the harnesses create, so the cmd/ tools' -trace
-// flag sees the whole stack without threading a handle through every
-// experiment signature.
+// tracer, when set via EnableTracing, is attached to every engine and
+// network (newEngine, netOn) and every linearization run (runLin) the
+// harnesses create, so the cmd/ tools' -trace flag sees the whole stack
+// without threading a handle through every experiment signature.
 var tracer trace.Tracer
 
 // EnableTracing installs the harness-wide tracer (nil disables). Callers
@@ -32,15 +31,14 @@ const (
 	TransportReliable = "reliable"
 )
 
-// transportName, when set via SetTransport, wraps every network the
-// protocol harnesses create in the reliable-delivery sublayer
-// (internal/rel) — the same harness-wide pattern as the tracer, so the
-// cmd/ tools' -transport flag reaches every bootstrap run.
+// transportName is what netOn, the one network constructor, starts every
+// protocol over: the -transport flag holds for every message-level mode.
+// ReliabilityBench alone builds both transports itself.
 var transportName = TransportRaw
 
 // SetTransport selects the harness-wide transport: "raw" (or "") keeps
 // protocols directly on the lossy physical network, "reliable" interposes
-// the retransmitting sublayer.
+// the retransmitting sublayer (internal/rel).
 func SetTransport(name string) error {
 	switch name {
 	case "", TransportRaw:
@@ -53,26 +51,19 @@ func SetTransport(name string) error {
 	return nil
 }
 
-// defaultExec, when set via SetExecutor, configures the round executor
-// (pool width, partition size, partition policy) for every linearization
-// run the harnesses create — the same harness-wide pattern as the tracer,
-// so the cmd/ tools' -workers/-shards/-partition flags reach every
-// experiment.
+// defaultExec configures the round executor (pool width, partition size,
+// partition policy) of every run that goes through runLin: the
+// -workers/-shards/-partition flags hold for every round-model mode.
 var defaultExec sim.ExecutorConfig
 
 // SetExecutor installs the harness-wide round-executor configuration.
-// Experiments that configure an executor themselves are left alone.
-func SetExecutor(cfg sim.ExecutorConfig) {
-	defaultExec = cfg
-}
+// ProfileBench, which takes its executor as arguments, is left alone.
+func SetExecutor(cfg sim.ExecutorConfig) { defaultExec = cfg }
 
-// runLin runs one linearization experiment with the harness tracer and
+// runLin is the one way to a round-model run: the harness tracer and
 // executor configuration attached.
 func runLin(g *graph.Graph, cfg linearize.Config) (linearize.Stats, *graph.Graph) {
-	cfg.Tracer = tracer
-	if cfg.Executor == (sim.ExecutorConfig{}) {
-		cfg.Executor = defaultExec
-	}
+	cfg.Tracer, cfg.Executor = tracer, defaultExec
 	return linearize.Run(g, cfg)
 }
 

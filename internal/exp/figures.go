@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/graph"
 	"repro/internal/isprp"
 	"repro/internal/linearize"
 	"repro/internal/metrics"
@@ -48,8 +47,8 @@ func Fig1Loopy(seed int64) Report {
 	}
 	// SSR linearization: no flooding at all.
 	{
-		net := phys.NewNetwork(sim.NewEngine(seed), loopy.ToGraph())
-		cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+		net, tr := netOn(newEngine(seed), loopy.ToGraph())
+		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(120000)
 		tab.AddRow("linearization", ok, int64(at), net.Counters().Total(), 0)
 		cl.Stop()
@@ -62,8 +61,8 @@ func Fig1Loopy(seed int64) Report {
 
 func isprpOnLoopy(seed int64, cfg isprp.Config) (*phys.Network, *isprp.Cluster) {
 	loopy := vring.LoopyExample()
-	net := phys.NewNetwork(sim.NewEngine(seed), loopy.ToGraph())
-	return net, isprp.NewClusterFrom(net, cfg, loopy)
+	net, tr := netOn(newEngine(seed), loopy.ToGraph())
+	return net, isprp.NewClusterFrom(tr, cfg, loopy)
 }
 
 // Fig2SeparateRings reproduces Figure 2 / experiment E2: two disjoint
@@ -83,15 +82,15 @@ func Fig2SeparateRings(seed int64) Report {
 	topo := succ.ToGraph()
 	topo.AddEdge(18, 21)
 	{
-		net := phys.NewNetwork(sim.NewEngine(seed), topo)
-		cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+		net, tr := netOn(newEngine(seed), topo)
+		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(120000)
 		tab.AddRow("linearization (E_v := E_p)", ok, int64(at), net.Counters().Total())
 		cl.Stop()
 	}
 	// Abstract check: the same merge in the round model.
 	{
-		stats, final := linearize.Run(topo, linearize.Config{
+		stats, final := runLin(topo, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: seed,
 		})
 		tab.AddRow("abstract LSN (rounds)", stats.Converged, stats.Rounds, stats.EdgesAdded+stats.EdgesDropped)
@@ -111,7 +110,7 @@ func Fig3Trace() Report {
 	g := vring.LoopyExample().ToGraph()
 	var rt trace.RoundTrace
 	rt.ObserveInitial(g)
-	stats, final := linearize.Run(g, linearize.Config{
+	stats, final := runLin(g, linearize.Config{
 		Variant:   linearize.Pure,
 		Scheduler: sim.Synchronous,
 		OnRound:   rt.Observe,
@@ -128,7 +127,7 @@ func Fig3Trace() Report {
 func Fig3ClosedRing() Report {
 	rep := Report{ID: "E10", Title: "Ring closure via discovery (abstract)"}
 	g := vring.LoopyExample().ToGraph()
-	stats, final := linearize.Run(g, linearize.Config{
+	stats, final := runLin(g, linearize.Config{
 		Variant:   linearize.Pure,
 		Scheduler: sim.Synchronous,
 		CloseRing: true,
@@ -138,14 +137,4 @@ func Fig3ClosedRing() Report {
 	rep.Table = tab
 	rep.Text = trace.RenderArcs(final)
 	return rep
-}
-
-// topoOrDie builds a topology for harness code where the parameters are
-// static and known-good.
-func topoOrDie(t graph.Topology, n int, seed int64) *graph.Graph {
-	g, err := graph.Generate(t, n, graph.RandomIDs, seed)
-	if err != nil {
-		panic(fmt.Sprintf("exp: topology %s/%d: %v", t, n, err))
-	}
-	return g
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
@@ -23,12 +24,12 @@ func MobilityRecovery(n int, motionTicks int64, speed float64, seeds int) Report
 	tab := metrics.NewTable("seed", "link changes", "reconverged", "recovery time")
 	recovered := 0
 	for s := 0; s < seeds; s++ {
-		eng := sim.NewEngine(int64(977*n + s))
+		eng := newEngine(int64(977*n + s))
 		nodes := graph.MakeIDs(n, graph.RandomIDs, eng.Rand())
 		radius := 0.42
 		topo, pos := graph.UnitDisk(nodes, radius, eng.Rand())
-		net := phys.NewNetwork(eng, topo)
-		cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+		net, tr := netOn(eng, topo)
+		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		if _, ok := cl.RunUntilConsistent(sim.Time(n) * 8192); !ok {
 			tab.AddRow(s, "-", "bootstrap failed", "-")
 			continue
@@ -60,14 +61,13 @@ func ScaledLoopy(sizes []int, step int, seed int64) Report {
 	rep := Report{ID: "E1b", Title: fmt.Sprintf("Scaled loopy states (winding %d)", step)}
 	tab := metrics.NewTable("n", "mechanism", "resolved", "time", "messages")
 	for _, n := range sizes {
-		eng := sim.NewEngine(seed + int64(n))
-		nodes := graph.MakeIDs(n, graph.RandomIDs, eng.Rand())
+		nodes := graph.MakeIDs(n, graph.RandomIDs, rand.New(rand.NewSource(seed+int64(n))))
 		loopy := vring.LoopyState(nodes, step)
 		topo := loopy.ToGraph()
 
 		// Linearization.
-		net := phys.NewNetwork(sim.NewEngine(seed), topo)
-		cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+		net, tr := netOn(newEngine(seed), topo)
+		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(sim.Time(n) * 8192)
 		cl.Stop()
 		tab.AddRow(n, "linearization", ok, int64(at), net.Counters().Total())
@@ -76,8 +76,8 @@ func ScaledLoopy(sizes []int, step int, seed int64) Report {
 		// keep the run cheap; the state is locally consistent by
 		// construction at every size).
 		if n == sizes[0] {
-			net2 := phys.NewNetwork(sim.NewEngine(seed), topo)
-			icl := isprp.NewClusterFrom(net2, isprp.Config{EnableFlood: false}, loopy)
+			net2, tr2 := netOn(newEngine(seed), topo)
+			icl := isprp.NewClusterFrom(tr2, isprp.Config{EnableFlood: false}, loopy)
 			at2, ok2 := icl.RunUntilConsistent(40000)
 			icl.Stop()
 			tab.AddRow(n, "isprp (no flood)", ok2, int64(at2), net2.Counters().Total())

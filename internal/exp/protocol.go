@@ -10,29 +10,11 @@ import (
 	"repro/internal/isprp"
 	"repro/internal/metrics"
 	"repro/internal/phys"
-	"repro/internal/rel"
 	"repro/internal/sim"
 	"repro/internal/ssr"
 	"repro/internal/trace"
 	"repro/internal/vrr"
 )
-
-func newNet(topo graph.Topology, n int, seed int64) *phys.Network {
-	eng := sim.NewEngine(seed, sim.WithTracer(tracer))
-	return phys.NewNetwork(eng, topoOrDie(topo, n, seed), phys.WithTracer(tracer))
-}
-
-// newTransportNet builds a raw network plus the transport protocols should
-// run over, honoring the harness-wide SetTransport selection. The raw
-// network stays the handle for fault injection and counters even when the
-// reliable sublayer is interposed.
-func newTransportNet(topo graph.Topology, n int, seed int64) (*phys.Network, phys.Transport) {
-	raw := newNet(topo, n, seed)
-	if transportName == TransportReliable {
-		return raw, rel.New(raw, rel.DefaultConfig())
-	}
-	return raw, raw
-}
 
 // MessageCost reproduces experiment E6: physical frames to global
 // consistency for ISPRP+flood vs the linearization bootstrap, with the
@@ -42,61 +24,23 @@ func MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E6", Title: fmt.Sprintf("Bootstrap message cost on %s graphs", topo)}
 	tab := metrics.NewTable("protocol", "n", "converged", "time mean", "msgs mean", "flood mean", "flood share")
 	for _, n := range sizes {
-		type agg struct {
-			conv       int
-			time, msgs []int64
-			flood      []int64
-		}
-		collect := func(run func(seed int64) (bool, int64, int64, int64)) agg {
-			var a agg
-			for s := 0; s < seeds; s++ {
-				ok, at, msgs, flood := run(int64(101*n + s))
-				if ok {
-					a.conv++
-				}
-				a.time = append(a.time, at)
-				a.msgs = append(a.msgs, msgs)
-				a.flood = append(a.flood, flood)
-			}
-			return a
-		}
 		deadline := sim.Time(n) * 4096
-
-		af := collect(func(seed int64) (bool, int64, int64, int64) {
-			net := newNet(topo, n, seed)
-			cl := floodboot.NewCluster(net)
-			at, ok := cl.RunUntilConsistent(deadline)
-			total := net.Counters().Total()
-			return ok, int64(at), total, total // every frame is a flood frame
-		})
-		ai := collect(func(seed int64) (bool, int64, int64, int64) {
-			net := newNet(topo, n, seed)
-			cl := isprp.NewCluster(net, isprp.Config{EnableFlood: true})
-			at, ok := cl.RunUntilConsistent(deadline)
-			cl.Stop()
-			return ok, int64(at), net.Counters().Total(), net.Counters().Get(isprp.KindFlood)
-		})
-		al := collect(func(seed int64) (bool, int64, int64, int64) {
-			net := newNet(topo, n, seed)
-			cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded})
-			at, ok := cl.RunUntilConsistent(deadline)
-			cl.Stop()
-			return ok, int64(at), net.Counters().Total(), 0
-		})
-
-		add := func(name string, a agg) {
-			ts := metrics.Summarize(metrics.Int64s(a.time))
-			ms := metrics.Summarize(metrics.Int64s(a.msgs))
-			fs := metrics.Summarize(metrics.Int64s(a.flood))
-			share := 0.0
+		add := func(name string, runs []bootRun, flood func(bootRun) float64) {
+			ms, fs := over(runs, msgs), over(runs, flood)
+			floodShare := 0.0
 			if ms.Mean > 0 {
-				share = fs.Mean / ms.Mean
+				floodShare = fs.Mean / ms.Mean
 			}
-			tab.AddRow(name, n, fmt.Sprintf("%d/%d", a.conv, seeds), ts.Mean, ms.Mean, fs.Mean, share)
+			tab.AddRow(name, n, share(runs, booted), over(runs, bootTime).Mean, ms.Mean, fs.Mean, floodShare)
 		}
-		add("full flood", af)
-		add("isprp+flood", ai)
-		add("linearization", al)
+		runs, _ := bootRuns(topo, n, seeds, 101, deadline, floodboot.NewCluster)
+		add("full flood", runs, msgs) // every frame is a flood frame
+		runs, _ = bootRuns(topo, n, seeds, 101, deadline, func(t phys.Transport) *isprp.Cluster {
+			return isprp.NewCluster(t, isprp.Config{EnableFlood: true})
+		})
+		add("isprp+flood", runs, frames(isprp.KindFlood))
+		runs, _ = bootRuns(topo, n, seeds, 101, deadline, ssrOver(ssr.Config{CacheMode: cache.Bounded}))
+		add("linearization", runs, frames()) // no flood kind to count
 	}
 	rep.Table = tab
 	rep.Notes = append(rep.Notes,
@@ -110,10 +54,10 @@ func MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
 // is available for any traced run, not just this harness.
 func MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E6b", Title: "Linearization bootstrap message mix"}
-	net := newNet(topo, n, seed)
+	net, tr := newNet(topo, n, seed)
 	sink := trace.NewStatsSink()
 	net.SetTracer(trace.Tee(net.Tracer(), sink))
-	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
+	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
 	at, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	cl.Stop()
 	rep.Table = trace.TaxonomyTable(sink.MessageTaxonomy())
@@ -133,8 +77,8 @@ func MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 // stretch distribution is reported alongside.
 func Routing(n int, topo graph.Topology, pairs int, seed int64) Report {
 	rep := Report{ID: "E7", Title: "SSR greedy routing after convergence"}
-	net := newNet(topo, n, seed)
-	cl := ssr.NewCluster(net, ssr.Config{
+	_, tr := newNet(topo, n, seed)
+	cl := ssr.NewCluster(tr, ssr.Config{
 		CacheMode: cache.Bounded, CloseRing: true, BothDirections: true,
 	})
 	_, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
@@ -176,19 +120,18 @@ func Routing(n int, topo graph.Topology, pairs int, seed int64) Report {
 // interval — the shortcut set LSN needs comes for free.
 func CacheOccupancy(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E8b", Title: "SSR cache occupancy vs LSN interval structure"}
-	net := newNet(topo, n, seed)
-	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded})
+	_, tr := newNet(topo, n, seed)
+	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded})
 	_, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	cl.Stop()
-	var entries, occL, occR []int
+	var occL, occR []int
 	for _, node := range cl.Nodes {
-		entries = append(entries, node.Cache().Len())
 		l, r := node.Cache().IntervalOccupancy()
 		occL = append(occL, l)
 		occR = append(occR, r)
 	}
 	tab := metrics.NewTable("metric", "mean", "p90", "max")
-	es := metrics.Summarize(metrics.Ints(entries))
+	es := metrics.Summarize(metrics.Ints(cacheSizes(cl)))
 	ls := metrics.Summarize(metrics.Ints(occL))
 	rs := metrics.Summarize(metrics.Ints(occR))
 	tab.AddRow("cache entries/node", es.Mean, es.P90, es.Max)
@@ -205,28 +148,14 @@ func RingClosure(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E10", Title: "Ring closure: discovery redundancy"}
 	tab := metrics.NewTable("directions", "converged", "time mean", "discover frames mean")
 	for _, both := range []bool{false, true} {
-		conv := 0
-		var times, frames []int64
-		for s := 0; s < seeds; s++ {
-			net := newNet(topo, n, int64(55*n+s))
-			cl := ssr.NewCluster(net, ssr.Config{
-				CacheMode: cache.Bounded, CloseRing: true, BothDirections: both,
-			})
-			at, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
-			cl.Stop()
-			if ok {
-				conv++
-			}
-			times = append(times, int64(at))
-			frames = append(frames, net.Counters().Get(ssr.KindDiscover)+net.Counters().Get(ssr.KindDiscoverAck))
-		}
+		runs, _ := bootRuns(topo, n, seeds, 55, sim.Time(n)*4096,
+			ssrOver(ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: both}))
 		name := "clockwise only"
 		if both {
 			name = "both directions"
 		}
-		ts := metrics.Summarize(metrics.Int64s(times))
-		fs := metrics.Summarize(metrics.Int64s(frames))
-		tab.AddRow(name, fmt.Sprintf("%d/%d", conv, seeds), ts.Mean, fs.Mean)
+		tab.AddRow(name, share(runs, booted), over(runs, bootTime).Mean,
+			over(runs, frames(ssr.KindDiscover, ssr.KindDiscoverAck)).Mean)
 	}
 	rep.Table = tab
 	return rep
@@ -238,46 +167,16 @@ func RingClosure(n int, topo graph.Topology, seeds int) Report {
 func VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E11", Title: "Linearized VRR (path state) vs SSR (source routes)"}
 	tab := metrics.NewTable("protocol", "converged", "time mean", "msgs mean", "state/node mean")
-	var vrrTimes, vrrMsgs []int64
-	var vrrState []int
-	vrrConv := 0
-	for s := 0; s < seeds; s++ {
-		net := newNet(topo, n, int64(71*n+s))
-		cl := vrr.NewCluster(net, vrr.Config{CloseRing: true})
-		at, ok := cl.RunUntilConsistent(sim.Time(n) * 8192)
-		cl.Stop()
-		if ok {
-			vrrConv++
-		}
-		vrrTimes = append(vrrTimes, int64(at))
-		vrrMsgs = append(vrrMsgs, net.Counters().Total())
-		vrrState = append(vrrState, cl.StateSummary()...)
-	}
-	var ssrTimes, ssrMsgs []int64
-	var ssrState []int
-	ssrConv := 0
-	for s := 0; s < seeds; s++ {
-		net := newNet(topo, n, int64(71*n+s))
-		cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
-		at, ok := cl.RunUntilConsistent(sim.Time(n) * 8192)
-		cl.Stop()
-		if ok {
-			ssrConv++
-		}
-		ssrTimes = append(ssrTimes, int64(at))
-		ssrMsgs = append(ssrMsgs, net.Counters().Total())
-		for _, node := range cl.Nodes {
-			ssrState = append(ssrState, node.Cache().Len())
-		}
-	}
-	vt := metrics.Summarize(metrics.Int64s(vrrTimes))
-	vm := metrics.Summarize(metrics.Int64s(vrrMsgs))
-	vs := metrics.Summarize(metrics.Ints(vrrState))
-	st := metrics.Summarize(metrics.Int64s(ssrTimes))
-	sm := metrics.Summarize(metrics.Int64s(ssrMsgs))
-	ss := metrics.Summarize(metrics.Ints(ssrState))
-	tab.AddRow("vrr (paths)", fmt.Sprintf("%d/%d", vrrConv, seeds), vt.Mean, vm.Mean, vs.Mean)
-	tab.AddRow("ssr (routes)", fmt.Sprintf("%d/%d", ssrConv, seeds), st.Mean, sm.Mean, ss.Mean)
+	deadline := sim.Time(n) * 8192
+	runs, vcls := bootRuns(topo, n, seeds, 71, deadline, func(t phys.Transport) *vrr.Cluster {
+		return vrr.NewCluster(t, vrr.Config{CloseRing: true})
+	})
+	tab.AddRow("vrr (paths)", share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
+		perNode(vcls, (*vrr.Cluster).StateSummary).Mean)
+	runs, scls := bootRuns(topo, n, seeds, 71, deadline,
+		ssrOver(ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true}))
+	tab.AddRow("ssr (routes)", share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
+		perNode(scls, cacheSizes).Mean)
 	rep.Table = tab
 	rep.Notes = append(rep.Notes,
 		"VRR state counts path-table entries (including transit paths); SSR counts cached routes",
@@ -289,8 +188,8 @@ func VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
 // convergence a fraction of nodes fail; the survivors must re-linearize.
 func ChurnRecovery(n int, topo graph.Topology, kill int, seed int64) Report {
 	rep := Report{ID: "E9b", Title: "Message-level churn recovery"}
-	net := newNet(topo, n, seed)
-	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+	net, tr := newNet(topo, n, seed)
+	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 	bootAt, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	tab := metrics.NewTable("phase", "converged", "time")
 	tab.AddRow("bootstrap", ok, int64(bootAt))
@@ -332,27 +231,10 @@ func TeardownAblation(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "A2", Title: "Teardown ablation: §4 edge removal on/off"}
 	tab := metrics.NewTable("teardown", "converged", "time mean", "msgs mean", "routes/node mean")
 	for _, tear := range []bool{false, true} {
-		conv := 0
-		var times, msgs []int64
-		var state []int
-		for s := 0; s < seeds; s++ {
-			net := newNet(topo, n, int64(91*n+s))
-			cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded, Teardown: tear})
-			at, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
-			cl.Stop()
-			if ok {
-				conv++
-			}
-			times = append(times, int64(at))
-			msgs = append(msgs, net.Counters().Total())
-			for _, node := range cl.Nodes {
-				state = append(state, node.Cache().Len())
-			}
-		}
-		ts := metrics.Summarize(metrics.Int64s(times))
-		ms := metrics.Summarize(metrics.Int64s(msgs))
-		ss := metrics.Summarize(metrics.Ints(state))
-		tab.AddRow(tear, fmt.Sprintf("%d/%d", conv, seeds), ts.Mean, ms.Mean, ss.Mean)
+		runs, cls := bootRuns(topo, n, seeds, 91, sim.Time(n)*4096,
+			ssrOver(ssr.Config{CacheMode: cache.Unbounded, Teardown: tear}))
+		tab.AddRow(tear, share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
+			perNode(cls, cacheSizes).Mean)
 	}
 	rep.Table = tab
 	return rep

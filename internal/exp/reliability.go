@@ -133,7 +133,7 @@ func ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Repor
 		rawFrames := make(map[string]int64) // protocol -> raw-arm TotalFrames
 		for _, transport := range transports {
 			for _, name := range protos {
-				raw := newNet(topo, n, seed)
+				raw, _ := newNet(topo, n, seed) // both arms are built here, whatever -transport says
 				var rn *rel.Network
 				run := ReliabilityRun{Protocol: name, Transport: transport, LossPct: pct}
 				var proto Protocol

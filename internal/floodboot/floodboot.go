@@ -52,7 +52,7 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		return
 	}
 	for v, r := range n.routes {
-		if len(r) >= 2 && r[1] == peer {
+		if r.Via(peer) {
 			delete(n.routes, v)
 		}
 	}

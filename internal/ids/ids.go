@@ -85,12 +85,6 @@ func Between(x, a, b ID) bool {
 	return x > a || x < b
 }
 
-// BetweenIncl reports whether x lies on the clockwise arc (a, b] (exclusive
-// of a, inclusive of b).
-func BetweenIncl(x, a, b ID) bool {
-	return x == b || Between(x, a, b)
-}
-
 // CloserOnRing reports whether candidate x is strictly closer to target t
 // than y is, measured as clockwise distance from the candidate to the
 // target. SSR's greedy rule ("virtually closest to the final destination")

@@ -73,15 +73,6 @@ func TestBetween(t *testing.T) {
 	}
 }
 
-func TestBetweenIncl(t *testing.T) {
-	if !BetweenIncl(10, 1, 10) {
-		t.Error("BetweenIncl should include the right endpoint")
-	}
-	if BetweenIncl(1, 1, 10) {
-		t.Error("BetweenIncl should exclude the left endpoint")
-	}
-}
-
 func TestCloserOnRing(t *testing.T) {
 	if !CloserOnRing(9, 5, 10) {
 		t.Error("9 should be ring-closer to 10 than 5 is")

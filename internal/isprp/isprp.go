@@ -133,7 +133,7 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		return
 	}
 	for _, dst := range n.rc.Destinations() {
-		if r := n.rc.Route(dst); len(r) >= 2 && r[1] == peer {
+		if n.rc.Route(dst).Via(peer) {
 			n.rc.Remove(dst)
 		}
 	}

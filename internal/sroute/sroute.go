@@ -61,6 +61,11 @@ func (r Route) Hops() int {
 	return len(r) - 1
 }
 
+// Via reports whether the route's first hop is peer: a route that a lease
+// verdict against the link to peer makes unusable. False for nil and
+// single-node routes.
+func (r Route) Via(peer ids.ID) bool { return len(r) >= 2 && r[1] == peer }
+
 // Contains reports whether v appears on the route. Every such v is a
 // potential intermediate destination for SSR's greedy routing (§1: "all
 // nodes that are part of a source route in the cache can be viewed as

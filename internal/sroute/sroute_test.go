@@ -66,6 +66,25 @@ func TestContainsIndexPrefixSuffix(t *testing.T) {
 	}
 }
 
+func TestVia(t *testing.T) {
+	for _, tc := range []struct {
+		r    Route
+		peer ids.ID
+		want bool
+	}{
+		{nil, 2, false},
+		{Route{2}, 2, false}, // a lone source has no first hop
+		{Route{1, 2}, 2, true},
+		{Route{1, 2, 3}, 2, true},
+		{Route{1, 2, 3}, 3, false}, // later hops do not count
+		{Route{1, 2, 3}, 1, false}, // nor does the source
+	} {
+		if got := tc.r.Via(tc.peer); got != tc.want {
+			t.Errorf("%v.Via(%d) = %v, want %v", tc.r, tc.peer, got, tc.want)
+		}
+	}
+}
+
 func TestReverse(t *testing.T) {
 	r := mustRoute(t, 1, 2, 3)
 	rev := r.Reverse()

@@ -93,7 +93,7 @@ func FuzzFramePayloadDecoding(f *testing.F) {
 						Dir: ids.Dir(feed.next() % 2)}
 				case 3:
 					inner = dataPayload{Origin: ids.ID(feed.next()), Dst: ids.ID(feed.next()),
-						Hops: int(int8(feed.next())), Anycast: feed.next()%2 == 0}
+						Hops: int(int8(feed.next()))}
 				}
 				payload = phys.SRPacket{Route: fuzzRoute(feed),
 					Hop: int(int8(feed.next())), Kind: kind, Payload: inner}

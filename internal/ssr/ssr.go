@@ -109,26 +109,19 @@ type discoverAckPayload struct {
 	Dir             ids.Dir
 }
 
-// dataPayload is an application packet riding SSR's greedy routing. With
-// Anycast set, Dst is a point in the identifier space rather than a node:
-// the packet is delivered to the key's *owner* — the first node clockwise
-// at or after Dst on the virtual ring (Chord-style successor ownership,
-// the semantics DHT applications over SSR rely on).
+// dataPayload is an application packet riding SSR's greedy routing.
 type dataPayload struct {
 	Origin, Dst ids.ID
 	Hops        int // physical transmissions so far
 	Segments    int // greedy intermediate-destination hops so far
-	Anycast     bool
 	Body        any
 }
 
-// Delivery records a data packet that reached its destination. For anycast
-// packets Dst is the key; the receiving node is its owner.
+// Delivery records a data packet that reached its destination.
 type Delivery struct {
 	Origin, Dst ids.ID
 	Hops        int // total physical transmissions used
 	Segments    int // greedy segments used
-	Anycast     bool
 	Body        any
 }
 
@@ -248,22 +241,20 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		return
 	}
 	for _, dst := range n.rc.Destinations() {
-		if r := n.rc.Route(dst); len(r) >= 2 && r[1] == peer {
+		if n.rc.Route(dst).Via(peer) {
 			n.rc.Remove(dst)
 			delete(n.lastHeard, dst)
 			n.traceEvent(trace.EvEdgeDelegate, dst, "lease-down")
 		}
 	}
 	for u, e := range n.revNbrs {
-		if len(e.route) >= 2 && e.route[1] == peer {
+		if e.route.Via(peer) {
 			delete(n.revNbrs, u)
 		}
 	}
 	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
-		if p, ok := n.wrap.Partner(d); ok {
-			if r := n.wrap.State(d); p == peer || (len(r) >= 2 && r[1] == peer) {
-				n.wrap.Drop(d)
-			}
+		if p, ok := n.wrap.Partner(d); ok && (p == peer || n.wrap.State(d).Via(peer)) {
+			n.wrap.Drop(d)
 		}
 	}
 	n.tombstone(peer, deadAfter)
@@ -277,10 +268,19 @@ func (n *Node) Cache() *cache.Cache { return n.rc }
 
 // Successor returns this node's believed ring successor (the nearest right
 // cache neighbor, or the wrap partner for the maximum node).
-func (n *Node) Successor() (ids.ID, bool) { return n.successorID() }
+func (n *Node) Successor() (ids.ID, bool) { return n.ringNeighbor(ids.Right) }
 
 // Predecessor returns this node's believed ring predecessor.
-func (n *Node) Predecessor() (ids.ID, bool) { return n.predecessorID() }
+func (n *Node) Predecessor() (ids.ID, bool) { return n.ringNeighbor(ids.Left) }
+
+// ringNeighbor is the nearest cache neighbor on the given side, or that
+// side's wrap partner when the side is empty.
+func (n *Node) ringNeighbor(side ids.Dir) (ids.ID, bool) {
+	if v, ok := n.rc.Nearest(side); ok {
+		return v, true
+	}
+	return n.wrap.Partner(side)
+}
 
 // WrapPartners returns the established ring-closure partners.
 func (n *Node) WrapPartners() (left, right ids.ID, hasLeft, hasRight bool) {
@@ -768,69 +768,6 @@ func (n *Node) SendData(dst ids.ID, body any) bool {
 	return n.forwardData(dataPayload{Origin: n.id, Dst: dst, Body: body})
 }
 
-// SendAnycast routes a packet to the owner of the given key: the first
-// node clockwise at or after key on the virtual ring. Requires a converged
-// ring (bootstrap with CloseRing for keys that wrap past the maximum).
-func (n *Node) SendAnycast(key ids.ID, body any) bool {
-	dp := dataPayload{Origin: n.id, Dst: key, Anycast: true, Body: body}
-	if n.ownsKey(key) {
-		if n.OnDeliver != nil {
-			n.OnDeliver(Delivery{Origin: n.id, Dst: key, Anycast: true, Body: body})
-		}
-		return true
-	}
-	return n.forwardAnycast(dp)
-}
-
-// predecessorID returns this node's believed ring predecessor: the wrap
-// partner when the left side is empty, otherwise the nearest left neighbor.
-func (n *Node) predecessorID() (ids.ID, bool) {
-	if p, ok := n.rc.Nearest(ids.Left); ok {
-		return p, true
-	}
-	return n.wrap.Partner(ids.Left)
-}
-
-// successorID mirrors predecessorID on the right side.
-func (n *Node) successorID() (ids.ID, bool) {
-	if s, ok := n.rc.Nearest(ids.Right); ok {
-		return s, true
-	}
-	return n.wrap.Partner(ids.Right)
-}
-
-// ownsKey reports whether this node is the key's owner: the key lies in
-// the arc (predecessor, self].
-func (n *Node) ownsKey(key ids.ID) bool {
-	pred, ok := n.predecessorID()
-	if !ok {
-		return true // only node we know of
-	}
-	return ids.BetweenIncl(key, pred, n.id)
-}
-
-// forwardAnycast performs one greedy step toward the key. When no cached
-// candidate makes ring progress, this node is the key's closest
-// predecessor, so the owner is our ring successor: hand the packet over
-// directly.
-func (n *Node) forwardAnycast(dp dataPayload) bool {
-	if n.forwardData(dp) {
-		return true
-	}
-	succ, ok := n.successorID()
-	if !ok {
-		return false
-	}
-	via := n.routeTo(succ)
-	if p, ok := n.wrap.Partner(ids.Right); via == nil && ok && succ == p {
-		via = n.wrap.State(ids.Right)
-	}
-	if via == nil {
-		return false
-	}
-	return n.courier.Send(via, KindData, dp)
-}
-
 // handleData continues a packet at an intermediate destination or delivers.
 func (n *Node) handleData(pkt phys.SRPacket) {
 	dp, ok := pkt.Payload.(dataPayload)
@@ -839,16 +776,10 @@ func (n *Node) handleData(pkt phys.SRPacket) {
 	}
 	dp.Hops += pkt.Route.Hops()
 	dp.Segments++
-	if dp.Dst == n.id || (dp.Anycast && n.ownsKey(dp.Dst)) {
+	if dp.Dst == n.id {
 		if n.OnDeliver != nil {
 			n.OnDeliver(Delivery{Origin: dp.Origin, Dst: dp.Dst, Hops: dp.Hops,
-				Segments: dp.Segments, Anycast: dp.Anycast, Body: dp.Body})
-		}
-		return
-	}
-	if dp.Anycast {
-		if !n.forwardAnycast(dp) {
-			n.Failed++
+				Segments: dp.Segments, Body: dp.Body})
 		}
 		return
 	}

@@ -327,79 +327,3 @@ func TestMessageCountsScaleSanely(t *testing.T) {
 	}
 	t.Logf("n=24 bounded: converged t=%d, msgs=%d", at, total)
 }
-
-func TestAnycastDeliversToOwner(t *testing.T) {
-	topo, _ := graph.Generate(graph.TopoER, 16, graph.RandomIDs, 71)
-	_, c := bootstrapped(t, topo,
-		Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true}, 71, 300000)
-	c.Stop()
-	nodes := topo.Nodes()
-	// A key strictly between nodes[i] and nodes[i+1] is owned by nodes[i+1].
-	for i := 0; i+1 < len(nodes); i += 3 {
-		key := nodes[i] + (nodes[i+1]-nodes[i])/2
-		if key == nodes[i] {
-			continue
-		}
-		owner := nodes[i+1]
-		src := nodes[(i+5)%len(nodes)]
-		got := false
-		c.Nodes[owner].OnDeliver = func(d Delivery) {
-			if d.Anycast && d.Dst == key {
-				got = true
-			}
-		}
-		if !c.Nodes[src].SendAnycast(key, nil) {
-			t.Fatalf("anycast send failed from %s", src)
-		}
-		eng := c.Net.Engine()
-		eng.RunUntil(eng.Now()+8192, func() bool { return got })
-		if !got {
-			t.Errorf("key %s did not reach owner %s", key, owner)
-		}
-		c.Nodes[owner].OnDeliver = nil
-	}
-}
-
-func TestAnycastWrapsPastMaximum(t *testing.T) {
-	topo, _ := graph.Generate(graph.TopoER, 14, graph.RandomIDs, 73)
-	_, c := bootstrapped(t, topo,
-		Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true}, 73, 300000)
-	c.Stop()
-	nodes := topo.Nodes()
-	min, max := nodes[0], nodes[len(nodes)-1]
-	// A key above the maximum wraps around to the minimum node.
-	key := max + (1 << 10)
-	if key < max {
-		t.Skip("key overflowed; unlucky ids")
-	}
-	got := false
-	c.Nodes[min].OnDeliver = func(d Delivery) {
-		if d.Anycast {
-			got = true
-		}
-	}
-	src := nodes[len(nodes)/2]
-	if !c.Nodes[src].SendAnycast(key, nil) {
-		t.Fatal("anycast send failed")
-	}
-	eng := c.Net.Engine()
-	eng.RunUntil(eng.Now()+8192, func() bool { return got })
-	if !got {
-		t.Error("wrap-around key did not reach the minimum node")
-	}
-}
-
-func TestAnycastSelfOwned(t *testing.T) {
-	topo := graph.Line([]ids.ID{10, 20, 30})
-	net := newNet(t, topo, 1)
-	c := NewCluster(net, Config{CacheMode: cache.Unbounded, CloseRing: true, BothDirections: true})
-	if _, ok := c.RunUntilConsistent(60000); !ok {
-		t.Fatal("bootstrap failed")
-	}
-	got := false
-	c.Nodes[20].OnDeliver = func(d Delivery) { got = d.Anycast }
-	// Key 15 is owned by 20 (successor of the gap): send from 20 itself.
-	if !c.Nodes[20].SendAnycast(15, nil) || !got {
-		t.Error("self-owned anycast must deliver immediately")
-	}
-}
