@@ -109,10 +109,10 @@ sweep:
 	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
-# trace-encoding, graph-mutation and event-order targets (one -fuzz run per
-# target; Go
-# allows a single fuzz target per invocation). The committed corpora under
-# testdata/fuzz replay in plain `go test` as well.
+# trace-encoding, graph-mutation, event-order and network-script targets
+# (one -fuzz run per target; Go allows a single fuzz target per
+# invocation). The committed corpora under testdata/fuzz replay in plain
+# `go test` as well.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFramePayloadDecoding -fuzztime=10s ./internal/ssr/
 	$(GO) test -run=^$$ -fuzz=FuzzRouteOps -fuzztime=10s ./internal/sroute/
@@ -121,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzNetworkScript -fuzztime=10s ./internal/phys/
 
 # The ROADMAP's size table from one counter: non-test Go lines per package
 # group, of the tree outside benchmark/, and that tree's test lines. Issues,

@@ -122,9 +122,9 @@ func (m *Mobility) recomputeLinks() {
 				}
 			case !inRange && has:
 				// Keep the link if removing it would disconnect the graph.
-				topo.RemoveEdge(a, b)
+				m.net.unlink(a, b)
 				if !topo.Connected() {
-					topo.AddEdge(a, b)
+					m.net.AddLink(a, b)
 					continue
 				}
 				m.linkChanges++

@@ -104,23 +104,27 @@ func ConstantLatency(d sim.Time) LatencyModel {
 // Network is the simulated physical network. It is not safe for concurrent
 // use; everything runs on the embedded event engine's single thread.
 type Network struct {
-	engine   *sim.Engine
-	topo     *graph.Graph
-	handlers map[ids.ID]Handler
-	down     ids.Set
+	engine *sim.Engine
+	topo   *graph.Graph
+	// index maps a node to its slot in nodes; it is the only per-node map.
+	index map[ids.ID]int32
+	nodes []nodeState
+	ndown int // nodes marked down: while 0, NeighborsOf probes nothing
 
 	latency     LatencyModel
 	lossProb    float64
 	jitter      sim.Time // uniform extra delay in [0, jitter]
 	corruptProb float64  // probability a delivered frame arrives garbled
 
-	// linkEpoch counts how many times each link has been torn down. A frame
-	// carries the epoch of its link at send time; if the link churns away
-	// while the frame is in flight, the epoch no longer matches at delivery
-	// time and the frame is dropped as "stale-link" — even when the link has
+	// gen counts link removals. A frame carries gen at send time: while no
+	// link has been removed since, its link is still there and delivery
+	// skips the topology. removedAt holds the gen of each link's latest
+	// RemoveLink; a frame sent before it traveled a link incarnation that no
+	// longer exists and is dropped as "stale-link" — even when the link has
 	// been re-added in between. Without this, jitter reordering could
 	// deliver a frame across a link incarnation it never traveled.
-	linkEpoch map[linkKey]uint64
+	gen       uint64
+	removedAt map[linkKey]uint64
 
 	free *frame // delivered frames awaiting reuse, linked through frame.next
 
@@ -128,7 +132,16 @@ type Network struct {
 	tracer   trace.Tracer
 }
 
-// linkKey canonicalizes an undirected link for epoch accounting.
+// nodeState is what the network knows of one node.
+type nodeState struct {
+	h          Handler
+	registered bool
+	down       bool
+}
+
+func (s *nodeState) up() bool { return s.registered && !s.down }
+
+// linkKey canonicalizes an undirected link for removal accounting.
 type linkKey struct{ U, V ids.ID }
 
 func mkLinkKey(u, v ids.ID) linkKey {
@@ -184,10 +197,10 @@ func NewNetwork(engine *sim.Engine, topo *graph.Graph, opts ...Option) *Network 
 	n := &Network{
 		engine:    engine,
 		topo:      topo.Clone(),
-		handlers:  make(map[ids.ID]Handler),
-		down:      ids.NewSet(),
+		index:     make(map[ids.ID]int32, topo.NumNodes()),
+		nodes:     make([]nodeState, 0, topo.NumNodes()),
 		latency:   ConstantLatency(1),
-		linkEpoch: make(map[linkKey]uint64),
+		removedAt: make(map[linkKey]uint64),
 		counters:  NewCounters(),
 	}
 	for _, o := range opts {
@@ -199,8 +212,10 @@ func NewNetwork(engine *sim.Engine, topo *graph.Graph, opts ...Option) *Network 
 // Engine returns the underlying event engine.
 func (n *Network) Engine() *sim.Engine { return n.engine }
 
-// Topology returns the live physical graph. Mutate it only through the
-// churn methods below.
+// Topology returns the live physical graph. Nodes and edges may be added to
+// it directly, but edge removals go through the network (RemoveLink, or a
+// Mobility process): delivery trusts a frame's link to exist as long as no
+// link has been removed since the frame was sent.
 func (n *Network) Topology() *graph.Graph { return n.topo }
 
 // Counters returns the per-kind message accounting.
@@ -217,14 +232,37 @@ func (n *Network) SetTracer(t trace.Tracer) { n.tracer = t }
 // Register installs the protocol handler for a node.
 func (n *Network) Register(v ids.ID, h Handler) {
 	n.topo.AddNode(v)
-	n.handlers[v] = h
+	s := &n.nodes[n.indexOf(v)]
+	s.h, s.registered = h, true
+}
+
+// indexOf returns v's dense index, assigning the next one the first time
+// the network hears of v.
+func (n *Network) indexOf(v ids.ID) int32 {
+	i, ok := n.index[v]
+	if !ok {
+		i = int32(len(n.nodes))
+		n.index[v] = i
+		n.nodes = append(n.nodes, nodeState{})
+	}
+	return i
+}
+
+// lookup returns v's dense index, or −1 if the network has not heard of v.
+func (n *Network) lookup(v ids.ID) int32 {
+	if i, ok := n.index[v]; ok {
+		return i
+	}
+	return -1
 }
 
 // Nodes returns all registered node identifiers in ascending order.
 func (n *Network) Nodes() []ids.ID {
-	out := make([]ids.ID, 0, len(n.handlers))
-	for v := range n.handlers {
-		out = append(out, v)
+	out := make([]ids.ID, 0, len(n.index))
+	for v, i := range n.index {
+		if n.nodes[i].registered {
+			out = append(out, v)
+		}
 	}
 	ids.SortAsc(out)
 	return out
@@ -234,22 +272,31 @@ func (n *Network) Nodes() []ids.ID {
 // ascending order. This models idealized link-layer neighbor discovery; the
 // beacon-based discovery in beacons.go models the lossy variant.
 func (n *Network) NeighborsOf(v ids.ID) []ids.ID {
-	if n.down.Has(v) {
+	if n.isDown(v) {
 		return nil
 	}
 	var out []ids.ID
 	for _, u := range n.topo.Neighbors(v) {
-		if !n.down.Has(u) {
+		if !n.isDown(u) {
 			out = append(out, u)
 		}
 	}
 	return out
 }
 
+// isDown reports whether v is marked down.
+func (n *Network) isDown(v ids.ID) bool {
+	if n.ndown == 0 {
+		return false
+	}
+	i := n.lookup(v)
+	return i >= 0 && n.nodes[i].down
+}
+
 // Up reports whether v is registered and not failed.
 func (n *Network) Up(v ids.ID) bool {
-	_, ok := n.handlers[v]
-	return ok && !n.down.Has(v)
+	i := n.lookup(v)
+	return i >= 0 && n.nodes[i].up()
 }
 
 // Send transmits a single-hop frame from m.From to m.To. Both must be up
@@ -273,7 +320,7 @@ func (n *Network) Send(m Message) bool {
 	if n.jitter > 0 {
 		d += sim.Time(n.engine.Rand().Int63n(int64(n.jitter) + 1))
 	}
-	epoch := n.linkEpoch[mkLinkKey(m.From, m.To)]
+	to := n.lookup(m.To)
 	if n.tracer != nil {
 		n.tracer.Emit(trace.Event{
 			T: int64(n.engine.Now()), Type: trace.EvMsgSend,
@@ -288,28 +335,29 @@ func (n *Network) Send(m Message) bool {
 	} else {
 		n.free = f.next
 	}
-	f.m, f.epoch = m, epoch
+	f.m, f.to, f.gen = m, to, n.gen
 	n.engine.Arm(&f.ev, d)
 	return true
 }
 
-// frame is one frame in flight: the message, the incarnation of the link it
-// was sent on, and its delivery event. A Network recycles its frames
-// through free, so a send allocates only when more frames are in flight
-// than ever before.
+// frame is one frame in flight: the message, its receiver's index (−1 if
+// the receiver was unknown at send time), the network's gen at send time,
+// and its delivery event. A Network recycles its frames through free, so a
+// send allocates only when more frames are in flight than ever before.
 type frame struct {
-	ev    sim.Event // Fn is f.deliver, bound once
-	n     *Network
-	m     Message
-	epoch uint64
-	next  *frame
+	ev   sim.Event // Fn is f.deliver, bound once
+	n    *Network
+	m    Message
+	to   int32
+	gen  uint64
+	next *frame
 }
 
 // deliver is the frame's arrival at m.To.
 func (f *frame) deliver() {
 	// Handlers send from inside their delivery: the struct goes back to the
 	// free list first, and everything below reads the copies.
-	n, m, epoch := f.n, f.m, f.epoch
+	n, m, to, gen := f.n, f.m, f.to, f.gen
 	f.m.Payload = nil
 	f.next, n.free = n.free, f
 
@@ -317,24 +365,31 @@ func (f *frame) deliver() {
 	// "dest-down", a link that churned away mid-flight is "link-gone".
 	// Chaos runs rely on the distinction to tell crash faults from
 	// partition faults in the drop economy.
-	if !n.Up(m.To) {
+	if to < 0 {
+		to = n.lookup(m.To) // the receiver may have registered in flight
+	}
+	if to < 0 || !n.nodes[to].up() {
 		n.counters.Inc("drop:dest-down", 1)
 		n.traceDrop(m, "dest-down")
 		return
 	}
-	if !n.topo.HasEdge(m.From, m.To) {
-		n.counters.Inc("drop:link-gone", 1)
-		n.traceDrop(m, "link-gone")
-		return
-	}
-	if n.linkEpoch[mkLinkKey(m.From, m.To)] != epoch {
-		// The link was torn down (and re-added) while the frame was in
-		// flight: the frame traveled a link incarnation that no longer
-		// exists. Jitter reordering made this reachable — a late frame
-		// could otherwise slip across the healed link.
-		n.counters.Inc("drop:stale-link", 1)
-		n.traceDrop(m, "stale-link")
-		return
+	if gen != n.gen {
+		// Some link was removed while the frame was in flight; was it this
+		// one?
+		if !n.topo.HasEdge(m.From, m.To) {
+			n.counters.Inc("drop:link-gone", 1)
+			n.traceDrop(m, "link-gone")
+			return
+		}
+		if n.removedAt[mkLinkKey(m.From, m.To)] > gen {
+			// The link was torn down and re-added while the frame was in
+			// flight: the frame traveled a link incarnation that no longer
+			// exists. Jitter reordering made this reachable — a late frame
+			// could otherwise slip across the healed link.
+			n.counters.Inc("drop:stale-link", 1)
+			n.traceDrop(m, "stale-link")
+			return
+		}
 	}
 	if n.corruptProb > 0 && n.engine.Rand().Float64() < n.corruptProb {
 		// The frame arrives, its content does not: deliver Garbled so
@@ -349,9 +404,7 @@ func (f *frame) deliver() {
 			Node: m.To, Peer: m.From, Kind: m.Kind,
 		})
 	}
-	if h, ok := n.handlers[m.To]; ok {
-		h.HandleMessage(m)
-	}
+	n.nodes[to].h.HandleMessage(m)
 }
 
 // traceDrop emits a loss event tagged with its reason.
@@ -380,10 +433,22 @@ func (n *Network) Broadcast(from ids.ID, kind string, payload any) int {
 }
 
 // FailNode marks v down. Frames to or from v are dropped until RecoverNode.
-func (n *Network) FailNode(v ids.ID) { n.down.Add(v) }
+func (n *Network) FailNode(v ids.ID) { n.setDown(v, true) }
 
 // RecoverNode brings a failed node back up.
-func (n *Network) RecoverNode(v ids.ID) { n.down.Remove(v) }
+func (n *Network) RecoverNode(v ids.ID) { n.setDown(v, false) }
+
+func (n *Network) setDown(v ids.ID, down bool) {
+	s := &n.nodes[n.indexOf(v)]
+	if s.down != down {
+		s.down = down
+		if down {
+			n.ndown++
+		} else {
+			n.ndown--
+		}
+	}
+}
 
 // AddLink inserts a physical link (e.g. two radios moving into range).
 func (n *Network) AddLink(u, v ids.ID) { n.topo.AddEdge(u, v) }
@@ -391,10 +456,22 @@ func (n *Network) AddLink(u, v ids.ID) { n.topo.AddEdge(u, v) }
 // RemoveLink removes a physical link. Frames already in flight across it
 // are lost ("stale-link") even if the link is later re-added.
 func (n *Network) RemoveLink(u, v ids.ID) {
-	if n.topo.HasEdge(u, v) {
-		n.linkEpoch[mkLinkKey(u, v)]++
+	if n.unlink(u, v) {
+		n.removedAt[mkLinkKey(u, v)] = n.gen
 	}
-	n.topo.RemoveEdge(u, v)
+}
+
+// unlink removes a physical link and reports whether it existed. Every edge
+// removal goes through here: counting it in gen sends the frames in flight
+// through the full link checks on delivery. A link a Mobility process
+// removes gets no removedAt record, so frames across it are "link-gone",
+// and delivered if it comes back before they land.
+func (n *Network) unlink(u, v ids.ID) bool {
+	if !n.topo.RemoveEdge(u, v) {
+		return false
+	}
+	n.gen++
+	return true
 }
 
 // Counters tallies messages by kind. Kinds use a "proto:type" convention,

@@ -112,8 +112,8 @@ func TestInFlightDropWhenLinkRemoved(t *testing.T) {
 
 func TestInFlightDropWhenLinkFlaps(t *testing.T) {
 	// A frame in flight when its link is removed must stay dead even if the
-	// link is re-added before the delivery instant: re-adding starts a new
-	// link epoch, and frames from an earlier epoch are dropped as
+	// link is re-added before the delivery instant: the removal is recorded
+	// against the link, and frames sent before it are dropped as
 	// "stale-link" rather than resurrected as zombies.
 	e, net := lineNet(t, 2, WithLatency(ConstantLatency(10)))
 	delivered := 0
@@ -129,18 +129,129 @@ func TestInFlightDropWhenLinkFlaps(t *testing.T) {
 	if net.Counters().Get("drop:stale-link") != 1 {
 		t.Errorf("stale-link drops = %d, want 1", net.Counters().Get("drop:stale-link"))
 	}
-	// The flap is over; the new epoch carries traffic normally.
+	// The flap is over; the new incarnation carries traffic normally.
 	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
 	e.Run(0)
 	if delivered != 1 {
-		t.Error("post-flap frame should deliver on the new link epoch")
+		t.Error("post-flap frame should deliver on the new link incarnation")
+	}
+}
+
+// TestRemovalSparesOtherLinks: a link removal sends every frame in flight
+// through the full link checks on delivery, and a frame whose own link is
+// still there, or was never removed, passes them.
+func TestRemovalSparesOtherLinks(t *testing.T) {
+	e, net := lineNet(t, 3, WithLatency(ConstantLatency(10)))
+	var from []ids.ID
+	for _, v := range []ids.ID{1, 2, 3} {
+		net.Register(v, HandlerFunc(func(m Message) { from = append(from, m.From) }))
+	}
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	net.Send(Message{From: 3, To: 2, Kind: "t:x"})
+	e.After(5, func() { net.RemoveLink(1, 2) })
+	e.Run(0)
+	if len(from) != 1 || from[0] != 3 || net.Counters().Get("drop:link-gone") != 1 {
+		t.Fatalf("delivered from %v with %d link-gone drops, want only 3's frame and 1 drop",
+			from, net.Counters().Get("drop:link-gone"))
+	}
+	net.AddLink(1, 2)
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	e.After(5, func() { net.RemoveLink(2, 3); net.AddLink(2, 3) })
+	e.Run(0)
+	if len(from) != 2 || from[1] != 1 || net.Counters().Get("drop:stale-link") != 0 {
+		t.Errorf("a flap of 2–3 touched a frame on 1–2: delivered from %v, %d stale-link drops",
+			from, net.Counters().Get("drop:stale-link"))
+	}
+}
+
+// TestMobilityRemovalIsLinkGone: a link a Mobility process takes away under
+// a frame in flight drops that frame as "link-gone", never "stale-link"; a
+// link Mobility takes away and restores before the frame lands delivers it.
+func TestMobilityRemovalIsLinkGone(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := NewNetwork(e, graph.Ring([]ids.ID{1, 2, 3}), WithLatency(ConstantLatency(10)))
+	delivered := 0
+	for _, v := range []ids.ID{1, 2, 3} {
+		net.Register(v, HandlerFunc(func(Message) { delivered++ }))
+	}
+	// In range 0.2 all three are linked; with 2 at 0.3, 1–2 is out of
+	// range and 3 keeps the network connected.
+	near, far := [2]float64{0.1, 0}, [2]float64{0.3, 0}
+	m := NewMobility(net, map[ids.ID][2]float64{1: {0, 0}, 2: near, 3: {0.15, 0}}, 0.2)
+	moveTo := func(p [2]float64) func() {
+		return func() { m.pos[2] = p; m.recomputeLinks() }
+	}
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	e.After(5, moveTo(far))
+	e.Run(0)
+	if delivered != 0 || net.Topology().HasEdge(1, 2) {
+		t.Fatalf("mobility left link 1–2 = %v and %d deliveries, want gone and 0", net.Topology().HasEdge(1, 2), delivered)
+	}
+	if c := net.Counters(); c.Get("drop:link-gone") != 1 || c.Get("drop:stale-link") != 0 {
+		t.Errorf("drops %v, want one link-gone and no stale-link", c.Snapshot())
+	}
+	moveTo(near)()
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	e.After(5, moveTo(far))
+	e.After(6, moveTo(near))
+	e.Run(0)
+	if delivered != 1 {
+		t.Errorf("a frame across a link mobility restored in flight: %d deliveries, want 1", delivered)
+	}
+}
+
+// TestFailBeforeRegisterStaysDown: FailNode may name a node the network has
+// not heard of; registering it later does not bring it up.
+func TestFailBeforeRegisterStaysDown(t *testing.T) {
+	e, net := lineNet(t, 2)
+	net.Register(1, HandlerFunc(func(Message) {}))
+	net.FailNode(2)
+	delivered := 0
+	net.Register(2, HandlerFunc(func(Message) { delivered++ }))
+	if net.Up(2) || net.NeighborsOf(1) != nil || net.NeighborsOf(2) != nil {
+		t.Fatalf("node failed before Register: up=%v, NeighborsOf(1)=%v", net.Up(2), net.NeighborsOf(1))
+	}
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	e.Run(0)
+	if delivered != 0 || net.Counters().Get("drop:dest-down") != 1 {
+		t.Errorf("frame to a node failed before Register: %d deliveries, %d dest-down", delivered, net.Counters().Get("drop:dest-down"))
+	}
+	net.RecoverNode(2)
+	net.Send(Message{From: 1, To: 2, Kind: "t:x"})
+	e.Run(0)
+	if !net.Up(2) || delivered != 1 {
+		t.Errorf("after RecoverNode: up=%v, %d deliveries, want up and 1", net.Up(2), delivered)
+	}
+}
+
+// TestLateRegisterReceives: a node added to the topology and registered
+// later (how ssr's join tests add a newcomer) receives what lands after its
+// Register, including a frame sent before it.
+func TestLateRegisterReceives(t *testing.T) {
+	e, net := lineNet(t, 2, WithLatency(ConstantLatency(10)))
+	net.Register(1, HandlerFunc(func(Message) {}))
+	net.Topology().AddNode(9)
+	net.AddLink(1, 9)
+	net.Send(Message{From: 1, To: 9, Kind: "t:x", Payload: "early"})
+	e.Run(0)
+	if net.Counters().Get("drop:dest-down") != 1 {
+		t.Fatalf("frame to an unregistered node: %d dest-down drops, want 1", net.Counters().Get("drop:dest-down"))
+	}
+	var got []any
+	net.Send(Message{From: 1, To: 9, Kind: "t:x", Payload: "in flight"})
+	e.After(5, func() { net.Register(9, HandlerFunc(func(m Message) { got = append(got, m.Payload) })) })
+	e.Run(0)
+	net.Send(Message{From: 1, To: 9, Kind: "t:x", Payload: "after"})
+	e.Run(0)
+	if len(got) != 2 || got[0] != "in flight" || got[1] != "after" {
+		t.Errorf("late-registered node received %v, want [in flight after]", got)
 	}
 }
 
 func TestLinkFlapScheduleDeterministic(t *testing.T) {
 	// Same seed, same flap workload, twice: the counter ledgers must match
-	// byte for byte. This pins the epoch bookkeeping (map-backed) out of
-	// the delivery schedule — a regression here would poison every
+	// byte for byte. This pins the link-removal bookkeeping (map-backed) out
+	// of the delivery schedule — a regression here would poison every
 	// downstream reproducibility guarantee.
 	run := func() string {
 		e := sim.NewEngine(77)

@@ -97,10 +97,10 @@ func FuzzRelFrameDecoding(f *testing.F) {
 		// numbers the forgeries carried.
 		bound := 4*n.Config().Window + 4
 		for _, ep := range n.eps {
-			for peer, l := range ep.links {
+			for _, l := range ep.links {
 				if len(l.ahead) > bound {
 					t.Fatalf("node %v link %v: out-of-order buffer grew to %d (> %d)",
-						ep.self, peer, len(l.ahead), bound)
+						ep.self, l.peer, len(l.ahead), bound)
 				}
 			}
 		}

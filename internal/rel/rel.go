@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -107,6 +108,7 @@ type Network struct {
 	cfg   Config
 	eps   map[ids.ID]*endpoint
 	stats Stats
+	free  *pending // records awaiting reuse, linked through pending.next
 }
 
 // New wraps a raw physical network. Protocols registered through the
@@ -163,7 +165,7 @@ func (n *Network) RecoverNode(v ids.ID) { n.raw.RecoverNode(v) }
 func (n *Network) Register(v ids.ID, h phys.Handler) {
 	ep, ok := n.eps[v]
 	if !ok {
-		ep = &endpoint{net: n, self: v, links: make(map[ids.ID]*link)}
+		ep = &endpoint{net: n, self: v}
 		n.eps[v] = ep
 		n.raw.Register(v, phys.HandlerFunc(ep.handle))
 		n.raw.Engine().After(n.cfg.HeartbeatEvery, ep.tick)
@@ -223,7 +225,12 @@ type endpoint struct {
 	net   *Network
 	self  ids.ID
 	inner phys.Handler
-	links map[ids.ID]*link
+	// links holds one link per physical neighbour the node has exchanged
+	// frames with, ascending by peer; it is short, so link scans it. A new
+	// link replaces the slice instead of shifting it in place: a range over
+	// links (the lease check, whose callbacks may send) walks the links
+	// that existed when it began.
+	links []*link
 
 	hbSeq    uint64
 	leaseCbs []phys.LeaseFunc
@@ -231,29 +238,19 @@ type endpoint struct {
 }
 
 func (ep *endpoint) link(peer ids.ID) *link {
-	l, ok := ep.links[peer]
-	if !ok {
-		l = &link{
-			ep:       ep,
-			peer:     peer,
-			inflight: make(map[uint64]*pending),
-			ahead:    make(map[uint64]struct{}),
-			est:      NewRTOEstimator(ep.net.cfg.MinRTO, ep.net.cfg.MaxRTO, ep.net.cfg.InitialRTO),
+	i := 0
+	for ; i < len(ep.links) && ep.links[i].peer <= peer; i++ {
+		if ep.links[i].peer == peer {
+			return ep.links[i]
 		}
-		ep.links[peer] = l
 	}
+	l := &link{
+		ep:   ep,
+		peer: peer,
+		est:  NewRTOEstimator(ep.net.cfg.MinRTO, ep.net.cfg.MaxRTO, ep.net.cfg.InitialRTO),
+	}
+	ep.links = slices.Concat(ep.links[:i], []*link{l}, ep.links[i:])
 	return l
-}
-
-// sortedPeers returns the endpoint's link peers in ascending order so that
-// per-tick iteration schedules engine events deterministically.
-func (ep *endpoint) sortedPeers() []ids.ID {
-	out := make([]ids.ID, 0, len(ep.links))
-	for p := range ep.links {
-		out = append(out, p)
-	}
-	ids.SortAsc(out)
-	return out
 }
 
 // tick is the heartbeat/lease chain: every HeartbeatEvery it broadcasts a
@@ -275,8 +272,8 @@ func (ep *endpoint) tick() {
 		// the recovery storm of declaring everyone down at once.
 		ep.selfDown = false
 		now := eng.Now()
-		for _, peer := range ep.sortedPeers() {
-			ep.links[peer].lastHeard = now
+		for _, l := range ep.links {
+			l.lastHeard = now
 		}
 	}
 	ep.hbSeq++
@@ -288,12 +285,11 @@ func (ep *endpoint) tick() {
 		}
 	}
 	now := eng.Now()
-	for _, peer := range ep.sortedPeers() {
-		l := ep.links[peer]
+	for _, l := range ep.links {
 		if l.heardEver && !l.down && now-l.lastHeard > n.cfg.LeaseDuration {
 			l.down = true
 			n.stats.LeaseDowns++
-			ep.emitLease(peer, false)
+			ep.emitLease(l.peer, false)
 		}
 	}
 }
@@ -340,14 +336,45 @@ func (ep *endpoint) handle(m phys.Message) {
 	}
 }
 
-// pending is one unacked data frame on a link's sender side.
+// pending is one unacked data frame on a link's sender side. Records are
+// recycled through Network.free, and only by their timer: see fire.
 type pending struct {
-	timer    sim.Event    // the retransmission timer; see armTimer
+	timer    sim.Event // the retransmission timer; Fn is p.fire, bound once
+	l        *link
 	m        phys.Message // original protocol message (pre-wrap)
 	seq      uint64
 	attempts int // retransmissions so far
 	sentAt   sim.Time
 	retx     bool // ever retransmitted → Karn: no RTT sample
+	retired  bool // out of the window: ACKed, or abandoned
+	next     *pending
+}
+
+// newPending returns a record for m, reusing a free one if there is one.
+func (n *Network) newPending(l *link, m phys.Message) *pending {
+	p := n.free
+	if p == nil {
+		p = new(pending)
+		p.timer.Fn = p.fire
+	} else {
+		n.free = p.next
+		p.attempts, p.retx, p.retired = 0, false, false
+	}
+	p.l, p.m = l, m
+	return p
+}
+
+// fire is p's retransmission timer. A record's timer is armed from its
+// first transmission until a firing that does not re-arm it, so that
+// firing is the record's last use and the only place it is recycled: when
+// it finds the record retired, and when it abandons the frame.
+func (p *pending) fire() {
+	if !p.retired && !p.l.retransmit(p) {
+		return // re-armed
+	}
+	n := p.l.ep.net
+	p.m.Payload = nil
+	p.next, n.free = n.free, p
 }
 
 // link holds both directions of one (self, peer) pair: the sender window
@@ -358,19 +385,21 @@ type link struct {
 	peer ids.ID
 
 	// sender side. Frames are transmitted in sequence order: sent is the
-	// highest sequence number transmitted, and every in-flight one is at or
-	// above lowest.
-	nextSeq      uint64
-	sent, lowest uint64
-	inflight     map[uint64]*pending
-	queue        []*pending // queue[qhead:] waits for window space
-	qhead        int
-	est          *RTOEstimator
+	// highest sequence number transmitted, window[i] is the record of
+	// sequence number lowest()+i — nil once retired, and never nil at i = 0
+	// — and live counts the records in flight.
+	nextSeq uint64
+	sent    uint64
+	window  []*pending
+	live    int
+	queue   []*pending // queue[qhead:] waits for window space
+	qhead   int
+	est     *RTOEstimator
 
 	// receiver side: every seq ≤ maxRun has been delivered; ahead holds the
-	// out-of-order deliveries beyond it.
+	// out-of-order deliveries beyond it, ascending.
 	maxRun uint64
-	ahead  map[uint64]struct{}
+	ahead  []uint64
 
 	// lease
 	lastHeard sim.Time
@@ -390,17 +419,36 @@ func (l *link) heard() {
 	}
 }
 
+// lowest is the sequence number of window[0].
+func (l *link) lowest() uint64 { return l.sent + 1 - uint64(len(l.window)) }
+
+// retire takes the record at window[i], if any, out of flight and returns
+// it. The caller trims the window.
+func (l *link) retire(i int) *pending {
+	p := l.window[i]
+	if p != nil {
+		l.window[i], p.retired = nil, true
+		l.live--
+	}
+	return p
+}
+
+// trim drops the retired records at the front of the window.
+func (l *link) trim() {
+	k := 0
+	for k < len(l.window) && l.window[k] == nil {
+		k++
+	}
+	l.window = slices.Delete(l.window, 0, k)
+}
+
 // send sequences a protocol message and transmits it, or queues it behind
 // the in-flight window.
 func (l *link) send(m phys.Message) {
 	l.nextSeq++
-	p := &pending{m: m, seq: l.nextSeq}
-	p.timer.Fn = func() {
-		if l.inflight[p.seq] == p { // else ACKed or abandoned; stale timer
-			l.retransmit(p)
-		}
-	}
-	if len(l.inflight) < l.ep.net.cfg.Window {
+	p := l.ep.net.newPending(l, m)
+	p.seq = l.nextSeq
+	if l.live < l.ep.net.cfg.Window {
 		l.transmit(p)
 	} else {
 		l.queue = append(l.queue, p)
@@ -408,9 +456,11 @@ func (l *link) send(m phys.Message) {
 }
 
 // transmit puts p on the air (first attempt) and arms its retransmission
-// timer.
+// timer. p.seq is sent+1: the queue holds frames only while the window is
+// full.
 func (l *link) transmit(p *pending) {
-	l.inflight[p.seq] = p
+	l.window = append(l.window, p)
+	l.live++
 	l.sent = p.seq
 	p.sentAt = l.ep.net.raw.Engine().Now()
 	l.ep.net.raw.Send(phys.Message{
@@ -430,18 +480,20 @@ func (l *link) armTimer(p *pending) {
 }
 
 // retransmit handles one expired retransmission timer: back off, re-send,
-// or abandon after MaxRetries.
-func (l *link) retransmit(p *pending) {
+// or abandon after MaxRetries. It reports whether p was abandoned; otherwise
+// its timer is armed again.
+func (l *link) retransmit(p *pending) (abandoned bool) {
 	n := l.ep.net
 	eng := n.raw.Engine()
 	if !n.raw.Up(p.m.From) {
 		// Down sender: hold the frame without burning attempts; recovery
 		// resumes the retry chain (crash/recover churn idiom).
 		l.armTimer(p)
-		return
+		return false
 	}
 	if p.attempts >= n.cfg.MaxRetries {
-		delete(l.inflight, p.seq)
+		l.retire(int(p.seq - l.lowest()))
+		l.trim()
 		n.stats.Abandons++
 		n.raw.Counters().Inc("drop:rel-abandon", 1)
 		if tr := n.raw.Tracer(); tr != nil {
@@ -451,7 +503,7 @@ func (l *link) retransmit(p *pending) {
 			})
 		}
 		l.pump()
-		return
+		return true
 	}
 	p.attempts++
 	p.retx = true
@@ -468,11 +520,12 @@ func (l *link) retransmit(p *pending) {
 		Payload: Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
 	})
 	l.armTimer(p)
+	return false
 }
 
 // pump moves queued frames into the freed window space.
 func (l *link) pump() {
-	for l.qhead < len(l.queue) && len(l.inflight) < l.ep.net.cfg.Window {
+	for l.qhead < len(l.queue) && l.live < l.ep.net.cfg.Window {
 		p := l.queue[l.qhead]
 		l.queue[l.qhead] = nil
 		l.qhead++
@@ -497,20 +550,18 @@ func (l *link) recvData(m phys.Message, f Frame) {
 	}
 	fresh := f.Seq > l.maxRun
 	if fresh {
-		if _, dup := l.ahead[f.Seq]; dup {
-			fresh = false
+		i, dup := slices.BinarySearch(l.ahead, f.Seq)
+		if fresh = !dup; fresh {
+			l.ahead = slices.Insert(l.ahead, i, f.Seq)
+			k := 0
+			for k < len(l.ahead) && l.ahead[k] == l.maxRun+1 {
+				l.maxRun++
+				k++
+			}
+			l.ahead = slices.Delete(l.ahead, 0, k)
 		}
 	}
-	if fresh {
-		l.ahead[f.Seq] = struct{}{}
-		for {
-			if _, ok := l.ahead[l.maxRun+1]; !ok {
-				break
-			}
-			delete(l.ahead, l.maxRun+1)
-			l.maxRun++
-		}
-	} else {
+	if !fresh {
 		// Duplicate: the ACK was lost or the retransmission raced it.
 		// Re-ACK (below) so the sender stops; never re-deliver.
 		n.stats.Duplicates++
@@ -535,9 +586,9 @@ func (l *link) recvData(m phys.Message, f Frame) {
 func (l *link) recvAck(a Ack) {
 	n := l.ep.net
 	l.heard()
-	if p, ok := l.inflight[a.Seq]; ok {
-		delete(l.inflight, a.Seq)
-		if !p.retx {
+	lo := l.lowest()
+	if a.Seq >= lo && a.Seq <= l.sent {
+		if p := l.retire(int(a.Seq - lo)); p != nil && !p.retx {
 			// Karn's rule: only never-retransmitted frames yield unambiguous
 			// RTT samples.
 			rtt := n.raw.Engine().Now() - p.sentAt
@@ -553,12 +604,14 @@ func (l *link) recvAck(a Ack) {
 			}
 		}
 	}
-	// Cumulative retirement: every frame at or below a.Cum has arrived.
-	// lowest passes each transmitted sequence number once, so an ACK pays
-	// for the frames it retires, not for the ones still in flight; a forged
-	// Cum retires nothing that was not sent.
-	for cum := min(a.Cum, l.sent); l.lowest <= cum; l.lowest++ {
-		delete(l.inflight, l.lowest)
+	// Cumulative retirement: every frame at or below a.Cum has arrived. An
+	// ACK pays for the frames it retires, not for the ones still in flight;
+	// a forged Cum retires nothing that was not sent.
+	if cum := min(a.Cum, l.sent); cum >= lo {
+		for i := range l.window[:cum-lo+1] {
+			l.retire(i)
+		}
 	}
+	l.trim()
 	l.pump()
 }

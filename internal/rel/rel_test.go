@@ -271,10 +271,14 @@ func TestCumulativeAckRetirement(t *testing.T) {
 	l := n.eps[1].link(2)
 	inflight := func() []uint64 {
 		var seqs []uint64
-		for seq := range l.inflight {
-			seqs = append(seqs, seq)
+		for i, p := range l.window {
+			if p != nil {
+				seqs = append(seqs, l.lowest()+uint64(i))
+			}
 		}
-		slices.Sort(seqs)
+		if len(seqs) != l.live || len(l.window) > 0 && l.window[0] == nil {
+			t.Fatalf("window %v: %d live, want %d and a live head", l.window, len(seqs), l.live)
+		}
 		return seqs
 	}
 	l.recvAck(Ack{Seq: 99, Cum: 3})
@@ -325,17 +329,63 @@ func gridNet(tb testing.TB) (edges []graph.Edge, one func(graph.Edge)) {
 }
 
 // TestSendAckAllocations pins what a reliable frame costs the allocator on
-// a lossless link: the pending record, its timer's closure, and the Frame
-// and the Ack boxed into their messages' Payload. The raw frames under
-// them, the delivery events and the retransmission timer cost nothing.
+// a lossless link: the Frame and the Ack boxed into their messages'
+// Payload. The pending record and its timer are recycled, and the raw
+// frames under them and their delivery events cost nothing.
 func TestSendAckAllocations(t *testing.T) {
 	edges, one := gridNet(t)
 	for _, l := range edges {
 		one(l) // first use of a link allocates its state
 	}
 	rng := rand.New(rand.NewSource(1))
-	if allocs := testing.AllocsPerRun(1000, func() { one(edges[rng.Intn(len(edges))]) }); allocs > 4 {
-		t.Errorf("reliable send + ACK allocates %v times per frame, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { one(edges[rng.Intn(len(edges))]) }); allocs > 2 {
+		t.Errorf("reliable send + ACK allocates %v times per frame, want at most 2", allocs)
+	}
+}
+
+// TestRecordReuseUnderAbandons: at 40 % loss with one retry, frames are
+// abandoned as well as ACKed, so records go back to the free list from
+// both branches of their timer. Reuse must never arm a pending timer (Arm
+// panics) and must not leak into the run: two same-seed runs give equal
+// Stats and an equal message-level trace, and a few records serve every
+// send.
+func TestRecordReuseUnderAbandons(t *testing.T) {
+	run := func() (Stats, []any, int) {
+		var log []any
+		nodes := []ids.ID{1, 2, 3, 4}
+		raw := phys.NewNetwork(sim.NewEngine(29), graph.Ring(nodes),
+			phys.WithLoss(0.4), phys.WithJitter(2), phys.WithTracer(eventLog{&log}))
+		cfg := DefaultConfig()
+		cfg.MaxRetries = 1
+		n := New(raw, cfg)
+		for _, v := range nodes {
+			n.Register(v, phys.HandlerFunc(func(m phys.Message) {
+				log = append(log, m)
+			}))
+		}
+		eng := n.Engine()
+		for i := 0; i < 300; i++ {
+			i := i
+			eng.At(sim.Time(1+i), func() { n.Broadcast(nodes[i%len(nodes)], "test:x", i) })
+		}
+		eng.At(5000, func() {})
+		eng.RunUntil(5000, nil)
+		records := 0
+		for p := n.free; p != nil; p = p.next {
+			records++
+		}
+		return n.Stats(), log, records
+	}
+	st, log, records := run()
+	if st.Abandons == 0 || st.Retransmits == 0 {
+		t.Fatalf("no abandons or no retransmissions at 40%% loss: %+v", st)
+	}
+	if records == 0 || int64(records) > st.Sent/4 {
+		t.Errorf("%d records recycled for %d sends", records, st.Sent)
+	}
+	st2, log2, _ := run()
+	if st != st2 || !slices.Equal(log, log2) {
+		t.Errorf("same seed, different runs: %+v vs %+v, traces equal: %v", st, st2, slices.Equal(log, log2))
 	}
 }
 

@@ -10,6 +10,13 @@
 // retransmitted frame is ambiguous — it may answer any of the copies), and
 // each retransmission doubles the timeout up to a cap, so a dead link backs
 // off instead of flooding.
+//
+// Per-frame state lives in slices, not maps: an endpoint's links sorted by
+// peer, a link's sender window indexed by sequence number from its lowest
+// frame in flight, and its receiver's out-of-order set as an ascending
+// slice. A pending record owns its retransmission timer and goes back to
+// the Network's free list from that timer's last firing, so a reliable
+// frame allocates only its boxed Frame and Ack.
 package rel
 
 import (

@@ -36,6 +36,8 @@
 package ssr
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/ids"
 	"repro/internal/node"
@@ -363,32 +365,37 @@ const keepaliveEvery = 8
 // wrap partners (by identity, whichever side they lie on) — the N_L / N_R
 // sets of §4.
 func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
-	now := n.net.Engine().Now()
-	seen := ids.NewSet()
 	var out []ids.ID
 	add := func(u ids.ID) {
 		if n.wrap.Has(u) {
 			return
 		}
-		if ids.DirOf(n.id, u) == d && seen.Add(u) {
+		if ids.DirOf(n.id, u) == d {
 			out = append(out, u)
 		}
 	}
 	for _, u := range n.rc.NeighborsDir(d) {
 		add(u)
 	}
-	for u, e := range n.revNbrs {
-		if now-e.at <= revNbrTTL*n.cfg.TickInterval {
-			add(u)
-		}
-	}
-	ids.SortAsc(out)
-	return out
+	n.eachLiveRevNbr(func(u ids.ID, _ sroute.Route) { add(u) })
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // revNbrTTL is how many tick intervals a reverse-neighbor entry stays live
 // without a refreshing notification (two re-introduction periods).
 const revNbrTTL = 64
+
+// eachLiveRevNbr calls f on every fresh reverse-neighbor entry (see
+// revNbrs), in map order.
+func (n *Node) eachLiveRevNbr(f func(u ids.ID, r sroute.Route)) {
+	now := n.net.Engine().Now()
+	for u, e := range n.revNbrs {
+		if now-e.at <= revNbrTTL*n.cfg.TickInterval {
+			f(u, e.route)
+		}
+	}
+}
 
 // routeTo returns a usable route to x: the cached one, or the reverse
 // route recorded for a reverse neighbor.
@@ -485,9 +492,7 @@ func (n *Node) maybeDiscover() {
 	sideEmpty := func(d ids.Dir) bool { return len(n.lineNeighbors(d)) == 0 }
 	n.wrap.Revalidate(sideEmpty, func() []ids.ID {
 		known := n.rc.Destinations()
-		for u := range n.liveRevNbrs() {
-			known = append(known, u)
-		}
+		n.eachLiveRevNbr(func(u ids.ID, _ sroute.Route) { known = append(known, u) })
 		return known
 	})
 	// Even an established wrap is re-probed periodically: with bounded
@@ -503,18 +508,6 @@ func (n *Node) maybeDiscover() {
 	if _, has := n.wrap.Partner(ids.Right); n.cfg.BothDirections && sideEmpty(ids.Right) && (!has || refresh) {
 		n.sendDiscover(ids.Right)
 	}
-}
-
-// liveRevNbrs returns the fresh reverse-neighbor entries (see revNbrs).
-func (n *Node) liveRevNbrs() map[ids.ID]sroute.Route {
-	now := n.net.Engine().Now()
-	out := make(map[ids.ID]sroute.Route, len(n.revNbrs))
-	for u, e := range n.revNbrs {
-		if now-e.at <= revNbrTTL*n.cfg.TickInterval {
-			out[u] = e.route
-		}
-	}
-	return out
 }
 
 // bestByMetric scans the virtual neighborhood — cache destinations plus
@@ -535,9 +528,7 @@ func (n *Node) bestByMetric(exclude ids.ID, metric func(ids.ID) uint64) (ids.ID,
 	for _, x := range n.rc.Destinations() {
 		consider(x, n.rc.Route(x))
 	}
-	for u, r := range n.liveRevNbrs() {
-		consider(u, r)
-	}
+	n.eachLiveRevNbr(consider)
 	return bestID, bestRoute, found
 }
 
@@ -801,11 +792,11 @@ func (n *Node) forwardData(dp dataPayload) bool {
 	}
 	// Map order cannot matter here: distinct neighbors are at distinct ring
 	// distances from dp.Dst, so the strict minimum is unique.
-	for u, r := range n.liveRevNbrs() {
+	n.eachLiveRevNbr(func(u ids.ID, r sroute.Route) {
 		if d := ids.RingDist(u, dp.Dst); d < bestDist {
 			via, bestDist = r, d
 		}
-	}
+	})
 	for _, side := range [2]ids.Dir{ids.Left, ids.Right} {
 		if p, ok := n.wrap.Partner(side); ok && n.wrap.State(side) != nil {
 			if d := ids.RingDist(p, dp.Dst); d < bestDist {
