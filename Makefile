@@ -42,10 +42,12 @@ docs-check:
 
 # Quick -race pass over the execution models only: the discrete-event
 # engine (sim), the message layer (phys) and the reliable sublayer (rel),
-# which hand the engine event storage they own, and the node runtime (node),
-# which owns every protocol's tick chain, are where data races would live.
+# which hand the engine event storage they own, the node runtime (node),
+# which owns every protocol's tick chain, and SSR with its route cache
+# (ssr, cache), whose packets and scratch buffers are reused across hops,
+# are where data races would live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic 500k-event trace.
@@ -109,7 +111,8 @@ sweep:
 	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
-# trace-encoding, graph-mutation, event-order and network-script targets
+# trace-encoding, graph-mutation, event-order, network-script and
+# cache-script targets
 # (one -fuzz run per target; Go allows a single fuzz target per
 # invocation). The committed corpora under testdata/fuzz replay in plain
 # `go test` as well.
@@ -122,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzNetworkScript -fuzztime=10s ./internal/phys/
+	$(GO) test -run=^$$ -fuzz=FuzzCacheScript -fuzztime=10s ./internal/cache/
 
 # The ROADMAP's size table from one counter: non-test Go lines per package
 # group, of the tree outside benchmark/, and that tree's test lines. Issues,

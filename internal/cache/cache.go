@@ -21,6 +21,8 @@
 package cache
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/sroute"
 )
@@ -46,19 +48,31 @@ func (m Mode) String() string {
 
 // Cache is one node's route cache. Not safe for concurrent use; in the
 // simulator each node's state is touched only from the event loop.
+//
+// The routes sit in two parallel slices sorted by destination: a lookup is
+// a binary search over plain identifiers, the destinations left of the
+// owner come before those right of it, and iteration allocates nothing.
 type Cache struct {
 	owner  ids.ID
 	mode   Mode
-	routes map[ids.ID]sroute.Route // by destination
+	dsts   []ids.ID       // ascending; never the owner
+	routes []sroute.Route // routes[i] leads to dsts[i]
 	// slot[dir][k] is the destination currently occupying interval k in
-	// direction dir (0=left, 1=right); 0 with absent map entry means empty.
+	// direction dir (0=left, 1=right), valid while has[dir][k].
 	slot [2][ids.NumIntervals]ids.ID
 	has  [2][ids.NumIntervals]bool
 }
 
 // New returns an empty cache for the given node.
 func New(owner ids.ID, mode Mode) *Cache {
-	return &Cache{owner: owner, mode: mode, routes: make(map[ids.ID]sroute.Route)}
+	return &Cache{owner: owner, mode: mode}
+}
+
+// Grow makes room for n more routes, so that the next n inserts do not
+// reallocate.
+func (c *Cache) Grow(n int) {
+	c.dsts = slices.Grow(c.dsts, n)
+	c.routes = slices.Grow(c.routes, n)
 }
 
 // Owner returns the node this cache belongs to.
@@ -68,7 +82,7 @@ func (c *Cache) Owner() ids.ID { return c.owner }
 func (c *Cache) Mode() Mode { return c.mode }
 
 // Len returns the number of cached routes.
-func (c *Cache) Len() int { return len(c.routes) }
+func (c *Cache) Len() int { return len(c.dsts) }
 
 // TotalRouteNodes returns the summed length of all cached routes — the
 // router-state metric for experiment E8.
@@ -87,44 +101,61 @@ func dirIndex(d ids.Dir) int {
 	return 1
 }
 
+// find returns the position of dst in dsts, or the position it would take.
+func (c *Cache) find(dst ids.ID) (int, bool) { return slices.BinarySearch(c.dsts, dst) }
+
+// side returns the index range of the destinations on side d of the owner.
+func (c *Cache) side(d ids.Dir) (lo, hi int) {
+	split, _ := c.find(c.owner)
+	if d == ids.Left {
+		return 0, split
+	}
+	return split, len(c.dsts)
+}
+
 // Insert offers a route to the cache. The route must start at the owner.
 // In Bounded mode the route is kept only if its interval slot is empty or
 // it beats the incumbent (closer destination identifier wins — tightening
 // toward the eventual ring neighbors — then fewer hops). Insert reports
 // whether the cache retained the route. A shorter route to an
-// already-cached destination always replaces the longer one.
+// already-cached destination always replaces the longer one. The cache
+// keeps a copy: the caller may reuse r.
 func (c *Cache) Insert(r sroute.Route) bool {
 	if len(r) < 2 || r.Src() != c.owner || r.Dst() == c.owner {
 		return false
 	}
 	dst := r.Dst()
-	if old, ok := c.routes[dst]; ok {
-		if r.Hops() < old.Hops() {
-			c.routes[dst] = r.Clone()
+	i, found := c.find(dst)
+	if found {
+		if r.Hops() < c.routes[i].Hops() {
+			c.routes[i] = r.Clone()
 			return true
 		}
 		return false
 	}
-	if c.mode == Unbounded {
-		c.routes[dst] = r.Clone()
-		return true
-	}
-	d := dirIndex(ids.DirOf(c.owner, dst))
-	k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
-	if k < 0 {
-		return false
-	}
-	if c.has[d][k] {
-		inc := c.slot[d][k]
-		incRoute := c.routes[inc]
-		if !c.beats(dst, r, inc, incRoute) {
+	if c.mode == Bounded {
+		d := dirIndex(ids.DirOf(c.owner, dst))
+		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
+		if k < 0 {
 			return false
 		}
-		delete(c.routes, inc)
+		if c.has[d][k] {
+			inc := c.slot[d][k]
+			j, _ := c.find(inc)
+			if !c.beats(dst, r, inc, c.routes[j]) {
+				return false
+			}
+			// Every cached destination holds its interval's slot, so none
+			// lies between the incumbent and the challenger, which share
+			// one: the winner takes the incumbent's position.
+			c.slot[d][k] = dst
+			c.dsts[j], c.routes[j] = dst, r.Clone()
+			return true
+		}
+		c.slot[d][k], c.has[d][k] = dst, true
 	}
-	c.slot[d][k] = dst
-	c.has[d][k] = true
-	c.routes[dst] = r.Clone()
+	c.dsts = slices.Insert(c.dsts, i, dst)
+	c.routes = slices.Insert(c.routes, i, r.Clone())
 	return true
 }
 
@@ -140,10 +171,12 @@ func (c *Cache) beats(dst ids.ID, r sroute.Route, inc ids.ID, incRoute sroute.Ro
 
 // Remove deletes the route to dst and reports whether it was present.
 func (c *Cache) Remove(dst ids.ID) bool {
-	if _, ok := c.routes[dst]; !ok {
+	i, found := c.find(dst)
+	if !found {
 		return false
 	}
-	delete(c.routes, dst)
+	c.dsts = slices.Delete(c.dsts, i, i+1)
+	c.routes = slices.Delete(c.routes, i, i+1)
 	if c.mode == Bounded {
 		d := dirIndex(ids.DirOf(c.owner, dst))
 		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
@@ -155,47 +188,55 @@ func (c *Cache) Remove(dst ids.ID) bool {
 }
 
 // Route returns the cached route to dst, or nil.
-func (c *Cache) Route(dst ids.ID) sroute.Route { return c.routes[dst] }
+func (c *Cache) Route(dst ids.ID) sroute.Route {
+	if i, found := c.find(dst); found {
+		return c.routes[i]
+	}
+	return nil
+}
 
 // Destinations returns all cached destinations in ascending order.
 func (c *Cache) Destinations() []ids.ID {
-	out := make([]ids.ID, 0, len(c.routes))
-	for dst := range c.routes {
-		out = append(out, dst)
-	}
-	ids.SortAsc(out)
-	return out
+	return append(make([]ids.ID, 0, len(c.dsts)), c.dsts...)
 }
 
 // NeighborsDir returns cached destinations on the given side of the owner,
 // ascending. These are the left/right virtual neighbor sets N_L, N_R of §4.
 func (c *Cache) NeighborsDir(d ids.Dir) []ids.ID {
-	var out []ids.ID
-	for dst := range c.routes {
-		if ids.DirOf(c.owner, dst) == d {
-			out = append(out, dst)
-		}
-	}
-	ids.SortAsc(out)
-	return out
+	lo, hi := c.side(d)
+	return slices.Clone(c.dsts[lo:hi])
 }
 
 // Nearest returns the cached destination closest to the owner on the given
 // side, or ok=false if that side is empty. After linearization converges,
 // Nearest(Left) and Nearest(Right) are the ring predecessor and successor.
 func (c *Cache) Nearest(d ids.Dir) (ids.ID, bool) {
-	var best ids.ID
-	found := false
-	for dst := range c.routes {
-		if ids.DirOf(c.owner, dst) != d {
-			continue
-		}
-		if !found || ids.LineDist(c.owner, dst) < ids.LineDist(c.owner, best) {
-			best = dst
-			found = true
-		}
+	lo, hi := c.side(d)
+	switch {
+	case lo == hi:
+		return 0, false
+	case d == ids.Left:
+		return c.dsts[hi-1], true
 	}
-	return best, found
+	return c.dsts[lo], true
+}
+
+// Each calls f on every cached destination and its route, ascending. The
+// route is the cache's own, as Route's is; f must not change it, nor
+// insert into or remove from the cache.
+func (c *Cache) Each(f func(dst ids.ID, r sroute.Route)) {
+	for i, dst := range c.dsts {
+		f(dst, c.routes[i])
+	}
+}
+
+// EachDir is Each over the destinations on side d: NeighborsDir without
+// the copy.
+func (c *Cache) EachDir(d ids.Dir, f func(dst ids.ID, r sroute.Route)) {
+	lo, hi := c.side(d)
+	for i := lo; i < hi; i++ {
+		f(c.dsts[i], c.routes[i])
+	}
 }
 
 // Candidate is a potential intermediate destination produced by a lookup:
@@ -212,8 +253,8 @@ type Candidate struct {
 // owner ("physically closest to itself and virtually closest to the final
 // destination", §1). Candidates still tied — the same node at the same
 // depth on two routes — are ordered by their prefixes, element by element,
-// so the answer depends on the cache's contents and never on map iteration
-// order. The owner itself is never returned; ok=false means the cache is
+// so the answer depends on the cache's contents and never on the order the
+// routes went in. The owner itself is never returned; ok=false means the cache is
 // empty. If target itself is on some cached route, the exact route is
 // returned.
 func (c *Cache) BestToward(target ids.ID) (Candidate, bool) {
@@ -259,11 +300,11 @@ func prefixLess(a, b sroute.Route) bool {
 
 // Clone returns a deep copy of the cache (routes included).
 func (c *Cache) Clone() *Cache {
-	n := New(c.owner, c.mode)
-	n.slot = c.slot
-	n.has = c.has
-	for dst, r := range c.routes {
-		n.routes[dst] = r.Clone()
+	n := &Cache{owner: c.owner, mode: c.mode, slot: c.slot, has: c.has}
+	n.dsts = slices.Clone(c.dsts)
+	n.routes = make([]sroute.Route, len(c.routes))
+	for i, r := range c.routes {
+		n.routes[i] = r.Clone()
 	}
 	return n
 }
@@ -274,7 +315,7 @@ func (c *Cache) Clone() *Cache {
 // the §4 claim that SSR caches populate the LSN shortcut set.
 func (c *Cache) IntervalOccupancy() (left, right int) {
 	var seen [2][ids.NumIntervals]bool
-	for dst := range c.routes {
+	for _, dst := range c.dsts {
 		d := dirIndex(ids.DirOf(c.owner, dst))
 		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
 		if k >= 0 {

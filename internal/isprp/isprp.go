@@ -98,6 +98,7 @@ type Node struct {
 	floodedMax ids.ID
 	hasFlooded bool
 	stopped    bool
+	back       sroute.Route // scratch for the reversed routes handed to learnRoute
 }
 
 // NewNode creates and registers an ISPRP node on the network. Call Start
@@ -179,7 +180,9 @@ func (n *Node) SetSuccessor(route sroute.Route) {
 // Start learns the physical neighborhood, picks the initial successor, and
 // begins periodic notifications. jitter staggers the first tick.
 func (n *Node) Start(jitter sim.Time) {
-	for _, u := range n.net.NeighborsOf(n.id) {
+	nbrs := n.net.NeighborsOf(n.id)
+	n.rc.Grow(len(nbrs))
+	for _, u := range nbrs {
 		if r, err := sroute.New(n.id, u); err == nil {
 			n.learnRoute(r)
 		}
@@ -224,12 +227,9 @@ func (n *Node) maybeFlood() {
 }
 
 func (n *Node) believesLargest() bool {
-	for _, x := range n.rc.Destinations() {
-		if x > n.id {
-			return false
-		}
-	}
-	return true
+	largest := true
+	n.rc.Each(func(x ids.ID, _ sroute.Route) { largest = largest && x <= n.id })
+	return largest
 }
 
 // handle is the raw frame handler: courier traffic first, then floods.
@@ -266,7 +266,8 @@ func (n *Node) handleFlood(m phys.Message) {
 func (n *Node) deliver(pkt phys.SRPacket) {
 	from := pkt.Route.Src()
 	// Any packet teaches us the reverse route to its sender.
-	n.learnRoute(pkt.Route.Reverse())
+	n.back = pkt.Route.ReverseInto(n.back)
+	n.learnRoute(n.back)
 	switch pkt.Kind {
 	case KindNotify:
 		n.handleNotify(from)
@@ -275,13 +276,13 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 		if !ok {
 			return
 		}
-		n.handleUpdate(pkt.Route, up)
+		n.handleUpdate(n.back, up)
 	}
 }
 
 // overhear lets forwarding nodes cache route segments of relayed packets —
 // SSR route learning (§1: nodes "store (some of) these source routes").
-func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, n.learnRoute) }
+func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, &n.back, n.learnRoute) }
 
 // handleNotify processes a successor claim from node from.
 func (n *Node) handleNotify(from ids.ID) {
@@ -315,16 +316,12 @@ func (n *Node) handleNotify(from ids.ID) {
 // bestSuccessorFor returns the cached node (or us) ring-closest after from.
 func (n *Node) bestSuccessorFor(from ids.ID) (ids.ID, bool) {
 	best := n.id
-	found := true
-	for _, x := range n.rc.Destinations() {
-		if x == from {
-			continue
-		}
-		if ids.RingDist(from, x) < ids.RingDist(from, best) {
+	n.rc.Each(func(x ids.ID, _ sroute.Route) {
+		if x != from && ids.RingDist(from, x) < ids.RingDist(from, best) {
 			best = x
 		}
-	}
-	return best, found
+	})
+	return best, true
 }
 
 // sendUpdate points node to at node better, carrying our route to better so
@@ -341,10 +338,10 @@ func (n *Node) sendUpdate(to, better ids.ID) {
 	n.courier.Send(rTo, KindUpdate, updatePayload{BetterRoute: rBetter.Clone()})
 }
 
-// handleUpdate composes the route to the suggested better successor and
-// rewires if it improves.
-func (n *Node) handleUpdate(pktRoute sroute.Route, up updatePayload) {
-	back := pktRoute.Reverse() // us → sender
+// handleUpdate composes the route to the suggested better successor from
+// back, the packet's route reversed (us → sender), and rewires if it
+// improves.
+func (n *Node) handleUpdate(back sroute.Route, up updatePayload) {
 	if up.BetterRoute == nil || back.Dst() != up.BetterRoute.Src() {
 		return
 	}
@@ -357,7 +354,8 @@ func (n *Node) handleUpdate(pktRoute sroute.Route, up updatePayload) {
 
 // learnRoute caches a route and applies the successor rewiring rule: adopt
 // the destination if it falls strictly between us and our current
-// successor.
+// successor. It never keeps r (the cache stores a copy), so callers may
+// hand it a scratch buffer or a view of a packet's route.
 func (n *Node) learnRoute(r sroute.Route) {
 	if len(r) < 2 || r.Src() != n.id {
 		return

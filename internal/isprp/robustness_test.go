@@ -94,7 +94,7 @@ func TestUpdateComposesRoute(t *testing.T) {
 	}
 	ac, _ := sroute.New(20, 30)
 	net.Send(phys.Message{From: 20, To: 10, Kind: KindUpdate,
-		Payload: phys.SRPacket{Route: mustR(t, 20, 10), Hop: 0, Kind: KindUpdate,
+		Payload: &phys.SRPacket{Route: mustR(t, 20, 10), Hop: 0, Kind: KindUpdate,
 			Payload: updatePayload{BetterRoute: ac}}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	r := b.Cache().Route(30)

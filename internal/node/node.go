@@ -50,13 +50,17 @@ func Attach(net phys.Transport, id ids.ID, handler func(phys.Message), onLease p
 
 // Overhear hands learn the route segments a relay reads off a packet it
 // forwards (§1: nodes store overheard source routes), each starting at the
-// relay: the way back to the source, then the way on to the destination.
-func Overhear(pkt phys.SRPacket, learn func(sroute.Route)) {
-	if back := pkt.Route[:pkt.Hop+1].Reverse(); len(back) >= 2 {
-		learn(back)
+// relay: the way back to the source, reversed into *buf, then the way on to
+// the destination, a view of the packet's route. learn must not keep its
+// argument: a relay learns from every packet it forwards and allocates
+// nothing for a segment it already caches.
+func Overhear(pkt phys.SRPacket, buf *sroute.Route, learn func(sroute.Route)) {
+	if back := pkt.Route[:pkt.Hop+1]; len(back) >= 2 {
+		*buf = back.ReverseInto(*buf)
+		learn(*buf)
 	}
 	if fwd := pkt.Route[pkt.Hop:]; len(fwd) >= 2 {
-		learn(fwd.Clone())
+		learn(fwd)
 	}
 }
 

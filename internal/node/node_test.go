@@ -240,9 +240,10 @@ func TestAttach(t *testing.T) {
 
 func TestOverhear(t *testing.T) {
 	route := sroute.Route{1, 2, 3, 4}
+	var buf sroute.Route
 	segments := func(hop int) []sroute.Route {
 		var out []sroute.Route
-		Overhear(phys.SRPacket{Route: route, Hop: hop}, func(r sroute.Route) { out = append(out, r) })
+		Overhear(phys.SRPacket{Route: route, Hop: hop}, &buf, func(r sroute.Route) { out = append(out, r.Clone()) })
 		return out
 	}
 	if got, want := segments(1), []sroute.Route{{2, 1}, {2, 3, 4}}; !reflect.DeepEqual(got, want) {
@@ -255,10 +256,11 @@ func TestOverhear(t *testing.T) {
 	if got, want := segments(3), []sroute.Route{{4, 3, 2, 1}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("destination overheard %v, want %v", got, want)
 	}
-	// The forward segment is the learner's to keep: not a view of the packet.
-	fwd := segments(1)[1]
-	fwd[1] = 99
-	if route[2] != 3 {
-		t.Error("the forward segment aliases the packet's route")
+	// The way back is reversed into the caller's buffer, which keeps its
+	// storage from one packet to the next.
+	before := &buf[0]
+	segments(2)
+	if &buf[0] != before || !reflect.DeepEqual(buf, sroute.Route{3, 2, 1}) {
+		t.Errorf("buffer = %v, reallocated %v; want [3 2 1] in place", buf, &buf[0] != before)
 	}
 }

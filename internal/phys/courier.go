@@ -9,6 +9,14 @@ import (
 // Route, one physical frame per hop. Kind tags the protocol message type
 // for accounting (each hop counts one transmission of that kind, so message
 // totals reflect real physical cost, as in the E6 experiment).
+//
+// On the wire a packet is a *SRPacket, boxed once by Send; every relay
+// advances Hop in place and forwards the same pointer. That is safe because
+// a packet is in exactly one frame at a time, rel hands each sequence
+// number to the handler once (a retransmission carrying the same pointer is
+// discarded before any handler sees it), and corruption replaces the
+// payload of the delivered copy, never the packet. A value SRPacket payload
+// is not courier traffic.
 type SRPacket struct {
 	Route   sroute.Route
 	Hop     int // index of the node currently holding the packet
@@ -43,16 +51,15 @@ func (c *Courier) Send(route sroute.Route, kind string, payload any) bool {
 	if len(route) < 2 || route.Src() != c.self {
 		return false
 	}
-	pkt := SRPacket{Route: route.Clone(), Hop: 0, Kind: kind, Payload: payload}
-	return c.transmit(pkt)
+	return c.transmit(&SRPacket{Route: route.Clone(), Kind: kind, Payload: payload})
 }
 
 // transmit sends pkt to the next node on its route.
-func (c *Courier) transmit(pkt SRPacket) bool {
+func (c *Courier) transmit(pkt *SRPacket) bool {
 	next := pkt.Route[pkt.Hop+1]
 	ok := c.net.Send(Message{From: c.self, To: next, Kind: pkt.Kind, Payload: pkt})
 	if !ok && c.OnUndeliverable != nil {
-		c.OnUndeliverable(pkt)
+		c.OnUndeliverable(*pkt)
 	}
 	return ok
 }
@@ -61,8 +68,8 @@ func (c *Courier) transmit(pkt SRPacket) bool {
 // was a source-routed packet (delivered here or forwarded onward); false
 // means the frame is not courier traffic and the caller should handle it.
 func (c *Courier) Handle(m Message) bool {
-	pkt, ok := m.Payload.(SRPacket)
-	if !ok {
+	pkt, ok := m.Payload.(*SRPacket)
+	if !ok || pkt == nil {
 		return false
 	}
 	pkt.Hop++
@@ -72,18 +79,18 @@ func (c *Courier) Handle(m Message) bool {
 	if pkt.Hop < 1 || pkt.Hop >= len(pkt.Route) || pkt.Route[pkt.Hop] != c.self {
 		// Route corrupted or we moved; drop.
 		if c.OnUndeliverable != nil {
-			c.OnUndeliverable(pkt)
+			c.OnUndeliverable(*pkt)
 		}
 		return true
 	}
 	if pkt.Hop == len(pkt.Route)-1 {
 		if c.OnDeliver != nil {
-			c.OnDeliver(pkt)
+			c.OnDeliver(*pkt)
 		}
 		return true
 	}
 	if c.OnForward != nil {
-		c.OnForward(pkt)
+		c.OnForward(*pkt)
 	}
 	c.transmit(pkt)
 	return true

@@ -91,13 +91,28 @@ func TestCourierCorruptHopDropped(t *testing.T) {
 	couriers[2].OnUndeliverable = func(p SRPacket) { bad = append(bad, p) }
 	// Hand-craft a frame whose route does not list node 2 at the next hop.
 	r, _ := sroute.New(1, 3, 2)
-	net.Send(Message{From: 1, To: 2, Kind: "t:pkt", Payload: SRPacket{Route: r, Hop: 0, Kind: "t:pkt"}})
+	net.Send(Message{From: 1, To: 2, Kind: "t:pkt", Payload: &SRPacket{Route: r, Hop: 0, Kind: "t:pkt"}})
 	net.Engine().Run(0)
 	if len(bad) != 1 {
 		t.Errorf("corrupt packet should be flagged, got %v", bad)
 	}
 	if len(delivered[2]) != 0 {
 		t.Error("corrupt packet must not be delivered")
+	}
+}
+
+// TestCourierValuePacketIsNotCourierTraffic: a packet travels as the
+// *SRPacket its Send boxed; a value SRPacket, or a nil pointer, is some
+// other layer's payload and is left to the caller.
+func TestCourierValuePacketIsNotCourierTraffic(t *testing.T) {
+	_, net := lineNet(t, 2)
+	c := NewCourier(net, 2)
+	c.OnDeliver = func(p SRPacket) { t.Errorf("delivered %+v", p) }
+	r, _ := sroute.New(1, 2)
+	for _, payload := range []any{SRPacket{Route: r, Kind: "t:pkt"}, (*SRPacket)(nil)} {
+		if c.Handle(Message{From: 1, To: 2, Kind: "t:pkt", Payload: payload}) {
+			t.Errorf("Handle(%#v) = true, want false", payload)
+		}
 	}
 }
 

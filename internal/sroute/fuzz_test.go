@@ -16,12 +16,20 @@ func routeFrom(data []byte) Route {
 
 func assertSimple(t *testing.T, r Route, op string) {
 	t.Helper()
+	if !simpleBySet(r) {
+		t.Fatalf("%s produced a looped route %v", op, r)
+	}
+}
+
+// simpleBySet is Route.Simple the obvious way.
+func simpleBySet(r Route) bool {
 	seen := ids.NewSet()
 	for _, v := range r {
 		if !seen.Add(v) {
-			t.Fatalf("%s produced a looped route %v", op, r)
+			return false
 		}
 	}
+	return true
 }
 
 // FuzzRouteOps drives the route-composition primitives (the linearize-step
@@ -37,6 +45,9 @@ func FuzzRouteOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ra, rb := routeFrom(a), routeFrom(b)
 
+		if ra.Simple() != simpleBySet(ra) {
+			t.Fatalf("Simple(%v) = %v", ra, ra.Simple())
+		}
 		if r, err := New(ra.Clone()...); err == nil {
 			assertSimple(t, r, "New")
 			if len(r) < 2 {
@@ -72,6 +83,9 @@ func FuzzRouteOps(f *testing.F) {
 		rev2 := rev.Reverse()
 		if !rev2.Equal(ra) {
 			t.Fatalf("double Reverse is not identity: %v -> %v", ra, rev2)
+		}
+		if buf := rb.ReverseInto(rb.Clone()); !ra.ReverseInto(buf).Equal(rev) {
+			t.Fatalf("ReverseInto over %v differs from Reverse: %v", rb, ra.ReverseInto(buf))
 		}
 	})
 }

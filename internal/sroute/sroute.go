@@ -13,6 +13,7 @@ package sroute
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -26,11 +27,10 @@ type Route []ids.ID
 
 // Errors returned by route constructors.
 var (
-	ErrTooShort   = errors.New("sroute: route needs at least two nodes")
-	ErrNoJoin     = errors.New("sroute: routes do not share the join node")
-	ErrHasCycle   = errors.New("sroute: route revisits a node")
-	ErrNotAPath   = errors.New("sroute: consecutive nodes are not physically linked")
-	ErrWrongStart = errors.New("sroute: route does not start at the expected node")
+	ErrTooShort = errors.New("sroute: route needs at least two nodes")
+	ErrNoJoin   = errors.New("sroute: routes do not share the join node")
+	ErrHasCycle = errors.New("sroute: route revisits a node")
+	ErrNotAPath = errors.New("sroute: consecutive nodes are not physically linked")
 )
 
 // New validates and returns a route over the given nodes.
@@ -38,11 +38,8 @@ func New(nodes ...ids.ID) (Route, error) {
 	if len(nodes) < 2 {
 		return nil, ErrTooShort
 	}
-	seen := ids.NewSet()
-	for _, v := range nodes {
-		if !seen.Add(v) {
-			return nil, ErrHasCycle
-		}
+	if !Route(nodes).Simple() {
+		return nil, ErrHasCycle
 	}
 	return Route(nodes), nil
 }
@@ -66,19 +63,6 @@ func (r Route) Hops() int {
 // single-node routes.
 func (r Route) Via(peer ids.ID) bool { return len(r) >= 2 && r[1] == peer }
 
-// Contains reports whether v appears on the route. Every such v is a
-// potential intermediate destination for SSR's greedy routing (§1: "all
-// nodes that are part of a source route in the cache can be viewed as
-// potential destinations, too").
-func (r Route) Contains(v ids.ID) bool {
-	for _, x := range r {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // IndexOf returns the position of v on the route, or -1.
 func (r Route) IndexOf(v ids.ID) int {
 	for i, x := range r {
@@ -89,41 +73,26 @@ func (r Route) IndexOf(v ids.ID) int {
 	return -1
 }
 
-// Prefix returns the sub-route from the source up to and including v.
-// It returns nil if v is not on the route or is the source itself.
-func (r Route) Prefix(v ids.ID) Route {
-	i := r.IndexOf(v)
-	if i < 1 {
-		return nil
-	}
-	return append(Route(nil), r[:i+1]...)
-}
-
-// Suffix returns the sub-route from v (inclusive) to the destination, i.e.
-// the route an intermediate node extracts for onward forwarding. It returns
-// nil if v is not on the route or is the destination itself.
-func (r Route) Suffix(v ids.ID) Route {
-	i := r.IndexOf(v)
-	if i < 0 || i == len(r)-1 {
-		return nil
-	}
-	return append(Route(nil), r[i:]...)
-}
-
 // Reverse returns the route from destination back to source. Physical links
 // are bidirectional, so the reverse of a valid route is valid; SSR uses
 // reversed routes to acknowledge messages.
-func (r Route) Reverse() Route {
-	out := make(Route, len(r))
+func (r Route) Reverse() Route { return r.ReverseInto(make(Route, len(r))) }
+
+// ReverseInto is Reverse written over buf, which is grown if it is too
+// short and must not overlap r: a node that reverses every route it
+// receives keeps one buffer and allocates nothing.
+func (r Route) ReverseInto(buf Route) Route {
+	buf = slices.Grow(buf[:0], len(r))[:len(r)]
 	for i, v := range r {
-		out[len(r)-1-i] = v
+		buf[len(r)-1-i] = v
 	}
-	return out
+	return buf
 }
 
 // Append concatenates r (ending at the join node) with next (starting at
 // the join node), then elides any loops, producing a simple route from
 // r.Src() to next.Dst(). This is the route-composition primitive of §1.
+// It allocates once: loop elision shortens the concatenation in place.
 func (r Route) Append(next Route) (Route, error) {
 	if len(r) < 2 || len(next) < 2 {
 		return nil, ErrTooShort
@@ -134,28 +103,37 @@ func (r Route) Append(next Route) (Route, error) {
 	combined := make(Route, 0, len(r)+len(next)-1)
 	combined = append(combined, r...)
 	combined = append(combined, next[1:]...)
-	return combined.ElideLoops(), nil
+	return elide(combined[:0], combined), nil
 }
 
 // ElideLoops removes cycles: whenever a node reappears, the segment between
 // its occurrences is cut. The result is a simple route over the same
 // physical links, never longer than the input.
-func (r Route) ElideLoops() Route {
-	pos := make(map[ids.ID]int, len(r))
-	out := make(Route, 0, len(r))
+func (r Route) ElideLoops() Route { return elide(make(Route, 0, len(r)), r) }
+
+// elide appends r to out, cutting back to a node's first occurrence
+// whenever it reappears. out may be r[:0]: it never grows past the element
+// being read. Routes are short, so scanning out beats building a set.
+func elide(out, r Route) Route {
 	for _, v := range r {
-		if i, ok := pos[v]; ok {
-			// Cut back to the first occurrence of v.
-			for _, cut := range out[i+1:] {
-				delete(pos, cut)
-			}
+		if i := out.IndexOf(v); i >= 0 {
 			out = out[:i+1]
 			continue
 		}
-		pos[v] = len(out)
 		out = append(out, v)
 	}
 	return out
+}
+
+// Simple reports whether no node repeats on r. Routes are short, so the
+// quadratic scan beats building a set.
+func (r Route) Simple() bool {
+	for i := 1; i < len(r); i++ {
+		if r[:i].IndexOf(r[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ValidOn checks that the route is simple and every consecutive pair is an
@@ -164,11 +142,8 @@ func (r Route) ValidOn(g *graph.Graph) error {
 	if len(r) < 2 {
 		return ErrTooShort
 	}
-	seen := ids.NewSet()
-	for _, v := range r {
-		if !seen.Add(v) {
-			return ErrHasCycle
-		}
+	if !r.Simple() {
+		return ErrHasCycle
 	}
 	for i := 0; i+1 < len(r); i++ {
 		if !g.HasEdge(r[i], r[i+1]) {
@@ -201,16 +176,4 @@ func (r Route) String() string {
 		parts[i] = v.String()
 	}
 	return strings.Join(parts, ">")
-}
-
-// FromPath converts a graph path (as returned by graph.ShortestPath) into a
-// route, validating it starts at src.
-func FromPath(src ids.ID, path []ids.ID) (Route, error) {
-	if len(path) < 2 {
-		return nil, ErrTooShort
-	}
-	if path[0] != src {
-		return nil, ErrWrongStart
-	}
-	return New(path...)
 }

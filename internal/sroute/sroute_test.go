@@ -38,31 +38,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestContainsIndexPrefixSuffix(t *testing.T) {
+func TestIndexOf(t *testing.T) {
 	r := mustRoute(t, 1, 2, 3, 4)
-	if !r.Contains(3) || r.Contains(9) {
-		t.Error("Contains broken")
-	}
 	if r.IndexOf(3) != 2 || r.IndexOf(9) != -1 {
 		t.Error("IndexOf broken")
-	}
-	if p := r.Prefix(3); !p.Equal(Route{1, 2, 3}) {
-		t.Errorf("Prefix(3) = %v", p)
-	}
-	if r.Prefix(1) != nil || r.Prefix(9) != nil {
-		t.Error("Prefix of src/absent should be nil")
-	}
-	if s := r.Suffix(2); !s.Equal(Route{2, 3, 4}) {
-		t.Errorf("Suffix(2) = %v", s)
-	}
-	if r.Suffix(4) != nil || r.Suffix(9) != nil {
-		t.Error("Suffix of dst/absent should be nil")
-	}
-	// Prefix/Suffix must be copies.
-	p := r.Prefix(3)
-	p[0] = 99
-	if r[0] == 99 {
-		t.Error("Prefix aliases the route")
 	}
 }
 
@@ -96,6 +75,20 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+func TestReverseInto(t *testing.T) {
+	buf := make(Route, 0, 4)
+	r := mustRoute(t, 1, 2, 3)
+	if got := r.ReverseInto(buf); !got.Equal(Route{3, 2, 1}) || &got[0] != &buf[:1][0] {
+		t.Errorf("ReverseInto = %v, want 3>2>1 in the buffer's storage", got)
+	}
+	if got := mustRoute(t, 1, 2, 3, 4, 5).ReverseInto(buf); !got.Equal(Route{5, 4, 3, 2, 1}) {
+		t.Errorf("ReverseInto past the buffer's capacity = %v", got)
+	}
+	if a := testing.AllocsPerRun(100, func() { buf = r.ReverseInto(buf) }); a != 0 {
+		t.Errorf("ReverseInto into a large enough buffer: %v allocations, want 0", a)
+	}
+}
+
 func TestAppend(t *testing.T) {
 	// The paper's §3 example: B has B>A, learns A>C, derives B>C.
 	ba := mustRoute(t, 20, 10) // B=20, A=10
@@ -112,6 +105,19 @@ func TestAppend(t *testing.T) {
 	}
 	if _, err := (Route{1}).Append(ac); !errors.Is(err, ErrTooShort) {
 		t.Errorf("short base: err = %v", err)
+	}
+}
+
+// TestAppendAllocations: two routes that join simply cost the one
+// allocation of their concatenation, and so does a join that elides.
+func TestAppendAllocations(t *testing.T) {
+	for _, tc := range []struct{ a, b Route }{
+		{Route{20, 10}, Route{10, 30, 40}},
+		{Route{1, 2, 3}, Route{3, 2, 4}},
+	} {
+		if a := testing.AllocsPerRun(100, func() { _, _ = tc.a.Append(tc.b) }); a != 1 {
+			t.Errorf("%v.Append(%v): %v allocations, want 1", tc.a, tc.b, a)
+		}
 	}
 }
 
@@ -167,24 +173,6 @@ func TestValidOn(t *testing.T) {
 	}
 }
 
-func TestFromPath(t *testing.T) {
-	g := graph.Line([]ids.ID{1, 2, 3})
-	p := g.ShortestPath(1, 3)
-	r, err := FromPath(1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Src() != 1 || r.Dst() != 3 {
-		t.Errorf("FromPath = %v", r)
-	}
-	if _, err := FromPath(2, p); !errors.Is(err, ErrWrongStart) {
-		t.Errorf("wrong start: %v", err)
-	}
-	if _, err := FromPath(1, []ids.ID{1}); !errors.Is(err, ErrTooShort) {
-		t.Errorf("short path: %v", err)
-	}
-}
-
 func TestStringCloneEqual(t *testing.T) {
 	r := mustRoute(t, 1, 2, 3)
 	if r.String() != "1>2>3" {
@@ -213,8 +201,8 @@ func TestAppendProperty(t *testing.T) {
 		if a == b || b == c {
 			return true
 		}
-		p1, _ := FromPath(a, g.ShortestPath(a, b))
-		p2, _ := FromPath(b, g.ShortestPath(b, c))
+		p1, _ := New(g.ShortestPath(a, b)...)
+		p2, _ := New(g.ShortestPath(b, c)...)
 		if p1 == nil || p2 == nil {
 			return true
 		}

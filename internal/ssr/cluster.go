@@ -5,6 +5,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/sroute"
 	"repro/internal/vring"
 )
 
@@ -81,21 +82,12 @@ func (c *Cluster) PendingOps() int {
 // always be zero; a nonzero count means corrupted cache state.
 func (c *Cluster) AuditRoutes() (total, looped int) {
 	for _, n := range c.Nodes {
-		for _, dst := range n.Cache().Destinations() {
-			r := n.Cache().Route(dst)
-			if r == nil {
-				continue
-			}
+		n.Cache().Each(func(_ ids.ID, r sroute.Route) {
 			total++
-			seen := ids.NewSet()
-			for _, hop := range r {
-				if seen.Has(hop) {
-					looped++
-					break
-				}
-				seen.Add(hop)
+			if !r.Simple() {
+				looped++
 			}
-		}
+		})
 	}
 	return total, looped
 }

@@ -74,10 +74,10 @@ func FuzzFramePayloadDecoding(f *testing.F) {
 			case 1:
 				payload = phys.Garbled{}
 			case 2:
-				payload = phys.SRPacket{Route: fuzzRoute(feed),
+				payload = &phys.SRPacket{Route: fuzzRoute(feed),
 					Hop: int(int8(feed.next())), Kind: kind, Payload: "garbage"}
 			case 3:
-				payload = phys.SRPacket{Route: fuzzRoute(feed), Hop: int(int8(feed.next())),
+				payload = &phys.SRPacket{Route: fuzzRoute(feed), Hop: int(int8(feed.next())),
 					Kind: kind, Payload: notifyPayload{OtherRoute: fuzzRoute(feed),
 						Pair: pairKey{Low: ids.ID(feed.next()), High: ids.ID(feed.next())}}}
 			case 4:
@@ -95,10 +95,10 @@ func FuzzFramePayloadDecoding(f *testing.F) {
 					inner = dataPayload{Origin: ids.ID(feed.next()), Dst: ids.ID(feed.next()),
 						Hops: int(int8(feed.next()))}
 				}
-				payload = phys.SRPacket{Route: fuzzRoute(feed),
+				payload = &phys.SRPacket{Route: fuzzRoute(feed),
 					Hop: int(int8(feed.next())), Kind: kind, Payload: inner}
 			case 5:
-				payload = phys.SRPacket{Route: sroute.Route{e[0], e[1]}, Hop: 0,
+				payload = &phys.SRPacket{Route: sroute.Route{e[0], e[1]}, Hop: 0,
 					Kind: kind, Payload: phys.Garbled{}}
 			}
 			net.Send(phys.Message{From: e[0], To: e[1], Kind: kind, Payload: payload})

@@ -46,7 +46,7 @@ func (c *Cluster) LeaveGraceful(v ids.ID) {
 	delete(c.Nodes, v)
 	for _, s := range c.Nodes {
 		s.Cache().Remove(v)
-		delete(s.revNbrs, v)
+		s.dropRevNbr(v)
 		delete(s.lastHeard, v)
 		s.wrap.Forget(v)
 	}

@@ -40,7 +40,7 @@ func TestMalformedPayloadsAreIgnored(t *testing.T) {
 	kinds := []string{KindNotify, KindAck, KindDiscover, KindDiscoverAck, KindData}
 	for _, kind := range kinds {
 		net.Send(phys.Message{From: 1, To: 2, Kind: kind,
-			Payload: phys.SRPacket{Route: route(t, 1, 2), Hop: 0, Kind: kind, Payload: "garbage"}})
+			Payload: &phys.SRPacket{Route: route(t, 1, 2), Hop: 0, Kind: kind, Payload: "garbage"}})
 	}
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if b.Failed != 0 {
@@ -56,7 +56,7 @@ func TestAckForUnknownPairIgnored(t *testing.T) {
 	net, a, _ := twoNodeSetup(t)
 	bogus := ackPayload{Pair: pairKey{Low: 77, High: 99}}
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindAck,
-		Payload: phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindAck, Payload: bogus}})
+		Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindAck, Payload: bogus}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if len(a.pending) != 0 {
 		t.Error("bogus ack should not create pending state")
@@ -67,7 +67,7 @@ func TestTeardownForUnknownNodeIgnored(t *testing.T) {
 	net, a, _ := twoNodeSetup(t)
 	before := a.Cache().Len()
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindTeardown,
-		Payload: phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindTeardown}})
+		Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindTeardown}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	// The teardown removes the (existing) route to node 2 — that is its
 	// semantics — but must not do anything else destructive.
@@ -82,7 +82,7 @@ func TestNotifyWithMismatchedJoinIgnored(t *testing.T) {
 	// gracefully, and no ack state should corrupt the pending table.
 	bad := notifyPayload{OtherRoute: route(t, 9, 10), Pair: pairKey{Low: 1, High: 10}}
 	net.Send(phys.Message{From: 1, To: 2, Kind: KindNotify,
-		Payload: phys.SRPacket{Route: route(t, 1, 2), Hop: 0, Kind: KindNotify, Payload: bad}})
+		Payload: &phys.SRPacket{Route: route(t, 1, 2), Hop: 0, Kind: KindNotify, Payload: bad}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if b.Cache().Route(10) != nil {
 		t.Error("mismatched notify must not create a route")
@@ -95,7 +95,7 @@ func TestDiscoverAckFromForeignRouteIgnored(t *testing.T) {
 	// RouteFromOrigin that does not start at the receiver must be ignored.
 	bad := discoverAckPayload{RouteFromOrigin: route(t, 2, 1), Dir: ids.Left}
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindDiscoverAck,
-		Payload: phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindDiscoverAck, Payload: bad}})
+		Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindDiscoverAck, Payload: bad}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if _, has := a.wrap.Partner(ids.Left); has {
 		t.Error("foreign discover-ack must not set a wrap partner")
@@ -200,7 +200,7 @@ func TestDuplicateTeardownTolerated(t *testing.T) {
 	net, a, _ := twoNodeSetup(t)
 	for i := 0; i < 2; i++ {
 		net.Send(phys.Message{From: 2, To: 1, Kind: KindTeardown,
-			Payload: phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindTeardown}})
+			Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindTeardown}})
 		net.Engine().RunUntil(net.Engine().Now()+4, nil)
 	}
 	if a.Cache().Route(2) != nil {

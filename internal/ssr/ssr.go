@@ -36,6 +36,7 @@
 package ssr
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cache"
@@ -134,6 +135,7 @@ type pairKey struct {
 
 // revEntry is one reverse-neighbor record.
 type revEntry struct {
+	id    ids.ID       // the reverse neighbor
 	route sroute.Route // us -> the reverse neighbor
 	at    sim.Time     // last refresh
 }
@@ -167,8 +169,9 @@ type Node struct {
 	// caches a node may evict a route while the other endpoint retains the
 	// edge, and the retaining side's notifications keep the edge visible
 	// here. Without this, close identifier pairs that every third party
-	// collapses into one interval slot could never be introduced.
-	revNbrs map[ids.ID]revEntry
+	// collapses into one interval slot could never be introduced. Ascending
+	// by id.
+	revNbrs []revEntry
 	// tornDown tombstones partners that were deliberately removed (§4
 	// teardown) or declared dead by the failure detector, mapping to the
 	// tombstone's expiry time. Ambient traffic (keepalives, overheard
@@ -183,6 +186,12 @@ type Node struct {
 	// how SSR notices virtual links broken by churn (dead nodes or dead
 	// intermediate hops).
 	lastHeard map[ids.ID]sim.Time
+
+	// Scratch, reused from packet to packet: back holds the reversed route
+	// of the packet being handled (learn never keeps its argument), line
+	// the result of lineNeighbors.
+	back sroute.Route
+	line []ids.ID
 
 	// Ring closure state (rules in node.Wrap): the wrap partners and the
 	// source routes to them. Wrap routes are stored here, not in the route
@@ -210,7 +219,6 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 		rc:         cache.New(id, cfg.CacheMode),
 		pending:    make(map[pairKey]*pendingOp),
 		introduced: make(map[pairKey]sim.Time),
-		revNbrs:    make(map[ids.ID]revEntry),
 		tornDown:   make(map[ids.ID]sim.Time),
 		lastHeard:  make(map[ids.ID]sim.Time),
 		wrap:       node.NewWrap[sroute.Route](id),
@@ -249,11 +257,7 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 			n.traceEvent(trace.EvEdgeDelegate, dst, "lease-down")
 		}
 	}
-	for u, e := range n.revNbrs {
-		if e.route.Via(peer) {
-			delete(n.revNbrs, u)
-		}
-	}
+	n.revNbrs = slices.DeleteFunc(n.revNbrs, func(e revEntry) bool { return e.route.Via(peer) })
 	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
 		if p, ok := n.wrap.Partner(d); ok && (p == peer || n.wrap.State(d).Via(peer)) {
 			n.wrap.Drop(d)
@@ -298,7 +302,9 @@ func (n *Node) VirtualNeighbors() []ids.ID { return n.rc.Destinations() }
 // Start seeds the cache with the physical neighborhood (E_v := E_p) and
 // begins the maintenance tick. jitter staggers the first tick.
 func (n *Node) Start(jitter sim.Time) {
-	for _, u := range n.net.NeighborsOf(n.id) {
+	nbrs := n.net.NeighborsOf(n.id)
+	n.rc.Grow(len(nbrs))
+	for _, u := range nbrs {
 		if r, err := sroute.New(n.id, u); err == nil {
 			n.rc.Insert(r)
 		}
@@ -323,6 +329,9 @@ func (n *Node) tick() {
 	// protocol entirely.
 	if n.ticks%keepaliveEvery == 0 {
 		now := n.net.Engine().Now()
+		if pruneBookkeeping {
+			n.prune(now)
+		}
 		for _, dst := range n.rc.Destinations() {
 			// Purge destinations that have been silent for several
 			// keepalive periods: the node or the route to it is dead. The
@@ -330,7 +339,7 @@ func (n *Node) tick() {
 			// routes, so the dead node cannot circulate indefinitely.
 			if at, ok := n.lastHeard[dst]; ok && now-at > deadAfter*n.cfg.TickInterval {
 				n.rc.Remove(dst)
-				delete(n.revNbrs, dst)
+				n.dropRevNbr(dst)
 				delete(n.lastHeard, dst)
 				n.tombstone(dst, 4*deadAfter)
 				continue
@@ -354,6 +363,31 @@ func (n *Node) tick() {
 	}
 }
 
+// pruneBookkeeping switches prune on; only a test turns it off, to show
+// that pruning changes nothing a run does.
+var pruneBookkeeping = true
+
+// prune forgets the introductions older than the re-introduction window and
+// the expired tombstones. introduce and tombstoned already treat both as
+// absent; without this the maps would keep every pair and every peer ever
+// seen.
+func (n *Node) prune(now sim.Time) {
+	for key, last := range n.introduced {
+		if now-last >= reintroduceAfter*n.cfg.TickInterval {
+			delete(n.introduced, key)
+		}
+	}
+	for x, expiry := range n.tornDown {
+		if now >= expiry {
+			delete(n.tornDown, x)
+		}
+	}
+}
+
+// reintroduceAfter is the re-introduction window in ticks: a pair is not
+// introduced again sooner.
+const reintroduceAfter = 32
+
 // deadAfter is the failure-detection threshold in ticks (several keepalive
 // periods, tolerant of sporadic frame loss).
 const deadAfter = 5 * keepaliveEvery
@@ -361,12 +395,13 @@ const deadAfter = 5 * keepaliveEvery
 // keepaliveEvery is the keepalive period in ticks — well under revNbrTTL.
 const keepaliveEvery = 8
 
-// lineNeighbors returns the cache destinations on the given side excluding
-// wrap partners (by identity, whichever side they lie on) — the N_L / N_R
-// sets of §4.
+// lineNeighbors returns the cache destinations and live reverse neighbors
+// on the given side excluding wrap partners (by identity, whichever side
+// they lie on) — the N_L / N_R sets of §4 — ascending. The slice is the
+// node's scratch, valid until the next call.
 func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
-	var out []ids.ID
-	add := func(u ids.ID) {
+	out := n.line[:0]
+	add := func(u ids.ID, _ sroute.Route) {
 		if n.wrap.Has(u) {
 			return
 		}
@@ -374,12 +409,11 @@ func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
 			out = append(out, u)
 		}
 	}
-	for _, u := range n.rc.NeighborsDir(d) {
-		add(u)
-	}
-	n.eachLiveRevNbr(func(u ids.ID, _ sroute.Route) { add(u) })
+	n.rc.EachDir(d, add)
+	n.eachLiveRevNbr(add)
 	slices.Sort(out)
-	return slices.Compact(out)
+	n.line = slices.Compact(out)
+	return n.line
 }
 
 // revNbrTTL is how many tick intervals a reverse-neighbor entry stays live
@@ -387,13 +421,41 @@ func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
 const revNbrTTL = 64
 
 // eachLiveRevNbr calls f on every fresh reverse-neighbor entry (see
-// revNbrs), in map order.
+// revNbrs), ascending by id.
 func (n *Node) eachLiveRevNbr(f func(u ids.ID, r sroute.Route)) {
 	now := n.net.Engine().Now()
-	for u, e := range n.revNbrs {
+	for _, e := range n.revNbrs {
 		if now-e.at <= revNbrTTL*n.cfg.TickInterval {
-			f(u, e.route)
+			f(e.id, e.route)
 		}
+	}
+}
+
+// findRevNbr returns the position of u in revNbrs, or the position it
+// would take.
+func (n *Node) findRevNbr(u ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(n.revNbrs, u, func(e revEntry, u ids.ID) int { return cmp.Compare(e.id, u) })
+}
+
+// refreshRevNbr records that u holds a route to us, which we reach back
+// over r: the entry's time moves, and its route is replaced by a copy of r
+// only when the two differ.
+func (n *Node) refreshRevNbr(u ids.ID, r sroute.Route, now sim.Time) {
+	i, ok := n.findRevNbr(u)
+	if !ok {
+		n.revNbrs = slices.Insert(n.revNbrs, i, revEntry{id: u})
+	}
+	e := &n.revNbrs[i]
+	if !e.route.Equal(r) {
+		e.route = r.Clone()
+	}
+	e.at = now
+}
+
+// dropRevNbr forgets the reverse-neighbor entry of u, if any.
+func (n *Node) dropRevNbr(u ids.ID) {
+	if i, ok := n.findRevNbr(u); ok {
+		n.revNbrs = slices.Delete(n.revNbrs, i, i+1)
 	}
 }
 
@@ -403,8 +465,8 @@ func (n *Node) routeTo(x ids.ID) sroute.Route {
 	if r := n.rc.Route(x); r != nil {
 		return r
 	}
-	if e, ok := n.revNbrs[x]; ok {
-		return e.route
+	if i, ok := n.findRevNbr(x); ok {
+		return n.revNbrs[i].route
 	}
 	return nil
 }
@@ -456,7 +518,7 @@ func (n *Node) introduce(a, b ids.ID, tear bool) {
 		return
 	}
 	now := n.net.Engine().Now()
-	if last, seen := n.introduced[key]; seen && now-last < 32*n.cfg.TickInterval {
+	if last, seen := n.introduced[key]; seen && now-last < reintroduceAfter*n.cfg.TickInterval {
 		return
 	}
 	ra, rb := n.routeTo(a), n.routeTo(b)
@@ -525,9 +587,7 @@ func (n *Node) bestByMetric(exclude ids.ID, metric func(ids.ID) uint64) (ids.ID,
 			bestID, bestRoute, found = x, r, true
 		}
 	}
-	for _, x := range n.rc.Destinations() {
-		consider(x, n.rc.Route(x))
-	}
+	n.rc.Each(consider)
 	n.eachLiveRevNbr(consider)
 	return bestID, bestRoute, found
 }
@@ -550,16 +610,17 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 	// Every received packet teaches the reverse route to its segment source
 	// and proves the sender holds a route to us — refresh the undirected-
 	// edge view (E_v, §4) regardless of message kind.
-	back := pkt.Route.Reverse()
+	n.back = pkt.Route.ReverseInto(n.back)
+	back := n.back
 	n.learn(back)
 	if len(back) >= 2 && back.Dst() != n.id && !n.tombstoned(back.Dst()) {
 		now := n.net.Engine().Now()
-		n.revNbrs[back.Dst()] = revEntry{route: back.Clone(), at: now}
+		n.refreshRevNbr(back.Dst(), back, now)
 		n.lastHeard[back.Dst()] = now
 	}
 	switch pkt.Kind {
 	case KindNotify:
-		n.handleNotify(pkt)
+		n.handleNotify(pkt, back)
 	case KindAck:
 		n.handleAck(pkt)
 	case KindKeepalive:
@@ -571,7 +632,7 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 		// lastHeard was already refreshed above; nothing else to do.
 	case KindTeardown:
 		n.rc.Remove(pkt.Route.Src())
-		delete(n.revNbrs, pkt.Route.Src())
+		n.dropRevNbr(pkt.Route.Src())
 		n.tombstone(pkt.Route.Src(), revNbrTTL)
 		n.traceEvent(trace.EvEdgeDelegate, pkt.Route.Src(), "teardown-recv")
 	case KindDiscover:
@@ -584,7 +645,7 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 }
 
 // overhear caches route segments of relayed packets.
-func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, n.learn) }
+func (n *Node) overhear(pkt phys.SRPacket) { node.Overhear(pkt, &n.back, n.learn) }
 
 // tombstoned reports whether the edge to x is currently tombstoned.
 func (n *Node) tombstoned(x ids.ID) bool {
@@ -604,13 +665,16 @@ func (n *Node) tombstone(x ids.ID, ticks sim.Time) {
 	n.tornDown[x] = n.net.Engine().Now() + ticks*n.cfg.TickInterval
 }
 
+// learn caches r if it is a route from us. It never keeps r (the cache
+// stores a copy), so callers hand it the node's scratch or a view of a
+// packet's route.
 func (n *Node) learn(r sroute.Route) {
 	// Received and overheard routes are untrusted input: a forged or
 	// corrupted frame can carry a route that revisits a node, and caching
 	// it would break source-route loop-freedom. Elide before inserting
 	// (the elided route covers the same physical links, §1); the scan
 	// keeps the common simple-route path allocation-free.
-	if !routeSimple(r) {
+	if !r.Simple() {
 		r = r.ElideLoops()
 	}
 	if len(r) >= 2 && r.Src() == n.id && r.Dst() != n.id && !n.tombstoned(r.Dst()) {
@@ -623,19 +687,6 @@ func (n *Node) learn(r sroute.Route) {
 	}
 }
 
-// routeSimple reports whether no node repeats on r. Routes are short, so
-// the quadratic scan beats building a set.
-func routeSimple(r sroute.Route) bool {
-	for i := 1; i < len(r); i++ {
-		for j := 0; j < i; j++ {
-			if r[i] == r[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // traceEvent emits a protocol-level event through the network's tracer:
 // cached-route churn is E_v edge churn, and wrap adoption is ring closure.
 func (n *Node) traceEvent(t trace.EventType, peer ids.ID, aux string) {
@@ -646,12 +697,13 @@ func (n *Node) traceEvent(t trace.EventType, peer ids.ID, aux string) {
 	}
 }
 
-func (n *Node) handleNotify(pkt phys.SRPacket) {
+// handleNotify composes the route to the other introduced neighbor from
+// back, the packet's route reversed (us → notifier).
+func (n *Node) handleNotify(pkt phys.SRPacket, back sroute.Route) {
 	np, ok := pkt.Payload.(notifyPayload)
 	if !ok {
 		return
 	}
-	back := pkt.Route.Reverse() // us → notifier
 	// A nil check is not enough: a forged or corrupted frame can carry an
 	// empty non-nil route, and Src() on it panics.
 	if len(np.OtherRoute) < 2 || len(back) < 2 || back.Dst() != np.OtherRoute.Src() {
@@ -692,7 +744,7 @@ func (n *Node) handleAck(pkt phys.SRPacket) {
 	if r := n.rc.Route(op.farther); r != nil {
 		n.courier.Send(r, KindTeardown, nil)
 		n.rc.Remove(op.farther)
-		delete(n.revNbrs, op.farther)
+		n.dropRevNbr(op.farther)
 		n.tombstone(op.farther, revNbrTTL)
 		n.traceEvent(trace.EvEdgeDelegate, op.farther, "teardown-send")
 	}
@@ -790,7 +842,7 @@ func (n *Node) forwardData(dp dataPayload) bool {
 		via = cand.Via
 		bestDist = ids.RingDist(cand.Node, dp.Dst)
 	}
-	// Map order cannot matter here: distinct neighbors are at distinct ring
+	// Walk order cannot matter here: distinct neighbors are at distinct ring
 	// distances from dp.Dst, so the strict minimum is unique.
 	n.eachLiveRevNbr(func(u ids.ID, r sroute.Route) {
 		if d := ids.RingDist(u, dp.Dst); d < bestDist {
