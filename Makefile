@@ -43,11 +43,12 @@ docs-check:
 # Quick -race pass over the execution models only: the discrete-event
 # engine (sim), the message layer (phys) and the reliable sublayer (rel),
 # which hand the engine event storage they own, the node runtime (node),
-# which owns every protocol's tick chain, and SSR with its route cache
+# which owns every protocol's tick chain, SSR with its route cache
 # (ssr, cache), whose packets and scratch buffers are reused across hops,
-# are where data races would live.
+# and the trace writer (trace), whose encoder goroutine takes the batches
+# Emit fills, are where data races would live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/trace/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic 500k-event trace.
@@ -111,8 +112,8 @@ sweep:
 	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
-# trace-encoding, graph-mutation, event-order, network-script and
-# cache-script targets
+# trace-encoding, graph-mutation, event-order, network-script,
+# cache-script and trace-writer-script targets
 # (one -fuzz run per target; Go allows a single fuzz target per
 # invocation). The committed corpora under testdata/fuzz replay in plain
 # `go test` as well.
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzNetworkScript -fuzztime=10s ./internal/phys/
 	$(GO) test -run=^$$ -fuzz=FuzzCacheScript -fuzztime=10s ./internal/cache/
+	$(GO) test -run=^$$ -fuzz=FuzzJSONLWriterScript -fuzztime=10s ./internal/trace/
 
 # The ROADMAP's size table from one counter: non-test Go lines per package
 # group, of the tree outside benchmark/, and that tree's test lines. Issues,

@@ -28,7 +28,9 @@ func mustTopo(b *testing.B, t graph.Topology, n int, seed int64) *graph.Graph {
 }
 
 // BenchmarkTraceEmit: what one per-message event costs in each sink — the
-// per-layer figure behind the price of leaving a full-level trace on.
+// per-layer figure behind the price of leaving a full-level trace on. The
+// JSONL sink is flushed inside the timed region, so its ns/op covers the
+// encoder goroutine's work too, not only Emit's handoff.
 func BenchmarkTraceEmit(b *testing.B) {
 	ev := trace.Event{T: 1234, Type: trace.EvMsgSend, Node: 0x1234567890abcdef, Peer: 0xfedcba0987654321, Kind: "ssr:notify", Value: 1}
 	for _, sink := range []struct {
@@ -43,6 +45,11 @@ func BenchmarkTraceEmit(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sink.tr.Emit(ev)
+			}
+			if w, ok := sink.tr.(*trace.JSONLWriter); ok {
+				if err := w.Flush(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

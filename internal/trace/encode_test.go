@@ -171,20 +171,26 @@ func TestCommittedTracesReencodeByteIdentical(t *testing.T) {
 }
 
 // TestJSONLEmitDoesNotAllocate: the per-message event of a full-level
-// trace costs no heap allocation. Each measured run emits enough to wrap
-// the 64 KiB buffer several times, so a flush that allocates shows too.
+// trace costs no heap allocation. Each run hands 10 batches to the encoder
+// and wraps the 64 KiB buffer several times, so a handoff or a flush that
+// allocates shows too; with the warm-up run, whose first handoff starts the
+// encoder, that is 110 handoffs.
 func TestJSONLEmitDoesNotAllocate(t *testing.T) {
 	w := NewJSONLWriter(io.Discard)
 	e := Event{T: 1 << 40, Type: EvMsgSend, Node: math.MaxUint64, Peer: 1 << 63, Kind: "ssr:notify", Value: 17.5}
-	n := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 5000; i++ {
+	const runs, perRun = 10, 10 * jsonlBatch
+	n := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < perRun; i++ {
 			w.Emit(e)
 		}
 	})
 	if n != 0 {
-		t.Errorf("5000 Emits allocate %v times, want 0", n)
+		t.Errorf("%d Emits allocate %v times, want 0", perRun, n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := w.Count(); got != (runs+1)*perRun {
+		t.Errorf("count = %d, want %d", got, (runs+1)*perRun)
 	}
 }

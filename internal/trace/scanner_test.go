@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -110,41 +109,6 @@ func TestReadJSONLTruncatedFinalLine(t *testing.T) {
 	}
 	if len(evs) != 2 {
 		t.Errorf("complete events = %d, want 2", len(evs))
-	}
-}
-
-// failAfter fails every write after the first n bytes.
-type failAfter struct {
-	n       int
-	written int
-}
-
-var errDiskFull = errors.New("disk full")
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.written+len(p) > f.n {
-		return 0, errDiskFull
-	}
-	f.written += len(p)
-	return len(p), nil
-}
-
-func TestJSONLWriterStickyFlushError(t *testing.T) {
-	w := trace.NewJSONLWriter(&failAfter{n: 0})
-	w.Emit(trace.Event{T: 1, Type: trace.EvProbe})
-	if err := w.Flush(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("flush err = %v, want %v", err, errDiskFull)
-	}
-	if err := w.Err(); !errors.Is(err, errDiskFull) {
-		t.Errorf("Err() = %v, want sticky %v", err, errDiskFull)
-	}
-	before := w.Count()
-	w.Emit(trace.Event{T: 2, Type: trace.EvProbe}) // must not encode into a dead writer
-	if w.Count() != before {
-		t.Errorf("count advanced to %d after a failed flush", w.Count())
-	}
-	if err := w.Close(); !errors.Is(err, errDiskFull) {
-		t.Errorf("close err = %v, want the sticky error", err)
 	}
 }
 

@@ -95,57 +95,110 @@ func (r *Recorder) Reset() {
 
 // --- JSONL writer ---------------------------------------------------------
 
+// A writer's batches (108 KiB): one Emit fills, one queued, one being encoded.
+const jsonlBatch, jsonlBatches = 512, 3
+
 // JSONLWriter streams events as one JSON object per line — the offline
-// analysis format. Writes are buffered; call Close (or Flush) before
-// reading the output.
+// analysis format. Emit copies the event into a batch; the writer's own
+// goroutine, started when the first batch fills, encodes batches in Emit
+// order. Writes are buffered; call Close (or Flush) before reading the output.
 type JSONLWriter struct {
-	mu  sync.Mutex
+	mu               sync.Mutex
+	c                io.Closer      // underlying closer, if any
+	cur              []Event        // the batch Emit fills
+	full, empty      chan []Event   // batches to the encoder, and back cleared
+	busy             sync.WaitGroup // batches handed over and not yet encoded
+	done             chan struct{}  // closed when the encoder exits
+	started, stopped bool
+
+	// The encoder's while a batch is out; mu's holder's once busy.Wait returns.
 	w   *bufio.Writer
-	c   io.Closer // underlying closer, if any
 	n   int64
 	err error
 }
 
 // NewJSONLWriter wraps w. If w is an io.Closer, Close closes it too.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	j := &JSONLWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	if c, ok := w.(io.Closer); ok {
-		j.c = c
+	// Each channel has room for every batch, so no send blocks; Emit waits
+	// only for an empty batch, when the encoder is a whole batch behind.
+	j := &JSONLWriter{w: bufio.NewWriterSize(w, 1<<16), cur: make([]Event, 0, jsonlBatch),
+		full: make(chan []Event, jsonlBatches), empty: make(chan []Event, jsonlBatches), done: make(chan struct{})}
+	for i := 1; i < jsonlBatches; i++ {
+		j.empty <- make([]Event, 0, jsonlBatch)
 	}
+	j.c, _ = w.(io.Closer)
 	return j
 }
 
-// Emit encodes e as one line. The first error — encode or flush — is
-// sticky: once the writer is dead, later emissions are dropped instead of
-// encoded into a failed destination. Close (or Err) reports it.
+// Emit queues e to be encoded as one line. The first error — encode or
+// flush — is sticky: once the writer is dead, later emissions are dropped
+// instead of encoded into a failed destination. Close (or Err) reports it.
 func (j *JSONLWriter) Emit(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
+	if j.cur = append(j.cur, e); len(j.cur) < jsonlBatch {
 		return
 	}
-	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-		j.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Value, 'g', -1, 64)}
+	if j.stopped { // after Close the caller encodes
+		j.drain()
 		return
 	}
-	// The line is built in the buffer's own free space. Flushing first when
-	// it may not fit keeps append from outgrowing that space and allocating;
-	// only an event larger than the whole buffer still does, and Write then
-	// passes it through.
-	if j.w.Available() < maxPlainEvent+len(e.Kind)+len(e.Aux) {
-		if j.err = j.w.Flush(); j.err != nil {
-			return
+	if !j.started {
+		j.started = true
+		go j.encoder()
+	}
+	// The encoder never takes mu, so waiting under it cannot deadlock.
+	j.busy.Add(1)
+	j.full <- j.cur
+	j.cur = <-j.empty
+}
+
+func (j *JSONLWriter) encoder() {
+	for b := range j.full {
+		j.empty <- j.encodeBatch(b)
+		j.busy.Done()
+	}
+	close(j.done)
+}
+
+// drain (mu held) waits for the encoder to go idle, then encodes the rest.
+func (j *JSONLWriter) drain() {
+	j.busy.Wait()
+	j.cur = j.encodeBatch(j.cur)
+}
+
+// encodeBatch encodes b in order and returns it cleared, pinning no string.
+func (j *JSONLWriter) encodeBatch(b []Event) []Event {
+	for _, e := range b {
+		if j.err != nil {
+			break
+		}
+		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+			j.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Value, 'g', -1, 64)}
+			break
+		}
+		// The line is built in the buffer's own free space. Flushing first
+		// when it may not fit keeps append from outgrowing that space and
+		// allocating; only an event larger than the whole buffer still does,
+		// and Write then passes it through.
+		if j.w.Available() < maxPlainEvent+len(e.Kind)+len(e.Aux) {
+			if j.err = j.w.Flush(); j.err != nil {
+				break
+			}
+		}
+		if _, j.err = j.w.Write(appendEvent(j.w.AvailableBuffer(), e)); j.err == nil {
+			j.n++
 		}
 	}
-	if _, j.err = j.w.Write(appendEvent(j.w.AvailableBuffer(), e)); j.err == nil {
-		j.n++
-	}
+	clear(b)
+	return b[:0]
 }
 
 // Count returns the number of events successfully encoded.
 func (j *JSONLWriter) Count() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.drain()
 	return j.n
 }
 
@@ -154,6 +207,7 @@ func (j *JSONLWriter) Count() int64 {
 func (j *JSONLWriter) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.drain()
 	return j.err
 }
 
@@ -162,20 +216,24 @@ func (j *JSONLWriter) Err() error {
 func (j *JSONLWriter) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
+	if j.drain(); j.err == nil {
+		j.err = j.w.Flush()
 	}
-	if err := j.w.Flush(); err != nil {
-		j.err = err
-		return err
-	}
-	return nil
+	return j.err
 }
 
-// Close flushes and closes the underlying writer (when closable),
-// returning the first error encountered over the writer's lifetime.
+// Close flushes, stops the encoder and closes the underlying writer (when
+// closable), returning the first error encountered over the writer's
+// lifetime.
 func (j *JSONLWriter) Close() error {
 	err := j.Flush()
+	j.mu.Lock()
+	if j.started && !j.stopped {
+		close(j.full)
+		<-j.done
+	}
+	j.stopped = true
+	j.mu.Unlock()
 	if j.c != nil {
 		if cerr := j.c.Close(); err == nil {
 			err = cerr

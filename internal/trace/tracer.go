@@ -223,8 +223,9 @@ func (e Event) String() string {
 }
 
 // Tracer consumes events. Implementations must tolerate being shared by
-// every layer of one simulation run; the built-in sinks are mutex-guarded
-// so the goroutine-based harnesses can share them too.
+// every layer of one simulation run and by the goroutine-based harnesses:
+// the built-in sinks serialize Emit on a mutex (JSONLWriter's only copies
+// the event; its own goroutine encodes it later, in the same order).
 //
 // The disabled state is a nil Tracer, not a no-op implementation: emission
 // sites guard with `if tr != nil`, which keeps the hot paths free of
