@@ -103,13 +103,14 @@ perf-gate: profile-quick
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
 	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
-# Stall sweep: 1000 generator seeds through every round-model variant with
-# CloseRing, as generated and with the extremal nodes linked; prints the
-# stall count, which must be 0 (the test fails otherwise). The `vrr` and
-# `ssr` sweeps (`regular` n=64, `unitdisk` n=192) join when their stall
-# families are fixed (ROADMAP item 1).
+# Stall sweep, one test per family, each printing its stall count and the
+# seeds that stall: 1000 generator seeds through every round-model variant
+# with CloseRing, as generated and with the extremal nodes linked (must be
+# 0); VRR on `regular` n=64, 1000 seeds (at most 3); SSR on `unitdisk`
+# n=192 with Bounded caches and BothDirections, 400 seeds (at most 2). A
+# test fails above its count (ROADMAP item 1). About 2 min in all.
 sweep:
-	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/
+	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/ ./internal/vrr/ ./internal/ssr/
 
 # Short native-fuzz pass over the frame-decoding, linearize-step,
 # trace-encoding, graph-mutation, event-order, network-script,

@@ -11,22 +11,22 @@ import "repro/internal/ids"
 //
 // The rules, shared by every protocol that closes the ring by discovery:
 //
-//   - Wrap partners are ring state, not line neighbors, and are exempt from
-//     linearization by identity regardless of side (Has): the minimum
-//     node's ring predecessor is the maximum node, which lies to its
-//     line-right.
-//   - A wrap is legitimate only while the corresponding line side is empty
-//     (Revalidate): a non-extremal node that adopted a partner during a
-//     transient empty-side phase would otherwise exempt its true line
-//     neighbor from linearization forever.
+//   - Wrap state sits beside E_v and never masks it: the protocols' side
+//     scans count every virtual neighbor, a wrap partner included. The
+//     minimum node's ring predecessor is the maximum node, which lies to
+//     its line-right, so it never hides the minimum's empty left side.
+//   - A wrap is legitimate only while its line side is empty (Revalidate):
+//     a wrap adopted during a transient empty-side phase, or whose partner
+//     is itself a line neighbor on that side, is dropped.
 //   - Adoption is best-wins, not last-wins (Adopt): acknowledgments can
 //     arrive out of order, a stale pre-line discovery after the correct one.
 //   - An established wrap is dropped when the node learns of a ring-closer
-//     candidate (Revalidate), and the protocols re-probe it periodically: a
-//     wrap acknowledged by a transient dead end would otherwise freeze.
+//     candidate (Revalidate), and re-probed periodically (Tick): a wrap
+//     acknowledged by a transient dead end would otherwise freeze.
 type Wrap[R any] struct {
 	self        ids.ID
 	left, right wrapSide[R]
+	ticks       int64
 }
 
 type wrapSide[R any] struct {
@@ -35,9 +35,9 @@ type wrapSide[R any] struct {
 	state   R
 }
 
-// WrapRefreshEvery is the re-probe period in maintenance ticks: a node with
-// an empty side re-sends discovery this often even while it holds a wrap.
-const WrapRefreshEvery = 8
+// refreshEvery is the re-probe period in maintenance ticks: a node with an
+// empty side re-sends discovery this often even while it holds a wrap.
+const refreshEvery = 8
 
 // NewWrap returns the empty ring-closure state of node self.
 func NewWrap[R any](self ids.ID) Wrap[R] { return Wrap[R]{self: self} }
@@ -72,11 +72,6 @@ func (w *Wrap[R]) Partner(d ids.Dir) (ids.ID, bool) {
 // zero R when none is established).
 func (w *Wrap[R]) State(d ids.Dir) R { return w.side(d).state }
 
-// Has reports whether u is a wrap partner on either side.
-func (w *Wrap[R]) Has(u ids.ID) bool {
-	return (w.left.has && w.left.partner == u) || (w.right.has && w.right.partner == u)
-}
-
 // Drop clears side d.
 func (w *Wrap[R]) Drop(d ids.Dir) { *w.side(d) = wrapSide[R]{} }
 
@@ -100,13 +95,11 @@ func (w *Wrap[R]) Adopt(d ids.Dir, partner ids.ID, state R) bool {
 	return true
 }
 
-// Revalidate drops the wraps that are no longer legitimate. First, Left
-// before Right, a wrap whose line side is no longer empty — sideEmpty is
-// the protocol's side scan, which itself excludes wrap partners, so Right
-// is scanned after a Left drop has taken effect. Then, in the same order,
-// a wrap that some candidate beats under the side's ring metric; candidates
-// (the protocol's known identifiers, self ignored) is called only if a
-// wrap is left to judge.
+// Revalidate drops the wraps that are no longer legitimate: first a wrap on
+// a side that has a line neighbor (sideEmpty is the protocol's scan of
+// E_v), then a wrap that some candidate beats under the side's ring metric;
+// candidates (the protocol's known identifiers, self ignored) is called
+// only if a wrap is left to judge.
 func (w *Wrap[R]) Revalidate(sideEmpty func(ids.Dir) bool, candidates func() []ids.ID) {
 	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
 		if w.side(d).has && !sideEmpty(d) {
@@ -128,6 +121,25 @@ func (w *Wrap[R]) Revalidate(sideEmpty func(ids.Dir) bool, candidates func() []i
 				w.Drop(d)
 				break
 			}
+		}
+	}
+}
+
+// Tick is one maintenance tick of ring closure: Revalidate, then discover
+// on every empty side, Left first — on a side without a wrap at every tick,
+// on a side that holds one every refreshEvery-th tick. The re-probe keeps a
+// wrap acknowledged by a transient dead end from freezing: the extremal
+// nodes may never learn of each other through E_v alone (bounded caches
+// evict each other's far-away entries), and best-wins adoption makes the
+// re-probes converge on the true extreme. Only nodes with an empty side
+// send, so it is cheap.
+func (w *Wrap[R]) Tick(sideEmpty func(ids.Dir) bool, candidates func() []ids.ID, discover func(ids.Dir)) {
+	w.ticks++
+	w.Revalidate(sideEmpty, candidates)
+	refresh := w.ticks%refreshEvery == 0
+	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
+		if sideEmpty(d) && (!w.side(d).has || refresh) {
+			discover(d)
 		}
 	}
 }

@@ -47,29 +47,23 @@ func TestAdoptIsBestWins(t *testing.T) {
 	}
 }
 
-func TestHasDropForget(t *testing.T) {
+func TestDropForget(t *testing.T) {
 	w := NewWrap[string](50)
 	w.Adopt(ids.Left, 10, "l")
 	w.Adopt(ids.Right, 90, "r")
-	// Has is by identity, whichever side the partner sits on.
-	for _, u := range []ids.ID{10, 90} {
-		if !w.Has(u) {
-			t.Errorf("Has(%v) = false", u)
-		}
-	}
-	if w.Has(50) || w.Has(0) {
-		t.Error("Has must not match a non-partner (or the zero identifier of an empty side)")
-	}
 	w.Forget(90)
-	if _, ok := w.Partner(ids.Right); ok || w.Has(90) || w.State(ids.Right) != "" {
+	if _, ok := w.Partner(ids.Right); ok || w.State(ids.Right) != "" {
 		t.Error("Forget(90) must clear the right side and its state")
 	}
 	if p, ok := w.Partner(ids.Left); !ok || p != 10 || w.State(ids.Left) != "l" {
 		t.Error("Forget(90) must leave the left side alone")
 	}
 	w.Forget(77) // not a partner: no-op
+	if _, ok := w.Partner(ids.Left); !ok {
+		t.Error("Forget of a non-partner must change nothing")
+	}
 	w.Drop(ids.Left)
-	if w.Has(10) {
+	if _, ok := w.Partner(ids.Left); ok {
 		t.Error("Drop(Left) must clear the left side")
 	}
 	// A dropped side accepts any partner again, however far.
@@ -114,26 +108,30 @@ func TestRevalidate(t *testing.T) {
 		w.Adopt(ids.Left, 90, struct{}{})
 		w.Adopt(ids.Right, 50, struct{}{})
 		w.Revalidate(empty, func() []ids.ID { return []ids.ID{10} })
-		if !w.Has(90) || !w.Has(50) {
+		l, hasL := w.Partner(ids.Left)
+		r, hasR := w.Partner(ids.Right)
+		if !hasL || l != 90 || !hasR || r != 50 {
 			t.Error("a node is not its own ring neighbor")
 		}
 	})
 
-	t.Run("the right side is scanned after the left drop", func(t *testing.T) {
-		// The protocols' side scan excludes wrap partners, so what it says
-		// about the right side depends on whether the left wrap still stands.
-		w := NewWrap[struct{}](50)
-		w.Adopt(ids.Left, 90, struct{}{})
-		w.Adopt(ids.Right, 10, struct{}{})
-		var leftStoodWhenRightScanned bool
+	t.Run("a partner that is a line neighbor on its side is dropped", func(t *testing.T) {
+		// Node 4 adopted its line neighbor 3 as ring predecessor while its
+		// left side was empty. E_v now holds 3 and 5: the scan counts 3 like
+		// any other member, so the left side is not empty and the wrap goes.
+		w := NewWrap[struct{}](4)
+		w.Adopt(ids.Left, 3, struct{}{})
+		ev := []ids.ID{3, 5}
 		w.Revalidate(func(d ids.Dir) bool {
-			if d == ids.Right {
-				leftStoodWhenRightScanned = w.Has(90)
+			for _, u := range ev {
+				if ids.DirOf(4, u) == d {
+					return false
+				}
 			}
-			return d == ids.Right
-		}, none)
-		if leftStoodWhenRightScanned {
-			t.Error("sideEmpty(Right) ran before the left drop took effect")
+			return true
+		}, func() []ids.ID { return ev })
+		if _, ok := w.Partner(ids.Left); ok {
+			t.Error("#4 holds its line neighbor #3 as wrap partner")
 		}
 	})
 
@@ -146,6 +144,45 @@ func TestRevalidate(t *testing.T) {
 			t.Error("both sides dropped in the first pass: nothing left to judge")
 		}
 	})
+}
+
+func TestTick(t *testing.T) {
+	// Node 10 is the minimum: its left side is empty, its right side holds
+	// 50. discover records every direction it is asked to send.
+	rightOnly := func(d ids.Dir) bool { return d == ids.Left }
+	known := func() []ids.ID { return []ids.ID{50} }
+	var sent []ids.Dir
+	discover := func(d ids.Dir) { sent = append(sent, d) }
+
+	w := NewWrap[struct{}](10)
+	w.Tick(rightOnly, known, discover)
+	if len(sent) != 1 || sent[0] != ids.Left {
+		t.Fatalf("without a wrap: sent %v, want [Left] (the right side is not empty)", sent)
+	}
+	w.Adopt(ids.Left, 90, struct{}{})
+	sent = nil
+	for tick := 2; tick <= 3*refreshEvery; tick++ {
+		w.Tick(rightOnly, known, discover)
+		if got, want := len(sent), tick/refreshEvery; got != want {
+			t.Fatalf("after tick %d: %d re-probes, want one every %d ticks", tick, got, refreshEvery)
+		}
+	}
+	for _, d := range sent {
+		if d != ids.Left {
+			t.Errorf("re-probe toward %v: the right side is not empty", d)
+		}
+	}
+	if p, ok := w.Partner(ids.Left); !ok || p != 90 {
+		t.Error("re-probing must keep the wrap it re-probes")
+	}
+
+	// Both sides empty, no wrap: both directions, Left first.
+	sent = nil
+	w = NewWrap[struct{}](10)
+	w.Tick(func(ids.Dir) bool { return true }, known, discover)
+	if len(sent) != 2 || sent[0] != ids.Left || sent[1] != ids.Right {
+		t.Errorf("sent %v, want [Left Right]", sent)
+	}
 }
 
 func TestAtExtremes(t *testing.T) {

@@ -13,7 +13,8 @@ func (c *Cluster) Join(v ids.ID) *Node {
 	c.Nodes[v] = n
 	n.Start(startJitter(c.Net, c.cfg))
 	// A new extremal node invalidates previously-correct wrap edges; the
-	// wrap re-validation in maybeDiscover heals them as knowledge spreads.
+	// closure tick's re-validation (node.Wrap.Tick) heals them as knowledge
+	// spreads.
 	return n
 }
 

@@ -21,8 +21,8 @@
 //     until it reaches the node with an empty right neighbor set, which
 //     acknowledges — establishing the wrap edge that turns the line into
 //     SSR's virtual ring. The counter-clockwise mirror runs for redundancy.
-//     Wrap partners are exempt from linearization: they are ring state, not
-//     line neighbors.
+//     Wrap state sits beside the route cache and never hides a member of
+//     E_v from linearization (rules in node.Wrap).
 //
 // Data routing follows §1's greedy rule: the current node picks from its
 // cache the intermediate destination virtually closest to the packet's
@@ -320,7 +320,11 @@ func (n *Node) tick() {
 	n.linearizeSide(ids.Right)
 	n.linearizeSide(ids.Left)
 	if n.cfg.CloseRing {
-		n.maybeDiscover()
+		n.wrap.Tick(n.sideEmpty, n.knownIDs, func(d ids.Dir) {
+			if d == ids.Left || n.cfg.BothDirections {
+				n.sendDiscover(d)
+			}
+		})
 	}
 	// Periodic keepalives let the other endpoint of every cached edge keep
 	// its reverse-neighbor entry fresh. A node with a single virtual
@@ -396,15 +400,11 @@ const deadAfter = 5 * keepaliveEvery
 const keepaliveEvery = 8
 
 // lineNeighbors returns the cache destinations and live reverse neighbors
-// on the given side excluding wrap partners (by identity, whichever side
-// they lie on) — the N_L / N_R sets of §4 — ascending. The slice is the
-// node's scratch, valid until the next call.
+// on the given side — the N_L / N_R sets of §4 — ascending. The slice is
+// the node's scratch, valid until the next call.
 func (n *Node) lineNeighbors(d ids.Dir) []ids.ID {
 	out := n.line[:0]
 	add := func(u ids.ID, _ sroute.Route) {
-		if n.wrap.Has(u) {
-			return
-		}
 		if ids.DirOf(n.id, u) == d {
 			out = append(out, u)
 		}
@@ -541,35 +541,16 @@ func (n *Node) introduce(a, b ids.ID, tear bool) {
 	})
 }
 
-// maybeDiscover sends ring-closure discovery from the extremal sides: a
-// node with an empty left neighbor set sends clockwise discovery (seeking
-// the node with an empty right set), and symmetrically for redundancy. An
-// already-established wrap is re-validated first (node.Wrap.Revalidate): a
-// wrap on a side that is no longer empty, or beaten by a ring-closer node
-// the cache or the reverse neighbors meanwhile know, is dropped and
-// discovery retried — this heals wraps that were established before the
-// line had fully formed. (The true extremes keep theirs: the wrap partner
-// itself is excluded from the side scan.)
-func (n *Node) maybeDiscover() {
-	sideEmpty := func(d ids.Dir) bool { return len(n.lineNeighbors(d)) == 0 }
-	n.wrap.Revalidate(sideEmpty, func() []ids.ID {
-		known := n.rc.Destinations()
-		n.eachLiveRevNbr(func(u ids.ID, _ sroute.Route) { known = append(known, u) })
-		return known
-	})
-	// Even an established wrap is re-probed periodically: with bounded
-	// caches the extremal nodes may never learn of each other through the
-	// cache alone (they evict each other's far-away entries), so a wrap
-	// that was acknowledged by a transient dead end would otherwise freeze
-	// forever. Re-discovery is cheap — only nodes with an empty side do it
-	// — and best-wins adoption makes it converge to the true extreme.
-	refresh := n.ticks%node.WrapRefreshEvery == 0
-	if _, has := n.wrap.Partner(ids.Left); sideEmpty(ids.Left) && (!has || refresh) {
-		n.sendDiscover(ids.Left)
-	}
-	if _, has := n.wrap.Partner(ids.Right); n.cfg.BothDirections && sideEmpty(ids.Right) && (!has || refresh) {
-		n.sendDiscover(ids.Right)
-	}
+// sideEmpty reports whether side d of E_v is empty: the §4 condition for
+// sending discovery in that direction.
+func (n *Node) sideEmpty(d ids.Dir) bool { return len(n.lineNeighbors(d)) == 0 }
+
+// knownIDs lists every identifier the node knows, cache destinations and
+// live reverse neighbors: the candidates that can beat a wrap partner.
+func (n *Node) knownIDs() []ids.ID {
+	known := n.rc.Destinations()
+	n.eachLiveRevNbr(func(u ids.ID, _ sroute.Route) { known = append(known, u) })
+	return known
 }
 
 // bestByMetric scans the virtual neighborhood — cache destinations plus

@@ -1,0 +1,7 @@
+//go:build race
+
+package vrr
+
+// raceEnabled: under the race detector TestCloseRingSweep runs its -short
+// seed count; the full sweep would take several minutes there.
+const raceEnabled = true

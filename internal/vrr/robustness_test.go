@@ -97,7 +97,10 @@ func TestSetupOnUnknownCarrierDies(t *testing.T) {
 	}
 }
 
-func TestSideEmptyExcludesWrapPartner(t *testing.T) {
+func TestMinWrapPartnerLiesOnItsRight(t *testing.T) {
+	// The minimum's ring predecessor is the maximum, which lies on its
+	// line-right: it is a vset member like any other and leaves the left
+	// side empty, so the wrap stands although nothing masks it.
 	topo := graph.Line([]ids.ID{10, 20, 30})
 	net := newNet(t, topo, 1)
 	c := NewCluster(net, Config{CloseRing: true})
@@ -105,14 +108,11 @@ func TestSideEmptyExcludesWrapPartner(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	min := c.Nodes[10]
-	if _, has := min.wrap.Partner(ids.Left); !has {
-		t.Fatal("min should hold a wrap partner")
+	if p, has := min.wrap.Partner(ids.Left); !has || p != 30 {
+		t.Fatalf("min's left wrap partner = %v (has=%v), want 30", p, has)
 	}
-	if !min.sideEmpty(ids.Left) {
-		t.Error("the wrap partner must not count as a line-left neighbor")
-	}
-	if min.sideEmpty(ids.Right) {
-		t.Error("min has a real right neighbor")
+	if !min.vset.Has(30) || !min.sideEmpty(ids.Left) || min.sideEmpty(ids.Right) {
+		t.Error("30 is a vset member on min's right; min's left side is empty")
 	}
 }
 

@@ -205,12 +205,13 @@ type Node struct {
 	introduced map[pairKey]sim.Time
 	attempts   map[pairKey]uint
 	seq        uint32
-	ticks      int64
-	prov       map[provKey]ids.ID // toward-origin hop for in-flight discoveries
+	// prov is the toward-origin hop of every discovery seen, kept from its
+	// first visit.
+	prov map[provKey]ids.ID
 
-	// Ring-closure state (rules in node.Wrap): wrap partners are ring
-	// neighbors, exempt from linearization of the vset. The wrap path itself
-	// is ordinary path state, so nothing is kept per partner.
+	// Ring-closure state (rules in node.Wrap). The wrap path is ordinary
+	// path state and its far end a vset member like any other, so nothing
+	// is kept per partner.
 	wrap node.Wrap[struct{}]
 
 	// OnDeliver, if set, observes data packets addressed to this node.
@@ -327,11 +328,10 @@ func (n *Node) addPhysicalNeighbor(u ids.ID) {
 }
 
 func (n *Node) tick() {
-	n.ticks++
 	n.linearizeSide(ids.Left)
 	n.linearizeSide(ids.Right)
 	if n.cfg.CloseRing {
-		n.maybeDiscover()
+		n.wrap.Tick(n.sideEmpty, n.knownIDs, n.sendDiscover)
 	}
 }
 
@@ -358,7 +358,7 @@ func (n *Node) pathTo(v ids.ID) (PathID, bool) {
 func (n *Node) linearizeSide(d ids.Dir) {
 	var side []ids.ID
 	for _, u := range n.vset.Sorted() {
-		if !n.wrap.Has(u) && ids.DirOf(n.id, u) == d {
+		if ids.DirOf(n.id, u) == d {
 			side = append(side, u)
 		}
 	}
@@ -480,38 +480,24 @@ func (n *Node) handleSetupAck(m phys.Message) {
 
 // --- Ring closure (§4 discovery, VRR flavor) -------------------------------
 
-// sideEmpty reports whether the vset (wrap partners excluded) has no member
-// on the given side.
+// sideEmpty reports whether the vset has no member on the given side.
 func (n *Node) sideEmpty(d ids.Dir) bool {
 	for u := range n.vset {
-		if !n.wrap.Has(u) && ids.DirOf(n.id, u) == d {
+		if ids.DirOf(n.id, u) == d {
 			return false
 		}
 	}
 	return true
 }
 
-// maybeDiscover launches discovery from the extremal sides after
-// re-validating established wrap partners (node.Wrap.Revalidate) against
-// every endpoint the path table names, transit paths included.
-func (n *Node) maybeDiscover() {
-	n.wrap.Revalidate(n.sideEmpty, func() []ids.ID {
-		known := make([]ids.ID, 0, 2*len(n.paths))
-		for p := range n.paths {
-			known = append(known, p.A, p.B)
-		}
-		return known
-	})
-	// Established wraps are re-probed periodically: a wrap acknowledged by
-	// a transient dead end would otherwise freeze (same rationale as in
-	// package ssr), and the extremal nodes may never meet through the path
-	// tables alone.
-	refresh := n.ticks%node.WrapRefreshEvery == 0
-	for _, side := range [2]ids.Dir{ids.Left, ids.Right} {
-		if _, has := n.wrap.Partner(side); n.sideEmpty(side) && (!has || refresh) {
-			n.sendDiscover(side)
-		}
+// knownIDs lists every endpoint the path table names, transit paths
+// included: the candidates that can beat a wrap partner.
+func (n *Node) knownIDs() []ids.ID {
+	known := make([]ids.ID, 0, 2*len(n.paths))
+	for p := range n.paths {
+		known = append(known, p.A, p.B)
 	}
+	return known
 }
 
 // bestEndpoint returns the confirmed own-endpoint path whose far endpoint
@@ -562,16 +548,23 @@ func (n *Node) sendDiscover(side ids.Dir) {
 
 func (n *Node) handleDiscover(m phys.Message) {
 	dp, ok := m.Payload.(discoverPayload)
-	if !ok || dp.Origin == n.id {
+	if !ok {
 		return
 	}
 	dp.Hops++
 	if dp.Hops > discoverTTL {
 		return
 	}
+	// The first visit's reverse hop is kept: a discovery whose committed
+	// paths cross this node twice is acknowledged along a tree back to its
+	// origin, with the loop cut out. Overwriting it on the second visit
+	// would send the ack round the loop for ever (acks carry no hop bound).
 	key := provKey{Origin: dp.Origin, Seq: dp.Seq}
-	n.prov[key] = dp.PrevHop
-	// Mid-transit: keep following the committed path.
+	if _, seen := n.prov[key]; !seen {
+		n.prov[key] = dp.PrevHop
+	}
+	// Mid-transit: keep following the committed path, even through the
+	// origin itself.
 	if dp.Toward != n.id {
 		if e, exists := n.paths[dp.Path]; exists {
 			if next, okN := e.next(dp.Path, dp.Toward); okN {
@@ -584,6 +577,9 @@ func (n *Node) handleDiscover(m phys.Message) {
 		}
 		// Committed path broken here: the discovery dies; the origin will
 		// re-probe on its next refresh.
+		return
+	}
+	if dp.Origin == n.id {
 		return
 	}
 	// At a committed endpoint: re-decide with strict metric improvement so
