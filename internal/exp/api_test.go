@@ -76,8 +76,8 @@ func TestProtocolEventStreamPinned(t *testing.T) {
 		"isprp/reliable":         0x53c8aa1143767656,
 		"linearization/raw":      0x777a1c81d436466e,
 		"linearization/reliable": 0x4f44c607a0097c62,
-		"vrr/raw":                0x49d051c708e4fa14,
-		"vrr/reliable":           0x8f46a34073337a8f,
+		"vrr/raw":                0x00e5f2f007e35dbd,
+		"vrr/reliable":           0xf3148897668efc54,
 	}
 	defer func(tr trace.Tracer, name string) { tracer, transportName = tr, name }(tracer, transportName)
 	for _, name := range ProtocolNames() {
