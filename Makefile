@@ -45,10 +45,13 @@ docs-check:
 # which hand the engine event storage they own, the node runtime (node),
 # which owns every protocol's tick chain, SSR with its route cache
 # (ssr, cache), whose packets and scratch buffers are reused across hops,
-# and the trace writer (trace), whose encoder goroutine takes the batches
-# Emit fills, are where data races would live.
+# the trace writer (trace), whose encoder goroutine takes the batches
+# Emit fills, and Memory's round (graph, the Jacobi tests of linearize),
+# whose parallel Prepare reads the graph.Merger's scratch that Merge
+# overwrites after the barrier, are where data races would live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/trace/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/trace/ ./internal/graph/
+	$(GO) test -race -count=1 -run 'TestJacobi' ./internal/linearize/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic 500k-event trace.

@@ -168,7 +168,8 @@ func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
 }
 
 // Merger is the scratch of CSR.Merge, reusable across calls so that a
-// per-round caller allocates nothing but the next image.
+// per-round caller allocates nothing but the next image. It describes the
+// last call: the winners (Won) and each row's additions (Added).
 type Merger struct {
 	// Won marks, per input pair of the last Merge, the pairs that added
 	// their edge: the first of each run of equal pairs.
@@ -183,10 +184,21 @@ type Merger struct {
 	cur  []int32 // write cursors of the two scatters
 }
 
+// Added returns what the last Merge added to row i: the new neighbours
+// below i and those above i, each ascending, read-only views that the next
+// Merge overwrites. ok is false before the first Merge.
+func (m *Merger) Added(i int) (below, above []int32, ok bool) {
+	if m.loAt == nil {
+		return nil, nil, false
+	}
+	return m.lo[m.loAt[i]:m.loAt[i+1]], m.hi[m.off[i] : m.off[i]+m.cnt[i]], true
+}
+
 // Merge returns the snapshot c plus pairs. Every pair must be absent from
 // c; equal pairs may repeat, and the first in input order is the one that
 // counts as adding the edge (m.Won) — what Graph.AddEdge would report pair
-// by pair. No pairs returns c itself.
+// by pair. No pairs returns c itself, and m then reports nothing won and
+// nothing added.
 //
 // The pairs are bucketed by A in input order (a counting sort) and each
 // bucket is sorted on B<<32 | position: the first of every run of equal B
@@ -196,9 +208,6 @@ type Merger struct {
 // image. Sorting and merging are row-local and run on up to workers
 // goroutines; the result does not depend on how many.
 func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
-	if len(pairs) == 0 {
-		return c
-	}
 	n := len(c.nodes)
 	m.Won, m.keys, m.hi = resized(m.Won, len(pairs)), resized(m.keys, len(pairs)), resized(m.hi, len(pairs))
 	m.off, m.cnt, m.loAt, m.cur = resized(m.off, n+1), resized(m.cnt, n+1), resized(m.loAt, n+1), resized(m.cur, n+1)
@@ -206,6 +215,10 @@ func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
 	clear(m.off)
 	clear(m.loAt)
 	off, cnt, loAt, cur := m.off, m.cnt, m.loAt, m.cur
+	if len(pairs) == 0 {
+		clear(cnt)
+		return c
+	}
 
 	for _, p := range pairs {
 		off[p.A+1]++

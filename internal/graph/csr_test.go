@@ -198,6 +198,65 @@ func TestCSRWithEdgesEdgeCases(t *testing.T) {
 	sameAsGraph(t, "receiver untouched", c, g)
 }
 
+// TestMergerAdded: after every Merge of a chain of merges on one Merger,
+// Added(i) is row i of the new image less row i of the old, ascending and
+// split at i; a Merge of no pairs reports nothing won and nothing added,
+// and a fresh Merger reports nothing at all.
+func TestMergerAdded(t *testing.T) {
+	if below, above, ok := new(Merger).Added(0); ok || below != nil || above != nil {
+		t.Fatal("a fresh Merger reports additions")
+	}
+	for seed := int64(0); seed < 120; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(40)
+		c := NewCSR(randomTestGraph(n, r.Float64()*0.2, seed))
+		var m Merger
+		for batch := 0; batch < 6; batch++ {
+			var pairs []Pair
+			if batch != 3 { // the fourth batch is empty
+				for k := r.Intn(3 * n); k > 0; k-- {
+					a, b := int32(r.Intn(n)), int32(r.Intn(n))
+					if a != b && !c.Has(min(a, b), max(a, b)) {
+						for dup := 1 + r.Intn(3)/2; dup > 0; dup-- {
+							pairs = append(pairs, Pair{min(a, b), max(a, b)})
+						}
+					}
+				}
+			}
+			next := c.Merge(&m, pairs, 1+batch%3)
+			if len(pairs) == 0 && slices.Contains(m.Won, true) {
+				t.Fatalf("seed %d batch %d: an empty merge reports winners %v", seed, batch, m.Won)
+			}
+			for i := 0; i < n; i++ {
+				var want []int32
+				for _, x := range next.Row(i) {
+					if _, had := SearchRow(c.Row(i), x); !had {
+						want = append(want, x)
+					}
+				}
+				below, above, ok := m.Added(i)
+				if !ok {
+					t.Fatalf("seed %d batch %d: Added reports no merge", seed, batch)
+				}
+				for _, x := range below {
+					if x >= int32(i) {
+						t.Fatalf("seed %d batch %d row %d: %d reported below", seed, batch, i, x)
+					}
+				}
+				for _, x := range above {
+					if x <= int32(i) {
+						t.Fatalf("seed %d batch %d row %d: %d reported above", seed, batch, i, x)
+					}
+				}
+				if got := append(slices.Clone(below), above...); !slices.Equal(got, want) {
+					t.Fatalf("seed %d batch %d row %d: added %v %v, the row gained %v", seed, batch, i, below, above, want)
+				}
+			}
+			c = next
+		}
+	}
+}
+
 // TestCSRMergeMatchesAddEdge is the merge's model check: over random graphs
 // and random pair lists with duplicates, Merge must build the image of the
 // graph that AddEdge of the same pairs in the same order builds — and the

@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -129,33 +131,47 @@ func RandomRegular(nodes []ids.ID, d int, r *rand.Rand) *Graph {
 	if d >= n {
 		d = n - 1
 	}
-	// Pairing model: d stubs per node, shuffle, pair consecutive stubs.
-	// Discard self-loops and duplicates; a handful of lost stubs is fine.
+	// Pairing model: d stubs per node, shuffle, pair consecutive stubs, up
+	// to 10 times until the pairing is simple. The last pairing stands, less
+	// its self-loops and duplicates; a handful of lost stubs is fine.
 	stubs := make([]ids.ID, 0, n*d)
 	for _, v := range nodes {
 		for k := 0; k < d; k++ {
 			stubs = append(stubs, v)
 		}
 	}
+	pairs := make([]Edge, len(stubs)/2)
 	for attempt := 0; attempt < 10; attempt++ {
 		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		ok := true
-		trial := NewWithNodes(nodes...)
-		for i := 0; i+1 < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || trial.HasEdge(u, v) {
-				ok = false
-				continue
-			}
-			trial.AddEdge(u, v)
-		}
-		g = trial
-		if ok {
+		if simplePairing(stubs, pairs) {
 			break
 		}
 	}
+	for i := 0; i+1 < len(stubs); i += 2 {
+		g.AddEdge(stubs[i], stubs[i+1]) // self-loops and duplicates collapse
+	}
 	g.RandomSpanningConnected(r)
 	return g
+}
+
+// simplePairing reports whether pairing consecutive stubs gives neither a
+// self-loop nor a duplicate edge: it writes the pairs into the scratch
+// pairs (len(stubs)/2 long), sorts them and compares neighbours.
+func simplePairing(stubs []ids.ID, pairs []Edge) bool {
+	for i := range pairs {
+		u, v := stubs[2*i], stubs[2*i+1]
+		if u == v {
+			return false
+		}
+		pairs[i] = NewEdge(u, v)
+	}
+	slices.SortFunc(pairs, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i] == pairs[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // PowerLaw returns a connected graph whose degree distribution follows a

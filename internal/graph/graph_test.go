@@ -410,6 +410,75 @@ func TestRandomSpanningConnectedMatchesReference(t *testing.T) {
 	}
 }
 
+// referenceRandomRegular is RandomRegular as first written: every attempt
+// builds a whole Graph and tests each pair against it. The generator must
+// reproduce it draw for draw.
+func referenceRandomRegular(nodes []ids.ID, d int, r *rand.Rand) *Graph {
+	n := len(nodes)
+	g := NewWithNodes(nodes...)
+	if n < 2 || d < 1 {
+		return g
+	}
+	if d >= n {
+		d = n - 1
+	}
+	stubs := make([]ids.ID, 0, n*d)
+	for _, v := range nodes {
+		for k := 0; k < d; k++ {
+			stubs = append(stubs, v)
+		}
+	}
+	for attempt := 0; attempt < 10; attempt++ {
+		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		ok := true
+		trial := NewWithNodes(nodes...)
+		for i := 0; i+1 < len(stubs); i += 2 {
+			u, v := stubs[i], stubs[i+1]
+			if u == v || trial.HasEdge(u, v) {
+				ok = false
+				continue
+			}
+			trial.AddEdge(u, v)
+		}
+		g = trial
+		if ok {
+			break
+		}
+	}
+	g.RandomSpanningConnected(r)
+	return g
+}
+
+// TestRandomRegularMatchesReference: the same graph as the reference, and
+// the same number of values drawn, for n = 2…200 and 6000, d = 1…6 and 20
+// seeds each. A pairing with d = 1 is always simple and one with d = 2
+// about half the time, so the attempt loop both stops early and runs out.
+// -short and -race run two seeds and leave out n = 6000.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	sizes, seeds := []int{6000}, int64(20)
+	if testing.Short() || raceEnabled {
+		sizes, seeds = nil, 2
+	}
+	for n := 2; n <= 200; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for d := 1; d <= 6; d++ {
+			for seed := int64(0); seed < seeds; seed++ {
+				rGot, rWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := RandomRegular(MakeIDs(n, RandomIDs, rGot), d, rGot)
+				want := referenceRandomRegular(MakeIDs(n, RandomIDs, rWant), d, rWant)
+				if !got.Equal(want) {
+					t.Fatalf("n=%d d=%d seed %d: graph differs from the reference", n, d, seed)
+				}
+				if rGot.Int63() != rWant.Int63() {
+					t.Fatalf("n=%d d=%d seed %d: a different number of values was drawn", n, d, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestLinePathProperty(t *testing.T) {
 	// Property: a line over k distinct ids has k-1 edges, is connected, and
 	// is linearized.

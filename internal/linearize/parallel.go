@@ -8,7 +8,8 @@ package linearize
 //
 //   - Memory is Jacobi-style: additions commute, so the whole round runs on
 //     an immutable image of the round-start rows (graph.CSR). Prepare
-//     stages, in parallel, the chain pairs the image lacks; Finish hands
+//     stages, in parallel, the chain pairs the image lacks (after the first
+//     round only the pairs the last merge created can be new); Finish hands
 //     them in global identifier order to CSR.Merge, which resolves
 //     duplicates to the first proposer and builds the next image. Proposal
 //     order and presence filter make the graph, stats and trace stream the
@@ -98,7 +99,7 @@ type parExec struct {
 	// a chain pair of dense indices absent from the image.
 	props  [][]graph.Pair // staged per shard in Prepare
 	all    []graph.Pair   // props in shard order: what a single-threaded pass would write
-	merger graph.Merger
+	merger graph.Merger   // its Added rows are what the next Prepare re-checks
 
 	// atomic state (Pure, LSN): dense indices per shard. boundary holds
 	// the nodes that must run sequentially (cross-shard under the
@@ -330,6 +331,15 @@ func (p *parExec) jacobiBegin(round int) {
 // where a pair straddles v the chain has {a,v} and {v,b}, v's own row
 // entries. Only pairs absent from the image are staged, and a node counts
 // as activated iff it staged one.
+//
+// The pass is semi-naive: the first round checks every pair, later rounds
+// only the pairs with a member the last merge added to the row. That is
+// exact because rows only grow. A pair that was consecutive last round and
+// still is was checked then, and was present, staged or straddling v, and
+// every staged pair is in this image; a pair becomes consecutive only when
+// one of its members is inserted. The added entries are walked in ascending
+// position k, checking pairs (k−1, k) and (k, k+1) once each, so the staged
+// pairs keep the full scan's order.
 func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 	c := p.e.csr
 	buf := p.props[s.Index][:0]
@@ -338,9 +348,22 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 		v := int32(i)
 		row := c.Row(i)
 		before := len(buf)
-		for k := 1; k < len(row); k++ {
-			if a, b := row[k-1], row[k]; (v < a || b < v) && !c.Has(a, b) {
-				buf = append(buf, graph.Pair{A: a, B: b})
+		below, above, merged := p.merger.Added(i)
+		if !merged {
+			below = row // the first round: every entry is new
+		}
+		k, next := 0, 1 // next: the right end of the first pair not yet checked
+		for _, adds := range [2][]int32{below, above} {
+			for _, x := range adds {
+				for row[k] != x {
+					k++
+				}
+				for r := max(k, next); r <= k+1 && r < len(row); r++ {
+					if a, b := row[r-1], row[r]; (v < a || b < v) && !c.Has(a, b) {
+						buf = append(buf, graph.Pair{A: a, B: b})
+					}
+				}
+				next = k + 2
 			}
 		}
 		if len(buf) > before {
