@@ -45,12 +45,13 @@ docs-check:
 # which hand the engine event storage they own, the node runtime (node),
 # which owns every protocol's tick chain, SSR with its route cache
 # (ssr, cache), whose packets and scratch buffers are reused across hops,
-# the trace writer (trace), whose encoder goroutine takes the batches
+# VRR (vrr), which like SSR emits its edge events through the network's
+# tracer, the trace writer (trace), whose encoder goroutine takes the batches
 # Emit fills, and Memory's round (graph, the Jacobi tests of linearize),
 # whose parallel Prepare reads the graph.Merger's scratch that Merge
 # overwrites after the barrier, are where data races would live.
 smoke:
-	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/trace/ ./internal/graph/
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/vrr/ ./internal/trace/ ./internal/graph/
 	$(GO) test -race -count=1 -run 'TestJacobi' ./internal/linearize/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
@@ -111,7 +112,10 @@ perf-gate: profile-quick
 # with CloseRing, as generated and with the extremal nodes linked (must be
 # 0); VRR on `regular` n=64, 1000 seeds (at most 3); SSR on `unitdisk`
 # n=192 with Bounded caches and BothDirections, 400 seeds (at most 2). A
-# test fails above its count (ROADMAP item 1). About 2 min in all.
+# test fails above its count (ROADMAP item 1). The SSR test also replays
+# each seed's edge events up to the first tick and prints the seeds whose
+# E_v starts split; it fails if a seed stalls whose E_v started connected.
+# About 2 min in all.
 sweep:
 	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/ ./internal/vrr/ ./internal/ssr/
 

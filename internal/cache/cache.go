@@ -120,43 +120,49 @@ func (c *Cache) side(d ids.Dir) (lo, hi int) {
 // whether the cache retained the route. A shorter route to an
 // already-cached destination always replaces the longer one. The cache
 // keeps a copy: the caller may reuse r.
-func (c *Cache) Insert(r sroute.Route) bool {
+func (c *Cache) Insert(r sroute.Route) bool { kept, _, _ := c.Offer(r); return kept }
+
+// Offer is Insert reporting what the cache's destination set did: added is
+// set when r's destination entered it (not when a shorter route replaced a
+// cached one), and evicted is the incumbent that r's destination displaced
+// from a Bounded slot, or the owner when none was.
+func (c *Cache) Offer(r sroute.Route) (kept, added bool, evicted ids.ID) {
 	if len(r) < 2 || r.Src() != c.owner || r.Dst() == c.owner {
-		return false
+		return false, false, c.owner
 	}
 	dst := r.Dst()
 	i, found := c.find(dst)
 	if found {
 		if r.Hops() < c.routes[i].Hops() {
 			c.routes[i] = r.Clone()
-			return true
+			return true, false, c.owner
 		}
-		return false
+		return false, false, c.owner
 	}
 	if c.mode == Bounded {
 		d := dirIndex(ids.DirOf(c.owner, dst))
 		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
 		if k < 0 {
-			return false
+			return false, false, c.owner
 		}
 		if c.has[d][k] {
 			inc := c.slot[d][k]
 			j, _ := c.find(inc)
 			if !c.beats(dst, r, inc, c.routes[j]) {
-				return false
+				return false, false, c.owner
 			}
 			// Every cached destination holds its interval's slot, so none
 			// lies between the incumbent and the challenger, which share
 			// one: the winner takes the incumbent's position.
 			c.slot[d][k] = dst
 			c.dsts[j], c.routes[j] = dst, r.Clone()
-			return true
+			return true, true, inc
 		}
 		c.slot[d][k], c.has[d][k] = dst, true
 	}
 	c.dsts = slices.Insert(c.dsts, i, dst)
 	c.routes = slices.Insert(c.routes, i, r.Clone())
-	return true
+	return true, true, c.owner
 }
 
 // beats decides whether the challenger (dst,r) replaces the incumbent in a

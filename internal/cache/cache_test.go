@@ -51,6 +51,34 @@ func TestInsertBasics(t *testing.T) {
 	if c.TotalRouteNodes() != 2+2 {
 		t.Errorf("TotalRouteNodes = %d, want 4", c.TotalRouteNodes())
 	}
+	// Offer names what changed: reject, new, swap (a shorter route to a
+	// cached destination adds none) and a Bounded slot contest, which
+	// displaces the incumbent.
+	c = New(1000, Bounded)
+	for _, tc := range []struct {
+		name           string
+		r              sroute.Route
+		kept, added    bool
+		evicted, after ids.ID // after: a destination that must be cached afterwards
+	}{
+		{"new", route(t, 1000, 7, 1050), true, true, 1000, 1050},
+		{"reject: longer route to a cached destination", route(t, 1000, 7, 8, 1050), false, false, 1000, 1050},
+		{"reject: farther destination in a held slot", route(t, 1000, 1060), false, false, 1000, 1050},
+		{"swap", route(t, 1000, 1050), true, false, 1000, 1050},
+		{"displace", route(t, 1000, 9, 1040), true, true, 1050, 1040},
+		{"reject: not from the owner", route(t, 5, 1040), false, false, 1000, 1040},
+	} {
+		kept, added, evicted := c.Offer(tc.r)
+		if kept != tc.kept || added != tc.added || evicted != tc.evicted {
+			t.Errorf("%s: Offer(%v) = %v,%v,%v, want %v,%v,%v", tc.name, tc.r, kept, added, evicted, tc.kept, tc.added, tc.evicted)
+		}
+		if c.Route(tc.after) == nil {
+			t.Errorf("%s: %v not cached afterwards", tc.name, tc.after)
+		}
+	}
+	if c.Route(1050) != nil || c.Len() != 1 {
+		t.Errorf("displaced 1050 still cached, or Len = %d, want 1", c.Len())
+	}
 }
 
 func TestInsertRejectsDegenerate(t *testing.T) {

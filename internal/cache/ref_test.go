@@ -26,38 +26,45 @@ func newRef(owner ids.ID, mode Mode) *refCache {
 }
 
 func (c *refCache) Insert(r sroute.Route) bool {
+	kept, _, _ := c.Offer(r)
+	return kept
+}
+
+func (c *refCache) Offer(r sroute.Route) (kept, added bool, evicted ids.ID) {
+	evicted = c.owner
 	if len(r) < 2 || r.Src() != c.owner || r.Dst() == c.owner {
-		return false
+		return false, false, evicted
 	}
 	dst := r.Dst()
 	if old, ok := c.routes[dst]; ok {
 		if r.Hops() < old.Hops() {
 			c.routes[dst] = r.Clone()
-			return true
+			return true, false, evicted
 		}
-		return false
+		return false, false, evicted
 	}
 	if c.mode == Unbounded {
 		c.routes[dst] = r.Clone()
-		return true
+		return true, true, evicted
 	}
 	d := dirIndex(ids.DirOf(c.owner, dst))
 	k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
 	if k < 0 {
-		return false
+		return false, false, evicted
 	}
 	if c.has[d][k] {
 		inc := c.slot[d][k]
 		dNew, dOld := ids.LineDist(c.owner, dst), ids.LineDist(c.owner, inc)
 		if dNew > dOld || (dNew == dOld && r.Hops() >= c.routes[inc].Hops()) {
-			return false
+			return false, false, evicted
 		}
 		delete(c.routes, inc)
+		evicted = inc
 	}
 	c.slot[d][k] = dst
 	c.has[d][k] = true
 	c.routes[dst] = r.Clone()
-	return true
+	return true, true, evicted
 }
 
 func (c *refCache) Remove(dst ids.ID) bool {
@@ -251,16 +258,25 @@ func playCacheScript(t *testing.T, script []byte) {
 		op := next()
 		var what string
 		switch op % 8 {
-		case 0, 1, 2, 3, 4: // Insert owner → hops → dst
+		case 0, 1, 2, 3, 4: // Offer (Insert on 4) owner → hops → dst
 			r := sroute.Route{owner}
 			for h := next() % 4; h > 0; h-- {
 				r = append(r, pool[next()%len(pool)])
 			}
 			r = append(r, pool[next()%len(pool)])
-			got, want := c.Insert(r), ref.Insert(r)
-			what = fmt.Sprintf("Insert(%v)", r)
-			if got != want {
-				t.Fatalf("script %x step %d: %s = %v, want %v", script, step, what, got, want)
+			if op%8 == 4 {
+				got, want := c.Insert(r), ref.Insert(r)
+				what = fmt.Sprintf("Insert(%v)", r)
+				if got != want {
+					t.Fatalf("script %x step %d: %s = %v, want %v", script, step, what, got, want)
+				}
+			} else {
+				gk, ga, ge := c.Offer(r)
+				wk, wa, we := ref.Offer(r)
+				what = fmt.Sprintf("Offer(%v)", r)
+				if gk != wk || ga != wa || ge != we {
+					t.Fatalf("script %x step %d: %s = %v,%v,%v, want %v,%v,%v", script, step, what, gk, ga, ge, wk, wa, we)
+				}
 			}
 			r[len(r)-1] = 7 // the caller's route is the caller's: the cache keeps a copy
 		case 5, 6: // Remove

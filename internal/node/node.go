@@ -192,3 +192,11 @@ func Maintain(net phys.Transport, id ids.ID, interval, jitter sim.Time, stopped 
 	}
 	eng.After(interval+jitter, tick)
 }
+
+// Trace emits one protocol event of node self through net's tracer, at the
+// engine's time: E_v churn (EvEdge*, Aux the cause) and ring closure.
+func Trace(net phys.Transport, self ids.ID, t trace.EventType, peer ids.ID, aux string) {
+	if tr := net.Tracer(); tr != nil {
+		tr.Emit(trace.Event{T: int64(net.Engine().Now()), Type: t, Node: self, Peer: peer, Aux: aux})
+	}
+}

@@ -46,9 +46,8 @@ func (c *Cluster) LeaveGraceful(v ids.ID) {
 	c.Net.FailNode(v)
 	delete(c.Nodes, v)
 	for _, s := range c.Nodes {
-		s.Cache().Remove(v)
+		s.drop(v, "leave")
 		s.dropRevNbr(v)
-		delete(s.lastHeard, v)
 		s.wrap.Forget(v)
 	}
 }

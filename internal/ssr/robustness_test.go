@@ -130,8 +130,8 @@ func unstartedTriple(t *testing.T) (*phys.Network, *Node, *Node, *Node) {
 	n1 := NewNode(net, 1, Config{})
 	n2 := NewNode(net, 2, Config{})
 	n3 := NewNode(net, 3, Config{})
-	n2.rc.Insert(route(t, 2, 1))
-	n2.rc.Insert(route(t, 2, 3))
+	n2.add(route(t, 2, 1), "seed")
+	n2.add(route(t, 2, 3), "seed")
 	return net, n1, n2, n3
 }
 

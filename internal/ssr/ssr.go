@@ -182,9 +182,9 @@ type Node struct {
 	// lastHeard is the failure detector's evidence: the last time any
 	// packet from each cached destination arrived. Keepalives are
 	// acknowledged, so a live two-way route refreshes this every keepalive
-	// period; destinations silent for several periods are purged — this is
-	// how SSR notices virtual links broken by churn (dead nodes or dead
-	// intermediate hops).
+	// period; destinations silent for several periods are purged (churn:
+	// dead nodes or dead intermediate hops). Keyed by exactly the cached
+	// destinations: add and drop keep the two in step.
 	lastHeard map[ids.ID]sim.Time
 
 	// Scratch, reused from packet to packet: back holds the reversed route
@@ -241,20 +241,12 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		return
 	}
 	if up {
-		delete(n.tornDown, peer)
-		if r, err := sroute.New(n.id, peer); err == nil {
-			if n.rc.Insert(r) {
-				n.lastHeard[peer] = n.net.Engine().Now()
-				n.traceEvent(trace.EvEdgeAdd, peer, "lease-up")
-			}
-		}
+		n.seed("lease-up", peer)
 		return
 	}
 	for _, dst := range n.rc.Destinations() {
 		if n.rc.Route(dst).Via(peer) {
-			n.rc.Remove(dst)
-			delete(n.lastHeard, dst)
-			n.traceEvent(trace.EvEdgeDelegate, dst, "lease-down")
+			n.drop(dst, "lease-down")
 		}
 	}
 	n.revNbrs = slices.DeleteFunc(n.revNbrs, func(e revEntry) bool { return e.route.Via(peer) })
@@ -304,11 +296,7 @@ func (n *Node) VirtualNeighbors() []ids.ID { return n.rc.Destinations() }
 func (n *Node) Start(jitter sim.Time) {
 	nbrs := n.net.NeighborsOf(n.id)
 	n.rc.Grow(len(nbrs))
-	for _, u := range nbrs {
-		if r, err := sroute.New(n.id, u); err == nil {
-			n.rc.Insert(r)
-		}
-	}
+	n.seed("seed", nbrs...)
 	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
 }
 
@@ -341,29 +329,59 @@ func (n *Node) tick() {
 			// keepalive periods: the node or the route to it is dead. The
 			// tombstone outlives any gossip chain of stale third-party
 			// routes, so the dead node cannot circulate indefinitely.
-			if at, ok := n.lastHeard[dst]; ok && now-at > deadAfter*n.cfg.TickInterval {
-				n.rc.Remove(dst)
+			if now-n.lastHeard[dst] > deadAfter*n.cfg.TickInterval {
+				n.drop(dst, "purge")
 				n.dropRevNbr(dst)
-				delete(n.lastHeard, dst)
 				n.tombstone(dst, 4*deadAfter)
 				continue
 			}
-			if r := n.rc.Route(dst); r != nil {
-				n.courier.Send(r, KindKeepalive, nil)
-			}
+			n.courier.Send(n.rc.Route(dst), KindKeepalive, nil)
 		}
 		// Re-seed E_v from the *current* physical neighborhood: the link
 		// layer knows which radios are in range right now (hello beacons in
 		// a real deployment), so mobility-created links enter the virtual
 		// graph and a direct neighbor is never tombstoned.
-		for _, u := range n.net.NeighborsOf(n.id) {
-			delete(n.tornDown, u)
-			if r, err := sroute.New(n.id, u); err == nil {
-				if n.rc.Insert(r) {
-					n.lastHeard[u] = now
-				}
-			}
+		n.seed("reseed", n.net.NeighborsOf(n.id)...)
+	}
+}
+
+// seed puts the direct edge to each physical neighbour into E_v (E_v := E_p),
+// each side closest first (nbrs ascend) so that none displaces another. It
+// clears the tombstone, and a kept route counts as hearing from the neighbour.
+func (n *Node) seed(cause string, nbrs ...ids.ID) {
+	left, _ := slices.BinarySearch(nbrs, n.id)
+	slices.Reverse(nbrs[:left])
+	for _, u := range nbrs {
+		delete(n.tornDown, u)
+		if kept, added := n.add(sroute.Route{n.id, u}, cause); kept && !added {
+			n.lastHeard[u] = n.net.Engine().Now()
 		}
+	}
+}
+
+// add offers r to the cache, the one way into E_v, and reports what
+// cache.Offer did. A new destination starts its lastHeard clock and emits
+// EvEdgeAdd, the incumbent it displaced from a Bounded slot leaves through
+// drop; a shorter route to a cached destination is no E_v change.
+func (n *Node) add(r sroute.Route, cause string) (kept, added bool) {
+	kept, added, evicted := n.rc.Offer(r)
+	if evicted != n.id {
+		n.drop(evicted, "evict")
+	}
+	if added {
+		n.lastHeard[r.Dst()] = n.net.Engine().Now()
+		node.Trace(n.net, n.id, trace.EvEdgeAdd, r.Dst(), cause)
+	}
+	return kept, added
+}
+
+// drop is the one way out of E_v: if dst is in (lastHeard says so: a slot
+// contest evicts first), it leaves cache and lastHeard, emitting EvEdgeDelegate.
+func (n *Node) drop(dst ids.ID, cause string) {
+	if _, ok := n.lastHeard[dst]; ok {
+		n.rc.Remove(dst)
+		delete(n.lastHeard, dst)
+		node.Trace(n.net, n.id, trace.EvEdgeDelegate, dst, cause)
 	}
 }
 
@@ -597,7 +615,9 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 	if len(back) >= 2 && back.Dst() != n.id && !n.tombstoned(back.Dst()) {
 		now := n.net.Engine().Now()
 		n.refreshRevNbr(back.Dst(), back, now)
-		n.lastHeard[back.Dst()] = now
+		if _, ok := n.lastHeard[back.Dst()]; ok {
+			n.lastHeard[back.Dst()] = now
+		}
 	}
 	switch pkt.Kind {
 	case KindNotify:
@@ -605,17 +625,14 @@ func (n *Node) deliver(pkt phys.SRPacket) {
 	case KindAck:
 		n.handleAck(pkt)
 	case KindKeepalive:
-		// Acknowledge so the sender's failure detector sees the route live.
+		// Acknowledge: the keepack's only effect is the lastHeard refresh above.
 		if len(back) >= 2 {
 			n.courier.Send(back, KindKeepAck, nil)
 		}
-	case KindKeepAck:
-		// lastHeard was already refreshed above; nothing else to do.
 	case KindTeardown:
-		n.rc.Remove(pkt.Route.Src())
+		n.drop(pkt.Route.Src(), "teardown-recv")
 		n.dropRevNbr(pkt.Route.Src())
 		n.tombstone(pkt.Route.Src(), revNbrTTL)
-		n.traceEvent(trace.EvEdgeDelegate, pkt.Route.Src(), "teardown-recv")
 	case KindDiscover:
 		n.handleDiscover(pkt)
 	case KindDiscoverAck:
@@ -659,22 +676,7 @@ func (n *Node) learn(r sroute.Route) {
 		r = r.ElideLoops()
 	}
 	if len(r) >= 2 && r.Src() == n.id && r.Dst() != n.id && !n.tombstoned(r.Dst()) {
-		if n.rc.Insert(r) {
-			if _, ok := n.lastHeard[r.Dst()]; !ok {
-				n.lastHeard[r.Dst()] = n.net.Engine().Now()
-			}
-			n.traceEvent(trace.EvEdgeAdd, r.Dst(), "")
-		}
-	}
-}
-
-// traceEvent emits a protocol-level event through the network's tracer:
-// cached-route churn is E_v edge churn, and wrap adoption is ring closure.
-func (n *Node) traceEvent(t trace.EventType, peer ids.ID, aux string) {
-	if tr := n.net.Tracer(); tr != nil {
-		tr.Emit(trace.Event{
-			T: int64(n.net.Engine().Now()), Type: t, Node: n.id, Peer: peer, Aux: aux,
-		})
+		n.add(r, "learn")
 	}
 }
 
@@ -724,10 +726,9 @@ func (n *Node) handleAck(pkt phys.SRPacket) {
 	// it to drop its state for us too (§4's teardown acknowledgment).
 	if r := n.rc.Route(op.farther); r != nil {
 		n.courier.Send(r, KindTeardown, nil)
-		n.rc.Remove(op.farther)
+		n.drop(op.farther, "teardown-send")
 		n.dropRevNbr(op.farther)
 		n.tombstone(op.farther, revNbrTTL)
-		n.traceEvent(trace.EvEdgeDelegate, op.farther, "teardown-send")
 	}
 }
 
@@ -767,7 +768,7 @@ func (n *Node) handleDiscover(pkt phys.SRPacket) {
 // incumbent (best-wins, see node.Wrap.Adopt).
 func (n *Node) adoptWrap(side ids.Dir, partner ids.ID, route sroute.Route) {
 	if n.wrap.Adopt(side, partner, route.Clone()) {
-		n.traceEvent(trace.EvRingClosed, partner, "wrap-"+side.String())
+		node.Trace(n.net, n.id, trace.EvRingClosed, partner, "wrap-"+side.String())
 	}
 }
 

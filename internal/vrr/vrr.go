@@ -31,6 +31,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Message kinds for counter accounting.
@@ -199,7 +200,7 @@ type Node struct {
 	beacon *phys.Beaconer
 	paths  map[PathID]*pathEntry
 	// vset is the set of virtual neighbors: endpoints of paths where we are
-	// the other endpoint.
+	// the other endpoint. Only link and unlink change it.
 	vset ids.Set
 
 	introduced map[pairKey]sim.Time
@@ -237,7 +238,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 		wrap:       node.NewWrap[struct{}](id),
 	}
 	n.beacon = phys.NewBeaconer(net, id, cfg.HelloInterval)
-	n.beacon.OnNewNeighbor = n.addPhysicalNeighbor
+	n.beacon.OnNewNeighbor = func(u ids.ID) { n.addPhysicalNeighbor(u, "beacon") }
 	// A lease verdict beats the beacon MissLimit expiry and, unlike it, also
 	// names the broken *transit* paths through the dead neighbor.
 	node.Attach(net, id, n.handle, n.onLease)
@@ -255,7 +256,7 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		return
 	}
 	if up {
-		n.addPhysicalNeighbor(peer)
+		n.addPhysicalNeighbor(peer, "lease-up")
 		return
 	}
 	for p, e := range n.paths {
@@ -264,22 +265,35 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		}
 	}
 	for _, u := range n.vset.Sorted() {
-		if u == n.id {
-			continue
+		if paths, _ := n.PathsBetween(n.id, u); paths == 0 {
+			n.unlink(u, "lease-down")
 		}
-		reachable := false
-		for p := range n.paths {
-			if (p.A == n.id && p.B == u) || (p.B == n.id && p.A == u) {
-				reachable = true
-				break
-			}
-		}
-		if reachable {
-			continue
-		}
-		n.vset.Remove(u)
-		n.wrap.Forget(u)
 	}
+}
+
+// link is the one way into E_v: u joins the vset, emitting EvEdgeAdd if new.
+func (n *Node) link(u ids.ID, cause string) {
+	if n.vset.Add(u) {
+		node.Trace(n.net, n.id, trace.EvEdgeAdd, u, cause)
+	}
+}
+
+// unlink is the one way out of E_v: if u is in, it leaves the vset and any
+// wrap side it held, emitting EvEdgeDelegate.
+func (n *Node) unlink(u ids.ID, cause string) {
+	if n.vset.Remove(u) {
+		n.wrap.Forget(u)
+		node.Trace(n.net, n.id, trace.EvEdgeDelegate, u, cause)
+	}
+}
+
+// adoptWrap installs partner on the given ring side if it beats the
+// incumbent (node.Wrap.Adopt) and links it, as the far end of a real path.
+func (n *Node) adoptWrap(side ids.Dir, partner ids.ID) {
+	if n.wrap.Adopt(side, partner, struct{}{}) {
+		node.Trace(n.net, n.id, trace.EvRingClosed, partner, "wrap-"+side.String())
+	}
+	n.link(partner, "wrap")
 }
 
 // ID returns the node identifier.
@@ -309,7 +323,7 @@ func (n *Node) Stop() {
 
 // addPhysicalNeighbor installs the trivial 1-hop path to a discovered
 // physical neighbor (E_v := E_p).
-func (n *Node) addPhysicalNeighbor(u ids.ID) {
+func (n *Node) addPhysicalNeighbor(u ids.ID, cause string) {
 	p := PathID{A: n.id, B: u}
 	if p.A > p.B {
 		p.A, p.B = p.B, p.A
@@ -324,7 +338,7 @@ func (n *Node) addPhysicalNeighbor(u ids.ID) {
 		e.toA, e.hasToA = u, true
 	}
 	n.paths[p] = e
-	n.vset.Add(u)
+	n.link(u, cause)
 }
 
 func (n *Node) tick() {
@@ -466,7 +480,7 @@ func (n *Node) handleSetupAck(m phys.Message) {
 	}
 	if ap.Toward == n.id {
 		e.confirmed = true
-		n.vset.Add(ap.Path.Other(n.id))
+		n.link(ap.Path.Other(n.id), "setup-ack")
 		return
 	}
 	next, okN := e.next(ap.Path, ap.Toward)
@@ -612,8 +626,7 @@ func (n *Node) handleDiscover(m phys.Message) {
 	if dp.Dir == ids.Left {
 		side = ids.Right // a clockwise discovery's origin is our ring successor
 	}
-	n.wrap.Adopt(side, dp.Origin, struct{}{})
-	n.vset.Add(dp.Origin)
+	n.adoptWrap(side, dp.Origin)
 	n.net.Send(phys.Message{From: n.id, To: dp.PrevHop, Kind: KindDiscoverAck, Payload: discoverAckPayload{
 		Path: wrap, Key: key, Dir: dp.Dir, PrevHop: n.id,
 	}})
@@ -643,8 +656,7 @@ func (n *Node) handleDiscoverAck(m phys.Message) {
 	if da.Key.Origin == n.id {
 		e.confirmed = true
 		// Discovery complete: adopt the endpoint as wrap partner.
-		n.wrap.Adopt(da.Dir, endpoint, struct{}{})
-		n.vset.Add(endpoint)
+		n.adoptWrap(da.Dir, endpoint)
 		return
 	}
 	// Toward the origin: the provisional hop; forward the ack along it.
@@ -681,7 +693,7 @@ func (n *Node) handleSetup(m phys.Message) {
 		// the half the setup traveled, so the path is NOT yet confirmed;
 		// instead acknowledge end to end — the far endpoint's ack crossing
 		// the whole path is what confirms it for us (and ours for them).
-		n.vset.Add(far)
+		n.link(far, "setup")
 		if next, okN := e.next(sp.NewPath, far); okN {
 			n.net.Send(phys.Message{From: n.id, To: next, Kind: KindSetupAck, Payload: setupAckPayload{
 				Path: sp.NewPath, Toward: far, PrevHop: n.id, Hops: 1,
@@ -754,31 +766,13 @@ func (n *Node) handleData(m phys.Message) {
 // forwardData picks the path whose far endpoint is virtually closest to the
 // destination — VRR's greedy rule — and commits the packet to it.
 func (n *Node) forwardData(dp dataPayload) bool {
-	bestDist := ids.RingDist(n.id, dp.Dst)
-	var bestPath PathID
-	var bestToward ids.ID
-	found := false
-	for p, e := range n.paths {
-		if !e.confirmed || (p.A != n.id && p.B != n.id) {
-			continue
-		}
-		ep := p.Other(n.id)
-		if ep == n.id {
-			continue
-		}
-		if _, okN := e.next(p, ep); !okN {
-			continue
-		}
-		d := ids.RingDist(ep, dp.Dst)
-		if d < bestDist || (found && d == bestDist && pathLess(p, bestPath)) {
-			bestDist, bestPath, bestToward, found = d, p, ep, true
-		}
-	}
-	if !found {
+	metric := func(x ids.ID) uint64 { return ids.RingDist(x, dp.Dst) }
+	via, ep, found := n.bestEndpoint(n.id, metric)
+	if !found || metric(ep) >= metric(n.id) {
 		return false
 	}
-	dp.Path, dp.Toward = bestPath, bestToward
-	next, _ := n.paths[bestPath].next(bestPath, bestToward)
+	dp.Path, dp.Toward = via, ep
+	next, _ := n.paths[via].next(via, ep)
 	return n.net.Send(phys.Message{From: n.id, To: next, Kind: KindData, Payload: dp})
 }
 
