@@ -65,13 +65,17 @@ func (c *Cluster) Consistent() bool {
 }
 
 // PendingOps returns the total number of in-flight introduction operations
-// across the cluster — the chaos harness's pending-state-leak probe. Each
-// entry self-expires within 8 ticks of its creation, so the total is
+// across the cluster — the chaos harness's pending-state-leak probe. An op
+// stops pending within pendingFor ticks of its creation, so the total is
 // bounded by the introduction rate; unbounded growth is a leak.
 func (c *Cluster) PendingOps() int {
 	total := 0
 	for _, n := range c.Nodes {
-		total += len(n.pending)
+		for _, op := range n.intros {
+			if n.pending(op) {
+				total++
+			}
+		}
 	}
 	return total
 }

@@ -101,7 +101,7 @@ func TestRelayHopAllocatesNothing(t *testing.T) {
 
 // TestPruneBoundsBookkeepingAndChangesNothing runs a converged cluster for
 // 4096 more ticks twice, with and without the keepalive-tick pruning of
-// introduced and tornDown. With pruning every entry left is younger than
+// intros and tornDown. With pruning every entry left is younger than
 // the window it stands for plus one keepalive period, so the maps stay
 // bounded; and the two runs emit the same event stream, byte for byte.
 func TestPruneBoundsBookkeepingAndChangesNothing(t *testing.T) {
@@ -120,9 +120,9 @@ func TestPruneBoundsBookkeepingAndChangesNothing(t *testing.T) {
 			}
 			now := eng.Now()
 			for _, n := range c.Nodes {
-				for key, last := range n.introduced {
-					if now-last >= (reintroduceAfter+keepaliveEvery)*n.cfg.TickInterval {
-						t.Fatalf("t=%d: node %v still holds pair %v introduced at %d", now, n.id, key, last)
+				for key, op := range n.intros {
+					if now-op.at >= (reintroduceAfter+keepaliveEvery)*n.cfg.TickInterval {
+						t.Fatalf("t=%d: node %v still holds pair %v introduced at %d", now, n.id, key, op.at)
 					}
 				}
 				for x, expiry := range n.tornDown {
@@ -133,7 +133,7 @@ func TestPruneBoundsBookkeepingAndChangesNothing(t *testing.T) {
 			}
 		}
 		for _, n := range c.Nodes {
-			entries += len(n.introduced) + len(n.tornDown)
+			entries += len(n.intros) + len(n.tornDown)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -148,5 +148,5 @@ func TestPruneBoundsBookkeepingAndChangesNothing(t *testing.T) {
 	if kept >= all {
 		t.Errorf("pruning kept %d entries, the unpruned run %d", kept, all)
 	}
-	t.Logf("%d events; introduced + tornDown entries: %d pruned, %d unpruned", events, kept, all)
+	t.Logf("%d events; intros + tornDown entries: %d pruned, %d unpruned", events, kept, all)
 }

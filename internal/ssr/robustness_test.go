@@ -58,8 +58,8 @@ func TestAckForUnknownPairIgnored(t *testing.T) {
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindAck,
 		Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindAck, Payload: bogus}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
-	if len(a.pending) != 0 {
-		t.Error("bogus ack should not create pending state")
+	if len(a.intros) != 0 {
+		t.Error("bogus ack should not create introduction state")
 	}
 }
 
@@ -108,15 +108,34 @@ func TestPendingPairExpires(t *testing.T) {
 	topo := graph.Line([]ids.ID{10, 20, 30})
 	net := newNet(t, topo, 3)
 	c := NewCluster(net, Config{CacheMode: cache.Unbounded})
-	net.Engine().RunUntil(40, nil)
+	eng := net.Engine()
+	eng.RunUntil(40, nil)
 	n := c.Nodes[10]
-	// Force a pending entry with partners that will never ack.
+	// Force a pending entry with partners that will never ack. Sync
+	// points: RunUntil leaves Now at the last fired event, so schedule a
+	// no-op at each probe time.
 	key := pairKey{Low: 555, High: 777}
-	n.pending[key] = &pendingOp{}
-	n.net.Engine().After(8*n.cfg.TickInterval, func() { delete(n.pending, key) })
-	net.Engine().RunUntil(net.Engine().Now()+10*16*8, nil)
-	if _, still := n.pending[key]; still {
-		t.Error("pending pair did not expire")
+	at := eng.Now()
+	n.intros[key] = introOp{at: at, ackLow: true}
+	if !n.pending(n.intros[key]) {
+		t.Fatal("a fresh half-acked op must be pending")
+	}
+	end := at + pendingFor*n.cfg.TickInterval
+	eng.After(end-1-at, func() {})
+	eng.RunUntil(end-1, nil)
+	if !n.pending(n.intros[key]) {
+		t.Fatalf("t=%d: op expired before its window", eng.Now())
+	}
+	eng.After(1, func() {})
+	eng.RunUntil(end, nil)
+	if n.pending(n.intros[key]) {
+		t.Errorf("t=%d: pending pair did not expire", eng.Now())
+	}
+	// The cluster's nodes tick on: prune forgets the record once the
+	// re-introduction window has passed.
+	eng.RunUntil(at+(reintroduceAfter+2*keepaliveEvery)*n.cfg.TickInterval, nil)
+	if _, still := n.intros[key]; still {
+		t.Error("expired introduction was never pruned")
 	}
 }
 
@@ -136,36 +155,45 @@ func unstartedTriple(t *testing.T) (*phys.Network, *Node, *Node, *Node) {
 }
 
 func TestStaleExpiryTimerKeepsNewerPending(t *testing.T) {
-	// Regression: introduce() used to delete n.pending[key] unconditionally
-	// when the 8-tick expiry fired, so a timer left over from a completed
-	// op could kill a *newer* pendingOp for the same pair. The op is now
-	// generation-stamped and only a matching generation expires it.
+	// Successive introductions of one pair share its record: an old op must
+	// neither complete a newer one nor block it once the re-introduction
+	// window has passed, and the newer op keeps its full pending window.
 	net, _, n2, _ := unstartedTriple(t)
 	key := pairKey{Low: 1, High: 3}
 	eng := net.Engine()
-	n2.introduce(1, 3, false) // t=0; expiry timer fires at t=128
+	window := reintroduceAfter * n2.cfg.TickInterval
+	n2.introduce(1, 3, false) // t=0
 	// Sync point: RunUntil leaves Now at the last fired event, so schedule
-	// a no-op at t=32 to pin the second introduction's start time.
+	// a no-op to pin the second introduction's start time.
 	eng.After(32, func() {})
 	eng.RunUntil(32, nil)
-	if _, still := n2.pending[key]; still {
-		t.Fatal("first introduction should have completed via acks")
+	if op := n2.intros[key]; n2.pending(op) || !op.ackLow || !op.ackHigh {
+		t.Fatalf("first introduction should have completed via acks: %+v", op)
 	}
-	// Re-introduce before the first op's timer fires; cut the links first
-	// so no acks can complete the second op, keeping it pending.
+	n2.introduce(1, 3, false) // inside the window: refused
+	if op := n2.intros[key]; op.at != 0 {
+		t.Fatalf("pair re-introduced at t=%d inside the window", op.at)
+	}
+	// Re-introduce once the window has passed; cut the links first so no
+	// acks can complete the second op, keeping it pending.
 	net.RemoveLink(2, 1)
 	net.RemoveLink(2, 3)
-	delete(n2.introduced, key) // bypass the re-introduction rate limit
-	n2.introduce(1, 3, false)  // t=32; its own expiry fires at t=160
-	if _, ok := n2.pending[key]; !ok {
-		t.Fatal("second introduction should be pending")
+	eng.After(window, func() {})
+	eng.RunUntil(32+window, nil)
+	n2.introduce(1, 3, false) // t=32+window
+	op := n2.intros[key]
+	if op.at != 32+window || op.ackLow || op.ackHigh || !n2.pending(op) {
+		t.Fatalf("second introduction should be pending with no acks: %+v", op)
 	}
-	eng.RunUntil(140, nil) // past the first timer, before the second
-	if _, ok := n2.pending[key]; !ok {
-		t.Fatal("stale expiry timer killed the newer pending op")
+	end := op.at + pendingFor*n2.cfg.TickInterval
+	eng.After(end-1-eng.Now(), func() {})
+	eng.RunUntil(end-1, nil)
+	if !n2.pending(n2.intros[key]) {
+		t.Fatal("the newer op stopped pending before its own window")
 	}
-	eng.RunUntil(320, nil) // the newer op's own timer still works
-	if _, ok := n2.pending[key]; ok {
+	eng.After(1, func() {})
+	eng.RunUntil(end, nil)
+	if n2.pending(n2.intros[key]) {
 		t.Fatal("newer pending op never expired")
 	}
 }
@@ -178,19 +206,29 @@ func TestAckBeforeCounterpartNotifyNoLeak(t *testing.T) {
 	// stay half-acked without completing, then expire without leaking.
 	net, _, n2, _ := unstartedTriple(t)
 	key := pairKey{Low: 1, High: 3}
+	eng := net.Engine()
 	net.RemoveLink(2, 3)
 	n2.introduce(1, 3, false)
-	net.Engine().RunUntil(32, nil)
-	op, ok := n2.pending[key]
-	if !ok {
+	eng.RunUntil(32, nil)
+	op, ok := n2.intros[key]
+	if !ok || !n2.pending(op) {
 		t.Fatal("half-acked op must stay pending")
 	}
 	if !op.ackLow || op.ackHigh {
 		t.Fatalf("ack state = low %v high %v, want low-only", op.ackLow, op.ackHigh)
 	}
-	net.Engine().RunUntil(300, nil) // past the 8-tick expiry window
-	if len(n2.pending) != 0 {
-		t.Error("half-acked op leaked past its expiry")
+	expired := pendingFor * n2.cfg.TickInterval
+	eng.After(expired-eng.Now(), func() {}) // sync point at the window's end
+	eng.RunUntil(expired, nil)
+	if n2.pending(n2.intros[key]) {
+		t.Error("half-acked op pending past its window")
+	}
+	window := reintroduceAfter * n2.cfg.TickInterval
+	eng.After(window-eng.Now(), func() {})
+	eng.RunUntil(window, nil)
+	n2.prune(eng.Now())
+	if len(n2.intros) != 0 {
+		t.Errorf("half-acked op leaked past the re-introduction window: %v", n2.intros)
 	}
 }
 
@@ -209,8 +247,8 @@ func TestDuplicateTeardownTolerated(t *testing.T) {
 	if !a.tombstoned(2) {
 		t.Error("teardown must tombstone the peer")
 	}
-	if len(a.pending) != 0 {
-		t.Error("duplicate teardown leaked pending state")
+	if len(a.intros) != 0 {
+		t.Error("duplicate teardown leaked introduction state")
 	}
 }
 
