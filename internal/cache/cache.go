@@ -193,6 +193,18 @@ func (c *Cache) Remove(dst ids.ID) bool {
 	return true
 }
 
+// Holder returns the destination holding the Bounded interval slot that
+// dst falls in: the incumbent a route to dst must beat. ok is false in
+// Unbounded mode and when the slot is empty.
+func (c *Cache) Holder(dst ids.ID) (holder ids.ID, ok bool) {
+	k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
+	if c.mode != Bounded || k < 0 {
+		return 0, false
+	}
+	d := dirIndex(ids.DirOf(c.owner, dst))
+	return c.slot[d][k], c.has[d][k]
+}
+
 // Route returns the cached route to dst, or nil.
 func (c *Cache) Route(dst ids.ID) sroute.Route {
 	if i, found := c.find(dst); found {

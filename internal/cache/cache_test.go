@@ -75,6 +75,17 @@ func TestInsertBasics(t *testing.T) {
 		if c.Route(tc.after) == nil {
 			t.Errorf("%s: %v not cached afterwards", tc.name, tc.after)
 		}
+		// after shares r's slot, so it is the incumbent r lost to or the
+		// one r became.
+		if h, ok := c.Holder(tc.r.Dst()); !ok || h != tc.after {
+			t.Errorf("%s: Holder(%v) = %v,%v, want %v", tc.name, tc.r.Dst(), h, ok, tc.after)
+		}
+	}
+	if h, ok := c.Holder(990); ok {
+		t.Errorf("Holder of an empty slot = %v", h)
+	}
+	if h, ok := New(1000, Unbounded).Holder(1040); ok {
+		t.Errorf("Unbounded Holder = %v", h)
 	}
 	if c.Route(1050) != nil || c.Len() != 1 {
 		t.Errorf("displaced 1050 still cached, or Len = %d, want 1", c.Len())
