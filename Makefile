@@ -111,11 +111,12 @@ perf-gate: profile-quick
 # seeds that stall: 1000 generator seeds through every round-model variant
 # with CloseRing, as generated and with the extremal nodes linked (must be
 # 0); VRR on `regular` n=64, 1000 seeds (at most 3); SSR on `unitdisk`
-# n=192 with Bounded caches and BothDirections, 400 seeds (at most 2). A
+# n=192 with Bounded caches and BothDirections, 400 seeds (must be 0). A
 # test fails above its count (ROADMAP item 1). The SSR test also replays
-# each seed's edge events up to the first tick and prints the seeds whose
-# E_v starts split; it fails if a seed stalls whose E_v started connected.
-# About 2 min in all.
+# each seed's edge events: it prints the seeds whose E_v is split right
+# after Start, and fails if E_v is still split at t = 2·TickInterval.
+# About 1 min in all on 2 CPUs (the three packages run side by side;
+# linearize ~8 s, vrr ~28 s, ssr ~53 s). CI runs it as the `sweep` job.
 sweep:
 	$(GO) test -count=1 -run 'TestCloseRingSweep$$' -v ./internal/linearize/ ./internal/vrr/ ./internal/ssr/
 
