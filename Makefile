@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick profile profile-quick perf-gate sweep fuzz-smoke loc clean
+.PHONY: check build vet staticcheck test race benchmark-check docs-check smoke bench-analyze bench-chaos bench-chaos-quick bench-reliability bench-reliability-quick sweep fuzz-smoke loc clean
 
 # The full gate: what CI (and the tier-1 driver) should run.
 check: vet staticcheck build race benchmark-check docs-check
@@ -82,30 +82,6 @@ bench-reliability:
 # convergence claim at scale, without the raw control arms.
 bench-reliability-quick:
 	$(GO) run ./cmd/ssrsim -mode reliability -quick -n 256 -seed 1 -out /tmp/BENCH_reliability_quick.json
-
-# Per-phase profiler over every linearization variant at n=10k: span
-# instrumentation into results/BENCH_profile.json plus CPU/heap pprof
-# bundles into results/prof/. `tracectl perf` consumes the -trace output.
-profile:
-	$(GO) run ./cmd/ssrsim -mode profile -n 10000 -seed 1 -out results/BENCH_profile.json
-
-# CI smoke variant: tight round caps, fixed worker count, no pprof capture.
-# These flags must match the committed baseline's meta header exactly, or
-# perf-gate's compare refuses the diff. The second arm runs the locality
-# partition policy, whose wave-scheduled boundary has its own committed
-# baseline (interior/wave/boundary activation split per policy).
-profile-quick:
-	$(GO) run ./cmd/ssrsim -mode profile -quick -n 10000 -workers 2 -seed 1 -out /tmp/BENCH_profile_quick.json
-	$(GO) run ./cmd/ssrsim -mode profile -quick -n 10000 -workers 2 -seed 1 -partition locality -out /tmp/BENCH_profile_quick_locality.json
-
-# The perf-regression gate: rerun the quick profiles and diff the
-# machine-independent fields (rounds, activation splits, convergence)
-# against the committed baselines — one per partition policy, so a change
-# that shifts work between the interior, wave and boundary paths fails the
-# gate. Fails on any gated drift.
-perf-gate: profile-quick
-	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick.json /tmp/BENCH_profile_quick.json
-	$(GO) run ./cmd/tracectl bench compare results/BENCH_profile_quick_locality.json /tmp/BENCH_profile_quick_locality.json
 
 # Stall sweep, one test per family, each printing its stall count and the
 # seeds that stall: 1000 generator seeds through every round-model variant

@@ -8,9 +8,9 @@
 //	ssrsim -mode boot -proto isprp -n 256      # one traced bootstrap run
 //	ssrsim -mode chaos -quick -n 16            # fault-scenario suite -> JSON
 //
-// The chaos, reliability and profile modes write a machine-readable record
-// to -out (default results/BENCH_<mode>.json); -quick shrinks them to a CI
-// smoke run, and chaos/reliability exit 1 when their criteria are not met.
+// The chaos and reliability modes write a machine-readable record to -out
+// (default results/BENCH_<mode>.json); -quick shrinks them to a CI smoke
+// run, and they exit 1 when their criteria are not met.
 //
 // Observability: -trace FILE -trace-level {off|round|msg} writes a JSONL
 // event trace, -listen ADDR serves live /metrics (OpenMetrics), /healthz
@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/graph"
 )
 
 // ctx is what a mode's run func sees: the shared flags plus ssrsim's own.
@@ -34,7 +33,7 @@ type ctx struct {
 	set map[string]bool // flags given on the command line
 
 	pairs, kill, probeEvery, fig *int
-	proto, out, profDir, variant *string
+	proto, out                   *string
 	quick                        *bool
 }
 
@@ -150,19 +149,6 @@ var modes = []mode{
 		rep, res, err := exp.ReliabilityBench(*c.N, c.Topology(), *c.Seed, *c.quick)
 		return bench(c, "results/BENCH_reliability.json", rep, res, res.Criteria.Met, err)
 	}},
-	// The profiler runs one large regular graph (ER generation is O(n²))
-	// unless -topo says otherwise.
-	{"profile", "E18", "per-phase profiler over the linearization variants (default -topo regular)", defaults{10000, msgModel.sizes}, func(c *ctx) error {
-		topo, defaultOut := graph.TopoRegular, "results/BENCH_profile.json"
-		if c.set["topo"] {
-			topo = c.Topology()
-		}
-		if *c.quick {
-			defaultOut = "results/BENCH_profile_quick.json"
-		}
-		rep, res, err := exp.ProfileBench(*c.N, topo, *c.Workers, *c.Shards, *c.Partition, *c.Seed, *c.quick, *c.profDir, *c.variant)
-		return bench(c, defaultOut, rep, res, true, err)
-	}},
 }
 
 func figures(c *ctx) error {
@@ -220,10 +206,8 @@ func run(args []string) (status int) {
 		kill:       fs.Int("kill", 3, "nodes to fail for -mode churn"),
 		proto:      fs.String("proto", "linearization", "protocol for -mode boot: "+strings.Join(exp.ProtocolNames(), " | ")),
 		probeEvery: fs.Int("probe-every", 16, "convergence-probe sampling interval in ticks for -mode boot"),
-		out:        fs.String("out", "", "JSON output path for -mode chaos / reliability / profile (default results/BENCH_<mode>.json)"),
-		quick:      fs.Bool("quick", false, "shrink -mode chaos/reliability/profile to a fast smoke run"),
-		profDir:    fs.String("prof-dir", "results/prof", "pprof bundle directory for -mode profile (empty disables capture)"),
-		variant:    fs.String("variant", "", "restrict -mode profile to one linearization variant (pure | memory | lsn; empty: all)"),
+		out:        fs.String("out", "", "JSON output path for -mode chaos / reliability (default results/BENCH_<mode>.json)"),
+		quick:      fs.Bool("quick", false, "shrink -mode chaos/reliability to a fast smoke run"),
 	}
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

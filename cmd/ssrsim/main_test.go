@@ -13,7 +13,7 @@ import (
 // round-model sweeps, and figures.
 var (
 	formerSsrsim = []string{"compare", "breakdown", "route", "occupancy", "closure", "vrr", "churn", "teardown",
-		"mobility", "loopy", "boot", "chaos", "reliability", "profile"}
+		"mobility", "loopy", "boot", "chaos", "reliability"}
 	formerConvergence = []string{"powerlaw", "shape", "state", "stabilize", "scheduler", "degree", "diameter"}
 )
 
@@ -42,18 +42,14 @@ func TestModeTable(t *testing.T) {
 
 	// Defaults are the old tools': convergence ran at -n 200 -sizes
 	// 100,200,400,800, ssrsim (and figures, which took neither flag) at
-	// -n 24 -sizes 16,24,32, and -mode profile at n=10000.
+	// -n 24 -sizes 16,24,32.
 	for _, name := range formerConvergence {
 		if m := findMode(name); m.n != 200 || m.sizes != "100,200,400,800" {
 			t.Errorf("round-model mode %q defaults = %+v", name, m.defaults)
 		}
 	}
 	for _, name := range append([]string{"figures"}, formerSsrsim...) {
-		wantN := 24
-		if name == "profile" {
-			wantN = 10000
-		}
-		if m := findMode(name); m.n != wantN || m.sizes != "16,24,32" {
+		if m := findMode(name); m.n != 24 || m.sizes != "16,24,32" {
 			t.Errorf("mode %q defaults = %+v", name, m.defaults)
 		}
 	}

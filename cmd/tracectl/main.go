@@ -1,13 +1,12 @@
-// Command tracectl analyzes JSONL event traces written by the -trace flag
-// of ssrsim and convergence. All subcommands stream through trace.Scanner,
-// so multi-GB traces are processed in constant memory; files ending in .gz
-// are decompressed transparently and "-" reads stdin.
+// Command tracectl analyzes JSONL event traces written by ssrsim's -trace
+// flag. All subcommands stream through trace.Scanner, so multi-GB traces
+// are processed in constant memory; files ending in .gz are decompressed
+// transparently and "-" reads stdin.
 //
 //	tracectl report run.jsonl                 # convergence verdict, taxonomy, hot spots
 //	tracectl diff lin.jsonl isprp.jsonl       # two runs: rounds + per-type message deltas
 //	tracectl timeline -node 42 run.jsonl      # per-node (or per-round) event slice
-//	tracectl perf profiled.jsonl              # phase/shard cost breakdown + Amdahl ceiling
-//	tracectl bench compare old.json new.json  # diff two bench artifacts (CI perf gate)
+//	tracectl perf round.jsonl                 # shard activation split (+ phase costs if profiled)
 package main
 
 import (
@@ -31,8 +30,7 @@ commands:
   report    convergence verdict, message taxonomy and per-node hot spots of one trace
   diff      compare two traces: rounds-to-converge and per-type message deltas
   timeline  print a filtered slice of events (per node, per type, per time window)
-  perf      per-phase and per-shard cost breakdown of a profiled trace (Amdahl ceiling)
-  bench compare  diff two BENCH_*.json artifacts with a perf-regression gate
+  perf      per-shard activation split of a round-level trace (and per-phase costs of a profiled one)
 
 run 'tracectl <command> -h' for per-command flags`)
 	os.Exit(2)
@@ -52,8 +50,6 @@ func main() {
 		err = cmdTimeline(os.Args[2:])
 	case "perf":
 		err = cmdPerf(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:

@@ -1,11 +1,13 @@
 package main
 
-// The perf subcommand turns the profiler's EvSpan side channel back into a
-// performance story: per-phase wall time, the Amdahl sequential share and
-// the speedup ceiling it implies, per-shard busy-time and activation
-// attribution (the boundary-vs-interior imbalance), and allocator/GC
-// pressure. It consumes the same JSONL traces as report/diff, so the
-// breakdown works live (ssrsim -trace) or post-mortem on archived runs.
+// The perf subcommand turns a round-level trace back into a performance
+// story: per-shard activation attribution (the boundary-vs-interior
+// split), which every sharded round-model run records, and, when the run
+// was profiled (linearize.Config.Prof), the profiler's EvSpan side
+// channel: per-phase wall time, the sequential share, per-shard busy time
+// and allocator/GC pressure. It consumes the same JSONL traces as
+// report/diff, so the breakdown works live (ssrsim -trace) or post-mortem
+// on archived runs.
 
 import (
 	"flag"
@@ -18,7 +20,6 @@ import (
 
 func cmdPerf(args []string) error {
 	fs := flag.NewFlagSet("tracectl perf", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "worker count for the predicted-speedup row (0: skip)")
 	topShards := fs.Int("top-shards", 0, "only print the N busiest shards (0: all)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -31,7 +32,7 @@ func cmdPerf(args []string) error {
 	}
 	p := a.Perf()
 	if p.Empty() {
-		return fmt.Errorf("%s: no span or shard events — was the run profiled? (ssrsim -mode profile, or any run with a round-level trace)", path)
+		return fmt.Errorf("%s: no span or shard events — perf needs a round-level trace of a sharded round-model run (ssrsim -trace-level round)", path)
 	}
 
 	fmt.Printf("== perf breakdown: %s ==\n", path)
@@ -40,34 +41,32 @@ func cmdPerf(args []string) error {
 		fmt.Printf("partition policy=%s shards=%d rounds=%d\n", p.Policy, p.PolicyShards, p.PolicyRounds)
 	}
 
-	fmt.Println("\n-- phase wall time --")
-	tab := metrics.NewTable("span", "count", "total ms", "mean µs", "max µs", "share")
-	wall := p.SeqNs() + p.ParNs()
-	for _, s := range p.Spans {
-		mean := 0.0
-		if s.Count > 0 {
-			mean = s.TotalNs / float64(s.Count)
+	// Timing comes only from the profiler's spans; an unprofiled trace
+	// carries the shard activation counts alone.
+	profiled := len(p.Spans) > 0
+	if profiled {
+		fmt.Println("\n-- phase wall time --")
+		tab := metrics.NewTable("span", "count", "total ms", "mean µs", "max µs", "share")
+		wall := p.SeqNs() + p.ParNs()
+		for _, s := range p.Spans {
+			mean := 0.0
+			if s.Count > 0 {
+				mean = s.TotalNs / float64(s.Count)
+			}
+			share := 0.0
+			if wall > 0 {
+				share = s.TotalNs / wall
+			}
+			tab.AddRow(s.Name, s.Count,
+				fmt.Sprintf("%.2f", s.TotalNs/1e6),
+				fmt.Sprintf("%.1f", mean/1e3),
+				fmt.Sprintf("%.1f", s.MaxNs/1e3),
+				fmt.Sprintf("%.3f", share))
 		}
-		share := 0.0
+		fmt.Print(tab)
 		if wall > 0 {
-			share = s.TotalNs / wall
-		}
-		tab.AddRow(s.Name, s.Count,
-			fmt.Sprintf("%.2f", s.TotalNs/1e6),
-			fmt.Sprintf("%.1f", mean/1e3),
-			fmt.Sprintf("%.1f", s.MaxNs/1e3),
-			fmt.Sprintf("%.3f", share))
-	}
-	fmt.Print(tab)
-
-	if wall > 0 {
-		f := p.SeqShare()
-		fmt.Println("\n-- Amdahl --")
-		fmt.Printf("sequential %.2f ms  parallel %.2f ms  seq share f=%.3f\n",
-			p.SeqNs()/1e6, p.ParNs()/1e6, f)
-		fmt.Printf("speedup ceiling 1/f = %.2fx\n", p.AmdahlCeiling())
-		if *workers > 1 {
-			fmt.Printf("predicted speedup at %d workers = %.2fx\n", *workers, p.SpeedupAt(*workers))
+			fmt.Printf("sequential %.2f ms  parallel %.2f ms  seq share %.3f\n",
+				p.SeqNs()/1e6, p.ParNs()/1e6, p.SeqShare())
 		}
 	}
 
@@ -94,17 +93,26 @@ func cmdPerf(args []string) error {
 			sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
 		}
 		fmt.Printf("\n-- shard cost attribution (%d shards) --\n", len(p.Shards))
-		cols := append([]string{"shard", "busy ms"}, phases...)
-		stab := metrics.NewTable(cols...)
+		cols := []string{"shard"}
+		if profiled {
+			cols = append(cols, "busy ms")
+		}
+		stab := metrics.NewTable(append(cols, phases...)...)
 		for _, s := range rows {
-			row := []any{s.Shard, fmt.Sprintf("%.2f", s.BusyNs/1e6)}
+			row := []any{s.Shard}
+			if profiled {
+				row = append(row, fmt.Sprintf("%.2f", s.BusyNs/1e6))
+			}
 			for _, ph := range phases {
 				row = append(row, s.Activations[ph])
 			}
 			stab.AddRow(row...)
 		}
 		totals := p.ActivationTotals()
-		trow := []any{"TOTAL", fmt.Sprintf("%.2f", busyTotal(p.Shards)/1e6)}
+		trow := []any{"TOTAL"}
+		if profiled {
+			trow = append(trow, fmt.Sprintf("%.2f", busyTotal(p.Shards)/1e6))
+		}
 		for _, ph := range phases {
 			trow = append(trow, totals[ph])
 		}
@@ -113,13 +121,13 @@ func cmdPerf(args []string) error {
 
 		// Wave activations are cross-shard work executed in parallel by the
 		// conflict-free wave scheduler — they count against the boundary
-		// only in the sense of partition quality, not the Amdahl share.
+		// only in the sense of partition quality, not the sequential share.
 		if bnd, wav, in := totals["boundary"], totals["wave"], totals["interior"]; bnd+wav+in > 0 {
 			share := float64(bnd) / float64(bnd+wav+in)
 			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d wave + %d interior activations)\n",
 				100*share, bnd, wav, in)
 			if share > 0.5 {
-				fmt.Println("boundary work dominates — the sequential Finish phase bounds the speedup (ROADMAP Open item 1)")
+				fmt.Println("boundary work dominates — most activations run in the sequential Finish phase (-partition locality moves them onto parallel waves)")
 			}
 		}
 		if p.ImbalanceMean > 0 {

@@ -1,9 +1,8 @@
 package exp
 
-// Shared writer for the BENCH_*.json artifacts: every bench record goes
-// through one path so the on-disk shape (indentation, trailing newline,
-// directory creation) stays uniform for tooling like `tracectl bench
-// compare`.
+// Shared shape of the BENCH_*.json records: every record opens with the
+// same meta header and goes through one writer, so the on-disk form
+// (indentation, trailing newline, directory creation) is uniform.
 
 import (
 	"encoding/json"
@@ -11,8 +10,24 @@ import (
 	"path/filepath"
 )
 
-// WriteBenchJSON writes a bench record (ChaosResult, ReliabilityResult,
-// ProfileResult) to path, creating the directory.
+// metaSchema is Meta.Schema: bump it on an incompatible change to a
+// record's shape.
+const metaSchema = 1
+
+// Meta is the configuration header of one bench record: what produced
+// the file.
+type Meta struct {
+	Schema    int    `json:"schema"`
+	Bench     string `json:"bench"`
+	Topology  string `json:"topology,omitempty"`
+	Seed      int64  `json:"seed"`
+	N         int    `json:"n,omitempty"`
+	Transport string `json:"transport,omitempty"`
+	Quick     bool   `json:"quick,omitempty"`
+}
+
+// WriteBenchJSON writes a bench record (ChaosResult, ReliabilityResult)
+// to path, creating the directory.
 func WriteBenchJSON(path string, res any) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -17,7 +17,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/benchfmt"
 	"repro/internal/chaos"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -45,7 +44,7 @@ type ChaosCriteria struct {
 
 // ChaosResult is the machine-readable chaos-bench record.
 type ChaosResult struct {
-	Meta      benchfmt.Meta `json:"meta"`
+	Meta      Meta          `json:"meta"`
 	Bench     string        `json:"bench"`
 	Topology  string        `json:"topology"`
 	N         int           `json:"n"`
@@ -77,11 +76,8 @@ func chaosScenarios(quick bool) []chaos.Scenario {
 func ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, ChaosResult, error) {
 	scenarios := chaosScenarios(quick)
 	protos := ProtocolNames()
-	meta := benchfmt.NewMeta("chaos")
-	meta.Topology, meta.Seed, meta.N = string(topo), seed, n
-	meta.Transport, meta.Quick = transportName, quick
 	res := ChaosResult{
-		Meta:  meta,
+		Meta:  Meta{Schema: metaSchema, Bench: "chaos", Topology: string(topo), Seed: seed, N: n, Transport: transportName, Quick: quick},
 		Bench: "chaos", Topology: string(topo), N: n, Seed: seed,
 		Protocols: protos,
 	}

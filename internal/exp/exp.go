@@ -57,7 +57,6 @@ func SetTransport(name string) error {
 var defaultExec sim.ExecutorConfig
 
 // SetExecutor installs the harness-wide round-executor configuration.
-// ProfileBench, which takes its executor as arguments, is left alone.
 func SetExecutor(cfg sim.ExecutorConfig) { defaultExec = cfg }
 
 // runLin is the one way to a round-model run: the harness tracer and

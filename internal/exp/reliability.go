@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/benchfmt"
 	"repro/internal/chaos"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -66,7 +65,7 @@ type ReliabilityCriteria struct {
 // ReliabilityResult is the machine-readable record behind
 // results/BENCH_reliability.json.
 type ReliabilityResult struct {
-	Meta      benchfmt.Meta       `json:"meta"`
+	Meta      Meta                `json:"meta"`
 	Bench     string              `json:"bench"`
 	Topology  string              `json:"topology"`
 	N         int                 `json:"n"`
@@ -111,11 +110,8 @@ func ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Repor
 		transports = []string{TransportReliable}
 	}
 	protos := ProtocolNames()
-	meta := benchfmt.NewMeta("reliability")
-	meta.Topology, meta.Seed, meta.N = string(topo), seed, n
-	meta.Transport, meta.Quick = strings.Join(transports, "+"), quick
 	res := ReliabilityResult{
-		Meta:  meta,
+		Meta:  Meta{Schema: metaSchema, Bench: "reliability", Topology: string(topo), Seed: seed, N: n, Transport: strings.Join(transports, "+"), Quick: quick},
 		Bench: "reliability", Topology: string(topo), N: n, Seed: seed,
 		LossPcts: losses, Protocols: protos,
 	}

@@ -9,6 +9,7 @@ package linearize
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -139,4 +140,44 @@ func TestUnknownPolicyPanics(t *testing.T) {
 	g := randomConnected(50, 1)
 	Run(g, Config{Variant: LSN, Scheduler: sim.Synchronous,
 		Executor: sim.ExecutorConfig{Workers: 2, Partition: "no-such-policy"}})
+}
+
+// TestActivationSplitPinned pins the round count, the convergence flag and
+// the interior/wave/boundary activation split of every variant under the
+// contiguous and the locality policy, on one n=10 000 regular graph (seed
+// 1, 6 rounds, 2 workers, the default 19 shards). These counts are pure
+// functions of the schedule, so they hold on any machine; a change that
+// moves work between the parallel phases and the sequential Finish phase
+// moves a count here.
+func TestActivationSplitPinned(t *testing.T) {
+	g, err := graph.Generate(graph.TopoRegular, 10000, graph.RandomIDs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy                   string
+		variant                  Variant
+		interior, wave, boundary int64
+	}{
+		{"contiguous", Pure, 971, 0, 16312},
+		{"contiguous", Memory, 58733, 0, 0},
+		{"contiguous", LSN, 663, 0, 58547},
+		{"locality", Pure, 18720, 19854, 2},
+		{"locality", Memory, 58733, 0, 0},
+		{"locality", LSN, 1282, 58133, 12},
+	} {
+		st, _ := Run(g, Config{Variant: tc.variant, Scheduler: sim.Synchronous, MaxRounds: 6, CloseRing: true,
+			Executor: sim.ExecutorConfig{Workers: 2, Partition: tc.policy}})
+		label, p := tc.policy+"/"+tc.variant.String(), st.Par
+		if st.Rounds != 6 || st.Converged {
+			t.Errorf("%s: rounds=%d converged=%v, want 6 false", label, st.Rounds, st.Converged)
+		}
+		if p.Workers != 2 || p.Shards != 19 || p.Policy != tc.policy {
+			t.Errorf("%s: executor ran workers=%d shards=%d policy=%q", label, p.Workers, p.Shards, p.Policy)
+		}
+		if p.InteriorActivations != tc.interior || p.WaveActivations != tc.wave || p.BoundaryActivations != tc.boundary {
+			t.Errorf("%s: interior/wave/boundary = %d/%d/%d, want %d/%d/%d", label,
+				p.InteriorActivations, p.WaveActivations, p.BoundaryActivations, tc.interior, tc.wave, tc.boundary)
+		}
+	}
 }

@@ -108,10 +108,4 @@ func TestProfiledTraceFoldsIntoPerfReport(t *testing.T) {
 	if acts["boundary"] != st.Par.BoundaryActivations {
 		t.Fatalf("boundary attribution %d != stats %d", acts["boundary"], st.Par.BoundaryActivations)
 	}
-	if c := p.AmdahlCeiling(); c < 1 {
-		t.Fatalf("Amdahl ceiling %g < 1", c)
-	}
-	if s := p.SpeedupAt(4); s <= 0 || s > p.AmdahlCeiling()+1e-9 {
-		t.Fatalf("SpeedupAt(4)=%g outside (0, ceiling=%g]", s, p.AmdahlCeiling())
-	}
 }

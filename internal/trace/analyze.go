@@ -566,39 +566,13 @@ func (p PerfReport) spanNs(parallel bool) float64 {
 	return t
 }
 
-// SeqShare returns the sequential fraction of the measured round time —
-// the f in Amdahl's law.
+// SeqShare returns the sequential fraction of the measured round time.
 func (p PerfReport) SeqShare() float64 {
 	seq, par := p.SeqNs(), p.ParNs()
 	if seq+par <= 0 {
 		return 0
 	}
 	return seq / (seq + par)
-}
-
-// AmdahlCeiling returns the speedup bound 1/f implied by the sequential
-// share: no worker count can beat it. Returns 0 when the trace has no
-// timing spans (unknown), +Inf is avoided by flooring f at 1e-9.
-func (p PerfReport) AmdahlCeiling() float64 {
-	if p.SeqNs()+p.ParNs() <= 0 {
-		return 0
-	}
-	f := p.SeqShare()
-	if f < 1e-9 {
-		f = 1e-9
-	}
-	return 1 / f
-}
-
-// SpeedupAt estimates the achievable speedup with the given worker count:
-// 1 / (f + (1-f)/w), assuming perfectly balanced shards (the imbalance
-// columns say how optimistic that is).
-func (p PerfReport) SpeedupAt(workers int) float64 {
-	if workers < 1 || p.SeqNs()+p.ParNs() <= 0 {
-		return 0
-	}
-	f := p.SeqShare()
-	return 1 / (f + (1-f)/float64(workers))
 }
 
 // Perf returns the performance aggregates of the trace.
