@@ -49,10 +49,12 @@ docs-check:
 # tracer, the trace writer (trace), whose encoder goroutine takes the batches
 # Emit fills, and Memory's round (graph, the Jacobi tests of linearize),
 # whose parallel Prepare reads the graph.Merger's scratch that Merge
-# overwrites after the barrier, are where data races would live.
+# overwrites after the barrier, are where data races would live. The
+# linearize line also runs TestKeepSetProperties, the check that the round
+# model's LSN keep set and SSR's Bounded cache keep the same neighbours.
 smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/phys/ ./internal/rel/ ./internal/node/ ./internal/cache/ ./internal/ssr/ ./internal/vrr/ ./internal/trace/ ./internal/graph/
-	$(GO) test -race -count=1 -run 'TestJacobi' ./internal/linearize/
+	$(GO) test -race -count=1 -run 'TestJacobi|TestKeepSetProperties' ./internal/linearize/
 
 # Benchmark the tracectl analysis pipeline (Scanner -> Analysis) on a
 # synthetic 500k-event trace.

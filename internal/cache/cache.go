@@ -8,11 +8,12 @@
 //
 // The cache stores source routes keyed by their destination. In Bounded
 // mode it keeps at most one route per exponential distance interval per
-// direction (left/right on the identifier line) — O(log |space|) entries.
-// In Unbounded mode it keeps every route, which is exactly "linearization
-// with memory". §4 notes SSR gets the shortcut set for free: "a node
-// typically caches at least one node for each of the exponentially growing
-// intervals".
+// direction (left/right on the identifier line), the one to the closest
+// destination — O(log |space|) entries. ids.Slot names the slots, as it
+// does for the round model's LSN keep set. In Unbounded mode it keeps
+// every route, which is exactly "linearization with memory". §4 notes SSR
+// gets the shortcut set for free: "a node typically caches at least one
+// node for each of the exponentially growing intervals".
 //
 // Lookups implement SSR's greedy rule (§1): among all cached nodes —
 // including the intermediate nodes of every cached route — pick the one
@@ -31,8 +32,8 @@ import (
 type Mode int
 
 const (
-	// Bounded keeps at most one route per exponential interval per
-	// direction (the LSN policy).
+	// Bounded keeps at most one route per LSN slot (ids.Slot), the
+	// closest.
 	Bounded Mode = iota
 	// Unbounded keeps every inserted route (linearization with memory).
 	Unbounded
@@ -57,10 +58,10 @@ type Cache struct {
 	mode   Mode
 	dsts   []ids.ID       // ascending; never the owner
 	routes []sroute.Route // routes[i] leads to dsts[i]
-	// slot[dir][k] is the destination currently occupying interval k in
-	// direction dir (0=left, 1=right), valid while has[dir][k].
-	slot [2][ids.NumIntervals]ids.ID
-	has  [2][ids.NumIntervals]bool
+	// slot[s] is the destination currently occupying LSN slot s (see
+	// ids.Slot), valid while has[s].
+	slot [ids.NumSlots]ids.ID
+	has  [ids.NumSlots]bool
 }
 
 // New returns an empty cache for the given node.
@@ -94,13 +95,6 @@ func (c *Cache) TotalRouteNodes() int {
 	return total
 }
 
-func dirIndex(d ids.Dir) int {
-	if d == ids.Left {
-		return 0
-	}
-	return 1
-}
-
 // find returns the position of dst in dsts, or the position it would take.
 func (c *Cache) find(dst ids.ID) (int, bool) { return slices.BinarySearch(c.dsts, dst) }
 
@@ -114,12 +108,11 @@ func (c *Cache) side(d ids.Dir) (lo, hi int) {
 }
 
 // Insert offers a route to the cache. The route must start at the owner.
-// In Bounded mode the route is kept only if its interval slot is empty or
-// it beats the incumbent (closer destination identifier wins — tightening
-// toward the eventual ring neighbors — then fewer hops). Insert reports
-// whether the cache retained the route. A shorter route to an
-// already-cached destination always replaces the longer one. The cache
-// keeps a copy: the caller may reuse r.
+// In Bounded mode the route is kept only if its slot is empty or its
+// destination is closer than the incumbent's (tightening toward the
+// eventual ring neighbors). Insert reports whether the cache retained the
+// route. A shorter route to an already-cached destination always replaces
+// the longer one. The cache keeps a copy: the caller may reuse r.
 func (c *Cache) Insert(r sroute.Route) bool { kept, _, _ := c.Offer(r); return kept }
 
 // Offer is Insert reporting what the cache's destination set did: added is
@@ -140,39 +133,27 @@ func (c *Cache) Offer(r sroute.Route) (kept, added bool, evicted ids.ID) {
 		return false, false, c.owner
 	}
 	if c.mode == Bounded {
-		d := dirIndex(ids.DirOf(c.owner, dst))
-		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
-		if k < 0 {
-			return false, false, c.owner
-		}
-		if c.has[d][k] {
-			inc := c.slot[d][k]
-			j, _ := c.find(inc)
-			if !c.beats(dst, r, inc, c.routes[j]) {
+		s := ids.Slot(c.owner, dst)
+		if c.has[s] {
+			// The incumbent lies on dst's side of the owner, so the two
+			// line distances differ: there is no tie to break.
+			inc := c.slot[s]
+			if ids.LineDist(c.owner, dst) >= ids.LineDist(c.owner, inc) {
 				return false, false, c.owner
 			}
-			// Every cached destination holds its interval's slot, so none
-			// lies between the incumbent and the challenger, which share
-			// one: the winner takes the incumbent's position.
-			c.slot[d][k] = dst
+			// Every cached destination holds its slot, so none lies
+			// between the incumbent and the challenger, which share one:
+			// the winner takes the incumbent's position.
+			j, _ := c.find(inc)
+			c.slot[s] = dst
 			c.dsts[j], c.routes[j] = dst, r.Clone()
 			return true, true, inc
 		}
-		c.slot[d][k], c.has[d][k] = dst, true
+		c.slot[s], c.has[s] = dst, true
 	}
 	c.dsts = slices.Insert(c.dsts, i, dst)
 	c.routes = slices.Insert(c.routes, i, r.Clone())
 	return true, true, c.owner
-}
-
-// beats decides whether the challenger (dst,r) replaces the incumbent in a
-// contested interval slot: closer identifier first, then fewer hops.
-func (c *Cache) beats(dst ids.ID, r sroute.Route, inc ids.ID, incRoute sroute.Route) bool {
-	dNew, dOld := ids.LineDist(c.owner, dst), ids.LineDist(c.owner, inc)
-	if dNew != dOld {
-		return dNew < dOld
-	}
-	return r.Hops() < incRoute.Hops()
 }
 
 // Remove deletes the route to dst and reports whether it was present.
@@ -184,11 +165,7 @@ func (c *Cache) Remove(dst ids.ID) bool {
 	c.dsts = slices.Delete(c.dsts, i, i+1)
 	c.routes = slices.Delete(c.routes, i, i+1)
 	if c.mode == Bounded {
-		d := dirIndex(ids.DirOf(c.owner, dst))
-		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
-		if k >= 0 && c.has[d][k] && c.slot[d][k] == dst {
-			c.has[d][k] = false
-		}
+		c.has[ids.Slot(c.owner, dst)] = false // dst held its slot
 	}
 	return true
 }
@@ -197,12 +174,11 @@ func (c *Cache) Remove(dst ids.ID) bool {
 // dst falls in: the incumbent a route to dst must beat. ok is false in
 // Unbounded mode and when the slot is empty.
 func (c *Cache) Holder(dst ids.ID) (holder ids.ID, ok bool) {
-	k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
-	if c.mode != Bounded || k < 0 {
+	s := ids.Slot(c.owner, dst)
+	if c.mode != Bounded || s < 0 {
 		return 0, false
 	}
-	d := dirIndex(ids.DirOf(c.owner, dst))
-	return c.slot[d][k], c.has[d][k]
+	return c.slot[s], c.has[s]
 }
 
 // Route returns the cached route to dst, or nil.
@@ -332,19 +308,16 @@ func (c *Cache) Clone() *Cache {
 // destination (Unbounded mode). Used by the E8 state-size experiment and by
 // the §4 claim that SSR caches populate the LSN shortcut set.
 func (c *Cache) IntervalOccupancy() (left, right int) {
-	var seen [2][ids.NumIntervals]bool
+	var seen [ids.NumSlots]bool
 	for _, dst := range c.dsts {
-		d := dirIndex(ids.DirOf(c.owner, dst))
-		k := ids.IntervalIndex(ids.LineDist(c.owner, dst))
-		if k >= 0 {
-			seen[d][k] = true
-		}
+		seen[ids.Slot(c.owner, dst)] = true
 	}
-	for k := 0; k < ids.NumIntervals; k++ {
-		if seen[0][k] {
+	for s, ok := range seen {
+		switch {
+		case !ok:
+		case s < ids.NumIntervals:
 			left++
-		}
-		if seen[1][k] {
+		default:
 			right++
 		}
 	}

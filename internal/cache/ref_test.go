@@ -21,6 +21,16 @@ type refCache struct {
 	has    [2][ids.NumIntervals]bool
 }
 
+// dirIndex is the reference's own side index (0=left, 1=right): the model
+// keeps the [2][NumIntervals] slot layout and does not share ids.Slot with
+// the cache it checks.
+func dirIndex(d ids.Dir) int {
+	if d == ids.Left {
+		return 0
+	}
+	return 1
+}
+
 func newRef(owner ids.ID, mode Mode) *refCache {
 	return &refCache{owner: owner, mode: mode, routes: make(map[ids.ID]sroute.Route)}
 }

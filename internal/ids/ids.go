@@ -17,7 +17,6 @@
 package ids
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -31,37 +30,10 @@ type ID uint64
 // identifiers used in the paper's figures.
 func (a ID) String() string { return fmt.Sprintf("%d", uint64(a)) }
 
-// Less reports whether a precedes b in the line view.
-func (a ID) Less(b ID) bool { return a < b }
-
-// Cmp returns -1, 0, or +1 as a is less than, equal to, or greater than b in
-// the line view.
-func (a ID) Cmp(b ID) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return +1
-	default:
-		return 0
-	}
-}
-
 // RingDist returns the clockwise distance from a to b on the virtual ring,
 // i.e. the number of identifier steps needed to reach b from a moving in the
 // direction of increasing identifiers with wrap-around.
 func RingDist(a, b ID) uint64 { return uint64(b) - uint64(a) }
-
-// AbsRingDist returns the length of the shorter arc between a and b on the
-// virtual ring.
-func AbsRingDist(a, b ID) uint64 {
-	cw := RingDist(a, b)
-	ccw := RingDist(b, a)
-	if cw < ccw {
-		return cw
-	}
-	return ccw
-}
 
 // LineDist returns |a-b| in the line view.
 func LineDist(a, b ID) uint64 {
@@ -83,14 +55,6 @@ func Between(x, a, b ID) bool {
 		return a < x && x < b
 	}
 	return x > a || x < b
-}
-
-// CloserOnRing reports whether candidate x is strictly closer to target t
-// than y is, measured as clockwise distance from the candidate to the
-// target. SSR's greedy rule ("virtually closest to the final destination")
-// uses this predicate to pick the next intermediate destination.
-func CloserOnRing(x, y, t ID) bool {
-	return RingDist(x, t) < RingDist(y, t)
 }
 
 // Dir is a direction on the line view of the identifier space.
@@ -137,14 +101,28 @@ func IntervalIndex(d uint64) int {
 // NumIntervals is the number of exponential intervals per direction.
 const NumIntervals = 64
 
+// NumSlots is the number of LSN slots a node has: one per interval per
+// direction.
+const NumSlots = 2 * NumIntervals
+
+// Slot returns the LSN slot that other falls in as seen from self: the
+// interval index of their line distance on the left of self, that plus
+// NumIntervals on the right, and -1 when other == self. LSN keeps at most
+// one edge per slot, the closest; this is the one place the round model's
+// keep set and SSR's Bounded route cache take that rule from.
+func Slot(self, other ID) int {
+	switch {
+	case other < self:
+		return IntervalIndex(uint64(self - other))
+	case other > self:
+		return NumIntervals + IntervalIndex(uint64(other-self))
+	}
+	return -1
+}
+
 // SortAsc sorts s ascending in the line view.
 func SortAsc(s []ID) {
 	slices.Sort(s)
-}
-
-// SortDesc sorts s descending in the line view.
-func SortDesc(s []ID) {
-	slices.SortFunc(s, func(a, b ID) int { return cmp.Compare(b, a) })
 }
 
 // Max returns the largest identifier in s, or ok=false if s is empty.

@@ -25,18 +25,6 @@ func TestRingDist(t *testing.T) {
 	}
 }
 
-func TestAbsRingDist(t *testing.T) {
-	if got := AbsRingDist(0, 10); got != 10 {
-		t.Errorf("AbsRingDist(0,10) = %d, want 10", got)
-	}
-	if got := AbsRingDist(10, 0); got != 10 {
-		t.Errorf("AbsRingDist(10,0) = %d, want 10", got)
-	}
-	if got := AbsRingDist(math.MaxUint64, 1); got != 2 {
-		t.Errorf("AbsRingDist(max,1) = %d, want 2", got)
-	}
-}
-
 func TestLineDist(t *testing.T) {
 	if got := LineDist(3, 10); got != 7 {
 		t.Errorf("LineDist(3,10) = %d, want 7", got)
@@ -70,15 +58,6 @@ func TestBetween(t *testing.T) {
 		if got := Between(c.x, c.a, c.b); got != c.want {
 			t.Errorf("Between(%d,%d,%d) = %v, want %v", c.x, c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestCloserOnRing(t *testing.T) {
-	if !CloserOnRing(9, 5, 10) {
-		t.Error("9 should be ring-closer to 10 than 5 is")
-	}
-	if CloserOnRing(11, 9, 10) {
-		t.Error("11 is almost a full ring away from 10 clockwise")
 	}
 }
 
@@ -116,6 +95,50 @@ func TestIntervalIndex(t *testing.T) {
 		if got := IntervalIndex(c.d); got != c.want {
 			t.Errorf("IntervalIndex(%d) = %d, want %d", c.d, got, c.want)
 		}
+	}
+}
+
+func TestSlot(t *testing.T) {
+	const max = math.MaxUint64
+	cases := []struct {
+		self, other ID
+		want        int
+	}{
+		{5, 5, -1},
+		{0, 0, -1},
+		{max, max, -1},
+		{100, 99, 0},
+		{100, 98, 1},
+		{100, 97, 1},
+		{100, 101, NumIntervals},
+		{100, 102, NumIntervals + 1},
+		{100, 103, NumIntervals + 1},
+		{1 << 63, 0, 63},
+		{0, 1 << 63, NumIntervals + 63},
+		{0, 1, NumIntervals},
+		{0, max, NumIntervals + 63},
+		{max, max - 1, 0},
+		{max, 0, 63},
+		{max, max - 1<<63, 63},
+	}
+	for _, c := range cases {
+		if got := Slot(c.self, c.other); got != c.want {
+			t.Errorf("Slot(%d,%d) = %d, want %d", c.self, c.other, got, c.want)
+		}
+	}
+	// Left slots lie below NumIntervals, right ones from it up to NumSlots.
+	f := func(self, other ID) bool {
+		got := Slot(self, other)
+		switch {
+		case other < self:
+			return got >= 0 && got < NumIntervals
+		case other > self:
+			return got >= NumIntervals && got < NumSlots
+		}
+		return got == -1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -161,12 +184,8 @@ func TestBetweenProperty(t *testing.T) {
 }
 
 func TestRingDistProperty(t *testing.T) {
-	// Property: RingDist(a,b) + RingDist(b,a) == 0 (mod 2^64) for a != b,
-	// and AbsRingDist is symmetric.
+	// Property: RingDist(a,b) + RingDist(b,a) == 0 (mod 2^64) for a != b.
 	f := func(a, b ID) bool {
-		if AbsRingDist(a, b) != AbsRingDist(b, a) {
-			return false
-		}
 		if a == b {
 			return RingDist(a, b) == 0
 		}
@@ -199,12 +218,6 @@ func TestSortAscDesc(t *testing.T) {
 	for i := 1; i < len(s); i++ {
 		if s[i-1] > s[i] {
 			t.Fatalf("SortAsc produced %v", s)
-		}
-	}
-	SortDesc(s)
-	for i := 1; i < len(s); i++ {
-		if s[i-1] < s[i] {
-			t.Fatalf("SortDesc produced %v", s)
 		}
 	}
 }
@@ -249,14 +262,5 @@ func TestSet(t *testing.T) {
 func TestIDString(t *testing.T) {
 	if ID(42).String() != "42" {
 		t.Errorf("ID(42).String() = %q", ID(42).String())
-	}
-}
-
-func TestCmp(t *testing.T) {
-	if ID(1).Cmp(2) != -1 || ID(2).Cmp(1) != +1 || ID(1).Cmp(1) != 0 {
-		t.Error("Cmp is broken")
-	}
-	if !ID(1).Less(2) || ID(2).Less(1) {
-		t.Error("Less is broken")
 	}
 }

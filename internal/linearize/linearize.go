@@ -458,31 +458,30 @@ func (e *Engine) link(a, b int32) bool {
 
 // keepLine appends to dst (reusing its capacity), in ascending order, the
 // members of nbrs — v's row — that v retains under the configured variant:
-// Pure keeps the closest neighbor per side (Algorithm 1); LSN the
-// closest neighbor within each occupied exponential interval per side,
-// O(log |space|) of them. Within one side the row is monotone in distance,
-// so the closest of an interval is the last of its run on the left of v
-// and the first of its run on the right.
+// Pure keeps the closest neighbor per side (Algorithm 1); LSN the closest
+// neighbor in each occupied ids.Slot, O(log |space|) of them. A slot's
+// members are one run of the row, monotone in distance, so its closest is
+// the last of the run on the left of v and the first on the right.
 func (e *Engine) keepLine(v int32, nbrs, dst []int32) []int32 {
 	split, _ := graph.SearchRow(nbrs, v) // nbrs[:split] lie left of v
 	if e.cfg.Variant == Pure {
 		return append(dst, nbrs[max(split-1, 0):min(split+1, len(nbrs))]...)
 	}
-	prev := -1 // the interval of nbrs[k-1]
+	prev := -1 // the slot of nbrs[k-1]
 	for k, u := range nbrs {
-		interval := ids.IntervalIndex(ids.LineDist(e.nodes[v], e.nodes[u]))
+		slot := ids.Slot(e.nodes[v], e.nodes[u])
 		switch {
 		case k < split:
-			if k > 0 && interval != prev {
+			if k > 0 && slot != prev {
 				dst = append(dst, nbrs[k-1])
 			}
 			if k == split-1 {
 				dst = append(dst, u)
 			}
-		case k == split || interval != prev:
+		case slot != prev:
 			dst = append(dst, u)
 		}
-		prev = interval
+		prev = slot
 	}
 	return dst
 }

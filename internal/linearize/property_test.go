@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/sim"
+	"repro/internal/sroute"
 )
 
 func TestChainEdgesProperties(t *testing.T) {
@@ -93,54 +95,75 @@ func TestChainEdgesConnectNeighborhood(t *testing.T) {
 
 func TestKeepSetProperties(t *testing.T) {
 	// LSN's keep set: bounded by 2·NumIntervals, always contains the
-	// closest neighbor per side, every member is a current neighbor, and the
+	// closest neighbor per side, every member is a current neighbor, the
 	// dense form (ascending, read off the row in one pass) names exactly the
-	// members of the reference model's.
+	// members of the reference model's, and SSR's Bounded route cache, fed
+	// a one-hop route to every neighbor in any order, keeps exactly that set
+	// (§4: the cache gets LSN's shortcut set for free). Sequential
+	// identifiers put many neighbors into the low intervals, so the slots
+	// there are contested too.
 	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 40; trial++ {
-		n := 5 + r.Intn(60)
-		nodes := graph.MakeIDs(n, graph.RandomIDs, r)
-		g := graph.ErdosRenyi(nodes, 0.3, r)
-		e := NewEngine(g, Config{Variant: LSN})
-		ref := &refModel{cfg: e.cfg, g: g, nodes: e.nodes}
-		for i, v := range e.nodes {
-			var keep []ids.ID
-			for _, j := range e.keepLine(int32(i), e.rows[i], nil) {
-				keep = append(keep, e.nodes[j])
+	shuffle := rand.New(rand.NewSource(5))
+	for _, policy := range []graph.IDAssignment{graph.RandomIDs, graph.SequentialIDs} {
+		for trial := 0; trial < 40; trial++ {
+			n := 5 + r.Intn(60)
+			nodes := graph.MakeIDs(n, policy, r)
+			g := graph.ErdosRenyi(nodes, 0.3, r)
+			checkKeepSets(t, g, shuffle)
+		}
+	}
+}
+
+func checkKeepSets(t *testing.T, g *graph.Graph, shuffle *rand.Rand) {
+	t.Helper()
+	e := NewEngine(g, Config{Variant: LSN})
+	ref := &refModel{cfg: e.cfg, g: g, nodes: e.nodes}
+	for i, v := range e.nodes {
+		var keep []ids.ID
+		for _, j := range e.keepLine(int32(i), e.rows[i], nil) {
+			keep = append(keep, e.nodes[j])
+		}
+		want := ref.keepSet(v)
+		sortIDs(want)
+		if !slices.Equal(keep, want) {
+			t.Fatalf("keep set of %s is %v, the reference keeps %v", v, keep, want)
+		}
+		c := cache.New(v, cache.Bounded)
+		row := slices.Clone(g.Neighbors(v)) // the graph's own row: shuffle a copy
+		shuffle.Shuffle(len(row), func(a, b int) { row[a], row[b] = row[b], row[a] })
+		for _, u := range row {
+			c.Insert(sroute.Route{v, u})
+		}
+		if got := c.Destinations(); !slices.Equal(got, keep) {
+			t.Fatalf("the Bounded cache of %s keeps %v, keepLine keeps %v", v, got, keep)
+		}
+		if len(keep) > 2*ids.NumIntervals {
+			t.Fatalf("keep set too large: %d", len(keep))
+		}
+		for _, u := range keep {
+			if !g.HasEdge(v, u) {
+				t.Fatalf("keep set contains non-neighbor %s", u)
 			}
-			want := ref.keepSet(v)
-			sortIDs(want)
-			if !slices.Equal(keep, want) {
-				t.Fatalf("keep set of %s is %v, the reference keeps %v", v, keep, want)
-			}
-			if len(keep) > 2*ids.NumIntervals {
-				t.Fatalf("keep set too large: %d", len(keep))
-			}
-			for _, u := range keep {
-				if !g.HasEdge(v, u) {
-					t.Fatalf("keep set contains non-neighbor %s", u)
+		}
+		var closestL, closestR ids.ID
+		var hasL, hasR bool
+		for _, u := range g.Neighbors(v) {
+			if u < v {
+				if !hasL || ids.LineDist(v, u) < ids.LineDist(v, closestL) {
+					closestL, hasL = u, true
+				}
+			} else {
+				if !hasR || ids.LineDist(v, u) < ids.LineDist(v, closestR) {
+					closestR, hasR = u, true
 				}
 			}
-			var closestL, closestR ids.ID
-			var hasL, hasR bool
-			for _, u := range g.Neighbors(v) {
-				if u < v {
-					if !hasL || ids.LineDist(v, u) < ids.LineDist(v, closestL) {
-						closestL, hasL = u, true
-					}
-				} else {
-					if !hasR || ids.LineDist(v, u) < ids.LineDist(v, closestR) {
-						closestR, hasR = u, true
-					}
-				}
-			}
-			keepSet := ids.NewSet(keep...)
-			if hasL && !keepSet.Has(closestL) {
-				t.Fatalf("closest left %s not kept at %s", closestL, v)
-			}
-			if hasR && !keepSet.Has(closestR) {
-				t.Fatalf("closest right %s not kept at %s", closestR, v)
-			}
+		}
+		keepSet := ids.NewSet(keep...)
+		if hasL && !keepSet.Has(closestL) {
+			t.Fatalf("closest left %s not kept at %s", closestL, v)
+		}
+		if hasR && !keepSet.Has(closestR) {
+			t.Fatalf("closest right %s not kept at %s", closestR, v)
 		}
 	}
 }

@@ -267,18 +267,11 @@ func (n *Node) Cache() *cache.Cache { return n.rc }
 
 // Successor returns this node's believed ring successor (the nearest right
 // cache neighbor, or the wrap partner for the maximum node).
-func (n *Node) Successor() (ids.ID, bool) { return n.ringNeighbor(ids.Right) }
-
-// Predecessor returns this node's believed ring predecessor.
-func (n *Node) Predecessor() (ids.ID, bool) { return n.ringNeighbor(ids.Left) }
-
-// ringNeighbor is the nearest cache neighbor on the given side, or that
-// side's wrap partner when the side is empty.
-func (n *Node) ringNeighbor(side ids.Dir) (ids.ID, bool) {
-	if v, ok := n.rc.Nearest(side); ok {
+func (n *Node) Successor() (ids.ID, bool) {
+	if v, ok := n.rc.Nearest(ids.Right); ok {
 		return v, true
 	}
-	return n.wrap.Partner(side)
+	return n.wrap.Partner(ids.Right)
 }
 
 // WrapPartners returns the established ring-closure partners.

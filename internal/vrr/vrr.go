@@ -832,13 +832,6 @@ func (c *Cluster) StateSummary() []int {
 	return out
 }
 
-// HasConfirmedPathTo reports whether this node holds a confirmed path to v
-// (diagnostic accessor for experiments and tests).
-func (n *Node) HasConfirmedPathTo(v ids.ID) bool {
-	_, ok := n.pathTo(v)
-	return ok
-}
-
 // PathsBetween counts path entries at this node whose endpoints are exactly
 // {x, y} (diagnostic accessor).
 func (n *Node) PathsBetween(x, y ids.ID) (total, confirmed int) {

@@ -6,8 +6,10 @@
 # leave dead commands, package names or artifacts in the docs. Also fails
 # on a one-variable `for u := range g.Neighbors(v)` anywhere in the Go
 # sources: Neighbors returns a slice, so that form compiles and yields
-# indices, and go vet does not flag it where u is only compared. Run from
-# the repo root.
+# indices, and go vet does not flag it where u is only compared. And fails
+# when a non-test Go file outside internal/ids calls IntervalIndex(: ids.Slot
+# is the one LSN slot rule, which the round model and SSR's route cache both
+# use, so the rule cannot grow a second copy. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -23,6 +25,10 @@ for m in $(grep -oh -- '-mode [a-z][a-z]*' $docs | cut -d' ' -f2 | sort -u); do
 done
 if grep -rn --include='*.go' 'for [A-Za-z_][A-Za-z0-9_]* := range .*\.Neighbors(' .; then
 	echo "docs-check: one-variable range over Neighbors() yields indices; write 'for _, u := range'"
+	fail=1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'IntervalIndex(' . | grep -v '^\./internal/ids/'; then
+	echo "docs-check: only internal/ids may call IntervalIndex; take an LSN slot from ids.Slot"
 	fail=1
 fi
 exit $fail
