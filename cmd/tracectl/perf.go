@@ -119,15 +119,12 @@ func cmdPerf(args []string) error {
 		stab.AddRow(trow...)
 		fmt.Print(stab)
 
-		// Wave activations are cross-shard work executed in parallel by the
-		// conflict-free wave scheduler — they count against the boundary
-		// only in the sense of partition quality, not the sequential share.
-		if bnd, wav, in := totals["boundary"], totals["wave"], totals["interior"]; bnd+wav+in > 0 {
-			share := float64(bnd) / float64(bnd+wav+in)
-			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d wave + %d interior activations)\n",
-				100*share, bnd, wav, in)
+		if bnd, in := totals["boundary"], totals["interior"]; bnd+in > 0 {
+			share := float64(bnd) / float64(bnd+in)
+			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d interior activations)\n",
+				100*share, bnd, in)
 			if share > 0.5 {
-				fmt.Println("boundary work dominates — most activations run in the sequential Finish phase (-partition locality moves them onto parallel waves)")
+				fmt.Println("boundary work dominates — most activations run in the sequential Finish phase")
 			}
 		}
 		if p.ImbalanceMean > 0 {

@@ -49,6 +49,29 @@ func TestCloseRingThreeNodes(t *testing.T) {
 	}
 }
 
+// TestExtremalNodeIsInterior: with CloseRing on several shards the extremal
+// nodes are classified by their footprint like every other node. On the
+// line 1–…–8 with the edge 2–3 replaced by 1–3, split into shards {1..4}
+// and {5..8}, node 1 is the only node whose state changes (it introduces 2
+// to 3) and its row {2, 3} stays inside shard 0, so its activation is
+// interior work.
+func TestExtremalNodeIsInterior(t *testing.T) {
+	g := graph.Line([]ids.ID{1, 2, 3, 4, 5, 6, 7, 8})
+	g.RemoveEdge(2, 3)
+	g.AddEdge(1, 3)
+	for _, v := range []Variant{Pure, LSN} {
+		st, final := Run(g, Config{Variant: v, CloseRing: true, MaxRounds: 8,
+			Executor: sim.ExecutorConfig{Workers: 2, Shards: 2}})
+		if msg := closedRing(v, st, final); msg != "" {
+			t.Fatalf("%s: %s", v, msg)
+		}
+		if p := st.Par; st.Rounds != 1 || p.Shards != 2 || p.InteriorActivations != 1 || p.BoundaryActivations != 0 {
+			t.Errorf("%s: rounds=%d shards=%d interior/boundary = %d/%d, want 1 2 1/0",
+				v, st.Rounds, p.Shards, p.InteriorActivations, p.BoundaryActivations)
+		}
+	}
+}
+
 // TestCloseRingPowerLaw4000 is the input the layered benchmark recorded as an
 // LSN livelock (lin-lsn-powerlaw --seed 107, repetition 5): a physical
 // {min, max} link whose max end has degree 1. It takes as many rounds with
@@ -75,8 +98,7 @@ func TestCloseRingPowerLaw4000(t *testing.T) {
 // power-law inputs from 1000 generator seeds (50 with -short), each as
 // generated (input 0) and with its extremal nodes linked (input 1), every
 // variant, on one shard and on two (the default partition is one shard at
-// this size; two puts the extremal nodes on the boundary path), CloseRing
-// set. No run may stall, every one ends with the wrap edge, Pure on exactly
+// this size; two adds a cross-shard boundary path), CloseRing set. No run may stall, every one ends with the wrap edge, Pure on exactly
 // the sorted ring.
 func TestCloseRingSweep(t *testing.T) {
 	const n = 96

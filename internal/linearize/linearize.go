@@ -118,7 +118,7 @@ func Variants() []Variant { return []Variant{Pure, Memory, LSN} }
 type Config struct {
 	Variant   Variant
 	Scheduler sim.Scheduler
-	// MaxRounds bounds the run (<=0: generous default scaled to n²).
+	// MaxRounds bounds the run (<=0: max(16·n, 1024) rounds).
 	MaxRounds int
 	// Seed drives the random-sequential daemon's activation order.
 	Seed int64
@@ -313,8 +313,8 @@ type opSink struct {
 
 	// keep is the per-activation scratch, reused across activations. A sink
 	// is only ever driven by one goroutine at a time (per-shard sinks by
-	// their shard's worker, per-pick wave sinks by their pick's worker, the
-	// root sink by the sequential phases), so it needs no locking.
+	// their shard's worker, the root sink by the sequential phases), so it
+	// needs no locking.
 	keep []int32
 }
 

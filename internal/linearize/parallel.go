@@ -24,12 +24,9 @@ package linearize
 //     only touches rows of its own shard, and interior operations can only
 //     add shard-local neighbors, so the classification stays valid for the
 //     whole phase and every row of Engine.rows has a single writer. The
-//     cross-shard nodes run under the
-//     policy's boundary discipline: sequentially in global identifier
-//     order during Finish (BoundarySequential), or in deterministic
-//     conflict-free waves on the worker pool (BoundaryWaves, see runWaves).
-//     With Shards=1 every node is interior and the schedule is exactly the
-//     Gauss-Seidel pass in identifier order.
+//     cross-shard nodes run sequentially in global identifier order during
+//     Finish, under every policy. With Shards=1 every node is interior and
+//     the schedule is exactly the Gauss-Seidel pass in identifier order.
 //
 //   - The RandomSequential daemon is strictly serial, so it is the
 //     one-shard case: Execute walks the whole universe in a fresh random
@@ -43,9 +40,8 @@ package linearize
 //
 // In every mode the result is a pure function of the shard schedule: the
 // worker count only changes wall-clock time, never the outcome. Per-shard
-// and per-pick side effects are buffered in opSinks and merged in a
-// deterministic order, so even the trace stream is identical for every
-// pool width.
+// side effects are buffered in opSinks and merged in shard order, so even
+// the trace stream is identical for every pool width.
 //
 // Ring closure is no node's operation: Engine.closeRing reads every node's
 // successor edge and sets a flag, once before the first round and at the end
@@ -55,7 +51,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strconv"
 
 	"repro/internal/graph"
@@ -70,29 +65,27 @@ type ParallelStats struct {
 	Policy  string // partition policy name
 	// InteriorActivations counts state-changing activations performed in
 	// the parallel phases (Jacobi proposals, atomic interior steps, the
-	// daemon's one-shard pass); WaveActivations counts cross-shard
-	// activations executed in conflict-free waves (also parallel);
-	// BoundaryActivations counts the sequential share (atomic boundary
-	// fallbacks).
+	// daemon's one-shard pass); BoundaryActivations counts the sequential
+	// share (the cross-shard nodes of Pure and LSN, run in Finish).
 	InteriorActivations int64
-	WaveActivations     int64
 	BoundaryActivations int64
+	// WaveActivations is always 0: no executor path runs cross-shard nodes
+	// in parallel. It stays only because the layered benchmark
+	// (benchmark/lin.go) reads it.
+	WaveActivations int64
 }
 
 // parExec holds the per-run state of the executor.
 type parExec struct {
 	e       *Engine
 	shards  []sim.Shard // current layout, installed via onPartition
-	multi   bool        // more than one shard
 	policy  string
 	jacobi  bool // Memory under the synchronous scheduler (snapshot-merge rounds)
-	waves   bool // cross-shard nodes run under the wave discipline
 	workers int  // pool width (the merge's fan-out)
 
 	root      opSink   // sequential-phase sink (direct)
 	sinks     []opSink // per-shard buffering sinks (atomic Execute)
 	intCounts []int    // per-shard interior activations this round
-	wvCounts  []int    // per-shard wave activations this round
 	bndCounts []int    // per-shard sequential activations this round
 
 	// Jacobi state (Memory; the image itself is Engine.csr). A proposal is
@@ -101,28 +94,16 @@ type parExec struct {
 	all    []graph.Pair   // props in shard order: what a single-threaded pass would write
 	merger graph.Merger   // its Added rows are what the next Prepare re-checks
 
-	// atomic state (Pure, LSN): dense indices per shard. boundary holds
-	// the nodes that must run sequentially (cross-shard under the
-	// sequential discipline; the extremal nodes under CloseRing, see
-	// atomicPrepare); cross holds the nodes the wave discipline runs in
-	// parallel.
+	// atomic state (Pure, LSN): dense indices per shard, split by
+	// atomicPrepare into the nodes Execute runs and the cross-shard nodes
+	// Finish runs
 	interior [][]int
 	boundary [][]int
-	cross    [][]int
 
 	// daemon state (RandomSequential): the seeded source and the
 	// activation order it permutes each round
 	rng   *rand.Rand
 	order []int
-
-	// wave state (see runWaves)
-	pending     []int32
-	rest        []int32
-	picks       []int32
-	pickChanged []bool
-	waveSinks   []opSink
-	mark        []int32
-	markGen     int32
 }
 
 // Run drives the engine to the goal or the round bound and returns stats.
@@ -198,13 +179,6 @@ func (e *Engine) Run() Stats {
 		rr.Prepare = p.atomicPrepare
 		rr.Execute = p.atomicExecute
 		rr.Finish = p.atomicFinish
-		if part.Boundary() == sim.BoundaryWaves {
-			p.waves = true
-			p.cross = make([][]int, shardCount)
-			p.wvCounts = make([]int, shardCount)
-			p.mark = make([]int32, n)
-			rr.Waves = p.runWaves
-		}
 	}
 	e.closeRing() // an input whose line is in place needs no round
 	res := rr.Run()
@@ -214,8 +188,7 @@ func (e *Engine) Run() Stats {
 		Workers:             res.Workers,
 		Shards:              res.Shards,
 		Policy:              p.policy,
-		InteriorActivations: int64(res.ParallelActivations - res.WaveActivations),
-		WaveActivations:     int64(res.WaveActivations),
+		InteriorActivations: int64(res.ParallelActivations),
 		BoundaryActivations: int64(res.Activations - res.ParallelActivations),
 	}
 	return e.Stats()
@@ -233,10 +206,7 @@ func (p *parExec) footprint(i int) sim.Footprint {
 }
 
 // onPartition installs a (re)computed shard layout.
-func (p *parExec) onPartition(shards []sim.Shard) {
-	p.shards = shards
-	p.multi = len(shards) > 1
-}
+func (p *parExec) onPartition(shards []sim.Shard) { p.shards = shards }
 
 // beginRound stamps the round index and emits the round-start event.
 func (p *parExec) beginRound(round int) {
@@ -267,9 +237,6 @@ func (p *parExec) endRound(round int) {
 			p.emitShardRound("propose", p.intCounts)
 		} else {
 			p.emitShardRound("interior", p.intCounts)
-			if p.waves {
-				p.emitShardRound("wave", p.wvCounts)
-			}
 			p.emitShardRound("boundary", p.bndCounts)
 		}
 		// One policy label per round: Kind "policy" (not a shard index)
@@ -288,9 +255,6 @@ func (p *parExec) endRound(round int) {
 	}
 	for i := range p.intCounts {
 		p.intCounts[i], p.bndCounts[i] = 0, 0
-	}
-	for i := range p.wvCounts {
-		p.wvCounts[i] = 0
 	}
 }
 
@@ -408,41 +372,21 @@ func (p *parExec) jacobiFinish(round int) int {
 
 // atomicPrepare classifies the shard's nodes by footprint: a node whose row
 // starts and ends inside the shard is interior and runs concurrently in
-// Execute; the rest go to the policy's boundary path — the sequential Finish
-// pass, or the wave scheduler when the policy opted into BoundaryWaves.
-// Under CloseRing with several shards the extremal nodes are always
-// sequential-boundary. Nothing needs that (ring closure is no node's step):
-// it pins the activation order and with it every committed count — without
-// it LSN on 40 power-law inputs (n = 4000) moves −26 … +15 % in edge
-// operations per input at a neutral mean, 694 → 693 rounds in all — so it
-// goes when ROADMAP item 3 re-baselines. Read-only; activations are counted
-// by the later phases.
+// Execute; the rest run in the sequential Finish pass. Read-only;
+// activations are counted by the later phases.
 func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 	e := p.e
 	inner := p.interior[s.Index][:0]
 	outer := p.boundary[s.Index][:0]
-	var crossing []int
-	if p.waves {
-		crossing = p.cross[s.Index][:0]
-	}
 	for i := s.Lo; i < s.Hi; i++ {
-		if p.multi && e.ring && (i == 0 || i == len(e.nodes)-1) {
-			outer = append(outer, i)
-			continue
-		}
 		if r := e.rows[i]; len(r) == 0 || (int(r[0]) >= s.Lo && int(r[len(r)-1]) < s.Hi) {
 			inner = append(inner, i)
-		} else if p.waves {
-			crossing = append(crossing, i)
 		} else {
 			outer = append(outer, i)
 		}
 	}
 	p.interior[s.Index] = inner
 	p.boundary[s.Index] = outer
-	if p.waves {
-		p.cross[s.Index] = crossing
-	}
 	return 0
 }
 
@@ -488,10 +432,7 @@ func (p *parExec) daemonExecute(_ int, s sim.Shard) int {
 
 // atomicFinish merges the shard sinks in shard order (deterministic stats
 // and trace stream for any worker count), then runs the boundary nodes
-// sequentially in global identifier order. Under the wave discipline the
-// shard sinks were already flushed at the top of the wave phase, so the
-// flush loop is a no-op and only the forced-boundary extremal nodes remain.
-// Then the ring may close.
+// sequentially in global identifier order. Then the ring may close.
 func (p *parExec) atomicFinish(_ int) int {
 	e := p.e
 	for i := range p.sinks {
@@ -510,100 +451,4 @@ func (p *parExec) atomicFinish(_ int) int {
 	}
 	e.closeRing()
 	return act
-}
-
-// runWaves executes the round's cross-shard nodes in deterministic
-// conflict-free waves — the BoundaryWaves discipline. Each wave makes one
-// greedy pass over the pending nodes in ascending identifier order and
-// picks every node whose touch set — N(v) ∪ {v}, exactly the rows its
-// atomic step reads and writes — is disjoint from the touch sets
-// already picked this wave (a greedy maximal independent set in the
-// conflict graph). The picks then execute concurrently over the worker
-// pool: disjoint touch sets mean disjoint memory footprints, so the
-// executions are race-free and their combined effect equals any serial
-// order. Per-pick side effects are buffered and flushed in pick order
-// after the wave's barrier. The pick schedule depends only on graph state
-// and identifier order — never on the pool width — so the result and the
-// trace stream remain byte-identical for every worker count; Workers=1
-// simply executes the same picks serially. The first pending node of a
-// wave is always picked, so every wave makes progress and the loop
-// terminates.
-func (p *parExec) runWaves(_ int, pf sim.ParallelFor) int {
-	e := p.e
-	// Flush the interior shard sinks first so the trace keeps its
-	// interior-then-boundary order within the round.
-	for i := range p.sinks {
-		p.sinks[i].flush()
-	}
-	// The per-shard cross lists are ascending and the shards are ordered,
-	// so their concatenation is the global identifier order.
-	pending := p.pending[:0]
-	for si := range p.cross {
-		for _, i := range p.cross[si] {
-			pending = append(pending, int32(i))
-		}
-	}
-	total := 0
-	gen := p.markGen
-	for len(pending) > 0 {
-		gen++
-		picks := p.picks[:0]
-		rest := p.rest[:0]
-		for _, i := range pending {
-			if p.tryPick(int(i), gen) {
-				picks = append(picks, i)
-			} else {
-				rest = append(rest, i)
-			}
-		}
-		for len(p.waveSinks) < len(picks) {
-			p.waveSinks = append(p.waveSinks, opSink{e: e})
-		}
-		if cap(p.pickChanged) < len(picks) {
-			p.pickChanged = make([]bool, len(picks))
-		}
-		changed := p.pickChanged[:len(picks)]
-		pf(len(picks), func(k int) {
-			changed[k] = e.stepInPlace(picks[k], &p.waveSinks[k])
-		})
-		for k := range picks {
-			p.waveSinks[k].flush()
-			if changed[k] {
-				total++
-				p.wvCounts[p.shardOf(int(picks[k]))]++
-			}
-		}
-		// Swap the backing arrays so next round's pass reuses both buffers
-		// without aliasing pending.
-		p.picks = picks
-		p.pending, p.rest = rest, pending[:0]
-		pending = rest
-	}
-	p.markGen = gen
-	return total
-}
-
-// tryPick checks whether node i's touch set is free this wave and, only if
-// every member is free, marks it taken. The two-pass shape (test, then
-// mark) guarantees a rejected candidate leaves no marks behind.
-func (p *parExec) tryPick(i int, gen int32) bool {
-	if p.mark[i] == gen {
-		return false
-	}
-	row := p.e.rows[i]
-	for _, j := range row {
-		if p.mark[j] == gen {
-			return false
-		}
-	}
-	p.mark[i] = gen
-	for _, j := range row {
-		p.mark[j] = gen
-	}
-	return true
-}
-
-// shardOf returns the index of the shard containing dense index i.
-func (p *parExec) shardOf(i int) int {
-	return sort.Search(len(p.shards), func(s int) bool { return p.shards[s].Hi > i })
 }

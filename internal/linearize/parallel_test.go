@@ -604,7 +604,7 @@ func TestParallelSequentialDaemonFallsBack(t *testing.T) {
 	if !fg.Equal(rGraph) {
 		t.Fatal("sequential daemon result changed under Executor")
 	}
-	if st.Par.Shards != 1 || st.Par.Workers != 1 || st.Par.BoundaryActivations+st.Par.WaveActivations != 0 {
+	if st.Par.Shards != 1 || st.Par.Workers != 1 || st.Par.BoundaryActivations != 0 {
 		t.Fatalf("sequential daemon must run as one shard: %+v", st.Par)
 	}
 	sameStats(t, "daemon", st, rStats)

@@ -104,31 +104,6 @@ func TestContiguousIsTheDefault(t *testing.T) {
 	}
 }
 
-// TestWavesMoveBoundaryWork: on an LSN run the locality policy must actually
-// shift cross-shard activations from the sequential Finish phase onto the
-// parallel waves — the whole point of the policy — while the contiguous
-// baseline keeps them sequential.
-func TestWavesMoveBoundaryWork(t *testing.T) {
-	g := randomConnected(600, 3)
-	run := func(policy string) Stats {
-		st, _, _ := runOnce(g, Config{Variant: LSN, Scheduler: sim.Synchronous, CloseRing: true,
-			Executor: sim.ExecutorConfig{Workers: 4, Shards: 8, Partition: policy}})
-		return st
-	}
-	cont, loc := run("contiguous"), run("locality")
-	if cont.Par.WaveActivations != 0 {
-		t.Fatalf("contiguous must not run waves, got %d", cont.Par.WaveActivations)
-	}
-	if loc.Par.WaveActivations == 0 {
-		t.Fatal("locality ran no wave activations on an LSN workload")
-	}
-	contSeq := cont.Par.BoundaryActivations
-	locSeq := loc.Par.BoundaryActivations
-	if locSeq >= contSeq {
-		t.Fatalf("locality sequential boundary work (%d) not below contiguous (%d)", locSeq, contSeq)
-	}
-}
-
 // TestUnknownPolicyPanics: Run must fail loudly on a policy name the
 // registry does not know — a misspelled flag must not silently fall back.
 func TestUnknownPolicyPanics(t *testing.T) {
@@ -143,7 +118,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 }
 
 // TestActivationSplitPinned pins the round count, the convergence flag and
-// the interior/wave/boundary activation split of every variant under the
+// the interior/boundary activation split of every variant under the
 // contiguous and the locality policy, on one n=10 000 regular graph (seed
 // 1, 6 rounds, 2 workers, the default 19 shards). These counts are pure
 // functions of the schedule, so they hold on any machine; a change that
@@ -155,16 +130,16 @@ func TestActivationSplitPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		policy                   string
-		variant                  Variant
-		interior, wave, boundary int64
+		policy             string
+		variant            Variant
+		interior, boundary int64
 	}{
-		{"contiguous", Pure, 971, 0, 16312},
-		{"contiguous", Memory, 58733, 0, 0},
-		{"contiguous", LSN, 663, 0, 58547},
-		{"locality", Pure, 18720, 19854, 2},
-		{"locality", Memory, 58733, 0, 0},
-		{"locality", LSN, 1282, 58133, 12},
+		{"contiguous", Pure, 971, 16312},
+		{"contiguous", Memory, 58733, 0},
+		{"contiguous", LSN, 663, 58547},
+		{"locality", Pure, 885, 16418},
+		{"locality", Memory, 58733, 0},
+		{"locality", LSN, 1033, 58158},
 	} {
 		st, _ := Run(g, Config{Variant: tc.variant, Scheduler: sim.Synchronous, MaxRounds: 6, CloseRing: true,
 			Executor: sim.ExecutorConfig{Workers: 2, Partition: tc.policy}})
@@ -175,9 +150,9 @@ func TestActivationSplitPinned(t *testing.T) {
 		if p.Workers != 2 || p.Shards != 19 || p.Policy != tc.policy {
 			t.Errorf("%s: executor ran workers=%d shards=%d policy=%q", label, p.Workers, p.Shards, p.Policy)
 		}
-		if p.InteriorActivations != tc.interior || p.WaveActivations != tc.wave || p.BoundaryActivations != tc.boundary {
-			t.Errorf("%s: interior/wave/boundary = %d/%d/%d, want %d/%d/%d", label,
-				p.InteriorActivations, p.WaveActivations, p.BoundaryActivations, tc.interior, tc.wave, tc.boundary)
+		if p.InteriorActivations != tc.interior || p.BoundaryActivations != tc.boundary {
+			t.Errorf("%s: interior/boundary = %d/%d, want %d/%d", label,
+				p.InteriorActivations, p.BoundaryActivations, tc.interior, tc.boundary)
 		}
 	}
 }

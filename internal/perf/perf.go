@@ -65,8 +65,8 @@ func (p *Profiler) RoundStart(round int) {
 }
 
 // PhaseTime records one phase's wall time as a "phase/<name>" span.
-// The runner's phase names are begin, prepare, execute, waves, finish,
-// end; prepare, execute and waves are the parallel share (see
+// The runner's phase names are begin, prepare, execute, finish, end;
+// prepare and execute are the parallel share (see
 // PerfReport.SeqShare).
 func (p *Profiler) PhaseTime(round int, phase string, d time.Duration) {
 	if p == nil {

@@ -5,9 +5,9 @@ package sim
 // interval shards, LSN's shortcut edges span intervals and push almost
 // every activation onto the sequential boundary path (153,741 boundary vs
 // 5,159 interior at n=10k). Shard assignment is therefore a first-class
-// policy now: a Partitioner turns per-node footprints into a shard layout,
-// and declares how the executor must treat the nodes whose footprints
-// still cross shards.
+// policy now: a Partitioner turns per-node footprints into a shard layout.
+// The nodes whose footprints still cross shards run in the executor's
+// sequential Finish pass under every policy.
 //
 // Determinism contract for every policy: Assign must be a pure function
 // of (n, shards, footprint) — no wall-clock, no randomness, no feedback
@@ -48,23 +48,6 @@ type Footprint struct {
 // hot path.
 type FootprintFn func(i int) Footprint
 
-// BoundaryDiscipline selects how the executor runs the nodes whose
-// footprints cross shard boundaries.
-type BoundaryDiscipline int
-
-const (
-	// BoundarySequential runs cross-shard nodes in the sequential Finish
-	// phase, in global identifier order — the conservative baseline.
-	BoundarySequential BoundaryDiscipline = iota
-	// BoundaryWaves runs cross-shard nodes in deterministic conflict-free
-	// waves on the worker pool: each wave greedily picks, in identifier
-	// order, nodes whose touch sets (N(v) ∪ {v}) are pairwise disjoint,
-	// executes the picks in parallel, and repeats until none remain. The
-	// pick schedule is independent of the worker count, so determinism is
-	// preserved while the boundary work moves off the sequential path.
-	BoundaryWaves
-)
-
 // Partitioner is a shard-assignment policy. Implementations must be
 // stateless between Assign calls or derive any state deterministically
 // from their inputs.
@@ -75,12 +58,10 @@ type Partitioner interface {
 	// ordered, exactly-covering shards. footprint may be consulted per
 	// node; it is never nil.
 	Assign(n, shards int, footprint FootprintFn) []Shard
-	// Boundary declares the executor's treatment of cross-shard nodes.
-	Boundary() BoundaryDiscipline
 	// Refresh reports whether the partition should be recomputed before
 	// the given round. crossShare is the previous round's fraction of
 	// state-changing activations that fell outside the shard-interior
-	// fast path (waves plus sequential fallback); it is deterministic, so
+	// fast path (the sequential fallback); it is deterministic, so
 	// refresh decisions are too. Round 0 always assigns regardless.
 	Refresh(round int, crossShare float64) bool
 }
@@ -144,7 +125,7 @@ func PartitionPolicies() []string {
 }
 
 // contiguousPartitioner is the default policy: near-equal index intervals,
-// never recomputed, sequential boundary fallback. It is the determinism
+// never recomputed. It is the determinism
 // baseline the equivalence tests pin.
 type contiguousPartitioner struct{}
 
@@ -152,8 +133,7 @@ func (contiguousPartitioner) Name() string { return "contiguous" }
 func (contiguousPartitioner) Assign(n, shards int, _ FootprintFn) []Shard {
 	return Partition(n, shards)
 }
-func (contiguousPartitioner) Boundary() BoundaryDiscipline { return BoundarySequential }
-func (contiguousPartitioner) Refresh(int, float64) bool    { return false }
+func (contiguousPartitioner) Refresh(int, float64) bool { return false }
 
 // degreeBalancedPartitioner keeps the identity order but places the
 // interval boundaries so estimated per-shard work (the footprint weights —
@@ -182,18 +162,14 @@ func (degreeBalancedPartitioner) Assign(n, shards int, footprint FootprintFn) []
 	})
 }
 
-func (degreeBalancedPartitioner) Boundary() BoundaryDiscipline { return BoundarySequential }
 func (degreeBalancedPartitioner) Refresh(round int, _ float64) bool {
 	return round%8 == 0
 }
 
 // localityPartitioner grows weight-balanced intervals whose cut points
-// cross as few node footprints as possible, and opts into the wave
-// discipline for the nodes that still cross — the combination that breaks
-// the boundary-work ceiling for LSN, whose shortcut edges make any
-// balanced cut cross many footprints. The layout is recomputed whenever
-// the cross-shard activation share of the previous round drifts above a
-// threshold, tracking the graph as linearization reshapes it.
+// cross as few node footprints as possible. The layout is recomputed
+// whenever the cross-shard activation share of the previous round drifts
+// above a threshold, tracking the graph as linearization reshapes it.
 type localityPartitioner struct{}
 
 func (localityPartitioner) Name() string { return "locality" }
@@ -263,7 +239,6 @@ func (localityPartitioner) Assign(n, shards int, footprint FootprintFn) []Shard 
 	})
 }
 
-func (localityPartitioner) Boundary() BoundaryDiscipline { return BoundaryWaves }
 func (localityPartitioner) Refresh(_ int, crossShare float64) bool {
 	return crossShare > 0.25
 }

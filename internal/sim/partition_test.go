@@ -98,9 +98,6 @@ func TestContiguousMatchesPartition(t *testing.T) {
 	if p.Refresh(5, 0.99) {
 		t.Fatal("contiguous must never refresh")
 	}
-	if p.Boundary() != BoundarySequential {
-		t.Fatal("contiguous must use the sequential boundary")
-	}
 }
 
 // TestDegreeBalancedEqualizesWeight: with weights heavily skewed to one end,
@@ -155,9 +152,6 @@ func TestLocalityAvoidsCrossings(t *testing.T) {
 	cut := shards[0].Hi
 	if cut > 500 && cut < 524 {
 		t.Fatalf("locality cut %d lands inside the hot span [500,524)", cut)
-	}
-	if p.Boundary() != BoundaryWaves {
-		t.Fatal("locality must use the wave boundary discipline")
 	}
 	if p.Refresh(3, 0.1) || !p.Refresh(3, 0.3) {
 		t.Fatal("locality must refresh exactly when crossShare > 0.25")

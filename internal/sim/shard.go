@@ -43,8 +43,8 @@ type ShardProfiler interface {
 	// RoundStart opens a round, before BeginRound.
 	RoundStart(round int)
 	// PhaseTime reports one phase's wall time. Phases are "begin",
-	// "prepare", "execute" (the parallel pair), "waves" (when the runner
-	// has a Waves hook), "finish" and "end"; absent hooks report nothing.
+	// "prepare", "execute" (the parallel pair), "finish" and "end"; absent
+	// hooks report nothing.
 	PhaseTime(round int, phase string, d time.Duration)
 	// ShardTime reports one shard's busy time inside a parallel phase.
 	ShardTime(round int, phase string, shard int, d time.Duration)
@@ -63,15 +63,15 @@ type Shard struct {
 // Len returns the number of nodes in the shard.
 func (s Shard) Len() int { return s.Hi - s.Lo }
 
-// ParallelFor runs fn for every index in [0, tasks) over the runner's
+// parallelFor runs fn for every index in [0, tasks) over the runner's
 // worker pool. fn invocations may run concurrently; the caller is
-// responsible for making them race-free (e.g. conflict-free wave picks).
-type ParallelFor func(tasks int, fn func(i int))
+// responsible for making them race-free.
+type parallelFor func(tasks int, fn func(i int))
 
-// makeParallelFor builds a ParallelFor over a work-stealing pool of the
-// given width, clamped per call to the task count. Both the per-shard
-// phases and the Waves hook fan out through it.
-func makeParallelFor(workers int) ParallelFor {
+// makeParallelFor builds a parallelFor over a work-stealing pool of the
+// given width, clamped per call to the task count. The per-shard phases fan
+// out through it.
+func makeParallelFor(workers int) parallelFor {
 	return func(tasks int, fn func(i int)) {
 		if tasks <= 0 {
 			return
@@ -144,12 +144,6 @@ type ShardedRunner struct {
 	// Execute runs once per shard per round, in parallel; writes must stay
 	// within the shard's identifier interval. Returns activations.
 	Execute func(round int, s Shard) int
-	// Waves, when non-nil, runs between Execute and Finish on the control
-	// goroutine and may use pf to fan conflict-free work over the pool
-	// (the BoundaryWaves discipline). Returns activations, counted as
-	// parallel work. The hook must keep its pick schedule independent of
-	// the pool width.
-	Waves func(round int, pf ParallelFor) int
 	// Finish runs sequentially after the parallel phases (ordered merge /
 	// boundary fallback). Returns activations.
 	Finish func(round int) int
@@ -169,10 +163,7 @@ type ShardResult struct {
 	// parallel phases; Activations minus this is the sequential share
 	// (Jacobi merges and atomic boundary fallbacks).
 	ParallelActivations int
-	// WaveActivations is the subset of ParallelActivations performed by
-	// the Waves hook (cross-shard work executed in conflict-free waves).
-	WaveActivations int
-	Workers, Shards int
+	Workers, Shards     int
 }
 
 // Run drives the protocol until Done or MaxRounds.
@@ -247,7 +238,7 @@ func (rr *ShardedRunner) Run() ShardResult {
 		if rr.BeginRound != nil {
 			timeSeq(round, "begin", func() { rr.BeginRound(round) })
 		}
-		roundPar, roundWave, roundSeq := 0, 0, 0
+		roundPar, roundSeq := 0, 0
 		for _, ph := range []struct {
 			name string
 			fn   func(int, Shard) int
@@ -281,17 +272,13 @@ func (rr *ShardedRunner) Run() ShardResult {
 				roundPar += c
 			}
 		}
-		if rr.Waves != nil {
-			timeSeq(round, "waves", func() { roundWave = rr.Waves(round, pool) })
-		}
 		if rr.Finish != nil {
 			timeSeq(round, "finish", func() { roundSeq = rr.Finish(round) })
 		}
-		res.Activations += roundPar + roundWave + roundSeq
-		res.ParallelActivations += roundPar + roundWave
-		res.WaveActivations += roundWave
-		if total := roundPar + roundWave + roundSeq; total > 0 {
-			crossShare = float64(roundWave+roundSeq) / float64(total)
+		res.Activations += roundPar + roundSeq
+		res.ParallelActivations += roundPar
+		if total := roundPar + roundSeq; total > 0 {
+			crossShare = float64(roundSeq) / float64(total)
 		} else {
 			crossShare = 0
 		}

@@ -158,7 +158,7 @@ func TestShardedRunnerMaxRounds(t *testing.T) {
 }
 
 // TestShardedRunnerHookOrder pins the order of a round's hooks, every round:
-// BeginRound, Prepare, Execute, Waves, Finish, EndRound.
+// BeginRound, Prepare, Execute, Finish, EndRound.
 func TestShardedRunnerHookOrder(t *testing.T) {
 	var calls []string
 	note := func(name string, round int) int {
@@ -174,12 +174,11 @@ func TestShardedRunnerHookOrder(t *testing.T) {
 		BeginRound:  func(r int) { note("begin", r) },
 		Prepare:     func(r int, _ Shard) int { return note("prepare", r) },
 		Execute:     func(r int, _ Shard) int { return note("execute", r) },
-		Waves:       func(r int, _ ParallelFor) int { return note("waves", r) },
 		Finish:      func(r int) int { return note("finish", r) },
 		EndRound:    func(r int) { note("end", r) },
 	}
 	rr.Run()
-	want := "begin:0 prepare:0 execute:0 waves:0 finish:0 end:0 begin:1 prepare:1 execute:1 waves:1 finish:1 end:1"
+	want := "begin:0 prepare:0 execute:0 finish:0 end:0 begin:1 prepare:1 execute:1 finish:1 end:1"
 	if got := strings.Join(calls, " "); got != want {
 		t.Fatalf("hook order:\n got %s\nwant %s", got, want)
 	}

@@ -542,12 +542,10 @@ type PerfReport struct {
 func (p PerfReport) Empty() bool { return len(p.Spans) == 0 && len(p.Shards) == 0 }
 
 // parallelSpan reports whether a phase span names work done inside the
-// parallel phases of the sharded executor — including the conflict-free
-// boundary waves, which execute their picks through the worker pool
-// (everything else — begin, finish, end, snapshot rebuilds — is the
-// sequential share).
+// parallel phases of the sharded executor (everything else — begin,
+// finish, end, snapshot rebuilds — is the sequential share).
 func parallelSpan(name string) bool {
-	return name == "phase/prepare" || name == "phase/execute" || name == "phase/waves"
+	return name == "phase/prepare" || name == "phase/execute"
 }
 
 // SeqNs returns the wall time spent in the sequential share of the rounds.
