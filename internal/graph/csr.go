@@ -12,9 +12,9 @@ package graph
 // A CSR is immutable after construction and therefore safe for concurrent
 // readers without locking — what the parallel proposal phase relies on.
 // Its mutable sibling is the same rows as one []int32 per node (DenseRows,
-// and FreezeRows back), the state of linearize's in-place step. A Graph
-// goes in (NewCSR, DenseRows) and a Graph comes out (CSR.Graph); nothing in
-// between translates an identifier.
+// and FreezeRows back), the state of linearize's in-place step. A Graph or
+// a generator's edge list goes in (NewCSR, DenseRows, build) and a Graph
+// comes out (CSR.Graph); nothing in between translates an identifier.
 
 import (
 	"slices"
@@ -66,6 +66,64 @@ func DenseRows(g *Graph) ([]ids.ID, [][]int32) {
 		rows[i] = c.nbr[c.row[i]:c.row[i+1]:c.row[i+1]]
 	}
 	return c.nodes, rows
+}
+
+// build is the image of the graph over nodes whose edges join nodes[ends[2k]]
+// and nodes[ends[2k+1]] for every k, self-loops and repeats collapsing as
+// under AddEdge; it takes ends over and overwrites them. It ranks the
+// nodes once and sorts no row: a counting sort puts the arcs into per-node
+// buckets, and one transpose pass over the buckets in ascending order
+// writes every row ascending, a repeat as its row's last element.
+func build(nodes []ids.ID, ends []int32) *CSR {
+	sorted := slices.Clone(nodes)
+	ids.SortAsc(sorted)
+	c := &CSR{nodes: slices.Compact(sorted)}
+	rank := make([]int32, len(nodes))
+	for p, v := range nodes {
+		i, _ := slices.BinarySearch(c.nodes, v)
+		rank[p] = int32(i)
+	}
+	ends = ends[:len(ends)&^1]
+	for k, p := range ends {
+		ends[k] = rank[p]
+	}
+	n := len(c.nodes)
+	off := make([]int32, n+1)
+	for k := 0; k < len(ends); k += 2 {
+		if a, b := ends[k], ends[k+1]; a != b {
+			off[a+1]++
+			off[b+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	fill := slices.Clone(off[:n]) // where v's bucket, then v's row, takes its next element
+	arcs := make([]int32, off[n])
+	for k := 0; k < len(ends); k += 2 {
+		if a, b := ends[k], ends[k+1]; a != b {
+			arcs[fill[a]], arcs[fill[b]] = b, a
+			fill[a]++
+			fill[b]++
+		}
+	}
+	c.nbr = ends[:off[n]] // ends is spent: its array takes the rows
+	copy(fill, off)
+	for u := int32(0); u < int32(n); u++ {
+		for _, v := range arcs[off[u]:off[u+1]] {
+			if f := fill[v]; f == off[v] || c.nbr[f-1] != u {
+				c.nbr[f] = u
+				fill[v]++
+			}
+		}
+	}
+	// Close the gaps the repeats left, moving each row left into place.
+	c.row = make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		c.row[v+1] = c.row[v] + int32(copy(c.nbr[c.row[v]:], c.nbr[off[v]:fill[v]]))
+	}
+	c.nbr = c.nbr[:c.row[n]]
+	return c
 }
 
 // FreezeRows is the image of the graph whose node i is nodes[i] with the

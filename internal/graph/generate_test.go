@@ -38,8 +38,8 @@ var pinnedSeeds = []int64{1, 2, 3}
 // pinnedGraphs holds generatedDigest per topology and n, computed with the
 // generators as they stood when the topology was pinned: n = 0, 1, 2, 3,
 // 10, 64, 500, 2000, and 4000 for powerlaw and regular, less the grid sizes
-// where Generate used to panic. Barabasi is not pinned: its graphs hang on
-// map iteration order.
+// where Generate used to panic. Barabasi's graphs used to hang on map
+// iteration order: it is pinned as it stood once it kept its draw order.
 var pinnedGraphs = []struct {
 	topo   Topology
 	n      int
@@ -100,6 +100,14 @@ var pinnedGraphs = []struct {
 	{TopoPowerLaw, 500, "1902fb5da9fd69de"},
 	{TopoPowerLaw, 2000, "872bb638cd7ec416"},
 	{TopoPowerLaw, 4000, "63b1cb44add03e9f"},
+	{TopoBarabasi, 0, "17b0761f87b081d5"},
+	{TopoBarabasi, 1, "334658f1779808c7"},
+	{TopoBarabasi, 2, "d9d6fb328d8cf1fa"},
+	{TopoBarabasi, 3, "9b9d289e367101cb"},
+	{TopoBarabasi, 10, "dc9e0c6bc98e921d"},
+	{TopoBarabasi, 64, "4ef1c97dcf03ff82"},
+	{TopoBarabasi, 500, "17940f7c179ffd5d"},
+	{TopoBarabasi, 2000, "5150e8e997dbbac9"},
 	{TopoUnitDisk, 0, "17b0761f87b081d5"},
 	{TopoUnitDisk, 1, "334658f1779808c7"},
 	{TopoUnitDisk, 2, "d9d6fb328d8cf1fa"},

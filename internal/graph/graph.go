@@ -38,8 +38,8 @@ type Graph struct {
 type row []ids.ID
 
 // insert adds x in order and reports whether it was absent. Appending past
-// the last element — the common case when a generator or a chain walk adds
-// in ascending order — skips the search and the shift.
+// the last element — the common case when a chain walk adds in ascending
+// order — skips the search and the shift.
 func (r *row) insert(x ids.ID) bool {
 	s := *r
 	if n := len(s); n == 0 || s[n-1] < x {
@@ -327,35 +327,48 @@ func (g *Graph) ShortestPath(src, dst ids.ID) []ids.ID {
 
 // Connected reports whether the graph is connected. The empty graph counts
 // as connected.
-func (g *Graph) Connected() bool {
-	if len(g.adj) == 0 {
-		return true
-	}
-	var src ids.ID
-	for v := range g.adj {
-		src = v
-		break
-	}
-	return len(g.BFSFrom(src)) == len(g.adj)
-}
+func (g *Graph) Connected() bool { return len(components(NewCSR(g))) <= 1 }
 
 // Components returns the connected components, each sorted ascending, in
 // deterministic order (by smallest member).
 func (g *Graph) Components() [][]ids.ID {
-	seen := ids.NewSet()
-	var comps [][]ids.ID
-	for _, v := range g.Nodes() {
-		if seen.Has(v) {
+	c := NewCSR(g)
+	var out [][]ids.ID
+	for _, comp := range components(c) {
+		members := make([]ids.ID, len(comp))
+		for k, v := range comp {
+			members[k] = c.nodes[v]
+		}
+		out = append(out, members)
+	}
+	return out
+}
+
+// components is Components over c's dense indices, which keep identifier
+// order. The components share one slab, the breadth-first queue.
+func components(c *CSR) [][]int32 {
+	seen := make([]bool, len(c.nodes))
+	slab := make([]int32, 0, len(c.nodes))
+	var comps [][]int32
+	for v := range c.nodes {
+		if seen[v] {
 			continue
 		}
-		var comp []ids.ID
-		for u := range g.BFSFrom(v) {
-			comp = append(comp, u)
-			seen.Add(u)
+		start := len(slab)
+		seen[v] = true
+		slab = append(slab, int32(v))
+		for k := start; k < len(slab); k++ {
+			for _, u := range c.Row(int(slab[k])) {
+				if !seen[u] {
+					seen[u] = true
+					slab = append(slab, u)
+				}
+			}
 		}
-		ids.SortAsc(comp)
-		// v is the smallest node not yet seen, hence comp's smallest
+		// v is the smallest index not yet seen, hence comp's smallest
 		// member: appending keeps comps ordered by smallest member.
+		comp := slab[start:len(slab):len(slab)]
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -440,10 +453,11 @@ func (g *Graph) SupersetOfLine() bool {
 	return true
 }
 
-// RandomSpanningConnected adds random edges to g (over its current node set)
-// until it is connected, using r for randomness. It is used by generators
-// that can produce disconnected graphs, so experiments always start from the
-// paper's standing assumption of a connected physical network.
+// randomSpanningConnected adds random edges to g, whose image c is, until
+// it is connected, using r for randomness (c is read, not kept up to date).
+// Generators that can produce disconnected graphs end with it, so
+// experiments always start from the paper's standing assumption of a
+// connected physical network.
 //
 // Each step draws three r.Intn values against Components()' order
 // (components by smallest member, members ascending): a member of
@@ -452,19 +466,17 @@ func (g *Graph) SupersetOfLine() bool {
 // graph is part of every seeded experiment, so the draws are fixed; what is
 // free is how the order is kept. Component 0 holds the smallest node and
 // stays first through every merge, and the others keep their relative
-// order, so Components() runs once and two rank trees stand in for
-// re-running it after every edge.
-func (g *Graph) RandomSpanningConnected(r *rand.Rand) {
-	comps := g.Components()
+// order, so the components are found once and two rank trees stand in for
+// finding them again after every edge.
+func (g *Graph) randomSpanningConnected(c *CSR, r *rand.Rand) {
+	comps := components(c)
 	if len(comps) < 2 {
 		return
 	}
-	nodes := g.Nodes()
-	first := newRankTree(len(nodes)) // members of component 0, by position in nodes
-	join := func(comp []ids.ID) {
+	first := newRankTree(len(c.nodes)) // members of component 0, by dense index
+	join := func(comp []int32) {
 		for _, v := range comp {
-			i, _ := slices.BinarySearch(nodes, v)
-			first.add(i, 1)
+			first.add(int(v), 1)
 		}
 	}
 	join(comps[0])
@@ -474,10 +486,10 @@ func (g *Graph) RandomSpanningConnected(r *rand.Rand) {
 		others.add(i, 1)
 	}
 	for left := len(comps) - 1; left > 0; left-- {
-		a := nodes[first.kth(r.Intn(size))]
+		a := c.nodes[first.kth(r.Intn(size))]
 		k := others.kth(r.Intn(left))
 		c2 := comps[1+k]
-		b := c2[r.Intn(len(c2))]
+		b := c.nodes[c2[r.Intn(len(c2))]]
 		g.AddEdge(a, b)
 		join(c2)
 		size += len(c2)

@@ -323,11 +323,42 @@ func TestGenerateAllTopologies(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic: the same seed gives the same graph, five
+// builds in a row, for every topology. Barabasi used to steer its draws by
+// map iteration order and gave a new graph on almost every build.
 func TestGenerateDeterministic(t *testing.T) {
-	g1, _ := Generate(TopoER, 40, RandomIDs, 99)
-	g2, _ := Generate(TopoER, 40, RandomIDs, 99)
-	if !g1.Equal(g2) {
-		t.Error("same seed should give identical graphs")
+	for _, topo := range AllTopologies() {
+		first, _ := Generate(topo, 200, RandomIDs, 7)
+		for i := 0; i < 4; i++ {
+			if g, _ := Generate(topo, 200, RandomIDs, 7); !g.Equal(first) {
+				t.Errorf("%s: build %d differs from the first", topo, i+2)
+				break
+			}
+		}
+	}
+}
+
+// TestGenerateSizes: Generate does not panic for n = 0…64, and the graph
+// has the node count its doc states: n, except grid's largest square ≤ n.
+func TestGenerateSizes(t *testing.T) {
+	for _, topo := range AllTopologies() {
+		for n := 0; n <= 64; n++ {
+			g, err := Generate(topo, n, RandomIDs, int64(n))
+			if err != nil {
+				t.Fatalf("Generate(%s, %d): %v", topo, n, err)
+			}
+			want := n
+			if topo == TopoGrid {
+				side := 0
+				for (side+1)*(side+1) <= n {
+					side++
+				}
+				want = side * side
+			}
+			if g.NumNodes() != want {
+				t.Errorf("Generate(%s, %d) has %d nodes, want %d", topo, n, g.NumNodes(), want)
+			}
+		}
 	}
 }
 
@@ -343,7 +374,7 @@ func TestMakeIDsSequential(t *testing.T) {
 }
 
 func TestRandomSpanningConnectedProperty(t *testing.T) {
-	// Property: for any set of isolated nodes, RandomSpanningConnected
+	// Property: for any set of isolated nodes, randomSpanningConnected
 	// yields a connected graph without touching the node set.
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -357,7 +388,7 @@ func TestRandomSpanningConnectedProperty(t *testing.T) {
 			g.AddNode(ids.ID(x))
 		}
 		n := g.NumNodes()
-		g.RandomSpanningConnected(rand.New(rand.NewSource(3)))
+		g.randomSpanningConnected(NewCSR(g), rand.New(rand.NewSource(3)))
 		return g.Connected() && g.NumNodes() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -365,7 +396,7 @@ func TestRandomSpanningConnectedProperty(t *testing.T) {
 	}
 }
 
-// referenceSpanningConnected is RandomSpanningConnected as first written:
+// referenceSpanningConnected is randomSpanningConnected as first written:
 // recompute Components() after every added edge. Quadratic, and the
 // definition the incremental version must reproduce draw for draw.
 func referenceSpanningConnected(g *Graph, r *rand.Rand) {
@@ -385,7 +416,8 @@ func TestRandomSpanningConnectedMatchesReference(t *testing.T) {
 		"er": func(seed int64) *Graph { return randomTestGraph(60+int(seed%40), 0.012, seed) },
 		"powerlaw": func(seed int64) *Graph {
 			r := rand.New(rand.NewSource(seed))
-			return powerLawPairing(MakeIDs(400+int(seed%200), RandomIDs, r), 2.0, r)
+			nodes := MakeIDs(400+int(seed%200), RandomIDs, r)
+			return build(nodes, powerLawStubs(nodes, 2.0, r)).Graph()
 		},
 	}
 	for name, input := range inputs {
@@ -395,7 +427,7 @@ func TestRandomSpanningConnectedMatchesReference(t *testing.T) {
 				continue
 			}
 			rGot, rWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			got.RandomSpanningConnected(rGot)
+			got.randomSpanningConnected(NewCSR(got), rGot)
 			referenceSpanningConnected(want, rWant)
 			if !got.Equal(want) {
 				t.Fatalf("%s seed %d: graph differs from the reference loop's", name, seed)
@@ -445,7 +477,7 @@ func referenceRandomRegular(nodes []ids.ID, d int, r *rand.Rand) *Graph {
 			break
 		}
 	}
-	g.RandomSpanningConnected(r)
+	g.randomSpanningConnected(NewCSR(g), r)
 	return g
 }
 
