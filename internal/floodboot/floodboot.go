@@ -141,5 +141,5 @@ func NewCluster(net phys.Transport) *Cluster {
 // Consistent reports whether every node's local knowledge yields the
 // globally consistent ring.
 func (c *Cluster) Consistent() bool {
-	return len(c.Nodes) < 2 || node.Successors(c.Nodes).GloballyConsistent(c.IDs())
+	return c.SuccessorRing((*Node).Successor)
 }

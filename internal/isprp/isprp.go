@@ -412,5 +412,5 @@ func NewClusterFrom(net phys.Transport, cfg Config, succ vring.SuccMap) *Cluster
 
 // Consistent reports whether the ring is globally consistent right now.
 func (c *Cluster) Consistent() bool {
-	return len(c.Nodes) < 2 || node.Successors(c.Nodes).GloballyConsistent(c.IDs())
+	return c.SuccessorRing((*Node).Successor)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ids"
-	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/sroute"
@@ -26,10 +25,10 @@ func TestConvergesOnLineTopology(t *testing.T) {
 	c := NewCluster(net, Config{EnableFlood: true})
 	at, ok := c.RunUntilConsistent(20000)
 	if !ok {
-		t.Fatalf("ISPRP did not converge on a line; succ=%v", node.Successors(c.Nodes))
+		t.Fatalf("ISPRP did not converge on a line; succ=%v", succMap(c))
 	}
 	t.Logf("line converged at t=%d, msgs=%d", at, net.Counters().Total())
-	if node.Successors(c.Nodes).Classify() != vring.Consistent {
+	if succMap(c).Classify() != vring.Consistent {
 		t.Error("oracle disagrees with Classify")
 	}
 }
@@ -43,7 +42,7 @@ func TestConvergesOnRandomTopologies(t *testing.T) {
 		net := newNet(t, topo, seed)
 		c := NewCluster(net, Config{EnableFlood: true})
 		if _, ok := c.RunUntilConsistent(60000); !ok {
-			t.Errorf("seed %d: not consistent: %v", seed, node.Successors(c.Nodes).Classify())
+			t.Errorf("seed %d: not consistent: %v", seed, succMap(c).Classify())
 		}
 		c.Stop()
 	}
@@ -110,7 +109,7 @@ func TestLoopyStateStuckWithoutFlood(t *testing.T) {
 	if ok {
 		t.Fatal("loopy state must persist without flooding")
 	}
-	if got := node.Successors(c.Nodes).Classify(); got != vring.Loopy {
+	if got := succMap(c).Classify(); got != vring.Loopy {
 		t.Errorf("state = %v, want still loopy", got)
 	}
 }
@@ -121,7 +120,7 @@ func TestLoopyStateResolvedByFlood(t *testing.T) {
 	_, c := injectLoopy(t, 3, Config{EnableFlood: true})
 	if _, ok := c.RunUntilConsistent(60000); !ok {
 		t.Fatalf("flood failed to resolve loopy state: %v (%v)",
-			node.Successors(c.Nodes).Classify(), node.Successors(c.Nodes))
+			succMap(c).Classify(), succMap(c))
 	}
 }
 
@@ -142,7 +141,7 @@ func TestSeparateRingsMergedByFlood(t *testing.T) {
 	// other's representative and the rings merge.
 	_, c := injectSeparateRings(t, Config{EnableFlood: true})
 	if _, ok := c.RunUntilConsistent(60000); !ok {
-		t.Fatalf("rings not merged: %v (%v)", node.Successors(c.Nodes).Classify(), node.Successors(c.Nodes))
+		t.Fatalf("rings not merged: %v (%v)", succMap(c).Classify(), succMap(c))
 	}
 }
 

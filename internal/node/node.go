@@ -14,7 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sroute"
 	"repro/internal/trace"
-	"repro/internal/vring"
 )
 
 // Protocol is a running bootstrap protocol over a physical network — the
@@ -113,6 +112,42 @@ func (c *Cluster[N]) IDs() []ids.ID {
 	return out
 }
 
+// SuccessorRing is the oracle of the successor-pointer protocols (isprp,
+// floodboot): it reports whether, with the members ascending, member i's
+// successor is member (i+1) mod n — the one sorted ring, decided in one walk
+// over consecutive members as §3 decides it on the line. It builds no
+// successor map; vring.SuccMap.GloballyConsistent is its reference.
+func (c *Cluster[N]) SuccessorRing(succ func(N) (ids.ID, bool)) bool {
+	line := c.IDs()
+	if len(line) < 2 {
+		return true
+	}
+	for i, v := range line {
+		if s, ok := succ(c.Nodes[v]); !ok || s != line[(i+1)%len(line)] {
+			return false
+		}
+	}
+	return true
+}
+
+// KnowsLine is the line clause of the two-sided oracles (vrr, ssr): it
+// reports whether, with the members ascending, member i knows members i−1
+// and i+1 as knows tells, in one walk that builds no graph. lo and hi are
+// the extreme members, for the ring-closure clause (AtExtremes).
+func (c *Cluster[N]) KnowsLine(knows func(n N, u ids.ID) bool) (lo, hi N, ok bool) {
+	line := c.IDs()
+	if len(line) == 0 {
+		return lo, hi, true
+	}
+	for i, v := range line {
+		n := c.Nodes[v]
+		if i > 0 && !knows(n, line[i-1]) || i+1 < len(line) && !knows(n, line[i+1]) {
+			return lo, hi, false
+		}
+	}
+	return c.Nodes[line[0]], c.Nodes[line[len(line)-1]], true
+}
+
 // VirtualGraph returns the current virtual edge set E_v: an undirected edge
 // {v,u} for every virtual neighbor u of every member v.
 func (c *Cluster[N]) VirtualGraph() *graph.Graph {
@@ -158,18 +193,6 @@ func (c *Cluster[N]) Stop() {
 	for _, n := range c.Nodes {
 		n.Stop()
 	}
-}
-
-// Successors snapshots the successor pointers of a successor-pointer
-// protocol's members (isprp, floodboot).
-func Successors[N interface{ Successor() (ids.ID, bool) }](nodes map[ids.ID]N) vring.SuccMap {
-	s := make(vring.SuccMap, len(nodes))
-	for v, n := range nodes {
-		if succ, ok := n.Successor(); ok {
-			s[v] = succ
-		}
-	}
-	return s
 }
 
 // Maintain runs body every interval ticks at node id, first at

@@ -2,6 +2,7 @@ package node
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -128,17 +129,77 @@ func TestRunUntilConsistentPollsTheOracle(t *testing.T) {
 	}
 }
 
-type succMember struct {
-	succ ids.ID
-	has  bool
+// lineCluster is a cluster of fakeMembers 10, 20, …, 10·n whose virtual
+// neighbors nbrs(i) gives for the member of rank i.
+func lineCluster(n int, nbrs func(i int) []ids.ID) *Cluster[*fakeMember] {
+	topo := graph.New()
+	for i := 1; i <= n; i++ {
+		topo.AddNode(ids.ID(10 * i))
+	}
+	c := NewCluster(phys.NewNetwork(sim.NewEngine(1), topo), func() bool { return false },
+		func(v ids.ID) *fakeMember { return &fakeMember{id: v, nbrs: nbrs(int(v)/10 - 1)} },
+		func(ids.ID, *fakeMember) {})
+	return &c
 }
 
-func (m succMember) Successor() (ids.ID, bool) { return m.succ, m.has }
+func TestSuccessorRing(t *testing.T) {
+	first := func(m *fakeMember) (ids.ID, bool) {
+		if len(m.nbrs) == 0 {
+			return 0, false
+		}
+		return m.nbrs[0], true
+	}
+	ring := func(n int) func(int) []ids.ID {
+		return func(i int) []ids.ID { return []ids.ID{ids.ID(10 * ((i+1)%n + 1))} }
+	}
+	lastTo := func(last []ids.ID) func(int) []ids.ID { // a 5-ring whose maximum points at last
+		return func(i int) []ids.ID {
+			if i == 4 {
+				return last
+			}
+			return ring(5)(i)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Cluster[*fakeMember]
+		want bool
+	}{
+		{"empty", lineCluster(0, nil), true},
+		{"one member", lineCluster(1, func(int) []ids.ID { return nil }), true},
+		{"sorted ring", lineCluster(5, ring(5)), true},
+		{"two-node ring", lineCluster(2, ring(2)), true},
+		{"no wrap pair", lineCluster(5, lastTo(nil)), false},
+		{"wrap to a non-member", lineCluster(5, lastTo([]ids.ID{60})), false},
+		{"skips a member", lineCluster(5, func(i int) []ids.ID { return ring(5)(i + i%2) }), false},
+	} {
+		if got := tc.c.SuccessorRing(first); got != tc.want {
+			t.Errorf("%s: SuccessorRing = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
 
-func TestSuccessors(t *testing.T) {
-	got := Successors(map[ids.ID]succMember{1: {2, true}, 2: {1, true}, 3: {}})
-	if len(got) != 2 || got[1] != 2 || got[2] != 1 {
-		t.Errorf("Successors = %v, want the two set pointers only", got)
+func TestKnowsLine(t *testing.T) {
+	knows := func(m *fakeMember, u ids.ID) bool { return slices.Contains(m.nbrs, u) }
+	line := func(i int) []ids.ID { return []ids.ID{ids.ID(10 * i), ids.ID(10 * (i + 2))} }
+	if lo, hi, ok := lineCluster(5, line).KnowsLine(knows); !ok || lo.id != 10 || hi.id != 50 {
+		t.Errorf("two-sided line: KnowsLine = %v, %v, %v; want 10, 50, true", lo, hi, ok)
+	}
+	oneSided := func(i int) []ids.ID { return line(i)[1:] } // right neighbours only
+	if _, _, ok := lineCluster(5, oneSided).KnowsLine(knows); ok {
+		t.Error("one-sided line: KnowsLine holds")
+	}
+	lastBlind := func(i int) []ids.ID {
+		if i == 4 {
+			return nil
+		}
+		return line(i)
+	}
+	if _, _, ok := lineCluster(5, lastBlind).KnowsLine(knows); ok {
+		t.Error("the maximum does not know its predecessor: KnowsLine holds")
+	}
+	if _, _, ok := lineCluster(0, nil).KnowsLine(knows); !ok {
+		t.Error("empty cluster: KnowsLine fails")
 	}
 }
 

@@ -45,23 +45,11 @@ func (c *Cluster) LineReport() vring.LineReport {
 // enabled — the true extremal nodes have acknowledged each other as wrap
 // partners.
 func (c *Cluster) Consistent() bool {
-	if len(c.Nodes) < 2 {
-		return true
+	lo, hi, ok := c.KnowsLine(func(n *Node, u ids.ID) bool { return n.Cache().Route(u) != nil })
+	if !ok || !c.cfg.CloseRing || len(c.Nodes) < 3 {
+		return ok
 	}
-	nodes := c.IDs()
-	for i, v := range nodes {
-		n := c.Nodes[v]
-		if i > 0 && n.Cache().Route(nodes[i-1]) == nil {
-			return false
-		}
-		if i < len(nodes)-1 && n.Cache().Route(nodes[i+1]) == nil {
-			return false
-		}
-	}
-	if !c.cfg.CloseRing || len(c.Nodes) < 3 {
-		return true
-	}
-	return node.AtExtremes(&c.Nodes[nodes[0]].wrap, &c.Nodes[nodes[len(nodes)-1]].wrap)
+	return node.AtExtremes(&lo.wrap, &hi.wrap)
 }
 
 // PendingOps returns the total number of in-flight introduction operations

@@ -794,32 +794,17 @@ func NewCluster(net phys.Transport, cfg Config) *Cluster {
 	return c
 }
 
-// Consistent reports whether the virtual graph embeds the sorted line and,
-// when ring closure is enabled, the extremal nodes have adopted each other
-// as wrap partners.
+// Consistent reports whether every node's vset holds both its line
+// neighbors (two-sided edges: VRR has no reverse-neighbor mechanism, so
+// routing needs each node to know its own) and, with ring closure, the
+// extremal nodes hold each other as wrap partners. Every vset entry is a
+// member, so this implies the virtual graph embeds the sorted line.
 func (c *Cluster) Consistent() bool {
-	if len(c.Nodes) < 2 {
-		return true
+	lo, hi, ok := c.KnowsLine(func(n *Node, u ids.ID) bool { return n.vset.Has(u) })
+	if !ok || !c.cfg.CloseRing || len(c.Nodes) < 3 {
+		return ok
 	}
-	if !c.VirtualGraph().SupersetOfLine() {
-		return false
-	}
-	// VRR has no reverse-neighbor mechanism, so routing correctness needs
-	// every node to know its own line neighbors (two-sided edges), not just
-	// one endpoint of each edge.
-	nodes := c.IDs()
-	for i, v := range nodes {
-		if i > 0 && !c.Nodes[v].vset.Has(nodes[i-1]) {
-			return false
-		}
-		if i < len(nodes)-1 && !c.Nodes[v].vset.Has(nodes[i+1]) {
-			return false
-		}
-	}
-	if !c.cfg.CloseRing || len(c.Nodes) < 3 {
-		return true
-	}
-	return node.AtExtremes(&c.Nodes[nodes[0]].wrap, &c.Nodes[nodes[len(nodes)-1]].wrap)
+	return node.AtExtremes(&lo.wrap, &hi.wrap)
 }
 
 // StateSummary returns the per-node path-table sizes — the router-state

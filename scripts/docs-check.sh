@@ -9,7 +9,11 @@
 # indices, and go vet does not flag it where u is only compared. And fails
 # when a non-test Go file outside internal/ids calls IntervalIndex(: ids.Slot
 # is the one LSN slot rule, which the round model and SSR's route cache both
-# use, so the rule cannot grow a second copy. Run from the repo root.
+# use, so the rule cannot grow a second copy. And fails when a non-test Go
+# file outside internal/vring calls GloballyConsistent(: the protocols'
+# oracles are one in-place walk over the sorted line (internal/node), and
+# the SuccMap checker, which rebuilds maps on every call, is their test
+# reference, not a path a poll may take. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -29,6 +33,10 @@ if grep -rn --include='*.go' 'for [A-Za-z_][A-Za-z0-9_]* := range .*\.Neighbors(
 fi
 if grep -rn --include='*.go' --exclude='*_test.go' 'IntervalIndex(' . | grep -v '^\./internal/ids/'; then
 	echo "docs-check: only internal/ids may call IntervalIndex; take an LSN slot from ids.Slot"
+	fail=1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'GloballyConsistent(' . | grep -v '^\./internal/vring/'; then
+	echo "docs-check: only internal/vring may call GloballyConsistent; poll an oracle through node.Cluster's line walk"
 	fail=1
 fi
 exit $fail
