@@ -21,16 +21,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/exp"
 )
 
-// ctx is what a mode's run func sees: the shared flags plus ssrsim's own.
+// ctx is what a mode's run func sees: the flags, their Harness, the writers.
 type ctx struct {
 	*exp.CLI
-	set map[string]bool // flags given on the command line
+	h              exp.Harness
+	stdout, stderr io.Writer
+	set            map[string]bool // flags given on the command line
 
 	pairs, kill, probeEvery, fig *int
 	proto, out                   *string
@@ -64,14 +67,14 @@ var errCriteria = errors.New("criteria NOT met")
 // one adapts an experiment that cannot fail; sweep one that runs over the
 // -sizes list.
 func one(f func(*ctx) exp.Report) func(*ctx) error {
-	return func(c *ctx) error { c.Emit(f(c)); return nil }
+	return func(c *ctx) error { c.Emit(c.stdout, f(c)); return nil }
 }
 
 func sweep(f func(c *ctx, sizes []int) exp.Report) func(*ctx) error {
 	return func(c *ctx) error {
 		sizes, err := c.SizeList()
 		if err == nil {
-			c.Emit(f(c, sizes))
+			c.Emit(c.stdout, f(c, sizes))
 		}
 		return err
 	}
@@ -90,8 +93,8 @@ func bench(c *ctx, defaultOut string, rep exp.Report, res any, met bool, err err
 	if err := exp.WriteBenchJSON(path, res); err != nil {
 		return err
 	}
-	c.Emit(rep)
-	fmt.Fprintf(os.Stderr, "ssrsim: wrote %s\n", path)
+	c.Emit(c.stdout, rep)
+	fmt.Fprintf(c.stderr, "ssrsim: wrote %s\n", path)
 	if !met {
 		return errCriteria
 	}
@@ -101,62 +104,62 @@ func bench(c *ctx, defaultOut string, rep exp.Report, res any, met bool, err err
 var modes = []mode{
 	{"figures", "E1-E3", "the paper's Figs. 1-3 as executable scenarios (-fig 1|2|3, 0 = all)", msgModel, figures},
 	{"powerlaw", "E4", "LSN on α=2 power-law graphs: rounds vs the paper's bound", roundModel,
-		sweep(func(c *ctx, sizes []int) exp.Report { return exp.PowerLawConvergence(sizes, *c.Seeds) })},
+		sweep(func(c *ctx, sizes []int) exp.Report { return c.h.PowerLawConvergence(sizes, *c.Seeds) })},
 	{"shape", "E5", "convergence shape and growth exponent per variant", roundModel,
-		sweep(func(c *ctx, sizes []int) exp.Report { return exp.ConvergenceShape(sizes, c.Topology(), *c.Seeds) })},
+		sweep(func(c *ctx, sizes []int) exp.Report { return c.h.ConvergenceShape(sizes, c.Topology(), *c.Seeds) })},
 	{"state", "E8", "per-node state: memory vs LSN", roundModel,
-		sweep(func(c *ctx, sizes []int) exp.Report { return exp.StateSize(sizes, *c.Seeds) })},
+		sweep(func(c *ctx, sizes []int) exp.Report { return c.h.StateSize(sizes, *c.Seeds) })},
 	{"stabilize", "E9", "recovery after perturbation", roundModel,
-		one(func(c *ctx) exp.Report { return exp.SelfStabilization(*c.N, 4, *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.SelfStabilization(*c.N, 4, *c.Seeds) })},
 	{"scheduler", "A1", "synchronous vs random-sequential daemon", roundModel,
-		one(func(c *ctx) exp.Report { return exp.SchedulerAblation(*c.N, *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.SchedulerAblation(*c.N, *c.Seeds) })},
 	{"degree", "B1", "rounds vs initial degree", roundModel,
-		one(func(c *ctx) exp.Report { return exp.DegreeSweep(*c.N, []int{3, 4, 6, 8, 12}, *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.DegreeSweep(*c.N, []int{3, 4, 6, 8, 12}, *c.Seeds) })},
 	{"diameter", "B2", "rounds vs topology diameter", roundModel,
-		one(func(c *ctx) exp.Report { return exp.DiameterSweep(*c.N, *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.DiameterSweep(*c.N, *c.Seeds) })},
 	{"compare", "E6", "ISPRP+flood vs linearization message cost", msgModel,
-		sweep(func(c *ctx, sizes []int) exp.Report { return exp.MessageCost(sizes, c.Topology(), *c.Seeds) })},
+		sweep(func(c *ctx, sizes []int) exp.Report { return c.h.MessageCost(sizes, c.Topology(), *c.Seeds) })},
 	{"breakdown", "E6b", "per-kind message mix of one bootstrap", msgModel,
-		one(func(c *ctx) exp.Report { return exp.MessageBreakdown(*c.N, c.Topology(), *c.Seed) })},
+		one(func(c *ctx) exp.Report { return c.h.MessageBreakdown(*c.N, c.Topology(), *c.Seed) })},
 	{"boot", "E6c", "one traced bootstrap run of -proto", msgModel, func(c *ctx) error {
-		rep, err := exp.Bootstrap(*c.proto, *c.N, c.Topology(), *c.Seed, *c.probeEvery)
+		rep, err := c.h.Bootstrap(*c.proto, *c.N, c.Topology(), *c.Seed, *c.probeEvery)
 		if err == nil {
-			c.Emit(rep)
+			c.Emit(c.stdout, rep)
 		}
 		return err
 	}},
 	{"route", "E7", "routing success and stretch over -pairs pairs", msgModel,
-		one(func(c *ctx) exp.Report { return exp.Routing(*c.N, c.Topology(), *c.pairs, *c.Seed) })},
+		one(func(c *ctx) exp.Report { return c.h.Routing(*c.N, c.Topology(), *c.pairs, *c.Seed) })},
 	{"occupancy", "E8b", "cache interval occupancy", msgModel,
-		one(func(c *ctx) exp.Report { return exp.CacheOccupancy(*c.N, c.Topology(), *c.Seed) })},
+		one(func(c *ctx) exp.Report { return c.h.CacheOccupancy(*c.N, c.Topology(), *c.Seed) })},
 	{"churn", "E9b", "recovery after failing -kill nodes", msgModel,
-		one(func(c *ctx) exp.Report { return exp.ChurnRecovery(*c.N, c.Topology(), *c.kill, *c.Seed) })},
+		one(func(c *ctx) exp.Report { return c.h.ChurnRecovery(*c.N, c.Topology(), *c.kill, *c.Seed) })},
 	{"closure", "E10", "ring closure: discovery redundancy", msgModel,
-		one(func(c *ctx) exp.Report { return exp.RingClosure(*c.N, c.Topology(), *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.RingClosure(*c.N, c.Topology(), *c.Seeds) })},
 	{"vrr", "E11", "linearized VRR vs SSR", msgModel,
-		one(func(c *ctx) exp.Report { return exp.VRRBootstrap(*c.N, c.Topology(), *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.VRRBootstrap(*c.N, c.Topology(), *c.Seeds) })},
 	{"mobility", "E12", "SSR under random-waypoint mobility", msgModel,
-		one(func(c *ctx) exp.Report { return exp.MobilityRecovery(*c.N, 1500, 0.02, *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.MobilityRecovery(*c.N, 1500, 0.02, *c.Seeds) })},
 	{"loopy", "E1b", "scaled loopy states", msgModel,
-		one(func(c *ctx) exp.Report { return exp.ScaledLoopy([]int{15, 63, 255}, 2, *c.Seed) })},
+		one(func(c *ctx) exp.Report { return c.h.ScaledLoopy([]int{15, 63, 255}, 2, *c.Seed) })},
 	{"teardown", "A2", "§4 edge teardown on/off", msgModel,
-		one(func(c *ctx) exp.Report { return exp.TeardownAblation(*c.N, c.Topology(), *c.Seeds) })},
+		one(func(c *ctx) exp.Report { return c.h.TeardownAblation(*c.N, c.Topology(), *c.Seeds) })},
 	{"chaos", "E16", "fault-scenario suite over every protocol, invariants checked online", msgModel, func(c *ctx) error {
-		rep, res, err := exp.ChaosBench(*c.N, c.Topology(), *c.Seed, *c.quick)
+		rep, res, err := c.h.ChaosBench(*c.N, c.Topology(), *c.Seed, *c.quick)
 		return bench(c, "results/BENCH_chaos.json", rep, res, res.Criteria.Met, err)
 	}},
 	{"reliability", "E17", "cold-start loss sweep, raw vs reliable transport", msgModel, func(c *ctx) error {
-		rep, res, err := exp.ReliabilityBench(*c.N, c.Topology(), *c.Seed, *c.quick)
+		rep, res, err := c.h.ReliabilityBench(*c.N, c.Topology(), *c.Seed, *c.quick)
 		return bench(c, "results/BENCH_reliability.json", rep, res, res.Criteria.Met, err)
 	}},
 }
 
 func figures(c *ctx) error {
 	figs := []func() exp.Report{
-		func() exp.Report { return exp.Fig1Loopy(*c.Seed) },
-		func() exp.Report { return exp.Fig2SeparateRings(*c.Seed) },
-		exp.Fig3Trace,
-		exp.Fig3ClosedRing, // the second half of Fig. 3; printed with -fig 0 only
+		func() exp.Report { return c.h.Fig1Loopy(*c.Seed) },
+		func() exp.Report { return c.h.Fig2SeparateRings(*c.Seed) },
+		c.h.Fig3Trace,
+		c.h.Fig3ClosedRing, // the second half of Fig. 3; printed with -fig 0 only
 	}
 	switch {
 	case *c.fig == 0:
@@ -166,7 +169,7 @@ func figures(c *ctx) error {
 		return fmt.Errorf("unknown figure %d (want 1, 2, 3 or 0)", *c.fig)
 	}
 	for _, f := range figs {
-		fmt.Println(f())
+		c.Emit(c.stdout, f())
 	}
 	return nil
 }
@@ -196,10 +199,13 @@ func findMode(name string) *mode {
 // run is main without the process exit: parse args, set the harness up, run
 // the mode, return the exit status: 2 for a usage, set-up or run error and
 // for a trace that could not be written whole, 1 for unmet criteria.
-func run(args []string) (status int) {
+func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs := flag.NewFlagSet("ssrsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	c := &ctx{
 		CLI:        exp.BindCLI(fs, exp.CLIOptions{Modes: modeHelp(), DefaultMode: "compare", DefaultSizes: msgModel.sizes, DefaultN: msgModel.n}),
+		stdout:     stdout,
+		stderr:     stderr,
 		set:        map[string]bool{},
 		fig:        fs.Int("fig", 0, "figure for -mode figures (1, 2, 3; 0 = all)"),
 		pairs:      fs.Int("pairs", 200, "routed pairs for -mode route (0 = all)"),
@@ -216,7 +222,7 @@ func run(args []string) (status int) {
 		return 2
 	}
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "ssrsim:", err)
+		fmt.Fprintln(stderr, "ssrsim:", err)
 		return 2
 	}
 	m := findMode(*c.Mode)
@@ -231,10 +237,11 @@ func run(args []string) (status int) {
 		*c.Sizes = m.sizes
 	}
 
-	cleanup, err := c.Setup()
+	h, cleanup, err := c.Setup()
 	if err != nil {
 		return fail(err)
 	}
+	c.h = h
 	// Flushes the trace on every path out. A trace that did not reach its
 	// file whole is a failed run whatever the mode itself returned.
 	defer func() {
@@ -244,7 +251,7 @@ func run(args []string) (status int) {
 	}()
 	switch err := m.run(c); {
 	case errors.Is(err, errCriteria):
-		fmt.Fprintf(os.Stderr, "ssrsim: %s %v\n", m.name, err)
+		fmt.Fprintf(stderr, "ssrsim: %s %v\n", m.name, err)
 		return 1
 	case err != nil:
 		return fail(err)
@@ -252,4 +259,4 @@ func run(args []string) (status int) {
 	return 0
 }
 
-func main() { os.Exit(run(os.Args[1:])) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
@@ -55,33 +58,21 @@ func TestModeTable(t *testing.T) {
 	}
 }
 
-// stdoutOf runs ssrsim with args and returns what it printed.
+// stdoutOf runs ssrsim with args and returns what it printed on stdout.
 func stdoutOf(t *testing.T, args ...string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("ssrsim %v: exit %d\n%s", args, code, &stderr)
 	}
-	old := os.Stdout
-	os.Stdout = f
-	code := run(args)
-	os.Stdout = old
-	f.Close()
-	if code != 0 {
-		t.Fatalf("ssrsim %v: exit %d", args, code)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return stdout.String()
 }
 
 // TestModesReproduceCommittedResults runs every mode that has a committed
 // results/*.txt end to end and holds it to the artifact byte for byte: the
 // flags here are the flags the artifact was made with (EXPERIMENTS.md
-// quotes the same commands).
+// quotes the same commands). Each mode is a parallel subtest with its own
+// Harness and its own output buffer.
 func TestModesReproduceCommittedResults(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -107,16 +98,19 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 		{"e11_vrr.txt", []string{"-mode", "vrr", "-n", "32"}, false}, // vrr and ssr with CloseRing
 		{"e12_mobility.txt", []string{"-mode", "mobility", "-n", "24"}, false},
 	} {
-		if tc.slow && (raceEnabled || testing.Short()) {
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := stdoutOf(t, tc.args...); got != string(want) {
-			t.Errorf("ssrsim %v drifted from results/%s:\n%s", tc.args, tc.file, got)
-		}
+		t.Run(tc.file, func(t *testing.T) {
+			if tc.slow && (raceEnabled || testing.Short()) {
+				t.Skip("a minute plain, past the test timeout under -race")
+			}
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stdoutOf(t, tc.args...); got != string(want) {
+				t.Errorf("ssrsim %v drifted from results/%s:\n%s", tc.args, tc.file, got)
+			}
+		})
 	}
 }
 
@@ -141,11 +135,11 @@ func TestHarnessFlagsReachEveryMode(t *testing.T) {
 
 	// -mode loopy at its smallest size (the mode runs 15, 63 and 255).
 	file := filepath.Join(t.TempDir(), "loopy.jsonl")
-	cleanup, err := exp.SetupObservability(file, "msg", "", "")
+	tr, cleanup, err := exp.SetupObservability(file, "msg", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.ScaledLoopy([]int{15}, 2, 1)
+	exp.Harness{Tracer: tr}.ScaledLoopy([]int{15}, 2, 1)
 	if err := cleanup(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +164,49 @@ func TestHarnessFlagsReachEveryMode(t *testing.T) {
 	}
 }
 
-func TestExitCodes(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+// TestConcurrentRunsShareNoHarness runs a raw and a traced reliable
+// closure run at the same time: each prints exactly its serial output and
+// the trace holds the serial trace's bytes, so the two runs share no
+// harness state (under -race, no memory either).
+func TestConcurrentRunsShareNoHarness(t *testing.T) {
+	dir := t.TempDir()
+	argv := func(trace string) [2][]string {
+		return [2][]string{
+			{"-mode", "closure", "-n", "16"},
+			{"-mode", "closure", "-n", "16", "-transport", "reliable", "-trace", filepath.Join(dir, trace), "-trace-level", "msg"},
+		}
+	}
+	var want, got [2]string
+	for i, args := range argv("serial.jsonl") {
+		want[i] = stdoutOf(t, args...)
+	}
+	var codes [2]int
+	var wg sync.WaitGroup
+	for i, args := range argv("concurrent.jsonl") {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout bytes.Buffer
+			codes[i] = run(args, &stdout, io.Discard)
+			got[i] = stdout.String()
+		}()
+	}
+	wg.Wait()
+	for i, args := range argv("concurrent.jsonl") {
+		if codes[i] != 0 || got[i] != want[i] {
+			t.Errorf("ssrsim %v beside another run: exit %d, printed\n%s\nwant\n%s", args, codes[i], got[i], want[i])
+		}
+	}
+	serial, err := os.ReadFile(filepath.Join(dir, "serial.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer devnull.Close()
-	old := os.Stderr
-	os.Stderr = devnull
-	defer func() { os.Stderr = old }()
+	if concurrent, err := os.ReadFile(filepath.Join(dir, "concurrent.jsonl")); err != nil || len(serial) == 0 || !bytes.Equal(concurrent, serial) {
+		t.Errorf("the concurrent run's trace differs from the serial one's (%d vs %d bytes, err %v)", len(concurrent), len(serial), err)
+	}
+}
+
+func TestExitCodes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "nonesuch"},
 		{"-mode", "figures", "-fig", "7"},
@@ -187,7 +215,7 @@ func TestExitCodes(t *testing.T) {
 		{"-mode", "loopy", "-trace-level", "verbose", "-trace", filepath.Join(t.TempDir(), "t.jsonl")},
 		{"-no-such-flag"},
 	} {
-		if code := run(args); code != 2 {
+		if code := run(args, io.Discard, io.Discard); code != 2 {
 			t.Errorf("ssrsim %v: exit %d, want 2", args, code)
 		}
 	}
@@ -197,11 +225,8 @@ func TestExitCodes(t *testing.T) {
 		if _, err := os.Stat("/dev/full"); err != nil {
 			t.Skip("no /dev/full to stand in for a full disk")
 		}
-		oldOut := os.Stdout
-		os.Stdout = devnull
-		defer func() { os.Stdout = oldOut }()
 		args := []string{"-mode", "boot", "-n", "16", "-trace", "/dev/full", "-trace-level", "msg"}
-		if code := run(args); code != 2 {
+		if code := run(args, io.Discard, io.Discard); code != 2 {
 			t.Errorf("ssrsim %v: exit %d, want 2", args, code)
 		}
 	})

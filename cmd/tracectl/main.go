@@ -49,7 +49,7 @@ func main() {
 	case "timeline":
 		err = cmdTimeline(os.Args[2:])
 	case "perf":
-		err = cmdPerf(os.Args[2:])
+		err = cmdPerf(os.Args[2:], os.Stdout)
 	case "-h", "--help", "help":
 		usage()
 	default:

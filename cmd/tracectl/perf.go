@@ -12,13 +12,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-func cmdPerf(args []string) error {
+func cmdPerf(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tracectl perf", flag.ExitOnError)
 	topShards := fs.Int("top-shards", 0, "only print the N busiest shards (0: all)")
 	fs.Parse(args)
@@ -35,17 +36,17 @@ func cmdPerf(args []string) error {
 		return fmt.Errorf("%s: no span or shard events — perf needs a round-level trace of a sharded round-model run (ssrsim -trace-level round)", path)
 	}
 
-	fmt.Printf("== perf breakdown: %s ==\n", path)
-	fmt.Printf("rounds=%d\n", p.Rounds)
+	fmt.Fprintf(w, "== perf breakdown: %s ==\n", path)
+	fmt.Fprintf(w, "rounds=%d\n", p.Rounds)
 	if p.Policy != "" {
-		fmt.Printf("partition policy=%s shards=%d rounds=%d\n", p.Policy, p.PolicyShards, p.PolicyRounds)
+		fmt.Fprintf(w, "partition policy=%s shards=%d rounds=%d\n", p.Policy, p.PolicyShards, p.PolicyRounds)
 	}
 
 	// Timing comes only from the profiler's spans; an unprofiled trace
 	// carries the shard activation counts alone.
 	profiled := len(p.Spans) > 0
 	if profiled {
-		fmt.Println("\n-- phase wall time --")
+		fmt.Fprintln(w, "\n-- phase wall time --")
 		tab := metrics.NewTable("span", "count", "total ms", "mean µs", "max µs", "share")
 		wall := p.SeqNs() + p.ParNs()
 		for _, s := range p.Spans {
@@ -63,9 +64,9 @@ func cmdPerf(args []string) error {
 				fmt.Sprintf("%.1f", s.MaxNs/1e3),
 				fmt.Sprintf("%.3f", share))
 		}
-		fmt.Print(tab)
+		fmt.Fprint(w, tab)
 		if wall > 0 {
-			fmt.Printf("sequential %.2f ms  parallel %.2f ms  seq share %.3f\n",
+			fmt.Fprintf(w, "sequential %.2f ms  parallel %.2f ms  seq share %.3f\n",
 				p.SeqNs()/1e6, p.ParNs()/1e6, p.SeqShare())
 		}
 	}
@@ -92,7 +93,7 @@ func cmdPerf(args []string) error {
 			rows = rows[:*topShards]
 			sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
 		}
-		fmt.Printf("\n-- shard cost attribution (%d shards) --\n", len(p.Shards))
+		fmt.Fprintf(w, "\n-- shard cost attribution (%d shards) --\n", len(p.Shards))
 		cols := []string{"shard"}
 		if profiled {
 			cols = append(cols, "busy ms")
@@ -117,30 +118,30 @@ func cmdPerf(args []string) error {
 			trow = append(trow, totals[ph])
 		}
 		stab.AddRow(trow...)
-		fmt.Print(stab)
+		fmt.Fprint(w, stab)
 
 		if bnd, in := totals["boundary"], totals["interior"]; bnd+in > 0 {
 			share := float64(bnd) / float64(bnd+in)
-			fmt.Printf("boundary share: %.1f%% (%d boundary vs %d interior activations)\n",
+			fmt.Fprintf(w, "boundary share: %.1f%% (%d boundary vs %d interior activations)\n",
 				100*share, bnd, in)
 			if share > 0.5 {
-				fmt.Println("boundary work dominates — most activations run in the sequential Finish phase")
+				fmt.Fprintln(w, "boundary work dominates — most activations run in the sequential Finish phase")
 			}
 		}
 		if p.ImbalanceMean > 0 {
-			fmt.Printf("parallel-phase imbalance (max/mean shard busy): mean %.2f  worst round %.2f\n",
+			fmt.Fprintf(w, "parallel-phase imbalance (max/mean shard busy): mean %.2f  worst round %.2f\n",
 				p.ImbalanceMean, p.ImbalanceMax)
 		}
 	}
 
 	if p.Mallocs > 0 || p.AllocBytes > 0 {
-		fmt.Println("\n-- allocator --")
-		fmt.Printf("alloc %.1f MiB  mallocs %.0f  gc cycles %.0f",
+		fmt.Fprintln(w, "\n-- allocator --")
+		fmt.Fprintf(w, "alloc %.1f MiB  mallocs %.0f  gc cycles %.0f",
 			p.AllocBytes/(1<<20), p.Mallocs, p.GCCycles)
 		if p.Rounds > 0 {
-			fmt.Printf("  (%.1f KiB/round)", p.AllocBytes/float64(p.Rounds)/1024)
+			fmt.Fprintf(w, "  (%.1f KiB/round)", p.AllocBytes/float64(p.Rounds)/1024)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

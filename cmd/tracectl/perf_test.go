@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,24 +44,11 @@ func writeRoundTrace(t *testing.T, profiled bool) string {
 // perfOutput runs `tracectl perf` on path and returns what it printed.
 func perfOutput(t *testing.T, path string) string {
 	t.Helper()
-	out := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(out)
-	if err != nil {
+	var out bytes.Buffer
+	if err := cmdPerf([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	old := os.Stdout
-	os.Stdout = f
-	err = cmdPerf([]string{path})
-	os.Stdout = old
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return out.String()
 }
 
 // TestPerfUnprofiledTrace: a round-level trace without the profiler has

@@ -21,7 +21,7 @@ func TestProtocolNames(t *testing.T) {
 }
 
 func TestNewBootProtocolUnknown(t *testing.T) {
-	_, net := newNet(graph.TopoER, 10, 1)
+	_, net := Harness{}.newNet(graph.TopoER, 10, 1)
 	if _, err := NewBootProtocol("nope", net); err == nil {
 		t.Fatal("unknown protocol should error")
 	} else if !strings.Contains(err.Error(), "linearization") {
@@ -34,7 +34,7 @@ func TestNewBootProtocolUnknown(t *testing.T) {
 func TestProtocolContract(t *testing.T) {
 	for _, name := range ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
-			_, net := newNet(graph.TopoER, 12, 3)
+			_, net := Harness{}.newNet(graph.TopoER, 12, 3)
 			cl, err := NewBootProtocol(name, net)
 			if err != nil {
 				t.Fatal(err)
@@ -94,31 +94,33 @@ func TestProtocolEventStreamPinned(t *testing.T) {
 		"vrr/raw":                0x00e5f2f007e35dbd,
 		"vrr/reliable":           0xf3148897668efc54,
 	}
-	defer func(tr trace.Tracer, name string) { tracer, transportName = tr, name }(tracer, transportName)
 	for _, name := range ProtocolNames() {
 		for _, transport := range []string{TransportRaw, TransportReliable} {
-			h, hNoEdges := fnv.New64a(), fnv.New64a()
-			sink, sinkNoEdges := trace.NewJSONLWriter(h), trace.NewJSONLWriter(hNoEdges)
-			EnableTracing(trace.WithLevel(trace.Tee(sink, withoutEdgeEvents{sinkNoEdges}), trace.LevelMsg))
-			if err := SetTransport(transport); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Bootstrap(name, 48, graph.TopoER, 1, 16); err != nil {
-				t.Fatal(err)
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sinkNoEdges.Close(); err != nil {
-				t.Fatal(err)
-			}
 			key := name + "/" + transport
-			if got := h.Sum64(); got != want[key] {
-				t.Errorf("%s: event stream hash %#016x (%d events), want %#016x", key, got, sink.Count(), want[key])
-			}
-			if got := hNoEdges.Sum64(); got != wantNoEdges[key] {
-				t.Errorf("%s: hash without E_v events %#016x (%d events), want %#016x", key, got, sinkNoEdges.Count(), wantNoEdges[key])
-			}
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				h, hNoEdges := fnv.New64a(), fnv.New64a()
+				sink, sinkNoEdges := trace.NewJSONLWriter(h), trace.NewJSONLWriter(hNoEdges)
+				harness := Harness{
+					Tracer:    trace.WithLevel(trace.Tee(sink, withoutEdgeEvents{sinkNoEdges}), trace.LevelMsg),
+					Transport: transport,
+				}
+				if _, err := harness.Bootstrap(name, 48, graph.TopoER, 1, 16); err != nil {
+					t.Fatal(err)
+				}
+				if err := sink.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := sinkNoEdges.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.Sum64(); got != want[key] {
+					t.Errorf("event stream hash %#016x (%d events), want %#016x", got, sink.Count(), want[key])
+				}
+				if got := hNoEdges.Sum64(); got != wantNoEdges[key] {
+					t.Errorf("hash without E_v events %#016x (%d events), want %#016x", got, sinkNoEdges.Count(), wantNoEdges[key])
+				}
+			})
 		}
 	}
 }
@@ -154,7 +156,7 @@ func TestSchedulerAblationMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SchedulerAblation(200, 3).String() + "\n"; got != string(want) {
+	if got := (Harness{}).SchedulerAblation(200, 3).String() + "\n"; got != string(want) {
 		t.Errorf("A1 drifted from results/a1_scheduler.txt:\n%s", got)
 	}
 }
@@ -167,7 +169,7 @@ func TestMobilityMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MobilityRecovery(24, 1500, 0.02, 3).String() + "\n"; got != string(want) {
+	if got := (Harness{}).MobilityRecovery(24, 1500, 0.02, 3).String() + "\n"; got != string(want) {
 		t.Errorf("E12 drifted from results/e12_mobility.txt:\n%s", got)
 	}
 }

@@ -24,9 +24,9 @@ import (
 // "round" of the trace's convergence series. At the end of the run the
 // physical per-kind frame counters are re-emitted as "msgs/…" summary
 // counters, so even a round-level trace carries the message taxonomy.
-func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, error) {
-	rep := Report{ID: "E6c", Title: fmt.Sprintf("single %s bootstrap, n=%d on %s (%s transport)", proto, n, topo, transportName)}
-	net, tr := newNet(topo, n, seed)
+func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, error) {
+	rep := Report{ID: "E6c", Title: fmt.Sprintf("single %s bootstrap, n=%d on %s (%s transport)", proto, n, topo, h.transport())}
+	net, tr := h.newNet(topo, n, seed)
 	cl, err := NewBootProtocol(proto, tr)
 	if err != nil {
 		return Report{}, err
@@ -34,7 +34,7 @@ func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery 
 	// The report's verdict line is the one `tracectl report` prints for the
 	// same probe events: both come from trace.Analysis.
 	verdict := trace.NewAnalysis()
-	probe := &trace.Probe{Tracer: trace.Tee(tracer, verdict)}
+	probe := &trace.Probe{Tracer: trace.Tee(h.Tracer, verdict)}
 	deadline := sim.Time(n) * 4096
 
 	cl.AttachProbe(probe, sim.Time(probeEvery))
@@ -45,11 +45,11 @@ func Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery 
 	// Re-emit the physical frame economy as summary counters: this is what
 	// keeps coarse (round-level) traces analyzable — tracectl's taxonomy
 	// falls back to msgs/… counters when per-message events were filtered.
-	if tracer != nil {
+	if h.Tracer != nil {
 		t := int64(net.Engine().Now())
 		for _, kc := range net.Counters().Snapshot() {
 			if kc.Count > 0 {
-				tracer.Emit(trace.Event{
+				h.Tracer.Emit(trace.Event{
 					T: t, Type: trace.EvCounter,
 					Kind: trace.MsgCounterPrefix + kc.Kind, Value: float64(kc.Count),
 				})

@@ -13,12 +13,12 @@ import (
 // DegreeSweep probes the §5 future-work question of "more precise bounds on
 // … convergence": how do convergence rounds depend on the initial average
 // degree at fixed n? Random d-regular graphs, d swept.
-func DegreeSweep(n int, degrees []int, seeds int) Report {
+func (h Harness) DegreeSweep(n int, degrees []int, seeds int) Report {
 	rep := Report{ID: "B1", Title: fmt.Sprintf("Convergence vs initial degree (random regular, n=%d)", n)}
 	tab := metrics.NewTable("degree", "variant", "rounds mean", "rounds max", "edges added mean")
 	for _, d := range degrees {
 		for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
-			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
+			runs := h.linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
 				r := rand.New(rand.NewSource(int64(1000*d + s)))
 				return graph.RandomRegular(graph.MakeIDs(n, graph.RandomIDs, r), d, r)
 			})
@@ -37,7 +37,7 @@ func DegreeSweep(n int, degrees []int, seeds int) Report {
 // n: the line (diameter n-1), the grid (≈2√n), an expander-ish random
 // regular graph (O(log n)) and the star (2). Information must travel the
 // diameter at least once, so diameter is the natural lower-bound axis.
-func DiameterSweep(n int, seeds int) Report {
+func (h Harness) DiameterSweep(n int, seeds int) Report {
 	rep := Report{ID: "B2", Title: fmt.Sprintf("Convergence vs topology diameter (n=%d)", n)}
 	tab := metrics.NewTable("topology", "diameter", "variant", "rounds mean")
 	type topoCase struct {
@@ -78,7 +78,7 @@ func DiameterSweep(n int, seeds int) Report {
 	for _, tc := range cases {
 		for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
 			diam := -1
-			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
+			runs := h.linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous}, func(s int) *graph.Graph {
 				g := tc.make(rand.New(rand.NewSource(int64(31*n + s))))
 				if s == 0 {
 					diam = g.Diameter()

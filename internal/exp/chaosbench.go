@@ -73,11 +73,11 @@ func chaosScenarios(quick bool) []chaos.Scenario {
 }
 
 // ChaosBench replays the scenario suite over every registered protocol.
-func ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, ChaosResult, error) {
+func (h Harness) ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, ChaosResult, error) {
 	scenarios := chaosScenarios(quick)
 	protos := ProtocolNames()
 	res := ChaosResult{
-		Meta:  Meta{Schema: metaSchema, Bench: "chaos", Topology: string(topo), Seed: seed, N: n, Transport: transportName, Quick: quick},
+		Meta:  Meta{Schema: metaSchema, Bench: "chaos", Topology: string(topo), Seed: seed, N: n, Transport: h.transport(), Quick: quick},
 		Bench: "chaos", Topology: string(topo), N: n, Seed: seed,
 		Protocols: protos,
 	}
@@ -103,13 +103,13 @@ func ChaosBench(n int, topo graph.Topology, seed int64, quick bool) (Report, Cha
 	allConverged, totalViolations := true, 0
 	for i, scn := range scenarios {
 		for _, name := range protos {
-			net, tr := newNet(topo, n, seed)
+			net, tr := h.newNet(topo, n, seed)
 			proto, err := NewBootProtocol(name, tr)
 			if err != nil {
 				return Report{}, ChaosResult{}, err
 			}
-			if tracer != nil {
-				probe := &trace.Probe{Tracer: tracer}
+			if h.Tracer != nil {
+				probe := &trace.Probe{Tracer: h.Tracer}
 				proto.AttachProbe(probe, 16)
 			}
 			r := chaos.Run(scn, scheds[i], net, proto, chaos.RunConfig{})

@@ -4,12 +4,13 @@ package exp
 // defines the flags that configure the harness itself (topology, sizes,
 // seeds, output format, round executor, transport, the observability
 // stack) on the tool's FlagSet, and CLI carries the accessors (size-list
-// parsing, setup, report emission). Flags that belong to single modes stay
-// in the tool, bound on the same FlagSet before Parse.
+// parsing, setup into a Harness, report emission). Flags that belong to
+// single modes stay in the tool, bound on the same FlagSet before Parse.
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -81,21 +82,21 @@ func BindCLI(fs *flag.FlagSet, opt CLIOptions) *CLI {
 	return c
 }
 
-// Setup wires the parsed flags into the harness: the observability stack
-// (SetupObservability), the round-executor selection (SetExecutor) and the
-// protocol transport (SetTransport). The returned cleanup is always
-// non-nil and must run before exit to flush traces; its error is a trace
-// that did not reach its file whole.
-func (c *CLI) Setup() (func() error, error) {
+// Setup validates -partition and -transport, starts the observability
+// stack (SetupObservability) and returns the Harness the flags describe.
+// The returned cleanup is always non-nil and must run before exit to flush
+// traces; its error is a trace that did not reach its file whole.
+func (c *CLI) Setup() (Harness, func() error, error) {
 	noop := func() error { return nil }
 	if _, err := sim.NewPartitioner(*c.Partition); err != nil {
-		return noop, err
+		return Harness{}, noop, err
 	}
-	SetExecutor(sim.ExecutorConfig{Workers: *c.Workers, Shards: *c.Shards, Partition: *c.Partition})
-	if err := SetTransport(*c.Transport); err != nil {
-		return noop, err
+	if t := *c.Transport; t != "" && t != TransportRaw && t != TransportReliable {
+		return Harness{}, noop, fmt.Errorf("unknown transport %q (want %s or %s)", t, TransportRaw, TransportReliable)
 	}
-	return SetupObservability(*c.traceFile, *c.traceLevel, *c.pprofAddr, *c.listenAddr)
+	tr, cleanup, err := SetupObservability(*c.traceFile, *c.traceLevel, *c.pprofAddr, *c.listenAddr)
+	exec := sim.ExecutorConfig{Workers: *c.Workers, Shards: *c.Shards, Partition: *c.Partition}
+	return Harness{Tracer: tr, Transport: *c.Transport, Exec: exec}, cleanup, err
 }
 
 // Topology returns the -topo flag as a graph.Topology.
@@ -119,11 +120,11 @@ func ParseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// Emit prints a report as text or CSV per the -csv flag.
-func (c *CLI) Emit(r Report) {
+// Emit writes a report to w as text or CSV per the -csv flag.
+func (c *CLI) Emit(w io.Writer, r Report) {
 	if *c.CSV {
-		fmt.Print(r.CSV())
+		fmt.Fprint(w, r.CSV())
 		return
 	}
-	fmt.Println(r)
+	fmt.Fprintln(w, r)
 }

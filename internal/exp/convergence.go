@@ -13,12 +13,12 @@ import (
 // power-law graphs with α = 2, swept over network sizes. The paper quotes
 // Onus et al.: convergence "in less than 39 rounds" for a large power-law
 // graph with α = 2.
-func PowerLawConvergence(sizes []int, seeds int) Report {
+func (h Harness) PowerLawConvergence(sizes []int, seeds int) Report {
 	rep := Report{ID: "E4", Title: "LSN on power-law graphs (α=2): rounds to convergence"}
 	tab := metrics.NewTable("n", "runs", "rounds mean", "rounds max", "converged", "paper bound")
 	worstEver := 0
 	for _, n := range sizes {
-		runs := linRuns(seeds, linearize.Config{Variant: linearize.LSN, Scheduler: sim.Synchronous},
+		runs := h.linRuns(seeds, linearize.Config{Variant: linearize.LSN, Scheduler: sim.Synchronous},
 			func(s int) *graph.Graph { return topoOrDie(graph.TopoPowerLaw, n, int64(1000*n+s)) })
 		sum := over(runs, rounds)
 		worstEver = max(worstEver, int(sum.Max))
@@ -41,14 +41,14 @@ func PowerLawConvergence(sizes []int, seeds int) Report {
 // under the sequential daemon on an adversarial (sorted-ring-distance) line
 // start would be linear; on random graphs the separation shows in the
 // exponent.
-func ConvergenceShape(sizes []int, topo graph.Topology, seeds int) Report {
+func (h Harness) ConvergenceShape(sizes []int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E5", Title: fmt.Sprintf("Convergence shape by variant on %s graphs", topo)}
 	tab := metrics.NewTable("variant", "n", "rounds mean", "rounds max")
 	exps := metrics.NewTable("variant", "growth exponent (rounds ~ n^b)")
 	for _, v := range linearize.Variants() {
 		var series metrics.Series
 		for _, n := range sizes {
-			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
+			runs := h.linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
 				func(s int) *graph.Graph { return topoOrDie(topo, n, int64(31*n+s)) })
 			sum := over(runs, rounds)
 			tab.AddRow(v.String(), n, sum.Mean, int(sum.Max))
@@ -67,12 +67,12 @@ func ConvergenceShape(sizes []int, topo graph.Topology, seeds int) Report {
 
 // StateSize reproduces experiment E8: per-node state of linearization with
 // memory vs LSN — peak degree during the run and edges at the fixed point.
-func StateSize(sizes []int, seeds int) Report {
+func (h Harness) StateSize(sizes []int, seeds int) Report {
 	rep := Report{ID: "E8", Title: "Per-node state: memory vs LSN"}
 	tab := metrics.NewTable("variant", "n", "peak degree", "final edges", "edges/node")
 	for _, v := range []linearize.Variant{linearize.Memory, linearize.LSN} {
 		for _, n := range sizes {
-			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
+			runs := h.linRuns(seeds, linearize.Config{Variant: v, Scheduler: sim.Synchronous},
 				func(s int) *graph.Graph { return topoOrDie(graph.TopoER, n, int64(77*n+s)) })
 			ps := over(runs, func(st linearize.Stats) float64 { return float64(st.PeakDegree) })
 			fs := over(runs, func(st linearize.Stats) float64 { return float64(st.FinalEdges) })
@@ -88,13 +88,13 @@ func StateSize(sizes []int, seeds int) Report {
 // SelfStabilization reproduces experiment E9 (abstract half): converge,
 // perturb the line (cross chords + cut an edge, connectivity preserved),
 // and measure recovery rounds — no restart, no flooding.
-func SelfStabilization(n, perturbations, seeds int) Report {
+func (h Harness) SelfStabilization(n, perturbations, seeds int) Report {
 	rep := Report{ID: "E9", Title: "Self-stabilization: recovery after perturbation"}
 	tab := metrics.NewTable("phase", "rounds mean", "rounds max", "recovered")
 	var boot, recovery []linearize.Stats
 	for s := 0; s < seeds; s++ {
 		g := topoOrDie(graph.TopoER, n, int64(13*n+s))
-		stats, line := runLin(g, linearize.Config{
+		stats, line := h.runLin(g, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: int64(s),
 		})
 		boot = append(boot, stats)
@@ -112,7 +112,7 @@ func SelfStabilization(n, perturbations, seeds int) Report {
 		if !perturbed.Connected() {
 			continue // pathological perturbation; skip
 		}
-		stats2, _ := runLin(perturbed, linearize.Config{
+		stats2, _ := h.runLin(perturbed, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: int64(s + 1),
 		})
 		recovery = append(recovery, stats2)
@@ -129,12 +129,12 @@ func SelfStabilization(n, perturbations, seeds int) Report {
 // SchedulerAblation compares the synchronous round model against the random
 // sequential daemon (a self-stabilizing algorithm must converge under any
 // fair scheduler; DESIGN.md ablation).
-func SchedulerAblation(n, seeds int) Report {
+func (h Harness) SchedulerAblation(n, seeds int) Report {
 	rep := Report{ID: "A1", Title: "Scheduler ablation: synchronous vs random sequential"}
 	tab := metrics.NewTable("variant", "scheduler", "rounds mean", "converged")
 	for _, v := range linearize.Variants() {
 		for _, sched := range []sim.Scheduler{sim.Synchronous, sim.RandomSequential} {
-			runs := linRuns(seeds, linearize.Config{Variant: v, Scheduler: sched},
+			runs := h.linRuns(seeds, linearize.Config{Variant: v, Scheduler: sched},
 				func(s int) *graph.Graph { return topoOrDie(graph.TopoER, n, int64(7*n+s)) })
 			tab.AddRow(v.String(), sched.String(), over(runs, rounds).Mean, share(runs, converged))
 		}

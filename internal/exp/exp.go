@@ -1,7 +1,8 @@
-// Package exp implements the paper's experiments: each function reproduces
-// one figure or quantitative claim (see DESIGN.md's per-experiment index)
-// and returns a Report with the same rows/series the paper's evaluation
-// would print. cmd/ssrsim is a thin wrapper around this package.
+// Package exp implements the paper's experiments: each Harness method
+// reproduces one figure or quantitative claim (see DESIGN.md's
+// per-experiment index) and returns a Report with the same rows/series
+// the paper's evaluation would print. cmd/ssrsim is a thin wrapper around
+// this package.
 package exp
 
 import (
@@ -15,54 +16,41 @@ import (
 	"repro/internal/trace"
 )
 
-// tracer, when set via EnableTracing, is attached to every engine and
-// network (newEngine, netOn) and every linearization run (runLin) the
-// harnesses create, so the cmd/ tools' -trace flag sees the whole stack
-// without threading a handle through every experiment signature.
-var tracer trace.Tracer
+// Harness is what every experiment runs under, and every experiment and
+// run builder is a method on it, so the cmd/ tools' flags reach the whole
+// stack. Its zero value is the default: no tracer, the raw transport, the
+// default round executor.
+type Harness struct {
+	// Tracer goes to every engine and network (newEngine, netOn) and every
+	// round-model run (runLin); callers filter levels (trace.WithLevel).
+	Tracer trace.Tracer
+	// Transport is what netOn starts every protocol over: TransportRaw
+	// ("" too) or TransportReliable, the retransmitting sublayer
+	// (internal/rel). ReliabilityBench builds both transports itself.
+	Transport string
+	// Exec configures the round executor (pool width, partition size,
+	// partition policy) of every runLin run.
+	Exec sim.ExecutorConfig
+}
 
-// EnableTracing installs the harness-wide tracer (nil disables). Callers
-// own level filtering: pass trace.WithLevel(sink, level).
-func EnableTracing(tr trace.Tracer) { tracer = tr }
-
-// Transport names for SetTransport / the -transport flag.
+// Transport names for Harness.Transport / the -transport flag.
 const (
 	TransportRaw      = "raw"
 	TransportReliable = "reliable"
 )
 
-// transportName is what netOn, the one network constructor, starts every
-// protocol over: the -transport flag holds for every message-level mode.
-// ReliabilityBench alone builds both transports itself.
-var transportName = TransportRaw
-
-// SetTransport selects the harness-wide transport: "raw" (or "") keeps
-// protocols directly on the lossy physical network, "reliable" interposes
-// the retransmitting sublayer (internal/rel).
-func SetTransport(name string) error {
-	switch name {
-	case "", TransportRaw:
-		transportName = TransportRaw
-	case TransportReliable:
-		transportName = TransportReliable
-	default:
-		return fmt.Errorf("unknown transport %q (want %s or %s)", name, TransportRaw, TransportReliable)
+// transport is h.Transport with "" spelled out.
+func (h Harness) transport() string {
+	if h.Transport == "" {
+		return TransportRaw
 	}
-	return nil
+	return h.Transport
 }
-
-// defaultExec configures the round executor (pool width, partition size,
-// partition policy) of every run that goes through runLin: the
-// -workers/-shards/-partition flags hold for every round-model mode.
-var defaultExec sim.ExecutorConfig
-
-// SetExecutor installs the harness-wide round-executor configuration.
-func SetExecutor(cfg sim.ExecutorConfig) { defaultExec = cfg }
 
 // runLin is the one way to a round-model run: the harness tracer and
 // executor configuration attached.
-func runLin(g *graph.Graph, cfg linearize.Config) (linearize.Stats, *graph.Graph) {
-	cfg.Tracer, cfg.Executor = tracer, defaultExec
+func (h Harness) runLin(g *graph.Graph, cfg linearize.Config) (linearize.Stats, *graph.Graph) {
+	cfg.Tracer, cfg.Executor = h.Tracer, h.Exec
 	return linearize.Run(g, cfg)
 }
 

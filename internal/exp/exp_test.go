@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig1Loopy(t *testing.T) {
-	rep := Fig1Loopy(1)
+	rep := Harness{}.Fig1Loopy(1)
 	out := rep.String()
 	if !strings.Contains(out, "isprp (no flood)") || !strings.Contains(out, "linearization") {
 		t.Fatalf("missing rows:\n%s", out)
@@ -35,7 +35,7 @@ func TestFig1Loopy(t *testing.T) {
 }
 
 func TestFig2SeparateRings(t *testing.T) {
-	rep := Fig2SeparateRings(1)
+	rep := Harness{}.Fig2SeparateRings(1)
 	out := rep.String()
 	if !strings.Contains(out, "ring 1:") || !strings.Contains(out, "ring 2:") {
 		t.Errorf("should render two rings:\n%s", out)
@@ -51,21 +51,21 @@ func TestFig2SeparateRings(t *testing.T) {
 }
 
 func TestFig3Trace(t *testing.T) {
-	rep := Fig3Trace()
+	rep := Harness{}.Fig3Trace()
 	if !strings.Contains(rep.Text, "initial state") {
 		t.Error("trace missing initial frame")
 	}
 	if !strings.Contains(rep.Table.String(), "true") {
 		t.Errorf("pure linearization should converge:\n%s", rep.Table)
 	}
-	rep2 := Fig3ClosedRing()
+	rep2 := Harness{}.Fig3ClosedRing()
 	if !strings.Contains(rep2.Table.String(), "true") {
 		t.Errorf("ring closure should complete:\n%s", rep2.Table)
 	}
 }
 
 func TestPowerLawConvergence(t *testing.T) {
-	rep := PowerLawConvergence([]int{200, 400}, 2)
+	rep := Harness{}.PowerLawConvergence([]int{200, 400}, 2)
 	out := rep.String()
 	if !strings.Contains(out, "consistent with the paper") {
 		t.Errorf("expected the <39 rounds confirmation:\n%s", out)
@@ -73,7 +73,7 @@ func TestPowerLawConvergence(t *testing.T) {
 }
 
 func TestConvergenceShape(t *testing.T) {
-	rep := ConvergenceShape([]int{100, 200}, graph.TopoER, 2)
+	rep := Harness{}.ConvergenceShape([]int{100, 200}, graph.TopoER, 2)
 	if rep.Table.NumRows() != 6 {
 		t.Errorf("want 3 variants × 2 sizes rows, got %d", rep.Table.NumRows())
 	}
@@ -83,14 +83,14 @@ func TestConvergenceShape(t *testing.T) {
 }
 
 func TestStateSize(t *testing.T) {
-	rep := StateSize([]int{100}, 2)
+	rep := Harness{}.StateSize([]int{100}, 2)
 	if rep.Table.NumRows() != 2 {
 		t.Errorf("rows = %d", rep.Table.NumRows())
 	}
 }
 
 func TestSelfStabilization(t *testing.T) {
-	rep := SelfStabilization(60, 3, 3)
+	rep := Harness{}.SelfStabilization(60, 3, 3)
 	out := rep.String()
 	if !strings.Contains(out, "recovery") {
 		t.Errorf("missing recovery row:\n%s", out)
@@ -101,7 +101,7 @@ func TestSelfStabilization(t *testing.T) {
 }
 
 func TestSchedulerAblation(t *testing.T) {
-	rep := SchedulerAblation(40, 2)
+	rep := Harness{}.SchedulerAblation(40, 2)
 	if rep.Table.NumRows() != 6 {
 		t.Errorf("want 3 variants × 2 schedulers, got %d", rep.Table.NumRows())
 	}
@@ -111,7 +111,7 @@ func TestSchedulerAblation(t *testing.T) {
 }
 
 func TestMessageCost(t *testing.T) {
-	rep := MessageCost([]int{16}, graph.TopoER, 2)
+	rep := Harness{}.MessageCost([]int{16}, graph.TopoER, 2)
 	out := rep.String()
 	if !strings.Contains(out, "isprp+flood") || !strings.Contains(out, "linearization") {
 		t.Fatalf("missing protocols:\n%s", out)
@@ -122,7 +122,7 @@ func TestMessageCost(t *testing.T) {
 }
 
 func TestMessageBreakdown(t *testing.T) {
-	rep := MessageBreakdown(16, graph.TopoER, 3)
+	rep := Harness{}.MessageBreakdown(16, graph.TopoER, 3)
 	out := rep.String()
 	if !strings.Contains(out, "ssr:notify") || !strings.Contains(out, "TOTAL") {
 		t.Errorf("missing kinds:\n%s", out)
@@ -133,7 +133,7 @@ func TestMessageBreakdown(t *testing.T) {
 }
 
 func TestRouting(t *testing.T) {
-	rep := Routing(14, graph.TopoER, 60, 5)
+	rep := Harness{}.Routing(14, graph.TopoER, 60, 5)
 	out := strings.Join(strings.Fields(rep.String()), " ")
 	if !strings.Contains(out, "success rate 1.00") {
 		t.Errorf("expected perfect delivery:\n%s", rep)
@@ -141,14 +141,14 @@ func TestRouting(t *testing.T) {
 }
 
 func TestCacheOccupancy(t *testing.T) {
-	rep := CacheOccupancy(20, graph.TopoER, 7)
+	rep := Harness{}.CacheOccupancy(20, graph.TopoER, 7)
 	if !strings.Contains(rep.String(), "occupied left intervals") {
 		t.Errorf("missing occupancy rows:\n%s", rep)
 	}
 }
 
 func TestRingClosure(t *testing.T) {
-	rep := RingClosure(14, graph.TopoER, 2)
+	rep := Harness{}.RingClosure(14, graph.TopoER, 2)
 	out := rep.String()
 	if !strings.Contains(out, "both directions") || !strings.Contains(out, "clockwise only") {
 		t.Errorf("missing rows:\n%s", out)
@@ -156,7 +156,7 @@ func TestRingClosure(t *testing.T) {
 }
 
 func TestVRRBootstrap(t *testing.T) {
-	rep := VRRBootstrap(14, graph.TopoER, 2)
+	rep := Harness{}.VRRBootstrap(14, graph.TopoER, 2)
 	out := rep.String()
 	if !strings.Contains(out, "vrr (paths)") || !strings.Contains(out, "ssr (routes)") {
 		t.Fatalf("missing rows:\n%s", out)
@@ -167,7 +167,7 @@ func TestVRRBootstrap(t *testing.T) {
 }
 
 func TestChurnRecovery(t *testing.T) {
-	rep := ChurnRecovery(20, graph.TopoER, 2, 9)
+	rep := Harness{}.ChurnRecovery(20, graph.TopoER, 2, 9)
 	out := rep.String()
 	if !strings.Contains(out, "recovery") {
 		t.Errorf("missing recovery row:\n%s", out)
@@ -178,7 +178,7 @@ func TestChurnRecovery(t *testing.T) {
 }
 
 func TestTeardownAblation(t *testing.T) {
-	rep := TeardownAblation(16, graph.TopoER, 2)
+	rep := Harness{}.TeardownAblation(16, graph.TopoER, 2)
 	if rep.Table.NumRows() != 2 {
 		t.Errorf("rows = %d", rep.Table.NumRows())
 	}
@@ -188,7 +188,7 @@ func TestTeardownAblation(t *testing.T) {
 }
 
 func TestMobilityRecovery(t *testing.T) {
-	rep := MobilityRecovery(16, 800, 0.02, 2)
+	rep := Harness{}.MobilityRecovery(16, 800, 0.02, 2)
 	out := rep.String()
 	if !strings.Contains(out, "2/2 runs reconverged") {
 		t.Errorf("mobility recovery failed:\n%s", out)
@@ -196,7 +196,7 @@ func TestMobilityRecovery(t *testing.T) {
 }
 
 func TestScaledLoopy(t *testing.T) {
-	rep := ScaledLoopy([]int{15, 31}, 2, 3)
+	rep := Harness{}.ScaledLoopy([]int{15, 31}, 2, 3)
 	out := rep.String()
 	if !strings.Contains(out, "isprp (no flood)") {
 		t.Fatalf("missing baseline row:\n%s", out)
@@ -214,14 +214,14 @@ func TestScaledLoopy(t *testing.T) {
 }
 
 func TestDegreeSweep(t *testing.T) {
-	rep := DegreeSweep(80, []int{3, 6}, 2)
+	rep := Harness{}.DegreeSweep(80, []int{3, 6}, 2)
 	if rep.Table.NumRows() != 4 {
 		t.Errorf("rows = %d, want 2 degrees × 2 variants", rep.Table.NumRows())
 	}
 }
 
 func TestDiameterSweep(t *testing.T) {
-	rep := DiameterSweep(49, 2)
+	rep := Harness{}.DiameterSweep(49, 2)
 	out := rep.String()
 	for _, want := range []string{"shuffled-path", "grid", "regular4", "star"} {
 		if !strings.Contains(out, want) {
@@ -231,7 +231,7 @@ func TestDiameterSweep(t *testing.T) {
 }
 
 func TestReportCSV(t *testing.T) {
-	rep := DiameterSweep(25, 1)
+	rep := Harness{}.DiameterSweep(25, 1)
 	csv := rep.CSV()
 	if !strings.HasPrefix(csv, "topology,diameter,variant,rounds mean") {
 		t.Errorf("csv header = %q", strings.SplitN(csv, "\n", 2)[0])

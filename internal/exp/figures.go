@@ -18,7 +18,7 @@ import (
 // ISPRP-locally consistent, so ISPRP without flooding never escapes it;
 // ISPRP's representative flood resolves it; and linearization resolves it
 // with no flooding at all.
-func Fig1Loopy(seed int64) Report {
+func (h Harness) Fig1Loopy(seed int64) Report {
 	rep := Report{ID: "E1/Fig1", Title: "The loopy state: locally consistent, globally wrong"}
 	loopy := vring.LoopyExample()
 
@@ -33,21 +33,21 @@ func Fig1Loopy(seed int64) Report {
 
 	// ISPRP, no flood: runs forever locally consistent.
 	{
-		net, cl := isprpOnLoopy(seed, isprp.Config{EnableFlood: false})
+		net, cl := h.isprpOnLoopy(seed, isprp.Config{EnableFlood: false})
 		at, ok := cl.RunUntilConsistent(40000)
 		tab.AddRow("isprp (no flood)", ok, int64(at), net.Counters().Total(), net.Counters().Get(isprp.KindFlood))
 		cl.Stop()
 	}
 	// ISPRP with the representative flood.
 	{
-		net, cl := isprpOnLoopy(seed, isprp.Config{EnableFlood: true})
+		net, cl := h.isprpOnLoopy(seed, isprp.Config{EnableFlood: true})
 		at, ok := cl.RunUntilConsistent(120000)
 		tab.AddRow("isprp (flood)", ok, int64(at), net.Counters().Total(), net.Counters().Get(isprp.KindFlood))
 		cl.Stop()
 	}
 	// SSR linearization: no flooding at all.
 	{
-		net, tr := netOn(newEngine(seed), loopy.ToGraph())
+		net, tr := h.netOn(h.newEngine(seed), loopy.ToGraph())
 		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(120000)
 		tab.AddRow("linearization", ok, int64(at), net.Counters().Total(), 0)
@@ -59,9 +59,9 @@ func Fig1Loopy(seed int64) Report {
 	return rep
 }
 
-func isprpOnLoopy(seed int64, cfg isprp.Config) (*phys.Network, *isprp.Cluster) {
+func (h Harness) isprpOnLoopy(seed int64, cfg isprp.Config) (*phys.Network, *isprp.Cluster) {
 	loopy := vring.LoopyExample()
-	net, tr := netOn(newEngine(seed), loopy.ToGraph())
+	net, tr := h.netOn(h.newEngine(seed), loopy.ToGraph())
 	return net, isprp.NewClusterFrom(tr, cfg, loopy)
 }
 
@@ -69,7 +69,7 @@ func isprpOnLoopy(seed int64, cfg isprp.Config) (*phys.Network, *isprp.Cluster) 
 // virtual rings on one connected physical graph. The E_v := E_p
 // initialization (§4) bridges them; linearization merges them into one
 // line without flooding, while ISPRP again needs its flood.
-func Fig2SeparateRings(seed int64) Report {
+func (h Harness) Fig2SeparateRings(seed int64) Report {
 	rep := Report{ID: "E2/Fig2", Title: "Separate rings merged without flooding"}
 	succ := vring.SeparateRingsExample()
 	var text string
@@ -82,7 +82,7 @@ func Fig2SeparateRings(seed int64) Report {
 	topo := succ.ToGraph()
 	topo.AddEdge(18, 21)
 	{
-		net, tr := netOn(newEngine(seed), topo)
+		net, tr := h.netOn(h.newEngine(seed), topo)
 		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(120000)
 		tab.AddRow("linearization (E_v := E_p)", ok, int64(at), net.Counters().Total())
@@ -90,7 +90,7 @@ func Fig2SeparateRings(seed int64) Report {
 	}
 	// Abstract check: the same merge in the round model.
 	{
-		stats, final := runLin(topo, linearize.Config{
+		stats, final := h.runLin(topo, linearize.Config{
 			Variant: linearize.LSN, Scheduler: sim.Synchronous, Seed: seed,
 		})
 		tab.AddRow("abstract LSN (rounds)", stats.Converged, stats.Rounds, stats.EdgesAdded+stats.EdgesDropped)
@@ -105,12 +105,12 @@ func Fig2SeparateRings(seed int64) Report {
 // Fig3Trace reproduces Figure 3 / experiment E3: the linearization
 // algorithm at work, round by round, on the Figure 1 graph, ending in the
 // sorted line (and, with ring closure, the virtual ring).
-func Fig3Trace() Report {
+func (h Harness) Fig3Trace() Report {
 	rep := Report{ID: "E3/Fig3", Title: "The linearization algorithm at work"}
 	g := vring.LoopyExample().ToGraph()
 	var rt trace.RoundTrace
 	rt.ObserveInitial(g)
-	stats, final := runLin(g, linearize.Config{
+	stats, final := h.runLin(g, linearize.Config{
 		Variant:   linearize.Pure,
 		Scheduler: sim.Synchronous,
 		OnRound:   rt.Observe,
@@ -124,10 +124,10 @@ func Fig3Trace() Report {
 
 // Fig3ClosedRing extends E3/E10: the same run with ring closure, ending in
 // the sorted virtual ring.
-func Fig3ClosedRing() Report {
+func (h Harness) Fig3ClosedRing() Report {
 	rep := Report{ID: "E10", Title: "Ring closure via discovery (abstract)"}
 	g := vring.LoopyExample().ToGraph()
-	stats, final := runLin(g, linearize.Config{
+	stats, final := h.runLin(g, linearize.Config{
 		Variant:   linearize.Pure,
 		Scheduler: sim.Synchronous,
 		CloseRing: true,

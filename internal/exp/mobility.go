@@ -19,16 +19,16 @@ import (
 // mobility. The ring is bootstrapped once; mobility then rewires the
 // physical graph while SSR keeps running; after motion stops the protocol
 // must re-converge — self-stabilization under realistic MANET churn.
-func MobilityRecovery(n int, motionTicks int64, speed float64, seeds int) Report {
+func (h Harness) MobilityRecovery(n int, motionTicks int64, speed float64, seeds int) Report {
 	rep := Report{ID: "E12", Title: "SSR under random-waypoint mobility"}
 	tab := metrics.NewTable("seed", "link changes", "reconverged", "recovery time")
 	recovered := 0
 	for s := 0; s < seeds; s++ {
-		eng := newEngine(int64(977*n + s))
+		eng := h.newEngine(int64(977*n + s))
 		nodes := graph.MakeIDs(n, graph.RandomIDs, eng.Rand())
 		radius := 0.42
 		topo, pos := graph.UnitDisk(nodes, radius, eng.Rand())
-		net, tr := netOn(eng, topo)
+		net, tr := h.netOn(eng, topo)
 		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		if _, ok := cl.RunUntilConsistent(sim.Time(n) * 8192); !ok {
 			tab.AddRow(s, "-", "bootstrap failed", "-")
@@ -57,7 +57,7 @@ func MobilityRecovery(n int, motionTicks int64, speed float64, seeds int) Report
 // ScaledLoopy extends E1 to larger loopy states: LoopyState(nodes, k) winds
 // k times around the identifier space, is ISPRP-locally consistent for any
 // size, and linearization must straighten all of them without flooding.
-func ScaledLoopy(sizes []int, step int, seed int64) Report {
+func (h Harness) ScaledLoopy(sizes []int, step int, seed int64) Report {
 	rep := Report{ID: "E1b", Title: fmt.Sprintf("Scaled loopy states (winding %d)", step)}
 	tab := metrics.NewTable("n", "mechanism", "resolved", "time", "messages")
 	for _, n := range sizes {
@@ -66,7 +66,7 @@ func ScaledLoopy(sizes []int, step int, seed int64) Report {
 		topo := loopy.ToGraph()
 
 		// Linearization.
-		net, tr := netOn(newEngine(seed), topo)
+		net, tr := h.netOn(h.newEngine(seed), topo)
 		cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 		at, ok := cl.RunUntilConsistent(sim.Time(n) * 8192)
 		cl.Stop()
@@ -76,7 +76,7 @@ func ScaledLoopy(sizes []int, step int, seed int64) Report {
 		// keep the run cheap; the state is locally consistent by
 		// construction at every size).
 		if n == sizes[0] {
-			net2, tr2 := netOn(newEngine(seed), topo)
+			net2, tr2 := h.netOn(h.newEngine(seed), topo)
 			icl := isprp.NewClusterFrom(tr2, isprp.Config{EnableFlood: false}, loopy)
 			at2, ok2 := icl.RunUntilConsistent(40000)
 			icl.Stop()

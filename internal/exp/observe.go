@@ -31,8 +31,9 @@ func pprofMux() *http.ServeMux {
 // -trace-level (a JSONL event trace of every simulation the harness runs),
 // -pprof (the standard net/http/pprof endpoints) and -listen (the live
 // telemetry server: /metrics in OpenMetrics text format, /healthz, /probe).
-// Empty flags disable their features; with all empty the harness tracer
-// stays nil and every emission site keeps its zero-cost nil-guard path.
+// It returns the tracer for Harness.Tracer. Empty flags disable their
+// features; with all empty that tracer is nil and every emission site
+// keeps its zero-cost nil-guard path.
 //
 // Every server's lifecycle is owned here: bind errors surface to the
 // caller as errors (not stderr noise from a background goroutine), and the
@@ -41,7 +42,7 @@ func pprofMux() *http.ServeMux {
 // file hit over the whole run (write, flush or close): a truncated trace
 // must not pass for a successful run. Server shutdown problems only go to
 // stderr.
-func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (func() error, error) {
+func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (trace.Tracer, func() error, error) {
 	// cleanup grows by one step per resource opened, newest first; every
 	// error return below runs what has accumulated so far.
 	cleanup := func() {}
@@ -49,9 +50,9 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 		prev := cleanup
 		cleanup = func() { step(); prev() }
 	}
-	fail := func(err error) (func() error, error) {
+	fail := func(err error) (trace.Tracer, func() error, error) {
 		cleanup()
-		return func() error { return nil }, err
+		return nil, func() error { return nil }, err
 	}
 
 	if pprofAddr != "" {
@@ -112,7 +113,5 @@ func SetupObservability(traceFile, traceLevel, pprofAddr, listenAddr string) (fu
 		file = trace.WithLevel(w, level)
 	}
 
-	EnableTracing(trace.Tee(file, live))
-	onCleanup(func() { EnableTracing(nil) })
-	return func() error { cleanup(); return traceErr }, nil
+	return trace.Tee(file, live), func() error { cleanup(); return traceErr }, nil
 }

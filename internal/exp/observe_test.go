@@ -28,7 +28,7 @@ func freePort(t *testing.T) string {
 
 func TestSetupObservabilityPprofLifecycle(t *testing.T) {
 	addr := freePort(t)
-	cleanup, err := SetupObservability("", "round", addr, "")
+	_, cleanup, err := SetupObservability("", "round", addr, "")
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestSetupObservabilityPprofBindErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	if _, err := SetupObservability("", "round", lis.Addr().String(), ""); err == nil {
+	if _, _, err := SetupObservability("", "round", lis.Addr().String(), ""); err == nil {
 		t.Fatal("expected a bind error for an occupied port")
 	}
 }
@@ -81,7 +81,7 @@ func TestSetupObservabilityUnwindsOnError(t *testing.T) {
 		{"unwritable trace file", filepath.Join(t.TempDir(), "no-such-dir", "t.jsonl"), "round"},
 	} {
 		pprofAddr, listenAddr := freePort(t), freePort(t)
-		if _, err := SetupObservability(tc.traceFile, tc.level, pprofAddr, listenAddr); err == nil {
+		if _, _, err := SetupObservability(tc.traceFile, tc.level, pprofAddr, listenAddr); err == nil {
 			t.Fatalf("%s: expected an error", tc.name)
 		}
 		for _, addr := range []string{pprofAddr, listenAddr} {

@@ -20,7 +20,7 @@ import (
 // consistency for ISPRP+flood vs the linearization bootstrap, with the
 // flood share broken out — quantifying the paper's headline "does not
 // require any flooding at all".
-func MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
+func (h Harness) MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E6", Title: fmt.Sprintf("Bootstrap message cost on %s graphs", topo)}
 	tab := metrics.NewTable("protocol", "n", "converged", "time mean", "msgs mean", "flood mean", "flood share")
 	for _, n := range sizes {
@@ -33,13 +33,13 @@ func MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
 			}
 			tab.AddRow(name, n, share(runs, booted), over(runs, bootTime).Mean, ms.Mean, fs.Mean, floodShare)
 		}
-		runs, _ := bootRuns(topo, n, seeds, 101, deadline, floodboot.NewCluster)
+		runs, _ := bootRuns(h, topo, n, seeds, 101, deadline, floodboot.NewCluster)
 		add("full flood", runs, msgs) // every frame is a flood frame
-		runs, _ = bootRuns(topo, n, seeds, 101, deadline, func(t phys.Transport) *isprp.Cluster {
+		runs, _ = bootRuns(h, topo, n, seeds, 101, deadline, func(t phys.Transport) *isprp.Cluster {
 			return isprp.NewCluster(t, isprp.Config{EnableFlood: true})
 		})
 		add("isprp+flood", runs, frames(isprp.KindFlood))
-		runs, _ = bootRuns(topo, n, seeds, 101, deadline, ssrOver(ssr.Config{CacheMode: cache.Bounded}))
+		runs, _ = bootRuns(h, topo, n, seeds, 101, deadline, ssrOver(ssr.Config{CacheMode: cache.Bounded}))
 		add("linearization", runs, frames()) // no flood kind to count
 	}
 	rep.Table = tab
@@ -52,9 +52,9 @@ func MessageCost(sizes []int, topo graph.Topology, seeds int) Report {
 // bootstrap — the companion table to E6. The taxonomy comes from a
 // tracer-fed stats sink watching the physical layer, so the same breakdown
 // is available for any traced run, not just this harness.
-func MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
+func (h Harness) MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E6b", Title: "Linearization bootstrap message mix"}
-	net, tr := newNet(topo, n, seed)
+	net, tr := h.newNet(topo, n, seed)
 	sink := trace.NewStatsSink()
 	net.SetTracer(trace.Tee(net.Tracer(), sink))
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
@@ -75,9 +75,9 @@ func MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 // Routing reproduces experiment E7: after a linearization bootstrap with
 // ring closure, SSR's greedy routing must succeed for every pair; the
 // stretch distribution is reported alongside.
-func Routing(n int, topo graph.Topology, pairs int, seed int64) Report {
+func (h Harness) Routing(n int, topo graph.Topology, pairs int, seed int64) Report {
 	rep := Report{ID: "E7", Title: "SSR greedy routing after convergence"}
-	_, tr := newNet(topo, n, seed)
+	_, tr := h.newNet(topo, n, seed)
 	cl := ssr.NewCluster(tr, ssr.Config{
 		CacheMode: cache.Bounded, CloseRing: true, BothDirections: true,
 	})
@@ -118,9 +118,9 @@ func Routing(n int, topo graph.Topology, pairs int, seed int64) Report {
 // CacheOccupancy reproduces the §4 observation backing LSN's applicability:
 // after bootstrap, SSR route caches hold about one entry per exponential
 // interval — the shortcut set LSN needs comes for free.
-func CacheOccupancy(n int, topo graph.Topology, seed int64) Report {
+func (h Harness) CacheOccupancy(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E8b", Title: "SSR cache occupancy vs LSN interval structure"}
-	_, tr := newNet(topo, n, seed)
+	_, tr := h.newNet(topo, n, seed)
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded})
 	_, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	cl.Stop()
@@ -144,11 +144,11 @@ func CacheOccupancy(n int, topo graph.Topology, seed int64) Report {
 
 // RingClosure reproduces experiment E10: discovery-based ring closure, one
 // direction vs both (§4 recommends both "for sake of redundancy").
-func RingClosure(n int, topo graph.Topology, seeds int) Report {
+func (h Harness) RingClosure(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E10", Title: "Ring closure: discovery redundancy"}
 	tab := metrics.NewTable("directions", "converged", "time mean", "discover frames mean")
 	for _, both := range []bool{false, true} {
-		runs, _ := bootRuns(topo, n, seeds, 55, sim.Time(n)*4096,
+		runs, _ := bootRuns(h, topo, n, seeds, 55, sim.Time(n)*4096,
 			ssrOver(ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: both}))
 		name := "clockwise only"
 		if both {
@@ -164,16 +164,16 @@ func RingClosure(n int, topo graph.Topology, seeds int) Report {
 // VRRBootstrap reproduces experiment E11: linearized VRR converges without
 // any representative mechanism; state and message cost are compared with
 // SSR's source-route realization.
-func VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
+func (h Harness) VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E11", Title: "Linearized VRR (path state) vs SSR (source routes)"}
 	tab := metrics.NewTable("protocol", "converged", "time mean", "msgs mean", "state/node mean")
 	deadline := sim.Time(n) * 8192
-	runs, vcls := bootRuns(topo, n, seeds, 71, deadline, func(t phys.Transport) *vrr.Cluster {
+	runs, vcls := bootRuns(h, topo, n, seeds, 71, deadline, func(t phys.Transport) *vrr.Cluster {
 		return vrr.NewCluster(t, vrr.Config{CloseRing: true})
 	})
 	tab.AddRow("vrr (paths)", share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
 		perNode(vcls, (*vrr.Cluster).StateSummary).Mean)
-	runs, scls := bootRuns(topo, n, seeds, 71, deadline,
+	runs, scls := bootRuns(h, topo, n, seeds, 71, deadline,
 		ssrOver(ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true}))
 	tab.AddRow("ssr (routes)", share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
 		perNode(scls, cacheSizes).Mean)
@@ -186,9 +186,9 @@ func VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
 
 // ChurnRecovery reproduces the message-level half of experiment E9: after
 // convergence a fraction of nodes fail; the survivors must re-linearize.
-func ChurnRecovery(n int, topo graph.Topology, kill int, seed int64) Report {
+func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64) Report {
 	rep := Report{ID: "E9b", Title: "Message-level churn recovery"}
-	net, tr := newNet(topo, n, seed)
+	net, tr := h.newNet(topo, n, seed)
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
 	bootAt, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
 	tab := metrics.NewTable("phase", "converged", "time")
@@ -227,11 +227,11 @@ func ChurnRecovery(n int, topo graph.Topology, kill int, seed int64) Report {
 
 // TeardownAblation compares the §4 optional teardown (pure-like protocol)
 // with the keep-everything variant (memory-like) on messages and state.
-func TeardownAblation(n int, topo graph.Topology, seeds int) Report {
+func (h Harness) TeardownAblation(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "A2", Title: "Teardown ablation: §4 edge removal on/off"}
 	tab := metrics.NewTable("teardown", "converged", "time mean", "msgs mean", "routes/node mean")
 	for _, tear := range []bool{false, true} {
-		runs, cls := bootRuns(topo, n, seeds, 91, sim.Time(n)*4096,
+		runs, cls := bootRuns(h, topo, n, seeds, 91, sim.Time(n)*4096,
 			ssrOver(ssr.Config{CacheMode: cache.Unbounded, Teardown: tear}))
 		tab.AddRow(tear, share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
 			perNode(cls, cacheSizes).Mean)

@@ -102,7 +102,7 @@ func coldStartScenario(pct int) chaos.Scenario {
 // both transports. Quick mode keeps only the 15% point and the reliable
 // arm — the CI smoke that proves cold-start convergence under loss without
 // waiting out the raw arms' full non-convergence deadlines.
-func ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Report, ReliabilityResult, error) {
+func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Report, ReliabilityResult, error) {
 	losses := reliabilityLosses
 	transports := []string{TransportRaw, TransportReliable}
 	if quick {
@@ -129,7 +129,7 @@ func ReliabilityBench(n int, topo graph.Topology, seed int64, quick bool) (Repor
 		rawFrames := make(map[string]int64) // protocol -> raw-arm TotalFrames
 		for _, transport := range transports {
 			for _, name := range protos {
-				raw, _ := newNet(topo, n, seed) // both arms are built here, whatever -transport says
+				raw, _ := h.newNet(topo, n, seed) // both arms are built here, whatever -transport says
 				var rn *rel.Network
 				run := ReliabilityRun{Protocol: name, Transport: transport, LossPct: pct}
 				var proto Protocol

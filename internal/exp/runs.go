@@ -2,7 +2,7 @@ package exp
 
 // This file is the one way an experiment obtains an engine, a network or a
 // repeated run: the constructor attaches the harness tracer to engine and
-// network and selects the -transport flag's transport, linRuns and bootRuns
+// network and selects the harness transport, linRuns and bootRuns
 // fix which seeds run, in which order, against which deadline, and that
 // every cluster is stopped; over, share and perNode fold the runs into
 // table cells.
@@ -30,25 +30,25 @@ func topoOrDie(t graph.Topology, n int, seed int64) *graph.Graph {
 	return g
 }
 
-// newEngine returns a traced event engine.
-func newEngine(seed int64) *sim.Engine {
-	return sim.NewEngine(seed, sim.WithTracer(tracer))
+// newEngine returns an event engine carrying the harness tracer.
+func (h Harness) newEngine(seed int64) *sim.Engine {
+	return sim.NewEngine(seed, sim.WithTracer(h.Tracer))
 }
 
 // newNet builds the raw network of a generated topology, engine and
 // topology from the same seed, plus the transport protocols run over
-// (SetTransport). The raw network stays the handle for fault injection and
+// (h.Transport). The raw network stays the handle for fault injection and
 // counters when the reliable sublayer is interposed.
-func newNet(topo graph.Topology, n int, seed int64) (*phys.Network, phys.Transport) {
-	return netOn(newEngine(seed), topoOrDie(topo, n, seed))
+func (h Harness) newNet(topo graph.Topology, n int, seed int64) (*phys.Network, phys.Transport) {
+	return h.netOn(h.newEngine(seed), topoOrDie(topo, n, seed))
 }
 
 // netOn is newNet for a given graph on a given engine (from newEngine): the
 // hand-built states of the figures, and topologies drawn from the engine's
 // own random source.
-func netOn(eng *sim.Engine, g *graph.Graph) (*phys.Network, phys.Transport) {
-	raw := phys.NewNetwork(eng, g, phys.WithTracer(tracer))
-	if transportName == TransportReliable {
+func (h Harness) netOn(eng *sim.Engine, g *graph.Graph) (*phys.Network, phys.Transport) {
+	raw := phys.NewNetwork(eng, g, phys.WithTracer(h.Tracer))
+	if h.Transport == TransportReliable {
 		return raw, rel.New(raw, rel.DefaultConfig())
 	}
 	return raw, raw
@@ -56,11 +56,11 @@ func netOn(eng *sim.Engine, g *graph.Graph) (*phys.Network, phys.Transport) {
 
 // linRuns repeats one round-model configuration: run s linearizes mk(s)
 // with daemon seed s.
-func linRuns(seeds int, cfg linearize.Config, mk func(s int) *graph.Graph) []linearize.Stats {
+func (h Harness) linRuns(seeds int, cfg linearize.Config, mk func(s int) *graph.Graph) []linearize.Stats {
 	runs := make([]linearize.Stats, seeds)
 	for s := range runs {
 		cfg.Seed = int64(s)
-		runs[s], _ = runLin(mk(s), cfg)
+		runs[s], _ = h.runLin(mk(s), cfg)
 	}
 	return runs
 }
@@ -80,11 +80,12 @@ type bootRun struct {
 // bootRuns repeats one message-level bootstrap: run s builds the topology
 // of seed seedMult*n+s, starts mk's protocol over it, runs it until
 // consistent or deadline, and stops it. The stopped clusters come back
-// beside the runs, for their per-node state.
-func bootRuns[C node.Protocol](topo graph.Topology, n, seeds, seedMult int, deadline sim.Time, mk func(phys.Transport) C) ([]bootRun, []C) {
+// beside the runs, for their per-node state. It takes the harness as its
+// first argument because a Go method cannot have type parameters.
+func bootRuns[C node.Protocol](h Harness, topo graph.Topology, n, seeds, seedMult int, deadline sim.Time, mk func(phys.Transport) C) ([]bootRun, []C) {
 	runs, cls := make([]bootRun, seeds), make([]C, seeds)
 	for s := range runs {
-		net, tr := newNet(topo, n, int64(seedMult*n+s))
+		net, tr := h.newNet(topo, n, int64(seedMult*n+s))
 		cls[s] = mk(tr)
 		at, ok := cls[s].RunUntilConsistent(deadline)
 		cls[s].Stop()

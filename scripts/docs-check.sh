@@ -13,7 +13,12 @@
 # file outside internal/vring calls GloballyConsistent(: the protocols'
 # oracles are one in-place walk over the sorted line (internal/node), and
 # the SuccMap checker, which rebuilds maps on every call, is their test
-# reference, not a path a poll may take. Run from the repo root.
+# reference, not a path a poll may take. And fails when a non-test Go file
+# under internal/exp calls fmt.Print* or names os.Stdout, or a test under
+# cmd/ or internal/exp assigns os.Stdout or os.Stderr: an experiment is a
+# method on an exp.Harness value and prints through the writer its caller
+# passes, so concurrent runs (ssrsim's parallel pinned modes) share no
+# output and no harness state. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -37,6 +42,14 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'IntervalIndex(' . | grep -v 
 fi
 if grep -rn --include='*.go' --exclude='*_test.go' 'GloballyConsistent(' . | grep -v '^\./internal/vring/'; then
 	echo "docs-check: only internal/vring may call GloballyConsistent; poll an oracle through node.Cluster's line walk"
+	fail=1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' -e 'fmt\.Print' -e 'os\.Stdout' internal/exp; then
+	echo "docs-check: internal/exp prints to the io.Writer its caller passes (CLI.Emit), never to os.Stdout"
+	fail=1
+fi
+if grep -rnE --include='*_test.go' 'os\.(Stdout|Stderr)[[:space:]]*=[^=]' cmd internal/exp; then
+	echo "docs-check: a test passes writers to the code under test instead of swapping os.Stdout/os.Stderr"
 	fail=1
 fi
 exit $fail
