@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -54,15 +55,17 @@ func cmdPerf(args []string, w io.Writer) error {
 			if s.Count > 0 {
 				mean = s.TotalNs / float64(s.Count)
 			}
-			share := 0.0
-			if wall > 0 {
-				share = s.TotalNs / wall
+			// Shares are of the phase time, so the phase rows sum to 1;
+			// the snapshot spans nest inside begin and finish and get none.
+			share := "-"
+			if wall > 0 && strings.HasPrefix(s.Name, "phase/") {
+				share = fmt.Sprintf("%.3f", s.TotalNs/wall)
 			}
 			tab.AddRow(s.Name, s.Count,
 				fmt.Sprintf("%.2f", s.TotalNs/1e6),
 				fmt.Sprintf("%.1f", mean/1e3),
 				fmt.Sprintf("%.1f", s.MaxNs/1e3),
-				fmt.Sprintf("%.3f", share))
+				share)
 		}
 		fmt.Fprint(w, tab)
 		if wall > 0 {

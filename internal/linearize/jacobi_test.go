@@ -123,8 +123,7 @@ func TestJacobiPrepareMatchesFullScan(t *testing.T) {
 			for _, shards := range []int{1, 3, 8} {
 				e := NewEngine(g, Config{Variant: Memory, CloseRing: closeRing})
 				layout := sim.Partition(len(e.nodes), sim.ClampShards(len(e.nodes), shards))
-				p := &parExec{e: e, workers: 2, props: make([][]graph.Pair, len(layout)), intCounts: make([]int, len(layout))}
-				p.onPartition(layout)
+				p := &parExec{e: e, shards: layout, workers: 2, props: make([][]graph.Pair, len(layout)), intCounts: make([]int, len(layout))}
 				e.closeRing()
 				for round := 1; !e.Done(); round++ {
 					if round > 64 {
@@ -133,7 +132,7 @@ func TestJacobiPrepareMatchesFullScan(t *testing.T) {
 					p.jacobiBegin(round)
 					for _, s := range layout {
 						want := fullScan(e.csr, s)
-						p.jacobiPrepare(round, s)
+						p.jacobiPrepare(s)
 						if got := p.props[s.Index]; !slices.Equal(got, want) {
 							t.Fatalf("%s ring=%v shards=%d round %d shard %d: staged %v, the full scan %v",
 								name, closeRing, shards, round, s.Index, got, want)

@@ -1,10 +1,12 @@
 package linearize
 
-// This file is the round executor, built on sim.ShardedRunner: every run
-// takes this path. The node universe is partitioned into contiguous
-// identifier-interval shards and each variant maps onto the runner's phases
-// according to its atomicity needs (see DESIGN.md §9 for the full
-// argument):
+// This file is the round executor; every run takes its one round loop,
+// Engine.Run. The node universe is partitioned into contiguous
+// identifier-interval shards, and each round runs as up to five phases:
+// begin (sequential), Prepare and Execute (parallel, one task per shard on
+// a small work-claiming pool), Finish and end (sequential). Each variant
+// maps onto the phases according to its atomicity needs (see DESIGN.md §9
+// for the full argument):
 //
 //   - Memory is Jacobi-style: additions commute, so the whole round runs on
 //     an immutable image of the round-start rows (graph.CSR). Prepare
@@ -28,20 +30,22 @@ package linearize
 //     Finish, under every policy. With Shards=1 every node is interior and
 //     the schedule is exactly the Gauss-Seidel pass in identifier order.
 //
-//   - The RandomSequential daemon is strictly serial, so it is the
-//     one-shard case: Execute walks the whole universe in a fresh random
-//     permutation per round (daemonExecute), under every variant.
+//   - The RandomSequential daemon is the atomic path on one shard, under
+//     every variant: every node is interior, and Prepare permutes them
+//     with one rng.Shuffle per round before Execute walks them.
 //
 // Shard assignment itself is a policy (sim.Partitioner, Config.Executor
-// .Partition): the runner recomputes the layout when the policy asks,
+// .Partition): the loop recomputes the layout when the policy asks,
 // feeding it per-node footprints and the previous round's cross-shard
 // activation share — all deterministic inputs, so the schedule stays a
 // pure function of the configuration.
 //
-// In every mode the result is a pure function of the shard schedule: the
-// worker count only changes wall-clock time, never the outcome. Per-shard
-// side effects are buffered in opSinks and merged in shard order, so even
-// the trace stream is identical for every pool width.
+// The result is a pure function of the shard schedule: the worker count
+// only changes wall-clock time, never the outcome. Each shard's hooks run
+// on one goroutine; its side effects are buffered in its opSink and merged
+// in shard order, so even the trace stream is identical for every pool
+// width. The profiler is told the per-shard times after each parallel
+// phase, in shard order, so even the span order is.
 //
 // Ring closure is no node's operation: Engine.closeRing reads every node's
 // successor edge and sets a flag, once before the first round and at the end
@@ -52,6 +56,9 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -78,15 +85,15 @@ type ParallelStats struct {
 // parExec holds the per-run state of the executor.
 type parExec struct {
 	e       *Engine
-	shards  []sim.Shard // current layout, installed via onPartition
-	policy  string
-	jacobi  bool // Memory under the synchronous scheduler (snapshot-merge rounds)
-	workers int  // pool width (the merge's fan-out)
+	shards  []sim.Shard // the current layout
+	jacobi  bool        // Memory under the synchronous scheduler (snapshot-merge rounds)
+	workers int         // pool width (also the merge's fan-out)
 
-	root      opSink   // sequential-phase sink (direct)
-	sinks     []opSink // per-shard buffering sinks (atomic Execute)
-	intCounts []int    // per-shard interior activations this round
-	bndCounts []int    // per-shard sequential activations this round
+	root      opSink          // sequential-phase sink (direct)
+	sinks     []opSink        // per-shard buffering sinks (atomic Execute)
+	intCounts []int           // per-shard activations in the parallel phases this round
+	bndCounts []int           // per-shard sequential activations this round
+	durs      []time.Duration // per-shard busy time of a profiled parallel phase
 
 	// Jacobi state (Memory; the image itself is Engine.csr). A proposal is
 	// a chain pair of dense indices absent from the image.
@@ -94,16 +101,12 @@ type parExec struct {
 	all    []graph.Pair   // props in shard order: what a single-threaded pass would write
 	merger graph.Merger   // its Added rows are what the next Prepare re-checks
 
-	// atomic state (Pure, LSN): dense indices per shard, split by
-	// atomicPrepare into the nodes Execute runs and the cross-shard nodes
-	// Finish runs
+	// atomic state (Pure, LSN, and the daemon): dense indices per shard,
+	// split by atomicPrepare into the nodes Execute runs and the
+	// cross-shard nodes Finish runs
 	interior [][]int
 	boundary [][]int
-
-	// daemon state (RandomSequential): the seeded source and the
-	// activation order it permutes each round
-	rng   *rand.Rand
-	order []int
+	rng      *rand.Rand // the daemon's seeded source; nil under Synchronous
 }
 
 // Run drives the engine to the goal or the round bound and returns stats.
@@ -134,64 +137,119 @@ func (e *Engine) Run() Stats {
 	shardCount = sim.ClampShards(n, shardCount)
 	p := &parExec{
 		e:         e,
-		policy:    part.Name(),
 		workers:   workers,
 		root:      opSink{e: e, direct: true},
 		sinks:     make([]opSink, shardCount),
 		intCounts: make([]int, shardCount),
 		bndCounts: make([]int, shardCount),
+		durs:      make([]time.Duration, shardCount),
 	}
 	for i := range p.sinks {
 		p.sinks[i].e = e
 	}
-	rr := &sim.ShardedRunner{
-		Workers:     workers,
-		Shards:      shardCount,
-		MaxRounds:   maxRounds,
-		Partitioner: part,
-		Footprint:   p.footprint,
-		OnPartition: p.onPartition,
-		NodeCount:   func() int { return n },
-		Done:        e.Done,
-		EndRound:    p.endRound,
-	}
-	if e.cfg.Prof != nil {
-		// Guarded assignment: a nil *perf.Profiler must stay a nil
-		// interface so the runner's prof != nil fast path holds.
-		rr.Prof = e.cfg.Prof
-	}
-	switch {
-	case daemon:
-		p.rng = rand.New(rand.NewSource(e.cfg.Seed))
-		rr.BeginRound = p.beginRound
-		rr.Execute = p.daemonExecute
-		rr.Finish = func(int) int { e.closeRing(); return 0 }
-	case e.cfg.Variant == Memory:
+	begin, prepare, execute, finish := p.beginRound, p.atomicPrepare, p.atomicExecute, p.atomicFinish
+	if e.cfg.Variant == Memory && !daemon {
 		p.jacobi = true
 		p.props = make([][]graph.Pair, shardCount)
-		rr.BeginRound = p.jacobiBegin
-		rr.Prepare = p.jacobiPrepare
-		rr.Finish = p.jacobiFinish
-	default:
+		begin, prepare, execute, finish = p.jacobiBegin, p.jacobiPrepare, nil, p.jacobiFinish
+	} else {
 		p.interior = make([][]int, shardCount)
 		p.boundary = make([][]int, shardCount)
-		rr.BeginRound = p.beginRound
-		rr.Prepare = p.atomicPrepare
-		rr.Execute = p.atomicExecute
-		rr.Finish = p.atomicFinish
+		if daemon {
+			p.rng = rand.New(rand.NewSource(e.cfg.Seed))
+		}
 	}
+	e.stats.Par.Policy = part.Name()
 	e.closeRing() // an input whose line is in place needs no round
-	res := rr.Run()
-	e.stats.Rounds = res.Rounds
-	e.stats.Converged = res.Converged
-	e.stats.Par = ParallelStats{
-		Workers:             res.Workers,
-		Shards:              res.Shards,
-		Policy:              p.policy,
-		InteriorActivations: int64(res.ParallelActivations),
-		BoundaryActivations: int64(res.Activations - res.ParallelActivations),
+	e.stats.Converged = e.Done()
+	// crossShare, the previous round's sequential share of the activations,
+	// is what the policy's Refresh reads. It comes from the deterministic
+	// counters, so refresh decisions stay the same for every worker count.
+	crossShare := 0.0
+	for round := 0; round < maxRounds && !e.stats.Converged; round++ {
+		if p.shards == nil || part.Refresh(round, crossShare) {
+			p.shards = sim.Layout(part, n, shardCount, p.footprint)
+		}
+		// A phase has one task per shard, so no more workers than shards
+		// ever run; the reported width says so.
+		e.stats.Par.Workers, e.stats.Par.Shards = min(workers, len(p.shards)), len(p.shards)
+		e.cfg.Prof.RoundStart(round)
+		p.seq(round, "begin", begin)
+		p.parallel(round, "prepare", prepare)
+		if execute != nil {
+			p.parallel(round, "execute", execute)
+		}
+		p.seq(round, "finish", finish)
+		par, seq := 0, 0
+		for k := range p.shards {
+			par, seq = par+p.intCounts[k], seq+p.bndCounts[k]
+		}
+		e.stats.Par.InteriorActivations += int64(par)
+		e.stats.Par.BoundaryActivations += int64(seq)
+		crossShare = 0
+		if par+seq > 0 {
+			crossShare = float64(seq) / float64(par+seq)
+		}
+		p.seq(round, "end", p.endRound)
+		e.cfg.Prof.RoundEnd(round)
+		e.stats.Rounds = round + 1
+		e.stats.Converged = e.Done()
 	}
 	return e.Stats()
+}
+
+// seq runs one sequential phase, timed when the run is profiled.
+func (p *parExec) seq(round int, phase string, fn func(round int)) {
+	prof := p.e.cfg.Prof
+	if prof == nil {
+		fn(round)
+		return
+	}
+	t0 := time.Now()
+	fn(round)
+	prof.PhaseTime(round, phase, time.Since(t0))
+}
+
+// parallel runs fn once per shard: inline on one worker, else on up to
+// p.workers goroutines, each claiming the next unclaimed shard until none
+// is left. Each shard's durs slot has one writer, and the profiler hears
+// the shard times after the barrier, in shard order.
+func (p *parExec) parallel(round int, phase string, fn func(s sim.Shard)) {
+	prof := p.e.cfg.Prof
+	t0 := prof.Start()
+	run := func(k int) {
+		if prof == nil {
+			fn(p.shards[k])
+			return
+		}
+		s0 := time.Now()
+		fn(p.shards[k])
+		p.durs[k] = time.Since(s0)
+	}
+	if w := min(p.workers, len(p.shards)); w <= 1 {
+		for k := range p.shards {
+			run(k)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for range w {
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1)) - 1; k < len(p.shards); k = int(next.Add(1)) - 1 {
+					run(k)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if prof != nil {
+		prof.PhaseTime(round, phase, time.Since(t0))
+		for k := range p.shards {
+			prof.ShardTime(round, phase, k, p.durs[k])
+		}
+	}
 }
 
 // footprint describes the node at dense index i to the partition policy:
@@ -204,9 +262,6 @@ func (p *parExec) footprint(i int) sim.Footprint {
 	}
 	return f
 }
-
-// onPartition installs a (re)computed shard layout.
-func (p *parExec) onPartition(shards []sim.Shard) { p.shards = shards }
 
 // beginRound stamps the round index and emits the round-start event.
 func (p *parExec) beginRound(round int) {
@@ -243,7 +298,7 @@ func (p *parExec) endRound(round int) {
 		// with the policy name in Aux and the shard count as the value.
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(round), Type: trace.EvShardRound,
-			Kind: "policy", Aux: p.policy, Value: float64(len(p.shards)),
+			Kind: "policy", Aux: e.stats.Par.Policy, Value: float64(len(p.shards)),
 		})
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(round), Type: trace.EvRoundEnd,
@@ -304,7 +359,7 @@ func (p *parExec) jacobiBegin(round int) {
 // one of its members is inserted. The added entries are walked in ascending
 // position k, checking pairs (k−1, k) and (k, k+1) once each, so the staged
 // pairs keep the full scan's order.
-func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
+func (p *parExec) jacobiPrepare(s sim.Shard) {
 	c := p.e.csr
 	buf := p.props[s.Index][:0]
 	changed := 0
@@ -336,7 +391,6 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 	}
 	p.props[s.Index] = buf
 	p.intCounts[s.Index] = changed
-	return changed
 }
 
 // jacobiFinish resolves the round: all shards' proposals, concatenated in
@@ -344,9 +398,9 @@ func (p *parExec) jacobiPrepare(_ int, s sim.Shard) int {
 // run of equal pairs is the proposal Graph.AddEdge would have accepted in a
 // single-threaded pass — so the EdgesAdded count and the EvEdgeAdd stream
 // are the same for every shard count. Degrees only grow, so the largest
-// merged row is the peak. The ring closes on the merged image. Returns no
-// activations: proposers were counted in Prepare.
-func (p *parExec) jacobiFinish(round int) int {
+// merged row is the peak. The ring closes on the merged image. Proposers
+// were counted in Prepare.
+func (p *parExec) jacobiFinish(round int) {
 	e := p.e
 	all := p.all[:0]
 	for _, props := range p.props {
@@ -367,14 +421,16 @@ func (p *parExec) jacobiFinish(round int) int {
 		}
 	}
 	e.closeRing()
-	return 0
 }
 
 // atomicPrepare classifies the shard's nodes by footprint: a node whose row
 // starts and ends inside the shard is interior and runs concurrently in
 // Execute; the rest run in the sequential Finish pass. Read-only;
-// activations are counted by the later phases.
-func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
+// activations are counted by the later phases. The daemon's one shard
+// covers every row, so all its nodes are interior, in identity order, and
+// one rng.Shuffle permutes them: a seed fixes the activation sequence of
+// the whole run.
+func (p *parExec) atomicPrepare(s sim.Shard) {
 	e := p.e
 	inner := p.interior[s.Index][:0]
 	outer := p.boundary[s.Index][:0]
@@ -385,16 +441,18 @@ func (p *parExec) atomicPrepare(_ int, s sim.Shard) int {
 			outer = append(outer, i)
 		}
 	}
+	if p.rng != nil {
+		p.rng.Shuffle(len(inner), func(i, j int) { inner[i], inner[j] = inner[j], inner[i] })
+	}
 	p.interior[s.Index] = inner
 	p.boundary[s.Index] = outer
-	return 0
 }
 
-// atomicExecute runs the shard's interior nodes in identifier order. Every
+// atomicExecute runs the shard's interior nodes in Prepare's order. Every
 // touched edge has both endpoints inside the shard's index interval, so
 // concurrent shards never write the same rows; side effects go into the
 // shard's buffering sink.
-func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
+func (p *parExec) atomicExecute(s sim.Shard) {
 	e := p.e
 	sink := &p.sinks[s.Index]
 	changed := 0
@@ -404,41 +462,16 @@ func (p *parExec) atomicExecute(_ int, s sim.Shard) int {
 		}
 	}
 	p.intCounts[s.Index] = changed
-	return changed
-}
-
-// daemonExecute is the RandomSequential daemon's round: the one shard's
-// nodes apply their operations atomically, one at a time, in a fresh
-// random permutation — identity order, then one rng.Shuffle, so a seed
-// fixes the activation sequence of the whole run. It runs on one goroutine
-// and writes through the direct sink.
-func (p *parExec) daemonExecute(_ int, s sim.Shard) int {
-	e := p.e
-	order := p.order[:0]
-	for i := s.Lo; i < s.Hi; i++ {
-		order = append(order, i)
-	}
-	p.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	p.order = order
-	changed := 0
-	for _, i := range order {
-		if e.stepInPlace(int32(i), &p.root) {
-			changed++
-		}
-	}
-	p.intCounts[s.Index] = changed
-	return changed
 }
 
 // atomicFinish merges the shard sinks in shard order (deterministic stats
 // and trace stream for any worker count), then runs the boundary nodes
 // sequentially in global identifier order. Then the ring may close.
-func (p *parExec) atomicFinish(_ int) int {
+func (p *parExec) atomicFinish(int) {
 	e := p.e
 	for i := range p.sinks {
 		p.sinks[i].flush()
 	}
-	act := 0
 	for si := range p.boundary {
 		changed := 0
 		for _, i := range p.boundary[si] {
@@ -447,8 +480,6 @@ func (p *parExec) atomicFinish(_ int) int {
 			}
 		}
 		p.bndCounts[si] = changed
-		act += changed
 	}
 	e.closeRing()
-	return act
 }

@@ -6,8 +6,12 @@ package linearize
 // and — after stripping EvSpan — identical trace streams.
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -107,5 +111,115 @@ func TestProfiledTraceFoldsIntoPerfReport(t *testing.T) {
 	}
 	if acts["boundary"] != st.Par.BoundaryActivations {
 		t.Fatalf("boundary attribution %d != stats %d", acts["boundary"], st.Par.BoundaryActivations)
+	}
+}
+
+// TestProfiledPhaseOrder pins the profiler's observation order, round by
+// round, for each executor path at one and four workers: the begin phase
+// (Memory's round 0 freezes its image inside it), each parallel phase
+// followed by its shards' times in shard order, finish (Memory's merge
+// inside it), end, and the round's allocator deltas. The spans a phase
+// contains are emitted before the phase's own, which closes after them.
+// The imbalance ratio is left out: it is only emitted when the shards'
+// measured busy time is nonzero.
+func TestProfiledPhaseOrder(t *testing.T) {
+	shards := func(phase string, k int) []string {
+		var out []string
+		for i := 0; i < k; i++ {
+			out = append(out, fmt.Sprintf("shard/%s:%d", phase, i))
+		}
+		return out
+	}
+	tail := []string{"phase/end", "allocs", "mallocs", "gc"}
+	g, err := graph.Generate(graph.TopoRegular, 300, graph.RandomIDs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		round func(round int) []string
+	}{
+		{"memory", Config{Variant: Memory, Executor: sim.ExecutorConfig{Shards: 2}}, func(round int) []string {
+			var r []string
+			if round == 0 {
+				r = append(r, "snapshot/rebuild")
+			}
+			r = append(r, "phase/begin", "phase/prepare")
+			r = append(r, shards("prepare", 2)...)
+			return append(append(r, "snapshot/delta", "phase/finish"), tail...)
+		}},
+		{"lsn", Config{Variant: LSN, Executor: sim.ExecutorConfig{Shards: 4}}, func(int) []string {
+			r := append([]string{"phase/begin", "phase/prepare"}, shards("prepare", 4)...)
+			r = append(append(r, "phase/execute"), shards("execute", 4)...)
+			return append(append(r, "phase/finish"), tail...)
+		}},
+		{"daemon", Config{Variant: LSN, Scheduler: sim.RandomSequential, Seed: 9}, func(int) []string {
+			r := append([]string{"phase/begin", "phase/prepare"}, shards("prepare", 1)...)
+			r = append(append(r, "phase/execute"), shards("execute", 1)...)
+			return append(append(r, "phase/finish"), tail...)
+		}},
+	} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
+			rec := &captureTracer{}
+			cfg := tc.cfg
+			cfg.Executor.Workers = workers
+			cfg.Prof = perf.New(rec)
+			st, _ := Run(g.Clone(), cfg)
+			if !st.Converged || st.Rounds < 2 {
+				t.Fatalf("%s: want a converged run of several rounds: %s", label, st)
+			}
+			var want, got []string
+			for r := 0; r < st.Rounds; r++ {
+				want = append(want, tc.round(r)...)
+			}
+			at := int64(0)
+			for _, ev := range rec.events {
+				if ev.T < at {
+					t.Fatalf("%s: span of round %d after round %d", label, ev.T, at)
+				}
+				at = ev.T
+				switch {
+				case ev.Kind == "imbalance":
+				case strings.HasPrefix(ev.Kind, "shard/"):
+					got = append(got, ev.Kind+":"+ev.Aux)
+				default:
+					got = append(got, ev.Kind)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: span order\n got %v\nwant %v", label, got, want)
+			}
+		}
+	}
+}
+
+// TestSeqAndParCountPhasesOnce: on a profiled Memory run, whose snapshot
+// spans nest inside phase/begin and phase/finish, the sequential and the
+// parallel share together are exactly the phase/* spans.
+func TestSeqAndParCountPhasesOnce(t *testing.T) {
+	an := trace.NewAnalysis()
+	g := randomConnected(400, 7)
+	st, _ := Run(g, Config{Variant: Memory, Executor: sim.ExecutorConfig{Workers: 2, Shards: 4}, Prof: perf.New(an)})
+	if !st.Converged {
+		t.Fatalf("run did not converge: %s", st)
+	}
+	p := an.Perf()
+	var phases float64
+	snapshots := 0
+	for _, s := range p.Spans {
+		switch {
+		case strings.HasPrefix(s.Name, "phase/"):
+			phases += s.TotalNs
+		case strings.HasPrefix(s.Name, "snapshot/"):
+			snapshots++
+		}
+	}
+	if snapshots != 2 {
+		t.Fatalf("want snapshot/rebuild and snapshot/delta spans, got %+v", p.Spans)
+	}
+	if got := p.SeqNs() + p.ParNs(); got != phases {
+		t.Fatalf("SeqNs+ParNs = %g, the phase/* spans sum to %g", got, phases)
 	}
 }

@@ -1,7 +1,7 @@
 // Package perf is the deterministic-safe performance profiler: a pure
 // span emitter that measures wall time, per-shard busy time, load
-// imbalance and allocation deltas around the sharded executor's phases
-// and writes them as trace.EvSpan events.
+// imbalance and allocation deltas around the round executor's phases
+// (linearize.Engine.Run) and writes them as trace.EvSpan events.
 //
 // The determinism contract: a Profiler only *observes*. It never feeds a
 // measurement back into protocol state, so a profiled run and an
@@ -10,8 +10,8 @@
 // Span *values* are wall-clock and vary run to run; span *ordering* is
 // deterministic because every method is called from the executor's
 // sequential control goroutine (per-shard durations are recorded
-// race-free during the parallel phases and reported in shard order after
-// the phase barrier).
+// race-free during the parallel phases, one writer per shard slot, and
+// reported in shard order after the phase barrier).
 //
 // The profiler keeps no aggregates: trace.Analysis.Perf() is the single
 // source of truth for totals, so live runs and replayed JSONL traces
@@ -30,8 +30,8 @@ import (
 // disabled state: every method is nil-receiver-safe, so call sites need
 // no guards and a nil Profiler costs one predictable branch.
 //
-// A Profiler is single-goroutine: the sharded runner calls its methods
-// only from the sequential control path (see sim.ShardProfiler).
+// A Profiler is single-goroutine: the round loop calls its methods only
+// from the sequential control path, never from a shard's worker.
 type Profiler struct {
 	tr trace.Tracer
 
@@ -65,7 +65,7 @@ func (p *Profiler) RoundStart(round int) {
 }
 
 // PhaseTime records one phase's wall time as a "phase/<name>" span.
-// The runner's phase names are begin, prepare, execute, finish, end;
+// The round loop's phase names are begin, prepare, execute, finish, end;
 // prepare and execute are the parallel share (see
 // PerfReport.SeqShare).
 func (p *Profiler) PhaseTime(round int, phase string, d time.Duration) {

@@ -1,10 +1,10 @@
 package sim
 
-// This file is the partition-policy seam of the sharded executor. PR 6
-// measured why the executor was stuck at ~1x: with hard-coded contiguous
-// interval shards, LSN's shortcut edges span intervals and push almost
-// every activation onto the sequential boundary path (153,741 boundary vs
-// 5,159 interior at n=10k). Shard assignment is therefore a first-class
+// This file is the partition-policy seam of the round executor,
+// linearize.Engine.Run. With hard-coded contiguous interval shards the
+// executor was stuck at ~1x: LSN's shortcut edges span intervals and push
+// almost every activation onto the sequential boundary path (153,741
+// boundary vs 5,159 interior at n=10k). Shard assignment is therefore a first-class
 // policy now: a Partitioner turns per-node footprints into a shard layout.
 // The nodes whose footprints still cross shards run in the executor's
 // sequential Finish pass under every policy.
@@ -12,8 +12,9 @@ package sim
 // Determinism contract for every policy: Assign must be a pure function
 // of (n, shards, footprint) — no wall-clock, no randomness, no feedback
 // from measured times — and must return contiguous ordered shards covering
-// [0, n) exactly. Under that contract the executor's result remains a pure
-// function of the schedule and identical for every worker count.
+// [0, n) exactly (Layout panics otherwise). Under that contract the
+// executor's result remains a pure function of the schedule and identical
+// for every worker count.
 
 import (
 	"fmt"
@@ -34,6 +35,17 @@ type ExecutorConfig struct {
 	// PartitionPolicies.
 	Partition string
 }
+
+// Shard is one contiguous slice of the dense node-index space [Lo, Hi).
+// Nodes are indexed in ascending identifier order, so a shard is also a
+// contiguous identifier interval.
+type Shard struct {
+	Index  int
+	Lo, Hi int
+}
+
+// Len returns the number of nodes in the shard.
+func (s Shard) Len() int { return s.Hi - s.Lo }
 
 // Footprint describes one node to the partitioner: the dense-index span
 // its operation can touch (its neighborhood plus itself) and an estimated
@@ -273,20 +285,23 @@ func abs(x int) int {
 	return x
 }
 
-// validatePartition panics when a policy returns a malformed layout —
-// policy bugs must fail loudly, not silently corrupt the schedule.
-func validatePartition(n int, shards []Shard, policy string) {
-	if len(shards) == 0 {
-		panic(fmt.Sprintf("sim: policy %q returned no shards for n=%d", policy, n))
+// Layout assigns n dense node indices to shards under policy p and panics
+// when the policy returns a malformed layout — policy bugs must fail
+// loudly, not silently corrupt the schedule.
+func Layout(p Partitioner, n, shards int, footprint FootprintFn) []Shard {
+	out := p.Assign(n, shards, footprint)
+	if len(out) == 0 {
+		panic(fmt.Sprintf("sim: policy %q returned no shards for n=%d", p.Name(), n))
 	}
 	at := 0
-	for i, s := range shards {
+	for i, s := range out {
 		if s.Index != i || s.Lo != at || s.Hi < s.Lo {
-			panic(fmt.Sprintf("sim: policy %q returned malformed shard %d (%+v) for n=%d", policy, i, s, n))
+			panic(fmt.Sprintf("sim: policy %q returned malformed shard %d (%+v) for n=%d", p.Name(), i, s, n))
 		}
 		at = s.Hi
 	}
 	if at != n {
-		panic(fmt.Sprintf("sim: policy %q covers [0,%d) of n=%d", policy, at, n))
+		panic(fmt.Sprintf("sim: policy %q covers [0,%d) of n=%d", p.Name(), at, n))
 	}
+	return out
 }

@@ -18,6 +18,55 @@ func spanFootprint(r int) FootprintFn {
 	}
 }
 
+func TestPartitionCoversContiguously(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{
+		{0, 4}, {1, 4}, {7, 3}, {100, 7}, {100, 1}, {5, 5}, {3, 8}, {1000, 256},
+	} {
+		shards := Partition(tc.n, tc.k)
+		at := 0
+		for i, s := range shards {
+			if s.Index != i {
+				t.Fatalf("n=%d k=%d: shard %d has Index %d", tc.n, tc.k, i, s.Index)
+			}
+			if s.Lo != at {
+				t.Fatalf("n=%d k=%d: shard %d starts at %d, want %d", tc.n, tc.k, i, s.Lo, at)
+			}
+			if s.Hi < s.Lo {
+				t.Fatalf("n=%d k=%d: shard %d inverted", tc.n, tc.k, i)
+			}
+			at = s.Hi
+		}
+		if at != tc.n {
+			t.Fatalf("n=%d k=%d: coverage ends at %d", tc.n, tc.k, at)
+		}
+		// Balance: sizes differ by at most one.
+		minSz, maxSz := tc.n+1, -1
+		for _, s := range shards {
+			if s.Len() < minSz {
+				minSz = s.Len()
+			}
+			if s.Len() > maxSz {
+				maxSz = s.Len()
+			}
+		}
+		if len(shards) > 0 && maxSz-minSz > 1 {
+			t.Fatalf("n=%d k=%d: unbalanced shards (%d..%d)", tc.n, tc.k, minSz, maxSz)
+		}
+	}
+}
+
+func TestDefaultShardsScales(t *testing.T) {
+	if DefaultShards(10) != 1 {
+		t.Fatalf("small n must collapse to one shard, got %d", DefaultShards(10))
+	}
+	if s := DefaultShards(10_000); s < 2 {
+		t.Fatalf("10k nodes should shard, got %d", s)
+	}
+	if s := DefaultShards(10_000_000); s != 256 {
+		t.Fatalf("shard count must cap at 256, got %d", s)
+	}
+}
+
 // TestClampShards pins the single clamp authority on the edge cases that
 // used to be settled inconsistently across call sites.
 func TestClampShards(t *testing.T) {
@@ -73,8 +122,7 @@ func TestPoliciesProduceValidLayouts(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 2, 7, 511, 512, 513, 4000} {
 			for _, k := range []int{1, 2, 3, 8, 64, 600} {
-				shards := p.Assign(n, ClampShards(n, k), spanFootprint(2))
-				validatePartition(n, shards, name)
+				shards := Layout(p, n, ClampShards(n, k), spanFootprint(2))
 				if len(shards) > ClampShards(n, k) {
 					t.Errorf("%s n=%d k=%d: %d shards exceeds clamp", name, n, k, len(shards))
 				}
@@ -114,8 +162,7 @@ func TestDegreeBalancedEqualizesWeight(t *testing.T) {
 		return Footprint{Lo: i, Hi: i, Weight: w}
 	}
 	p, _ := NewPartitioner("degree-balanced")
-	shards := p.Assign(n, k, fp)
-	validatePartition(n, shards, "degree-balanced")
+	shards := Layout(p, n, k, fp)
 	weight := func(s Shard) (w float64) {
 		for i := s.Lo; i < s.Hi; i++ {
 			w += fp(i).Weight
@@ -147,8 +194,7 @@ func TestLocalityAvoidsCrossings(t *testing.T) {
 		return Footprint{Lo: i, Hi: i, Weight: 1}
 	}
 	p, _ := NewPartitioner("locality")
-	shards := p.Assign(n, k, fp)
-	validatePartition(n, shards, "locality")
+	shards := Layout(p, n, k, fp)
 	cut := shards[0].Hi
 	if cut > 500 && cut < 524 {
 		t.Fatalf("locality cut %d lands inside the hot span [500,524)", cut)
@@ -169,4 +215,20 @@ func TestPoliciesDeterministic(t *testing.T) {
 			t.Fatalf("%s: Assign is not deterministic", name)
 		}
 	}
+}
+
+// brokenPolicy leaves the last node out of its layout.
+type brokenPolicy struct{ contiguousPartitioner }
+
+func (brokenPolicy) Assign(n, shards int, _ FootprintFn) []Shard { return Partition(n-1, shards) }
+
+// TestLayoutRejectsMalformed: Layout panics on a layout that does not
+// cover [0, n) instead of handing it to the executor.
+func TestLayoutRejectsMalformed(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Layout accepted a layout that misses node n-1")
+		}
+	}()
+	Layout(brokenPolicy{}, 10, 2, selfFootprint)
 }

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/trace"
 )
 
 func TestEngineOrdersByTime(t *testing.T) {
@@ -649,5 +651,22 @@ func BenchmarkEngineQueue(b *testing.B) {
 				e.Step()
 			}
 		})
+	}
+}
+
+// recordingTracer is a minimal sink for option-wiring tests.
+type recordingTracer struct{ events []trace.Event }
+
+func (r *recordingTracer) Emit(e trace.Event) { r.events = append(r.events, e) }
+
+func TestEngineOptions(t *testing.T) {
+	rec := recordingTracer{}
+	e := NewEngine(1, WithTracer(&rec))
+	if e.Tracer() != &rec {
+		t.Fatal("WithTracer did not install the tracer")
+	}
+	e = NewEngine(1, WithTracer(nil))
+	if e.Tracer() != nil {
+		t.Fatal("WithTracer(nil) must leave no tracer")
 	}
 }

@@ -542,13 +542,15 @@ type PerfReport struct {
 func (p PerfReport) Empty() bool { return len(p.Spans) == 0 && len(p.Shards) == 0 }
 
 // parallelSpan reports whether a phase span names work done inside the
-// parallel phases of the sharded executor (everything else — begin,
-// finish, end, snapshot rebuilds — is the sequential share).
+// parallel phases of the round executor (begin, finish and end are the
+// sequential share).
 func parallelSpan(name string) bool {
 	return name == "phase/prepare" || name == "phase/execute"
 }
 
-// SeqNs returns the wall time spent in the sequential share of the rounds.
+// SeqNs returns the wall time spent in the sequential phases of the rounds.
+// Only phase/* spans count: snapshot/rebuild and snapshot/delta run inside
+// phase/begin and phase/finish, so counting them too would count them twice.
 func (p PerfReport) SeqNs() float64 { return p.spanNs(false) }
 
 // ParNs returns the wall time spent in the parallel phases.
@@ -557,7 +559,7 @@ func (p PerfReport) ParNs() float64 { return p.spanNs(true) }
 func (p PerfReport) spanNs(parallel bool) float64 {
 	var t float64
 	for _, s := range p.Spans {
-		if parallelSpan(s.Name) == parallel {
+		if strings.HasPrefix(s.Name, "phase/") && parallelSpan(s.Name) == parallel {
 			t += s.TotalNs
 		}
 	}

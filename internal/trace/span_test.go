@@ -79,11 +79,12 @@ func checkPerf(t *testing.T, p PerfReport) {
 	if p.AllocBytes != 8192 || p.Mallocs != 64 || p.GCCycles != 2 {
 		t.Fatalf("alloc totals = %g/%g/%g", p.AllocBytes, p.Mallocs, p.GCCycles)
 	}
-	// seq = begin+finish+end+snapshot = 32000; par = prepare+execute = 28000.
-	if seq, par := p.SeqNs(), p.ParNs(); seq != 32000 || par != 28000 {
-		t.Fatalf("seq/par = %g/%g, want 32000/28000", seq, par)
+	// seq = begin+finish+end = 27000; par = prepare+execute = 28000. The
+	// snapshot span nests inside a sequential phase and is not counted again.
+	if seq, par := p.SeqNs(), p.ParNs(); seq != 27000 || par != 28000 {
+		t.Fatalf("seq/par = %g/%g, want 27000/28000", seq, par)
 	}
-	wantShare := 32000.0 / 60000.0
+	wantShare := 27000.0 / 55000.0
 	if math.Abs(p.SeqShare()-wantShare) > 1e-12 {
 		t.Fatalf("seq share = %g, want %g", p.SeqShare(), wantShare)
 	}

@@ -18,7 +18,11 @@
 # cmd/ or internal/exp assigns os.Stdout or os.Stderr: an experiment is a
 # method on an exp.Harness value and prints through the writer its caller
 # passes, so concurrent runs (ssrsim's parallel pinned modes) share no
-# output and no harness state. Run from the repo root.
+# output and no harness state. And fails when non-test Go under internal/
+# names ShardedRunner, ShardProfiler or daemonExecute: linearize.Engine.Run
+# is the one round loop, and the random-sequential daemon is its atomic
+# path on one shard, so neither a generic runner nor a third path may come
+# back. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -50,6 +54,10 @@ if grep -rn --include='*.go' --exclude='*_test.go' -e 'fmt\.Print' -e 'os\.Stdou
 fi
 if grep -rnE --include='*_test.go' 'os\.(Stdout|Stderr)[[:space:]]*=[^=]' cmd internal/exp; then
 	echo "docs-check: a test passes writers to the code under test instead of swapping os.Stdout/os.Stderr"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'ShardedRunner|ShardProfiler|daemonExecute' internal; then
+	echo "docs-check: linearize.Engine.Run is the one round loop and the daemon its one-shard atomic path; no runner or daemon path beside it"
 	fail=1
 fi
 exit $fail
