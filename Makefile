@@ -48,8 +48,9 @@ docs-check:
 # VRR (vrr), which like SSR emits its edge events through the network's
 # tracer, the trace writer (trace), whose encoder goroutine takes the batches
 # Emit fills, and Memory's round (graph, the Jacobi tests of linearize),
-# whose parallel Prepare reads the graph.Merger's scratch that Merge
-# overwrites after the barrier, are where data races would live. The
+# whose parallel Prepare reads the image and the graph.Merger's scratch
+# that Finish's CSR.MergeInPlace rewrites after the barrier, are where data
+# races would live. The
 # linearize line also runs TestKeepSetProperties, the check that the round
 # model's LSN keep set and SSR's Bounded cache keep the same neighbours.
 smoke:

@@ -86,12 +86,17 @@ func BenchmarkGraphAddRemoveEdge(b *testing.B) {
 	}
 }
 
+// memoryRegularSeed is the first input of the layered benchmark's
+// lin-memory-regular workload under --seed 1: repetition i there runs seed
+// 2²⁰+i.
+const memoryRegularSeed = 1 << 20
+
 // BenchmarkMemoryRegular: linearization with memory on a 4-regular graph of
-// 6000 nodes — the layered benchmark's lin-memory-regular input — on one
-// worker and on GOMAXPROCS workers. The whole round runs on the dense
+// 6000 nodes — the layered benchmark's first lin-memory-regular input — on
+// one worker and on GOMAXPROCS workers. The whole round runs on the dense
 // graph.CSR image (DESIGN.md §9).
 func BenchmarkMemoryRegular(b *testing.B) {
-	g := mustTopo(b, graph.TopoRegular, 6000, 1)
+	g := mustTopo(b, graph.TopoRegular, 6000, memoryRegularSeed)
 	for _, workers := range []int{1, 0} {
 		name := "workers1"
 		if workers == 0 {
@@ -114,7 +119,7 @@ func BenchmarkMemoryRegular(b *testing.B) {
 // BenchmarkCSRMerge: one CSR.WithEdges of a 5 % delta of absent edges onto
 // the final graph of a BenchmarkMemoryRegular run.
 func BenchmarkCSRMerge(b *testing.B) {
-	_, final := linearize.Run(mustTopo(b, graph.TopoRegular, 6000, 1), linearize.Config{Variant: linearize.Memory})
+	_, final := linearize.Run(mustTopo(b, graph.TopoRegular, 6000, memoryRegularSeed), linearize.Config{Variant: linearize.Memory})
 	csr := graph.NewCSR(final)
 	nodes := final.Nodes()
 	r := rand.New(rand.NewSource(1))

@@ -6,11 +6,14 @@ package graph
 // indices is the row Algorithm 1 reads, at half the width, and membership
 // is one binary search with no identifier → row hash probe. The Jacobi
 // executor (linearization with memory) runs its whole round on this image:
-// every node proposes against the same round-start rows, and Merge folds
-// the proposals into the next image.
+// every node proposes against the same round-start rows, and MergeInPlace
+// folds the proposals into the next image, over the same array while it
+// fits.
 //
-// A CSR is immutable after construction and therefore safe for concurrent
-// readers without locking — what the parallel proposal phase relies on.
+// Only MergeInPlace writes a CSR after construction, so between its calls
+// a CSR is safe for concurrent readers without locking — what the parallel
+// proposal phase relies on; every other method, Merge and WithEdges
+// included, leaves its receiver untouched.
 // Its mutable sibling is the same rows as one []int32 per node (DenseRows,
 // and FreezeRows back), the state of linearize's in-place step. A Graph or
 // a generator's edge list goes in (NewCSR, DenseRows, build) and a Graph
@@ -23,8 +26,8 @@ import (
 	"repro/internal/ids"
 )
 
-// CSR is an immutable compressed-sparse-row snapshot of a Graph over dense
-// node indices; HasEdge and WithEdges are adapters for callers that hold
+// CSR is a compressed-sparse-row snapshot of a Graph over dense node
+// indices; HasEdge and WithEdges are adapters for callers that hold
 // identifiers.
 type CSR struct {
 	nodes []ids.ID // ascending; index i names nodes[i]
@@ -222,15 +225,17 @@ func (c *CSR) WithEdges(adds []Edge, workers int) *CSR {
 			pairs = append(pairs, Pair{a, b})
 		}
 	}
-	return c.Merge(new(Merger), pairs, workers)
+	return c.Merge(new(Merger), [][]Pair{pairs}, workers)
 }
 
-// Merger is the scratch of CSR.Merge, reusable across calls so that a
-// per-round caller allocates nothing but the next image. It describes the
-// last call: the winners (Won) and each row's additions (Added).
+// Merger is the scratch of CSR.Merge and CSR.MergeInPlace, reusable across
+// calls so that a per-round caller allocates nothing of its own once the
+// buffers have reached their size. It describes the last call: the winners
+// (Won) and each row's additions (Added).
 type Merger struct {
-	// Won marks, per input pair of the last Merge, the pairs that added
-	// their edge: the first of each run of equal pairs.
+	// Won marks, per input pair of the last merge (the buffers read in
+	// order and numbered across them), the pairs that added their edge: the
+	// first of each run of equal pairs.
 	Won []bool
 
 	keys []uint64 // B<<32 | input position, bucketed by A
@@ -240,23 +245,30 @@ type Merger struct {
 	lo   []int32 // per row b, the A of the pairs it won, ascending: its additions below b
 	loAt []int32 // row b's part of lo starts at loAt[b]
 	cur  []int32 // write cursors of the two scatters
+	row  []int32 // the next image's row offsets; after MergeInPlace, the consumed image's
 }
 
-// Added returns what the last Merge added to row i: the new neighbours
+// Added returns what the last merge added to row i: the new neighbours
 // below i and those above i, each ascending, read-only views that the next
-// Merge overwrites. ok is false before the first Merge.
+// merge overwrites. ok is false before the first merge.
 func (m *Merger) Added(i int) (below, above []int32, ok bool) {
 	if m.loAt == nil {
 		return nil, nil, false
 	}
-	return m.lo[m.loAt[i]:m.loAt[i+1]], m.hi[m.off[i] : m.off[i]+m.cnt[i]], true
+	below, above = m.added(i)
+	return below, above, true
 }
 
-// Merge returns the snapshot c plus pairs. Every pair must be absent from
-// c; equal pairs may repeat, and the first in input order is the one that
-// counts as adding the edge (m.Won) — what Graph.AddEdge would report pair
-// by pair. No pairs returns c itself, and m then reports nothing won and
-// nothing added.
+func (m *Merger) added(i int) (below, above []int32) {
+	return m.lo[m.loAt[i]:m.loAt[i+1]], m.hi[m.off[i] : m.off[i]+m.cnt[i]]
+}
+
+// Merge returns the snapshot c plus the pairs in props, whose buffers are
+// read in order as one list; c is left as it was. Every pair must be absent
+// from c; equal pairs may repeat, and the first in input order is the one
+// that counts as adding the edge (m.Won) — what Graph.AddEdge would report
+// pair by pair. No pairs returns c itself, and m then reports nothing won
+// and nothing added.
 //
 // The pairs are bucketed by A in input order (a counting sort) and each
 // bucket is sorted on B<<32 | position: the first of every run of equal B
@@ -265,29 +277,76 @@ func (m *Merger) Added(i int) (below, above []int32, ok bool) {
 // from below, again ascending; one merge per touched row writes the next
 // image. Sorting and merging are row-local and run on up to workers
 // goroutines; the result does not depend on how many.
-func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
-	n := len(c.nodes)
-	m.Won, m.keys, m.hi = resized(m.Won, len(pairs)), resized(m.keys, len(pairs)), resized(m.hi, len(pairs))
+func (c *CSR) Merge(m *Merger, props [][]Pair, workers int) *CSR {
+	if !m.plan(c, props, workers) {
+		return c
+	}
+	out := &CSR{nodes: c.nodes, row: slices.Clone(m.row)}
+	out.nbr = make([]int32, out.row[len(c.nodes)])
+	m.writeRows(c, out, workers)
+	return out
+}
+
+// MergeInPlace makes c the snapshot Merge would return — the same rows, the
+// same m.Won and m.Added — and consumes c to do it: every row view of c is
+// stale afterwards. When the merged rows fit the capacity of c's array they
+// are rewritten in it, from the last row down: a row's new start is never
+// before its old one, so no row is overwritten before it is read. Otherwise
+// they go into a fresh array with room for half as many again, written as
+// Merge writes them. A caller that merges round after round thus allocates
+// an image only when the graph outgrows the headroom of the last one.
+func (c *CSR) MergeInPlace(m *Merger, props [][]Pair, workers int) {
+	if !m.plan(c, props, workers) {
+		return
+	}
+	next := CSR{nodes: c.nodes, row: m.row}
+	if size := int(m.row[len(c.nodes)]); size > cap(c.nbr) {
+		next.nbr = make([]int32, size, size+size/2)
+		m.writeRows(c, &next, workers)
+	} else {
+		next.nbr = c.nbr[:size]
+		m.shiftRows(c.row, &next)
+	}
+	m.row = c.row // spent: the next plan's scratch
+	*c = next
+}
+
+// plan does what Merge and MergeInPlace share: it picks the winners,
+// builds every row's addition lists and writes the next image's row offsets
+// into m.row. It reports whether there is anything to add.
+func (m *Merger) plan(c *CSR, props [][]Pair, workers int) bool {
+	n, total := len(c.nodes), 0
+	for _, ps := range props {
+		total += len(ps)
+	}
+	m.Won, m.keys, m.hi = resized(m.Won, total), resized(m.keys, total), resized(m.hi, total)
 	m.off, m.cnt, m.loAt, m.cur = resized(m.off, n+1), resized(m.cnt, n+1), resized(m.loAt, n+1), resized(m.cur, n+1)
+	m.row = resized(m.row, n+1)
 	clear(m.Won)
 	clear(m.off)
 	clear(m.loAt)
-	off, cnt, loAt, cur := m.off, m.cnt, m.loAt, m.cur
-	if len(pairs) == 0 {
+	off, cnt, loAt, cur, row := m.off, m.cnt, m.loAt, m.cur, m.row
+	if total == 0 {
 		clear(cnt)
-		return c
+		return false
 	}
 
-	for _, p := range pairs {
-		off[p.A+1]++
+	for _, ps := range props {
+		for _, p := range ps {
+			off[p.A+1]++
+		}
 	}
 	for a := 0; a < n; a++ {
 		off[a+1] += off[a]
 	}
 	copy(cur, off)
-	for seq, p := range pairs {
-		m.keys[cur[p.A]] = uint64(p.B)<<32 | uint64(seq)
-		cur[p.A]++
+	seq := uint64(0)
+	for _, ps := range props {
+		for _, p := range ps {
+			m.keys[cur[p.A]] = uint64(p.B)<<32 | seq
+			cur[p.A]++
+			seq++
+		}
 	}
 	fanOut(n, workers, func(a int) {
 		bucket := m.keys[off[a]:off[a+1]]
@@ -312,23 +371,30 @@ func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
 	}
 	copy(cur, loAt)
 	m.lo = resized(m.lo, int(loAt[n]))
-	out := &CSR{nodes: c.nodes, row: make([]int32, n+1), nbr: make([]int32, len(c.nbr)+2*len(m.lo))}
+	row[0] = 0
 	for a := 0; a < n; a++ {
 		for _, b := range m.hi[off[a] : off[a]+cnt[a]] {
 			m.lo[cur[b]] = int32(a)
 			cur[b]++
 		}
-		out.row[a+1] = out.row[a] + c.row[a+1] - c.row[a] + loAt[a+1] - loAt[a] + cnt[a]
+		row[a+1] = row[a] + c.row[a+1] - c.row[a] + loAt[a+1] - loAt[a] + cnt[a]
 	}
-	fanOut(n, workers, func(i int) {
+	return true
+}
+
+// writeRows writes every row of the planned image out, c's row merged with
+// its additions, into an array of its own, on up to workers goroutines.
+func (m *Merger) writeRows(c, out *CSR, workers int) {
+	fanOut(len(c.nodes), workers, func(i int) {
 		old, dst := c.Row(i), out.nbr[out.row[i]:out.row[i+1]]
 		if len(dst) == len(old) {
 			copy(dst, old)
 			return
 		}
 		// lo < i < hi, so the two addition lists are one ascending sequence.
+		below, above := m.added(i)
 		oi, di := 0, 0
-		for _, adds := range [2][]int32{m.lo[loAt[i]:loAt[i+1]], m.hi[off[i] : off[i]+cnt[i]]} {
+		for _, adds := range [2][]int32{below, above} {
 			for _, x := range adds {
 				for ; oi < len(old) && old[oi] < x; oi, di = oi+1, di+1 {
 					dst[di] = old[oi]
@@ -339,7 +405,30 @@ func (c *CSR) Merge(m *Merger, pairs []Pair, workers int) *CSR {
 		}
 		copy(dst[di:], old[oi:])
 	})
-	return out
+}
+
+// shiftRows writes the planned image over the array whose rows start at
+// oldRow, last row first and each row from its end: every write lands at or
+// after the position it reads from, and before the start of the rows above,
+// which are already in place. The rows below the lowest one that gains an
+// entry keep their place, and the walk stops at them.
+func (m *Merger) shiftRows(oldRow []int32, out *CSR) {
+	nbr := out.nbr
+	for i := len(oldRow) - 2; i >= 0 && out.row[i+1] != oldRow[i+1]; i-- {
+		below, above := m.added(i)
+		lo, oi, di := oldRow[i], oldRow[i+1], out.row[i+1]
+		for _, adds := range [2][]int32{above, below} {
+			for k := len(adds) - 1; k >= 0; k-- {
+				x := adds[k]
+				for ; oi > lo && nbr[oi-1] > x; oi, di = oi-1, di-1 {
+					nbr[di-1] = nbr[oi-1]
+				}
+				di--
+				nbr[di] = x
+			}
+		}
+		copy(nbr[out.row[i]:di], nbr[lo:oi])
+	}
 }
 
 // fanOut runs fn(i) for every i in [0,n), split into contiguous ranges over

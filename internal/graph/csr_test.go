@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -201,7 +202,8 @@ func TestCSRWithEdgesEdgeCases(t *testing.T) {
 // TestMergerAdded: after every Merge of a chain of merges on one Merger,
 // Added(i) is row i of the new image less row i of the old, ascending and
 // split at i; a Merge of no pairs reports nothing won and nothing added,
-// and a fresh Merger reports nothing at all.
+// and a fresh Merger reports nothing at all. The same pairs split over
+// several buffers, some empty, merge to the same image, Won and Added.
 func TestMergerAdded(t *testing.T) {
 	if below, above, ok := new(Merger).Added(0); ok || below != nil || above != nil {
 		t.Fatal("a fresh Merger reports additions")
@@ -210,7 +212,7 @@ func TestMergerAdded(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(40)
 		c := NewCSR(randomTestGraph(n, r.Float64()*0.2, seed))
-		var m Merger
+		var m, split Merger
 		for batch := 0; batch < 6; batch++ {
 			var pairs []Pair
 			if batch != 3 { // the fourth batch is empty
@@ -223,10 +225,11 @@ func TestMergerAdded(t *testing.T) {
 					}
 				}
 			}
-			next := c.Merge(&m, pairs, 1+batch%3)
+			next := c.Merge(&m, [][]Pair{pairs}, 1+batch%3)
 			if len(pairs) == 0 && slices.Contains(m.Won, true) {
 				t.Fatalf("seed %d batch %d: an empty merge reports winners %v", seed, batch, m.Won)
 			}
+			sameMerge(t, fmt.Sprintf("seed %d batch %d split", seed, batch), c.Merge(&split, splitPairs(r, pairs), 2), &split, next, &m)
 			for i := 0; i < n; i++ {
 				var want []int32
 				for _, x := range next.Row(i) {
@@ -263,9 +266,9 @@ func TestMergerAdded(t *testing.T) {
 // graph built back from that image must be that graph — mark as winners
 // exactly the pairs AddEdge accepts, and leave the receiver as it was.
 // WithEdges must agree when handed the same edges with either endpoint
-// first.
+// first, and so must the same pairs split over several buffers.
 func TestCSRMergeMatchesAddEdge(t *testing.T) {
-	var m Merger
+	var m, split Merger
 	for seed := int64(0); seed < 240; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(40)
@@ -298,9 +301,11 @@ func TestCSRMergeMatchesAddEdge(t *testing.T) {
 		for i, p := range pairs {
 			wantWon[i] = want.AddEdge(nodes[p.A], nodes[p.B])
 		}
-		got := c.Merge(&m, pairs, 1+int(seed%3))
+		got := c.Merge(&m, [][]Pair{pairs}, 1+int(seed%3))
 		sameAsGraph(t, "merge", got, want)
 		sameAsGraph(t, "receiver", c, g)
+		sameMerge(t, fmt.Sprintf("seed %d split", seed), c.Merge(&split, splitPairs(r, pairs), 2), &split, got, &m)
+		sameAsGraph(t, "receiver after the split merge", c, g)
 		if !got.Graph().Equal(want) {
 			t.Fatalf("seed %d: the merged image's graph differs from AddEdge of the same pairs", seed)
 		}
@@ -309,4 +314,90 @@ func TestCSRMergeMatchesAddEdge(t *testing.T) {
 		}
 		sameAsGraph(t, "WithEdges", c.WithEdges(edges, 1), want)
 	}
+}
+
+// splitPairs cuts pairs at random points into one to five buffers, some of
+// them empty, which read in order are pairs again.
+func splitPairs(r *rand.Rand, pairs []Pair) [][]Pair {
+	cuts := []int{0, len(pairs)}
+	for k := r.Intn(5); k > 0; k-- {
+		cuts = append(cuts, r.Intn(len(pairs)+1))
+	}
+	slices.Sort(cuts)
+	out := make([][]Pair, len(cuts)-1)
+	for k := range out {
+		out[k] = pairs[cuts[k]:cuts[k+1]]
+	}
+	return out
+}
+
+// sameMerge asserts that got and its Merger mg describe the merge that want
+// and mw describe: the same rows, the same winners and the same additions.
+func sameMerge(t *testing.T, label string, got *CSR, mg *Merger, want *CSR, mw *Merger) {
+	t.Helper()
+	if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.row, want.row) || !slices.Equal(got.nbr, want.nbr) {
+		t.Fatalf("%s: the image differs", label)
+	}
+	if !slices.Equal(mg.Won, mw.Won) {
+		t.Fatalf("%s: winners %v, want %v", label, mg.Won, mw.Won)
+	}
+	for i := range want.nodes {
+		gb, ga, gok := mg.Added(i)
+		wb, wa, wok := mw.Added(i)
+		if gok != wok || !slices.Equal(gb, wb) || !slices.Equal(ga, wa) {
+			t.Fatalf("%s row %d: added %v %v, want %v %v", label, i, gb, ga, wb, wa)
+		}
+	}
+}
+
+// TestCSRMergeInPlaceMatchesMerge chains eight in-place merges per random
+// graph — large batches that outgrow the array, small ones that fit its
+// headroom, an empty one, the pairs split over several buffers — and after
+// each holds the rows, Won and Added to the receiver-preserving Merge of the
+// same pairs. Both kinds of write must have run.
+func TestCSRMergeInPlaceMatchesMerge(t *testing.T) {
+	grown, fitted := 0, 0
+	for seed := int64(0); seed < 120; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(40)
+		g := randomTestGraph(n, r.Float64()*0.2, seed)
+		ref, c := NewCSR(g), NewCSR(g)
+		var mRef, m Merger
+		for batch := 0; batch < 8; batch++ {
+			var pairs []Pair
+			most := max(1, n/4) // small batches
+			if batch%3 == 0 {
+				most = 3 * n
+			}
+			if batch != 4 { // the fifth batch is empty
+				for k := r.Intn(most + 1); k > 0; k-- {
+					a, b := int32(r.Intn(n)), int32(r.Intn(n))
+					if a != b && !ref.Has(min(a, b), max(a, b)) {
+						for dup := 1 + r.Intn(3)/2; dup > 0; dup-- {
+							pairs = append(pairs, Pair{min(a, b), max(a, b)})
+						}
+					}
+				}
+			}
+			props := splitPairs(r, pairs)
+			workers := 1 + batch%3
+			prev := ref
+			ref = ref.Merge(&mRef, props, workers)
+			before := c.nbr[:cap(c.nbr)]
+			c.MergeInPlace(&m, props, workers)
+			after := c.nbr[:cap(c.nbr)]
+			switch {
+			case ref == prev: // nothing to add
+			case len(before) > 0 && &before[0] == &after[0]:
+				fitted++
+			default:
+				grown++
+			}
+			sameMerge(t, fmt.Sprintf("seed %d batch %d", seed, batch), c, &m, ref, &mRef)
+		}
+	}
+	if grown == 0 || fitted == 0 {
+		t.Fatalf("%d merges grew the array and %d fitted it: both kinds must run", grown, fitted)
+	}
+	t.Logf("%d merges grew the array, %d rewrote it in place", grown, fitted)
 }

@@ -1,10 +1,12 @@
 package linearize
 
 // Memory's round keeps one copy of the virtual graph, the dense image the
-// round reads (Engine.csr); the graph.Graph the observers read is built from
-// it when they look. This test holds the two to each other after every
-// round, and the reference model in parallel_test.go holds the pair to the
-// single-threaded semantics.
+// round reads (Engine.csr), which each round's Finish rewrites in place into
+// the next; the graph.Graph the observers read is built from it when they
+// look. These tests hold the two to each other after every round and
+// Prepare's staged proposals to a full scan of the image, and the reference
+// model in parallel_test.go holds the pair to the single-threaded
+// semantics.
 
 import (
 	"fmt"

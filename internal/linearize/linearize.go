@@ -198,7 +198,7 @@ type Engine struct {
 	cfg   Config
 	nodes []ids.ID   // ascending; fixed for the run
 	rows  [][]int32  // node i's neighbours, strictly ascending; nil once frozen into csr
-	csr   *graph.CSR // Memory's synchronous round: the frozen image
+	csr   *graph.CSR // Memory's synchronous round: the image Prepare reads and Finish grows in place
 	ring  bool       // CloseRing on a universe that has a ring (three nodes or more)
 	// closed is the wrap edge: ring state beside the rows, which hold line
 	// edges only. closeRing sets it between rounds; Graph adds the edge.

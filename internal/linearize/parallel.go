@@ -9,13 +9,14 @@ package linearize
 // for the full argument):
 //
 //   - Memory is Jacobi-style: additions commute, so the whole round runs on
-//     an immutable image of the round-start rows (graph.CSR). Prepare
-//     stages, in parallel, the chain pairs the image lacks (after the first
-//     round only the pairs the last merge created can be new); Finish hands
-//     them in global identifier order to CSR.Merge, which resolves
-//     duplicates to the first proposer and builds the next image. Proposal
-//     order and presence filter make the graph, stats and trace stream the
-//     same for every shard count (the reference model in parallel_test.go).
+//     one image of the round-start rows (graph.CSR). Prepare stages, in
+//     parallel, the chain pairs the image lacks (after the first round only
+//     the pairs the last merge created can be new); Finish hands them in
+//     global identifier order to CSR.MergeInPlace, which resolves
+//     duplicates to the first proposer and grows the image into the next
+//     round's, in its own array while it fits. Proposal order and presence
+//     filter make the graph, stats and trace stream the same for every
+//     shard count (the reference model in parallel_test.go).
 //
 //   - Pure and LSN need atomic node operations (fully simultaneous
 //     replacement does not converge). Prepare classifies each node by its
@@ -97,8 +98,7 @@ type parExec struct {
 
 	// Jacobi state (Memory; the image itself is Engine.csr). A proposal is
 	// a chain pair of dense indices absent from the image.
-	props  [][]graph.Pair // staged per shard in Prepare
-	all    []graph.Pair   // props in shard order: what a single-threaded pass would write
+	props  [][]graph.Pair // staged per shard in Prepare; in shard order, what a single-threaded pass would write
 	merger graph.Merger   // its Added rows are what the next Prepare re-checks
 
 	// atomic state (Pure, LSN, and the daemon): dense indices per shard,
@@ -393,30 +393,31 @@ func (p *parExec) jacobiPrepare(s sim.Shard) {
 	p.intCounts[s.Index] = changed
 }
 
-// jacobiFinish resolves the round: all shards' proposals, concatenated in
-// global identifier order, go through one CSR.Merge, whose winner of every
-// run of equal pairs is the proposal Graph.AddEdge would have accepted in a
-// single-threaded pass — so the EdgesAdded count and the EvEdgeAdd stream
-// are the same for every shard count. Degrees only grow, so the largest
-// merged row is the peak. The ring closes on the merged image. Proposers
-// were counted in Prepare.
+// jacobiFinish resolves the round: all shards' proposals, read in shard
+// order and so in global identifier order, go through one
+// CSR.MergeInPlace, whose winner of every run of equal pairs is the
+// proposal Graph.AddEdge would have accepted in a single-threaded pass — so
+// the EdgesAdded count and the EvEdgeAdd stream are the same for every
+// shard count. The merge rewrites the image Prepare read, which is safe
+// after the barrier. Degrees only grow, so the largest merged row is the
+// peak. The ring closes on the merged image. Proposers were counted in
+// Prepare.
 func (p *parExec) jacobiFinish(round int) {
 	e := p.e
-	all := p.all[:0]
-	for _, props := range p.props {
-		all = append(all, props...)
-	}
-	p.all = all
 	t0 := e.cfg.Prof.Start()
 	before := e.csr.NumEdges()
-	e.csr = e.csr.Merge(&p.merger, all, p.workers)
+	e.csr.MergeInPlace(&p.merger, p.props, p.workers)
 	e.cfg.Prof.End(round, "snapshot/delta", e.cfg.Variant.String(), t0)
 	e.stats.EdgesAdded += int64(e.csr.NumEdges() - before)
 	e.stats.PeakDegree = max(e.stats.PeakDegree, e.csr.MaxDegree())
 	if e.cfg.Tracer != nil {
-		for seq, pr := range all {
-			if p.merger.Won[seq] {
-				e.cfg.Tracer.Emit(trace.Event{T: int64(round), Type: trace.EvEdgeAdd, Node: e.nodes[pr.A], Peer: e.nodes[pr.B]})
+		seq := 0
+		for _, props := range p.props {
+			for _, pr := range props {
+				if p.merger.Won[seq] {
+					e.cfg.Tracer.Emit(trace.Event{T: int64(round), Type: trace.EvEdgeAdd, Node: e.nodes[pr.A], Peer: e.nodes[pr.B]})
+				}
+				seq++
 			}
 		}
 	}
