@@ -39,7 +39,8 @@ func TestProtocolContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe := &trace.Probe{}
+			verdict := trace.NewAnalysis()
+			probe := &trace.Probe{Tracer: verdict}
 			cl.AttachProbe(probe, sim.Time(64))
 			at, ok := cl.RunUntilConsistent(12 * 4096)
 			if !ok {
@@ -52,10 +53,10 @@ func TestProtocolContract(t *testing.T) {
 			if vg == nil || vg.NumNodes() != 12 {
 				t.Fatalf("virtual graph should cover all nodes, got %v", vg)
 			}
-			probe.Observe(probe.Len(), vg) // final sample, as Bootstrap does
+			probe.Observe(verdict.Verdict().Probes, vg) // final sample, as Bootstrap does
 			cl.Stop()
-			if probe.Len() == 0 {
-				t.Error("probe should hold at least the final sample")
+			if last, ok := verdict.LastProbe(); !ok || last.Missing != 0 {
+				t.Errorf("the final sample must be folded and show the whole line: %+v (ok=%v)", last, ok)
 			}
 		})
 	}

@@ -39,7 +39,9 @@ func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64,
 
 	cl.AttachProbe(probe, sim.Time(probeEvery))
 	at, ok := cl.RunUntilConsistent(deadline)
-	probe.Observe(probe.Len(), cl.VirtualGraph()) // final post-convergence sample
+	// The final post-convergence sample takes the next round number: one
+	// past the samples the verdict has folded so far.
+	probe.Observe(verdict.Verdict().Probes, cl.VirtualGraph())
 	cl.Stop()
 
 	// Re-emit the physical frame economy as summary counters: this is what

@@ -203,7 +203,9 @@ func (c *CSR) MaxDegree() int {
 }
 
 // SupersetOfLine reports whether the snapshot contains every consecutive
-// edge of the sorted line over its node set, like Graph.SupersetOfLine.
+// edge of the sorted line over its node set (it may contain more edges).
+// This is the fixed point of linearization *with memory*, which never
+// removes edges; a Graph is checked as NewCSR(g).SupersetOfLine().
 func (c *CSR) SupersetOfLine() bool {
 	for i := 0; i+1 < len(c.nodes); i++ {
 		if !c.Has(int32(i), int32(i+1)) {

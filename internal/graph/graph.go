@@ -440,19 +440,6 @@ func (g *Graph) IsSortedRing() bool {
 	return g.HasEdge(nodes[0], nodes[len(nodes)-1])
 }
 
-// SupersetOfLine reports whether the graph contains every consecutive edge
-// of the sorted line over its node set (it may contain more edges). This is
-// the fixed point of linearization *with memory*, which never removes edges.
-func (g *Graph) SupersetOfLine() bool {
-	nodes := g.Nodes()
-	for i := 0; i+1 < len(nodes); i++ {
-		if !g.HasEdge(nodes[i], nodes[i+1]) {
-			return false
-		}
-	}
-	return true
-}
-
 // randomSpanningConnected adds random edges to g, whose image c is, until
 // it is connected, using r for randomness (c is read, not kept up to date).
 // Generators that can produce disconnected graphs end with it, so

@@ -192,11 +192,11 @@ func TestIsLinearizedAndSortedRing(t *testing.T) {
 	}
 	super := Line([]ids.ID{1, 2, 3, 4})
 	super.AddEdge(1, 4)
-	if !super.SupersetOfLine() {
+	if !NewCSR(super).SupersetOfLine() {
 		t.Error("line+chord is a superset of the line")
 	}
 	super.RemoveEdge(2, 3)
-	if super.SupersetOfLine() {
+	if NewCSR(super).SupersetOfLine() {
 		t.Error("missing consecutive edge breaks SupersetOfLine")
 	}
 }

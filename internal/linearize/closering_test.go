@@ -20,7 +20,7 @@ func closedRing(v Variant, st Stats, final *graph.Graph) string {
 	switch {
 	case !st.Converged:
 		return "stalled: " + st.String()
-	case !final.SupersetOfLine() || !final.HasEdge(nodes[0], nodes[len(nodes)-1]):
+	case !graph.NewCSR(final).SupersetOfLine() || !final.HasEdge(nodes[0], nodes[len(nodes)-1]):
 		return "converged without a line or wrap edge"
 	case v == Pure && !final.IsSortedRing():
 		return "pure must end on exactly the sorted ring"

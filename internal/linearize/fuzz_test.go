@@ -58,7 +58,7 @@ func FuzzLinearizeStep(f *testing.F) {
 			t.Fatalf("%s linearization disconnected a connected graph after %d rounds",
 				variant, stats.Rounds)
 		}
-		if stats.Converged && !out.SupersetOfLine() {
+		if stats.Converged && !graph.NewCSR(out).SupersetOfLine() {
 			t.Fatalf("%s converged but the line is incomplete", variant)
 		}
 	})

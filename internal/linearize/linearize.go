@@ -142,20 +142,18 @@ type Config struct {
 	Executor sim.ExecutorConfig
 	// OnRound, if set, is called after every round with the round number
 	// and the current virtual graph, which the engine builds from its dense
-	// state for this call (so does Probe; a run with neither builds none).
-	// The graph is valid for the call and must not be retained: copy what
-	// has to outlive it. Used for Figure 3 traces.
+	// state for this call (a run without it builds none). It is the one
+	// per-round hook: Figure 3's traces, the layered benchmark's round spans
+	// and the convergence probe (OnRound: probe.Observe, whose EvProbe
+	// events a teed trace.Analysis folds) all hang off it. The graph is
+	// valid for the call and must not be retained: copy what has to outlive
+	// it.
 	OnRound func(round int, g *graph.Graph)
 	// Tracer, if set, receives structured events: RoundStart/RoundEnd,
 	// per-activation NodeActivate (with the keep-set size), per-change
 	// EdgeAdd/EdgeDelegate, and RingClosed. Nil disables tracing at zero
 	// cost; event timestamps are round indices.
 	Tracer trace.Tracer
-	// Probe, if set, observes the virtual graph after every round — the
-	// invariant monitor that watches connectivity and left/right-set
-	// cardinality round by round and records the distance-to-linearized
-	// series (it also feeds Tracer when its own Tracer field is set).
-	Probe *trace.Probe
 	// Prof, if set, instruments the executor with the deterministic-safe
 	// performance profiler: per-phase and per-shard wall time,
 	// snapshot-rebuild cost, load imbalance and allocation deltas, emitted

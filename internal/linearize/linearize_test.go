@@ -55,7 +55,7 @@ func TestAllVariantsConvergeSynchronous(t *testing.T) {
 			t.Errorf("%s did not converge: %s", v, stats)
 			continue
 		}
-		if !final.SupersetOfLine() {
+		if !graph.NewCSR(final).SupersetOfLine() {
 			t.Errorf("%s final graph misses line edges", v)
 		}
 		if v == Pure && !final.IsLinearized() {
@@ -76,7 +76,7 @@ func TestAllVariantsConvergeSequentialDaemon(t *testing.T) {
 			t.Errorf("%s/sequential did not converge: %s", v, stats)
 			continue
 		}
-		if !final.SupersetOfLine() {
+		if !graph.NewCSR(final).SupersetOfLine() {
 			t.Errorf("%s/sequential misses line edges", v)
 		}
 	}
@@ -110,7 +110,7 @@ func TestResolvesLoopyState(t *testing.T) {
 		if !stats.Converged {
 			t.Errorf("%s failed on the loopy state: %s", v, stats)
 		}
-		if !final.SupersetOfLine() {
+		if !graph.NewCSR(final).SupersetOfLine() {
 			t.Errorf("%s loopy fixed point misses the line", v)
 		}
 	}
@@ -156,7 +156,7 @@ func TestCloseRingProducesSortedRing(t *testing.T) {
 	if !final2.HasEdge(nodes[0], nodes[len(nodes)-1]) {
 		t.Error("wrap edge missing")
 	}
-	if !final2.SupersetOfLine() {
+	if !graph.NewCSR(final2).SupersetOfLine() {
 		t.Error("line missing under LSN")
 	}
 }
@@ -249,7 +249,7 @@ func TestSelfStabilizationAfterPerturbation(t *testing.T) {
 	if !stats2.Converged {
 		t.Fatalf("did not re-converge after perturbation: %s", stats2)
 	}
-	if !final.SupersetOfLine() {
+	if !graph.NewCSR(final).SupersetOfLine() {
 		t.Error("recovered graph misses line edges")
 	}
 	if stats2.Rounds > stats.Rounds+8 {

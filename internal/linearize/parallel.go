@@ -280,12 +280,8 @@ func (p *parExec) beginRound(round int) {
 // graph is built only when a hook is there to look at it.
 func (p *parExec) endRound(round int) {
 	e := p.e
-	var g *graph.Graph
-	if e.cfg.OnRound != nil || e.cfg.Probe != nil {
-		g = e.Graph()
-	}
 	if e.cfg.OnRound != nil {
-		e.cfg.OnRound(round, g)
+		e.cfg.OnRound(round, e.Graph())
 	}
 	if e.cfg.Tracer != nil {
 		if p.jacobi {
@@ -304,9 +300,6 @@ func (p *parExec) endRound(round int) {
 			T: int64(round), Type: trace.EvRoundEnd,
 			Aux: e.cfg.Variant.String(), Value: float64(e.numEdges()),
 		})
-	}
-	if e.cfg.Probe != nil {
-		e.cfg.Probe.Observe(round, g)
 	}
 	for i := range p.intCounts {
 		p.intCounts[i], p.bndCounts[i] = 0, 0

@@ -166,7 +166,7 @@ func (m *refModel) numEdges() int {
 // closeRing is §4's discovery messages, abstracted: between rounds, once the
 // line is in place, the extremal nodes establish the wrap edge.
 func (m *refModel) closeRing() {
-	if !m.cfg.CloseRing || len(m.nodes) < 3 || m.closed || !m.g.SupersetOfLine() {
+	if !m.cfg.CloseRing || len(m.nodes) < 3 || m.closed || !graph.NewCSR(m.g).SupersetOfLine() {
 		return
 	}
 	m.closed = true
@@ -187,7 +187,7 @@ func (m *refModel) done() bool {
 	if m.cfg.Variant == Pure && m.numEdges() != lineEdges {
 		return false
 	}
-	return m.g.SupersetOfLine()
+	return graph.NewCSR(m.g).SupersetOfLine()
 }
 
 // added accounts for one edge AddEdge accepted and folds the degrees of its
@@ -575,7 +575,7 @@ func TestParallelConvergesAllVariants(t *testing.T) {
 			if !st.Converged {
 				t.Fatalf("%s close=%v: did not converge: %s", v, closeRing, st)
 			}
-			if !fg.SupersetOfLine() {
+			if !graph.NewCSR(fg).SupersetOfLine() {
 				t.Fatalf("%s close=%v: final graph misses line edges", v, closeRing)
 			}
 			if closeRing && !fg.HasEdge(fg.Nodes()[0], fg.Nodes()[fg.NumNodes()-1]) {

@@ -28,7 +28,7 @@ func TestPolicyIndependentOfWorkers(t *testing.T) {
 			if !refStats.Converged {
 				t.Fatalf("%s: reference run did not converge: %s", label, refStats)
 			}
-			if !refGraph.SupersetOfLine() || !refGraph.Connected() {
+			if !graph.NewCSR(refGraph).SupersetOfLine() || !refGraph.Connected() {
 				t.Fatalf("%s: converged graph violates the line invariant", label)
 			}
 			for _, workers := range []int{2, 4, 8} {

@@ -198,7 +198,7 @@ func TestConvergedAlwaysEmbedsLine(t *testing.T) {
 		if !stats.Converged {
 			return false
 		}
-		return final.SupersetOfLine() && final.Connected()
+		return graph.NewCSR(final).SupersetOfLine() && final.Connected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

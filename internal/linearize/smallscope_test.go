@@ -88,7 +88,7 @@ func TestSmallScopeExhaustive(t *testing.T) {
 							t.Fatalf("%s: pure must end on exactly the sorted ring, got %v", label, got.final.Edges())
 						case v == Pure && !ringed && !got.final.IsLinearized():
 							t.Fatalf("%s: pure must end on exactly the line, got %v", label, got.final.Edges())
-						case !got.final.SupersetOfLine() || (ringed && !got.final.HasEdge(smallScopeIDs[0], smallScopeIDs[n-1])):
+						case !graph.NewCSR(got.final).SupersetOfLine() || (ringed && !got.final.HasEdge(smallScopeIDs[0], smallScopeIDs[n-1])):
 							t.Fatalf("%s: converged on %v, which lacks a line or wrap edge", label, got.final.Edges())
 						}
 						wrapEdgeBesideTheLine(t, label, g, got)

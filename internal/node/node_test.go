@@ -96,12 +96,13 @@ func TestStopStopsMembersAndRetiresProbe(t *testing.T) {
 	if net.Engine().Pending() != 0 {
 		t.Fatal("AttachProbe(nil) must not schedule")
 	}
-	probe := &trace.Probe{}
-	c.AttachProbe(probe, 4)
+	rec := &trace.Recorder{}
+	samples := func() int { return len(rec.Filter(trace.EvProbe)) / 7 } // seven series per sample
+	c.AttachProbe(&trace.Probe{Tracer: rec}, 4)
 	eng := net.Engine()
 	eng.RunUntil(20, nil)
-	if probe.Len() != 5 { // t = 4, 8, 12, 16, 20
-		t.Fatalf("probe took %d samples by t=20, want 5", probe.Len())
+	if samples() != 5 { // t = 4, 8, 12, 16, 20
+		t.Fatalf("probe took %d samples by t=20, want 5", samples())
 	}
 	c.Stop()
 	for v, m := range c.Nodes {
@@ -110,8 +111,8 @@ func TestStopStopsMembersAndRetiresProbe(t *testing.T) {
 		}
 	}
 	eng.RunUntil(100, nil)
-	if probe.Len() != 5 || eng.Pending() != 0 {
-		t.Errorf("after Stop: %d samples, %d pending events; the probe chain must retire", probe.Len(), eng.Pending())
+	if samples() != 5 || eng.Pending() != 0 {
+		t.Errorf("after Stop: %d samples, %d pending events; the probe chain must retire", samples(), eng.Pending())
 	}
 }
 

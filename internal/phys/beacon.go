@@ -7,8 +7,8 @@ import (
 
 // Hello is the payload of a periodic hello beacon. VRR-style protocols
 // piggyback the address of the current representative on these beacons to
-// detect global inconsistency; the linearized variants leave Representative
-// zero and never need it.
+// detect global inconsistency; every beacon carries it, and the linearized
+// variants never act on it.
 type Hello struct {
 	// Representative is the largest node address the sender has heard of
 	// (VRR's flooding-equivalent consistency mechanism).
@@ -41,9 +41,6 @@ type Beaconer struct {
 	OnNewNeighbor func(u ids.ID)
 	// OnLostNeighbor, if set, fires when a neighbor entry expires.
 	OnLostNeighbor func(u ids.ID)
-	// OnRepresentative, if set, fires when a strictly larger representative
-	// is learned.
-	OnRepresentative func(r ids.ID)
 }
 
 // NewBeaconer creates (but does not start) a beaconer for self.
@@ -115,9 +112,6 @@ func (b *Beaconer) HandleHello(m Message) {
 	}
 	if cand > b.repr {
 		b.repr = cand
-		if b.OnRepresentative != nil {
-			b.OnRepresentative(cand)
-		}
 	}
 }
 

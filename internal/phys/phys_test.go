@@ -430,7 +430,6 @@ func TestBeaconerDiscoveryAndRepresentative(t *testing.T) {
 	e, net := lineNet(t, 3)
 	beacons := map[ids.ID]*Beaconer{}
 	var newNbr, lost []ids.ID
-	var reprSeen []ids.ID
 	for _, v := range []ids.ID{1, 2, 3} {
 		v := v
 		b := NewBeaconer(net, v, 10)
@@ -443,7 +442,9 @@ func TestBeaconerDiscoveryAndRepresentative(t *testing.T) {
 	}
 	beacons[2].OnNewNeighbor = func(u ids.ID) { newNbr = append(newNbr, u) }
 	beacons[2].OnLostNeighbor = func(u ids.ID) { lost = append(lost, u) }
-	beacons[1].OnRepresentative = func(r ids.ID) { reprSeen = append(reprSeen, r) }
+	if beacons[1].Representative() != 1 {
+		t.Errorf("before any hello, node 1 representative = %v, want itself", beacons[1].Representative())
+	}
 	for _, b := range beacons {
 		b.Start()
 	}
@@ -458,9 +459,6 @@ func TestBeaconerDiscoveryAndRepresentative(t *testing.T) {
 	// Representative propagates: node 1 hears 2, and via 2's piggyback, 3.
 	if beacons[1].Representative() != 3 {
 		t.Errorf("node 1 representative = %v, want 3", beacons[1].Representative())
-	}
-	if len(reprSeen) == 0 {
-		t.Error("OnRepresentative never fired")
 	}
 	// Fail node 3; after MissLimit intervals node 2 expires it.
 	net.FailNode(3)

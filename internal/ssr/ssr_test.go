@@ -31,7 +31,7 @@ func bootstrapped(t *testing.T, topo *graph.Graph, cfg Config, seed int64, deadl
 func TestBootstrapOnLine(t *testing.T) {
 	topo := graph.Line([]ids.ID{10, 20, 30, 40, 50})
 	_, c := bootstrapped(t, topo, Config{CacheMode: cache.Unbounded}, 1, 20000)
-	if !c.VirtualGraph().SupersetOfLine() {
+	if !graph.NewCSR(c.VirtualGraph()).SupersetOfLine() {
 		t.Error("virtual graph misses line edges")
 	}
 }
@@ -244,7 +244,7 @@ func TestLoopyStateResolvedWithoutFlooding(t *testing.T) {
 	// Memory-mode caches legitimately keep extra shortcut routes, so the
 	// line view has multi-neighbors; what must hold is that the sorted line
 	// is embedded (the E2/E7 consistency criterion).
-	if !c.VirtualGraph().SupersetOfLine() {
+	if !graph.NewCSR(c.VirtualGraph()).SupersetOfLine() {
 		t.Error("virtual graph must embed the sorted line")
 	}
 }

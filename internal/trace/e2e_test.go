@@ -11,11 +11,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssr"
 	"repro/internal/trace"
+	"repro/internal/vring"
 )
 
 // TestSSRBootstrapTraceReplay is the capture/replay acceptance path: a
 // 256-node unit-disk SSR bootstrap streams its trace to a JSONL file, and
-// the convergence series is reconstructed purely from the decoded events.
+// the verdict and last sample folded from the file alone equal the live
+// analysis teed into the probe.
 func TestSSRBootstrapTraceReplay(t *testing.T) {
 	const n = 256
 	const seed = 7
@@ -49,58 +51,41 @@ func TestSSRBootstrapTraceReplay(t *testing.T) {
 	}
 	c.Stop()
 	// One final sample so the series ends on the converged state.
-	probe.Observe(probe.Len(), c.VirtualGraph())
+	probe.Observe(verdict.Verdict().Probes, c.VirtualGraph())
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Live-side checks on the probe itself.
-	if probe.Len() < 2 {
-		t.Fatalf("only %d probe samples; interval too coarse", probe.Len())
+	// Live-side checks on the teed analysis.
+	v := verdict.Verdict()
+	if v.Probes < 2 {
+		t.Fatalf("only %d probe samples; interval too coarse", v.Probes)
 	}
-	last, _ := probe.Last()
-	if last.Missing != 0 {
-		t.Errorf("converged virtual graph still missing %d line edges", last.Missing)
-	}
-	if v := verdict.Verdict(); !v.ConnectedAll || !v.Converged {
+	if !v.ConnectedAll || !v.Converged {
 		t.Errorf("connectivity invariant violated during bootstrap, or no convergence: %s", v)
+	}
+	last, _ := verdict.LastProbe()
+	if missing, surplus := vring.LineDistance(c.VirtualGraph()); last.Missing != 0 || last.Missing != missing || last.Surplus != surplus {
+		t.Errorf("last sample %+v does not describe the converged virtual graph (missing=%d surplus=%d)", last, missing, surplus)
 	}
 	if sink.TotalSent() == 0 {
 		t.Error("stats sink saw no protocol messages")
 	}
 
-	// Replay: decode the JSONL file and rebuild the series from events only.
+	// Replay: fold the JSONL file alone; it must tell the same story.
 	rf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	events, err := trace.ReadJSONL(rf)
+	replay, err := trace.AnalyzeStream(trace.NewScanner(rf))
 	if err != nil {
 		t.Fatalf("replay decode: %v", err)
 	}
-	series := trace.SeriesFromEvents(events)
-
-	dist, okD := series["distance"]
-	conn, okC := series["connected"]
-	if !okD || !okC {
-		t.Fatalf("replayed series missing keys; have %d events", len(events))
+	if rv := replay.Verdict(); rv != v {
+		t.Errorf("replayed verdict %s != live %s", rv, v)
 	}
-	if len(dist.Y) != probe.Len() {
-		t.Fatalf("replayed %d distance points, probe recorded %d", len(dist.Y), probe.Len())
-	}
-	for i, s := range probe.Samples() {
-		if int(dist.Y[i]) != s.Distance() {
-			t.Errorf("sample %d: replayed distance %v != live %d", i, dist.Y[i], s.Distance())
-		}
-	}
-	// The invariant must be checkable from the replay alone.
-	for i, y := range conn.Y {
-		if y != 1 {
-			t.Errorf("replayed connectivity broke at sample %d", i)
-		}
-	}
-	if got := int(dist.Y[len(dist.Y)-1]); got != last.Distance() {
-		t.Errorf("replayed final distance %d != live %d", got, last.Distance())
+	if rl, _ := replay.LastProbe(); rl != last {
+		t.Errorf("replayed last sample %+v != live %+v", rl, last)
 	}
 }

@@ -145,68 +145,56 @@ func TestStatsSinkAggregates(t *testing.T) {
 }
 
 func TestProbeOnLoopyConvergence(t *testing.T) {
-	rec, verdict := &trace.Recorder{}, trace.NewAnalysis()
-	p := &trace.Probe{Tracer: trace.Tee(rec, verdict)}
+	var buf bytes.Buffer
+	w := trace.NewJSONLWriter(&buf)
+	rec, live := &trace.Recorder{}, trace.NewAnalysis()
+	p := &trace.Probe{Tracer: trace.Tee(rec, live, w)}
 	g := vring.LoopyExample().ToGraph()
 	p.Observe(0, g) // pre-run sample: loopy state is far from the line
+	if first, ok := live.LastProbe(); !ok || first.Distance() == 0 {
+		t.Errorf("loopy state should start at nonzero distance: %+v (ok=%v)", first, ok)
+	}
 	stats, final := linearize.Run(g, linearize.Config{
 		Variant:   linearize.Memory,
 		Scheduler: sim.Synchronous,
-		Probe:     p,
+		OnRound:   p.Observe,
 	})
 	if !stats.Converged {
 		t.Fatalf("did not converge: %s", stats)
 	}
-	if p.Len() != stats.Rounds+1 {
-		t.Errorf("samples=%d, want rounds+pre=%d", p.Len(), stats.Rounds+1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if v := verdict.Verdict(); !v.ConnectedAll || !v.Converged || v.Probes != p.Len() {
-		t.Errorf("connectivity must hold every round and the run converge: %s", v)
+	v := live.Verdict()
+	if !v.ConnectedAll || !v.Converged || v.Probes != stats.Rounds+1 {
+		t.Errorf("connectivity must hold every round, the run converge and every round be sampled (want %d probes): %s", stats.Rounds+1, v)
 	}
-	first, _ := p.Samples()[0], final
-	if first.Distance() == 0 {
-		t.Error("loopy state should start at nonzero distance")
+	last, _ := live.LastProbe()
+	missing, surplus := vring.LineDistance(final)
+	if last.Missing != 0 || last.Missing != missing || last.Surplus != surplus || last.Edges != final.NumEdges() {
+		t.Errorf("last sample %+v does not describe the final graph (missing=%d surplus=%d edges=%d)",
+			last, missing, surplus, final.NumEdges())
 	}
-	if last, _ := p.Last(); last.Missing != 0 {
-		t.Errorf("converged run still missing %d line edges", last.Missing)
+	// Each sample's scalar distance is its decomposition's sum.
+	byKind := map[string][]float64{}
+	for _, e := range rec.Filter(trace.EvProbe) {
+		byKind[e.Kind] = append(byKind[e.Kind], e.Value)
 	}
-	if p.Stalled() {
-		t.Error("converged run should not report a stall")
-	}
-	// The probe's tracer view must reconstruct the same series.
-	series := trace.SeriesFromEvents(rec.Events())
-	dist := series["distance"]
-	if len(dist.Y) != p.Len() {
-		t.Fatalf("event series has %d points, probe %d", len(dist.Y), p.Len())
-	}
-	for i, s := range p.Samples() {
-		if int(dist.Y[i]) != s.Distance() {
-			t.Errorf("round %d: event distance %v != sample %d", i, dist.Y[i], s.Distance())
+	for i, d := range byKind["distance"] {
+		if d != byKind["missing"][i]+byKind["surplus"][i] {
+			t.Errorf("sample %d: distance %v != missing %v + surplus %v", i, d, byKind["missing"][i], byKind["surplus"][i])
 		}
 	}
-	conn := series["connected"]
-	for i, y := range conn.Y {
-		if y != 1 {
-			t.Errorf("connected series dropped to %v at sample %d", y, i)
-		}
+	// The JSONL replay folds to the same verdict and last sample.
+	replay, err := trace.AnalyzeStream(trace.NewScanner(&buf))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestProbeStallDetection(t *testing.T) {
-	p := &trace.Probe{StallWindow: 3}
-	// A graph that never changes and is never the line: star around 100.
-	g := graph.New()
-	for _, v := range []ids.ID{1, 2, 3} {
-		g.AddEdge(100, v)
+	if rv := replay.Verdict(); rv != v {
+		t.Errorf("replayed verdict %s != live %s", rv, v)
 	}
-	for round := 0; round < 6; round++ {
-		p.Observe(round, g)
-	}
-	if !p.Stalled() {
-		t.Error("constant nonzero distance must register as a stall")
-	}
-	if last, _ := p.Last(); last.Distance() == 0 {
-		t.Error("star is not the line")
+	if rl, _ := replay.LastProbe(); rl != last {
+		t.Errorf("replayed last sample %+v != live %+v", rl, last)
 	}
 }
 

@@ -74,17 +74,6 @@ func fmtIDs(xs []ids.ID) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// RenderEdgesCompact draws the edge set as a single sorted list, e.g.
-// "{1,9} {4,13} …" — the most compact state dump for round-by-round traces.
-func RenderEdgesCompact(g *graph.Graph) string {
-	edges := g.Edges()
-	parts := make([]string, len(edges))
-	for i, e := range edges {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, " ")
-}
-
 // RenderArcs draws the line view as an arc diagram on one axis: nodes laid
 // out in identifier order, one row per edge showing its span. Long edges
 // (which linearization progressively shortens) are visually obvious:

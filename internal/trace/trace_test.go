@@ -59,16 +59,6 @@ func TestRenderLineFlagsViolations(t *testing.T) {
 	}
 }
 
-func TestRenderEdgesCompact(t *testing.T) {
-	g := graph.Line([]ids.ID{1, 4, 9})
-	if got := trace.RenderEdgesCompact(g); got != "{1,4} {4,9}" {
-		t.Errorf("compact = %q", got)
-	}
-	if got := trace.RenderEdgesCompact(graph.New()); got != "" {
-		t.Errorf("empty compact = %q", got)
-	}
-}
-
 func TestRenderArcs(t *testing.T) {
 	g := graph.Line([]ids.ID{1, 4, 9})
 	g.AddEdge(1, 9)

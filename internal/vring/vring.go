@@ -299,39 +299,32 @@ func AnalyzeLine(g *graph.Graph) LineReport {
 	return rep
 }
 
-// GloballyConsistentLine reports whether the virtual graph is exactly the
-// sorted line — the §3 theorem made executable: a connected, line-locally
-// consistent graph is the sorted line. (Callers wanting the closed ring use
-// Graph.IsSortedRing.)
-func GloballyConsistentLine(g *graph.Graph) bool {
-	return g.IsLinearized()
-}
-
 // LineDistance measures how far a virtual graph is from the sorted line:
 // missing counts consecutive-identifier edges not yet present, surplus
 // counts edges that are neither consecutive nor the potential wrap edge
 // between the extremal nodes (ring state, exempt from linearization — §4).
 // Both are zero exactly on the sorted line or the sorted ring; their sum is
 // the distance-to-linearized metric the convergence probes chart per round.
+// One walk over the sorted nodes: every consecutive pair present is one
+// edge that is not surplus, and so is the wrap edge when there is one — on
+// two nodes the wrap is the consecutive pair itself and counts once.
 func LineDistance(g *graph.Graph) (missing, surplus int) {
 	nodes := g.Nodes()
-	if len(nodes) < 2 {
+	n := len(nodes)
+	if n < 2 {
 		return 0, 0
 	}
-	consecutive := make(map[graph.Edge]bool, len(nodes)-1)
-	for i := 0; i+1 < len(nodes); i++ {
-		consecutive[graph.NewEdge(nodes[i], nodes[i+1])] = true
-		if !g.HasEdge(nodes[i], nodes[i+1]) {
-			missing++
+	present := 0
+	for i := 0; i+1 < n; i++ {
+		if g.HasEdge(nodes[i], nodes[i+1]) {
+			present++
 		}
 	}
-	wrap := graph.NewEdge(nodes[0], nodes[len(nodes)-1])
-	for _, e := range g.Edges() {
-		if !consecutive[e] && e != wrap {
-			surplus++
-		}
+	surplus = g.NumEdges() - present
+	if n >= 3 && g.HasEdge(nodes[0], nodes[n-1]) {
+		surplus--
 	}
-	return missing, surplus
+	return n - 1 - present, surplus
 }
 
 // --- The paper's figures as executable states -----------------------------

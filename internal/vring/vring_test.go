@@ -177,8 +177,90 @@ func TestAnalyzeLineOnPerfectLine(t *testing.T) {
 	if len(rep.EmptyRight) != 1 || rep.EmptyRight[0] != 13 {
 		t.Errorf("EmptyRight = %v, want [13]", rep.EmptyRight)
 	}
-	if !GloballyConsistentLine(g) {
+	if !g.IsLinearized() {
 		t.Error("perfect line is globally consistent")
+	}
+}
+
+// lineDistanceRef is LineDistance as it was first written: a map of the
+// consecutive edges and a pass over Edges(). It is the reference the
+// one-walk version is held to.
+func lineDistanceRef(g *graph.Graph) (missing, surplus int) {
+	nodes := g.Nodes()
+	if len(nodes) < 2 {
+		return 0, 0
+	}
+	consecutive := make(map[graph.Edge]bool, len(nodes)-1)
+	for i := 0; i+1 < len(nodes); i++ {
+		consecutive[graph.NewEdge(nodes[i], nodes[i+1])] = true
+		if !g.HasEdge(nodes[i], nodes[i+1]) {
+			missing++
+		}
+	}
+	wrap := graph.NewEdge(nodes[0], nodes[len(nodes)-1])
+	for _, e := range g.Edges() {
+		if !consecutive[e] && e != wrap {
+			surplus++
+		}
+	}
+	return missing, surplus
+}
+
+// TestLineDistanceMatchesReference compares LineDistance with the map-based
+// reference on random graphs of 0…40 nodes: near-lines (each consecutive
+// edge kept with a random probability) plus random chords, with the wrap
+// edge forced in or out, and some nodes left isolated. n = 2 is where the
+// wrap edge is the consecutive pair, which must not be discounted twice.
+func TestLineDistanceMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var wrapped, twoWithEdge, isolated int
+	for trial := 0; trial < 1230; trial++ {
+		n := trial % 41
+		nodes := graph.MakeIDs(n, graph.RandomIDs, r)
+		g := graph.NewWithNodes(nodes...)
+		sorted := g.Nodes()
+		keepLine, chords := r.Float64(), r.Float64()*0.3
+		for i := 0; i+1 < n; i++ {
+			if r.Float64() < keepLine {
+				g.AddEdge(sorted[i], sorted[i+1])
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 2; j < n; j++ {
+				if r.Float64() < chords*chords {
+					g.AddEdge(sorted[i], sorted[j])
+				}
+			}
+		}
+		if n >= 2 {
+			if r.Intn(2) == 0 {
+				g.AddEdge(sorted[0], sorted[n-1])
+			} else {
+				g.RemoveEdge(sorted[0], sorted[n-1])
+			}
+			switch {
+			case n == 2 && g.NumEdges() == 1:
+				twoWithEdge++
+			case n >= 3 && g.HasEdge(sorted[0], sorted[n-1]):
+				wrapped++
+			}
+		}
+		for _, v := range sorted {
+			if g.Degree(v) == 0 {
+				isolated++
+				break
+			}
+		}
+		gm, gs := LineDistance(g)
+		wm, ws := lineDistanceRef(g)
+		if gm != wm || gs != ws {
+			t.Fatalf("trial %d (n=%d, edges %v): LineDistance = (%d, %d), reference (%d, %d)",
+				trial, n, g.Edges(), gm, gs, wm, ws)
+		}
+	}
+	if wrapped == 0 || twoWithEdge == 0 || isolated == 0 {
+		t.Errorf("coverage: %d wrapped graphs, %d two-node graphs with their edge, %d with an isolated node",
+			wrapped, twoWithEdge, isolated)
 	}
 }
 

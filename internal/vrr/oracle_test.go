@@ -20,7 +20,7 @@ func referenceConsistent(c *Cluster) bool {
 	if len(c.Nodes) < 2 {
 		return true
 	}
-	if !c.VirtualGraph().SupersetOfLine() {
+	if !graph.NewCSR(c.VirtualGraph()).SupersetOfLine() {
 		return false
 	}
 	nodes := c.IDs()

@@ -49,9 +49,6 @@ type Config struct {
 	TickInterval sim.Time
 	// HelloInterval is the beacon period for neighbor discovery (default 8).
 	HelloInterval sim.Time
-	// Representative enables the baseline hello piggyback of the largest
-	// known address (measured, not needed, in the linearized variant).
-	Representative bool
 	// CloseRing enables the §4 discovery messages that establish the wrap
 	// path between the extremal nodes, turning the line into the ring.
 	CloseRing bool

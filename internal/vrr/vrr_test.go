@@ -40,11 +40,12 @@ func TestBootstrapOnRandomTopologies(t *testing.T) {
 }
 
 func TestNoFloodNoRepresentativeNeeded(t *testing.T) {
-	// E11: linearized VRR converges with Representative disabled; the only
+	// E11: linearized VRR converges without any representative mechanism:
+	// the hello piggyback is only carried, never acted on, and the only
 	// message kinds are hellos, setups and data.
 	topo, _ := graph.Generate(graph.TopoRegular, 20, graph.RandomIDs, 5)
 	net := newNet(t, topo, 5)
-	c := NewCluster(net, Config{Representative: false})
+	c := NewCluster(net, Config{})
 	if _, ok := c.RunUntilConsistent(200000); !ok {
 		t.Fatal("VRR did not converge without a representative")
 	}
@@ -139,7 +140,7 @@ func TestRepresentativePropagates(t *testing.T) {
 	// Baseline machinery: hello piggyback spreads the largest address.
 	topo := graph.Line([]ids.ID{1, 2, 3, 4, 5})
 	net := newNet(t, topo, 3)
-	c := NewCluster(net, Config{Representative: true})
+	c := NewCluster(net, Config{})
 	net.Engine().RunUntil(2000, nil)
 	if got := c.Nodes[1].Representative(); got != 5 {
 		t.Errorf("node 1 representative = %v, want 5", got)
@@ -153,7 +154,7 @@ func TestLoopyVsetResolvedByLinearization(t *testing.T) {
 	loopy := vring.LoopyExample()
 	topo := loopy.ToGraph()
 	net := newNet(t, topo, 9)
-	c := NewCluster(net, Config{Representative: false})
+	c := NewCluster(net, Config{})
 	// The physical neighbors equal the loopy virtual edges, so the injected
 	// state IS the initial vset after discovery.
 	if _, ok := c.RunUntilConsistent(200000); !ok {

@@ -22,7 +22,11 @@
 # names ShardedRunner, ShardProfiler or daemonExecute: linearize.Engine.Run
 # is the one round loop, and the random-sequential daemon is its atomic
 # path on one shard, so neither a generic runner nor a third path may come
-# back. Run from the repo root.
+# back. And fails when non-test Go names SeriesFromEvents, StallWindow,
+# Stalled( or GloballyConsistentLine, or linearize.Config declares a Probe
+# field: trace.Probe only emits, trace.Analysis is the one fold of its
+# series (live when teed, offline through AnalyzeStream), and OnRound is
+# the round model's one per-round hook. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -58,6 +62,14 @@ if grep -rnE --include='*_test.go' 'os\.(Stdout|Stderr)[[:space:]]*=[^=]' cmd in
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' 'ShardedRunner|ShardProfiler|daemonExecute' internal; then
 	echo "docs-check: linearize.Engine.Run is the one round loop and the daemon its one-shard atomic path; no runner or daemon path beside it"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'SeriesFromEvents|StallWindow|GloballyConsistentLine' -e '(^|[^A-Za-z0-9_])Stalled\(' .; then
+	echo "docs-check: the probe keeps no series and judges no stall; fold its EvProbe events with trace.Analysis"
+	fail=1
+fi
+if awk '/^type Config struct/,/^}/ { print FILENAME ": " $0 }' $(ls internal/linearize/*.go | grep -v '_test\.go$') | grep -E ':[[:space:]]+Probe[[:space:]]'; then
+	echo "docs-check: linearize.Config has one per-round hook, OnRound; pass OnRound: probe.Observe"
 	fail=1
 fi
 exit $fail
