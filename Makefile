@@ -93,7 +93,7 @@ bench-reliability-quick:
 # n=192 with Bounded caches and BothDirections, 400 seeds (must be 0). A
 # test fails above its count (ROADMAP item 1). The SSR test also replays
 # each seed's edge events: it prints the seeds whose E_v is split right
-# after Start, and fails if E_v is still split at t = 2·TickInterval.
+# after Start, and fails if E_v is still split at t = 2·tickInterval.
 # About 1 min in all on 2 CPUs (the three packages run side by side;
 # linearize ~8 s, vrr ~28 s, ssr ~53 s). CI runs it as the `sweep` job.
 sweep:

@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // Every mode the three former tools served: ssrsim's own, convergence's
@@ -119,6 +123,34 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 // and round-model runs through internal/exp's one constructor and runLin,
 // so the modes that used to build their own see the flags too.
 func TestHarnessFlagsReachEveryMode(t *testing.T) {
+	// The flag defaults, and a parse of the executor flags and -sizes into
+	// the Harness and the size list.
+	t.Run("defaults", func(t *testing.T) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c := bind(fs)
+		if err := fs.Parse([]string{"-workers", "3", "-shards", "8", "-sizes", "40,50"}); err != nil {
+			t.Fatal(err)
+		}
+		if *c.mode != "compare" || *c.n != 24 || c.topology() != graph.TopoER {
+			t.Errorf("defaults: mode=%q n=%d topo=%q", *c.mode, *c.n, c.topology())
+		}
+		sizes, err := parseSizes(*c.sizes)
+		if err != nil || !reflect.DeepEqual(sizes, []int{40, 50}) {
+			t.Errorf("sizes = %v, %v", sizes, err)
+		}
+		cleanup, err := c.setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cleanup(); err != nil {
+			t.Fatal(err)
+		}
+		want := exp.Harness{Transport: exp.TransportRaw, Exec: sim.ExecutorConfig{Workers: 3, Shards: 8, Partition: "contiguous"}}
+		if c.h != want {
+			t.Errorf("harness = %+v, want %+v", c.h, want)
+		}
+	})
+
 	traceOf := func(args ...string) string {
 		t.Helper()
 		file := filepath.Join(t.TempDir(), "t.jsonl")
@@ -203,6 +235,18 @@ func TestConcurrentRunsShareNoHarness(t *testing.T) {
 	}
 	if concurrent, err := os.ReadFile(filepath.Join(dir, "concurrent.jsonl")); err != nil || len(serial) == 0 || !bytes.Equal(concurrent, serial) {
 		t.Errorf("the concurrent run's trace differs from the serial one's (%d vs %d bytes, err %v)", len(concurrent), len(serial), err)
+	}
+}
+
+func TestParseSizes(t *testing.T) {
+	got, err := parseSizes(" 100, 200,300 ")
+	if err != nil || !reflect.DeepEqual(got, []int{100, 200, 300}) {
+		t.Fatalf("parseSizes = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "a", "10,-2", "10,,20"} {
+		if _, err := parseSizes(bad); err == nil {
+			t.Errorf("parseSizes(%q) should fail", bad)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/isprp"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/rel"
 	"repro/internal/sim"
@@ -231,7 +232,7 @@ func runSSR(t *testing.T, scnName string, seed int64) Result {
 	}
 	net := phys.NewNetwork(sim.NewEngine(seed), topo)
 	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded})
-	return Run(scn, sched, net, cl, RunConfig{})
+	return Run(scn, sched, net, cl)
 }
 
 func TestRunSSRLossBurstCleanly(t *testing.T) {
@@ -307,18 +308,18 @@ func TestColdStartLossBurstReconverges(t *testing.T) {
 	}
 	protos := []struct {
 		name string
-		mk   func(tr phys.Transport) Protocol
+		mk   func(tr phys.Transport) node.Protocol
 	}{
-		{"linearization", func(tr phys.Transport) Protocol {
+		{"linearization", func(tr phys.Transport) node.Protocol {
 			return ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded})
 		}},
-		{"isprp", func(tr phys.Transport) Protocol {
+		{"isprp", func(tr phys.Transport) node.Protocol {
 			return isprp.NewCluster(tr, isprp.Config{EnableFlood: true})
 		}},
-		{"vrr", func(tr phys.Transport) Protocol {
+		{"vrr", func(tr phys.Transport) node.Protocol {
 			return vrr.NewCluster(tr, vrr.Config{CloseRing: true})
 		}},
-		{"flood", func(tr phys.Transport) Protocol {
+		{"flood", func(tr phys.Transport) node.Protocol {
 			return floodboot.NewCluster(tr)
 		}},
 	}
@@ -327,7 +328,7 @@ func TestColdStartLossBurstReconverges(t *testing.T) {
 			raw := phys.NewNetwork(sim.NewEngine(9), topo.Clone())
 			rn := rel.New(raw, rel.DefaultConfig())
 			proto := tc.mk(rn)
-			res := Run(scn, sched, raw, proto, RunConfig{})
+			res := Run(scn, sched, raw, proto)
 			if !res.Converged {
 				t.Fatalf("%s never reconverged under a t=0 loss burst over reliable transport", tc.name)
 			}

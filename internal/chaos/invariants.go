@@ -11,10 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Protocol is the bootstrap-protocol contract, declared once in package
-// node.
-type Protocol = node.Protocol
-
 // PendingAuditor is an optional protocol capability: the total count of
 // in-flight introduction operations. Implemented by ssr.Cluster; protocols
 // without it simply skip the pending-bound invariant.
@@ -54,7 +50,7 @@ type Violation struct {
 // hold even mid-fault.
 type Checker struct {
 	net   *phys.Network
-	proto Protocol
+	proto node.Protocol
 	every sim.Time
 	grace sim.Time
 	bound int // pending-ops ceiling
@@ -69,12 +65,13 @@ type Checker struct {
 }
 
 // NewChecker builds a checker over a live network and protocol. every is
-// the check cadence, grace the post-disturbance settling time before
-// connectivity checks resume, bound the pending-ops ceiling (<= 0 derives
-// 16 ops per node — pending introductions self-expire within 8 ticks, so
-// mid-fault peaks of a few per node are legitimate; the invariant exists
-// to catch unbounded growth, not transient retry pressure).
-func NewChecker(net *phys.Network, proto Protocol, every, grace sim.Time, bound int) *Checker {
+// the check cadence (<= 0: 64 ticks), grace the post-disturbance settling
+// time before connectivity checks resume (<= 0: 512 ticks), bound the
+// pending-ops ceiling (<= 0 derives 16 ops per node — pending
+// introductions self-expire within 8 ticks, so mid-fault peaks of a few per
+// node are legitimate; the invariant exists to catch unbounded growth, not
+// transient retry pressure).
+func NewChecker(net *phys.Network, proto node.Protocol, every, grace sim.Time, bound int) *Checker {
 	if every <= 0 {
 		every = 64
 	}

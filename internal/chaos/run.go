@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
-
-// RunConfig tunes one scenario replay. The zero value picks the defaults
-// documented on NewChecker; Deadline <= 0 derives the bootstrap harness's
-// usual n*4096 budget.
-type RunConfig struct {
-	CheckEvery   sim.Time
-	Grace        sim.Time
-	PendingBound int
-	Deadline     sim.Time
-}
 
 // Result is the machine-readable outcome of one (scenario, protocol) run.
 type Result struct {
@@ -47,21 +38,19 @@ type Result struct {
 
 // Run replays a compiled schedule against a live network and protocol:
 // fault-free warmup to consistency, scheduled faults under the online
-// invariant checker, then a final drive back to global consistency. The
-// protocol must already be running on net (clusters start in their
-// constructors); Run stops it before returning.
+// invariant checker (NewChecker's default cadence, grace and pending
+// bound), then a final drive back to global consistency within n·4096
+// ticks. The protocol must already be running on net (clusters start in
+// their constructors); Run stops it before returning.
 //
 // The engine's RunUntil leaves Now at the last fired event rather than the
 // requested deadline, so every phase boundary is pinned with an explicit
 // no-op sync event — otherwise the schedule's absolute action times would
 // drift relative to the phases.
-func Run(scn Scenario, sched *Schedule, net *phys.Network, proto Protocol, cfg RunConfig) Result {
+func Run(scn Scenario, sched *Schedule, net *phys.Network, proto node.Protocol) Result {
 	eng := net.Engine()
 	res := Result{Scenario: scn.Name, Seed: sched.Seed, LastFaultAt: sched.LastFault, FirstConsistentAt: -1}
-	deadline := cfg.Deadline
-	if deadline <= 0 {
-		deadline = sim.Time(len(net.Nodes())) * 4096
-	}
+	deadline := sim.Time(len(net.Nodes())) * 4096
 	settleEnd := sched.LastFault + scn.Settle
 
 	// Cold-start scenarios (Transport: reliable) may carry actions before
@@ -70,7 +59,7 @@ func Run(scn Scenario, sched *Schedule, net *phys.Network, proto Protocol, cfg R
 	// before phase 1 runs. The checker's periodic chain still starts at the
 	// warmup boundary; only its fault-window and down-node bookkeeping is
 	// fed early.
-	checker := NewChecker(net, proto, cfg.CheckEvery, cfg.Grace, cfg.PendingBound)
+	checker := NewChecker(net, proto, 0, 0, 0)
 	for _, a := range sched.Actions {
 		if a.At >= scn.Warmup {
 			continue
@@ -82,10 +71,7 @@ func Run(scn Scenario, sched *Schedule, net *phys.Network, proto Protocol, cfg R
 	// Poll instantaneous consistency on the check cadence from the start,
 	// recording the first instant it holds. The chain retires itself at the
 	// settle boundary; phase 3's convergence drive covers the tail.
-	every := cfg.CheckEvery
-	if every <= 0 {
-		every = 64
-	}
+	every := checker.every
 	var poll func()
 	poll = func() {
 		if res.FirstConsistentAt >= 0 {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"flag"
 	"hash/fnv"
 	"os"
 	"reflect"
@@ -137,18 +136,6 @@ func (f withoutEdgeEvents) Emit(e trace.Event) {
 	f.Tracer.Emit(e)
 }
 
-func TestParseSizes(t *testing.T) {
-	got, err := ParseSizes(" 100, 200,300 ")
-	if err != nil || !reflect.DeepEqual(got, []int{100, 200, 300}) {
-		t.Fatalf("ParseSizes = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "a", "10,-2", "10,,20"} {
-		if _, err := ParseSizes(bad); err == nil {
-			t.Errorf("ParseSizes(%q) should fail", bad)
-		}
-	}
-}
-
 // TestSchedulerAblationMatchesCommitted pins the random-sequential daemon's
 // draw sequence across executor changes: `ssrsim -mode scheduler` (n=200,
 // 3 seeds) must reproduce the committed artifact byte for byte.
@@ -172,23 +159,5 @@ func TestMobilityMatchesCommitted(t *testing.T) {
 	}
 	if got := (Harness{}).MobilityRecovery(24, 1500, 0.02, 3).String() + "\n"; got != string(want) {
 		t.Errorf("E12 drifted from results/e12_mobility.txt:\n%s", got)
-	}
-}
-
-func TestBindCLIDefaults(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := BindCLI(fs, CLIOptions{Modes: "m", DefaultMode: "boot", DefaultSizes: "10,20"})
-	if err := fs.Parse([]string{"-workers", "3", "-shards", "8", "-sizes", "40,50"}); err != nil {
-		t.Fatal(err)
-	}
-	if *c.Mode != "boot" || *c.N != 24 || *c.Workers != 3 || *c.Shards != 8 {
-		t.Errorf("parsed: mode=%q n=%d workers=%d shards=%d", *c.Mode, *c.N, *c.Workers, *c.Shards)
-	}
-	if c.Topology() != graph.TopoER {
-		t.Errorf("default topology = %q", c.Topology())
-	}
-	sizes, err := c.SizeList()
-	if err != nil || !reflect.DeepEqual(sizes, []int{40, 50}) {
-		t.Errorf("SizeList = %v, %v", sizes, err)
 	}
 }

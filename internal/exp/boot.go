@@ -16,7 +16,7 @@ import (
 // run at a time); combined with -listen it is the long-running target for
 // live /metrics and /probe scraping.
 //
-// The protocol is resolved through the Protocol registry (NewBootProtocol),
+// The protocol is resolved through the protocol registry (NewBootProtocol),
 // so every registered bootstrap — linearization, isprp, vrr, flood — gets
 // the identical probe/run/teardown treatment.
 //

@@ -20,25 +20,21 @@ import (
 	"repro/internal/vrr"
 )
 
-// Protocol is the bootstrap-protocol contract, declared once in package
-// node; the alias keeps the harness signatures reading exp.Protocol.
-type Protocol = node.Protocol
-
 // protocolRegistry maps the CLI protocol names onto constructors. The
 // configurations match what the experiments use as each protocol's
 // representative setting: linearization with the bounded cache, ISPRP with
 // its representative flood enabled, VRR and floodboot with defaults.
-var protocolRegistry = map[string]func(net phys.Transport) Protocol{
-	"linearization": func(net phys.Transport) Protocol {
+var protocolRegistry = map[string]func(net phys.Transport) node.Protocol{
+	"linearization": func(net phys.Transport) node.Protocol {
 		return ssr.NewCluster(net, ssr.Config{CacheMode: cache.Bounded})
 	},
-	"isprp": func(net phys.Transport) Protocol {
+	"isprp": func(net phys.Transport) node.Protocol {
 		return isprp.NewCluster(net, isprp.Config{EnableFlood: true})
 	},
-	"vrr": func(net phys.Transport) Protocol {
+	"vrr": func(net phys.Transport) node.Protocol {
 		return vrr.NewCluster(net, vrr.Config{CloseRing: true})
 	},
-	"flood": func(net phys.Transport) Protocol {
+	"flood": func(net phys.Transport) node.Protocol {
 		return floodboot.NewCluster(net)
 	},
 }
@@ -55,7 +51,7 @@ func ProtocolNames() []string {
 
 // NewBootProtocol starts the named bootstrap protocol over net — either a
 // raw *phys.Network or the reliable sublayer wrapping one.
-func NewBootProtocol(name string, net phys.Transport) (Protocol, error) {
+func NewBootProtocol(name string, net phys.Transport) (node.Protocol, error) {
 	mk, ok := protocolRegistry[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown protocol %q (want one of %v)", name, ProtocolNames())

@@ -45,10 +45,6 @@ type ChaosCriteria struct {
 // ChaosResult is the machine-readable chaos-bench record.
 type ChaosResult struct {
 	Meta      Meta          `json:"meta"`
-	Bench     string        `json:"bench"`
-	Topology  string        `json:"topology"`
-	N         int           `json:"n"`
-	Seed      int64         `json:"seed"`
 	Scenarios []string      `json:"scenarios"`
 	Protocols []string      `json:"protocols"`
 	Runs      []ChaosRun    `json:"runs"`
@@ -77,8 +73,7 @@ func (h Harness) ChaosBench(n int, topo graph.Topology, seed int64, quick bool) 
 	scenarios := chaosScenarios(quick)
 	protos := ProtocolNames()
 	res := ChaosResult{
-		Meta:  Meta{Schema: metaSchema, Bench: "chaos", Topology: string(topo), Seed: seed, N: n, Transport: h.transport(), Quick: quick},
-		Bench: "chaos", Topology: string(topo), N: n, Seed: seed,
+		Meta:      Meta{Schema: metaSchema, Bench: "chaos", Topology: string(topo), Seed: seed, N: n, Transport: h.transport(), Quick: quick},
 		Protocols: protos,
 	}
 	for _, s := range scenarios {
@@ -112,7 +107,7 @@ func (h Harness) ChaosBench(n int, topo graph.Topology, seed int64, quick bool) 
 				probe := &trace.Probe{Tracer: h.Tracer}
 				proto.AttachProbe(probe, 16)
 			}
-			r := chaos.Run(scn, scheds[i], net, proto, chaos.RunConfig{})
+			r := chaos.Run(scn, scheds[i], net, proto)
 			run := ChaosRun{Result: r}
 			run.Protocol = name
 			if scn.Name == "calm" {

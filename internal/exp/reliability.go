@@ -20,6 +20,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/rel"
 	"repro/internal/sim"
 )
@@ -66,10 +67,6 @@ type ReliabilityCriteria struct {
 // results/BENCH_reliability.json.
 type ReliabilityResult struct {
 	Meta      Meta                `json:"meta"`
-	Bench     string              `json:"bench"`
-	Topology  string              `json:"topology"`
-	N         int                 `json:"n"`
-	Seed      int64               `json:"seed"`
 	LossPcts  []int               `json:"loss_pcts"`
 	Protocols []string            `json:"protocols"`
 	Runs      []ReliabilityRun    `json:"runs"`
@@ -111,8 +108,7 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 	}
 	protos := ProtocolNames()
 	res := ReliabilityResult{
-		Meta:  Meta{Schema: metaSchema, Bench: "reliability", Topology: string(topo), Seed: seed, N: n, Transport: strings.Join(transports, "+"), Quick: quick},
-		Bench: "reliability", Topology: string(topo), N: n, Seed: seed,
+		Meta:     Meta{Schema: metaSchema, Bench: "reliability", Topology: string(topo), Seed: seed, N: n, Transport: strings.Join(transports, "+"), Quick: quick},
 		LossPcts: losses, Protocols: protos,
 	}
 	rep := Report{ID: "E17", Title: fmt.Sprintf("cold-start bootstrap under loss, raw vs reliable transport, n=%d on %s seed=%d", n, topo, seed)}
@@ -132,7 +128,7 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 				raw, _ := h.newNet(topo, n, seed) // both arms are built here, whatever -transport says
 				var rn *rel.Network
 				run := ReliabilityRun{Protocol: name, Transport: transport, LossPct: pct}
-				var proto Protocol
+				var proto node.Protocol
 				if transport == TransportReliable {
 					rn = rel.New(raw, rel.DefaultConfig())
 					proto, err = NewBootProtocol(name, rn)
@@ -142,7 +138,7 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 				if err != nil {
 					return Report{}, ReliabilityResult{}, err
 				}
-				r := chaos.Run(scn, sched, raw, proto, chaos.RunConfig{})
+				r := chaos.Run(scn, sched, raw, proto)
 				run.Converged = r.Converged
 				run.FirstConsistentAt = r.FirstConsistentAt
 				run.ConvergedAt = r.ConvergedAt

@@ -61,12 +61,6 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 // ID returns the node identifier.
 func (n *Node) ID() ids.ID { return n.id }
 
-// Known returns every identifier this node has learned (itself included).
-func (n *Node) Known() []ids.ID { return n.known.Sorted() }
-
-// RouteTo returns the learned source route to v, or nil.
-func (n *Node) RouteTo(v ids.ID) sroute.Route { return n.routes[v] }
-
 // Successor computes the ring successor from local knowledge.
 func (n *Node) Successor() (ids.ID, bool) {
 	best := n.id

@@ -18,7 +18,7 @@ func TestFullKnowledgeAndConsistency(t *testing.T) {
 	}
 	n := len(c.Nodes)
 	for v, node := range c.Nodes {
-		if got := len(node.Known()); got != n {
+		if got := len(node.known); got != n {
 			t.Errorf("node %s knows %d of %d", v, got, n)
 		}
 		if node.StateSize() < n {
@@ -35,11 +35,11 @@ func TestRoutesLearnedAreValid(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	for v, node := range c.Nodes {
-		for _, u := range node.Known() {
+		for _, u := range node.known.Sorted() {
 			if u == v {
 				continue
 			}
-			r := node.RouteTo(u)
+			r := node.routes[u]
 			if r == nil {
 				t.Fatalf("node %s lacks a route to known %s", v, u)
 			}

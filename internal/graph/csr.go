@@ -450,10 +450,9 @@ func fanOut(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// resized returns s with length n and unspecified contents, reusing its array.
+// resized returns s with length n and unspecified contents, reusing its
+// array. A grown array has append's amortized headroom, so a length that
+// creeps up round by round does not reallocate every round.
 func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	return slices.Grow(s[:0], n)[:n]
 }

@@ -345,11 +345,3 @@ func Generate(topo Topology, n int, policy IDAssignment, seed int64) (*Graph, er
 		return nil, fmt.Errorf("unknown topology %q", topo)
 	}
 }
-
-// AllTopologies lists every selectable topology, for sweeps and CLIs.
-func AllTopologies() []Topology {
-	return []Topology{
-		TopoLine, TopoRing, TopoStar, TopoGrid, TopoER,
-		TopoRegular, TopoPowerLaw, TopoBarabasi, TopoUnitDisk,
-	}
-}

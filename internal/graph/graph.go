@@ -258,14 +258,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// AvgDegree returns the average node degree (0 for an empty graph).
-func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(len(g.adj))
-}
-
 // BFSFrom runs a breadth-first search from src and returns the hop distance
 // to every reachable node (src included at distance 0).
 func (g *Graph) BFSFrom(src ids.ID) map[ids.ID]int {

@@ -45,28 +45,20 @@ const (
 	KindFlood  = "isprp:flood"
 )
 
+// tickInterval is the successor-notification period.
+const tickInterval sim.Time = 16
+
+// floodDelay is when local maxima initiate the representative flood. Only
+// nodes that still believe themselves the largest initiate; floods for
+// smaller origins are suppressed by larger ones.
+const floodDelay sim.Time = 64
+
 // Config tunes the protocol.
 type Config struct {
-	// TickInterval is the successor-notification period (default 16).
-	TickInterval sim.Time
-	// FloodDelay is when local maxima initiate the representative flood
-	// (default 64). Only nodes that still believe themselves the largest
-	// initiate; floods for smaller origins are suppressed by larger ones.
-	FloodDelay sim.Time
 	// EnableFlood switches the representative flood on (the ISPRP
 	// baseline). Disabling it is the ablation that demonstrates why ISPRP
 	// needs flooding: loopy and partitioned states then persist forever.
 	EnableFlood bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 16
-	}
-	if c.FloodDelay <= 0 {
-		c.FloodDelay = 64
-	}
-	return c
 }
 
 // updatePayload is the body of an update message: the receiver appends
@@ -107,7 +99,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 	n := &Node{
 		id:        id,
 		net:       net,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		rc:        cache.New(id, cache.Unbounded),
 		claimants: ids.NewSet(),
 	}
@@ -187,9 +179,9 @@ func (n *Node) Start(jitter sim.Time) {
 			n.learnRoute(r)
 		}
 	}
-	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
+	node.Maintain(n.net, n.id, tickInterval, jitter, &n.stopped, n.tick)
 	if n.cfg.EnableFlood {
-		n.net.Engine().After(n.cfg.FloodDelay+jitter, n.maybeFlood)
+		n.net.Engine().After(floodDelay+jitter, n.maybeFlood)
 	}
 }
 
@@ -397,7 +389,7 @@ func NewClusterFrom(net phys.Transport, cfg Config, succ vring.SuccMap) *Cluster
 		func(v ids.ID) *Node { return NewNode(net, v, cfg) },
 		func(v ids.ID, n *Node) {
 			if succ == nil {
-				n.Start(sim.Time(net.Engine().Rand().Int63n(int64(n.cfg.TickInterval))))
+				n.Start(sim.Time(net.Engine().Rand().Int63n(int64(tickInterval))))
 				return
 			}
 			if to, ok := succ[v]; ok {

@@ -177,7 +177,7 @@ func TestNodeAccessors(t *testing.T) {
 func TestStopHaltsTicks(t *testing.T) {
 	topo := graph.Line([]ids.ID{1, 2})
 	net := newNet(t, topo, 1)
-	c := NewCluster(net, Config{EnableFlood: false, TickInterval: 10})
+	c := NewCluster(net, Config{EnableFlood: false})
 	net.Engine().RunUntil(100, nil)
 	c.Stop()
 	before := net.Counters().Get(KindNotify)

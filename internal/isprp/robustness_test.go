@@ -49,7 +49,7 @@ func TestFloodSuppression(t *testing.T) {
 func TestFloodTeachesRoutes(t *testing.T) {
 	topo := graph.Line([]ids.ID{1, 2, 3, 4})
 	net := newNet(t, topo, 2)
-	c := NewCluster(net, Config{EnableFlood: true, FloodDelay: 8})
+	c := NewCluster(net, Config{EnableFlood: true})
 	net.Engine().RunUntil(400, nil)
 	// The representative (4) flooded; every node must hold a valid route
 	// back to it.

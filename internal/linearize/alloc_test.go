@@ -12,8 +12,10 @@ import (
 // first lin-memory-regular input allocates. A round that copied the image
 // and concatenated the shard proposals before the merge made the run
 // allocate 29.0 MB by this test's count; merging from the shard buffers
-// into an image that grows in place takes it to 19.3 MB.
-const memoryAllocBudgetMB = 22
+// into an image that grows in place takes it to 19.3 MB, and giving the
+// merge's scratch amortized growth (graph.resized) to 18.0 MB. The budget
+// is that figure plus the 2.7 MB margin the 22 MB budget left over 19.3.
+const memoryAllocBudgetMB = 20.7
 
 // TestMemoryRunAllocations reads the bytes one Memory Run allocates on
 // regular n=6000, seed 2²⁰ (lin-memory-regular's first input), on two
@@ -38,6 +40,6 @@ func TestMemoryRunAllocations(t *testing.T) {
 	mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
 	t.Logf("one Memory run allocates %.1f MB (%d rounds)", mb, st.Rounds)
 	if mb > memoryAllocBudgetMB {
-		t.Fatalf("one Memory run allocates %.1f MB, above the %d MB budget", mb, memoryAllocBudgetMB)
+		t.Fatalf("one Memory run allocates %.1f MB, above the %.1f MB budget", mb, memoryAllocBudgetMB)
 	}
 }

@@ -91,15 +91,6 @@ func Ints(xs []int) []float64 {
 	return out
 }
 
-// Int64s converts int64 samples for Summarize.
-func Int64s(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // Table accumulates rows and renders them with aligned columns — the
 // output format of every experiment harness, mirroring the rows/series a
 // paper table would report.

@@ -64,12 +64,9 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestIntsAndInt64s(t *testing.T) {
+func TestInts(t *testing.T) {
 	if got := Ints([]int{1, 2}); got[0] != 1 || got[1] != 2 {
 		t.Errorf("Ints = %v", got)
-	}
-	if got := Int64s([]int64{3, 4}); got[0] != 3 || got[1] != 4 {
-		t.Errorf("Int64s = %v", got)
 	}
 }
 

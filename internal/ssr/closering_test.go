@@ -23,7 +23,7 @@ import (
 // Bounded seeding keeps one physical neighbour per interval slot, and the
 // slot contest can cut a node off (DESIGN §5 finding 8); those seeds are
 // logged. Each node's first tick delegates the rejected edges to the slot
-// holders, so at t = 2·TickInterval E_v must be connected on every input
+// holders, so at t = 2·tickInterval E_v must be connected on every input
 // whose physical graph is.
 func TestCloseRingSweep(t *testing.T) {
 	const n, deadline, maxStalls = 192, 4096, 0
@@ -47,7 +47,7 @@ func TestCloseRingSweep(t *testing.T) {
 			split = append(split, s)
 			t.Logf("seed 2^20 + %d: E_v right after Start cuts off %v", s, cutOff(line, comps))
 		}
-		net.Engine().After(2*c.cfg.TickInterval, func() {
+		net.Engine().After(2*tickInterval, func() {
 			if comps := fold.graph(line).Components(); len(comps) > 1 && g.Connected() {
 				t.Errorf("seed 2^20 + %d: E_v at t=%d cuts off %v", s, net.Engine().Now(), cutOff(line, comps))
 			}
@@ -98,7 +98,7 @@ func TestSeedingRejectIsDelegated(t *testing.T) {
 		t.Fatalf("E_v right after Start has components %v, want {a,b} and {c,d}", comps)
 	}
 	eng := net.Engine()
-	at := 2 * cl.cfg.TickInterval
+	at := 2 * tickInterval
 	eng.After(at, func() {}) // sync point: RunUntil stops at the last fired event
 	eng.RunUntil(at, nil)
 	if comps := fold.graph(line).Components(); len(comps) != 1 {

@@ -20,17 +20,17 @@ type Cluster struct {
 // NewCluster creates one SSR node per topology node and starts them with
 // per-node jitter drawn from the engine's seeded source.
 func NewCluster(net phys.Transport, cfg Config) *Cluster {
-	c := &Cluster{cfg: cfg.withDefaults()}
+	c := &Cluster{cfg: cfg}
 	c.Cluster = node.NewCluster(net, c.Consistent,
 		func(v ids.ID) *Node { return NewNode(net, v, c.cfg) },
-		func(_ ids.ID, n *Node) { n.Start(startJitter(net, c.cfg)) })
+		func(_ ids.ID, n *Node) { n.Start(startJitter(net)) })
 	return c
 }
 
 // startJitter draws one node's start offset within the first tick interval
 // from the engine's seeded source.
-func startJitter(net phys.Transport, cfg Config) sim.Time {
-	return sim.Time(net.Engine().Rand().Int63n(int64(cfg.TickInterval)))
+func startJitter(net phys.Transport) sim.Time {
+	return sim.Time(net.Engine().Rand().Int63n(int64(tickInterval)))
 }
 
 // LineReport diagnoses the line view of the current virtual graph.

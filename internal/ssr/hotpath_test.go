@@ -121,12 +121,12 @@ func TestPruneBoundsBookkeepingAndChangesNothing(t *testing.T) {
 			now := eng.Now()
 			for _, n := range c.Nodes {
 				for key, op := range n.intros {
-					if now-op.at >= (reintroduceAfter+keepaliveEvery)*n.cfg.TickInterval {
+					if now-op.at >= (reintroduceAfter+keepaliveEvery)*tickInterval {
 						t.Fatalf("t=%d: node %v still holds pair %v introduced at %d", now, n.id, key, op.at)
 					}
 				}
 				for x, expiry := range n.tornDown {
-					if now-expiry >= keepaliveEvery*n.cfg.TickInterval {
+					if now-expiry >= keepaliveEvery*tickInterval {
 						t.Fatalf("t=%d: node %v still holds %v's tombstone, expired at %d", now, n.id, x, expiry)
 					}
 				}

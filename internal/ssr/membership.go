@@ -11,7 +11,7 @@ import "repro/internal/ids"
 func (c *Cluster) Join(v ids.ID) *Node {
 	n := NewNode(c.Net, v, c.cfg)
 	c.Nodes[v] = n
-	n.Start(startJitter(c.Net, c.cfg))
+	n.Start(startJitter(c.Net))
 	// A new extremal node invalidates previously-correct wrap edges; the
 	// closure tick's re-validation (node.Wrap.Tick) heals them as knowledge
 	// spreads.

@@ -120,7 +120,7 @@ func TestPendingPairExpires(t *testing.T) {
 	if !n.pending(n.intros[key]) {
 		t.Fatal("a fresh half-acked op must be pending")
 	}
-	end := at + pendingFor*n.cfg.TickInterval
+	end := at + pendingFor*tickInterval
 	eng.After(end-1-at, func() {})
 	eng.RunUntil(end-1, nil)
 	if !n.pending(n.intros[key]) {
@@ -133,7 +133,7 @@ func TestPendingPairExpires(t *testing.T) {
 	}
 	// The cluster's nodes tick on: prune forgets the record once the
 	// re-introduction window has passed.
-	eng.RunUntil(at+(reintroduceAfter+2*keepaliveEvery)*n.cfg.TickInterval, nil)
+	eng.RunUntil(at+(reintroduceAfter+2*keepaliveEvery)*tickInterval, nil)
 	if _, still := n.intros[key]; still {
 		t.Error("expired introduction was never pruned")
 	}
@@ -161,7 +161,7 @@ func TestStaleExpiryTimerKeepsNewerPending(t *testing.T) {
 	net, _, n2, _ := unstartedTriple(t)
 	key := pairKey{Low: 1, High: 3}
 	eng := net.Engine()
-	window := reintroduceAfter * n2.cfg.TickInterval
+	window := reintroduceAfter * tickInterval
 	n2.introduce(1, 3, false) // t=0
 	// Sync point: RunUntil leaves Now at the last fired event, so schedule
 	// a no-op to pin the second introduction's start time.
@@ -185,7 +185,7 @@ func TestStaleExpiryTimerKeepsNewerPending(t *testing.T) {
 	if op.at != 32+window || op.ackLow || op.ackHigh || !n2.pending(op) {
 		t.Fatalf("second introduction should be pending with no acks: %+v", op)
 	}
-	end := op.at + pendingFor*n2.cfg.TickInterval
+	end := op.at + pendingFor*tickInterval
 	eng.After(end-1-eng.Now(), func() {})
 	eng.RunUntil(end-1, nil)
 	if !n2.pending(n2.intros[key]) {
@@ -217,13 +217,13 @@ func TestAckBeforeCounterpartNotifyNoLeak(t *testing.T) {
 	if !op.ackLow || op.ackHigh {
 		t.Fatalf("ack state = low %v high %v, want low-only", op.ackLow, op.ackHigh)
 	}
-	expired := pendingFor * n2.cfg.TickInterval
+	expired := pendingFor * tickInterval
 	eng.After(expired-eng.Now(), func() {}) // sync point at the window's end
 	eng.RunUntil(expired, nil)
 	if n2.pending(n2.intros[key]) {
 		t.Error("half-acked op pending past its window")
 	}
-	window := reintroduceAfter * n2.cfg.TickInterval
+	window := reintroduceAfter * tickInterval
 	eng.After(window-eng.Now(), func() {})
 	eng.RunUntil(window, nil)
 	n2.prune(eng.Now())

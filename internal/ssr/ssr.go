@@ -60,11 +60,13 @@ const (
 	KindKeepAck     = "ssr:keepack"
 )
 
+// tickInterval is the period of the linearization maintenance tick. One
+// pair per side is processed per tick; every window below is counted in
+// these ticks.
+const tickInterval sim.Time = 16
+
 // Config tunes an SSR node.
 type Config struct {
-	// TickInterval is the period of the linearization maintenance tick
-	// (default 16). One pair per side is processed per tick.
-	TickInterval sim.Time
 	// CacheMode selects Bounded (LSN shortcut structure, the SSR default
 	// per §4) or Unbounded (linearization with memory) caches.
 	CacheMode cache.Mode
@@ -75,13 +77,6 @@ type Config struct {
 	// BothDirections sends the counter-clockwise discovery too (§4:
 	// "It should do so for sake of redundancy."). Ablation E10.
 	BothDirections bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 16
-	}
-	return c
 }
 
 // notifyPayload carries the route from the notifier to the *other* new
@@ -213,7 +208,6 @@ type Node struct {
 
 // NewNode creates and registers an SSR node. Call Start to begin activity.
 func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	n := &Node{
 		id:        id,
 		net:       net,
@@ -291,7 +285,7 @@ func (n *Node) Start(jitter sim.Time) {
 	nbrs := n.net.NeighborsOf(n.id)
 	n.rc.Grow(len(nbrs))
 	n.seed("seed", nbrs...)
-	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
+	node.Maintain(n.net, n.id, tickInterval, jitter, &n.stopped, n.tick)
 }
 
 // Stop halts periodic activity after the current event.
@@ -324,7 +318,7 @@ func (n *Node) tick() {
 			// keepalive periods: the node or the route to it is dead. The
 			// tombstone outlives any gossip chain of stale third-party
 			// routes, so the dead node cannot circulate indefinitely.
-			if now-n.lastHeard[dst] > deadAfter*n.cfg.TickInterval {
+			if now-n.lastHeard[dst] > deadAfter*tickInterval {
 				n.drop(dst, "purge")
 				n.dropRevNbr(dst)
 				n.tombstone(dst, 4*deadAfter)
@@ -423,7 +417,7 @@ var pruneBookkeeping = true
 // seen.
 func (n *Node) prune(now sim.Time) {
 	for key, op := range n.intros {
-		if now-op.at >= reintroduceAfter*n.cfg.TickInterval {
+		if now-op.at >= reintroduceAfter*tickInterval {
 			delete(n.intros, key)
 		}
 	}
@@ -445,7 +439,7 @@ const pendingFor = 8
 
 // pending reports whether op still waits for an ack.
 func (n *Node) pending(op introOp) bool {
-	return !(op.ackLow && op.ackHigh) && n.net.Engine().Now()-op.at < pendingFor*n.cfg.TickInterval
+	return !(op.ackLow && op.ackHigh) && n.net.Engine().Now()-op.at < pendingFor*tickInterval
 }
 
 // deadAfter is the failure-detection threshold in ticks (several keepalive
@@ -481,7 +475,7 @@ const revNbrTTL = 64
 func (n *Node) eachLiveRevNbr(f func(u ids.ID, r sroute.Route)) {
 	now := n.net.Engine().Now()
 	for _, e := range n.revNbrs {
-		if now-e.at <= revNbrTTL*n.cfg.TickInterval {
+		if now-e.at <= revNbrTTL*tickInterval {
 			f(e.id, e.route)
 		}
 	}
@@ -490,7 +484,7 @@ func (n *Node) eachLiveRevNbr(f func(u ids.ID, r sroute.Route)) {
 // liveRevNbr reports whether u has a fresh reverse-neighbor entry.
 func (n *Node) liveRevNbr(u ids.ID) bool {
 	i, ok := n.findRevNbr(u)
-	return ok && n.net.Engine().Now()-n.revNbrs[i].at <= revNbrTTL*n.cfg.TickInterval
+	return ok && n.net.Engine().Now()-n.revNbrs[i].at <= revNbrTTL*tickInterval
 }
 
 // findRevNbr returns the position of u in revNbrs, or the position it
@@ -589,7 +583,7 @@ func pairOf(a, b ids.ID) pairKey {
 // re-introduction window.
 func (n *Node) recent(key pairKey) bool {
 	op, seen := n.intros[key]
-	return seen && n.net.Engine().Now()-op.at < reintroduceAfter*n.cfg.TickInterval
+	return seen && n.net.Engine().Now()-op.at < reintroduceAfter*tickInterval
 }
 
 // notify records the introduction of key's pair and sends its two
@@ -707,7 +701,7 @@ func (n *Node) tombstoned(x ids.ID) bool {
 
 // tombstone blocks re-learning routes to x for the given number of ticks.
 func (n *Node) tombstone(x ids.ID, ticks sim.Time) {
-	n.tornDown[x] = n.net.Engine().Now() + ticks*n.cfg.TickInterval
+	n.tornDown[x] = n.net.Engine().Now() + ticks*tickInterval
 }
 
 // learn caches r if it is a route from us. It never keeps r (the cache

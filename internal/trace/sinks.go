@@ -442,14 +442,14 @@ func TaxonomyTable(tax []KindTotal) *metrics.Table {
 	return tab
 }
 
-// topNodes returns the k largest entries by pick(stat), ties broken by
-// ascending node id for determinism; k <= 0 means all.
-func (s *StatsSink) topNodes(k int, pick func(*nodeStat) int64) []NodeTotal {
+// TopSenders returns the k nodes that put the most frames on the air, ties
+// broken by ascending node id for determinism; k <= 0 means all.
+func (s *StatsSink) TopSenders(k int) []NodeTotal {
 	s.mu.Lock()
 	out := make([]NodeTotal, 0, len(s.byNode))
 	for v, ns := range s.byNode {
-		if c := pick(ns); c > 0 {
-			out = append(out, NodeTotal{Node: v, Count: c})
+		if ns.sent > 0 {
+			out = append(out, NodeTotal{Node: v, Count: ns.sent})
 		}
 	}
 	s.mu.Unlock()
@@ -463,21 +463,6 @@ func (s *StatsSink) topNodes(k int, pick func(*nodeStat) int64) []NodeTotal {
 		out = out[:k]
 	}
 	return out
-}
-
-// TopSenders returns the k nodes that put the most frames on the air.
-func (s *StatsSink) TopSenders(k int) []NodeTotal {
-	return s.topNodes(k, func(ns *nodeStat) int64 { return ns.sent })
-}
-
-// TopReceivers returns the k nodes that had the most frames delivered.
-func (s *StatsSink) TopReceivers(k int) []NodeTotal {
-	return s.topNodes(k, func(ns *nodeStat) int64 { return ns.recvd })
-}
-
-// TopDroppers returns the k nodes whose transmissions were lost most often.
-func (s *StatsSink) TopDroppers(k int) []NodeTotal {
-	return s.topNodes(k, func(ns *nodeStat) int64 { return ns.dropped })
 }
 
 // NodeActivity returns one node's (sent, received, dropped) totals.

@@ -43,25 +43,17 @@ const (
 	KindSetupAck    = "vrr:setupack"
 )
 
+// tickInterval is the linearization maintenance period.
+const tickInterval sim.Time = 16
+
+// helloInterval is the beacon period for neighbor discovery.
+const helloInterval sim.Time = 8
+
 // Config tunes a VRR node.
 type Config struct {
-	// TickInterval is the linearization maintenance period (default 16).
-	TickInterval sim.Time
-	// HelloInterval is the beacon period for neighbor discovery (default 8).
-	HelloInterval sim.Time
 	// CloseRing enables the §4 discovery messages that establish the wrap
 	// path between the extremal nodes, turning the line into the ring.
 	CloseRing bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 16
-	}
-	if c.HelloInterval <= 0 {
-		c.HelloInterval = 8
-	}
-	return c
 }
 
 // PathID names a virtual edge: the two endpoints (A < B) and a sequence
@@ -222,7 +214,6 @@ type Node struct {
 
 // NewNode creates and registers a VRR node. Call Start to begin activity.
 func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	n := &Node{
 		id:         id,
 		net:        net,
@@ -234,7 +225,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 		prov:       make(map[provKey]ids.ID),
 		wrap:       node.NewWrap[struct{}](id),
 	}
-	n.beacon = phys.NewBeaconer(net, id, cfg.HelloInterval)
+	n.beacon = phys.NewBeaconer(net, id, helloInterval)
 	n.beacon.OnNewNeighbor = func(u ids.ID) { n.addPhysicalNeighbor(u, "beacon") }
 	// A lease verdict beats the beacon MissLimit expiry and, unlike it, also
 	// names the broken *transit* paths through the dead neighbor.
@@ -309,7 +300,7 @@ func (n *Node) Representative() ids.ID { return n.beacon.Representative() }
 // Start begins beaconing and the linearization tick.
 func (n *Node) Start(jitter sim.Time) {
 	n.beacon.Start()
-	node.Maintain(n.net, n.id, n.cfg.TickInterval, jitter, &n.stopped, n.tick)
+	node.Maintain(n.net, n.id, tickInterval, jitter, &n.stopped, n.tick)
 }
 
 // Stop halts periodic activity.
@@ -388,7 +379,7 @@ func (n *Node) introduce(a, b ids.ID) {
 	// Exponential backoff per pair: a stable pair is re-set-up with
 	// geometrically growing periods, so long runs accumulate only
 	// logarithmically many repair paths instead of one per fixed interval.
-	backoff := sim.Time(32<<min(n.attempts[key], 8)) * n.cfg.TickInterval
+	backoff := sim.Time(32<<min(n.attempts[key], 8)) * tickInterval
 	if last, seen := n.introduced[key]; seen && now-last < backoff {
 		return
 	}

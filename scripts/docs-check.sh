@@ -26,7 +26,14 @@
 # Stalled( or GloballyConsistentLine, or linearize.Config declares a Probe
 # field: trace.Probe only emits, trace.Analysis is the one fold of its
 # series (live when teed, offline through AnalyzeStream), and OnRound is
-# the round model's one per-round hook. Run from the repo root.
+# the round model's one per-round hook. And fails when the ssr, vrr or
+# isprp Config declares TickInterval, HelloInterval or FloodDelay, when
+# non-test Go in internal/chaos names RunConfig or in internal/exp names
+# BindCLI or CLIOptions, or when internal/exp or internal/chaos declares a
+# Protocol alias: each protocol runs on one tick (a package constant),
+# chaos.Run on NewChecker's cadence and the n·4096 deadline, cmd/ssrsim
+# binds its own flags, and callers name node.Protocol. Run from the repo
+# root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -53,7 +60,7 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'GloballyConsistent(' . | gre
 	fail=1
 fi
 if grep -rn --include='*.go' --exclude='*_test.go' -e 'fmt\.Print' -e 'os\.Stdout' internal/exp; then
-	echo "docs-check: internal/exp prints to the io.Writer its caller passes (CLI.Emit), never to os.Stdout"
+	echo "docs-check: internal/exp prints to the io.Writer its caller passes, never to os.Stdout"
 	fail=1
 fi
 if grep -rnE --include='*_test.go' 'os\.(Stdout|Stderr)[[:space:]]*=[^=]' cmd internal/exp; then
@@ -70,6 +77,18 @@ if grep -rnE --include='*.go' --exclude='*_test.go' -e 'SeriesFromEvents|StallWi
 fi
 if awk '/^type Config struct/,/^}/ { print FILENAME ": " $0 }' $(ls internal/linearize/*.go | grep -v '_test\.go$') | grep -E ':[[:space:]]+Probe[[:space:]]'; then
 	echo "docs-check: linearize.Config has one per-round hook, OnRound; pass OnRound: probe.Observe"
+	fail=1
+fi
+if awk '/^type Config struct/,/^}/ { print FILENAME ": " $0 }' $(ls internal/ssr/*.go internal/vrr/*.go internal/isprp/*.go | grep -v '_test\.go$') | grep -E ':[[:space:]]+(TickInterval|HelloInterval|FloodDelay)[[:space:],]'; then
+	echo "docs-check: each protocol runs on one tick; its timers are the package constants tickInterval, helloInterval and floodDelay"
+	fail=1
+fi
+if grep -rnwE --include='*.go' --exclude='*_test.go' -e 'RunConfig' internal/chaos || grep -rnwE --include='*.go' --exclude='*_test.go' -e 'BindCLI|CLIOptions' internal/exp; then
+	echo "docs-check: chaos.Run takes no config and cmd/ssrsim binds its own flags; no RunConfig, BindCLI or CLIOptions"
+	fail=1
+fi
+if grep -rnE --include='*.go' '^[[:space:]]*(type[[:space:]]+)?Protocol[[:space:]]*=' internal/exp internal/chaos; then
+	echo "docs-check: the bootstrap-protocol contract is node.Protocol; no alias of it in internal/exp or internal/chaos"
 	fail=1
 fi
 exit $fail
