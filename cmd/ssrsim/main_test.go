@@ -73,10 +73,11 @@ func stdoutOf(t *testing.T, args ...string) string {
 }
 
 // TestModesReproduceCommittedResults runs every mode that has a committed
-// results/*.txt end to end and holds it to the artifact byte for byte: the
-// flags here are the flags the artifact was made with (EXPERIMENTS.md
-// quotes the same commands). Each mode is a parallel subtest with its own
-// Harness and its own output buffer.
+// results/*.txt or BENCH_*.json end to end and holds it to the artifact
+// byte for byte: the flags here are the flags the artifact was made with
+// (EXPERIMENTS.md and the Makefile quote the same commands); a .json
+// artifact is the record the mode writes to -out, a .txt one its stdout.
+// Each mode is a parallel subtest with its own Harness and its own output.
 func TestModesReproduceCommittedResults(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -101,6 +102,8 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 		{"e10_closure.txt", []string{"-mode", "closure", "-n", "32"}, false},
 		{"e11_vrr.txt", []string{"-mode", "vrr", "-n", "32"}, false}, // vrr and ssr with CloseRing
 		{"e12_mobility.txt", []string{"-mode", "mobility", "-n", "24"}, false},
+		{"BENCH_chaos.json", []string{"-mode", "chaos", "-n", "24", "-seed", "1"}, false},
+		{"BENCH_reliability.json", []string{"-mode", "reliability", "-n", "24", "-seed", "1"}, false},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			if tc.slow && (raceEnabled || testing.Short()) {
@@ -111,7 +114,19 @@ func TestModesReproduceCommittedResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := stdoutOf(t, tc.args...); got != string(want) {
+			var got string
+			if filepath.Ext(tc.file) == ".json" {
+				out := filepath.Join(t.TempDir(), tc.file)
+				stdoutOf(t, append(tc.args, "-out", out)...)
+				b, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = string(b)
+			} else {
+				got = stdoutOf(t, tc.args...)
+			}
+			if got != string(want) {
 				t.Errorf("ssrsim %v drifted from results/%s:\n%s", tc.args, tc.file, got)
 			}
 		})
