@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRelFrameDecoding -fuzztime=10s ./internal/rel/
 	$(GO) test -run=^$$ -fuzz=FuzzEventEncoding -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGraphOps -fuzztime=10s ./internal/graph/
+	$(GO) test -run=^$$ -fuzz=FuzzSearchRow -fuzztime=10s ./internal/graph/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzNetworkScript -fuzztime=10s ./internal/phys/
 	$(GO) test -run=^$$ -fuzz=FuzzCacheScript -fuzztime=10s ./internal/cache/

@@ -86,29 +86,42 @@ func BenchmarkGraphAddRemoveEdge(b *testing.B) {
 	}
 }
 
-// memoryRegularSeed is the first input of the layered benchmark's
-// lin-memory-regular workload under --seed 1: repetition i there runs seed
+// firstInputSeed is the seed of the first input of each of the layered
+// benchmark's lin-* workloads under --seed 1: repetition i there runs seed
 // 2²⁰+i.
-const memoryRegularSeed = 1 << 20
+const firstInputSeed = 1 << 20
 
 // BenchmarkMemoryRegular: linearization with memory on a 4-regular graph of
 // 6000 nodes — the layered benchmark's first lin-memory-regular input — on
 // one worker and on GOMAXPROCS workers. The whole round runs on the dense
 // graph.CSR image (DESIGN.md §9).
 func BenchmarkMemoryRegular(b *testing.B) {
-	g := mustTopo(b, graph.TopoRegular, 6000, memoryRegularSeed)
+	benchRun(b, mustTopo(b, graph.TopoRegular, 6000, firstInputSeed), linearize.Config{Variant: linearize.Memory})
+}
+
+// BenchmarkLSNPowerLaw: LSN with ring closure on a power-law graph of 4000
+// nodes — the layered benchmark's first lin-lsn-powerlaw input, the
+// paper's E4 at small n — on one worker and on GOMAXPROCS workers. Row
+// edits in the engine's dense rows, and the graph.SearchRow behind each
+// one, are most of the time.
+func BenchmarkLSNPowerLaw(b *testing.B) {
+	benchRun(b, mustTopo(b, graph.TopoPowerLaw, 4000, firstInputSeed),
+		linearize.Config{Variant: linearize.LSN, CloseRing: true, MaxRounds: 128})
+}
+
+// benchRun times linearize.Run of g under cfg on one worker and on
+// GOMAXPROCS workers, and fails a run that does not converge.
+func benchRun(b *testing.B, g *graph.Graph, cfg linearize.Config) {
 	for _, workers := range []int{1, 0} {
 		name := "workers1"
 		if workers == 0 {
 			name = "gomaxprocs"
 		}
+		cfg.Executor = sim.ExecutorConfig{Workers: workers}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats, _ := linearize.Run(g, linearize.Config{
-					Variant: linearize.Memory, Executor: sim.ExecutorConfig{Workers: workers},
-				})
-				if !stats.Converged {
+				if stats, _ := linearize.Run(g, cfg); !stats.Converged {
 					b.Fatal("no convergence")
 				}
 			}
@@ -119,7 +132,7 @@ func BenchmarkMemoryRegular(b *testing.B) {
 // BenchmarkCSRMerge: one CSR.WithEdges of a 5 % delta of absent edges onto
 // the final graph of a BenchmarkMemoryRegular run.
 func BenchmarkCSRMerge(b *testing.B) {
-	_, final := linearize.Run(mustTopo(b, graph.TopoRegular, 6000, memoryRegularSeed), linearize.Config{Variant: linearize.Memory})
+	_, final := linearize.Run(mustTopo(b, graph.TopoRegular, 6000, firstInputSeed), linearize.Config{Variant: linearize.Memory})
 	csr := graph.NewCSR(final)
 	nodes := final.Nodes()
 	r := rand.New(rand.NewSource(1))

@@ -39,9 +39,9 @@ type Result struct {
 // Run replays a compiled schedule against a live network and protocol:
 // fault-free warmup to consistency, scheduled faults under the online
 // invariant checker (NewChecker's default cadence, grace and pending
-// bound), then a final drive back to global consistency within n·4096
-// ticks. The protocol must already be running on net (clusters start in
-// their constructors); Run stops it before returning.
+// bound), then a final drive back to global consistency within
+// node.Budget(n). The protocol must already be running on net (clusters
+// start in their constructors); Run stops it before returning.
 //
 // The engine's RunUntil leaves Now at the last fired event rather than the
 // requested deadline, so every phase boundary is pinned with an explicit
@@ -50,7 +50,7 @@ type Result struct {
 func Run(scn Scenario, sched *Schedule, net *phys.Network, proto node.Protocol) Result {
 	eng := net.Engine()
 	res := Result{Scenario: scn.Name, Seed: sched.Seed, LastFaultAt: sched.LastFault, FirstConsistentAt: -1}
-	deadline := sim.Time(len(net.Nodes())) * 4096
+	deadline := node.Budget(len(net.Nodes()))
 	settleEnd := sched.LastFault + scn.Settle
 
 	// Cold-start scenarios (Transport: reliable) may carry actions before

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -35,7 +36,7 @@ func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64,
 	// same probe events: both come from trace.Analysis.
 	verdict := trace.NewAnalysis()
 	probe := &trace.Probe{Tracer: trace.Tee(h.Tracer, verdict)}
-	deadline := sim.Time(n) * 4096
+	deadline := node.Budget(n)
 
 	cl.AttachProbe(probe, sim.Time(probeEvery))
 	at, ok := cl.RunUntilConsistent(deadline)

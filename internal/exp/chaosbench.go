@@ -20,7 +20,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/sim"
+	"repro/internal/node"
 	"repro/internal/trace"
 )
 
@@ -145,7 +145,7 @@ func (h Harness) ChaosBench(n int, topo graph.Topology, seed int64, quick bool) 
 			"CRITERIA NOT MET: %d invariant violations, all reconverged=%v",
 			totalViolations, allConverged))
 	}
-	deadline := sim.Time(n) * 4096
+	deadline := node.Budget(n)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d scenarios x %d protocols, shared per-scenario schedules, reconvergence deadline %d",
 		len(scenarios), len(protos), int64(deadline)))

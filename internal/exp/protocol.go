@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isprp"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/ssr"
@@ -24,7 +25,7 @@ func (h Harness) MessageCost(sizes []int, topo graph.Topology, seeds int) Report
 	rep := Report{ID: "E6", Title: fmt.Sprintf("Bootstrap message cost on %s graphs", topo)}
 	tab := metrics.NewTable("protocol", "n", "converged", "time mean", "msgs mean", "flood mean", "flood share")
 	for _, n := range sizes {
-		deadline := sim.Time(n) * 4096
+		deadline := node.Budget(n)
 		add := func(name string, runs []bootRun, flood func(bootRun) float64) {
 			ms, fs := over(runs, msgs), over(runs, flood)
 			floodShare := 0.0
@@ -58,7 +59,7 @@ func (h Harness) MessageBreakdown(n int, topo graph.Topology, seed int64) Report
 	sink := trace.NewStatsSink()
 	net.SetTracer(trace.Tee(net.Tracer(), sink))
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
-	at, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
+	at, ok := cl.RunUntilConsistent(node.Budget(n))
 	cl.Stop()
 	rep.Table = trace.TaxonomyTable(sink.MessageTaxonomy())
 	rep.Notes = append(rep.Notes, fmt.Sprintf("n=%d converged=%v at t=%d", n, ok, at))
@@ -81,7 +82,7 @@ func (h Harness) Routing(n int, topo graph.Topology, pairs int, seed int64) Repo
 	cl := ssr.NewCluster(tr, ssr.Config{
 		CacheMode: cache.Bounded, CloseRing: true, BothDirections: true,
 	})
-	_, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
+	_, ok := cl.RunUntilConsistent(node.Budget(n))
 	if !ok {
 		rep.Notes = append(rep.Notes, "BOOTSTRAP DID NOT CONVERGE; routing numbers meaningless")
 	}
@@ -122,7 +123,7 @@ func (h Harness) CacheOccupancy(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E8b", Title: "SSR cache occupancy vs LSN interval structure"}
 	_, tr := h.newNet(topo, n, seed)
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded})
-	_, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
+	_, ok := cl.RunUntilConsistent(node.Budget(n))
 	cl.Stop()
 	var occL, occR []int
 	for _, node := range cl.Nodes {
@@ -148,7 +149,7 @@ func (h Harness) RingClosure(n int, topo graph.Topology, seeds int) Report {
 	rep := Report{ID: "E10", Title: "Ring closure: discovery redundancy"}
 	tab := metrics.NewTable("directions", "converged", "time mean", "discover frames mean")
 	for _, both := range []bool{false, true} {
-		runs, _ := bootRuns(h, topo, n, seeds, 55, sim.Time(n)*4096,
+		runs, _ := bootRuns(h, topo, n, seeds, 55, node.Budget(n),
 			ssrOver(ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: both}))
 		name := "clockwise only"
 		if both {
@@ -190,7 +191,7 @@ func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64)
 	rep := Report{ID: "E9b", Title: "Message-level churn recovery"}
 	net, tr := h.newNet(topo, n, seed)
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Unbounded})
-	bootAt, ok := cl.RunUntilConsistent(sim.Time(n) * 4096)
+	bootAt, ok := cl.RunUntilConsistent(node.Budget(n))
 	tab := metrics.NewTable("phase", "converged", "time")
 	tab.AddRow("bootstrap", ok, int64(bootAt))
 	if !ok {
@@ -216,7 +217,7 @@ func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64)
 		delete(cl.Nodes, v)
 		killed++
 	}
-	recAt, recOK := cl.RunUntilConsistent(bootAt + sim.Time(n)*4096)
+	recAt, recOK := cl.RunUntilConsistent(bootAt + node.Budget(n))
 	tab.AddRow(fmt.Sprintf("recovery after killing %d", killed), recOK, int64(recAt-bootAt))
 	cl.Stop()
 	rep.Table = tab
@@ -231,7 +232,7 @@ func (h Harness) TeardownAblation(n int, topo graph.Topology, seeds int) Report 
 	rep := Report{ID: "A2", Title: "Teardown ablation: §4 edge removal on/off"}
 	tab := metrics.NewTable("teardown", "converged", "time mean", "msgs mean", "routes/node mean")
 	for _, tear := range []bool{false, true} {
-		runs, cls := bootRuns(h, topo, n, seeds, 91, sim.Time(n)*4096,
+		runs, cls := bootRuns(h, topo, n, seeds, 91, node.Budget(n),
 			ssrOver(ssr.Config{CacheMode: cache.Unbounded, Teardown: tear}))
 		tab.AddRow(tear, share(runs, booted), over(runs, bootTime).Mean, over(runs, msgs).Mean,
 			perNode(cls, cacheSizes).Mean)

@@ -4,11 +4,11 @@ package graph
 // adjacency image over dense node indices. Index i names the i-th smallest
 // identifier, so index order is identifier order: a row of ascending
 // indices is the row Algorithm 1 reads, at half the width, and membership
-// is one binary search with no identifier → row hash probe. The Jacobi
-// executor (linearization with memory) runs its whole round on this image:
-// every node proposes against the same round-start rows, and MergeInPlace
-// folds the proposals into the next image, over the same array while it
-// fits.
+// is one branchless binary search (SearchRow) with no identifier → row
+// hash probe. The Jacobi executor (linearization with memory) runs its
+// whole round on this image: every node proposes against the same
+// round-start rows, and MergeInPlace folds the proposals into the next
+// image, over the same array while it fits.
 //
 // Only MergeInPlace writes a CSR after construction, so between its calls
 // a CSR is safe for concurrent readers without locking — what the parallel
@@ -172,18 +172,20 @@ func (c *CSR) Has(i, j int32) bool {
 }
 
 // SearchRow returns where x sits, or would sit, in the ascending row and
-// whether it is there: slices.BinarySearch without the generic comparison.
+// whether it is there: slices.BinarySearch's result, by a branchless lower
+// bound. The answer lies in row[base : base+n+1]; each step compares the
+// last entry of the lower half and turns the comparison into a mask that
+// moves base past that half or not, so the loop runs ⌈log₂(len+1)⌉ times
+// whatever x is and has no data-dependent branch to mispredict: on the
+// round model's rows of a dozen or so entries, a branch on the comparison
+// mispredicts about every other step.
 func SearchRow(row []int32, x int32) (int, bool) {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	base := 0
+	for n := len(row); n > 0; n >>= 1 {
+		half := n - n>>1
+		base += half & int((int64(row[base+half-1])-int64(x))>>63)
 	}
-	return lo, lo < len(row) && row[lo] == x
+	return base, base < len(row) && row[base] == x
 }
 
 // HasEdge reports whether the snapshot contains the undirected edge {u,v}.

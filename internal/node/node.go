@@ -181,6 +181,11 @@ func (c *Cluster[N]) AttachProbe(p *trace.Probe, every sim.Time) {
 	})
 }
 
+// Budget is the time a bootstrap of n nodes gets to reach global
+// consistency, n·4096 ticks: the deadline every experiment passes to
+// RunUntilConsistent, and the chaos runner's bound on reconvergence.
+func Budget(n int) sim.Time { return sim.Time(n) * 4096 }
+
 // RunUntilConsistent drives the simulation until global consistency or the
 // deadline, returning the convergence time and whether it converged.
 func (c *Cluster[N]) RunUntilConsistent(deadline sim.Time) (sim.Time, bool) {

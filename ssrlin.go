@@ -170,7 +170,7 @@ func (s *Simulation) BootstrapISPRP(cfg ISPRPConfig) BootstrapResult {
 }
 
 func (s *Simulation) deadline() sim.Time {
-	d := sim.Time(s.opts.Nodes) * 4096
+	d := node.Budget(s.opts.Nodes)
 	if d < 65536 {
 		d = 65536
 	}
