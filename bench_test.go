@@ -38,7 +38,7 @@ func BenchmarkTraceEmit(b *testing.B) {
 		tr   trace.Tracer
 	}{
 		{"recorder", &trace.Recorder{}},
-		{"stats", trace.NewStatsSink()},
+		{"analysis", trace.NewAnalysis()},
 		{"jsonl", trace.NewJSONLWriter(io.Discard)},
 	} {
 		b.Run(sink.name, func(b *testing.B) {

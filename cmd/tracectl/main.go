@@ -161,7 +161,7 @@ func cmdReport(args []string) error {
 		fmt.Print(tab)
 	}
 
-	if hot := a.Stats.HotSpotTable(*top); hot.NumRows() > 0 {
+	if hot := a.HotSpotTable(*top); hot.NumRows() > 0 {
 		fmt.Printf("\n-- hot spots (top %d senders) --\n", *top)
 		fmt.Print(hot)
 	} else {

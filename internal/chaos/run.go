@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/node"
 	"repro/internal/phys"
@@ -125,10 +124,8 @@ func Run(scn Scenario, sched *Schedule, net *phys.Network, proto node.Protocol) 
 	res.TotalFrames = net.Counters().Total()
 	res.FaultPhaseFrames = res.TotalFrames - res.WarmupFrames
 	res.Drops = make(map[string]int64)
-	for _, kc := range net.Counters().Snapshot() {
-		if strings.HasPrefix(kc.Kind, "drop:") && kc.Count > 0 {
-			res.Drops[strings.TrimPrefix(kc.Kind, "drop:")] = kc.Count
-		}
+	for _, kc := range net.Counters().Drops() {
+		res.Drops[kc.Kind] = kc.Count
 	}
 	res.Checks = checker.TotalChecks()
 	res.Violations = checker.Violations()

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"hash/fnv"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -122,6 +124,22 @@ func TestProtocolEventStreamPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCounterSummaryFolds: the summary counters Bootstrap emits at the end
+// of a run fold back into a coarse trace's taxonomy and drop totals, and a
+// drop reason is never counted as a sent kind.
+func TestCounterSummaryFolds(t *testing.T) {
+	c := phys.NewCounters()
+	c.Inc("ssr:notify", 3)
+	c.Inc("ssr:ack", 2)
+	c.Inc("drop:loss", 4)
+	a := trace.NewAnalysis()
+	emitCounters(a, 7, c)
+	const want = "[{ssr:ack 2} {ssr:notify 3}] [{loss 4}] 5"
+	if got := fmt.Sprint(a.Taxonomy(), a.DropTotals(), a.TotalSent()); got != want || a.TotalSent() != c.Total() {
+		t.Errorf("taxonomy, drops, sent = %s, want %s (Counters.Total %d)", got, want, c.Total())
 	}
 }
 

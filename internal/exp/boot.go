@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/node"
+	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -24,7 +25,8 @@ import (
 // probeEvery is the sampling interval in engine ticks; each sample is one
 // "round" of the trace's convergence series. At the end of the run the
 // physical per-kind frame counters are re-emitted as "msgs/…" summary
-// counters, so even a round-level trace carries the message taxonomy.
+// counters and the drop counters as "drops/…", so even a round-level trace
+// carries the message taxonomy and the loss economy.
 func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, error) {
 	rep := Report{ID: "E6c", Title: fmt.Sprintf("single %s bootstrap, n=%d on %s (%s transport)", proto, n, topo, h.transport())}
 	net, tr := h.newNet(topo, n, seed)
@@ -47,17 +49,10 @@ func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64,
 
 	// Re-emit the physical frame economy as summary counters: this is what
 	// keeps coarse (round-level) traces analyzable — tracectl's taxonomy
-	// falls back to msgs/… counters when per-message events were filtered.
+	// and drop totals fall back to these counters when per-message events
+	// were filtered.
 	if h.Tracer != nil {
-		t := int64(net.Engine().Now())
-		for _, kc := range net.Counters().Snapshot() {
-			if kc.Count > 0 {
-				h.Tracer.Emit(trace.Event{
-					T: t, Type: trace.EvCounter,
-					Kind: trace.MsgCounterPrefix + kc.Kind, Value: float64(kc.Count),
-				})
-			}
-		}
+		emitCounters(h.Tracer, int64(net.Engine().Now()), net.Counters())
 	}
 
 	tab := metrics.NewTable("protocol", "n", "converged", "time", "frames")
@@ -65,4 +60,17 @@ func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64,
 	rep.Table = tab
 	rep.Notes = append(rep.Notes, verdict.Verdict().String())
 	return rep, nil
+}
+
+// emitCounters emits c as EvCounter events at time t: each sent kind as
+// "msgs/<kind>" and each drop reason as "drops/<reason>", the names
+// trace.Analysis's Taxonomy and DropTotals fall back to.
+func emitCounters(tr trace.Tracer, t int64, c *phys.Counters) {
+	emit := func(prefix string, rows []phys.KindCount) {
+		for _, kc := range rows {
+			tr.Emit(trace.Event{T: t, Type: trace.EvCounter, Kind: prefix + kc.Kind, Value: float64(kc.Count)})
+		}
+	}
+	emit(trace.MsgCounterPrefix, c.Sent())
+	emit(trace.DropCounterPrefix, c.Drops())
 }

@@ -51,19 +51,19 @@ func (h Harness) MessageCost(sizes []int, topo graph.Topology, seeds int) Report
 
 // MessageBreakdown details the per-kind message mix of one linearization
 // bootstrap — the companion table to E6. The taxonomy comes from a
-// tracer-fed stats sink watching the physical layer, so the same breakdown
-// is available for any traced run, not just this harness.
+// trace.Analysis teed onto the physical layer, so the same breakdown is
+// available for any traced run, not just this harness.
 func (h Harness) MessageBreakdown(n int, topo graph.Topology, seed int64) Report {
 	rep := Report{ID: "E6b", Title: "Linearization bootstrap message mix"}
 	net, tr := h.newNet(topo, n, seed)
-	sink := trace.NewStatsSink()
-	net.SetTracer(trace.Tee(net.Tracer(), sink))
+	a := trace.NewAnalysis()
+	net.SetTracer(trace.Tee(net.Tracer(), a))
 	cl := ssr.NewCluster(tr, ssr.Config{CacheMode: cache.Bounded, CloseRing: true, BothDirections: true})
 	at, ok := cl.RunUntilConsistent(node.Budget(n))
 	cl.Stop()
-	rep.Table = trace.TaxonomyTable(sink.MessageTaxonomy())
+	rep.Table = trace.TaxonomyTable(a.Taxonomy())
 	rep.Notes = append(rep.Notes, fmt.Sprintf("n=%d converged=%v at t=%d", n, ok, at))
-	if drops := sink.Drops(); len(drops) > 0 {
+	if drops := a.DropTotals(); len(drops) > 0 {
 		parts := make([]string, len(drops))
 		for i, d := range drops {
 			parts[i] = fmt.Sprintf("%s=%d", d.Kind, d.Count)

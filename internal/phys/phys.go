@@ -13,6 +13,7 @@ package phys
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -302,8 +303,9 @@ func (n *Network) Up(v ids.ID) bool {
 // Send transmits a single-hop frame from m.From to m.To. Both must be up
 // and physically adjacent; otherwise the frame is dropped (counted as
 // "drop"). Delivery is asynchronous at now+latency(+jitter), unless the
-// loss model discards it. Send reports whether the frame was put on the
-// air (not whether it will arrive).
+// loss model discards it; a lost frame was still put on the air, so it is
+// counted and traced as sent before its drop. Send reports whether the
+// frame was put on the air (not whether it will arrive).
 func (n *Network) Send(m Message) bool {
 	if !n.Up(m.From) || !n.topo.HasEdge(m.From, m.To) {
 		n.counters.Inc("drop:no-link", 1)
@@ -311,22 +313,26 @@ func (n *Network) Send(m Message) bool {
 		return false
 	}
 	n.counters.Inc(m.Kind, 1)
-	if n.lossProb > 0 && n.engine.Rand().Float64() < n.lossProb {
-		n.counters.Inc("drop:loss", 1)
-		n.traceDrop(m, "loss")
-		return true // transmitted, never arrives
+	lost := n.lossProb > 0 && n.engine.Rand().Float64() < n.lossProb
+	var d sim.Time // delivery delay; a lost frame has none
+	if !lost {
+		d = n.latency(m.From, m.To)
+		if n.jitter > 0 {
+			d += sim.Time(n.engine.Rand().Int63n(int64(n.jitter) + 1))
+		}
 	}
-	d := n.latency(m.From, m.To)
-	if n.jitter > 0 {
-		d += sim.Time(n.engine.Rand().Int63n(int64(n.jitter) + 1))
-	}
-	to := n.lookup(m.To)
 	if n.tracer != nil {
 		n.tracer.Emit(trace.Event{
 			T: int64(n.engine.Now()), Type: trace.EvMsgSend,
 			Node: m.From, Peer: m.To, Kind: m.Kind, Value: float64(d),
 		})
 	}
+	if lost {
+		n.counters.Inc("drop:loss", 1)
+		n.traceDrop(m, "loss")
+		return true // transmitted, never arrives
+	}
+	to := n.lookup(m.To)
 	m.Hops++
 	f := n.free
 	if f == nil {
@@ -475,7 +481,8 @@ func (n *Network) unlink(u, v ids.ID) bool {
 }
 
 // Counters tallies messages by kind. Kinds use a "proto:type" convention,
-// e.g. "ssr:notify" or "isprp:flood".
+// e.g. "ssr:notify" or "isprp:flood"; a kind "drop:<reason>" is a
+// diagnostic that counts the frames lost for that reason.
 type Counters struct {
 	byKind map[string]int64
 }
@@ -489,17 +496,43 @@ func (c *Counters) Inc(kind string, delta int64) { c.byKind[kind] += delta }
 // Get returns the count for a kind.
 func (c *Counters) Get(kind string) int64 { return c.byKind[kind] }
 
+// dropPrefix marks the drop diagnostics among the counter kinds.
+const dropPrefix = "drop:"
+
 // Total returns the number of frames transmitted across all kinds,
 // excluding the drop:* diagnostics.
 func (c *Counters) Total() int64 {
 	var t int64
 	for kind, v := range c.byKind {
-		if len(kind) >= 5 && kind[:5] == "drop:" {
-			continue
+		if !strings.HasPrefix(kind, dropPrefix) {
+			t += v
 		}
-		t += v
 	}
 	return t
+}
+
+// Sent returns the nonzero count of every transmitted kind (every kind but
+// the drop:* diagnostics), sorted by kind.
+func (c *Counters) Sent() []KindCount { return c.rows(false) }
+
+// Drops returns the nonzero count of every drop reason, the "drop:" prefix
+// stripped, sorted by reason.
+func (c *Counters) Drops() []KindCount { return c.rows(true) }
+
+func (c *Counters) rows(drops bool) []KindCount {
+	var out []KindCount
+	for kind, v := range c.byKind {
+		reason, isDrop := strings.CutPrefix(kind, dropPrefix)
+		if v == 0 || isDrop != drops {
+			continue
+		}
+		if drops {
+			kind = reason
+		}
+		out = append(out, KindCount{Kind: kind, Count: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
+	return out
 }
 
 // TotalMatching returns the summed count over kinds for which match returns

@@ -420,16 +420,20 @@ func TestCounters(t *testing.T) {
 	if len(snap) != 3 || snap[0].Kind != "a:x" || snap[0].String() != "a:x=2" {
 		t.Errorf("Snapshot = %v", snap)
 	}
+	c.Inc("drop:corrupt", 0) // registered, never counted
+	if got := fmt.Sprint(c.Sent(), c.Drops()); got != "[a:x=2 a:y=3] [loss=5]" {
+		t.Errorf("Sent, Drops = %s", got)
+	}
 	c.Reset()
 	if c.Total() != 0 {
 		t.Error("Reset failed")
 	}
 }
 
-func TestBeaconerDiscoveryAndRepresentative(t *testing.T) {
+func TestBeaconerDiscoveryAndExpiry(t *testing.T) {
 	e, net := lineNet(t, 3)
 	beacons := map[ids.ID]*Beaconer{}
-	var newNbr, lost []ids.ID
+	var newNbr []ids.ID
 	for _, v := range []ids.ID{1, 2, 3} {
 		v := v
 		b := NewBeaconer(net, v, 10)
@@ -441,34 +445,23 @@ func TestBeaconerDiscoveryAndRepresentative(t *testing.T) {
 		}))
 	}
 	beacons[2].OnNewNeighbor = func(u ids.ID) { newNbr = append(newNbr, u) }
-	beacons[2].OnLostNeighbor = func(u ids.ID) { lost = append(lost, u) }
-	if beacons[1].Representative() != 1 {
-		t.Errorf("before any hello, node 1 representative = %v, want itself", beacons[1].Representative())
-	}
 	for _, b := range beacons {
 		b.Start()
 	}
 	e.RunUntil(100, nil)
-	nbrs := beacons[2].Neighbors()
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 3 {
-		t.Fatalf("beacon neighbors of 2 = %v", nbrs)
+	ids.SortAsc(newNbr)
+	if len(newNbr) != 2 || newNbr[0] != 1 || newNbr[1] != 3 {
+		t.Fatalf("OnNewNeighbor of 2 fired for %v, want [1 3]", newNbr)
 	}
-	if len(newNbr) != 2 {
-		t.Errorf("OnNewNeighbor fired %d times, want 2", len(newNbr))
-	}
-	// Representative propagates: node 1 hears 2, and via 2's piggyback, 3.
-	if beacons[1].Representative() != 3 {
-		t.Errorf("node 1 representative = %v, want 3", beacons[1].Representative())
-	}
-	// Fail node 3; after MissLimit intervals node 2 expires it.
+	// Fail node 3; after missLimit silent intervals node 2 expires it, so
+	// 3's first hello after recovery makes it new again. Node 1 never
+	// went silent and stays known.
 	net.FailNode(3)
 	e.RunUntil(300, nil)
-	nbrs = beacons[2].Neighbors()
-	if len(nbrs) != 1 || nbrs[0] != 1 {
-		t.Errorf("after failure, neighbors of 2 = %v", nbrs)
-	}
-	if len(lost) != 1 || lost[0] != 3 {
-		t.Errorf("OnLostNeighbor = %v", lost)
+	net.RecoverNode(3)
+	e.RunUntil(400, nil)
+	if len(newNbr) != 3 || newNbr[2] != 3 {
+		t.Errorf("after 3's failure and recovery, OnNewNeighbor fired for %v, want [1 3 3]", newNbr)
 	}
 	for _, b := range beacons {
 		b.Stop()
@@ -493,10 +486,8 @@ func TestBeaconerStop(t *testing.T) {
 func TestBeaconerIgnoresBadPayload(t *testing.T) {
 	_, net := lineNet(t, 2)
 	b := NewBeaconer(net, 1, 10)
+	b.OnNewNeighbor = func(ids.ID) { t.Error("bad payload should be ignored") }
 	b.HandleHello(Message{From: 2, Payload: "not a hello"})
-	if len(b.Neighbors()) != 0 {
-		t.Error("bad payload should be ignored")
-	}
 }
 
 func TestTopologyIsCloned(t *testing.T) {

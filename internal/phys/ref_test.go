@@ -90,6 +90,12 @@ func (n *refNetwork) Send(m Message) bool {
 	n.counters.Inc(m.Kind, 1)
 	if n.lossProb > 0 && n.engine.Rand().Float64() < n.lossProb {
 		n.counters.Inc("drop:loss", 1)
+		if n.tracer != nil {
+			n.tracer.Emit(trace.Event{
+				T: int64(n.engine.Now()), Type: trace.EvMsgSend,
+				Node: m.From, Peer: m.To, Kind: m.Kind,
+			})
+		}
 		n.traceDrop(m, "loss")
 		return true
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // newPair builds a two-node reliable network over one link with the given
@@ -386,6 +387,50 @@ func TestRecordReuseUnderAbandons(t *testing.T) {
 	st2, log2, _ := run()
 	if st != st2 || !slices.Equal(log, log2) {
 		t.Errorf("same seed, different runs: %+v vs %+v, traces equal: %v", st, st2, slices.Equal(log, log2))
+	}
+}
+
+// TestTraceCountsTheFramesCountersCount: at 30 % loss, an Analysis on the
+// network's tracer counts as sent every frame phys.Counters counts, lost
+// frames included, on the raw network and under the reliable sublayer. On
+// the raw network it also counts every drop the counters count, by reason.
+func TestTraceCountsTheFramesCountersCount(t *testing.T) {
+	nodes := []ids.ID{1, 2, 3, 4, 5}
+	for _, reliable := range []bool{false, true} {
+		a := trace.NewAnalysis()
+		raw := phys.NewNetwork(sim.NewEngine(3), graph.Line(nodes), phys.WithLoss(0.3), phys.WithTracer(a))
+		var net phys.Transport = raw
+		if reliable {
+			net = New(raw, DefaultConfig())
+		}
+		for _, v := range nodes {
+			net.Register(v, phys.HandlerFunc(func(phys.Message) {}))
+		}
+		eng := raw.Engine()
+		for i := 0; i < 500; i++ {
+			i := i
+			eng.At(sim.Time(1+i), func() { net.Broadcast(nodes[i%len(nodes)], "test:x", i) })
+		}
+		eng.At(1, func() { net.Send(phys.Message{From: 1, To: 3, Kind: "test:x"}) }) // no link
+		eng.RunUntil(20000, nil)
+
+		c := raw.Counters()
+		if c.Get("drop:loss") == 0 {
+			t.Fatalf("reliable=%v: 30%% loss lost no frame", reliable)
+		}
+		if a.TotalSent() != c.Total() {
+			t.Errorf("reliable=%v: trace counts %d frames sent, counters %d", reliable, a.TotalSent(), c.Total())
+		}
+		if reliable {
+			continue
+		}
+		var drops []trace.KindTotal
+		for _, kc := range c.Drops() {
+			drops = append(drops, trace.KindTotal{Kind: kc.Kind, Count: kc.Count})
+		}
+		if got := a.DropTotals(); !slices.Equal(got, drops) {
+			t.Errorf("trace drop totals %v, counters %v", got, drops)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func families(a *trace.Analysis) []metrics.Family {
 	const counter, gauge = metrics.Counter, metrics.Gauge
 	perf, rel, invs := a.Perf(), a.Rel(), a.Invariants()
 	gauges := map[string]float64{}
-	for name, g := range a.Stats.Gauges() {
+	for name, g := range a.Gauges() {
 		gauges[name] = g.Last
 	}
 	var acts []metrics.Sample
@@ -86,13 +86,13 @@ func families(a *trace.Analysis) []metrics.Family {
 		rto = map[string]float64{"min": rel.RTOMin, "max": rel.RTOMax, "last": rel.RTOLast}
 	}
 	return []metrics.Family{
-		fam("ssr_trace_events", "trace events observed, by event type", counter, totals("ev", a.Stats.TypeCounts())),
+		fam("ssr_trace_events", "trace events observed, by event type", counter, totals("ev", a.TypeCounts())),
 		fam("ssr_trace_events_all", "trace events observed", counter, scalar(float64(a.Events()))),
 		fam("ssr_messages_sent", "physical frames put on the air, by kind", counter, totals("kind", a.Taxonomy())),
 		fam("ssr_messages_dropped", "physical frames lost, by reason", counter, totals("reason", a.DropTotals())),
 		fam("ssr_node_messages_sent", "physical frames put on the air, by sending node", counter,
-			each("node", a.Stats.TopSenders(0), func(nt trace.NodeTotal) (string, float64) { return nt.Node.String(), float64(nt.Count) })),
-		fam("ssr_rounds", "synchronous rounds completed", counter, scalar(float64(a.Stats.Rounds()))),
+			each("node", a.TopSenders(0), func(nt trace.NodeTotal) (string, float64) { return nt.Node.String(), float64(nt.Count) })),
+		fam("ssr_rounds", "synchronous rounds completed", counter, scalar(float64(a.Rounds()))),
 		fam("ssr_probe", "latest convergence-probe reading, by metric", gauge, labeled("metric", a.Probes())),
 		fam("ssr_gauge", "latest generic gauge reading, by metric", gauge, labeled("metric", gauges)),
 		fam("ssr_shard_activations", "sharded-executor activations, by shard and phase", counter, acts),

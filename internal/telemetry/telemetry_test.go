@@ -231,7 +231,7 @@ func TestLiveEqualsOffline(t *testing.T) {
 		return fmt.Sprintf("%g", v)
 	}
 	want := map[string]string{}
-	for _, kt := range off.Stats.TypeCounts() {
+	for _, kt := range off.TypeCounts() {
 		want[fmt.Sprintf(`ssr_trace_events_total{ev=%q}`, kt.Kind)] = num(float64(kt.Count))
 	}
 	want["ssr_trace_events_all_total"] = num(float64(off.Events()))
@@ -241,14 +241,14 @@ func TestLiveEqualsOffline(t *testing.T) {
 	for _, kt := range off.DropTotals() {
 		want[fmt.Sprintf(`ssr_messages_dropped_total{reason=%q}`, kt.Kind)] = num(float64(kt.Count))
 	}
-	for _, nt := range off.Stats.TopSenders(0) {
+	for _, nt := range off.TopSenders(0) {
 		want[fmt.Sprintf(`ssr_node_messages_sent_total{node=%q}`, nt.Node.String())] = num(float64(nt.Count))
 	}
-	want["ssr_rounds_total"] = num(float64(off.Stats.Rounds()))
+	want["ssr_rounds_total"] = num(float64(off.Rounds()))
 	for kind, v := range off.Probes() {
 		want[fmt.Sprintf(`ssr_probe{metric=%q}`, kind)] = num(v)
 	}
-	for name, g := range off.Stats.Gauges() {
+	for name, g := range off.Gauges() {
 		want[fmt.Sprintf(`ssr_gauge{metric=%q}`, name)] = num(g.Last)
 	}
 	perf, rel := off.Perf(), off.Rel()

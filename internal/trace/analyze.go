@@ -1,17 +1,22 @@
 package trace
 
-// This file is the offline-analysis layer consumed by cmd/tracectl: an
-// Analysis folds a stream of events — live from a Tracer or replayed
-// through a Scanner — into the convergence verdict and message-economy
-// aggregates that the report/diff subcommands render. It never retains
-// events, so it composes with Scanner into a constant-memory pipeline.
+// This file is the one place where events become metrics: an Analysis
+// folds a stream of events — live from a Tracer or replayed through a
+// Scanner — into the convergence verdict, the message economy, and the
+// counters, gauges and per-node totals that cmd/tracectl, the telemetry
+// exporter and the experiment reports render. It never retains events, so
+// it composes with Scanner into a constant-memory pipeline.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/ids"
+	"repro/internal/metrics"
 )
 
 // Counter-name prefixes under which a round-level trace can carry its
@@ -94,13 +99,45 @@ func (st *seriesTrack) add(t int64, v float64) {
 	st.have = true
 }
 
+// KindTotal is one row of a message-taxonomy breakdown.
+type KindTotal struct {
+	Kind  string
+	Count int64
+}
+
+// GaugeStat summarizes one named gauge.
+type GaugeStat struct {
+	Last, Max float64
+	N         int64
+}
+
+// NodeTotal is one row of a per-node hot-spot breakdown.
+type NodeTotal struct {
+	Node  ids.ID
+	Count int64
+}
+
+// nodeStat accumulates one node's message activity.
+type nodeStat struct {
+	sent, recvd, dropped int64
+}
+
 // Analysis aggregates one trace. The zero value is not usable; create
 // with NewAnalysis. It implements Tracer, so it can also watch a live run.
 type Analysis struct {
-	Stats *StatsSink
+	mu sync.Mutex
 
-	mu           sync.Mutex
-	events       int64
+	// Event economy: per-type totals, per-kind sends and per-reason drops,
+	// per-node activity (hot-spot senders, receivers and droppers), named
+	// counters and gauges, and completed rounds.
+	byType   [256]int64       // indexed by EventType
+	sends    map[string]int64 // message kind -> frames sent
+	drops    map[string]int64 // drop reason (Aux) -> frames lost
+	byNode   map[ids.ID]*nodeStat
+	counters map[string]float64
+	gauges   map[string]GaugeStat
+	rounds   int64
+
 	firstT       int64
 	lastT        int64
 	haveT        bool
@@ -172,7 +209,11 @@ type InvariantViolation struct {
 // NewAnalysis returns an empty aggregator.
 func NewAnalysis() *Analysis {
 	return &Analysis{
-		Stats:         NewStatsSink(),
+		sends:         make(map[string]int64),
+		drops:         make(map[string]int64),
+		byNode:        make(map[ids.ID]*nodeStat),
+		counters:      make(map[string]float64),
+		gauges:        make(map[string]GaugeStat),
 		distance:      seriesTrack{convergedAt: -1},
 		missing:       seriesTrack{convergedAt: -1},
 		probes:        make(map[string]probeReading),
@@ -186,12 +227,24 @@ func NewAnalysis() *Analysis {
 	}
 }
 
+// NewStatsSink is NewAnalysis. It stays only because the layered benchmark
+// (benchmark/boot.go, benchmark/micro.go) calls it.
+func NewStatsSink() *Analysis { return NewAnalysis() }
+
+func (a *Analysis) nodeStatFor(v ids.ID) *nodeStat {
+	ns := a.byNode[v]
+	if ns == nil {
+		ns = &nodeStat{}
+		a.byNode[v] = ns
+	}
+	return ns
+}
+
 // Emit folds one event. Implements Tracer.
 func (a *Analysis) Emit(e Event) {
-	a.Stats.Emit(e)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.events++
+	a.byType[e.Type]++
 	if !a.haveT || e.T < a.firstT {
 		a.firstT = e.T
 	}
@@ -200,6 +253,26 @@ func (a *Analysis) Emit(e Event) {
 	}
 	a.haveT = true
 	switch e.Type {
+	case EvMsgSend:
+		a.sends[e.Kind]++
+		a.nodeStatFor(e.Node).sent++
+	case EvMsgRecv:
+		a.nodeStatFor(e.Node).recvd++
+	case EvMsgDrop:
+		a.drops[e.Aux]++
+		a.nodeStatFor(e.Node).dropped++
+	case EvCounter:
+		a.counters[e.Kind] += e.Value
+	case EvGauge:
+		g := a.gauges[e.Kind]
+		g.Last = e.Value
+		if e.Value > g.Max || g.N == 0 {
+			g.Max = e.Value
+		}
+		g.N++
+		a.gauges[e.Kind] = g
+	case EvRoundEnd:
+		a.rounds++
 	case EvRetransmit:
 		a.retx[e.Kind]++
 		if e.Value > a.maxAttempt {
@@ -310,7 +383,51 @@ func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
 func (a *Analysis) Events() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.events
+	var t int64
+	for _, c := range a.byType {
+		t += c
+	}
+	return t
+}
+
+// TypeCounts returns how many events of each type were seen, sorted by
+// type name.
+func (a *Analysis) TypeCounts() []KindTotal {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var out []KindTotal
+	for t, c := range a.byType {
+		if c != 0 {
+			out = append(out, KindTotal{Kind: EventType(t).String(), Count: c})
+		}
+	}
+	return sortByKind(out)
+}
+
+// Rounds returns the number of completed rounds observed.
+func (a *Analysis) Rounds() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.rounds
+}
+
+// Counters returns every named counter total, sorted by name. Values are
+// rounded to integers: trace counters count discrete happenings.
+func (a *Analysis) Counters() []KindTotal {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.counterTotals("")
+}
+
+// Gauges returns the summary of every named gauge, by name.
+func (a *Analysis) Gauges() map[string]GaugeStat {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[string]GaugeStat, len(a.gauges))
+	for name, g := range a.gauges {
+		out[name] = g
+	}
+	return out
 }
 
 // TimeSpan returns the smallest and largest timestamps seen.
@@ -337,7 +454,7 @@ func (a *Analysis) Verdict() Verdict {
 		Oscillations:  crit.osc,
 		ConnectedAll:  !a.disconnected && crit.n > 0,
 		ConvergedAt:   crit.convergedAt,
-		Rounds:        a.Stats.Rounds(),
+		Rounds:        a.rounds,
 	}
 	for _, c := range a.invChecks {
 		v.InvariantChecks += c
@@ -426,22 +543,27 @@ func (a *Analysis) Rel() RelReport {
 	return r
 }
 
-// Taxonomy returns the per-kind send totals: from per-message events when
-// the trace has them, else from "msgs/…" summary counters (coarse traces).
-func (a *Analysis) Taxonomy() []KindTotal {
-	if tax := a.Stats.MessageTaxonomy(); len(tax) > 0 {
-		return tax
-	}
-	return a.counterTotals(MsgCounterPrefix)
-}
+// Taxonomy returns the per-kind send totals, sorted by kind: from
+// per-message events when the trace has them, else from "msgs/…" summary
+// counters (coarse traces).
+func (a *Analysis) Taxonomy() []KindTotal { return a.totals(a.sends, MsgCounterPrefix) }
 
-// DropTotals returns per-reason loss totals, with the same summary-counter
-// fallback as Taxonomy.
-func (a *Analysis) DropTotals() []KindTotal {
-	if d := a.Stats.Drops(); len(d) > 0 {
-		return d
+// DropTotals returns per-reason loss totals, sorted by reason, with the
+// same summary-counter fallback as Taxonomy.
+func (a *Analysis) DropTotals() []KindTotal { return a.totals(a.drops, DropCounterPrefix) }
+
+// totals returns m's totals, or the counters under prefix when m is empty.
+func (a *Analysis) totals(m map[string]int64, prefix string) []KindTotal {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(m) == 0 {
+		return a.counterTotals(prefix)
 	}
-	return a.counterTotals(DropCounterPrefix)
+	out := make([]KindTotal, 0, len(m))
+	for k, v := range m {
+		out = append(out, KindTotal{Kind: k, Count: v})
+	}
+	return sortByKind(out)
 }
 
 // TotalSent sums the taxonomy.
@@ -453,13 +575,77 @@ func (a *Analysis) TotalSent() int64 {
 	return t
 }
 
+// counterTotals returns the counters named prefix+kind as kind totals,
+// rounded and sorted by kind. Caller holds a.mu.
 func (a *Analysis) counterTotals(prefix string) []KindTotal {
 	var out []KindTotal
-	for _, kt := range a.Stats.Counters() {
-		if strings.HasPrefix(kt.Kind, prefix) {
-			out = append(out, KindTotal{Kind: strings.TrimPrefix(kt.Kind, prefix), Count: kt.Count})
+	for k, v := range a.counters {
+		if kind, ok := strings.CutPrefix(k, prefix); ok {
+			out = append(out, KindTotal{Kind: kind, Count: int64(math.Round(v))})
 		}
 	}
+	return sortByKind(out)
+}
+
+// TopSenders returns the k nodes that put the most frames on the air, ties
+// broken by ascending node id for determinism; k <= 0 means all.
+func (a *Analysis) TopSenders(k int) []NodeTotal {
+	a.mu.Lock()
+	out := make([]NodeTotal, 0, len(a.byNode))
+	for v, ns := range a.byNode {
+		if ns.sent > 0 {
+			out = append(out, NodeTotal{Node: v, Count: ns.sent})
+		}
+	}
+	a.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Node < out[j].Node
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// HotSpotTable renders the k busiest nodes by frames sent, with their
+// receive and drop totals alongside — the per-node view that localizes a
+// pathological talker (or a partitioned island that stops receiving).
+func (a *Analysis) HotSpotTable(k int) *metrics.Table {
+	tab := metrics.NewTable("node", "sent", "recvd", "dropped")
+	top := a.TopSenders(k)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, nt := range top {
+		ns := a.byNode[nt.Node]
+		tab.AddRow(nt.Node, ns.sent, ns.recvd, ns.dropped)
+	}
+	return tab
+}
+
+// TaxonomyTable renders per-kind send totals (plus a TOTAL row) as a
+// metrics table, ready to embed in an experiment or trace report.
+func TaxonomyTable(tax []KindTotal) *metrics.Table {
+	tab := metrics.NewTable("kind", "frames", "share")
+	var total int64
+	for _, kt := range tax {
+		total += kt.Count
+	}
+	for _, kt := range tax {
+		share := 0.0
+		if total > 0 {
+			share = float64(kt.Count) / float64(total)
+		}
+		tab.AddRow(kt.Kind, kt.Count, share)
+	}
+	tab.AddRow("TOTAL", total, 1.0)
+	return tab
+}
+
+func sortByKind(out []KindTotal) []KindTotal {
+	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }
 
@@ -584,7 +770,7 @@ func (a *Analysis) Perf() PerfReport {
 		AllocBytes:   a.allocBytes,
 		Mallocs:      a.mallocs,
 		GCCycles:     a.gcCycles,
-		Rounds:       a.Stats.Rounds(),
+		Rounds:       a.rounds,
 		Policy:       a.policy,
 		PolicyShards: a.policyShards,
 		PolicyRounds: a.policyRounds,

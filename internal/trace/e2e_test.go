@@ -33,7 +33,7 @@ func TestSSRBootstrapTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := trace.NewJSONLWriter(f)
-	sink := trace.NewStatsSink()
+	sink := trace.NewAnalysis()
 	// Probe/round events stream to disk; per-message traffic only feeds
 	// the in-memory aggregator, keeping the file at O(rounds).
 	eng := sim.NewEngine(seed, sim.WithTracer(sink))
@@ -69,7 +69,7 @@ func TestSSRBootstrapTraceReplay(t *testing.T) {
 		t.Errorf("last sample %+v does not describe the converged virtual graph (missing=%d surplus=%d)", last, missing, surplus)
 	}
 	if sink.TotalSent() == 0 {
-		t.Error("stats sink saw no protocol messages")
+		t.Error("the in-memory analysis saw no protocol messages")
 	}
 
 	// Replay: fold the JSONL file alone; it must tell the same story.

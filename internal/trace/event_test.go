@@ -109,8 +109,10 @@ func TestLevelFilterAndTee(t *testing.T) {
 	}
 }
 
+// The TestStatsSink* tests keep their names from when a separate stats sink
+// held these totals; they now hold trace.Analysis, the one fold of events.
 func TestStatsSinkAggregates(t *testing.T) {
-	s := trace.NewStatsSink()
+	s := trace.NewAnalysis()
 	s.Emit(trace.Event{Type: trace.EvMsgSend, Kind: "ssr:notify"})
 	s.Emit(trace.Event{Type: trace.EvMsgSend, Kind: "ssr:notify"})
 	s.Emit(trace.Event{Type: trace.EvMsgSend, Kind: "ssr:ack"})
@@ -122,15 +124,15 @@ func TestStatsSinkAggregates(t *testing.T) {
 	if s.TotalSent() != 3 {
 		t.Errorf("total sent %d", s.TotalSent())
 	}
-	tax := s.MessageTaxonomy()
+	tax := s.Taxonomy()
 	if len(tax) != 2 || tax[0].Kind != "ssr:ack" || tax[0].Count != 1 || tax[1].Count != 2 {
 		t.Errorf("taxonomy %+v", tax)
 	}
-	if d := s.Drops(); len(d) != 1 || d[0].Kind != "loss" {
+	if d := s.DropTotals(); len(d) != 1 || d[0].Kind != "loss" {
 		t.Errorf("drops %+v", d)
 	}
-	if s.Counter("isprp:flood-origin") != 1 {
-		t.Errorf("counter %v", s.Counter("isprp:flood-origin"))
+	if c := s.Counters(); len(c) != 1 || c[0] != (trace.KindTotal{Kind: "isprp:flood-origin", Count: 1}) {
+		t.Errorf("counters %+v", c)
 	}
 	if g := s.Gauges()["queue"]; g.Last != 3 || g.Max != 5 || g.N != 2 {
 		t.Errorf("gauge %+v", g)
@@ -138,7 +140,7 @@ func TestStatsSinkAggregates(t *testing.T) {
 	if s.Rounds() != 1 {
 		t.Errorf("rounds %d", s.Rounds())
 	}
-	tab := trace.TaxonomyTable(s.MessageTaxonomy()).String()
+	tab := trace.TaxonomyTable(s.Taxonomy()).String()
 	if !strings.Contains(tab, "ssr:notify") || !strings.Contains(tab, "TOTAL") {
 		t.Errorf("taxonomy table:\n%s", tab)
 	}

@@ -135,7 +135,7 @@ func TestJSONLWriterOversizeEvent(t *testing.T) {
 }
 
 func TestStatsSinkPerNodeAggregation(t *testing.T) {
-	s := trace.NewStatsSink()
+	s := trace.NewAnalysis()
 	for i := 0; i < 5; i++ {
 		s.Emit(trace.Event{Type: trace.EvMsgSend, Node: 1, Peer: 2, Kind: "k"})
 	}
@@ -149,18 +149,15 @@ func TestStatsSinkPerNodeAggregation(t *testing.T) {
 	if len(top) != 1 || top[0].Node != 1 || top[0].Count != 5 {
 		t.Errorf("top senders = %+v", top)
 	}
-	sent, recvd, dropped := s.NodeActivity(2)
-	if sent != 3 || recvd != 1 || dropped != 1 {
-		t.Errorf("node 2 activity = %d/%d/%d", sent, recvd, dropped)
-	}
-	tab := s.HotSpotTable(10).String()
-	if !strings.Contains(tab, "node") || s.HotSpotTable(10).NumRows() != 2 {
-		t.Errorf("hot-spot table:\n%s", tab)
+	// Node 2 sent 3, received 1 and dropped 1.
+	want := "node,sent,recvd,dropped\n" + ids.ID(1).String() + ",5,0,0\n" + ids.ID(2).String() + ",3,1,1\n"
+	if got := s.HotSpotTable(10).CSV(); got != want {
+		t.Errorf("hot-spot table:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestTopSendersDeterministicTieBreak(t *testing.T) {
-	s := trace.NewStatsSink()
+	s := trace.NewAnalysis()
 	for _, n := range []uint64{9, 3, 7} {
 		s.Emit(trace.Event{Type: trace.EvMsgSend, Node: ids.ID(n), Kind: "k"})
 	}
@@ -170,33 +167,70 @@ func TestTopSendersDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestStatsSinkConcurrent hammers one sink from parallel goroutines, the
-// shape of a message-model cluster emitting from multiple nodes. Run with
-// -race.
+// TestStatsSinkConcurrent hammers one Analysis from parallel goroutines, the
+// shape of a message-model cluster emitting from multiple nodes while a
+// /metrics scrape reads it: every worker emits each folded event type and
+// calls every accessor in between. Run with -race.
 func TestStatsSinkConcurrent(t *testing.T) {
-	s := trace.NewStatsSink()
+	a := trace.NewAnalysis()
 	const workers, per = 8, 2000
+	events := []trace.Event{
+		{Type: trace.EvMsgSend, Kind: "k"},
+		{Type: trace.EvMsgRecv, Kind: "k"},
+		{Type: trace.EvMsgDrop, Kind: "k", Aux: "loss"},
+		{Type: trace.EvCounter, Kind: "c", Value: 1},
+		{Type: trace.EvGauge, Kind: "g", Value: 2},
+		{Type: trace.EvRoundEnd},
+		{Type: trace.EvProbe, Kind: "missing", Value: 1},
+		{Type: trace.EvInvariant, Kind: "inv"},
+		{Type: trace.EvRetransmit, Kind: "k", Value: 2},
+		{Type: trace.EvRtoUpdate, Value: 3},
+		{Type: trace.EvLeaseExpire, Aux: "up"},
+		{Type: trace.EvSpan, Kind: "phase/execute", Value: 5},
+		{Type: trace.EvShardRound, Kind: "0", Aux: "interior", Value: 1},
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.Emit(trace.Event{Type: trace.EvMsgSend, Node: ids.ID(uint64(w)), Kind: "k"})
-				s.Emit(trace.Event{Type: trace.EvCounter, Kind: "c", Value: 1})
+				for _, e := range events {
+					e.T, e.Node = int64(i), ids.ID(uint64(w))
+					a.Emit(e)
+				}
 				if i%500 == 0 {
-					_ = s.TopSenders(3)
-					_ = trace.TaxonomyTable(s.MessageTaxonomy())
+					a.Probes()
+					a.LastProbe()
+					a.Events()
+					a.TimeSpan()
+					a.TypeCounts()
+					a.Rounds()
+					a.Counters()
+					a.Gauges()
+					a.Verdict()
+					a.Invariants()
+					a.Rel()
+					a.TotalSent()
+					a.DropTotals()
+					a.Perf()
+					a.HotSpotTable(3)
+					_ = trace.TaxonomyTable(a.Taxonomy())
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s.TotalSent() != workers*per {
-		t.Errorf("total sent = %d, want %d", s.TotalSent(), workers*per)
+	const total = workers * per
+	if a.TotalSent() != total || a.Rounds() != total || a.Events() != total*int64(len(events)) {
+		t.Errorf("sent %d, rounds %d, events %d; want %d, %d, %d",
+			a.TotalSent(), a.Rounds(), a.Events(), total, total, total*len(events))
 	}
-	if c := s.Counter("c"); c != workers*per {
-		t.Errorf("counter = %v", c)
+	if c := a.Counters(); len(c) != 1 || c[0].Count != total {
+		t.Errorf("counters = %+v", c)
+	}
+	if top := a.TopSenders(0); len(top) != workers || top[0].Count != per {
+		t.Errorf("top senders = %+v", top)
 	}
 }
 

@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
-
-	"repro/internal/ids"
-	"repro/internal/metrics"
 )
 
 // --- Recorder -------------------------------------------------------------
@@ -254,249 +250,4 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, sc.Event())
 	}
 	return out, sc.Err()
-}
-
-// --- Stats sink -----------------------------------------------------------
-
-// KindTotal is one row of a message-taxonomy breakdown.
-type KindTotal struct {
-	Kind  string
-	Count int64
-}
-
-// GaugeStat summarizes one named gauge.
-type GaugeStat struct {
-	Last, Max float64
-	N         int64
-}
-
-// NodeTotal is one row of a per-node hot-spot breakdown.
-type NodeTotal struct {
-	Node  ids.ID
-	Count int64
-}
-
-// nodeStat accumulates one node's message activity.
-type nodeStat struct {
-	sent, recvd, dropped int64
-}
-
-// StatsSink aggregates events instead of retaining them: per-type totals,
-// per-kind message taxonomy (sends and drops separately), per-node
-// activity (hot-spot senders/receivers/droppers), named counters and
-// gauges, and round bookkeeping. It is the tracer-fed replacement for
-// ad-hoc experiment counters and feeds internal/metrics tables directly.
-type StatsSink struct {
-	mu       sync.Mutex
-	byType   [256]int64       // indexed by EventType
-	sends    map[string]int64 // message kind -> frames sent
-	drops    map[string]int64 // drop reason (Aux) -> frames lost
-	byNode   map[ids.ID]*nodeStat
-	counters map[string]float64
-	gauges   map[string]GaugeStat
-	rounds   int64
-}
-
-// NewStatsSink returns an empty aggregator.
-func NewStatsSink() *StatsSink {
-	return &StatsSink{
-		sends:    make(map[string]int64),
-		drops:    make(map[string]int64),
-		byNode:   make(map[ids.ID]*nodeStat),
-		counters: make(map[string]float64),
-		gauges:   make(map[string]GaugeStat),
-	}
-}
-
-func (s *StatsSink) nodeStatFor(v ids.ID) *nodeStat {
-	ns := s.byNode[v]
-	if ns == nil {
-		ns = &nodeStat{}
-		s.byNode[v] = ns
-	}
-	return ns
-}
-
-// Emit folds e into the aggregates.
-func (s *StatsSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byType[e.Type]++
-	switch e.Type {
-	case EvMsgSend:
-		s.sends[e.Kind]++
-		s.nodeStatFor(e.Node).sent++
-	case EvMsgRecv:
-		s.nodeStatFor(e.Node).recvd++
-	case EvMsgDrop:
-		s.drops[e.Aux]++
-		s.nodeStatFor(e.Node).dropped++
-	case EvCounter:
-		s.counters[e.Kind] += e.Value
-	case EvGauge:
-		g := s.gauges[e.Kind]
-		g.Last = e.Value
-		if e.Value > g.Max || g.N == 0 {
-			g.Max = e.Value
-		}
-		g.N++
-		s.gauges[e.Kind] = g
-	case EvRoundEnd:
-		s.rounds++
-	}
-}
-
-// TypeCounts returns how many events of each type were seen, sorted by
-// type name.
-func (s *StatsSink) TypeCounts() []KindTotal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []KindTotal
-	for t, c := range s.byType {
-		if c != 0 {
-			out = append(out, KindTotal{Kind: EventType(t).String(), Count: c})
-		}
-	}
-	return sortByKind(out)
-}
-
-// Rounds returns the number of completed rounds observed.
-func (s *StatsSink) Rounds() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rounds
-}
-
-// Counter returns the accumulated value of a named counter.
-func (s *StatsSink) Counter(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[name]
-}
-
-// Counters returns every named counter total, sorted by name. Values are
-// rounded to integers: trace counters count discrete happenings.
-func (s *StatsSink) Counters() []KindTotal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]KindTotal, 0, len(s.counters))
-	for k, v := range s.counters {
-		out = append(out, KindTotal{Kind: k, Count: int64(math.Round(v))})
-	}
-	return sortByKind(out)
-}
-
-// Gauges returns the summary of every named gauge, by name.
-func (s *StatsSink) Gauges() map[string]GaugeStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]GaugeStat, len(s.gauges))
-	for name, g := range s.gauges {
-		out[name] = g
-	}
-	return out
-}
-
-// MessageTaxonomy returns the per-kind send totals, sorted by kind — the
-// breakdown the E6-family reports print.
-func (s *StatsSink) MessageTaxonomy() []KindTotal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedTotals(s.sends)
-}
-
-// Drops returns the per-reason loss totals, sorted by reason.
-func (s *StatsSink) Drops() []KindTotal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedTotals(s.drops)
-}
-
-// TotalSent returns the number of frames sent across all kinds.
-func (s *StatsSink) TotalSent() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t int64
-	for _, v := range s.sends {
-		t += v
-	}
-	return t
-}
-
-// TaxonomyTable renders per-kind send totals (plus a TOTAL row) as a
-// metrics table, ready to embed in an experiment or trace report.
-func TaxonomyTable(tax []KindTotal) *metrics.Table {
-	tab := metrics.NewTable("kind", "frames", "share")
-	var total int64
-	for _, kt := range tax {
-		total += kt.Count
-	}
-	for _, kt := range tax {
-		share := 0.0
-		if total > 0 {
-			share = float64(kt.Count) / float64(total)
-		}
-		tab.AddRow(kt.Kind, kt.Count, share)
-	}
-	tab.AddRow("TOTAL", total, 1.0)
-	return tab
-}
-
-// TopSenders returns the k nodes that put the most frames on the air, ties
-// broken by ascending node id for determinism; k <= 0 means all.
-func (s *StatsSink) TopSenders(k int) []NodeTotal {
-	s.mu.Lock()
-	out := make([]NodeTotal, 0, len(s.byNode))
-	for v, ns := range s.byNode {
-		if ns.sent > 0 {
-			out = append(out, NodeTotal{Node: v, Count: ns.sent})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// NodeActivity returns one node's (sent, received, dropped) totals.
-func (s *StatsSink) NodeActivity(v ids.ID) (sent, recvd, dropped int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.byNode[v]
-	if ns == nil {
-		return 0, 0, 0
-	}
-	return ns.sent, ns.recvd, ns.dropped
-}
-
-// HotSpotTable renders the k busiest nodes by frames sent, with their
-// receive and drop totals alongside — the per-node view that localizes a
-// pathological talker (or a partitioned island that stops receiving).
-func (s *StatsSink) HotSpotTable(k int) *metrics.Table {
-	tab := metrics.NewTable("node", "sent", "recvd", "dropped")
-	for _, nt := range s.TopSenders(k) {
-		sent, recvd, dropped := s.NodeActivity(nt.Node)
-		tab.AddRow(nt.Node, sent, recvd, dropped)
-	}
-	return tab
-}
-
-func sortedTotals(m map[string]int64) []KindTotal {
-	out := make([]KindTotal, 0, len(m))
-	for k, v := range m {
-		out = append(out, KindTotal{Kind: k, Count: v})
-	}
-	return sortByKind(out)
-}
-
-func sortByKind(out []KindTotal) []KindTotal {
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
 }

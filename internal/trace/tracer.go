@@ -21,7 +21,9 @@ import (
 type EventType uint8
 
 const (
-	// EvMsgSend records a physical frame put on the air.
+	// EvMsgSend records a physical frame put on the air (Value: its delivery
+	// delay). A frame the loss model destroys is on the air too: its
+	// EvMsgSend has Value 0 and its EvMsgDrop ("loss") follows.
 	EvMsgSend EventType = iota
 	// EvMsgRecv records a physical frame delivered to its handler.
 	EvMsgRecv

@@ -227,7 +227,7 @@ func NewNode(net phys.Transport, id ids.ID, cfg Config) *Node {
 	}
 	n.beacon = phys.NewBeaconer(net, id, helloInterval)
 	n.beacon.OnNewNeighbor = func(u ids.ID) { n.addPhysicalNeighbor(u, "beacon") }
-	// A lease verdict beats the beacon MissLimit expiry and, unlike it, also
+	// A lease verdict beats the beacon's silence expiry and, unlike it, also
 	// names the broken *transit* paths through the dead neighbor.
 	node.Attach(net, id, n.handle, n.onLease)
 	return n
@@ -293,9 +293,6 @@ func (n *Node) VirtualNeighbors() []ids.ID { return n.vset.Sorted() }
 // PathCount returns the number of path-table entries at this node — VRR's
 // router-state metric.
 func (n *Node) PathCount() int { return len(n.paths) }
-
-// Representative returns the largest address heard via hello piggyback.
-func (n *Node) Representative() ids.ID { return n.beacon.Representative() }
 
 // Start begins beaconing and the linearization tick.
 func (n *Node) Start(jitter sim.Time) {

@@ -32,8 +32,10 @@
 # BindCLI or CLIOptions, or when internal/exp or internal/chaos declares a
 # Protocol alias: each protocol runs on one tick (a package constant),
 # chaos.Run on NewChecker's cadence and the n·4096 deadline, cmd/ssrsim
-# binds its own flags, and callers name node.Protocol. Run from the repo
-# root.
+# binds its own flags, and callers name node.Protocol. And fails when
+# non-test Go declares a StatsSink type or reads an Analysis.Stats field:
+# trace.Analysis is the one place where events become metrics, so no second
+# fold may grow beside it. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -89,6 +91,10 @@ if grep -rnwE --include='*.go' --exclude='*_test.go' -e 'RunConfig' internal/cha
 fi
 if grep -rnE --include='*.go' '^[[:space:]]*(type[[:space:]]+)?Protocol[[:space:]]*=' internal/exp internal/chaos; then
 	echo "docs-check: the bootstrap-protocol contract is node.Protocol; no alias of it in internal/exp or internal/chaos"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' -e '(^|[^A-Za-z0-9_])StatsSink[[:space:]]+(struct|=|\*?Analysis)' -e '\.Stats\.[A-Z]' .; then
+	echo "docs-check: trace.Analysis is the one fold of trace events; no StatsSink type beside it and no Analysis.Stats"
 	fail=1
 fi
 exit $fail
