@@ -60,6 +60,8 @@ type Transport interface {
 	Counters() *Counters
 	// Tracer returns the transport's tracer (nil when tracing is off).
 	Tracer() trace.Tracer
+	// Packets returns the free list the transport's couriers share.
+	Packets() *Packets
 	// Register installs the protocol handler for a node.
 	Register(v ids.ID, h Handler)
 	// Nodes returns all registered node identifiers in ascending order.
@@ -127,7 +129,8 @@ type Network struct {
 	gen       uint64
 	removedAt map[linkKey]uint64
 
-	free *frame // delivered frames awaiting reuse, linked through frame.next
+	free    *frame  // delivered frames awaiting reuse, linked through frame.next
+	packets Packets // source-routed packets awaiting reuse
 
 	counters *Counters
 	tracer   trace.Tracer
@@ -227,6 +230,10 @@ func (n *Network) Counters() *Counters { return n.counters }
 // through it, so one sink sees the whole stack.
 func (n *Network) Tracer() trace.Tracer { return n.tracer }
 
+// Packets returns the network's packet free list, which every Courier on
+// the network shares.
+func (n *Network) Packets() *Packets { return &n.packets }
+
 // SetTracer installs (or with nil removes) the network's tracer.
 func (n *Network) SetTracer(t trace.Tracer) { n.tracer = t }
 
@@ -309,7 +316,9 @@ func (n *Network) Up(v ids.ID) bool {
 func (n *Network) Send(m Message) bool {
 	if !n.Up(m.From) || !n.topo.HasEdge(m.From, m.To) {
 		n.counters.Inc("drop:no-link", 1)
-		n.traceDrop(m, "no-link")
+		if n.tracer != nil {
+			n.traceDrop(m, "no-link")
+		}
 		return false
 	}
 	n.counters.Inc(m.Kind, 1)
@@ -329,7 +338,9 @@ func (n *Network) Send(m Message) bool {
 	}
 	if lost {
 		n.counters.Inc("drop:loss", 1)
-		n.traceDrop(m, "loss")
+		if n.tracer != nil {
+			n.traceDrop(m, "loss")
+		}
 		return true // transmitted, never arrives
 	}
 	to := n.lookup(m.To)
@@ -376,7 +387,9 @@ func (f *frame) deliver() {
 	}
 	if to < 0 || !n.nodes[to].up() {
 		n.counters.Inc("drop:dest-down", 1)
-		n.traceDrop(m, "dest-down")
+		if n.tracer != nil {
+			n.traceDrop(m, "dest-down")
+		}
 		return
 	}
 	if gen != n.gen {
@@ -384,7 +397,9 @@ func (f *frame) deliver() {
 		// one?
 		if !n.topo.HasEdge(m.From, m.To) {
 			n.counters.Inc("drop:link-gone", 1)
-			n.traceDrop(m, "link-gone")
+			if n.tracer != nil {
+				n.traceDrop(m, "link-gone")
+			}
 			return
 		}
 		if n.removedAt[mkLinkKey(m.From, m.To)] > gen {
@@ -393,7 +408,9 @@ func (f *frame) deliver() {
 			// exists. Jitter reordering made this reachable — a late frame
 			// could otherwise slip across the healed link.
 			n.counters.Inc("drop:stale-link", 1)
-			n.traceDrop(m, "stale-link")
+			if n.tracer != nil {
+				n.traceDrop(m, "stale-link")
+			}
 			return
 		}
 	}
@@ -401,7 +418,9 @@ func (f *frame) deliver() {
 		// The frame arrives, its content does not: deliver Garbled so
 		// the receiver's decode path sees malformed input.
 		n.counters.Inc("drop:corrupt", 1)
-		n.traceDrop(m, "corrupt")
+		if n.tracer != nil {
+			n.traceDrop(m, "corrupt")
+		}
 		m.Payload = Garbled{}
 	}
 	if n.tracer != nil {
@@ -413,11 +432,10 @@ func (f *frame) deliver() {
 	n.nodes[to].h.HandleMessage(m)
 }
 
-// traceDrop emits a loss event tagged with its reason.
+// traceDrop emits a loss event tagged with its reason. It does not
+// inline, so its callers test for a tracer first: a dropped frame then
+// pays no call when tracing is off.
 func (n *Network) traceDrop(m Message, reason string) {
-	if n.tracer == nil {
-		return
-	}
 	n.tracer.Emit(trace.Event{
 		T: int64(n.engine.Now()), Type: trace.EvMsgDrop,
 		Node: m.From, Peer: m.To, Kind: m.Kind, Aux: reason,

@@ -26,6 +26,16 @@ type refNetwork struct {
 	stats Stats
 }
 
+// traceDrop emits the EvMsgDrop of a frame the receiver discards.
+func (n *refNetwork) traceDrop(m phys.Message, reason string) {
+	if tr := n.raw.Tracer(); tr != nil {
+		tr.Emit(trace.Event{
+			T: int64(n.raw.Engine().Now()), Type: trace.EvMsgDrop,
+			Node: m.From, Peer: m.To, Kind: m.Kind, Aux: reason,
+		})
+	}
+}
+
 type refEndpoint struct {
 	net      *refNetwork
 	self     ids.ID
@@ -293,6 +303,7 @@ func (l *refLink) recvData(m phys.Message, f Frame) {
 	l.heard()
 	if f.Seq > l.maxRun+uint64(4*n.cfg.Window)+4 {
 		n.raw.Counters().Inc("drop:rel-overflow", 1)
+		n.traceDrop(m, "rel-overflow")
 		return
 	}
 	fresh := f.Seq > l.maxRun
@@ -313,6 +324,7 @@ func (l *refLink) recvData(m phys.Message, f Frame) {
 	} else {
 		n.stats.Duplicates++
 		n.raw.Counters().Inc("drop:duplicate", 1)
+		n.traceDrop(m, "duplicate")
 	}
 	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: Ack{Seq: f.Seq, Cum: l.maxRun}}) {
 		n.stats.AcksSent++

@@ -144,6 +144,10 @@ func (n *Network) Counters() *phys.Counters { return n.raw.Counters() }
 // Tracer returns the raw network's tracer (nil when tracing is off).
 func (n *Network) Tracer() trace.Tracer { return n.raw.Tracer() }
 
+// Packets returns the raw network's packet free list: couriers on the
+// sublayer and on the raw network share one.
+func (n *Network) Packets() *phys.Packets { return n.raw.Packets() }
+
 // Nodes returns all registered node identifiers in ascending order.
 func (n *Network) Nodes() []ids.ID { return n.raw.Nodes() }
 
@@ -194,17 +198,24 @@ func (n *Network) Send(m phys.Message) bool {
 	ep, ok := n.eps[m.From]
 	if !ok || !n.raw.Up(m.From) || !n.raw.Topology().HasEdge(m.From, m.To) {
 		n.raw.Counters().Inc("drop:no-link", 1)
-		if tr := n.raw.Tracer(); tr != nil {
-			tr.Emit(trace.Event{
-				T: int64(n.raw.Engine().Now()), Type: trace.EvMsgDrop,
-				Node: m.From, Peer: m.To, Kind: m.Kind, Aux: "no-link",
-			})
-		}
+		n.traceDrop(m, "no-link")
 		return false
 	}
 	n.stats.Sent++
 	ep.link(m.To).send(m)
 	return true
+}
+
+// traceDrop emits the EvMsgDrop of a frame the sublayer discards, as the
+// raw network does for the frames it loses: every drop:<reason> the
+// counters count is traced.
+func (n *Network) traceDrop(m phys.Message, reason string) {
+	if tr := n.raw.Tracer(); tr != nil {
+		tr.Emit(trace.Event{
+			T: int64(n.raw.Engine().Now()), Type: trace.EvMsgDrop,
+			Node: m.From, Peer: m.To, Kind: m.Kind, Aux: reason,
+		})
+	}
 }
 
 // Broadcast reliably sends a frame to every live physical neighbor of from
@@ -496,12 +507,7 @@ func (l *link) retransmit(p *pending) (abandoned bool) {
 		l.trim()
 		n.stats.Abandons++
 		n.raw.Counters().Inc("drop:rel-abandon", 1)
-		if tr := n.raw.Tracer(); tr != nil {
-			tr.Emit(trace.Event{
-				T: int64(eng.Now()), Type: trace.EvMsgDrop,
-				Node: p.m.From, Peer: p.m.To, Kind: p.m.Kind, Aux: "rel-abandon",
-			})
-		}
+		n.traceDrop(p.m, "rel-abandon")
 		l.pump()
 		return true
 	}
@@ -546,6 +552,7 @@ func (l *link) recvData(m phys.Message, f Frame) {
 	// without an ACK keeps state bounded under fuzz and attack.
 	if f.Seq > l.maxRun+uint64(4*n.cfg.Window)+4 {
 		n.raw.Counters().Inc("drop:rel-overflow", 1)
+		n.traceDrop(m, "rel-overflow")
 		return
 	}
 	fresh := f.Seq > l.maxRun
@@ -566,6 +573,7 @@ func (l *link) recvData(m phys.Message, f Frame) {
 		// Re-ACK (below) so the sender stops; never re-deliver.
 		n.stats.Duplicates++
 		n.raw.Counters().Inc("drop:duplicate", 1)
+		n.traceDrop(m, "duplicate")
 	}
 	// ACKs ride the raw network unreliably; the cumulative mark lets a
 	// later ACK retire frames whose own ACK was lost.

@@ -69,11 +69,15 @@ func FuzzRouteOps(f *testing.F) {
 			}
 		}
 
-		if j, err := ra.Append(rb); err == nil {
+		j, err := ra.Append(rb)
+		if err == nil {
 			assertSimple(t, j, "Append")
 			if j.Src() != ra.Src() || j.Dst() != rb.Dst() {
 				t.Fatalf("Append endpoints wrong: %v + %v -> %v", ra, rb, j)
 			}
+		}
+		if ji, erri := ra.AppendInto(rb.Clone(), rb); erri != err || !ji.Equal(j) {
+			t.Fatalf("AppendInto differs from Append on %v + %v: %v, %v vs %v, %v", ra, rb, ji, erri, j, err)
 		}
 
 		rev := ra.Reverse()

@@ -93,14 +93,22 @@ func (r Route) ReverseInto(buf Route) Route {
 // the join node), then elides any loops, producing a simple route from
 // r.Src() to next.Dst(). This is the route-composition primitive of §1.
 // It allocates once: loop elision shortens the concatenation in place.
-func (r Route) Append(next Route) (Route, error) {
+func (r Route) Append(next Route) (Route, error) { return r.AppendInto(nil, next) }
+
+// AppendInto is Append written over buf, which is replaced by a new buffer
+// if it is too short and must not overlap r or next: a node that composes
+// a route only to read it keeps one buffer and allocates nothing.
+func (r Route) AppendInto(buf, next Route) (Route, error) {
 	if len(r) < 2 || len(next) < 2 {
 		return nil, ErrTooShort
 	}
 	if r.Dst() != next.Src() {
 		return nil, ErrNoJoin
 	}
-	combined := make(Route, 0, len(r)+len(next)-1)
+	combined := buf[:0]
+	if need := len(r) + len(next) - 1; cap(combined) < need {
+		combined = make(Route, 0, need)
+	}
 	combined = append(combined, r...)
 	combined = append(combined, next[1:]...)
 	return elide(combined[:0], combined), nil

@@ -121,6 +121,28 @@ func TestAppendAllocations(t *testing.T) {
 	}
 }
 
+// TestAppendInto: the composition lands in the buffer's storage while it
+// fits, grows it when it does not, and then allocates nothing.
+func TestAppendInto(t *testing.T) {
+	buf := make(Route, 0, 5)
+	a, b := mustRoute(t, 1, 2, 3), mustRoute(t, 3, 2, 4)
+	if got, err := a.AppendInto(buf, b); err != nil || !got.Equal(Route{1, 2, 4}) || &got[0] != &buf[:1][0] {
+		t.Errorf("AppendInto = %v, %v, want 1>2>4 in the buffer's storage", got, err)
+	}
+	long := mustRoute(t, 3, 5, 6, 7)
+	got, err := a.AppendInto(buf, long)
+	if err != nil || !got.Equal(Route{1, 2, 3, 5, 6, 7}) {
+		t.Errorf("AppendInto past the buffer's capacity = %v, %v", got, err)
+	}
+	if _, err := a.AppendInto(got, mustRoute(t, 9, 4)); !errors.Is(err, ErrNoJoin) {
+		t.Errorf("mismatched join: err = %v", err)
+	}
+	buf = got
+	if n := testing.AllocsPerRun(100, func() { buf, _ = a.AppendInto(buf, long) }); n != 0 {
+		t.Errorf("AppendInto into a large enough buffer: %v allocations, want 0", n)
+	}
+}
+
 func TestAppendElidesLoops(t *testing.T) {
 	// 1>2>3 + 3>2>4 should elide the 2..3..2 loop to 1>2>4.
 	a := mustRoute(t, 1, 2, 3)

@@ -31,9 +31,10 @@ func converged48(t *testing.T, tr trace.Tracer) (*phys.Network, *Cluster) {
 
 // TestRelayHopAllocatesNothing pins the per-hop cost: a relay that forwards
 // a packet whose two segments it already caches — Courier.Handle, the
-// overheard routes and Network.Send together — allocates nothing. So do
-// the reads every tick makes: lineNeighbors and the cache's Route,
-// Nearest, Each and EachDir.
+// overheard routes and Network.Send together — allocates nothing, and
+// neither does a whole keepalive round trip along a cached route once the
+// packet free list is warm. So do the reads every tick makes:
+// lineNeighbors and the cache's Route, Nearest, Each and EachDir.
 func TestRelayHopAllocatesNothing(t *testing.T) {
 	net, c := converged48(t, nil)
 	c.Stop()
@@ -79,6 +80,24 @@ func TestRelayHopAllocatesNothing(t *testing.T) {
 		t.Fatalf("relay forwarded %d packets, want 101", got)
 	}
 	eng.Run(0)
+
+	// A keepalive round trip along the cached route: v's courier takes a
+	// packet from the network's free list, dst learns the way back and
+	// acks over its scratch, and each end puts the packet back. Once the
+	// list and the frames are warm it allocates nothing.
+	src := c.Nodes[v]
+	acks := net.Counters().Get(KindKeepAck)
+	roundTrip := func() {
+		src.courier.Send(route, KindKeepalive, nil)
+		eng.Run(0)
+	}
+	roundTrip()
+	if a := testing.AllocsPerRun(100, roundTrip); a != 0 {
+		t.Errorf("keepalive round trip along %v: %v allocations, want 0", route, a)
+	}
+	if got := net.Counters().Get(KindKeepAck) - acks; got != 102*int64(route.Hops()) {
+		t.Fatalf("%d keepack frames, want %d", got, 102*route.Hops())
+	}
 
 	n := c.Nodes[c.IDs()[len(c.IDs())/2]]
 	visit := func(ids.ID, sroute.Route) {}

@@ -185,10 +185,12 @@ type Node struct {
 	rejected []ids.ID
 
 	// Scratch, reused from packet to packet: back holds the reversed route
-	// of the packet being handled (learn never keeps its argument), line
-	// the result of lineNeighbors.
-	back sroute.Route
-	line []ids.ID
+	// of the packet being handled, composed the route a notification
+	// composes from it (learn never keeps its argument), line the result
+	// of lineNeighbors.
+	back     sroute.Route
+	composed sroute.Route
+	line     []ids.ID
 
 	// Ring closure state (rules in node.Wrap): the wrap partners and the
 	// source routes to them. Wrap routes are stored here, not in the route
@@ -733,7 +735,8 @@ func (n *Node) handleNotify(pkt phys.SRPacket, back sroute.Route) {
 	if len(np.OtherRoute) < 2 || len(back) < 2 || back.Dst() != np.OtherRoute.Src() {
 		return
 	}
-	if composed, err := back.Append(np.OtherRoute); err == nil && len(composed) >= 2 {
+	if composed, err := back.AppendInto(n.composed, np.OtherRoute); err == nil {
+		n.composed = composed
 		n.learn(composed)
 	}
 	// Acknowledge so the notifier can complete (and possibly tear down).

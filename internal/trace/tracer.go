@@ -28,7 +28,8 @@ const (
 	// EvMsgRecv records a physical frame delivered to its handler.
 	EvMsgRecv
 	// EvMsgDrop records a frame lost or destroyed (Aux: "no-link", "loss",
-	// "dest-down", "link-gone", "corrupt").
+	// "dest-down", "link-gone", "stale-link", "corrupt"; under rel also
+	// "rel-abandon", "duplicate", "rel-overflow").
 	EvMsgDrop
 	// EvEdgeAdd records a virtual edge entering E_v.
 	EvEdgeAdd
