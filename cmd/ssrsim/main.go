@@ -13,8 +13,7 @@
 // run, and they exit 1 when their criteria are not met.
 //
 // Observability: -trace FILE -trace-level {off|round|msg} writes a JSONL
-// event trace, -listen ADDR serves live /metrics (OpenMetrics), /healthz
-// and /probe while the run is in flight, -pprof ADDR serves net/http/pprof.
+// event trace, which tracectl reads after the run.
 package main
 
 import (
@@ -44,7 +43,6 @@ type ctx struct {
 	workers, shards       *int
 	partition, transport  *string
 	traceFile, traceLevel *string
-	pprofAddr, listenAddr *string
 
 	// The flags that belong to single modes.
 	pairs, kill, probeEvery, fig *int
@@ -72,8 +70,6 @@ func bind(fs *flag.FlagSet) *ctx {
 			"protocol transport: raw | reliable (sequence numbers, adaptive retransmission, lease failure detector)"),
 		traceFile:  fs.String("trace", "", "write a JSONL event trace of the run to this file"),
 		traceLevel: fs.String("trace-level", "round", "trace granularity: off | round | msg"),
-		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
-		listenAddr: fs.String("listen", "", "serve live telemetry (/metrics, /healthz, /probe) on this address (e.g. :9090)"),
 
 		fig:        fs.Int("fig", 0, "figure for -mode figures (1, 2, 3; 0 = all)"),
 		pairs:      fs.Int("pairs", 200, "routed pairs for -mode route (0 = all)"),
@@ -85,8 +81,8 @@ func bind(fs *flag.FlagSet) *ctx {
 	}
 }
 
-// setup validates -partition and -transport, starts the observability
-// stack (exp.SetupObservability) and puts the Harness the flags describe in
+// setup validates -partition and -transport, opens the trace
+// (exp.SetupObservability) and puts the Harness the flags describe in
 // c.h. The returned cleanup is always non-nil and must run before exit to
 // flush traces; its error is a trace that did not reach its file whole.
 func (c *ctx) setup() (func() error, error) {
@@ -97,7 +93,7 @@ func (c *ctx) setup() (func() error, error) {
 	if t := *c.transport; t != "" && t != exp.TransportRaw && t != exp.TransportReliable {
 		return noop, fmt.Errorf("unknown transport %q (want %s or %s)", t, exp.TransportRaw, exp.TransportReliable)
 	}
-	tr, cleanup, err := exp.SetupObservability(*c.traceFile, *c.traceLevel, *c.pprofAddr, *c.listenAddr)
+	tr, cleanup, err := exp.SetupObservability(*c.traceFile, *c.traceLevel)
 	exec := sim.ExecutorConfig{Workers: *c.workers, Shards: *c.shards, Partition: *c.partition}
 	c.h = exp.Harness{Tracer: tr, Transport: *c.transport, Exec: exec}
 	return cleanup, err

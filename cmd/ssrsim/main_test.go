@@ -182,7 +182,7 @@ func TestHarnessFlagsReachEveryMode(t *testing.T) {
 
 	// -mode loopy at its smallest size (the mode runs 15, 63 and 255).
 	file := filepath.Join(t.TempDir(), "loopy.jsonl")
-	tr, cleanup, err := exp.SetupObservability(file, "msg", "", "")
+	tr, cleanup, err := exp.SetupObservability(file, "msg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +272,7 @@ func TestExitCodes(t *testing.T) {
 		{"-mode", "shape", "-sizes", "10,x"},
 		{"-mode", "boot", "-proto", "nonesuch"},
 		{"-mode", "loopy", "-trace-level", "verbose", "-trace", filepath.Join(t.TempDir(), "t.jsonl")},
+		{"-mode", "loopy", "-trace", filepath.Join(t.TempDir(), "no-such-dir", "t.jsonl")},
 		{"-no-such-flag"},
 	} {
 		if code := run(args, io.Discard, io.Discard); code != 2 {

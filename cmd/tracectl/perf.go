@@ -6,8 +6,8 @@ package main
 // was profiled (linearize.Config.Prof), the profiler's EvSpan side
 // channel: per-phase wall time, the sequential share, per-shard busy time
 // and allocator/GC pressure. It consumes the same JSONL traces as
-// report/diff, so the breakdown works live (ssrsim -trace) or post-mortem
-// on archived runs.
+// report/diff, so the breakdown works on a fresh run's trace (ssrsim
+// -trace) and on archived ones alike.
 
 import (
 	"flag"

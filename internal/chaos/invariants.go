@@ -190,7 +190,7 @@ func (c *Checker) Final(converged bool, at sim.Time) {
 
 // record counts one check, stores the violation if it failed, and emits
 // the trace.EvInvariant event (Value 0 pass / 1 violation) so tracectl
-// report and the live telemetry counters see every evaluation.
+// report and any Analysis teed into the run see every evaluation.
 func (c *Checker) record(invariant string, ok bool, detail string) {
 	c.checks[invariant]++
 	now := c.net.Engine().Now()

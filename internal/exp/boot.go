@@ -15,8 +15,7 @@ import (
 // probe attached — the traced-run producer behind `ssrsim -mode boot`.
 // Combined with -trace it writes the JSONL traces that cmd/tracectl
 // report/diff consume (the linearization-vs-ISPRP comparison of E6, one
-// run at a time); combined with -listen it is the long-running target for
-// live /metrics and /probe scraping.
+// run at a time).
 //
 // The protocol is resolved through the protocol registry (NewBootProtocol),
 // so every registered bootstrap — linearization, isprp, vrr, flood — gets

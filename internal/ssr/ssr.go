@@ -286,6 +286,7 @@ func (n *Node) VirtualNeighbors() []ids.ID { return n.rc.Destinations() }
 func (n *Node) Start(jitter sim.Time) {
 	nbrs := n.net.NeighborsOf(n.id)
 	n.rc.Grow(len(nbrs))
+	n.revNbrs = slices.Grow(n.revNbrs, len(nbrs))
 	n.seed("seed", nbrs...)
 	node.Maintain(n.net, n.id, tickInterval, jitter, &n.stopped, n.tick)
 }

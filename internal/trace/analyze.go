@@ -1,11 +1,11 @@
 package trace
 
 // This file is the one place where events become metrics: an Analysis
-// folds a stream of events — live from a Tracer or replayed through a
-// Scanner — into the convergence verdict, the message economy, and the
-// counters, gauges and per-node totals that cmd/tracectl, the telemetry
-// exporter and the experiment reports render. It never retains events, so
-// it composes with Scanner into a constant-memory pipeline.
+// folds a stream of events — teed from a live run's Tracer or replayed
+// through a Scanner — into the convergence verdict, the message economy,
+// and the counters and per-node totals that cmd/tracectl and the
+// experiment reports render. It never retains events, so it composes with
+// Scanner into a constant-memory pipeline.
 
 import (
 	"fmt"
@@ -105,12 +105,6 @@ type KindTotal struct {
 	Count int64
 }
 
-// GaugeStat summarizes one named gauge.
-type GaugeStat struct {
-	Last, Max float64
-	N         int64
-}
-
 // NodeTotal is one row of a per-node hot-spot breakdown.
 type NodeTotal struct {
 	Node  ids.ID
@@ -127,15 +121,14 @@ type nodeStat struct {
 type Analysis struct {
 	mu sync.Mutex
 
-	// Event economy: per-type totals, per-kind sends and per-reason drops,
+	// Event economy: events folded, per-kind sends and per-reason drops,
 	// per-node activity (hot-spot senders, receivers and droppers), named
-	// counters and gauges, and completed rounds.
-	byType   [256]int64       // indexed by EventType
+	// counters, and completed rounds.
+	events   int64
 	sends    map[string]int64 // message kind -> frames sent
 	drops    map[string]int64 // drop reason (Aux) -> frames lost
 	byNode   map[ids.ID]*nodeStat
 	counters map[string]float64
-	gauges   map[string]GaugeStat
 	rounds   int64
 
 	firstT       int64
@@ -213,7 +206,6 @@ func NewAnalysis() *Analysis {
 		drops:         make(map[string]int64),
 		byNode:        make(map[ids.ID]*nodeStat),
 		counters:      make(map[string]float64),
-		gauges:        make(map[string]GaugeStat),
 		distance:      seriesTrack{convergedAt: -1},
 		missing:       seriesTrack{convergedAt: -1},
 		probes:        make(map[string]probeReading),
@@ -244,7 +236,7 @@ func (a *Analysis) nodeStatFor(v ids.ID) *nodeStat {
 func (a *Analysis) Emit(e Event) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.byType[e.Type]++
+	a.events++
 	if !a.haveT || e.T < a.firstT {
 		a.firstT = e.T
 	}
@@ -263,14 +255,6 @@ func (a *Analysis) Emit(e Event) {
 		a.nodeStatFor(e.Node).dropped++
 	case EvCounter:
 		a.counters[e.Kind] += e.Value
-	case EvGauge:
-		g := a.gauges[e.Kind]
-		g.Last = e.Value
-		if e.Value > g.Max || g.N == 0 {
-			g.Max = e.Value
-		}
-		g.N++
-		a.gauges[e.Kind] = g
 	case EvRoundEnd:
 		a.rounds++
 	case EvRetransmit:
@@ -337,17 +321,6 @@ func (a *Analysis) Emit(e Event) {
 	}
 }
 
-// Probes returns the latest reading of every probe series, by series name.
-func (a *Analysis) Probes() map[string]float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]float64, len(a.probes))
-	for kind, r := range a.probes {
-		out[kind] = r.v
-	}
-	return out
-}
-
 // LastProbe reassembles the newest ProbeSample from the per-metric EvProbe
 // events Probe.Observe emits (all sharing one T = round index); ok is false
 // before the first probe event. A round that carries the missing/surplus
@@ -383,32 +356,7 @@ func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
 func (a *Analysis) Events() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var t int64
-	for _, c := range a.byType {
-		t += c
-	}
-	return t
-}
-
-// TypeCounts returns how many events of each type were seen, sorted by
-// type name.
-func (a *Analysis) TypeCounts() []KindTotal {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []KindTotal
-	for t, c := range a.byType {
-		if c != 0 {
-			out = append(out, KindTotal{Kind: EventType(t).String(), Count: c})
-		}
-	}
-	return sortByKind(out)
-}
-
-// Rounds returns the number of completed rounds observed.
-func (a *Analysis) Rounds() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rounds
+	return a.events
 }
 
 // Counters returns every named counter total, sorted by name. Values are
@@ -417,17 +365,6 @@ func (a *Analysis) Counters() []KindTotal {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.counterTotals("")
-}
-
-// Gauges returns the summary of every named gauge, by name.
-func (a *Analysis) Gauges() map[string]GaugeStat {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]GaugeStat, len(a.gauges))
-	for name, g := range a.gauges {
-		out[name] = g
-	}
-	return out
 }
 
 // TimeSpan returns the smallest and largest timestamps seen.

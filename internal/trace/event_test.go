@@ -134,11 +134,8 @@ func TestStatsSinkAggregates(t *testing.T) {
 	if c := s.Counters(); len(c) != 1 || c[0] != (trace.KindTotal{Kind: "isprp:flood-origin", Count: 1}) {
 		t.Errorf("counters %+v", c)
 	}
-	if g := s.Gauges()["queue"]; g.Last != 3 || g.Max != 5 || g.N != 2 {
-		t.Errorf("gauge %+v", g)
-	}
-	if s.Rounds() != 1 {
-		t.Errorf("rounds %d", s.Rounds())
+	if r := s.Verdict().Rounds; r != 1 {
+		t.Errorf("rounds %d", r)
 	}
 	tab := trace.TaxonomyTable(s.Taxonomy()).String()
 	if !strings.Contains(tab, "ssr:notify") || !strings.Contains(tab, "TOTAL") {

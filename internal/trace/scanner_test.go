@@ -168,8 +168,8 @@ func TestTopSendersDeterministicTieBreak(t *testing.T) {
 }
 
 // TestStatsSinkConcurrent hammers one Analysis from parallel goroutines, the
-// shape of a message-model cluster emitting from multiple nodes while a
-// /metrics scrape reads it: every worker emits each folded event type and
+// shape of a message-model cluster emitting from multiple nodes while
+// another goroutine reads it: every worker emits each folded event type and
 // calls every accessor in between. Run with -race.
 func TestStatsSinkConcurrent(t *testing.T) {
 	a := trace.NewAnalysis()
@@ -200,14 +200,10 @@ func TestStatsSinkConcurrent(t *testing.T) {
 					a.Emit(e)
 				}
 				if i%500 == 0 {
-					a.Probes()
 					a.LastProbe()
 					a.Events()
 					a.TimeSpan()
-					a.TypeCounts()
-					a.Rounds()
 					a.Counters()
-					a.Gauges()
 					a.Verdict()
 					a.Invariants()
 					a.Rel()
@@ -222,9 +218,9 @@ func TestStatsSinkConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	const total = workers * per
-	if a.TotalSent() != total || a.Rounds() != total || a.Events() != total*int64(len(events)) {
+	if a.TotalSent() != total || a.Verdict().Rounds != total || a.Events() != total*int64(len(events)) {
 		t.Errorf("sent %d, rounds %d, events %d; want %d, %d, %d",
-			a.TotalSent(), a.Rounds(), a.Events(), total, total, total*len(events))
+			a.TotalSent(), a.Verdict().Rounds, a.Events(), total, total, total*len(events))
 	}
 	if c := a.Counters(); len(c) != 1 || c[0].Count != total {
 		t.Errorf("counters = %+v", c)
@@ -300,6 +296,33 @@ func TestAnalysisVerdictPrefersMissing(t *testing.T) {
 	}
 	if v.Oscillations != 0 {
 		t.Errorf("oscillations = %d, want 0 (growing surplus must not count)", v.Oscillations)
+	}
+}
+
+// TestAnalysisLastProbeDecomposition pins how LastProbe reassembles a
+// sample from the per-metric EvProbe events of the newest round.
+func TestAnalysisLastProbeDecomposition(t *testing.T) {
+	a := trace.NewAnalysis()
+	if s, ok := a.LastProbe(); ok {
+		t.Errorf("LastProbe before any probe event = %+v, want ok=false", s)
+	}
+	// A round that carries the decomposition reports the true
+	// Missing/Surplus split, not the scalar, and every other series.
+	for kind, v := range map[string]float64{
+		"distance": 15, "missing": 2, "surplus": 13, "connected": 1,
+		"multi-left": 2, "multi-right": 1, "edges": 40,
+	} {
+		a.Emit(trace.Event{T: 5, Type: trace.EvProbe, Kind: kind, Value: v})
+	}
+	want := trace.ProbeSample{Round: 5, Missing: 2, Surplus: 13, Edges: 40, Connected: true, MultiLeft: 2, MultiRight: 1}
+	if s, ok := a.LastProbe(); !ok || s != want || s.Distance() != 15 {
+		t.Errorf("sample = %+v ok=%v, want %+v", s, ok, want)
+	}
+	// An older-trace round with only the scalar parks it in Surplus, and
+	// must not inherit the previous round's decomposition.
+	a.Emit(trace.Event{T: 6, Type: trace.EvProbe, Kind: "distance", Value: 3})
+	if s, ok := a.LastProbe(); !ok || s.Round != 6 || s.Missing != 0 || s.Surplus != 3 {
+		t.Errorf("fallback sample = %+v ok=%v, want round 6, missing 0, surplus 3", s, ok)
 	}
 }
 

@@ -185,3 +185,70 @@ func TestSpanSurvivesLevelFilter(t *testing.T) {
 		t.Fatalf("ParseEventType(span) = %v, %v", typ, ok)
 	}
 }
+
+// TestPerfFoldsShardEvents pins the per-shard activation fold: counts sum
+// per shard and phase across rounds, and the executor's "policy" stamp
+// counts its rounds and keeps the latest shard count without becoming a
+// shard row of its own.
+func TestPerfFoldsShardEvents(t *testing.T) {
+	a := NewAnalysis()
+	for _, e := range []Event{
+		{T: 0, Type: EvShardRound, Kind: "0", Aux: "interior", Value: 12},
+		{T: 1, Type: EvShardRound, Kind: "0", Aux: "interior", Value: 3},
+		{T: 1, Type: EvShardRound, Kind: "1", Aux: "boundary", Value: 2},
+		{T: 0, Type: EvShardRound, Kind: "policy", Aux: "locality", Value: 8},
+		{T: 1, Type: EvShardRound, Kind: "policy", Aux: "locality", Value: 9},
+	} {
+		a.Emit(e)
+	}
+	p := a.Perf()
+	if len(p.Shards) != 2 || p.Shards[0].Shard != 0 || p.Shards[1].Shard != 1 {
+		t.Fatalf("shards = %+v, want rows for shards 0 and 1 only", p.Shards)
+	}
+	if a0, a1 := p.Shards[0].Activations, p.Shards[1].Activations; len(a0) != 1 || a0["interior"] != 15 ||
+		len(a1) != 1 || a1["boundary"] != 2 {
+		t.Fatalf("activations = %v, %v, want shard 0 interior 15, shard 1 boundary 2", a0, a1)
+	}
+	if p.Policy != "locality" || p.PolicyRounds != 2 || p.PolicyShards != 9 {
+		t.Fatalf("policy = %q rounds %d shards %d, want locality 2 9", p.Policy, p.PolicyRounds, p.PolicyShards)
+	}
+}
+
+// TestPerfFoldsSpanEvents pins the span fold: phase and nested snapshot/*
+// spans total by kind, shard/* spans add to their shard's busy time, the
+// imbalance keeps a mean and a max, and the allocation spans sum.
+func TestPerfFoldsSpanEvents(t *testing.T) {
+	a := NewAnalysis()
+	for _, e := range []Event{
+		{T: 0, Type: EvSpan, Kind: "phase/prepare", Value: 2e9},
+		{T: 1, Type: EvSpan, Kind: "phase/prepare", Value: 1e9},
+		{T: 0, Type: EvSpan, Kind: "shard/execute", Aux: "3", Value: 5e8},
+		{T: 0, Type: EvSpan, Kind: "shard/prepare", Aux: "3", Value: 25e7},
+		{T: 0, Type: EvSpan, Kind: "snapshot/rebuild", Aux: "memory", Value: 1e9},
+		{T: 0, Type: EvSpan, Kind: "imbalance", Value: 1.75},
+		{T: 1, Type: EvSpan, Kind: "imbalance", Value: 1.25},
+		{T: 0, Type: EvSpan, Kind: "allocs", Value: 1024},
+		{T: 1, Type: EvSpan, Kind: "allocs", Value: 1024},
+		{T: 0, Type: EvSpan, Kind: "mallocs", Value: 10},
+		{T: 0, Type: EvSpan, Kind: "gc", Value: 2},
+	} {
+		a.Emit(e)
+	}
+	p := a.Perf()
+	want := []SpanTotal{
+		{Name: "phase/prepare", Count: 2, TotalNs: 3e9, MaxNs: 2e9},
+		{Name: "snapshot/rebuild", Count: 1, TotalNs: 1e9, MaxNs: 1e9},
+	}
+	if len(p.Spans) != len(want) || p.Spans[0] != want[0] || p.Spans[1] != want[1] {
+		t.Fatalf("spans = %+v, want %+v", p.Spans, want)
+	}
+	if len(p.Shards) != 1 || p.Shards[0].Shard != 3 || p.Shards[0].BusyNs != 75e7 {
+		t.Fatalf("shards = %+v, want shard 3 busy 7.5e8 ns", p.Shards)
+	}
+	if p.ImbalanceMean != 1.5 || p.ImbalanceMax != 1.75 {
+		t.Fatalf("imbalance mean/max = %g/%g, want 1.5/1.75", p.ImbalanceMean, p.ImbalanceMax)
+	}
+	if p.AllocBytes != 2048 || p.Mallocs != 10 || p.GCCycles != 2 {
+		t.Fatalf("alloc totals = %g/%g/%g, want 2048/10/2", p.AllocBytes, p.Mallocs, p.GCCycles)
+	}
+}

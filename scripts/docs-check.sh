@@ -35,7 +35,12 @@
 # binds its own flags, and callers name node.Protocol. And fails when
 # non-test Go declares a StatsSink type or reads an Analysis.Stats field:
 # trace.Analysis is the one place where events become metrics, so no second
-# fold may grow beside it. Run from the repo root.
+# fold may grow beside it. And fails when a non-test Go file imports "net",
+# "net/http" or a package under it, or a non-test file under cmd/ names a
+# "listen" or "pprof" flag: a run is read after it ends, from its -trace
+# file through tracectl, and profiled through go test's -cpuprofile and
+# -memprofile, so no live server comes back beside that reader. Run from
+# the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -95,6 +100,14 @@ if grep -rnE --include='*.go' '^[[:space:]]*(type[[:space:]]+)?Protocol[[:space:
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' -e '(^|[^A-Za-z0-9_])StatsSink[[:space:]]+(struct|=|\*?Analysis)' -e '\.Stats\.[A-Z]' .; then
 	echo "docs-check: trace.Analysis is the one fold of trace events; no StatsSink type beside it and no Analysis.Stats"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' '"net(/http(/[a-z]+)?)?"' .; then
+	echo "docs-check: no live server: tracectl reads a run from its -trace file, and go test -cpuprofile/-memprofile profiles it"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' '"(listen|pprof)"' cmd; then
+	echo "docs-check: cmd/ defines no -listen or -pprof flag; trace with -trace and read the file with tracectl"
 	fail=1
 fi
 exit $fail
