@@ -19,8 +19,14 @@ import (
 // discarded before any handler sees it), and corruption replaces the
 // payload of the delivered copy, never the packet. A value SRPacket
 // payload is not courier traffic.
+//
+// Aux is a second route the packet carries for its protocol (an SSR
+// introduction's other route, or the pair an ack answers). Like Route it
+// is copied in at send time into the packet's own buffer, which is reused
+// with the packet.
 type SRPacket struct {
 	Route   sroute.Route
+	Aux     sroute.Route
 	Hop     int // index of the node currently holding the packet
 	Kind    string
 	Payload any
@@ -32,8 +38,8 @@ type SRPacket struct {
 // Packets is the free list of source-routed packets. A raw Network owns
 // one and every Courier on it shares it (rel.Network hands out its raw
 // network's), so the list holds at most the network's peak of packets in
-// flight, and a packet's route buffer is reused with it. Like the network
-// it is single-threaded.
+// flight, and a packet's route and aux buffers are reused with it. Like
+// the network it is single-threaded.
 type Packets struct {
 	free *SRPacket
 }
@@ -49,7 +55,7 @@ func (l *Packets) get() *SRPacket {
 }
 
 // put returns pkt to the list. A packet the list did not make (a test's or
-// a fuzzer's hand-built one) is left to the GC: its route is not ours to
+// a fuzzer's hand-built one) is left to the GC: its routes are not ours to
 // write over, and the same pointer may ride several frames, so it could
 // end its life more than once.
 func (l *Packets) put(pkt *SRPacket) {
@@ -64,10 +70,10 @@ func (l *Packets) put(pkt *SRPacket) {
 // Protocols embed one Courier per node and pass incoming messages to
 // Handle; packets addressed to this node surface through OnDeliver.
 //
-// The hooks get a value copy of the packet whose Route is the packet's own
-// buffer: a delivered or undeliverable packet goes back on the free list
-// when its hook returns, and its route is written over by the next Send. A
-// hook that keeps the route must copy it.
+// The hooks get a value copy of the packet whose Route and Aux are the
+// packet's own buffers: a delivered or undeliverable packet goes back on
+// the free list when its hook returns, and both are written over by the
+// next Send. A hook that keeps either must copy it.
 type Courier struct {
 	net     Transport
 	packets *Packets
@@ -89,13 +95,19 @@ func NewCourier(net Transport, self ids.ID) *Courier {
 
 // Send launches payload from this node along route (which must start at
 // this node). It reports whether the first hop was transmitted. The
-// packet carries a copy of route.
+// packet carries a copy of route and no Aux.
 func (c *Courier) Send(route sroute.Route, kind string, payload any) bool {
+	return c.SendAux(route, nil, kind, payload)
+}
+
+// SendAux is Send with a copy of aux in the packet's Aux.
+func (c *Courier) SendAux(route, aux sroute.Route, kind string, payload any) bool {
 	if len(route) < 2 || route.Src() != c.self {
 		return false
 	}
 	pkt := c.packets.get()
 	pkt.Route = append(pkt.Route[:0], route...)
+	pkt.Aux = append(pkt.Aux[:0], aux...)
 	pkt.Hop, pkt.Kind, pkt.Payload = 0, kind, payload
 	return c.transmit(pkt)
 }

@@ -39,9 +39,12 @@ func (f *byteFeed) next64() uint64 {
 // with extreme/duplicate/overflowing sequence numbers, garbled frames, and
 // raw non-sublayer traffic — interleaved with legitimate reliable sends.
 // The endpoint must not panic, must keep its out-of-order buffer bounded,
-// and must still deliver the honest traffic exactly once.
+// and must still deliver the honest traffic exactly once. Forgeries are
+// *Frame and *Ack, the types the sublayer decodes: a value Frame would
+// pass through as non-sublayer traffic and test nothing.
 func FuzzRelFrameDecoding(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})                                // forged acks
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 9})              // an ACK whose Cum was never sent
 	f.Add([]byte{1, 0, 1, 0, 255, 255, 255, 255})            // heartbeats + extreme seqs
 	f.Add([]byte{2, 2, 2, 2, 2, 2})                          // duplicate data seqs
 	f.Add([]byte{3, 255, 255, 255, 255, 255, 255, 255, 255}) // overflow seq
@@ -64,11 +67,11 @@ func FuzzRelFrameDecoding(f *testing.F) {
 			var payload any
 			switch feed.next() % 6 {
 			case 0:
-				payload = Ack{Seq: feed.next64(), Cum: feed.next64()}
+				payload = &Ack{Seq: feed.next64(), Cum: feed.next64()}
 			case 1:
 				payload = Heartbeat{Seq: feed.next64()}
 			case 2:
-				payload = Frame{Seq: feed.next64(), Hops: int(int8(feed.next())), Inner: "garbage"}
+				payload = &Frame{Seq: feed.next64(), Hops: int(int8(feed.next())), Inner: "garbage"}
 			case 3:
 				payload = phys.Garbled{}
 			case 4:

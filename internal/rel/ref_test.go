@@ -18,7 +18,9 @@ import (
 // their peers on every heartbeat tick; the sender window a map from
 // sequence number to a record allocated per send, with a closure for its
 // timer; the receiver's out-of-order set a map — kept as the reference
-// model that TestNetworkMatchesReference compares the Network against.
+// model that TestNetworkMatchesReference compares the Network against. It
+// speaks the Network's wire format, *Frame and *Ack, with a new wrapper
+// for every transmission and none recycled.
 type refNetwork struct {
 	raw   *phys.Network
 	cfg   Config
@@ -199,9 +201,9 @@ func (ep *refEndpoint) handle(m phys.Message) {
 	switch pl := m.Payload.(type) {
 	case phys.Garbled:
 		ep.link(m.From).heard()
-	case Frame:
+	case *Frame:
 		ep.link(m.From).recvData(m, pl)
-	case Ack:
+	case *Ack:
 		ep.link(m.From).recvAck(pl)
 	case Heartbeat:
 		ep.link(m.From).heard()
@@ -244,7 +246,7 @@ func (l *refLink) transmit(p *refPending) {
 	p.sentAt = l.ep.net.raw.Engine().Now()
 	l.ep.net.raw.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
-		Payload: Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
+		Payload: &Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
 	})
 	l.ep.net.raw.Engine().Arm(&p.timer, l.est.RTO())
 }
@@ -281,7 +283,7 @@ func (l *refLink) retransmit(p *refPending) {
 	}
 	n.raw.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
-		Payload: Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
+		Payload: &Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
 	})
 	eng.Arm(&p.timer, l.est.RTO())
 }
@@ -298,7 +300,7 @@ func (l *refLink) pump() {
 	}
 }
 
-func (l *refLink) recvData(m phys.Message, f Frame) {
+func (l *refLink) recvData(m phys.Message, f *Frame) {
 	n := l.ep.net
 	l.heard()
 	if f.Seq > l.maxRun+uint64(4*n.cfg.Window)+4 {
@@ -326,7 +328,7 @@ func (l *refLink) recvData(m phys.Message, f Frame) {
 		n.raw.Counters().Inc("drop:duplicate", 1)
 		n.traceDrop(m, "duplicate")
 	}
-	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: Ack{Seq: f.Seq, Cum: l.maxRun}}) {
+	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: &Ack{Seq: f.Seq, Cum: l.maxRun}}) {
 		n.stats.AcksSent++
 	}
 	if fresh && l.ep.inner != nil {
@@ -336,7 +338,7 @@ func (l *refLink) recvData(m phys.Message, f Frame) {
 	}
 }
 
-func (l *refLink) recvAck(a Ack) {
+func (l *refLink) recvAck(a *Ack) {
 	n := l.ep.net
 	l.heard()
 	if p, ok := l.inflight[a.Seq]; ok {
@@ -436,11 +438,11 @@ func playRelScript(script []byte, newRel func(*phys.Network, Config) relUnderTes
 			payload++
 			ret = n.Broadcast(node(), "t:bcast", payload)
 		case 3: // a data frame near the receiver's marks: duplicate, in order or ahead
-			ret = forge(Frame{Seq: uint64(next() & 15), Inner: "forged"})
+			ret = forge(&Frame{Seq: uint64(next() & 15), Inner: "forged"})
 		case 4: // a data frame far ahead: overflow
-			ret = forge(Frame{Seq: uint64(next()) << 4, Inner: "forged"})
+			ret = forge(&Frame{Seq: uint64(next()) << 4, Inner: "forged"})
 		case 5: // an ACK with any Seq and Cum, forged marks included
-			ret = forge(Ack{Seq: uint64(next() & 15), Cum: uint64(next())})
+			ret = forge(&Ack{Seq: uint64(next() & 15), Cum: uint64(next())})
 		case 6:
 			switch b := next(); b % 3 {
 			case 0:

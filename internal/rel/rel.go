@@ -16,19 +16,33 @@ import (
 // stay comparable between raw and reliable runs — a retransmission costs one
 // more physical frame of its own kind, which is exactly the overhead the
 // reliability bench measures.
+//
+// On the wire a frame is a *Frame from its Network's free list, one per
+// transmission (a retransmission takes a new one). phys delivers a frame at
+// most once, so the receiving endpoint is the wrapper's only holder and
+// puts it back once recvData returns. A lost frame's wrapper, a corrupted
+// one (phys delivers Garbled in its place) and a hand-built one are left
+// to the GC. A value Frame is not sublayer traffic.
 type Frame struct {
 	Seq   uint64
 	Hops  int // sender-side hop count of the inner message
 	Inner any
+
+	pooled bool   // made by a Network's free list, so it may go back on it
+	next   *Frame // link in Network.frames
 }
 
 // Ack confirms receipt of one frame. Seq names the frame that triggered the
 // ACK (the RTT sample source); Cum is the receiver's cumulative high-water
 // mark — every frame with sequence ≤ Cum has been delivered, so one ACK can
-// retire several in-flight frames after an ACK loss.
+// retire several in-flight frames after an ACK loss. It travels as a *Ack
+// and is recycled like a Frame.
 type Ack struct {
 	Seq uint64
 	Cum uint64
+
+	pooled bool
+	next   *Ack // link in Network.acks
 }
 
 // Heartbeat keeps a link's lease alive when no data flows. Seq increments
@@ -109,6 +123,48 @@ type Network struct {
 	eps   map[ids.ID]*endpoint
 	stats Stats
 	free  *pending // records awaiting reuse, linked through pending.next
+	// Wire wrappers awaiting reuse, linked through their next fields.
+	frames *Frame
+	acks   *Ack
+}
+
+// newFrame returns a frame wrapper from the free list, or a new one.
+func (n *Network) newFrame(seq uint64, hops int, inner any) *Frame {
+	f := n.frames
+	if f == nil {
+		f = &Frame{pooled: true}
+	} else {
+		n.frames, f.next = f.next, nil
+	}
+	f.Seq, f.Hops, f.Inner = seq, hops, inner
+	return f
+}
+
+// putFrame returns f to the free list; a hand-built frame stays out of it.
+func (n *Network) putFrame(f *Frame) {
+	if f.pooled {
+		f.Inner = nil
+		f.next, n.frames = n.frames, f
+	}
+}
+
+// newAck returns an ACK wrapper from the free list, or a new one.
+func (n *Network) newAck(seq, cum uint64) *Ack {
+	a := n.acks
+	if a == nil {
+		a = &Ack{pooled: true}
+	} else {
+		n.acks, a.next = a.next, nil
+	}
+	a.Seq, a.Cum = seq, cum
+	return a
+}
+
+// putAck returns a to the free list; a hand-built ACK stays out of it.
+func (n *Network) putAck(a *Ack) {
+	if a.pooled {
+		a.next, n.acks = n.acks, a
+	}
 }
 
 // New wraps a raw physical network. Protocols registered through the
@@ -324,17 +380,21 @@ func (ep *endpoint) emitLease(peer ids.ID, up bool) {
 }
 
 // handle is the endpoint's phys handler: it decodes sublayer framing and
-// feeds the protocol only fresh, deduplicated data frames.
+// feeds the protocol only fresh, deduplicated data frames. It holds the
+// only reference to a delivered wrapper, so it puts the wrapper back once
+// the frame is handled.
 func (ep *endpoint) handle(m phys.Message) {
 	switch pl := m.Payload.(type) {
 	case phys.Garbled:
 		// The bits arrived destroyed: liveness evidence, but nothing to
 		// decode and — crucially — nothing to ACK; the sender retransmits.
 		ep.link(m.From).heard()
-	case Frame:
+	case *Frame:
 		ep.link(m.From).recvData(m, pl)
-	case Ack:
+		ep.net.putFrame(pl)
+	case *Ack:
 		ep.link(m.From).recvAck(pl)
+		ep.net.putAck(pl)
 	case Heartbeat:
 		ep.link(m.From).heard()
 	default:
@@ -470,13 +530,14 @@ func (l *link) send(m phys.Message) {
 // timer. p.seq is sent+1: the queue holds frames only while the window is
 // full.
 func (l *link) transmit(p *pending) {
+	n := l.ep.net
 	l.window = append(l.window, p)
 	l.live++
 	l.sent = p.seq
-	p.sentAt = l.ep.net.raw.Engine().Now()
-	l.ep.net.raw.Send(phys.Message{
+	p.sentAt = n.raw.Engine().Now()
+	n.raw.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
-		Payload: Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
+		Payload: n.newFrame(p.seq, p.m.Hops, p.m.Payload),
 	})
 	l.armTimer(p)
 }
@@ -523,7 +584,7 @@ func (l *link) retransmit(p *pending) (abandoned bool) {
 	}
 	n.raw.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
-		Payload: Frame{Seq: p.seq, Hops: p.m.Hops, Inner: p.m.Payload},
+		Payload: n.newFrame(p.seq, p.m.Hops, p.m.Payload),
 	})
 	l.armTimer(p)
 	return false
@@ -543,7 +604,7 @@ func (l *link) pump() {
 }
 
 // recvData processes an incoming data frame: dedup, deliver, ACK.
-func (l *link) recvData(m phys.Message, f Frame) {
+func (l *link) recvData(m phys.Message, f *Frame) {
 	n := l.ep.net
 	l.heard()
 	// Bound the out-of-order buffer against forged/corrupted sequence
@@ -577,7 +638,7 @@ func (l *link) recvData(m phys.Message, f Frame) {
 	}
 	// ACKs ride the raw network unreliably; the cumulative mark lets a
 	// later ACK retire frames whose own ACK was lost.
-	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: Ack{Seq: f.Seq, Cum: l.maxRun}}) {
+	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: n.newAck(f.Seq, l.maxRun)}) {
 		n.stats.AcksSent++
 	}
 	if fresh && l.ep.inner != nil {
@@ -591,7 +652,7 @@ func (l *link) recvData(m phys.Message, f Frame) {
 }
 
 // recvAck retires in-flight frames and feeds the RTO estimator.
-func (l *link) recvAck(a Ack) {
+func (l *link) recvAck(a *Ack) {
 	n := l.ep.net
 	l.heard()
 	lo := l.lowest()

@@ -282,20 +282,20 @@ func TestCumulativeAckRetirement(t *testing.T) {
 		}
 		return seqs
 	}
-	l.recvAck(Ack{Seq: 99, Cum: 3})
+	l.recvAck(&Ack{Seq: 99, Cum: 3})
 	if got := inflight(); !slices.Equal(got, []uint64{4, 5}) {
 		t.Fatalf("after Cum=3 in flight = %v, want [4 5]", got)
 	}
-	l.recvAck(Ack{Seq: 99, Cum: 1})
+	l.recvAck(&Ack{Seq: 99, Cum: 1})
 	if got := inflight(); !slices.Equal(got, []uint64{4, 5}) {
 		t.Fatalf("after a stale Cum=1 in flight = %v, want [4 5]", got)
 	}
-	l.recvAck(Ack{Seq: 4, Cum: ^uint64(0)})
+	l.recvAck(&Ack{Seq: 4, Cum: ^uint64(0)})
 	if got := inflight(); len(got) != 0 {
 		t.Fatalf("after a forged Cum in flight = %v, want none", got)
 	}
 	n.Send(phys.Message{From: 1, To: 2, Kind: "test:data", Payload: 5})
-	l.recvAck(Ack{Seq: 99, Cum: 6})
+	l.recvAck(&Ack{Seq: 99, Cum: 6})
 	if got := inflight(); len(got) != 0 {
 		t.Fatalf("frame 6, sent after the forged Cum, still in flight: %v", got)
 	}
@@ -330,17 +330,59 @@ func gridNet(tb testing.TB) (edges []graph.Edge, one func(graph.Edge)) {
 }
 
 // TestSendAckAllocations pins what a reliable frame costs the allocator on
-// a lossless link: the Frame and the Ack boxed into their messages'
-// Payload. The pending record and its timer are recycled, and the raw
-// frames under them and their delivery events cost nothing.
+// a lossless link once the free lists are warm: nothing. The *Frame and
+// *Ack wrappers come from the network's free lists and go back when the
+// receiving endpoint has handled them, the pending record and its timer
+// are recycled, and the raw frames under them and their delivery events
+// cost nothing.
 func TestSendAckAllocations(t *testing.T) {
 	edges, one := gridNet(t)
 	for _, l := range edges {
 		one(l) // first use of a link allocates its state
 	}
 	rng := rand.New(rand.NewSource(1))
-	if allocs := testing.AllocsPerRun(1000, func() { one(edges[rng.Intn(len(edges))]) }); allocs > 2 {
-		t.Errorf("reliable send + ACK allocates %v times per frame, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { one(edges[rng.Intn(len(edges))]) }); allocs != 0 {
+		t.Errorf("reliable send + ACK allocates %v times per frame, want 0", allocs)
+	}
+}
+
+// TestHandBuiltWrappersStayOffTheFreeLists: a *Frame or *Ack that a test or
+// a fuzzer builds and puts on the raw network is handled like any other,
+// but never goes on the free lists, so a later send cannot write over it.
+// The network's own wrappers do go back.
+func TestHandBuiltWrappersStayOffTheFreeLists(t *testing.T) {
+	n, got := newPair(t, 1, DefaultConfig())
+	eng := n.Engine()
+	f := &Frame{Seq: 1, Inner: "forged"}
+	a := &Ack{Seq: 7, Cum: 0}
+	n.Raw().Send(phys.Message{From: 1, To: 2, Kind: "test:forged", Payload: f})
+	n.Raw().Send(phys.Message{From: 2, To: 1, Kind: "test:forged", Payload: a})
+	eng.RunUntil(eng.Now()+4, nil)
+	if len(*got) != 1 || (*got)[0].Payload != "forged" {
+		t.Fatalf("hand-built frame delivered as %v, want one \"forged\"", *got)
+	}
+	for i := 0; i < 3; i++ {
+		n.Send(phys.Message{From: 1, To: 2, Kind: "test:data", Payload: i})
+		eng.RunUntil(eng.Now()+4, nil)
+	}
+	frames, acks := 0, 0
+	for w := n.frames; w != nil; w = w.next {
+		if w == f {
+			t.Fatal("hand-built *Frame went on the free list")
+		}
+		frames++
+	}
+	for w := n.acks; w != nil; w = w.next {
+		if w == a {
+			t.Fatal("hand-built *Ack went on the free list")
+		}
+		acks++
+	}
+	if frames == 0 || acks == 0 {
+		t.Errorf("free lists hold %d frames and %d acks after three sends, want both > 0", frames, acks)
+	}
+	if f.Seq != 1 || f.Inner != "forged" || a.Seq != 7 {
+		t.Errorf("hand-built wrappers written over: %+v %+v", *f, *a)
 	}
 }
 

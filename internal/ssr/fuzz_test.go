@@ -43,15 +43,18 @@ func fuzzRoute(f *byteFeed) sroute.Route {
 // FuzzFramePayloadDecoding replays a fuzz-derived sequence of adversarial
 // frames — wrong outer types, garbled payloads, source-routed packets with
 // looped/foreign/too-short routes and out-of-range hop indices, typed
-// payloads on mismatched kinds — against a live three-node cluster. The
-// seed corpus mirrors the malformed-frame robustness tests. The cluster
-// must neither panic nor corrupt its caches into looped routes.
+// payloads on mismatched kinds, notifications and acks whose Aux has any
+// shape — against a live three-node cluster. The seed corpus mirrors the
+// malformed-frame robustness tests. The cluster must neither panic nor
+// corrupt its caches into looped routes.
 func FuzzFramePayloadDecoding(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2})                               // garbage string on notify
 	f.Add([]byte{1, 1, 2, 2, 3, 3})                         // Garbled frames
 	f.Add([]byte{2, 4, 0, 1, 2, 3, 4, 5, 6, 7})             // SRPacket, garbage inner
 	f.Add([]byte{3, 2, 5, 1, 0, 2, 2, 9, 9, 0, 1, 2, 3, 4}) // typed payloads, bad routes
 	f.Add([]byte{5, 0, 4, 200, 3, 0, 2, 255, 1, 128})       // extreme hop indices
+	f.Add([]byte{0, 0, 3, 2, 0, 1, 0, 0})                   // notify 1→2 with an empty Aux
+	f.Add([]byte{1, 0, 3, 2, 0, 1, 1, 0, 0})                // ack 1→2 with a one-ID Aux
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feed := &byteFeed{data: data}
 		topo := graph.Line([]ids.ID{1, 2, 3})
@@ -77,14 +80,17 @@ func FuzzFramePayloadDecoding(f *testing.F) {
 				payload = &phys.SRPacket{Route: fuzzRoute(feed),
 					Hop: int(int8(feed.next())), Kind: kind, Payload: "garbage"}
 			case 3:
-				payload = &phys.SRPacket{Route: fuzzRoute(feed), Hop: int(int8(feed.next())),
-					Kind: kind, Payload: notifyPayload{OtherRoute: fuzzRoute(feed),
-						Pair: pairKey{Low: ids.ID(feed.next()), High: ids.ID(feed.next())}}}
+				// A notify or an ack: the introduction rides in Aux, which
+				// the fuzzer fills with routes of any shape and with
+				// arbitrary pairs.
+				payload = &phys.SRPacket{Route: fuzzRoute(feed), Aux: fuzzRoute(feed),
+					Hop: int(int8(feed.next())), Kind: kind}
 			case 4:
 				var inner any
+				var aux sroute.Route
 				switch feed.next() % 4 {
 				case 0:
-					inner = ackPayload{Pair: pairKey{Low: ids.ID(feed.next()), High: ids.ID(feed.next())}}
+					aux = sroute.Route{ids.ID(feed.next()), ids.ID(feed.next())}
 				case 1:
 					inner = discoverPayload{Origin: ids.ID(feed.next()),
 						Dir: ids.Dir(feed.next() % 2), RouteFromOrigin: fuzzRoute(feed)}
@@ -95,7 +101,7 @@ func FuzzFramePayloadDecoding(f *testing.F) {
 					inner = dataPayload{Origin: ids.ID(feed.next()), Dst: ids.ID(feed.next()),
 						Hops: int(int8(feed.next()))}
 				}
-				payload = &phys.SRPacket{Route: fuzzRoute(feed),
+				payload = &phys.SRPacket{Route: fuzzRoute(feed), Aux: aux,
 					Hop: int(int8(feed.next())), Kind: kind, Payload: inner}
 			case 5:
 				payload = &phys.SRPacket{Route: sroute.Route{e[0], e[1]}, Hop: 0,

@@ -118,6 +118,47 @@ func TestRelayHopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIntroductionRoundTripAllocatesNothing pins the §4 introduction's
+// cost once the packet free list and the nodes' scratch are warm: one
+// notify, its two notifications carrying each other's route in Aux, the
+// receivers composing their new routes and acking with the pair in Aux,
+// and both acks delivered back, allocates nothing.
+func TestIntroductionRoundTripAllocatesNothing(t *testing.T) {
+	net, c := converged48(t, nil)
+	c.Stop()
+	eng := net.Engine()
+	eng.Run(0)
+
+	var v *Node
+	var a, b ids.ID
+	for _, id := range c.IDs() {
+		if dsts := c.Nodes[id].rc.Destinations(); len(dsts) >= 2 {
+			v, a, b = c.Nodes[id], dsts[0], dsts[len(dsts)-1]
+			break
+		}
+	}
+	if v == nil {
+		t.Fatal("no node caches two destinations")
+	}
+	ra, rb := v.rc.Route(a).Clone(), v.rc.Route(b).Clone()
+	key := pairOf(a, b)
+	acks := net.Counters().Get(KindAck)
+	roundTrip := func() {
+		v.notify(key, ra, rb, b, false)
+		eng.Run(0)
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("introduction of %v at %v: %v allocations per round trip, want 0", key, v.id, allocs)
+	}
+	if op := v.intros[key]; !op.ackLow || !op.ackHigh {
+		t.Fatalf("introduction of %v at %v not acked by both: %+v", key, v.id, op)
+	}
+	if got, want := net.Counters().Get(KindAck)-acks, 102*int64(ra.Hops()+rb.Hops()); got != want {
+		t.Fatalf("%d ack frames, want %d", got, want)
+	}
+}
+
 // TestPruneBoundsBookkeepingAndChangesNothing runs a converged cluster for
 // 4096 more ticks twice, with and without the keepalive-tick pruning of
 // intros and tornDown. With pruning every entry left is younger than

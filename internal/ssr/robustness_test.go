@@ -54,12 +54,37 @@ func TestMalformedPayloadsAreIgnored(t *testing.T) {
 
 func TestAckForUnknownPairIgnored(t *testing.T) {
 	net, a, _ := twoNodeSetup(t)
-	bogus := ackPayload{Pair: pairKey{Low: 77, High: 99}}
 	net.Send(phys.Message{From: 2, To: 1, Kind: KindAck,
-		Payload: &phys.SRPacket{Route: route(t, 2, 1), Hop: 0, Kind: KindAck, Payload: bogus}})
+		Payload: &phys.SRPacket{Route: route(t, 2, 1), Aux: sroute.Route{77, 99}, Hop: 0, Kind: KindAck}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if len(a.intros) != 0 {
 		t.Error("bogus ack should not create introduction state")
+	}
+}
+
+// TestAckWithMalformedAuxChangesNothing: an ack names its pair by the two
+// IDs of its Aux, Low then High. One whose Aux is not exactly two IDs, even
+// one that starts with a pending pair, changes no intros entry.
+func TestAckWithMalformedAuxChangesNothing(t *testing.T) {
+	net, _, n2, _ := unstartedTriple(t)
+	key := pairKey{Low: 1, High: 3}
+	n2.intros[key] = introOp{farther: 3}
+	before := n2.intros[key]
+	for _, aux := range []sroute.Route{nil, {}, {1}, {1, 3, 3}, {1, 3, 1}} {
+		net.Send(phys.Message{From: 1, To: 2, Kind: KindAck,
+			Payload: &phys.SRPacket{Route: route(t, 1, 2), Aux: aux, Hop: 0, Kind: KindAck}})
+		net.Engine().RunUntil(net.Engine().Now()+4, nil)
+		if len(n2.intros) != 1 || n2.intros[key] != before {
+			t.Fatalf("ack with Aux %v changed intros to %v", aux, n2.intros)
+		}
+	}
+	// The well-formed ack does move it: the cases above were ignored for
+	// their Aux, not for anything else.
+	net.Send(phys.Message{From: 1, To: 2, Kind: KindAck,
+		Payload: &phys.SRPacket{Route: route(t, 1, 2), Aux: sroute.Route{1, 3}, Hop: 0, Kind: KindAck}})
+	net.Engine().RunUntil(net.Engine().Now()+4, nil)
+	if !n2.intros[key].ackLow {
+		t.Fatalf("well-formed ack from 1 not recorded: %+v", n2.intros[key])
 	}
 }
 
@@ -78,16 +103,55 @@ func TestTeardownForUnknownNodeIgnored(t *testing.T) {
 
 func TestNotifyWithMismatchedJoinIgnored(t *testing.T) {
 	net, a, b := twoNodeSetup(t)
-	// OtherRoute does not start at the notifier: composition must fail
-	// gracefully, and no ack state should corrupt the pending table.
-	bad := notifyPayload{OtherRoute: route(t, 9, 10), Pair: pairKey{Low: 1, High: 10}}
+	// Aux does not start at the notifier: composition must fail
+	// gracefully, and no ack may go back to corrupt the pending table.
+	acks := net.Counters().Get(KindAck)
 	net.Send(phys.Message{From: 1, To: 2, Kind: KindNotify,
-		Payload: &phys.SRPacket{Route: route(t, 1, 2), Hop: 0, Kind: KindNotify, Payload: bad}})
+		Payload: &phys.SRPacket{Route: route(t, 1, 2), Aux: route(t, 9, 10), Hop: 0, Kind: KindNotify}})
 	net.Engine().RunUntil(net.Engine().Now()+64, nil)
 	if b.Cache().Route(10) != nil {
 		t.Error("mismatched notify must not create a route")
 	}
-	_ = a
+	if got := net.Counters().Get(KindAck) - acks; got != 0 {
+		t.Errorf("mismatched notify was acknowledged %d times", got)
+	}
+	if len(a.intros) != 0 {
+		t.Errorf("mismatched notify left introduction state at the notifier: %v", a.intros)
+	}
+}
+
+// TestNotifyWithMalformedAuxTeachesNothing: a notification whose Aux is
+// empty, one ID long, or does not start at the notifier composes no route
+// and sends no ack; the well-formed one does both.
+func TestNotifyWithMalformedAuxTeachesNothing(t *testing.T) {
+	net, _, n2, n3 := unstartedTriple(t)
+	notify := func(aux sroute.Route) {
+		net.Send(phys.Message{From: 2, To: 3, Kind: KindNotify,
+			Payload: &phys.SRPacket{Route: route(t, 2, 3), Aux: aux, Hop: 0, Kind: KindNotify}})
+		net.Engine().RunUntil(net.Engine().Now()+4, nil)
+	}
+	for _, aux := range []sroute.Route{nil, {}, {2}, {1}, {1, 2}, {3, 2, 1}} {
+		acks := net.Counters().Get(KindAck)
+		notify(aux)
+		if r := n3.Cache().Route(1); r != nil {
+			t.Fatalf("notify with Aux %v taught 3 the route %v", aux, r)
+		}
+		if got := net.Counters().Get(KindAck) - acks; got != 0 {
+			t.Fatalf("notify with Aux %v was acknowledged %d times", aux, got)
+		}
+	}
+	acks := net.Counters().Get(KindAck)
+	n2.intros[pairOf(1, 3)] = introOp{farther: 1}
+	notify(route(t, 2, 1))
+	if r := n3.Cache().Route(1); !r.Equal(route(t, 3, 2, 1)) {
+		t.Fatalf("well-formed notify taught 3 the route %v, want 3→2→1", r)
+	}
+	if got := net.Counters().Get(KindAck) - acks; got != 1 {
+		t.Fatalf("well-formed notify acknowledged %d times, want once", got)
+	}
+	if !n2.intros[pairOf(1, 3)].ackHigh {
+		t.Fatalf("3's ack did not name the pair {1, 3}: %+v", n2.intros)
+	}
 }
 
 func TestDiscoverAckFromForeignRouteIgnored(t *testing.T) {

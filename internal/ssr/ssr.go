@@ -79,19 +79,6 @@ type Config struct {
 	BothDirections bool
 }
 
-// notifyPayload carries the route from the notifier to the *other* new
-// neighbor; the receiver composes its own route by appending it to the
-// reversed packet route.
-type notifyPayload struct {
-	OtherRoute sroute.Route
-	Pair       pairKey
-}
-
-// ackPayload identifies the pending pair being acknowledged.
-type ackPayload struct {
-	Pair pairKey
-}
-
 // discoverPayload accumulates the virtual-hop path from the discovery
 // origin; each greedy segment extends RouteFromOrigin.
 type discoverPayload struct {
@@ -123,7 +110,10 @@ type Delivery struct {
 	Body        any
 }
 
-// pairKey names one notification operation (v1, side, v2, v3).
+// pairKey names one introduction: the pair it introduces. A notification
+// carries the route from the notifier to the *other* new neighbor in the
+// packet's Aux, so its receiver derives the pair as pairOf(self, Aux.Dst());
+// an ack carries the pair itself, {Low, High}, in Aux.
 type pairKey struct {
 	Low, High ids.ID // the two neighbors being introduced, Low < High
 }
@@ -590,17 +580,19 @@ func (n *Node) recent(key pairKey) bool {
 }
 
 // notify records the introduction of key's pair and sends its two
-// notifications, over ra and rb; without both routes it does nothing. The
-// payloads share ra and rb: the routes the cache, revNbrs and the wrap
-// state hold are replaced, never written in place, and the receiver only
-// reads OtherRoute.
+// notifications, over ra and rb; without both routes it does nothing. Each
+// notification carries the other route in its Aux: the courier copies it
+// into the packet, as it does the route, so the receiver reads a buffer
+// that nothing else writes until its handler returns. ra ends at one of
+// key's pair and rb at the other, which is what lets a receiver derive the
+// pair from Aux.
 func (n *Node) notify(key pairKey, ra, rb sroute.Route, farther ids.ID, tear bool) {
 	if ra == nil || rb == nil {
 		return
 	}
 	n.intros[key] = introOp{at: n.net.Engine().Now(), farther: farther, tear: tear}
-	n.courier.Send(ra, KindNotify, notifyPayload{OtherRoute: rb, Pair: key})
-	n.courier.Send(rb, KindNotify, notifyPayload{OtherRoute: ra, Pair: key})
+	n.courier.SendAux(ra, rb, KindNotify, nil)
+	n.courier.SendAux(rb, ra, KindNotify, nil)
 }
 
 // sideEmpty reports whether side d of E_v is empty: the §4 condition for
@@ -725,41 +717,40 @@ func (n *Node) learn(r sroute.Route) {
 }
 
 // handleNotify composes the route to the other introduced neighbor from
-// back, the packet's route reversed (us → notifier).
+// back, the packet's route reversed (us → notifier), and the notifier's
+// route to that neighbor, which the packet carries in Aux.
 func (n *Node) handleNotify(pkt phys.SRPacket, back sroute.Route) {
-	np, ok := pkt.Payload.(notifyPayload)
-	if !ok {
+	other := pkt.Aux
+	// A forged or corrupted frame can carry an empty or one-node Aux, and
+	// Src() on an empty route panics.
+	if len(other) < 2 || len(back) < 2 || back.Dst() != other.Src() {
 		return
 	}
-	// A nil check is not enough: a forged or corrupted frame can carry an
-	// empty non-nil route, and Src() on it panics.
-	if len(np.OtherRoute) < 2 || len(back) < 2 || back.Dst() != np.OtherRoute.Src() {
-		return
-	}
-	if composed, err := back.AppendInto(n.composed, np.OtherRoute); err == nil {
+	if composed, err := back.AppendInto(n.composed, other); err == nil {
 		n.composed = composed
 		n.learn(composed)
 	}
 	// Acknowledge so the notifier can complete (and possibly tear down).
-	n.courier.Send(back, KindAck, ackPayload{Pair: np.Pair})
+	key := pairOf(n.id, other.Dst())
+	n.courier.SendAux(back, sroute.Route{key.Low, key.High}, KindAck, nil)
 }
 
 func (n *Node) handleAck(pkt phys.SRPacket) {
-	ap, ok := pkt.Payload.(ackPayload)
-	if !ok {
+	if len(pkt.Aux) != 2 {
 		return
 	}
-	op, exists := n.intros[ap.Pair]
+	key := pairKey{Low: pkt.Aux[0], High: pkt.Aux[1]}
+	op, exists := n.intros[key]
 	if !exists || !n.pending(op) {
 		return
 	}
 	switch pkt.Route.Src() {
-	case ap.Pair.Low:
+	case key.Low:
 		op.ackLow = true
-	case ap.Pair.High:
+	case key.High:
 		op.ackHigh = true
 	}
-	n.intros[ap.Pair] = op
+	n.intros[key] = op
 	if n.pending(op) || !op.tear {
 		return
 	}

@@ -325,16 +325,22 @@ func (a *Analysis) Emit(e Event) {
 // events Probe.Observe emits (all sharing one T = round index); ok is false
 // before the first probe event. A round that carries the missing/surplus
 // decomposition reports it; a round with only the scalar "distance" (older
-// traces) parks it in Surplus with Missing zero.
+// traces) parks it in Surplus with Missing zero. A series with no reading
+// in the newest round leaves its field zero (false for Connected).
 func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.probes) == 0 {
 		return s, false
 	}
+	// A series reports only a reading of the newest round: an older one
+	// belongs to another sample.
 	at := func(kind string) (int, bool) {
 		r, ok := a.probes[kind]
-		return int(r.v), ok && r.t == a.probeT
+		if !ok || r.t != a.probeT {
+			return 0, false
+		}
+		return int(r.v), true
 	}
 	s.Round = int(a.probeT)
 	missing, hasMissing := at("missing")
