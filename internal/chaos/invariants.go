@@ -64,26 +64,21 @@ type Checker struct {
 	stopped    bool
 }
 
-// NewChecker builds a checker over a live network and protocol. every is
-// the check cadence (<= 0: 64 ticks), grace the post-disturbance settling
-// time before connectivity checks resume (<= 0: 512 ticks), bound the
-// pending-ops ceiling (<= 0 derives 16 ops per node — pending
-// introductions self-expire within 8 ticks, so mid-fault peaks of a few per
-// node are legitimate; the invariant exists to catch unbounded growth, not
-// transient retry pressure).
-func NewChecker(net *phys.Network, proto node.Protocol, every, grace sim.Time, bound int) *Checker {
-	if every <= 0 {
-		every = 64
-	}
-	if grace <= 0 {
-		grace = 512
-	}
-	if bound <= 0 {
-		bound = 16 * len(net.Nodes())
-	}
+// The checker's settings. Pending introductions self-expire within 8
+// ticks, so mid-fault peaks of a few per node are legitimate: the pending
+// bound exists to catch unbounded growth, not transient retry pressure.
+const (
+	checkEvery     = sim.Time(64)  // check cadence, and Run's consistency poll
+	checkGrace     = sim.Time(512) // settling time after a disturbance before connectivity checks resume
+	pendingPerNode = 16            // pending-ops ceiling per node
+)
+
+// NewChecker builds a checker over a live network and protocol.
+func NewChecker(net *phys.Network, proto node.Protocol) *Checker {
 	return &Checker{
-		net: net, proto: proto, every: every, grace: grace, bound: bound,
-		down: ids.NewSet(), checks: make(map[string]int64),
+		net: net, proto: proto, every: checkEvery, grace: checkGrace,
+		bound: pendingPerNode * len(net.Nodes()),
+		down:  ids.NewSet(), checks: make(map[string]int64),
 	}
 }
 

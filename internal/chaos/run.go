@@ -9,19 +9,24 @@ import (
 )
 
 // Result is the machine-readable outcome of one (scenario, protocol) run.
+// One consistency poll, on the checker's cadence from t=0 to the end of
+// the run, sets every consistency field.
 type Result struct {
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol,omitempty"` // filled in by the bench harness
 	Seed     int64  `json:"seed"`
 
-	Converged      bool     `json:"converged"`
-	WarmupOK       bool     `json:"warmup_ok"` // consistent before the first fault
+	Converged bool `json:"converged"`
+	WarmupOK  bool `json:"warmup_ok"` // consistent at some poll at or before the warmup boundary
+	// ConvergedAt is the first poll at or after LastFaultAt from which the
+	// ring is consistent at every poll through LastFaultAt + Settle; if it
+	// is not consistent at that boundary, the first consistent poll after
+	// it. Zero when the run did not converge within node.Budget(n).
 	ConvergedAt    sim.Time `json:"converged_at"`
 	LastFaultAt    sim.Time `json:"last_fault_at"`
-	ReconvergeTime sim.Time `json:"reconverge_time"` // ConvergedAt - LastFaultAt
-	// FirstConsistentAt is the earliest instant global consistency was
-	// observed (polled on the check cadence), regardless of later faults
-	// breaking it again; -1 if consistency was never reached. For
+	ReconvergeTime sim.Time `json:"reconverge_time"` // ConvergedAt - LastFaultAt: 0 if no poll after the last fault found the ring broken
+	// FirstConsistentAt is the first poll that found the ring consistent,
+	// whatever later faults did to it; -1 if no poll ever did. For
 	// cold-start scenarios this is the headline metric: how long bootstrap
 	// took while the fault was already active.
 	FirstConsistentAt sim.Time `json:"first_consistent_at"`
@@ -35,91 +40,63 @@ type Result struct {
 	Violations []Violation `json:"violations,omitempty"`
 }
 
-// Run replays a compiled schedule against a live network and protocol:
-// fault-free warmup to consistency, scheduled faults under the online
-// invariant checker (NewChecker's default cadence, grace and pending
-// bound), then a final drive back to global consistency within
-// node.Budget(n). The protocol must already be running on net (clusters
-// start in their constructors); Run stops it before returning.
-//
-// The engine's RunUntil leaves Now at the last fired event rather than the
-// requested deadline, so every phase boundary is pinned with an explicit
-// no-op sync event — otherwise the schedule's absolute action times would
-// drift relative to the phases.
+// Run replays a compiled schedule against a live network and protocol in
+// one pass. Actions before the warmup boundary (cold-start faults) are
+// queued at once; the rest are queued once every event up to the boundary
+// has fired, so each fires after the protocol events already queued for its
+// tick, and the invariant checker starts there. A consistency poll runs on
+// the checker's cadence from t=0 and ends the run at the first consistent
+// poll at or after LastFault + Settle, or at node.Budget(n). The protocol
+// must already be running on net (clusters start in their constructors);
+// Run stops it before returning.
 func Run(scn Scenario, sched *Schedule, net *phys.Network, proto node.Protocol) Result {
 	eng := net.Engine()
 	res := Result{Scenario: scn.Name, Seed: sched.Seed, LastFaultAt: sched.LastFault, FirstConsistentAt: -1}
-	deadline := node.Budget(len(net.Nodes()))
 	settleEnd := sched.LastFault + scn.Settle
-
-	// Cold-start scenarios (Transport: reliable) may carry actions before
-	// the warmup boundary; those must be live while the protocol
-	// bootstraps, so schedule them — and create the checker they report to —
-	// before phase 1 runs. The checker's periodic chain still starts at the
-	// warmup boundary; only its fault-window and down-node bookkeeping is
-	// fed early.
-	checker := NewChecker(net, proto, 0, 0, 0)
-	for _, a := range sched.Actions {
-		if a.At >= scn.Warmup {
-			continue
+	checker := NewChecker(net, proto)
+	queue := func(early bool) {
+		for _, a := range sched.Actions {
+			if (a.At < scn.Warmup) == early {
+				eng.At(a.At, func() { apply(a, net, checker) })
+			}
 		}
-		act := a
-		eng.At(act.At, func() { apply(act, net, checker) })
 	}
 
-	// Poll instantaneous consistency on the check cadence from the start,
-	// recording the first instant it holds. The chain retires itself at the
-	// settle boundary; phase 3's convergence drive covers the tail.
-	every := checker.every
+	streak := sim.Time(-1) // first poll of the current consistent run at or after the last fault
 	var poll func()
 	poll = func() {
-		if res.FirstConsistentAt >= 0 {
+		now, ok := eng.Now(), proto.Consistent()
+		if !ok {
+			streak = -1
+		} else {
+			if res.FirstConsistentAt < 0 {
+				res.FirstConsistentAt = now
+			}
+			res.WarmupOK = res.WarmupOK || now <= scn.Warmup
+			if streak < 0 && now >= sched.LastFault {
+				streak = now
+			}
+		}
+		if ok && now >= settleEnd {
+			res.Converged, res.ConvergedAt = true, streak
 			return
 		}
-		if proto.Consistent() {
-			res.FirstConsistentAt = eng.Now()
-			return
-		}
-		if eng.Now()+every <= settleEnd {
-			eng.After(every, poll)
-		}
+		eng.After(checkEvery, poll)
 	}
-	eng.After(every, poll)
 
-	// Phase 1: warmup. Fault-free unless the scenario scheduled cold-start
-	// actions above. The protocol bootstraps to consistency (recorded, not
-	// enforced — the reconvergence verdict at the end is the acceptance
-	// criterion) and the clock is pinned to the warmup boundary.
-	_, res.WarmupOK = proto.RunUntilConsistent(scn.Warmup)
-	eng.At(scn.Warmup, func() {})
+	queue(true)
+	eng.After(checkEvery, poll)
 	eng.RunUntil(scn.Warmup, nil)
 	res.WarmupFrames = net.Counters().Total()
-
-	// Phase 2: schedule the remaining actions and let them play out under
-	// the checker.
 	checker.Start()
-	for _, a := range sched.Actions {
-		if a.At < scn.Warmup {
-			continue
-		}
-		act := a
-		eng.At(act.At, func() { apply(act, net, checker) })
-	}
-	eng.At(settleEnd, func() {})
-	eng.RunUntil(settleEnd, nil)
-
-	// Phase 3: drive back to global consistency and record the verdict as
-	// the final invariant.
-	res.ConvergedAt, res.Converged = proto.RunUntilConsistent(deadline)
-	checker.Final(res.Converged, res.ConvergedAt)
+	queue(false)
+	eng.RunUntil(node.Budget(len(net.Nodes())), func() bool { return res.Converged })
+	checker.Final(res.Converged, eng.Now())
 	checker.Stop()
 	proto.Stop()
 
-	if res.Converged && res.ConvergedAt > res.LastFaultAt {
+	if res.Converged {
 		res.ReconvergeTime = res.ConvergedAt - res.LastFaultAt
-	}
-	if res.FirstConsistentAt < 0 && res.Converged {
-		res.FirstConsistentAt = res.ConvergedAt
 	}
 	res.TotalFrames = net.Counters().Total()
 	res.FaultPhaseFrames = res.TotalFrames - res.WarmupFrames

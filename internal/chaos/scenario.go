@@ -54,14 +54,12 @@ const (
 )
 
 // FaultSpec is one declarative fault in a Scenario. Start is absolute
-// engine time and must lie at or after the scenario warmup when the
-// protocols run over the raw network: the flood baseline transmits only
-// during its initial flood epoch and never retransmits, so faults injected
-// before warmup would make its non-convergence a property of the schedule,
-// not the protocol. A scenario that declares Transport: "reliable" lifts
-// the restriction — the rel sublayer retransmits until delivery, so a
-// fault active from t=0 tests exactly the cold-start robustness the
-// sublayer exists to provide.
+// engine time. A fault that starts before the scenario warmup is live while
+// the protocols bootstrap: that is a cold-start scenario, meant for the
+// reliable sublayer (internal/rel), which retransmits until delivery. Over
+// the raw network such a fault can make the flood baseline's
+// non-convergence a property of the schedule, not the protocol, since the
+// baseline transmits only during its initial flood epoch.
 type FaultSpec struct {
 	Kind     FaultKind `json:"kind"`
 	Start    sim.Time  `json:"start"`
@@ -72,25 +70,14 @@ type FaultSpec struct {
 	Downtime sim.Time  `json:"downtime,omitempty"` // churn
 }
 
-// TransportReliable marks a scenario as designed for the reliable-delivery
-// sublayer (internal/rel). Declaring it relaxes Compile's warmup check so
-// faults may start before — or at — t=0 of the bootstrap itself.
-const TransportReliable = "reliable"
-
 // Scenario is a named, declarative adversity script. Faults may overlap;
 // the Checker suspends connectivity checks while any fault window is
 // active and for a grace period after the last one ends.
 type Scenario struct {
 	Name   string      `json:"name"`
-	Warmup sim.Time    `json:"warmup"` // fault-free bootstrap phase
+	Warmup sim.Time    `json:"warmup"` // bootstrap phase; the checker starts at its end
 	Settle sim.Time    `json:"settle"` // quiet phase after the last fault
 	Faults []FaultSpec `json:"faults"`
-	// Transport declares the transport the scenario is designed for: ""
-	// (raw phys.Network) or TransportReliable. Reliable scenarios may
-	// schedule faults before the warmup boundary — retransmission makes a
-	// cold start under sustained loss survivable, and proving that is the
-	// point of such scenarios.
-	Transport string `json:"transport,omitempty"`
 }
 
 // ActionKind names one concrete scheduled operation in a compiled
@@ -170,10 +157,6 @@ func Compile(scn Scenario, topo *graph.Graph, seed int64) (*Schedule, error) {
 	r := rand.New(rand.NewSource(seed))
 	sched := &Schedule{Scenario: scn.Name, Seed: seed, LastFault: scn.Warmup}
 	for i, f := range scn.Faults {
-		if f.Start < scn.Warmup && scn.Transport != TransportReliable {
-			return nil, fmt.Errorf("fault %d (%s) starts at %d, before warmup %d (declare Transport: %q to allow cold-start faults)",
-				i, f.Kind, int64(f.Start), int64(scn.Warmup), TransportReliable)
-		}
 		if f.Duration <= 0 {
 			return nil, fmt.Errorf("fault %d (%s) has non-positive duration", i, f.Kind)
 		}

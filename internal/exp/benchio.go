@@ -12,7 +12,7 @@ import (
 
 // metaSchema is Meta.Schema: bump it on an incompatible change to a
 // record's shape.
-const metaSchema = 2
+const metaSchema = 3
 
 // Meta is the configuration header of one bench record: what produced
 // the file.

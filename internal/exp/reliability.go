@@ -28,18 +28,12 @@ import (
 // reliabilityLosses is the swept loss grid in percent.
 var reliabilityLosses = []int{0, 5, 15, 30}
 
-// ReliabilityRun is one (loss, protocol, transport) measurement.
+// ReliabilityRun is one (loss, protocol, transport) measurement: the
+// runner's record plus the transport arm and the sublayer's ledger.
 type ReliabilityRun struct {
-	Protocol  string `json:"protocol"`
+	chaos.Result
 	Transport string `json:"transport"`
 	LossPct   int    `json:"loss_pct"`
-
-	Converged         bool     `json:"converged"`
-	FirstConsistentAt sim.Time `json:"first_consistent_at"` // -1: never
-	ConvergedAt       sim.Time `json:"converged_at"`
-	TotalFrames       int64    `json:"total_frames"`
-	LossDrops         int64    `json:"loss_drops"`
-	Violations        int      `json:"violations"`
 
 	// Sublayer ledger, zero on the raw arm.
 	Retransmits int64 `json:"retransmits,omitempty"`
@@ -75,16 +69,14 @@ type ReliabilityResult struct {
 
 // coldStartScenario builds the per-loss scenario: loss live from t=0
 // through twice the warmup, so the entire bootstrap happens under fire.
-// The scenario declares the reliable transport — that is what lifts the
-// compile-time warmup restriction; replaying it over the raw network is
-// the controlled "without the sublayer" arm of the comparison.
+// It is meant for the reliable transport; replaying it over the raw network
+// is the controlled "without the sublayer" arm of the comparison.
 func coldStartScenario(pct int) chaos.Scenario {
 	const warmup, settle = sim.Time(2048), sim.Time(1024)
 	scn := chaos.Scenario{
-		Name:      fmt.Sprintf("cold-loss-%02d", pct),
-		Warmup:    warmup,
-		Settle:    settle,
-		Transport: chaos.TransportReliable,
+		Name:   fmt.Sprintf("cold-loss-%02d", pct),
+		Warmup: warmup,
+		Settle: settle,
 	}
 	if pct > 0 {
 		scn.Faults = []chaos.FaultSpec{{
@@ -127,7 +119,6 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 			for _, name := range protos {
 				raw, _ := h.newNet(topo, n, seed) // both arms are built here, whatever -transport says
 				var rn *rel.Network
-				run := ReliabilityRun{Protocol: name, Transport: transport, LossPct: pct}
 				var proto node.Protocol
 				if transport == TransportReliable {
 					rn = rel.New(raw, rel.DefaultConfig())
@@ -138,13 +129,8 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 				if err != nil {
 					return Report{}, ReliabilityResult{}, err
 				}
-				r := chaos.Run(scn, sched, raw, proto)
-				run.Converged = r.Converged
-				run.FirstConsistentAt = r.FirstConsistentAt
-				run.ConvergedAt = r.ConvergedAt
-				run.TotalFrames = r.TotalFrames
-				run.LossDrops = r.Drops["loss"]
-				run.Violations = len(r.Violations)
+				run := ReliabilityRun{Result: chaos.Run(scn, sched, raw, proto), Transport: transport, LossPct: pct}
+				run.Protocol = name
 				if rn != nil {
 					st := rn.Stats()
 					run.Retransmits = st.Retransmits
@@ -155,8 +141,8 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 					if base, ok := rawFrames[name]; ok {
 						run.OverheadFrames = run.TotalFrames - base
 					}
-					relConverged = relConverged && r.Converged
-					relViolations += len(r.Violations)
+					relConverged = relConverged && run.Converged
+					relViolations += len(run.Violations)
 				} else {
 					rawFrames[name] = run.TotalFrames
 				}
@@ -168,7 +154,7 @@ func (h Harness) ReliabilityBench(n int, topo graph.Topology, seed int64, quick 
 				}
 				tab.AddRow(fmt.Sprintf("%d%%", pct), name, transport, run.Converged,
 					first, run.TotalFrames, run.Retransmits, run.Abandons,
-					run.OverheadFrames, run.Violations)
+					run.OverheadFrames, len(run.Violations))
 			}
 		}
 	}

@@ -41,7 +41,11 @@ func (f *byteFeed) next64() uint64 {
 // The endpoint must not panic, must keep its out-of-order buffer bounded,
 // and must still deliver the honest traffic exactly once. Forgeries are
 // *Frame and *Ack, the types the sublayer decodes: a value Frame would
-// pass through as non-sublayer traffic and test nothing.
+// pass through as non-sublayer traffic and test nothing. Honest traffic
+// runs 1→2, as do the forged ACKs, heartbeats, garbled frames and
+// pass-through; forged data frames run 3→2, a link with no honest traffic,
+// since a forged frame in the honest sequence space legitimately claims an
+// honest sequence number and the honest frame is then a duplicate.
 func FuzzRelFrameDecoding(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})                                // forged acks
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 9})              // an ACK whose Cum was never sent
@@ -49,12 +53,14 @@ func FuzzRelFrameDecoding(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 2, 2, 2})                          // duplicate data seqs
 	f.Add([]byte{3, 255, 255, 255, 255, 255, 255, 255, 255}) // overflow seq
 	f.Add([]byte{4, 5, 0, 4, 5, 0})                          // garbled + passthrough mix
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 5})           // a forged data frame at seq 0, then an honest send
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feed := &byteFeed{data: data}
-		raw := phys.NewNetwork(sim.NewEngine(17), graph.Line([]ids.ID{1, 2}))
+		raw := phys.NewNetwork(sim.NewEngine(17), graph.Line([]ids.ID{1, 2, 3}))
 		n := New(raw, DefaultConfig())
 		delivered := map[int]int{}
 		n.Register(1, phys.HandlerFunc(func(m phys.Message) {}))
+		n.Register(3, phys.HandlerFunc(func(m phys.Message) {}))
 		n.Register(2, phys.HandlerFunc(func(m phys.Message) {
 			if v, ok := m.Payload.(int); ok {
 				delivered[v]++
@@ -65,6 +71,7 @@ func FuzzRelFrameDecoding(f *testing.F) {
 		honest := 0
 		for op := 0; op < 32 && feed.i < len(feed.data); op++ {
 			var payload any
+			from := ids.ID(1)
 			switch feed.next() % 6 {
 			case 0:
 				payload = &Ack{Seq: feed.next64(), Cum: feed.next64()}
@@ -72,6 +79,7 @@ func FuzzRelFrameDecoding(f *testing.F) {
 				payload = Heartbeat{Seq: feed.next64()}
 			case 2:
 				payload = &Frame{Seq: feed.next64(), Hops: int(int8(feed.next())), Inner: "garbage"}
+				from = 3
 			case 3:
 				payload = phys.Garbled{}
 			case 4:
@@ -85,7 +93,7 @@ func FuzzRelFrameDecoding(f *testing.F) {
 			}
 			// Forged frames arrive on the raw network, bypassing the sender
 			// machinery — exactly what a corrupted or malicious frame does.
-			raw.Send(phys.Message{From: 1, To: 2, Kind: "test:forged", Payload: payload})
+			raw.Send(phys.Message{From: from, To: 2, Kind: "test:forged", Payload: payload})
 			eng.RunUntil(eng.Now()+4, nil)
 		}
 		eng.At(eng.Now()+4096, func() {})

@@ -33,6 +33,10 @@
 # Protocol alias: each protocol runs on one tick (a package constant),
 # chaos.Run on NewChecker's cadence and the n·4096 deadline, cmd/ssrsim
 # binds its own flags, and callers name node.Protocol. And fails when
+# non-test Go in internal/chaos names TransportReliable or calls
+# RunUntilConsistent or RunUntilHolds: one poll on the checker's cadence
+# decides every consistency field of a chaos.Run, and a scenario's faults
+# are compiled whatever transport replays them. And fails when
 # non-test Go declares a StatsSink type or reads an Analysis.Stats field:
 # trace.Analysis is the one place where events become metrics, so no second
 # fold may grow beside it. And fails when a non-test Go file imports "net",
@@ -92,6 +96,10 @@ if awk '/^type Config struct/,/^}/ { print FILENAME ": " $0 }' $(ls internal/ssr
 fi
 if grep -rnwE --include='*.go' --exclude='*_test.go' -e 'RunConfig' internal/chaos || grep -rnwE --include='*.go' --exclude='*_test.go' -e 'BindCLI|CLIOptions' internal/exp; then
 	echo "docs-check: chaos.Run takes no config and cmd/ssrsim binds its own flags; no RunConfig, BindCLI or CLIOptions"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' -e '(^|[^A-Za-z0-9_])TransportReliable([^A-Za-z0-9_]|$)' -e 'RunUntil(Consistent|Holds)[[:space:]]*\(' internal/chaos; then
+	echo "docs-check: one consistency poll decides chaos.Run's verdicts; no RunUntilConsistent/RunUntilHolds and no TransportReliable in internal/chaos"
 	fail=1
 fi
 if grep -rnE --include='*.go' '^[[:space:]]*(type[[:space:]]+)?Protocol[[:space:]]*=' internal/exp internal/chaos; then
