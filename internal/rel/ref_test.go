@@ -80,8 +80,8 @@ func newRef(raw *phys.Network, cfg Config) *refNetwork {
 	return &refNetwork{raw: raw, cfg: cfg, eps: make(map[ids.ID]*refEndpoint)}
 }
 
-func (n *refNetwork) Raw() *phys.Network { return n.raw }
-func (n *refNetwork) Stats() Stats       { return n.stats }
+func (n *refNetwork) Counters() *phys.Counters { return n.raw.Counters() }
+func (n *refNetwork) Stats() Stats             { return n.stats }
 
 func (n *refNetwork) Register(v ids.ID, h phys.Handler) {
 	ep, ok := n.eps[v]
@@ -370,7 +370,7 @@ type relUnderTest interface {
 	SubscribeLeases(self ids.ID, cb phys.LeaseFunc)
 	Send(m phys.Message) bool
 	Broadcast(from ids.ID, kind string, payload any) int
-	Raw() *phys.Network
+	Counters() *phys.Counters
 	Stats() Stats
 }
 
@@ -525,7 +525,7 @@ func TestNetworkMatchesReference(t *testing.T) {
 		total.LeaseDowns += st.LeaseDowns
 		total.LeaseUps += st.LeaseUps
 		for _, k := range []string{"drop:rel-overflow", "drop:stale-link", "drop:corrupt"} {
-			reached[k] += n.Raw().Counters().Get(k)
+			reached[k] += n.Counters().Get(k)
 		}
 	}
 	if total.Retransmits == 0 || total.Abandons == 0 || total.Duplicates == 0 || total.LeaseDowns == 0 || total.LeaseUps == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -114,11 +113,14 @@ type Stats struct {
 }
 
 // Network is the reliable transport. It implements phys.Transport by
-// wrapping a raw *phys.Network, and phys.FailureDetector for lease
+// embedding a raw *phys.Network, and phys.FailureDetector for lease
 // subscriptions. Like the raw network it is single-threaded: everything
 // runs inside the embedded engine's event loop.
 type Network struct {
-	raw   *phys.Network
+	// The raw network serves every Transport method but Register, Send
+	// and Broadcast, which the sublayer interposes; its own frames
+	// (transmissions, ACKs, heartbeats) go out through n.Network.Send.
+	*phys.Network
 	cfg   Config
 	eps   map[ids.ID]*endpoint
 	stats Stats
@@ -174,50 +176,14 @@ func New(raw *phys.Network, cfg Config) *Network {
 	if cfg.Window <= 0 {
 		cfg.Window = 1
 	}
-	return &Network{raw: raw, cfg: cfg, eps: make(map[ids.ID]*endpoint)}
+	return &Network{Network: raw, cfg: cfg, eps: make(map[ids.ID]*endpoint)}
 }
-
-// Raw returns the wrapped physical network (fault injection and counters
-// live there).
-func (n *Network) Raw() *phys.Network { return n.raw }
 
 // Config returns the sublayer tuning.
 func (n *Network) Config() Config { return n.cfg }
 
 // Stats returns a snapshot of the sublayer's aggregate behavior.
 func (n *Network) Stats() Stats { return n.stats }
-
-// Engine returns the underlying event engine.
-func (n *Network) Engine() *sim.Engine { return n.raw.Engine() }
-
-// Topology returns the live physical graph.
-func (n *Network) Topology() *graph.Graph { return n.raw.Topology() }
-
-// Counters returns the per-kind message accounting of the raw network —
-// reliable and raw runs are compared on the same ledger.
-func (n *Network) Counters() *phys.Counters { return n.raw.Counters() }
-
-// Tracer returns the raw network's tracer (nil when tracing is off).
-func (n *Network) Tracer() trace.Tracer { return n.raw.Tracer() }
-
-// Packets returns the raw network's packet free list: couriers on the
-// sublayer and on the raw network share one.
-func (n *Network) Packets() *phys.Packets { return n.raw.Packets() }
-
-// Nodes returns all registered node identifiers in ascending order.
-func (n *Network) Nodes() []ids.ID { return n.raw.Nodes() }
-
-// NeighborsOf returns the live physical neighbors of v, ascending.
-func (n *Network) NeighborsOf(v ids.ID) []ids.ID { return n.raw.NeighborsOf(v) }
-
-// Up reports whether v is registered and not failed.
-func (n *Network) Up(v ids.ID) bool { return n.raw.Up(v) }
-
-// FailNode marks v down on the underlying network.
-func (n *Network) FailNode(v ids.ID) { n.raw.FailNode(v) }
-
-// RecoverNode brings a failed node back up on the underlying network.
-func (n *Network) RecoverNode(v ids.ID) { n.raw.RecoverNode(v) }
 
 // Register installs the protocol handler for a node and starts the node's
 // heartbeat/lease chain. The sublayer interposes its own phys handler; the
@@ -227,8 +193,8 @@ func (n *Network) Register(v ids.ID, h phys.Handler) {
 	if !ok {
 		ep = &endpoint{net: n, self: v}
 		n.eps[v] = ep
-		n.raw.Register(v, phys.HandlerFunc(ep.handle))
-		n.raw.Engine().After(n.cfg.HeartbeatEvery, ep.tick)
+		n.Network.Register(v, phys.HandlerFunc(ep.handle))
+		n.Engine().After(n.cfg.HeartbeatEvery, ep.tick)
 	}
 	ep.inner = h
 }
@@ -252,8 +218,8 @@ func (n *Network) SubscribeLeases(self ids.ID, cb phys.LeaseFunc) {
 // the frame was accepted, not whether it was (yet) transmitted.
 func (n *Network) Send(m phys.Message) bool {
 	ep, ok := n.eps[m.From]
-	if !ok || !n.raw.Up(m.From) || !n.raw.Topology().HasEdge(m.From, m.To) {
-		n.raw.Counters().Inc("drop:no-link", 1)
+	if !ok || !n.Up(m.From) || !n.Topology().HasEdge(m.From, m.To) {
+		n.Counters().Inc("drop:no-link", 1)
 		n.traceDrop(m, "no-link")
 		return false
 	}
@@ -266,9 +232,9 @@ func (n *Network) Send(m phys.Message) bool {
 // raw network does for the frames it loses: every drop:<reason> the
 // counters count is traced.
 func (n *Network) traceDrop(m phys.Message, reason string) {
-	if tr := n.raw.Tracer(); tr != nil {
+	if tr := n.Tracer(); tr != nil {
 		tr.Emit(trace.Event{
-			T: int64(n.raw.Engine().Now()), Type: trace.EvMsgDrop,
+			T: int64(n.Engine().Now()), Type: trace.EvMsgDrop,
 			Node: m.From, Peer: m.To, Kind: m.Kind, Aux: reason,
 		})
 	}
@@ -278,7 +244,7 @@ func (n *Network) traceDrop(m phys.Message, reason string) {
 // and returns the number of frames accepted.
 func (n *Network) Broadcast(from ids.ID, kind string, payload any) int {
 	sent := 0
-	for _, u := range n.raw.NeighborsOf(from) {
+	for _, u := range n.NeighborsOf(from) {
 		if n.Send(phys.Message{From: from, To: u, Kind: kind, Payload: payload}) {
 			sent++
 		}
@@ -326,9 +292,9 @@ func (ep *endpoint) link(peer ids.ID) *link {
 // existing down-self idiom) so a recovered node resumes on its own.
 func (ep *endpoint) tick() {
 	n := ep.net
-	eng := n.raw.Engine()
+	eng := n.Engine()
 	defer eng.After(n.cfg.HeartbeatEvery, ep.tick)
-	if !n.raw.Up(ep.self) {
+	if !n.Up(ep.self) {
 		ep.selfDown = true
 		return
 	}
@@ -344,10 +310,10 @@ func (ep *endpoint) tick() {
 		}
 	}
 	ep.hbSeq++
-	for _, u := range n.raw.NeighborsOf(ep.self) {
+	for _, u := range n.NeighborsOf(ep.self) {
 		// Heartbeats ride the raw network unreliably: retransmitting a
 		// liveness probe would defeat its purpose, the next tick is the retry.
-		if n.raw.Send(phys.Message{From: ep.self, To: u, Kind: HeartbeatKind, Payload: Heartbeat{Seq: ep.hbSeq}}) {
+		if n.Network.Send(phys.Message{From: ep.self, To: u, Kind: HeartbeatKind, Payload: Heartbeat{Seq: ep.hbSeq}}) {
 			n.stats.Heartbeats++
 		}
 	}
@@ -364,13 +330,13 @@ func (ep *endpoint) tick() {
 // emitLease traces one failure-detector verdict and notifies subscribers.
 func (ep *endpoint) emitLease(peer ids.ID, up bool) {
 	n := ep.net
-	if tr := n.raw.Tracer(); tr != nil {
+	if tr := n.Tracer(); tr != nil {
 		v, aux := 1.0, "down"
 		if up {
 			v, aux = 0.0, "up"
 		}
 		tr.Emit(trace.Event{
-			T: int64(n.raw.Engine().Now()), Type: trace.EvLeaseExpire,
+			T: int64(n.Engine().Now()), Type: trace.EvLeaseExpire,
 			Node: ep.self, Peer: peer, Kind: "lease", Aux: aux, Value: v,
 		})
 	}
@@ -481,7 +447,7 @@ type link struct {
 // heard records liveness evidence from the peer and flips a down lease back
 // up.
 func (l *link) heard() {
-	l.lastHeard = l.ep.net.raw.Engine().Now()
+	l.lastHeard = l.ep.net.Engine().Now()
 	l.heardEver = true
 	if l.down {
 		l.down = false
@@ -534,8 +500,8 @@ func (l *link) transmit(p *pending) {
 	l.window = append(l.window, p)
 	l.live++
 	l.sent = p.seq
-	p.sentAt = n.raw.Engine().Now()
-	n.raw.Send(phys.Message{
+	p.sentAt = n.Engine().Now()
+	n.Network.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
 		Payload: n.newFrame(p.seq, p.m.Hops, p.m.Payload),
 	})
@@ -548,7 +514,7 @@ func (l *link) transmit(p *pending) {
 // pattern. The event is p's own: transmit arms it once, and after that only
 // its own firing does, so it is never pending here.
 func (l *link) armTimer(p *pending) {
-	l.ep.net.raw.Engine().Arm(&p.timer, l.est.RTO())
+	l.ep.net.Engine().Arm(&p.timer, l.est.RTO())
 }
 
 // retransmit handles one expired retransmission timer: back off, re-send,
@@ -556,8 +522,8 @@ func (l *link) armTimer(p *pending) {
 // its timer is armed again.
 func (l *link) retransmit(p *pending) (abandoned bool) {
 	n := l.ep.net
-	eng := n.raw.Engine()
-	if !n.raw.Up(p.m.From) {
+	eng := n.Engine()
+	if !n.Up(p.m.From) {
 		// Down sender: hold the frame without burning attempts; recovery
 		// resumes the retry chain (crash/recover churn idiom).
 		l.armTimer(p)
@@ -567,7 +533,7 @@ func (l *link) retransmit(p *pending) (abandoned bool) {
 		l.retire(int(p.seq - l.lowest()))
 		l.trim()
 		n.stats.Abandons++
-		n.raw.Counters().Inc("drop:rel-abandon", 1)
+		n.Counters().Inc("drop:rel-abandon", 1)
 		n.traceDrop(p.m, "rel-abandon")
 		l.pump()
 		return true
@@ -576,13 +542,13 @@ func (l *link) retransmit(p *pending) (abandoned bool) {
 	p.retx = true
 	l.est.Backoff()
 	n.stats.Retransmits++
-	if tr := n.raw.Tracer(); tr != nil {
+	if tr := n.Tracer(); tr != nil {
 		tr.Emit(trace.Event{
 			T: int64(eng.Now()), Type: trace.EvRetransmit,
 			Node: p.m.From, Peer: p.m.To, Kind: p.m.Kind, Value: float64(p.attempts),
 		})
 	}
-	n.raw.Send(phys.Message{
+	n.Network.Send(phys.Message{
 		From: p.m.From, To: p.m.To, Kind: p.m.Kind, Hops: p.m.Hops,
 		Payload: n.newFrame(p.seq, p.m.Hops, p.m.Payload),
 	})
@@ -612,7 +578,7 @@ func (l *link) recvData(m phys.Message, f *Frame) {
 	// so anything far beyond the cumulative mark is garbage. Dropping
 	// without an ACK keeps state bounded under fuzz and attack.
 	if f.Seq > l.maxRun+uint64(4*n.cfg.Window)+4 {
-		n.raw.Counters().Inc("drop:rel-overflow", 1)
+		n.Counters().Inc("drop:rel-overflow", 1)
 		n.traceDrop(m, "rel-overflow")
 		return
 	}
@@ -633,12 +599,12 @@ func (l *link) recvData(m phys.Message, f *Frame) {
 		// Duplicate: the ACK was lost or the retransmission raced it.
 		// Re-ACK (below) so the sender stops; never re-deliver.
 		n.stats.Duplicates++
-		n.raw.Counters().Inc("drop:duplicate", 1)
+		n.Counters().Inc("drop:duplicate", 1)
 		n.traceDrop(m, "duplicate")
 	}
 	// ACKs ride the raw network unreliably; the cumulative mark lets a
 	// later ACK retire frames whose own ACK was lost.
-	if n.raw.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: n.newAck(f.Seq, l.maxRun)}) {
+	if n.Network.Send(phys.Message{From: m.To, To: m.From, Kind: AckKind, Payload: n.newAck(f.Seq, l.maxRun)}) {
 		n.stats.AcksSent++
 	}
 	if fresh && l.ep.inner != nil {
@@ -660,12 +626,12 @@ func (l *link) recvAck(a *Ack) {
 		if p := l.retire(int(a.Seq - lo)); p != nil && !p.retx {
 			// Karn's rule: only never-retransmitted frames yield unambiguous
 			// RTT samples.
-			rtt := n.raw.Engine().Now() - p.sentAt
+			rtt := n.Engine().Now() - p.sentAt
 			l.est.Sample(rtt)
 			n.stats.RTTSamples++
-			if tr := n.raw.Tracer(); tr != nil {
+			if tr := n.Tracer(); tr != nil {
 				tr.Emit(trace.Event{
-					T: int64(n.raw.Engine().Now()), Type: trace.EvRtoUpdate,
+					T: int64(n.Engine().Now()), Type: trace.EvRtoUpdate,
 					Node: p.m.From, Peer: p.m.To, Kind: "rto",
 					Aux:   fmt.Sprintf("srtt=%.2f rttvar=%.2f", l.est.SRTT(), l.est.RTTVar()),
 					Value: float64(l.est.RTO()),

@@ -121,7 +121,7 @@ func TestAbandonAfterMaxRetries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
 	n, got := newPair(t, 7, cfg)
-	raw := n.Raw()
+	raw := n.Network
 	eng := n.Engine()
 	eng.At(1, func() {
 		for i := 0; i < 5; i++ {
@@ -155,7 +155,7 @@ func TestAbandonAfterMaxRetries(t *testing.T) {
 func TestLeaseDownUp(t *testing.T) {
 	cfg := DefaultConfig()
 	n, _ := newPair(t, 13, cfg)
-	raw := n.Raw()
+	raw := n.Network
 	eng := n.Engine()
 	type verdict struct {
 		peer ids.ID
@@ -355,8 +355,8 @@ func TestHandBuiltWrappersStayOffTheFreeLists(t *testing.T) {
 	eng := n.Engine()
 	f := &Frame{Seq: 1, Inner: "forged"}
 	a := &Ack{Seq: 7, Cum: 0}
-	n.Raw().Send(phys.Message{From: 1, To: 2, Kind: "test:forged", Payload: f})
-	n.Raw().Send(phys.Message{From: 2, To: 1, Kind: "test:forged", Payload: a})
+	n.Network.Send(phys.Message{From: 1, To: 2, Kind: "test:forged", Payload: f})
+	n.Network.Send(phys.Message{From: 2, To: 1, Kind: "test:forged", Payload: a})
 	eng.RunUntil(eng.Now()+4, nil)
 	if len(*got) != 1 || (*got)[0].Payload != "forged" {
 		t.Fatalf("hand-built frame delivered as %v, want one \"forged\"", *got)
