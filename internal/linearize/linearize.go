@@ -296,14 +296,11 @@ func (e *Engine) Done() bool {
 }
 
 // opSink collects the side effects of node operations — stat deltas and
-// trace events. The sequential phases use one direct sink that writes
-// straight into the engine's stats and tracer; each shard gets a buffering
-// sink whose contents are merged in shard order during the sequential
-// Finish phase, so the observable stream is deterministic regardless of
-// worker scheduling.
+// trace events. Each shard and the boundary pass get a sink whose contents
+// are merged in a fixed order during the sequential Finish phase, so the
+// observable stream is deterministic regardless of worker scheduling.
 type opSink struct {
 	e       *Engine
-	direct  bool // write through to e.stats / e.cfg.Tracer immediately
 	added   int64
 	dropped int64
 	peak    int
@@ -316,41 +313,18 @@ type opSink struct {
 	keep []int32
 }
 
-func (s *opSink) addEdge() {
-	if s.direct {
-		s.e.stats.EdgesAdded++
-	} else {
-		s.added++
-	}
-}
+func (s *opSink) addEdge() { s.added++ }
 
-func (s *opSink) dropEdge() {
-	if s.direct {
-		s.e.stats.EdgesDropped++
-	} else {
-		s.dropped++
-	}
-}
+func (s *opSink) dropEdge() { s.dropped++ }
 
 // observe folds the degree of a node that gained an edge into the
 // peak-degree statistic — O(1) per touched endpoint instead of a full rescan.
-func (s *opSink) observe(degree int) {
-	if s.direct {
-		s.e.stats.PeakDegree = max(s.e.stats.PeakDegree, degree)
-	} else {
-		s.peak = max(s.peak, degree)
-	}
-}
+func (s *opSink) observe(degree int) { s.peak = max(s.peak, degree) }
 
 func (s *opSink) emit(ev trace.Event) {
-	if s.e.cfg.Tracer == nil {
-		return
+	if s.e.cfg.Tracer != nil {
+		s.events = append(s.events, ev)
 	}
-	if s.direct {
-		s.e.cfg.Tracer.Emit(ev)
-		return
-	}
-	s.events = append(s.events, ev)
 }
 
 // traceEdge emits an edge event between the nodes at indices u and v.
@@ -360,26 +334,18 @@ func (s *opSink) traceEdge(t trace.EventType, u, v int32) {
 	}
 }
 
-func (s *opSink) reset() {
-	s.added, s.dropped, s.peak = 0, 0, 0
-	s.events = s.events[:0]
-}
-
-// flush merges a buffering sink into the engine's stats and tracer. Only
+// flush merges the sink into the engine's stats and tracer. Only
 // called from sequential contexts (the Finish phase).
 func (s *opSink) flush() {
 	e := s.e
 	e.stats.EdgesAdded += s.added
 	e.stats.EdgesDropped += s.dropped
-	if s.peak > e.stats.PeakDegree {
-		e.stats.PeakDegree = s.peak
+	e.stats.PeakDegree = max(e.stats.PeakDegree, s.peak)
+	for _, ev := range s.events {
+		e.cfg.Tracer.Emit(ev)
 	}
-	if e.cfg.Tracer != nil {
-		for _, ev := range s.events {
-			e.cfg.Tracer.Emit(ev)
-		}
-	}
-	s.reset()
+	s.added, s.dropped, s.peak = 0, 0, 0
+	s.events = s.events[:0]
 }
 
 // stepInPlace atomically applies the operation of the node at index v to

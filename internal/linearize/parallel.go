@@ -90,8 +90,8 @@ type parExec struct {
 	jacobi  bool        // Memory under the synchronous scheduler (snapshot-merge rounds)
 	workers int         // pool width (also the merge's fan-out)
 
-	root      opSink          // sequential-phase sink (direct)
-	sinks     []opSink        // per-shard buffering sinks (atomic Execute)
+	root      opSink          // sink of the boundary pass (atomic Finish)
+	sinks     []opSink        // per-shard sinks (atomic Execute)
 	intCounts []int           // per-shard activations in the parallel phases this round
 	bndCounts []int           // per-shard sequential activations this round
 	durs      []time.Duration // per-shard busy time of a profiled parallel phase
@@ -138,7 +138,7 @@ func (e *Engine) Run() Stats {
 	p := &parExec{
 		e:         e,
 		workers:   workers,
-		root:      opSink{e: e, direct: true},
+		root:      opSink{e: e},
 		sinks:     make([]opSink, shardCount),
 		intCounts: make([]int, shardCount),
 		bndCounts: make([]int, shardCount),
@@ -306,22 +306,16 @@ func (p *parExec) endRound(round int) {
 	}
 }
 
-// emitShardRound emits one EvShardRound per shard plus the aggregate gauge
-// for one phase of the finished round.
+// emitShardRound emits one EvShardRound per shard for one phase of the
+// finished round.
 func (p *parExec) emitShardRound(phase string, counts []int) {
 	e := p.e
-	total := 0
 	for _, s := range p.shards {
-		total += counts[s.Index]
 		e.cfg.Tracer.Emit(trace.Event{
 			T: int64(e.curRound), Type: trace.EvShardRound,
 			Kind: strconv.Itoa(s.Index), Aux: phase, Value: float64(counts[s.Index]),
 		})
 	}
-	e.cfg.Tracer.Emit(trace.Event{
-		T: int64(e.curRound), Type: trace.EvGauge,
-		Kind: "parallel/" + phase + "-activations", Value: float64(total),
-	})
 }
 
 // jacobiBegin freezes the engine's rows into the image Prepare and the
@@ -460,7 +454,8 @@ func (p *parExec) atomicExecute(s sim.Shard) {
 
 // atomicFinish merges the shard sinks in shard order (deterministic stats
 // and trace stream for any worker count), then runs the boundary nodes
-// sequentially in global identifier order. Then the ring may close.
+// sequentially in global identifier order and merges their sink. Then the
+// ring may close.
 func (p *parExec) atomicFinish(int) {
 	e := p.e
 	for i := range p.sinks {
@@ -475,5 +470,6 @@ func (p *parExec) atomicFinish(int) {
 		}
 		p.bndCounts[si] = changed
 	}
+	p.root.flush()
 	e.closeRing()
 }

@@ -37,13 +37,9 @@ func (c *captureTracer) Emit(e trace.Event) { c.events = append(c.events, e) }
 func sansShardEvents(evs []trace.Event) []trace.Event {
 	out := make([]trace.Event, 0, len(evs))
 	for _, e := range evs {
-		if e.Type == trace.EvShardRound {
-			continue
+		if e.Type != trace.EvShardRound {
+			out = append(out, e)
 		}
-		if e.Type == trace.EvGauge && len(e.Kind) >= 9 && e.Kind[:9] == "parallel/" {
-			continue
-		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -97,7 +97,7 @@ func TestStopStopsMembersAndRetiresProbe(t *testing.T) {
 		t.Fatal("AttachProbe(nil) must not schedule")
 	}
 	rec := &trace.Recorder{}
-	samples := func() int { return len(rec.Filter(trace.EvProbe)) / 7 } // seven series per sample
+	samples := func() int { return len(rec.Filter(trace.EvProbe)) / 6 } // six series per sample
 	c.AttachProbe(&trace.Probe{Tracer: rec}, 4)
 	eng := net.Engine()
 	eng.RunUntil(20, nil)

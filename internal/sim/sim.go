@@ -190,9 +190,9 @@ type Engine struct {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithTracer installs the engine's tracer. Firings emit EvSimFire with the
-// remaining queue depth as a gauge value; cancellations emit EvSimCancel.
-// Without this option the engine keeps the zero-cost nil-tracer fast path.
+// WithTracer installs the engine's tracer, which hears each cancellation as
+// an EvSimCancel; a firing emits nothing. Without this option the engine
+// keeps the zero-cost nil-tracer fast path.
 func WithTracer(t trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
 }
@@ -217,13 +217,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // EventsExecuted returns how many events have fired so far.
 func (e *Engine) EventsExecuted() int64 { return e.events }
 
-// Tracer returns the engine's tracer (nil when tracing is disabled).
-func (e *Engine) Tracer() trace.Tracer { return e.tracer }
-
 // Pending returns the number of events in the queue. A cancelled event
 // stays queued, and counted, until it reaches the head of the queue and is
-// popped unfired; RunUntilHolds' drain test and the EvSimFire depth gauge
-// read this count.
+// popped unfired; RunUntilHolds' drain test reads this count.
 func (e *Engine) Pending() int { return e.queue.n }
 
 // At schedules fn at absolute time t (clamped to now if in the past) and
@@ -270,9 +266,6 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.At
 		e.events++
-		if e.tracer != nil {
-			e.tracer.Emit(trace.Event{T: int64(e.now), Type: trace.EvSimFire, Value: float64(e.queue.n)})
-		}
 		ev.Fn()
 		return true
 	}

@@ -464,8 +464,8 @@ func refOps() engineOps {
 
 // playScript decodes script into engine operations, applies them to ops
 // and returns everything observable: per firing the event's number, Now
-// and Pending (the EvSimFire depth gauge), and per operation its result
-// followed by Now, Pending and EventsExecuted.
+// and Pending, and per operation its result followed by Now, Pending and
+// EventsExecuted.
 //
 // Each operation is an opcode byte and up to two argument bytes (missing
 // bytes read as 0). A scheduling operation's last argument is the event's
@@ -662,11 +662,11 @@ func (r *recordingTracer) Emit(e trace.Event) { r.events = append(r.events, e) }
 func TestEngineOptions(t *testing.T) {
 	rec := recordingTracer{}
 	e := NewEngine(1, WithTracer(&rec))
-	if e.Tracer() != &rec {
+	if e.tracer != &rec {
 		t.Fatal("WithTracer did not install the tracer")
 	}
 	e = NewEngine(1, WithTracer(nil))
-	if e.Tracer() != nil {
+	if e.tracer != nil {
 		t.Fatal("WithTracer(nil) must leave no tracer")
 	}
 }

@@ -32,14 +32,12 @@ const (
 // Verdict is the convergence story of one trace, reconstructed from its
 // EvProbe samples (and round bookkeeping when present). The convergence
 // criterion is the "missing" series — consecutive line edges not yet
-// present — when the trace carries it, because legitimate surplus edges
-// (route-cache state) keep the scalar distance nonzero on converged SSR
-// runs; older traces with only a "distance" series fall back to it.
+// present — because legitimate surplus edges (route-cache state) stay on
+// converged SSR runs.
 type Verdict struct {
-	Metric        string // series the criterion used: "missing" or "distance"
-	Probes        int    // criterion samples seen
-	Converged     bool   // criterion series ended at zero
-	ConvergedAt   int64  // T of the first sample of the final all-zero suffix (-1: never)
+	Probes        int   // "missing" samples seen
+	Converged     bool  // the series ended at zero
+	ConvergedAt   int64 // T of the first sample of the final all-zero suffix (-1: never)
 	FinalDistance float64
 	Oscillations  int  // criterion samples that regressed upward
 	ConnectedAll  bool // connectivity invariant held at every sample
@@ -60,9 +58,9 @@ func (v Verdict) String() string {
 	if v.Converged {
 		fmt.Fprintf(&b, "CONVERGED at round %d", v.ConvergedAt)
 	} else {
-		fmt.Fprintf(&b, "NOT CONVERGED (final %s %g)", v.Metric, v.FinalDistance)
+		fmt.Fprintf(&b, "NOT CONVERGED (final missing %g)", v.FinalDistance)
 	}
-	fmt.Fprintf(&b, " | metric=%s probes=%d oscillations=%d connectedAll=%v", v.Metric, v.Probes, v.Oscillations, v.ConnectedAll)
+	fmt.Fprintf(&b, " | metric=missing probes=%d oscillations=%d connectedAll=%v", v.Probes, v.Oscillations, v.ConnectedAll)
 	if v.Rounds > 0 {
 		fmt.Fprintf(&b, " rounds=%d", v.Rounds)
 	}
@@ -134,7 +132,6 @@ type Analysis struct {
 	firstT       int64
 	lastT        int64
 	haveT        bool
-	distance     seriesTrack
 	missing      seriesTrack
 	disconnected bool
 	// Latest reading of every probe series, stamped with its round, and
@@ -206,7 +203,6 @@ func NewAnalysis() *Analysis {
 		drops:         make(map[string]int64),
 		byNode:        make(map[ids.ID]*nodeStat),
 		counters:      make(map[string]float64),
-		distance:      seriesTrack{convergedAt: -1},
 		missing:       seriesTrack{convergedAt: -1},
 		probes:        make(map[string]probeReading),
 		invChecks:     make(map[string]int64),
@@ -309,8 +305,6 @@ func (a *Analysis) Emit(e Event) {
 		a.probes[e.Kind] = probeReading{t: e.T, v: e.Value}
 		a.probeT = e.T
 		switch e.Kind {
-		case "distance":
-			a.distance.add(e.T, e.Value)
 		case "missing":
 			a.missing.add(e.T, e.Value)
 		case "connected":
@@ -323,10 +317,8 @@ func (a *Analysis) Emit(e Event) {
 
 // LastProbe reassembles the newest ProbeSample from the per-metric EvProbe
 // events Probe.Observe emits (all sharing one T = round index); ok is false
-// before the first probe event. A round that carries the missing/surplus
-// decomposition reports it; a round with only the scalar "distance" (older
-// traces) parks it in Surplus with Missing zero. A series with no reading
-// in the newest round leaves its field zero (false for Connected).
+// before the first probe event. A series with no reading in the newest
+// round leaves its field zero (false for Connected).
 func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -343,13 +335,8 @@ func (a *Analysis) LastProbe() (s ProbeSample, ok bool) {
 		return int(r.v), true
 	}
 	s.Round = int(a.probeT)
-	missing, hasMissing := at("missing")
-	surplus, hasSurplus := at("surplus")
-	if hasMissing || hasSurplus {
-		s.Missing, s.Surplus = missing, surplus
-	} else {
-		s.Surplus, _ = at("distance")
-	}
+	s.Missing, _ = at("missing")
+	s.Surplus, _ = at("surplus")
 	connected, _ := at("connected")
 	s.Connected = connected != 0
 	s.MultiLeft, _ = at("multi-left")
@@ -380,18 +367,12 @@ func (a *Analysis) TimeSpan() (first, last int64) {
 	return a.firstT, a.lastT
 }
 
-// Verdict assembles the convergence verdict from the folded probe series,
-// judging on "missing" when the trace carries the decomposition and on
-// the scalar "distance" otherwise.
+// Verdict assembles the convergence verdict from the folded "missing" series.
 func (a *Analysis) Verdict() Verdict {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	crit, metric := &a.missing, "missing"
-	if !a.missing.have {
-		crit, metric = &a.distance, "distance"
-	}
+	crit := &a.missing
 	v := Verdict{
-		Metric:        metric,
 		Probes:        crit.n,
 		FinalDistance: crit.last,
 		Oscillations:  crit.osc,

@@ -26,7 +26,7 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 			w.Emit(trace.Event{T: round, Type: trace.EvRoundEnd, Value: float64(nodes)})
 			round++
 		case i%61 == 0:
-			w.Emit(trace.Event{T: round, Type: trace.EvProbe, Kind: "distance", Value: float64(events - i)})
+			w.Emit(trace.Event{T: round, Type: trace.EvProbe, Kind: "missing", Value: float64(events - i)})
 		case i%13 == 0:
 			w.Emit(trace.Event{T: round, Type: trace.EvMsgDrop, Node: src, Peer: dst, Kind: kinds[i%len(kinds)], Aux: "loss"})
 		case i%2 == 0:

@@ -51,7 +51,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []trace.Event{
 		{T: 1, Type: trace.EvMsgSend, Node: 3, Peer: 9, Kind: "ssr:notify", Value: 2},
 		{T: 2, Type: trace.EvMsgDrop, Node: 3, Peer: 9, Kind: "ssr:notify", Aux: "loss"},
-		{T: 5, Type: trace.EvProbe, Kind: "distance", Value: 7},
+		{T: 5, Type: trace.EvProbe, Kind: "missing", Value: 7},
 	}
 	for _, e := range in {
 		w.Emit(e)
@@ -109,6 +109,19 @@ func TestLevelFilterAndTee(t *testing.T) {
 	}
 }
 
+func TestParseLevel(t *testing.T) {
+	for s, want := range map[string]trace.Level{"off": trace.LevelOff, "round": trace.LevelRound, "msg": trace.LevelMsg} {
+		if got, ok := trace.ParseLevel(s); !ok || got != want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{"coarse", "fine", "all", ""} {
+		if _, ok := trace.ParseLevel(s); ok {
+			t.Errorf("ParseLevel(%q) accepted", s)
+		}
+	}
+}
+
 // The TestStatsSink* tests keep their names from when a separate stats sink
 // held these totals; they now hold trace.Analysis, the one fold of events.
 func TestStatsSinkAggregates(t *testing.T) {
@@ -118,8 +131,6 @@ func TestStatsSinkAggregates(t *testing.T) {
 	s.Emit(trace.Event{Type: trace.EvMsgSend, Kind: "ssr:ack"})
 	s.Emit(trace.Event{Type: trace.EvMsgDrop, Kind: "ssr:ack", Aux: "loss"})
 	s.Emit(trace.Event{Type: trace.EvCounter, Kind: "isprp:flood-origin", Value: 1})
-	s.Emit(trace.Event{Type: trace.EvGauge, Kind: "queue", Value: 5})
-	s.Emit(trace.Event{Type: trace.EvGauge, Kind: "queue", Value: 3})
 	s.Emit(trace.Event{Type: trace.EvRoundEnd})
 	if s.TotalSent() != 3 {
 		t.Errorf("total sent %d", s.TotalSent())
@@ -146,11 +157,11 @@ func TestStatsSinkAggregates(t *testing.T) {
 func TestProbeOnLoopyConvergence(t *testing.T) {
 	var buf bytes.Buffer
 	w := trace.NewJSONLWriter(&buf)
-	rec, live := &trace.Recorder{}, trace.NewAnalysis()
-	p := &trace.Probe{Tracer: trace.Tee(rec, live, w)}
+	live := trace.NewAnalysis()
+	p := &trace.Probe{Tracer: trace.Tee(live, w)}
 	g := vring.LoopyExample().ToGraph()
 	p.Observe(0, g) // pre-run sample: loopy state is far from the line
-	if first, ok := live.LastProbe(); !ok || first.Distance() == 0 {
+	if first, ok := live.LastProbe(); !ok || first.Missing+first.Surplus == 0 {
 		t.Errorf("loopy state should start at nonzero distance: %+v (ok=%v)", first, ok)
 	}
 	stats, final := linearize.Run(g, linearize.Config{
@@ -173,16 +184,6 @@ func TestProbeOnLoopyConvergence(t *testing.T) {
 	if last.Missing != 0 || last.Missing != missing || last.Surplus != surplus || last.Edges != final.NumEdges() {
 		t.Errorf("last sample %+v does not describe the final graph (missing=%d surplus=%d edges=%d)",
 			last, missing, surplus, final.NumEdges())
-	}
-	// Each sample's scalar distance is its decomposition's sum.
-	byKind := map[string][]float64{}
-	for _, e := range rec.Filter(trace.EvProbe) {
-		byKind[e.Kind] = append(byKind[e.Kind], e.Value)
-	}
-	for i, d := range byKind["distance"] {
-		if d != byKind["missing"][i]+byKind["surplus"][i] {
-			t.Errorf("sample %d: distance %v != missing %v + surplus %v", i, d, byKind["missing"][i], byKind["surplus"][i])
-		}
 	}
 	// The JSONL replay folds to the same verdict and last sample.
 	replay, err := trace.AnalyzeStream(trace.NewScanner(&buf))
@@ -228,11 +229,9 @@ func TestSimEngineTracing(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired=%d", fired)
 	}
-	if got := len(rec.Filter(trace.EvSimFire)); got != 2 {
-		t.Errorf("EvSimFire=%d, want 2", got)
-	}
-	if got := len(rec.Filter(trace.EvSimCancel)); got != 1 {
-		t.Errorf("EvSimCancel=%d, want 1", got)
+	// A firing emits nothing; the one cancellation emits one event.
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Type != trace.EvSimCancel {
+		t.Errorf("events = %v, want exactly one sim-cancel", evs)
 	}
 }
 

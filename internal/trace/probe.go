@@ -18,9 +18,6 @@ type ProbeSample struct {
 	MultiRight int // nodes with >1 right neighbor
 }
 
-// Distance is the scalar convergence metric: missing + surplus edges.
-func (s ProbeSample) Distance() int { return s.Missing + s.Surplus }
-
 // Probe is the convergence monitor: fed one graph snapshot per round (its
 // Observe method matches linearize.Config.OnRound and the cluster probes of
 // the message-level protocols), it emits each sample to Tracer as EvProbe
@@ -57,10 +54,8 @@ func (p *Probe) Observe(round int, g *graph.Graph) {
 		conn = 1.0
 	}
 	t := int64(round)
-	p.Tracer.Emit(Event{T: t, Type: EvProbe, Kind: "distance", Value: float64(s.Distance())})
-	// The decomposition travels too: missing==0 is the global-consistency
-	// criterion that stays meaningful when legitimate surplus edges
-	// (route-cache state) keep the scalar distance nonzero.
+	// missing==0 is the global-consistency criterion; surplus edges may be
+	// legitimate route-cache state, so they travel as a series of their own.
 	p.Tracer.Emit(Event{T: t, Type: EvProbe, Kind: "missing", Value: float64(s.Missing)})
 	p.Tracer.Emit(Event{T: t, Type: EvProbe, Kind: "surplus", Value: float64(s.Surplus)})
 	p.Tracer.Emit(Event{T: t, Type: EvProbe, Kind: "connected", Value: conn})

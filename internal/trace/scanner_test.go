@@ -26,7 +26,7 @@ func writeEvents(t *testing.T, events []trace.Event) *bytes.Buffer {
 func TestScannerStreamsAllEvents(t *testing.T) {
 	in := []trace.Event{
 		{T: 1, Type: trace.EvMsgSend, Node: 3, Peer: 9, Kind: "ssr:notify"},
-		{T: 2, Type: trace.EvProbe, Kind: "distance", Value: 4},
+		{T: 2, Type: trace.EvProbe, Kind: "missing", Value: 4},
 		{T: 3, Type: trace.EvRoundEnd, Value: 12},
 	}
 	sc := trace.NewScanner(writeEvents(t, in))
@@ -52,8 +52,8 @@ func TestScannerStreamsAllEvents(t *testing.T) {
 
 func TestScannerTruncatedFinalLine(t *testing.T) {
 	buf := writeEvents(t, []trace.Event{
-		{T: 1, Type: trace.EvProbe, Kind: "distance", Value: 3},
-		{T: 2, Type: trace.EvProbe, Kind: "distance", Value: 1},
+		{T: 1, Type: trace.EvProbe, Kind: "missing", Value: 3},
+		{T: 2, Type: trace.EvProbe, Kind: "missing", Value: 1},
 	})
 	// Simulate a crash mid-write: a partial line with no newline.
 	buf.WriteString(`{"t":3,"ev":"pro`)
@@ -67,6 +67,28 @@ func TestScannerTruncatedFinalLine(t *testing.T) {
 	}
 	if sc.Err() == nil {
 		t.Error("want an error for the truncated final line")
+	}
+}
+
+// TestScannerReadsRetiredEvents: the sim-fire, gauge and distance-probe
+// lines that older traces carry still scan, and fold into nothing.
+func TestScannerReadsRetiredEvents(t *testing.T) {
+	input := `{"t":3,"ev":"sim-fire","val":41}
+{"t":2,"ev":"gauge","kind":"parallel/interior-activations","val":17}
+{"t":2,"ev":"probe","kind":"distance","val":5}
+`
+	a, err := trace.AnalyzeStream(trace.NewScanner(strings.NewReader(input)))
+	if err != nil {
+		t.Fatalf("err: %v", err)
+	}
+	if a.Events() != 3 {
+		t.Errorf("events = %d, want 3", a.Events())
+	}
+	if v := a.Verdict(); v.Probes != 0 || v.Converged {
+		t.Errorf("a distance sample must not feed the verdict: %+v", v)
+	}
+	if s, _ := a.LastProbe(); s != (trace.ProbeSample{Round: 2}) {
+		t.Errorf("last sample = %+v, want an empty round 2", s)
 	}
 }
 
@@ -179,7 +201,6 @@ func TestStatsSinkConcurrent(t *testing.T) {
 		{Type: trace.EvMsgRecv, Kind: "k"},
 		{Type: trace.EvMsgDrop, Kind: "k", Aux: "loss"},
 		{Type: trace.EvCounter, Kind: "c", Value: 1},
-		{Type: trace.EvGauge, Kind: "g", Value: 2},
 		{Type: trace.EvRoundEnd},
 		{Type: trace.EvProbe, Kind: "missing", Value: 1},
 		{Type: trace.EvInvariant, Kind: "inv"},
@@ -233,7 +254,7 @@ func TestStatsSinkConcurrent(t *testing.T) {
 func TestAnalysisVerdictConverged(t *testing.T) {
 	a := trace.NewAnalysis()
 	for i, d := range []float64{5, 3, 4, 2, 0, 0} {
-		a.Emit(trace.Event{T: int64(i), Type: trace.EvProbe, Kind: "distance", Value: d})
+		a.Emit(trace.Event{T: int64(i), Type: trace.EvProbe, Kind: "missing", Value: d})
 		a.Emit(trace.Event{T: int64(i), Type: trace.EvProbe, Kind: "connected", Value: 1})
 	}
 	v := a.Verdict()
@@ -255,7 +276,7 @@ func TestAnalysisVerdictNotConverged(t *testing.T) {
 	a := trace.NewAnalysis()
 	// Touches zero mid-run but regresses: must not count as converged.
 	for i, d := range []float64{4, 0, 2, 1} {
-		a.Emit(trace.Event{T: int64(i), Type: trace.EvProbe, Kind: "distance", Value: d})
+		a.Emit(trace.Event{T: int64(i), Type: trace.EvProbe, Kind: "missing", Value: d})
 	}
 	a.Emit(trace.Event{T: 2, Type: trace.EvProbe, Kind: "connected", Value: 0})
 	v := a.Verdict()
@@ -272,22 +293,18 @@ func TestAnalysisVerdictNotConverged(t *testing.T) {
 
 func TestAnalysisVerdictPrefersMissing(t *testing.T) {
 	// A converged SSR run: missing hits zero while legitimate route-cache
-	// surplus keeps the scalar distance nonzero. The verdict must judge on
-	// the missing series, not the distance.
+	// surplus stays and grows. The verdict must judge on the missing series
+	// alone.
 	a := trace.NewAnalysis()
 	missing := []float64{6, 2, 0, 0}
 	surplus := []float64{9, 11, 12, 12}
 	for i := range missing {
 		ti := int64(i)
-		a.Emit(trace.Event{T: ti, Type: trace.EvProbe, Kind: "distance", Value: missing[i] + surplus[i]})
 		a.Emit(trace.Event{T: ti, Type: trace.EvProbe, Kind: "missing", Value: missing[i]})
 		a.Emit(trace.Event{T: ti, Type: trace.EvProbe, Kind: "surplus", Value: surplus[i]})
 		a.Emit(trace.Event{T: ti, Type: trace.EvProbe, Kind: "connected", Value: 1})
 	}
 	v := a.Verdict()
-	if v.Metric != "missing" {
-		t.Errorf("metric = %q, want missing", v.Metric)
-	}
 	if !v.Converged || v.ConvergedAt != 2 {
 		t.Errorf("verdict = %+v, want converged at 2", v)
 	}
@@ -306,25 +323,16 @@ func TestAnalysisLastProbeDecomposition(t *testing.T) {
 	if s, ok := a.LastProbe(); ok {
 		t.Errorf("LastProbe before any probe event = %+v, want ok=false", s)
 	}
-	// A round that carries the decomposition reports the true
-	// Missing/Surplus split, not the scalar, and every other series.
+	// A round reports every series it carries.
 	for kind, v := range map[string]float64{
-		"distance": 15, "missing": 2, "surplus": 13, "connected": 1,
+		"missing": 2, "surplus": 13, "connected": 1,
 		"multi-left": 2, "multi-right": 1, "edges": 40,
 	} {
 		a.Emit(trace.Event{T: 5, Type: trace.EvProbe, Kind: kind, Value: v})
 	}
 	want := trace.ProbeSample{Round: 5, Missing: 2, Surplus: 13, Edges: 40, Connected: true, MultiLeft: 2, MultiRight: 1}
-	if s, ok := a.LastProbe(); !ok || s != want || s.Distance() != 15 {
-		t.Errorf("sample = %+v ok=%v, want %+v", s, ok, want)
-	}
-	// An older-trace round with only the scalar parks it in Surplus, and
-	// must not inherit the previous round's decomposition, edges,
-	// connectivity or multiplicities.
-	a.Emit(trace.Event{T: 6, Type: trace.EvProbe, Kind: "distance", Value: 3})
-	want = trace.ProbeSample{Round: 6, Surplus: 3}
 	if s, ok := a.LastProbe(); !ok || s != want {
-		t.Errorf("fallback sample = %+v ok=%v, want %+v", s, ok, want)
+		t.Errorf("sample = %+v ok=%v, want %+v", s, ok, want)
 	}
 }
 
@@ -352,8 +360,8 @@ func TestAnalysisTaxonomyFallsBackToCounters(t *testing.T) {
 
 func TestAnalyzeStream(t *testing.T) {
 	buf := writeEvents(t, []trace.Event{
-		{T: 0, Type: trace.EvProbe, Kind: "distance", Value: 2},
-		{T: 1, Type: trace.EvProbe, Kind: "distance", Value: 0},
+		{T: 0, Type: trace.EvProbe, Kind: "missing", Value: 2},
+		{T: 1, Type: trace.EvProbe, Kind: "missing", Value: 0},
 		{T: 1, Type: trace.EvRoundEnd},
 	})
 	a, err := trace.AnalyzeStream(trace.NewScanner(buf))

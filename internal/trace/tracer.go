@@ -14,10 +14,9 @@ import (
 )
 
 // EventType classifies a trace event. The taxonomy covers the three layers
-// the experiments need to see inside: the event engine (SimFire/SimCancel),
-// the physical network (Msg*), and the linearization/protocol layer
-// (Edge*, Round*, NodeActivate, RingClosed, Probe) plus generic
-// counter/gauge hooks.
+// the experiments need to see inside: the event engine (SimCancel), the
+// physical network (Msg*), and the linearization/protocol layer (Edge*,
+// Round*, NodeActivate, RingClosed, Probe) plus a generic counter hook.
 type EventType uint8
 
 const (
@@ -45,16 +44,18 @@ const (
 	EvNodeActivate
 	// EvRingClosed records a wrap edge / wrap partner being established.
 	EvRingClosed
-	// EvSimFire records an engine event firing (Value: queue depth after).
+	// EvSimFire is retired: nothing emits it, since a firing shows in the
+	// events it causes. The name stays so that older traces still decode.
 	EvSimFire
 	// EvSimCancel records a scheduled engine event being cancelled.
 	EvSimCancel
 	// EvCounter is a named monotonic counter increment (Kind, Value).
 	EvCounter
-	// EvGauge is a named instantaneous measurement (Kind, Value).
+	// EvGauge is retired like EvSimFire: nothing emits it, and the name
+	// stays so that older traces still decode.
 	EvGauge
 	// EvProbe is a convergence-probe sample; Kind names the metric
-	// ("distance", "connected", "multi-left", …), Value carries it.
+	// ("missing", "surplus", "connected", "multi-left", …), Value carries it.
 	EvProbe
 	// EvShardRound is one shard's per-round accounting from the sharded
 	// parallel executor (Kind: shard index in decimal; Aux: the phase —
@@ -164,21 +165,21 @@ type Level uint8
 const (
 	// LevelOff suppresses everything (only meaningful in a LevelFilter).
 	LevelOff Level = iota
-	// LevelRound keeps coarse events: rounds, ring closure, probes,
-	// counters and gauges — one event per round/sample, not per message.
+	// LevelRound keeps coarse events: rounds, ring closure, probes and
+	// counters — one event per round/sample, not per message.
 	LevelRound
 	// LevelMsg keeps everything, including per-message and per-edge events.
 	LevelMsg
 )
 
-// ParseLevel maps the CLI spellings to a Level.
+// ParseLevel maps the -trace-level spellings off, round and msg to a Level.
 func ParseLevel(s string) (Level, bool) {
 	switch s {
 	case "off":
 		return LevelOff, true
-	case "round", "coarse":
+	case "round":
 		return LevelRound, true
-	case "msg", "fine", "all":
+	case "msg":
 		return LevelMsg, true
 	}
 	return LevelOff, false
@@ -187,7 +188,7 @@ func ParseLevel(s string) (Level, bool) {
 // LevelOf returns the intrinsic granularity of an event type.
 func LevelOf(t EventType) Level {
 	switch t {
-	case EvRoundStart, EvRoundEnd, EvRingClosed, EvCounter, EvGauge, EvProbe, EvInvariant,
+	case EvRoundStart, EvRoundEnd, EvRingClosed, EvCounter, EvProbe, EvInvariant,
 		EvLeaseExpire, EvSpan, EvShardRound:
 		// Lease verdicts are rare and diagnostic gold under churn, so they
 		// survive coarse traces; retransmissions and RTO updates are
@@ -206,8 +207,8 @@ func LevelOf(t EventType) Level {
 // producer documents which. Node/Peer identify the acting node and its
 // counterpart (receiver, edge endpoint, wrap partner); Kind carries the
 // message kind or metric name; Aux is a free-form qualifier (drop reason,
-// variant name, ring side); Value is the numeric payload (latency, gauge
-// reading, keep-set size, probe metric).
+// variant name, ring side); Value is the numeric payload (latency, counter
+// increment, keep-set size, probe metric).
 type Event struct {
 	T     int64     `json:"t"`
 	Type  EventType `json:"ev"`

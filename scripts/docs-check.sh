@@ -43,8 +43,12 @@
 # "net/http" or a package under it, or a non-test file under cmd/ names a
 # "listen" or "pprof" flag: a run is read after it ends, from its -trace
 # file through tracectl, and profiled through go test's -cpuprofile and
-# -memprofile, so no live server comes back beside that reader. Run from
-# the repo root.
+# -memprofile, so no live server comes back beside that reader. And fails
+# when non-test Go outside the taxonomy (internal/trace/tracer.go) names
+# EvSimFire or EvGauge, or builds an event of Kind "distance": the trace
+# records each fact once, and a firing, the executor's activation total and
+# missing + surplus are each already in it (the names stay decodable so
+# older traces still read). Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -116,6 +120,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '"net(/http(/[a-z]+)?)?"' .;
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' '"(listen|pprof)"' cmd; then
 	echo "docs-check: cmd/ defines no -listen or -pprof flag; trace with -trace and read the file with tracectl"
+	fail=1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'Ev(SimFire|Gauge)([^A-Za-z0-9_]|$)' -e 'Kind:[[:space:]]*"distance"' . | grep -v '^\./internal/trace/tracer\.go:'; then
+	echo "docs-check: no sim-fire, gauge or distance-probe events: the trace carries each of those facts already"
 	fail=1
 fi
 exit $fail
