@@ -77,24 +77,24 @@ func TestProtocolContract(t *testing.T) {
 // alone.
 func TestProtocolEventStreamPinned(t *testing.T) {
 	want := map[string]uint64{
-		"flood/raw":              0x61bc2ca6ede74b47,
-		"flood/reliable":         0x965313e82bc33c95,
-		"isprp/raw":              0xb02be9da60979c9e,
-		"isprp/reliable":         0x53c8aa1143767656,
-		"linearization/raw":      0x1e62de002cab00a8,
-		"linearization/reliable": 0x1e72ca186c6c6787,
-		"vrr/raw":                0x1fd676795529f42b,
-		"vrr/reliable":           0xb2b85ace202d2d36,
+		"flood/raw":              0xf85847263184ea62,
+		"flood/reliable":         0x8ae0bc788b0d349b,
+		"isprp/raw":              0xcd5b41bc58b22038,
+		"isprp/reliable":         0x63d80c3f9bdc118b,
+		"linearization/raw":      0x2f21e2f3b84db5f8,
+		"linearization/reliable": 0x4975ba27cdc877e3,
+		"vrr/raw":                0xa43310f613f5b5ce,
+		"vrr/reliable":           0x496150c10b9a008a,
 	}
 	wantNoEdges := map[string]uint64{
-		"flood/raw":              0x61bc2ca6ede74b47,
-		"flood/reliable":         0x965313e82bc33c95,
-		"isprp/raw":              0xb02be9da60979c9e,
-		"isprp/reliable":         0x53c8aa1143767656,
-		"linearization/raw":      0xb7251fb2e7049e9a,
-		"linearization/reliable": 0x2d39aeaf3744ccbb,
-		"vrr/raw":                0x00e5f2f007e35dbd,
-		"vrr/reliable":           0xf3148897668efc54,
+		"flood/raw":              0xf85847263184ea62,
+		"flood/reliable":         0x8ae0bc788b0d349b,
+		"isprp/raw":              0xcd5b41bc58b22038,
+		"isprp/reliable":         0x63d80c3f9bdc118b,
+		"linearization/raw":      0x560f63df618ce248,
+		"linearization/reliable": 0x0a4f1940de5b96b7,
+		"vrr/raw":                0x8176a8df7f998920,
+		"vrr/reliable":           0xf4be8da16d0e578c,
 	}
 	for _, name := range ProtocolNames() {
 		for _, transport := range []string{TransportRaw, TransportReliable} {
