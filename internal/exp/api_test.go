@@ -69,7 +69,10 @@ func TestProtocolContract(t *testing.T) {
 // boot -proto P -transport T -n 48 -seed 1 -trace F -trace-level msg` (F's
 // bytes, so `cmp` against a trace from another build says the same thing).
 // A change to ssr, vrr, isprp, floodboot or the node runtime under them that
-// moves one frame, one timer or one RNG draw changes a constant here.
+// moves one frame or one RNG draw changes a constant here. The trace has no
+// line per engine event, so a timer that fires and sends, traces or counts
+// nothing moves no hash; the third table pins the engine's event count,
+// which it does move.
 //
 // The second table hashes the same stream without the E_v events
 // (edge-add, edge-delegate, ring-closed). It moves only when the protocol
@@ -96,6 +99,16 @@ func TestProtocolEventStreamPinned(t *testing.T) {
 		"vrr/raw":                0x8176a8df7f998920,
 		"vrr/reliable":           0xf4be8da16d0e578c,
 	}
+	wantEvents := map[string]int64{
+		"flood/raw":              18336,
+		"flood/reliable":         45290,
+		"isprp/raw":              8562,
+		"isprp/reliable":         29073,
+		"linearization/raw":      4752,
+		"linearization/reliable": 13789,
+		"vrr/raw":                7144,
+		"vrr/reliable":           19040,
+	}
 	for _, name := range ProtocolNames() {
 		for _, transport := range []string{TransportRaw, TransportReliable} {
 			key := name + "/" + transport
@@ -107,8 +120,12 @@ func TestProtocolEventStreamPinned(t *testing.T) {
 					Tracer:    trace.WithLevel(trace.Tee(sink, withoutEdgeEvents{sinkNoEdges}), trace.LevelMsg),
 					Transport: transport,
 				}
-				if _, err := harness.Bootstrap(name, 48, graph.TopoER, 1, 16); err != nil {
+				_, events, err := harness.bootstrap(name, 48, graph.TopoER, 1, 16)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if events != wantEvents[key] {
+					t.Errorf("engine events %d, want %d", events, wantEvents[key])
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)

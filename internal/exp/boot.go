@@ -27,11 +27,18 @@ import (
 // counters and the drop counters as "drops/…", so even a round-level trace
 // carries the message taxonomy and the loss economy.
 func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, error) {
+	rep, _, err := h.bootstrap(proto, n, topo, seed, probeEvery)
+	return rep, err
+}
+
+// bootstrap is Bootstrap that also returns how many engine events fired,
+// the work a trace no longer records event by event.
+func (h Harness) bootstrap(proto string, n int, topo graph.Topology, seed int64, probeEvery int) (Report, int64, error) {
 	rep := Report{ID: "E6c", Title: fmt.Sprintf("single %s bootstrap, n=%d on %s (%s transport)", proto, n, topo, h.transport())}
 	net, tr := h.newNet(topo, n, seed)
 	cl, err := NewBootProtocol(proto, tr)
 	if err != nil {
-		return Report{}, err
+		return Report{}, 0, err
 	}
 	// The report's verdict line is the one `tracectl report` prints for the
 	// same probe events: both come from trace.Analysis.
@@ -58,7 +65,7 @@ func (h Harness) Bootstrap(proto string, n int, topo graph.Topology, seed int64,
 	tab.AddRow(proto, n, ok, int64(at), net.Counters().Total())
 	rep.Table = tab
 	rep.Notes = append(rep.Notes, verdict.Verdict().String())
-	return rep, nil
+	return rep, net.Engine().EventsExecuted(), nil
 }
 
 // emitCounters emits c as EvCounter events at time t: each sent kind as

@@ -131,6 +131,8 @@ func TestStatsSinkAggregates(t *testing.T) {
 	s.Emit(trace.Event{Type: trace.EvMsgSend, Kind: "ssr:ack"})
 	s.Emit(trace.Event{Type: trace.EvMsgDrop, Kind: "ssr:ack", Aux: "loss"})
 	s.Emit(trace.Event{Type: trace.EvCounter, Kind: "isprp:flood-origin", Value: 1})
+	s.Emit(trace.Event{Type: trace.EvGauge, Kind: "queue", Value: 5})
+	s.Emit(trace.Event{Type: trace.EvGauge, Kind: "queue", Value: 3})
 	s.Emit(trace.Event{Type: trace.EvRoundEnd})
 	if s.TotalSent() != 3 {
 		t.Errorf("total sent %d", s.TotalSent())

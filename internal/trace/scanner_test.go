@@ -90,6 +90,9 @@ func TestScannerReadsRetiredEvents(t *testing.T) {
 	if s, _ := a.LastProbe(); s != (trace.ProbeSample{Round: 2}) {
 		t.Errorf("last sample = %+v, want an empty round 2", s)
 	}
+	if c, tax, d := a.Counters(), a.Taxonomy(), a.DropTotals(); len(c)+len(tax)+len(d) != 0 {
+		t.Errorf("counters %+v, taxonomy %+v, drops %+v; want none", c, tax, d)
+	}
 }
 
 func TestScannerSkipsBlankLines(t *testing.T) {
@@ -201,6 +204,7 @@ func TestStatsSinkConcurrent(t *testing.T) {
 		{Type: trace.EvMsgRecv, Kind: "k"},
 		{Type: trace.EvMsgDrop, Kind: "k", Aux: "loss"},
 		{Type: trace.EvCounter, Kind: "c", Value: 1},
+		{Type: trace.EvGauge, Kind: "g", Value: 2},
 		{Type: trace.EvRoundEnd},
 		{Type: trace.EvProbe, Kind: "missing", Value: 1},
 		{Type: trace.EvInvariant, Kind: "inv"},
