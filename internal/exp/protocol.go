@@ -208,13 +208,7 @@ func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64)
 		if !topoAfter.Connected() {
 			continue
 		}
-		net.FailNode(v)
-		for u, node := range cl.Nodes {
-			if u != v {
-				node.Cache().Remove(v)
-			}
-		}
-		delete(cl.Nodes, v)
+		cl.LeaveGraceful(v)
 		killed++
 	}
 	recAt, recOK := cl.RunUntilConsistent(bootAt + node.Budget(n))

@@ -1,6 +1,9 @@
 package ssr
 
-import "repro/internal/ids"
+import (
+	"repro/internal/ids"
+	"repro/internal/sroute"
+)
 
 // Join adds a new node to a running cluster. The caller must already have
 // attached the node's physical links (net.AddLink); Join registers the SSR
@@ -33,10 +36,11 @@ func (c *Cluster) Leave(v ids.ID) {
 	delete(c.Nodes, v)
 }
 
-// LeaveGraceful removes a node with explicit notice: every survivor purges
-// its state for the departed node immediately (the best case a departure
-// protocol could achieve). Used as the fast-path comparison for the churn
-// experiments.
+// LeaveGraceful removes a node with explicit notice: every survivor at
+// once forgets each cached route, reverse-neighbour entry and wrap route
+// that crosses v (the best case a departure protocol could achieve), so no
+// survivor, and no oracle poll, counts a path through the departed node.
+// It is the one way the churn experiments remove a node cooperatively.
 func (c *Cluster) LeaveGraceful(v ids.ID) {
 	n, ok := c.Nodes[v]
 	if !ok {
@@ -45,9 +49,8 @@ func (c *Cluster) LeaveGraceful(v ids.ID) {
 	n.Stop()
 	c.Net.FailNode(v)
 	delete(c.Nodes, v)
-	for _, s := range c.Nodes {
-		s.drop(v, "leave")
-		s.dropRevNbr(v)
-		s.wrap.Forget(v)
+	crosses := func(r sroute.Route) bool { return r.IndexOf(v) >= 0 }
+	for _, u := range c.IDs() {
+		c.Nodes[u].purge(v, "leave", crosses)
 	}
 }

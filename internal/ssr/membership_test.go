@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ids"
 	"repro/internal/sim"
+	"repro/internal/sroute"
 )
 
 func TestJoinSplicesIntoRing(t *testing.T) {
@@ -142,6 +143,72 @@ func TestGracefulLeave(t *testing.T) {
 	t.Logf("graceful-leave reconvergence took %d ticks", at-before)
 	c.Leave(9999999) // unknown node: no-op
 	c.LeaveGraceful(9999999)
+}
+
+// routesThrough counts the state survivors keep about routes that reach
+// v: cached routes, reverse-neighbour routes, wrap routes (or partners) and
+// lastHeard entries that contain v; past counts only the routes that pass
+// v on the way to another node.
+func routesThrough(c *Cluster, v ids.ID) (crossing, past int) {
+	count := func(r sroute.Route) {
+		if i := r.IndexOf(v); i >= 0 {
+			crossing++
+			if i < len(r)-1 {
+				past++
+			}
+		}
+	}
+	for _, s := range c.Nodes {
+		s.Cache().Each(func(_ ids.ID, r sroute.Route) { count(r) })
+		for _, e := range s.revNbrs {
+			count(e.route)
+		}
+		for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
+			if p, ok := s.wrap.Partner(d); ok && p == v {
+				crossing++
+			} else if ok {
+				count(s.wrap.State(d))
+			}
+		}
+		if _, ok := s.lastHeard[v]; ok {
+			crossing++
+		}
+	}
+	return crossing, past
+}
+
+// After LeaveGraceful(v) no survivor keeps a route that crosses v: the
+// routes through v are as dead as the routes to it, and the oracle must not
+// count them.
+func TestLeaveGracefulPurgesRoutesThroughNode(t *testing.T) {
+	topo, _ := graph.Generate(graph.TopoER, 24, graph.RandomIDs, 1)
+	net := newNet(t, topo, 1)
+	c := NewCluster(net, Config{CacheMode: cache.Unbounded, CloseRing: true})
+	if _, ok := c.RunUntilConsistent(120000); !ok {
+		t.Fatal("initial bootstrap failed")
+	}
+	// The interior node most routes pass through, whose removal keeps the
+	// graph connected.
+	nodes := net.Topology().Nodes()
+	var victim ids.ID
+	most := 0
+	for _, v := range nodes[1 : len(nodes)-1] {
+		after := net.Topology().Clone()
+		after.RemoveNode(v)
+		if _, past := routesThrough(c, v); after.Connected() && past > most {
+			victim, most = v, past
+		}
+	}
+	if most == 0 {
+		t.Fatal("no removable node carries a route to another node")
+	}
+	c.LeaveGraceful(victim)
+	if crossing, _ := routesThrough(c, victim); crossing != 0 {
+		t.Errorf("after LeaveGraceful(%s), survivors keep %d routes that cross it (%d passed it before)", victim, crossing, most)
+	}
+	if _, ok := c.RunUntilConsistent(net.Engine().Now() + 400000); !ok {
+		t.Fatalf("survivors did not re-converge: %s", c.LineReport())
+	}
 }
 
 func TestJoinIntoSingletonCluster(t *testing.T) {

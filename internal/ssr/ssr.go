@@ -231,18 +231,27 @@ func (n *Node) onLease(peer ids.ID, up bool) {
 		n.seed("lease-up", peer)
 		return
 	}
+	n.purge(peer, "lease-down", func(r sroute.Route) bool { return r.Via(peer) })
+	n.tombstone(peer, deadAfter)
+}
+
+// purge forgets every route that broken holds for: cached routes leave E_v
+// through drop with cause, then reverse-neighbour entries go, then each wrap
+// side whose route is broken or whose partner is x. A lost link (onLease)
+// breaks the routes whose first hop it is, a departed node
+// (Cluster.LeaveGraceful) every route that crosses it.
+func (n *Node) purge(x ids.ID, cause string, broken func(sroute.Route) bool) {
 	for _, dst := range n.rc.Destinations() {
-		if n.rc.Route(dst).Via(peer) {
-			n.drop(dst, "lease-down")
+		if broken(n.rc.Route(dst)) {
+			n.drop(dst, cause)
 		}
 	}
-	n.revNbrs = slices.DeleteFunc(n.revNbrs, func(e revEntry) bool { return e.route.Via(peer) })
+	n.revNbrs = slices.DeleteFunc(n.revNbrs, func(e revEntry) bool { return broken(e.route) })
 	for _, d := range [2]ids.Dir{ids.Left, ids.Right} {
-		if p, ok := n.wrap.Partner(d); ok && (p == peer || n.wrap.State(d).Via(peer)) {
+		if p, ok := n.wrap.Partner(d); ok && (p == x || broken(n.wrap.State(d))) {
 			n.wrap.Drop(d)
 		}
 	}
-	n.tombstone(peer, deadAfter)
 }
 
 // ID returns the node identifier.

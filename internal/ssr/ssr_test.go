@@ -276,18 +276,11 @@ func TestChurnRecovery(t *testing.T) {
 	if _, ok := c.RunUntilConsistent(120000); !ok {
 		t.Fatal("initial convergence failed")
 	}
-	// Fail a middle node and purge it from every cache (SSR detects dead
-	// virtual neighbors via failed sends; here we model the detection
+	// Fail a middle node and purge every route that crosses it (SSR detects
+	// dead virtual neighbors via failed sends; here we model the detection
 	// outcome directly and test the re-convergence machinery).
 	victims := net.Topology().Nodes()
-	victim := victims[len(victims)/2]
-	net.FailNode(victim)
-	for v, n := range c.Nodes {
-		if v != victim {
-			n.Cache().Remove(victim)
-		}
-	}
-	delete(c.Nodes, victim)
+	c.LeaveGraceful(victims[len(victims)/2])
 	// The oracle must now hold over the survivor set.
 	if _, ok := c.RunUntilConsistent(net.Engine().Now() + 120000); !ok {
 		t.Fatalf("no re-convergence after churn: %s", c.LineReport())
