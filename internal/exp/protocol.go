@@ -186,7 +186,8 @@ func (h Harness) VRRBootstrap(n int, topo graph.Topology, seeds int) Report {
 }
 
 // ChurnRecovery reproduces the message-level half of experiment E9: after
-// convergence a fraction of nodes fail; the survivors must re-linearize.
+// convergence up to kill interior nodes leave through LeaveGraceful; the
+// survivors must re-linearize.
 func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64) Report {
 	rep := Report{ID: "E9b", Title: "Message-level churn recovery"}
 	net, tr := h.newNet(topo, n, seed)
@@ -216,7 +217,7 @@ func (h Harness) ChurnRecovery(n int, topo graph.Topology, kill int, seed int64)
 	cl.Stop()
 	rep.Table = tab
 	rep.Notes = append(rep.Notes,
-		"failure detection is modeled as instantaneous cache purge; recovery itself uses only linearization")
+		"departure is graceful (ssr.Cluster.LeaveGraceful): each survivor at once drops every route that crosses a killed node; recovery itself uses only linearization")
 	return rep
 }
 
