@@ -11,32 +11,34 @@ import (
 	"fmt"
 	"log"
 
-	ssrlin "repro"
+	"repro/internal/cache"
+	"repro/internal/graph"
+	"repro/internal/node"
+	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/ssr"
 )
 
 func main() {
-	s, err := ssrlin.NewSimulation(ssrlin.Options{
-		Topology: ssrlin.TopoRegular,
-		Nodes:    40,
-		Seed:     11,
-	})
+	const n, seed = 40, 11
+	g, err := graph.Generate(graph.TopoRegular, n, graph.RandomIDs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	net := phys.NewNetwork(sim.NewEngine(seed), g)
 
-	res := s.BootstrapSSR(ssrlin.SSRConfig{CacheMode: ssrlin.UnboundedCache})
-	if !res.Converged {
-		log.Fatalf("initial bootstrap failed: %+v", res)
+	cl := ssr.NewCluster(net, ssr.Config{CacheMode: cache.Unbounded})
+	at, ok := cl.RunUntilConsistent(node.Budget(n))
+	if !ok {
+		log.Fatalf("initial bootstrap did not converge by t=%d", at)
 	}
-	fmt.Printf("initial ring consistent at t=%d (%d messages)\n", res.Time, res.Messages)
+	fmt.Printf("initial ring consistent at t=%d (%d messages)\n", at, net.Counters().Total())
 
 	// Churn: kill every 7th interior node, provided the physical network
-	// stays connected. Failure detection is modeled as a cache purge at the
-	// former neighbors (SSR detects dead virtual links by failed sends).
-	cl := s.SSR()
-	net := s.Network()
-	nodes := s.NodeIDs()
+	// stays connected. Each victim leaves through LeaveGraceful: every
+	// survivor at once drops each route that crosses it, the outcome of
+	// failure detection (SSR detects dead virtual links by failed sends).
+	nodes := cl.IDs()
 	killed := 0
 	for i := 1; i < len(nodes)-1; i += 7 {
 		victim := nodes[i]
@@ -45,22 +47,16 @@ func main() {
 		if !after.Connected() {
 			continue
 		}
-		net.FailNode(victim)
-		for u, n := range cl.Nodes {
-			if u != victim {
-				n.Cache().Remove(victim)
-			}
-		}
-		delete(cl.Nodes, victim)
+		cl.LeaveGraceful(victim)
 		killed++
 		fmt.Printf("  node %s failed\n", victim)
 	}
 	fmt.Printf("churn: %d nodes down; survivors re-linearize ...\n", killed)
 
-	at, ok := cl.RunUntilConsistent(sim.Time(res.Time) + 200000)
+	rec, ok := cl.RunUntilConsistent(at + node.Budget(n))
 	if !ok {
-		log.Fatalf("survivors did not re-converge (t=%d)", at)
+		log.Fatalf("survivors did not re-converge (t=%d)", rec)
 	}
-	fmt.Printf("ring consistent again at t=%d — no flood, no restart\n", at)
-	fmt.Printf("total messages including recovery: %d\n", s.Messages())
+	fmt.Printf("ring consistent again at t=%d — no flood, no restart\n", rec)
+	fmt.Printf("total messages including recovery: %d\n", net.Counters().Total())
 }

@@ -8,40 +8,43 @@ import (
 	"fmt"
 	"log"
 
-	ssrlin "repro"
+	"repro/internal/graph"
+	"repro/internal/node"
+	"repro/internal/phys"
+	"repro/internal/sim"
+	"repro/internal/ssr"
 )
 
 func main() {
 	// A 48-node random network with uniformly random 64-bit addresses —
 	// SSR never assumes addresses match the topology (§1).
-	sim, err := ssrlin.NewSimulation(ssrlin.Options{
-		Topology: ssrlin.TopoER,
-		Nodes:    48,
-		Seed:     2007, // the paper's year; any seed works
-	})
+	const n, seed = 48, 2007 // the paper's year; any seed works
+	g, err := graph.Generate(graph.TopoER, n, graph.RandomIDs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	net := phys.NewNetwork(sim.NewEngine(seed), g)
 
 	fmt.Println("bootstrapping the virtual ring with linearization ...")
-	res := sim.BootstrapSSR(ssrlin.SSRConfig{
+	cl := ssr.NewCluster(net, ssr.Config{
 		CloseRing:      true, // §4 discovery messages close the line into the ring
 		BothDirections: true, // redundant counter-clockwise discovery
 	})
-	if !res.Converged {
-		log.Fatalf("bootstrap did not converge: %+v", res)
+	at, ok := cl.RunUntilConsistent(node.Budget(n))
+	if !ok {
+		log.Fatalf("bootstrap did not converge by t=%d", at)
 	}
 	fmt.Printf("globally consistent at t=%d after %d messages (zero floods)\n\n",
-		res.Time, res.Messages)
+		at, net.Counters().Total())
 
 	// Routing is now guaranteed for every source/destination pair (§1).
-	sim.SSR().Stop() // freeze the converged state
-	nodes := sim.NodeIDs()
+	cl.Stop() // freeze the converged state
+	nodes := cl.IDs()
 	pairs := [][2]int{{0, len(nodes) - 1}, {len(nodes) / 2, 3}, {5, len(nodes) / 3}}
 	for _, p := range pairs {
 		src, dst := nodes[p[0]], nodes[p[1]]
-		out := sim.Route(src, dst)
+		r := cl.RouteData(src, dst, 8192)
 		fmt.Printf("route %20s -> %-20s delivered=%v hops=%d stretch=%.2f\n",
-			src, dst, out.Delivered, out.Hops, out.Stretch)
+			src, dst, r.Delivered, r.Hops, r.Stretch())
 	}
 }

@@ -12,51 +12,52 @@ import (
 	"fmt"
 	"log"
 
-	ssrlin "repro"
+	"repro/internal/cache"
+	"repro/internal/graph"
+	"repro/internal/node"
+	"repro/internal/phys"
+	"repro/internal/sim"
+	"repro/internal/ssr"
 )
 
 func main() {
-	sim, err := ssrlin.NewSimulation(ssrlin.Options{
-		Topology: ssrlin.TopoUnitDisk,
-		Nodes:    64,
-		Seed:     5,
-		Latency:  2, // slower radio links
-	})
+	const n, seed = 64, 5
+	g, err := graph.Generate(graph.TopoUnitDisk, n, graph.RandomIDs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	net := phys.NewNetwork(sim.NewEngine(seed), g,
+		phys.WithLatency(phys.ConstantLatency(2))) // slower radio links
 
 	fmt.Println("sensor field: 64 radios, unit-disk links, bounded caches")
-	res := sim.BootstrapSSR(ssrlin.SSRConfig{
-		CacheMode:      ssrlin.BoundedCache, // O(log) state per sensor
+	cl := ssr.NewCluster(net, ssr.Config{
+		CacheMode:      cache.Bounded, // O(log) state per sensor
 		CloseRing:      true,
 		BothDirections: true,
 	})
-	if !res.Converged {
-		log.Fatalf("bootstrap did not converge: %+v", res)
+	at, ok := cl.RunUntilConsistent(node.Budget(n))
+	if !ok {
+		log.Fatalf("bootstrap did not converge by t=%d", at)
 	}
-	fmt.Printf("ring consistent at t=%d, %d messages\n", res.Time, res.Messages)
+	fmt.Printf("ring consistent at t=%d, %d messages\n", at, net.Counters().Total())
 
 	// Per-node state stays logarithmic — this is what makes SSR viable on
 	// constrained sensor hardware (and what LSN guarantees, §2).
 	maxEntries := 0
-	for _, n := range sim.SSR().Nodes {
-		if l := n.Cache().Len(); l > maxEntries {
-			maxEntries = l
-		}
+	for _, nd := range cl.Nodes {
+		maxEntries = max(maxEntries, nd.Cache().Len())
 	}
 	fmt.Printf("largest route cache: %d entries (bound: 128 interval slots)\n\n", maxEntries)
 
 	// The sink (lowest address) polls every sensor.
-	sim.SSR().Stop()
-	nodes := sim.NodeIDs()
+	cl.Stop()
+	nodes := cl.IDs()
 	sink := nodes[0]
 	delivered, totalHops := 0, 0
 	for _, sensor := range nodes[1:] {
-		out := sim.Route(sink, sensor)
-		if out.Delivered {
+		if r := cl.RouteData(sink, sensor, 8192); r.Delivered {
 			delivered++
-			totalHops += out.Hops
+			totalHops += r.Hops
 		}
 	}
 	fmt.Printf("sink polled %d/%d sensors, mean route length %.1f hops\n",

@@ -10,49 +10,50 @@ import (
 	"fmt"
 	"log"
 
-	ssrlin "repro"
+	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/node"
+	"repro/internal/phys"
+	"repro/internal/sim"
 	"repro/internal/vrr"
 )
 
 func main() {
-	s, err := ssrlin.NewSimulation(ssrlin.Options{
-		Topology: ssrlin.TopoER,
-		Nodes:    32,
-		Seed:     23,
-	})
+	const n, seed = 32, 23
+	g, err := graph.Generate(graph.TopoER, n, graph.RandomIDs, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng := sim.NewEngine(seed)
+	net := phys.NewNetwork(eng, g)
 
 	fmt.Println("bootstrapping linearized VRR (path state, hello beacons, no representative) ...")
-	res := s.BootstrapVRR(ssrlin.VRRConfig{CloseRing: true})
-	if !res.Converged {
-		log.Fatalf("VRR bootstrap failed: %+v", res)
+	cl := vrr.NewCluster(net, vrr.Config{CloseRing: true})
+	at, ok := cl.RunUntilConsistent(node.Budget(n))
+	if !ok {
+		log.Fatalf("VRR bootstrap did not converge by t=%d", at)
 	}
-	fmt.Printf("virtual ring consistent at t=%d after %d frames\n", res.Time, res.Messages)
+	fmt.Printf("virtual ring consistent at t=%d after %d frames\n", at, net.Counters().Total())
 
 	// Router state: path-table entries per node (§5's future-work metric).
-	sizes := s.VRR().StateSummary()
-	sum := metrics.Summarize(metrics.Ints(sizes))
+	sum := metrics.Summarize(metrics.Ints(cl.StateSummary()))
 	fmt.Printf("path-table entries per node: mean=%.1f p90=%.0f max=%.0f\n",
 		sum.Mean, sum.P90, sum.Max)
 
 	// Route packets across the identifier space over the installed path
 	// state: each hop forwards along the path whose far endpoint is
 	// virtually closest to the destination.
-	s.VRR().Stop()
-	nodes := s.NodeIDs()
-	eng := s.Network().Engine()
+	cl.Stop()
+	nodes := cl.IDs()
 	for _, pair := range [][2]int{{1, len(nodes) - 2}, {len(nodes) - 3, 0}, {2, len(nodes) / 2}} {
 		src, dst := nodes[pair[0]], nodes[pair[1]]
 		var got *vrr.Delivery
-		s.VRR().Nodes[dst].OnDeliver = func(d vrr.Delivery) {
+		cl.Nodes[dst].OnDeliver = func(d vrr.Delivery) {
 			if d.Origin == src {
 				got = &d
 			}
 		}
-		if !s.VRR().Nodes[src].SendData(dst, "reading") {
+		if !cl.Nodes[src].SendData(dst, "reading") {
 			fmt.Printf("route %20s -> %-20s: no greedy candidate\n", src, dst)
 			continue
 		}
