@@ -48,7 +48,11 @@
 # EvSimFire or EvGauge, or builds an event of Kind "distance": the trace
 # records each fact once, and a firing, the executor's activation total and
 # missing + surplus are each already in it (the names stay decodable so
-# older traces still read). Run from the repo root.
+# older traces still read). And fails when a non-test Go file sits at the
+# module root or any Go file imports "repro": the root holds only the layer
+# micro-benchmarks, and callers (the examples included) build a run from the
+# packages themselves, as cmd/ssrsim does, so no facade grows back beside
+# them. Run from the repo root.
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 modes=$(${GO:-go} run ./cmd/ssrsim -h 2>&1 | sed -n 's/^[[:space:]]*\([a-z][a-z]*\)[[:space:]][[:space:]]*[A-Z][0-9].*/\1/p')
 [ -n "$modes" ] || { echo "docs-check: could not read the mode list from ssrsim -h"; exit 1; }
@@ -124,6 +128,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '"(listen|pprof)"' cmd; then
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' -e 'Ev(SimFire|Gauge)([^A-Za-z0-9_]|$)' -e 'Kind:[[:space:]]*"distance"' . | grep -v '^\./internal/trace/tracer\.go:'; then
 	echo "docs-check: no sim-fire, gauge or distance-probe events: the trace carries each of those facts already"
+	fail=1
+fi
+if ls *.go 2>/dev/null | grep -v '_test\.go$' || grep -rn --include='*.go' '"repro"' .; then
+	echo "docs-check: no facade at the module root: keep non-test Go out of it and import repro/internal/... instead of \"repro\""
 	fail=1
 fi
 exit $fail
