@@ -38,9 +38,10 @@ func (c *Cluster) Leave(v ids.ID) {
 
 // LeaveGraceful removes a node with explicit notice: every survivor at
 // once forgets each cached route, reverse-neighbour entry and wrap route
-// that crosses v (the best case a departure protocol could achieve), so no
-// survivor, and no oracle poll, counts a path through the departed node.
-// It is the one way the churn experiments remove a node cooperatively.
+// that crosses v (the best case a departure protocol could achieve), so
+// right after it no survivor holds, and no oracle poll counts, a path
+// through the departed node. It is the one way the churn experiments
+// remove a node cooperatively.
 func (c *Cluster) LeaveGraceful(v ids.ID) {
 	n, ok := c.Nodes[v]
 	if !ok {
